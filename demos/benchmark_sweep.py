@@ -16,7 +16,7 @@ spec = bench.ExperimentSpec(
     seed=2024,
     adversarial=True,
 )
-summary = bench.run_experiment(spec, "sweep_results")
+summary, failures = bench.run_experiment(spec, "sweep_results")
 
 print(f"{'planner':8} {'k':>2} {'LB':>7} {'naive':>7} {'cost':>7} {'gap closed':>10}")
 for row in summary:
@@ -25,3 +25,5 @@ for row in summary:
         f"{row.cost_mean:7.1f} {row.delta:9.1f}%"
     )
 print("\nper-run data: sweep_results/runs.csv; plot data: sweep_results/plot_*.txt")
+if failures:
+    print(f"{len(failures)} instance(s) failed; see sweep_results/failures.csv")

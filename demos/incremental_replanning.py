@@ -13,7 +13,7 @@ from scoutplan.dstar import CostUpdate
 inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
 view = PlanningCostView(inst, KnowledgeState())
 
-state = dstar.initialize(inst, view, inst.p, inst.d)
+state = dstar.initialize(inst, inst.p, inst.d)
 path = dstar.replan(state, view, inst.p, [])
 print(f"grid with {inst.n_vertices} vertices, {len(inst.impeded_ids)} impeded edges")
 print(f"initial search: {state.expansions} expansions, route cost {path.cost:.1f}")

@@ -20,7 +20,7 @@ from scoutplan import (
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=5, chain_len=12), seed=11)
 view = PlanningCostView(inst, KnowledgeState())
-state = dstar.initialize(inst, view, inst.p, inst.d)
+state = dstar.initialize(inst, inst.p, inst.d)
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
 
 critical = rpp.extract_critical_edges(pset, view.knowledge, inst, view)

@@ -12,7 +12,7 @@ from scoutplan.dstar import CostUpdate
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=6, chain_len=10), seed=2)
 view = PlanningCostView(inst, KnowledgeState())
-state = dstar.initialize(inst, view, inst.p, inst.d)
+state = dstar.initialize(inst, inst.p, inst.d)
 
 K = 4
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], K)

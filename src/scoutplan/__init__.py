@@ -21,11 +21,9 @@ from .core import (
     UniformCost,
     load_instance,
     load_realization,
-    planning_cost,
     sample_realization,
     save_instance,
     save_realization,
-    uav_transit_cost,
 )
 from .dstar import CostUpdate, DStarState
 from .kspp import PathSet, update_k_paths
@@ -82,7 +80,6 @@ __all__ = [
     "load_instance",
     "load_realization",
     "lower_bound",
-    "planning_cost",
     "rpp_dfs",
     "run",
     "sample_realization",
@@ -90,6 +87,5 @@ __all__ = [
     "save_realization",
     "select_edge",
     "solution_to_uav_plan",
-    "uav_transit_cost",
     "update_k_paths",
 ]

@@ -15,13 +15,13 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from statistics import fmean, pstdev
 
 from . import sim
 from .core import (
     EdgeRecord,
     INF,
+    InstanceError,
     ProblemInstance,
     Realization,
     UniformCost,
@@ -258,7 +258,7 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
             if inst.edges[eid].impeded
             else inst.edges[eid].ugv_cost
         )
-        dist, parent = dijkstra(inst, p, exp_cost)
+        dist, parent = dijkstra(inst.ugv_adj, p, exp_cost)
         on_path: set[int] = set()
         v = d
         while v != p:
@@ -348,7 +348,7 @@ def import_road_network(
     length_of = lambda eid: lengths.get(eid, INF)
     best = (0.0, 0, 0)
     for src in range(probe.n_vertices):
-        dist, _ = dijkstra(probe, src, length_of)
+        dist, _ = dijkstra(probe.ugv_adj, src, length_of)
         far = max(range(probe.n_vertices), key=lambda v: (dist[v] < INF, dist[v]))
         if dist[far] > best[0]:
             best = (dist[far], src, far)
@@ -392,7 +392,13 @@ def demo_instance() -> tuple[ProblemInstance, Realization]:
 RUN_COLUMNS = (
     "instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time",
     "n_replans", "max_ugv_replan_ms", "max_uav_replan_ms",
+    "label", "n_vertices", "max_uav_solver_ms", "budget_hits",
 )
+_INT_COLUMNS = ("instance_id", "k", "n_replans", "n_vertices", "budget_hits")
+_FLOAT_COLUMNS = (
+    "LB", "cost", "arrival_time", "max_ugv_replan_ms", "max_uav_replan_ms", "max_uav_solver_ms",
+)
+FAILURE_COLUMNS = ("instance_id", "seed", "error", "message")
 
 
 def _make_instance(spec: ExperimentSpec, index: int) -> tuple[ProblemInstance, Realization, str]:
@@ -458,49 +464,48 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     return rows
 
 
-def _worker(args: tuple[ExperimentSpec, int]) -> list[dict]:
-    return run_instance_suite(*args)
-
-
-def summarize_rows(rows: list[dict], by_label: bool = False) -> list[SummaryRow]:
-    naive: dict[tuple, list[dict]] = {}
+def summarize_rows(rows: list[dict]) -> list[SummaryRow]:
+    """One row per (planner, k, label), paired with the naive runs of the
+    same label.  The label is empty outside the scaling family."""
+    naive: dict[str, list[dict]] = {}
     algo: dict[tuple, list[dict]] = {}
     for r in rows:
-        lbl = r.get("label", "") if by_label else ""
+        lbl = r["label"]
         if r["planner"] == "naive":
             naive.setdefault(lbl, []).append(r)
         else:
             algo.setdefault((r["planner"], r["k"], lbl), []).append(r)
     out = []
-    for (planner, k, lbl), rs in sorted(algo.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-        base = naive.get(lbl, [])
-        base_by_inst = {r["instance_id"]: r for r in base}
-        paired = [base_by_inst[r["instance_id"]] for r in rs if r["instance_id"] in base_by_inst]
-        lb_mean = float(np.mean([r["LB"] for r in rs]))
-        cost = np.array([r["cost"] for r in rs], dtype=float)
-        naive_cost = np.array([r["cost"] for r in paired], dtype=float) if paired else np.array([np.nan])
-        naive_mean = float(np.mean(naive_cost))
-        row = SummaryRow(
-            planner=planner,
-            k=k,
-            label=lbl,
-            n=len(rs),
-            lb_mean=lb_mean,
-            naive_mean=naive_mean,
-            cost_mean=float(np.mean(cost)),
-            delta=delta_percent(lb_mean, naive_mean, float(np.mean(cost))),
-            naive_std=float(np.std(naive_cost)),
-            cost_std=float(np.std(cost)),
-            max_ugv_ms=float(max(r["max_ugv_replan_ms"] for r in rs)),
-            max_uav_ms=float(max(r["max_uav_replan_ms"] for r in rs)),
+    for (planner, k, lbl), rs in sorted(algo.items()):
+        naive_by_inst = {r["instance_id"]: r["cost"] for r in naive.get(lbl, [])}
+        ids = [r["instance_id"] for r in rs]
+        naive_cost = [naive_by_inst[i] for i in ids if i in naive_by_inst]
+        cost = [r["cost"] for r in rs]
+        lb_mean = fmean(r["LB"] for r in rs)
+        cost_mean = fmean(cost)
+        naive_mean = fmean(naive_cost) if naive_cost else math.nan
+        out.append(
+            SummaryRow(
+                planner=planner,
+                k=k,
+                label=lbl,
+                n=len(rs),
+                lb_mean=lb_mean,
+                naive_mean=naive_mean,
+                cost_mean=cost_mean,
+                delta=delta_percent(lb_mean, naive_mean, cost_mean),
+                naive_std=pstdev(naive_cost) if naive_cost else math.nan,
+                cost_std=pstdev(cost),
+                max_ugv_ms=max(r["max_ugv_replan_ms"] for r in rs),
+                max_uav_ms=max(r["max_uav_replan_ms"] for r in rs),
+            )
         )
-        out.append(row)
     return out
 
 
-def write_runs_csv(rows: list[dict], path: str) -> None:
+def _write_csv(rows: list[dict], columns: tuple[str, ...], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RUN_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -508,12 +513,15 @@ def write_runs_csv(rows: list[dict], path: str) -> None:
 def read_runs_csv(path: str) -> list[dict]:
     out = []
     with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            r["instance_id"] = int(r["instance_id"])
-            r["k"] = int(r["k"])
-            for key in ("LB", "cost", "arrival_time", "max_ugv_replan_ms", "max_uav_replan_ms"):
+        reader = csv.DictReader(fh)
+        missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InstanceError(f"{path}: missing run columns {missing}")
+        for r in reader:
+            for key in _INT_COLUMNS:
+                r[key] = int(r[key])
+            for key in _FLOAT_COLUMNS:
                 r[key] = float(r[key])
-            r["n_replans"] = int(r["n_replans"])
             out.append(r)
     return out
 
@@ -534,32 +542,36 @@ def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
 
 def run_experiment(
     spec: ExperimentSpec, out_dir: str, jobs: int = 1
-) -> list[SummaryRow]:
-    """Run the full sweep, write runs.csv, summary.csv and plot data."""
+) -> tuple[list[SummaryRow], list[dict]]:
+    """Run the full sweep and write runs.csv, summary.csv, failures.csv and
+    plot data.  Returns the summary and one record per failed instance;
+    a failed instance contributes no rows to the summary."""
     os.makedirs(out_dir, exist_ok=True)
     n = spec.n_instances * (len(spec.sizes) if spec.family == "scaling" else 1)
-    tasks = [(spec, i) for i in range(n)]
     rows: list[dict] = []
-    failures = 0
+    failures: list[dict] = []
+
+    def collect(index: int, result) -> None:
+        try:
+            rows.extend(result())
+        except Exception as exc:
+            failures.append(
+                {"instance_id": index, "seed": spec.seed,
+                 "error": type(exc).__name__, "message": str(exc)}
+            )
+
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_worker, task) for task in tasks]
-            for fut in futures:
-                try:
-                    rows.extend(fut.result())
-                except Exception:
-                    failures += 1
+            futures = [pool.submit(run_instance_suite, spec, i) for i in range(n)]
+            for i, fut in enumerate(futures):
+                collect(i, fut.result)
     else:
-        for task in tasks:
-            try:
-                rows.extend(_worker(task))
-            except Exception:
-                failures += 1
-    if failures:
-        print(f"warning: {failures} instance(s) failed and were excluded")
+        for i in range(n):
+            collect(i, lambda: run_instance_suite(spec, i))
 
-    write_runs_csv(rows, os.path.join(out_dir, "runs.csv"))
-    summary = summarize_rows(rows, by_label=spec.family == "scaling")
+    _write_csv(rows, RUN_COLUMNS, os.path.join(out_dir, "runs.csv"))
+    _write_csv(failures, FAILURE_COLUMNS, os.path.join(out_dir, "failures.csv"))
+    summary = summarize_rows(rows)
     write_summary_csv(summary, os.path.join(out_dir, "summary.csv"))
 
     with open(os.path.join(out_dir, "plot_replan_ms.txt"), "w") as fh:
@@ -574,4 +586,4 @@ def run_experiment(
         fh.write("# instance planner k lb cost\n")
         for r in rows:
             fh.write(f"{r['instance_id']} {r['planner']} {r['k']} {r['LB']!r} {r['cost']!r}\n")
-    return summary
+    return summary, failures

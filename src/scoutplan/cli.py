@@ -126,13 +126,17 @@ def cmd_experiment(args) -> int:
     if "weights" in data:
         data["weights"] = PriorityWeights(*data["weights"])
     spec = _dataclass_from(bench.ExperimentSpec, data)
-    summary = bench.run_experiment(spec, args.out, jobs=args.jobs)
+    summary, failures = bench.run_experiment(spec, args.out, jobs=args.jobs)
     for row in summary:
         print(
             f"{row.planner} k={row.k}{' ' + row.label if row.label else ''}: "
             f"LB {row.lb_mean:.1f} naive {row.naive_mean:.1f} cost {row.cost_mean:.1f} "
             f"delta {row.delta:.1f}%"
         )
+    if failures:
+        where = os.path.join(args.out, "failures.csv")
+        print(f"runtime error: {len(failures)} instance(s) failed, see {where}", file=sys.stderr)
+        return RUNTIME_ERROR
     return 0
 
 
@@ -161,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="simulate one mission")
     s.add_argument("--instance", required=True)
     s.add_argument("--realization", required=True)
-    s.add_argument("--planner", default="rpp", choices=("rpp", "paa", "naive"))
+    s.add_argument("--planner", default="rpp", choices=tuple(sim.PLANNERS))
     s.add_argument("--k", type=int, default=3)
     s.add_argument("--weights", help="w1,w2,w3,w4 for the priority planner")
     s.add_argument("--budget-ms", type=float, default=1000.0)

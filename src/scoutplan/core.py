@@ -10,6 +10,7 @@ their expected cost until they are realized.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import warnings
@@ -19,6 +20,10 @@ INF = float("inf")
 
 # Absolute slack for admissibility checks; costs are plain doubles.
 _EPS = 1e-9
+
+
+def _positive_finite(x: float) -> bool:
+    return 0 < x < INF  # false for NaN too
 
 
 class InstanceError(ValueError):
@@ -35,7 +40,6 @@ class UniformCost:
 
     t_min: float
     t_max: float
-    kind = "uniform"
 
     def expected(self) -> float:
         return (self.t_min + self.t_max) / 2.0
@@ -142,6 +146,8 @@ class ProblemInstance:
         for name, v in (("p", self.p), ("q", self.q), ("d", self.d)):
             if not 0 <= v < n:
                 raise InstanceError(f"endpoint {name}={v} is not a vertex id")
+        if not _positive_finite(self.uav_speed):
+            raise InstanceError(f"uav_speed {self.uav_speed} is not finite and positive")
         seen_pairs: set[tuple[int, int]] = set()
         for i, e in enumerate(self.edges):
             if e.id != i:
@@ -153,8 +159,8 @@ class ProblemInstance:
             if (e.u, e.v) in seen_pairs:
                 raise InstanceError(f"duplicate edge between {e.u} and {e.v}")
             seen_pairs.add((e.u, e.v))
-            if not e.uav_cost > 0:
-                raise InstanceError(f"edge {e.id} has non-positive aerial cost")
+            if not _positive_finite(e.uav_cost):
+                raise InstanceError(f"edge {e.id}: aerial cost is not finite and positive")
             if e.impeded:
                 if e.id not in self.ugv_edge_ids:
                     raise InstanceError(
@@ -165,14 +171,14 @@ class ProblemInstance:
                         f"edge {e.id}: impeded edge carries a fixed UGV cost"
                     )
                 dist = e.distribution
-                if not (0 < dist.t_min <= dist.t_max):
+                if not (_positive_finite(dist.t_max) and 0 < dist.t_min <= dist.t_max):
                     raise InstanceError(
                         f"edge {e.id}: invalid cost bounds [{dist.t_min}, {dist.t_max}]"
                     )
             elif e.id in self.ugv_edge_ids:
-                if e.ugv_cost is None or not e.ugv_cost > 0:
+                if e.ugv_cost is None or not _positive_finite(e.ugv_cost):
                     raise InstanceError(
-                        f"edge {e.id}: unimpeded UGV edge needs a positive cost"
+                        f"edge {e.id}: unimpeded UGV edge needs a finite positive cost"
                     )
         for eid in self.ugv_edge_ids:
             if not 0 <= eid < len(self.edges):
@@ -330,14 +336,6 @@ class PlanningCostView:
         return total
 
 
-def planning_cost(view: PlanningCostView, eid: int) -> float:
-    """Planning cost of a UGV edge under the current knowledge."""
-    inst = view.inst
-    if not 0 <= eid < len(inst.edges) or eid not in inst.ugv_edge_ids:
-        raise InstanceError(f"edge {eid} is not a UGV edge")
-    return view.cost(eid)
-
-
 class UavMetric:
     """Aerial transit metric over S: straight lines in free flight,
     otherwise shortest paths under the aerial edge costs.  Single-source
@@ -350,30 +348,11 @@ class UavMetric:
 
     def _sssp(self, src: int) -> tuple[list[float], list[int]]:
         hit = self._cache.get(src)
-        if hit is not None:
-            return hit
-        import heapq
-
-        inst = self.inst
-        n = inst.n_vertices
-        dist = [INF] * n
-        parent = [-1] * n
-        dist[src] = 0.0
-        pq = [(0.0, src)]
-        edges = inst.edges
-        adj = inst.uav_adj
-        while pq:
-            dv, v = heapq.heappop(pq)
-            if dv > dist[v]:
-                continue
-            for w, eid in adj[v]:
-                alt = dv + edges[eid].uav_cost
-                if alt < dist[w]:
-                    dist[w] = alt
-                    parent[w] = v
-                    heapq.heappush(pq, (alt, w))
-        self._cache[src] = (dist, parent)
-        return dist, parent
+        if hit is None:
+            edges = self.inst.edges
+            hit = dijkstra(self.inst.uav_adj, src, lambda eid: edges[eid].uav_cost)
+            self._cache[src] = hit
+        return hit
 
     def cost(self, a: int, b: int) -> float:
         if a == b:
@@ -400,34 +379,22 @@ class UavMetric:
         return out
 
 
-def uav_transit_cost(inst: ProblemInstance, a: int, b: int, metric: UavMetric | None = None) -> float:
-    """Aerial travel time between two vertices."""
-    if metric is None:
-        metric = UavMetric(inst)
-    c = metric.cost(a, b)
-    if c == INF:
-        raise NoPathError(f"vertex {b} unreachable by the UAV from {a}")
-    return c
-
-
 def dijkstra(
-    inst: ProblemInstance,
+    adj: list[list[tuple[int, int]]],
     source: int,
     cost_of_edge,
 ) -> tuple[list[float], list[int]]:
-    """Single-source shortest paths over the UGV edge set.
+    """Single-source shortest paths over an adjacency list of
+    (neighbor, edge id) pairs.
 
     cost_of_edge maps an edge id to its cost; infinite costs hide edges.
     Returns (distance, parent) arrays.
     """
-    import heapq
-
-    n = inst.n_vertices
+    n = len(adj)
     dist = [INF] * n
     parent = [-1] * n
     dist[source] = 0.0
     pq = [(0.0, source)]
-    adj = inst.ugv_adj
     while pq:
         dv, v = heapq.heappop(pq)
         if dv > dist[v]:

@@ -199,9 +199,7 @@ class DStarState:
         return queued == inconsistent
 
 
-def initialize(
-    inst: ProblemInstance, view: PlanningCostView, start: int, dest: int
-) -> DStarState:
+def initialize(inst: ProblemInstance, start: int, dest: int) -> DStarState:
     """Fresh search state: rhs(dest)=0, queue holds only the destination."""
     state = DStarState(inst, start, dest)
     state.rhs[dest] = 0.0

@@ -29,10 +29,10 @@ class PriorityWeights:
 @dataclass(frozen=True)
 class EdgePriority:
     edge: int
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    p1: float  # share of the k requested paths that use the edge
+    p2: float  # urgency: 1 for the earliest divergence time, 0 for the latest
+    p3: float  # cost variance relative to the most uncertain critical edge
+    p4: float  # closeness of the nearer endpoint to the scout
     score: float
 
 
@@ -51,61 +51,6 @@ class PaaContext:
     def __post_init__(self):
         if self.metric is None:
             self.metric = UavMetric(self.inst)
-
-
-def _path_uses_edge(inst: ProblemInstance, vertices: tuple[int, ...], edge: int) -> bool:
-    rec = inst.edges[edge]
-    lo, hi = rec.u, rec.v
-    for a, b in zip(vertices, vertices[1:]):
-        if (a == lo and b == hi) or (a == hi and b == lo):
-            return True
-    return False
-
-
-def p1_path_count(inst: ProblemInstance, edge: int, path_set: PathSet, k: int) -> float:
-    """Fraction of the requested paths that use this edge."""
-    n = sum(1 for p in path_set if _path_uses_edge(inst, p.vertices, edge))
-    return n / k
-
-
-def p2_divergence(
-    edge: int, critical: list[CriticalEdge], path_set: PathSet, view: PlanningCostView
-) -> float:
-    """Urgency: 1 for the earliest-relevant edge, 0 for the latest."""
-    lam = {ce.edge: divergence_time(ce.edge, path_set, view) for ce in critical}
-    lo, hi = min(lam.values()), max(lam.values())
-    if lo == hi:
-        return 1.0
-    return (hi - lam[edge]) / (hi - lo)
-
-
-def p3_variance(edge: int, critical: list[CriticalEdge], inst: ProblemInstance) -> float:
-    """Cost uncertainty relative to the most uncertain critical edge."""
-    var = {ce.edge: inst.edges[ce.edge].distribution.variance() for ce in critical}
-    hi = max(var.values())
-    if hi == 0:
-        return 1.0
-    return var[edge] / hi
-
-
-def p4_proximity(
-    edge: int,
-    critical: list[CriticalEdge],
-    inst: ProblemInstance,
-    uav_pos: int,
-    metric: UavMetric | None = None,
-) -> float:
-    """Closeness of the edge's nearer endpoint to the scout."""
-    if metric is None:
-        metric = UavMetric(inst)
-    dist = {}
-    for ce in critical:
-        rec = inst.edges[ce.edge]
-        dist[ce.edge] = min(metric.cost(uav_pos, rec.u), metric.cost(uav_pos, rec.v))
-    hi = max(dist.values())
-    if hi == 0:
-        return 1.0
-    return 1.0 - dist[edge] / hi
 
 
 def divergence_time(edge: int, path_set: PathSet, view: PlanningCostView) -> float:

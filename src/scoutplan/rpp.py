@@ -28,7 +28,6 @@ class CriticalEdge:
     """An inspection target and the window in which it must be finished."""
 
     edge: int
-    t_min: float
     t_max: float
 
 
@@ -73,7 +72,7 @@ def extract_critical_edges(
                 step = rec.ugv_cost
             arrival += step
         first = False
-    return [CriticalEdge(e, 0.0, found[e]) for e in sorted(found)]
+    return [CriticalEdge(e, found[e]) for e in sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -272,6 +271,3 @@ def solution_to_uav_plan(
         pos = node.end
     return legs
 
-
-def plan_duration(legs: list[UavLeg]) -> float:
-    return sum(leg.duration for leg in legs)

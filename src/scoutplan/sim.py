@@ -29,9 +29,6 @@ from .dstar import CostUpdate
 from .paa import PaaContext, PriorityWeights
 from .rpp import CriticalEdge, UavLeg
 
-PLANNERS = ("rpp", "paa", "naive")
-
-
 @dataclass
 class SimulationConfig:
     planner: str = "rpp"
@@ -112,7 +109,7 @@ def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
         rec = edges[eid]
         return realization[eid] if rec.impeded else rec.ugv_cost
 
-    dist, _ = dijkstra(inst, inst.p, cost)
+    dist, _ = dijkstra(inst.ugv_adj, inst.p, cost)
     if dist[inst.d] == INF:
         raise NoPathError("destination unreachable")
     return dist[inst.d]
@@ -149,6 +146,55 @@ def naive_step(
     return None
 
 
+def _timed(rec: ReplanRecord, solver, *args):
+    """Call a scout solver and charge its wall time to the replan record."""
+    s0 = _time.perf_counter()
+    out = solver(*args)
+    rec.uav_solver_seconds = max(rec.uav_solver_seconds, _time.perf_counter() - s0)
+    return out
+
+
+# Scout planners: each maps (engine, critical edges, scout origin, origin
+# time, replan record) to the scout's legs.  Layers are looked up through
+# their modules at call time, so patched module attributes take effect.
+
+
+def _rpp_legs(
+    eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
+) -> list[UavLeg]:
+    graph = rpp.build_transformed_graph(eng.inst, critical, origin, origin_time, eng.metric)
+    sol = _timed(rec, rpp.rpp_dfs, graph, eng.cfg.rpp_budget_s)
+    rec.budget_hit = rec.budget_hit or sol.budget_exhausted
+    return rpp.solution_to_uav_plan(graph, sol, eng.inst, origin, eng.metric)
+
+
+def _paa_legs(
+    eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
+) -> list[UavLeg]:
+    cfg = eng.cfg
+    ctx = PaaContext(eng.inst, eng.view, eng.pset, origin, cfg.weights, cfg.k, eng.metric)
+    chosen = _timed(rec, paa.select_edge, critical, ctx)
+    if chosen is None:
+        return []
+    e = eng.inst.edges[chosen]
+    start = e.u if eng.metric.cost(origin, e.u) <= eng.metric.cost(origin, e.v) else e.v
+    return rpp.edge_inspection_legs(eng.inst, eng.metric, origin, chosen, start)
+
+
+def _naive_legs(
+    eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
+) -> list[UavLeg]:
+    chosen = _timed(
+        rec, naive_step, eng.inst, eng.view, eng.metric, critical, eng.pset, origin, origin_time
+    )
+    if chosen is None:
+        return []
+    return rpp.edge_inspection_legs(eng.inst, eng.metric, origin, *chosen)
+
+
+PLANNERS = {"rpp": _rpp_legs, "paa": _paa_legs, "naive": _naive_legs}
+
+
 class _Engine:
     def __init__(self, inst: ProblemInstance, realization: Realization, cfg: SimulationConfig):
         self.inst = inst
@@ -158,7 +204,7 @@ class _Engine:
         self.knowledge = KnowledgeState()
         self.view = PlanningCostView(inst, self.knowledge)
         self.metric = UavMetric(inst)
-        self.dstate = dstar.initialize(inst, self.view, inst.p, inst.d)
+        self.dstate = dstar.initialize(inst, inst.p, inst.d)
         self.events: list[Event] = []
         self.replans: list[ReplanRecord] = []
         self.late = 0
@@ -225,40 +271,9 @@ class _Engine:
             self.pset, self.knowledge, self.inst, self.view,
             start_time=self.plan_origin_time, exclude=exclude,
         )
-        legs: list[UavLeg] = []
-        solver_s = 0.0
-        if critical:
-            cfg = self.cfg
-            if cfg.planner == "rpp":
-                graph = rpp.build_transformed_graph(self.inst, critical, origin, origin_time, self.metric)
-                s0 = _time.perf_counter()
-                sol = rpp.rpp_dfs(graph, cfg.rpp_budget_s)
-                solver_s = _time.perf_counter() - s0
-                rec.budget_hit = rec.budget_hit or sol.budget_exhausted
-                legs = rpp.solution_to_uav_plan(graph, sol, self.inst, origin, self.metric)
-            elif cfg.planner == "paa":
-                ctx = PaaContext(
-                    self.inst, self.view, self.pset, origin, cfg.weights, cfg.k, self.metric
-                )
-                s0 = _time.perf_counter()
-                chosen = paa.select_edge(critical, ctx)
-                solver_s = _time.perf_counter() - s0
-                if chosen is not None:
-                    rec2 = self.inst.edges[chosen]
-                    du = self.metric.cost(origin, rec2.u)
-                    dv = self.metric.cost(origin, rec2.v)
-                    start = rec2.u if du <= dv else rec2.v
-                    legs = rpp.edge_inspection_legs(self.inst, self.metric, origin, chosen, start)
-            else:
-                s0 = _time.perf_counter()
-                chosen = naive_step(
-                    self.inst, self.view, self.metric, critical, self.pset, origin, origin_time
-                )
-                solver_s = _time.perf_counter() - s0
-                if chosen is not None:
-                    legs = rpp.edge_inspection_legs(self.inst, self.metric, origin, chosen[0], chosen[1])
+        plan = PLANNERS[self.cfg.planner]
+        legs = plan(self, critical, origin, origin_time, rec) if critical else []
         rec.uav_seconds += _time.perf_counter() - t0
-        rec.uav_solver_seconds = max(rec.uav_solver_seconds, solver_s)
         if self.uav_at == origin:
             self.uav_legs = legs
             self.uav_pending = None

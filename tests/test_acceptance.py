@@ -46,7 +46,7 @@ class TestCriterion1DStarOracle:
                 bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=10), seed=trial
             )
             view = fresh_view(inst)
-            state = dstar.initialize(inst, view, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.p, inst.d)
             v_curr = inst.p
             path = dstar.replan(state, view, v_curr, [])
             unrevealed = sorted(inst.impeded_ids)
@@ -87,7 +87,7 @@ class TestCriterion2KsppOracle:
         for trial in range(200):
             inst = random_connected_instance(rng, n_min=5, n_max=12)
             view = fresh_view(inst)
-            state = dstar.initialize(inst, view, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             want = [c for c, _ in oracles.all_simple_paths(inst, costs, inst.p, inst.d)[:4]]
@@ -102,7 +102,7 @@ class TestCriterion2KsppOracle:
         for trial in range(50):
             inst = random_connected_instance(rng, n_min=60, n_max=200)
             view = fresh_view(inst)
-            state = dstar.initialize(inst, view, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             yen = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 4)
@@ -126,7 +126,7 @@ class TestCriterion3RppOptimality:
             rng.shuffle(impeded)
             chosen = sorted(impeded[: rng.randint(1, min(6, len(impeded)))])
             crit = [
-                CriticalEdge(e, 0.0, INF if rng.random() < 0.35 else rng.uniform(5.0, 150.0))
+                CriticalEdge(e, INF if rng.random() < 0.35 else rng.uniform(5.0, 150.0))
                 for e in chosen
             ]
             pos = rng.randrange(inst.n_vertices)
@@ -299,7 +299,7 @@ class TestCriterion8PropertySuite:
         for _ in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=14)
             view = fresh_view(inst)
-            state = dstar.initialize(inst, view, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.p, inst.d)
             assert state.queue_consistent()
             dstar.replan(state, view, inst.p, [])
             assert state.queue_consistent()
@@ -318,7 +318,7 @@ class TestCriterion8PropertySuite:
         while checked < 100:
             inst = random_connected_instance(rng, n_min=6, n_max=14, impeded_frac=0.5)
             view = fresh_view(inst)
-            state = dstar.initialize(inst, view, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view)
             if not crit:
@@ -339,7 +339,7 @@ class TestCriterion8PropertySuite:
             if not impeded:
                 continue
             crit = [
-                CriticalEdge(e, 0.0, INF if rng.random() < 0.3 else rng.uniform(4.0, 150.0))
+                CriticalEdge(e, INF if rng.random() < 0.3 else rng.uniform(4.0, 150.0))
                 for e in impeded[:5]
             ]
             pos = rng.randrange(inst.n_vertices)

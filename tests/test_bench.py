@@ -69,7 +69,7 @@ class TestBridgeGenerator:
                 if inst.edges[eid].impeded
                 else inst.edges[eid].ugv_cost
             )
-            dist, parent = dijkstra(inst, inst.p, exp)
+            dist, parent = dijkstra(inst.ugv_adj, inst.p, exp)
             on_path = set()
             v = inst.d
             while v != inst.p:
@@ -156,9 +156,9 @@ class TestRoadImport:
         )
         best = 0.0
         for src in range(out.n_vertices):
-            dist, _ = dijkstra(out, src, length)
+            dist, _ = dijkstra(out.ugv_adj, src, length)
             best = max(best, max(d for d in dist if d < float("inf")))
-        got, _ = dijkstra(out, out.p, length)
+        got, _ = dijkstra(out.ugv_adj, out.p, length)
         assert got[out.d] == pytest.approx(best)
 
     def test_simulates_cleanly(self, tmp_path):
@@ -196,10 +196,13 @@ class TestExperimentHarness:
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
-        s1 = bench.run_experiment(self.spec(), str(out1))
-        s2 = bench.run_experiment(self.spec(), str(out2))
-        for name in ("runs.csv", "summary.csv", "plot_replan_ms.txt", "plot_costs.txt"):
+        s1, f1 = bench.run_experiment(self.spec(), str(out1))
+        s2, _ = bench.run_experiment(self.spec(), str(out2))
+        for name in ("runs.csv", "summary.csv", "failures.csv", "plot_replan_ms.txt",
+                     "plot_costs.txt"):
             assert (out1 / name).exists()
+        assert f1 == []
+        assert (out1 / "failures.csv").read_text().splitlines() == [",".join(bench.FAILURE_COLUMNS)]
 
         def rows_without_wall_times(path):
             with open(path) as fh:
@@ -207,6 +210,7 @@ class TestExperimentHarness:
             for r in rows:
                 r.pop("max_ugv_replan_ms")
                 r.pop("max_uav_replan_ms")
+                r.pop("max_uav_solver_ms")
             return rows
 
         # Simulated results are seed-deterministic; only the measured
@@ -230,6 +234,19 @@ class TestExperimentHarness:
         assert ("rpp", 1) in by_key and ("paa", 2) in by_key
         for r in summary:
             assert r.lb_mean <= r.cost_mean + 1e-9
+
+    def test_report_reproduces_scaling_summary(self, tmp_path):
+        spec = bench.ExperimentSpec(
+            family="scaling", n_instances=1, k_values=(1, 2), planners=("paa",),
+            seed=3, sizes=((8, 4), (10, 5)),
+        )
+        out = tmp_path / "run"
+        summary, _ = bench.run_experiment(spec, str(out))
+        assert sorted({r.label for r in summary}) == ["10x5", "8x4"]
+        rows = bench.read_runs_csv(str(out / "runs.csv"))
+        assert {r["n_vertices"] for r in rows} == {8 * 4 + 2, 10 * 5 + 2}
+        bench.write_summary_csv(bench.summarize_rows(rows), str(tmp_path / "report.csv"))
+        assert (tmp_path / "report.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
 
 class TestDemoInstance:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -74,6 +75,18 @@ class TestSimulate:
                      "--realization", str(tmp_path / "nope2.txt"))
         assert rc in (DATA_ERROR, RUNTIME_ERROR)
 
+    def test_invalid_costs_and_speed_are_data_errors(self, tmp_path):
+        ip, rp = self.write_pair(tmp_path)
+        text = open(ip).read()
+        for name, bad in (
+            ("inf_cost.txt", text.replace("e 0 0 1 4.0 ", "e 0 0 1 inf ")),
+            ("zero_speed.txt", text.replace("uav_speed=2.0", "uav_speed=0.0")),
+        ):
+            assert bad != text
+            path = tmp_path / name
+            path.write_text(bad)
+            assert run_cli("simulate", "--instance", str(path), "--realization", rp) == DATA_ERROR
+
     def test_corrupt_instance_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("sapp 1\nv 0 a b\n")
@@ -105,4 +118,35 @@ class TestExperimentAndReport:
         assert (out / "runs.csv").exists() and (out / "summary.csv").exists()
         rc = run_cli("report", "--in", str(out), "--out", str(tmp_path / "summary2.csv"))
         assert rc == 0
-        assert (tmp_path / "summary2.csv").exists()
+        assert (tmp_path / "summary2.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+    def test_report_rejects_runs_without_label_columns(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("instance_id,seed,planner,k,LB,cost\n0,1,naive,1,2.0,3.0\n")
+        rc = run_cli("report", "--in", str(runs), "--out", str(tmp_path / "summary.csv"))
+        assert rc == DATA_ERROR
+
+    def test_failed_instance_is_recorded_and_exits_3(self, tmp_path, monkeypatch, capsys):
+        make_instance = bench._make_instance
+
+        def failing_make_instance(spec, index):
+            if index == 1:
+                raise ValueError("injected failure")
+            return make_instance(spec, index)
+
+        monkeypatch.setattr(bench, "_make_instance", failing_make_instance)
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({
+            "family": "bridge", "n_instances": 2, "k_values": [1],
+            "planners": ["paa"], "seed": 5,
+        }))
+        out = tmp_path / "results"
+        rc = run_cli("experiment", "--spec", str(spec), "--out", str(out), "--jobs", "1")
+        assert rc == RUNTIME_ERROR
+        assert "1 instance(s) failed" in capsys.readouterr().err
+        with open(out / "failures.csv", newline="") as fh:
+            failures = list(csv.DictReader(fh))
+        assert failures == [
+            {"instance_id": "1", "seed": "5", "error": "ValueError", "message": "injected failure"}
+        ]
+        assert {r["instance_id"] for r in bench.read_runs_csv(str(out / "runs.csv"))} == {0}

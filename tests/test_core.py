@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+import scoutplan
 from conftest import build_instance, fresh_view, line_instance, random_connected_instance
 from scoutplan import bench
 from scoutplan.core import (
@@ -16,10 +18,8 @@ from scoutplan.core import (
     UniformCost,
     load_instance,
     load_realization,
-    planning_cost,
     save_instance,
     save_realization,
-    uav_transit_cost,
 )
 
 
@@ -47,16 +47,16 @@ class TestPlanningCost:
 
     def test_unimpeded_pass_through(self):
         inst, view = self.make()
-        assert planning_cost(view, 0) == 10.0
+        assert view.cost(0) == 10.0
 
     def test_unrealized_uses_expected(self):
         inst, view = self.make()
-        assert planning_cost(view, 1) == 12.0
+        assert view.cost(1) == 12.0
 
     def test_realized_uses_true_cost(self):
         inst, view = self.make()
         view.knowledge.reveal(1, 18.0)
-        assert planning_cost(view, 1) == 18.0
+        assert view.cost(1) == 18.0
 
     def test_non_ugv_edge_rejected(self):
         coords = [(0.0, 0.0), (1.0, 0.0)]
@@ -66,9 +66,6 @@ class TestPlanningCost:
         ]
         with pytest.raises(InstanceError):
             ProblemInstance(coords, edges, 0, 0, 1)
-        inst, view = self.make()
-        with pytest.raises(InstanceError):
-            planning_cost(view, 99)
 
     def test_realizing_one_edge_changes_only_that_edge(self, rng):
         inst = random_connected_instance(rng)
@@ -117,17 +114,17 @@ class TestHeuristic:
 class TestUavTransit:
     def test_identity(self):
         inst = line_instance()
-        assert uav_transit_cost(inst, 1, 1) == 0.0
+        assert UavMetric(inst).cost(1, 1) == 0.0
 
     def test_free_flight_divides_by_speed(self):
         coords = [(0.0, 0.0), (10.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 10.0)], free_flight=True, uav_speed=2.0)
-        assert uav_transit_cost(inst, 0, 1) == 5.0
+        assert UavMetric(inst).cost(0, 1) == 5.0
 
     def test_network_transit_sums_edges(self):
         coords = [(0.0, 0.0), (2.0, 0.0), (5.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 2.0, 2.0), (1, 2, 3.0, 3.0)])
-        assert uav_transit_cost(inst, 0, 2) == 5.0
+        assert UavMetric(inst).cost(0, 2) == 5.0
 
     def test_unreachable_raises(self):
         # Aerial-only extra edge keeps S connected; remove by blocking: use
@@ -163,6 +160,45 @@ class TestInstanceValidation:
         edges = [EdgeRecord(0, 1, 0, 1.0, 0.5)]
         with pytest.raises(InstanceError, match="canonically"):
             ProblemInstance(coords, edges, 0, 0, 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_ugv_cost_rejected(self, bad):
+        coords = [(0.0, 0.0), (1.0, 0.0)]
+        with pytest.raises(InstanceError, match="UGV edge"):
+            ProblemInstance(coords, [EdgeRecord(0, 0, 1, bad, 0.5)], 0, 0, 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_bad_uav_cost_rejected(self, bad):
+        coords = [(0.0, 0.0), (1.0, 0.0)]
+        with pytest.raises(InstanceError, match="aerial cost"):
+            ProblemInstance(coords, [EdgeRecord(0, 0, 1, 1.0, bad)], 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "bounds", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan)]
+    )
+    def test_non_finite_cost_bounds_rejected(self, bounds):
+        coords = [(0.0, 0.0), (1.0, 0.0)]
+        edges = [EdgeRecord(0, 0, 1, None, 0.5, UniformCost(*bounds))]
+        with pytest.raises(InstanceError, match="bounds"):
+            ProblemInstance(coords, edges, 0, 0, 1)
+
+    @pytest.mark.parametrize("speed", [0.0, -2.0, math.inf, math.nan])
+    def test_bad_uav_speed_rejected(self, speed):
+        coords = [(0.0, 0.0), (1.0, 0.0)]
+        with pytest.raises(InstanceError, match="uav_speed"):
+            ProblemInstance(coords, [EdgeRecord(0, 0, 1, 1.0, 0.5)], 0, 0, 1, uav_speed=speed)
+
+    def test_loader_rejects_infinite_cost(self, tmp_path):
+        path = tmp_path / "inf.txt"
+        path.write_text("sapp 1\nv 0 0.0 0.0\nv 1 1.0 0.0\ne 0 0 1 inf 0.5 -\nmeta p=0 q=0 d=1\n")
+        with pytest.raises(InstanceError, match="finite"):
+            load_instance(str(path))
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        for name in scoutplan.__all__:
+            assert hasattr(scoutplan, name), name
 
 
 class TestFiles:

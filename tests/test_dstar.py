@@ -63,7 +63,7 @@ class TestInitialize:
     def test_postconditions(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=5), seed=2)
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         assert state.rhs[inst.d] == 0.0
         assert state.g[inst.d] == INF
         assert len(state.queue) == 1
@@ -74,7 +74,7 @@ class TestInitialize:
     def test_start_equals_dest(self):
         inst = line_instance()
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 2, 2)
+        state = dstar.initialize(inst, 2, 2)
         path = dstar.replan(state, view, 2, [])
         assert state.g[2] == 0.0
         assert path.vertices == (2,)
@@ -83,7 +83,7 @@ class TestInitialize:
     def test_grid_matches_dijkstra(self):
         inst, _ = bench.generate_grid(bench.GridSpec(), seed=4)
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         path = dstar.replan(state, view, inst.p, [])
         costs = oracles.view_costs(inst, view)
         dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
@@ -95,19 +95,19 @@ class TestCalculateKey:
     def test_at_init(self):
         inst = line_instance()
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 0, 2)
+        state = dstar.initialize(inst, 0, 2)
         assert dstar.calculate_key(state, 2) == (inst.heuristic(0, 2), 0.0)
 
     def test_all_infinite(self):
         inst = line_instance()
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 0, 2)
+        state = dstar.initialize(inst, 0, 2)
         assert dstar.calculate_key(state, 1) == (INF, INF)
 
     def test_formula(self):
         inst = line_instance()
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 0, 2)
+        state = dstar.initialize(inst, 0, 2)
         state.g[1] = 5.0
         state.rhs[1] = 7.0
         state.k_m = 1.0
@@ -120,7 +120,7 @@ class TestUpdateVertex:
     def setup_state(self):
         inst = line_instance((2.0, 3.0))
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 0, 2)
+        state = dstar.initialize(inst, 0, 2)
         return inst, view, state
 
     def test_consistent_unqueued_noop(self):
@@ -146,7 +146,7 @@ class TestRhsUpdate:
     def test_decrease_far_from_finite_region_is_noop(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=3, cols=4), seed=1)
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         # No expansion yet: g is infinite everywhere, so a decrease cannot
         # create a finite lookahead.
         eid = 0
@@ -159,7 +159,7 @@ class TestRhsUpdate:
     def test_increase_on_line_matches_oracle(self):
         inst = line_instance((1.0, 1.0))
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 0, 2)
+        state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         assert state.g[0] == 2.0
         eid = inst.ugv_edge_between(0, 1)
@@ -174,7 +174,7 @@ class TestRhsUpdate:
     def test_same_cost_update_keeps_state(self):
         inst = line_instance((1.0, 1.0))
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 0, 2)
+        state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         g0, rhs0 = state.g.copy(), state.rhs.copy()
         eid = inst.ugv_edge_between(0, 1)
@@ -186,7 +186,7 @@ class TestComputeShortestPath:
     def test_second_run_expands_nothing(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=5, cols=6), seed=9)
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         dstar.replan(state, view, inst.p, [])
         before = state.expansions
         dstar.replan(state, view, inst.p, [])
@@ -196,7 +196,7 @@ class TestComputeShortestPath:
         # Hide the only edges around the start to cut it off.
         inst = line_instance((1.0, 1.0))
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, 0, 2)
+        state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         eid = inst.ugv_edge_between(0, 1)
         view.override(eid, INF)
@@ -206,7 +206,7 @@ class TestComputeShortestPath:
     def test_queue_invariant_after_operations(self, rng):
         inst = random_connected_instance(rng, n_min=8, n_max=14)
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         assert state.queue_consistent()
         dstar.replan(state, view, inst.p, [])
         assert state.queue_consistent()
@@ -226,7 +226,7 @@ class TestReplanOracle:
             bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=6), seed=seed
         )
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
         unrevealed = sorted(inst.impeded_ids)
@@ -257,7 +257,7 @@ class TestReplanOracle:
     def test_km_monotone(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=6), seed=3)
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         last = state.k_m
         path = dstar.replan(state, view, inst.p, [])
         for v in path.vertices[1:]:

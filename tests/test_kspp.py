@@ -17,7 +17,7 @@ def diamond():
 
 def plan(inst, view, k, updates=None, state=None, v_curr=None):
     if state is None:
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
     return (
         kspp.update_k_paths(inst, view, state, inst.p if v_curr is None else v_curr, updates or [], k),
         state,
@@ -41,7 +41,7 @@ class TestBasics:
     def test_no_path_returns_empty_set(self):
         inst = diamond()
         view = fresh_view(inst)
-        state = dstar.initialize(inst, view, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.p, inst.d)
         ups = []
         for a, b in ((0, 1), (0, 2)):
             eid = inst.ugv_edge_between(a, b)
@@ -128,7 +128,7 @@ class TestSharedStateIsolation:
         for _ in range(10):
             inst = random_connected_instance(rng)
             view = fresh_view(inst)
-            state = dstar.initialize(inst, view, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.p, inst.d)
             kspp.update_k_paths(inst, view, state, inst.p, [], 1)
             g0, rhs0 = state.g.copy(), state.rhs.copy()
             km0, items0 = state.k_m, sorted(state.queue._items)
@@ -157,7 +157,7 @@ class TestOracleEquivalence:
         for trial in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=10)
             view = fresh_view(inst)
-            state = dstar.initialize(inst, view, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids):

@@ -10,7 +10,7 @@ from scoutplan.paa import PaaContext, PriorityWeights
 
 
 def make_context(inst, view, k, uav_pos=None, weights=None):
-    state = dstar.initialize(inst, view, inst.p, inst.d)
+    state = dstar.initialize(inst, inst.p, inst.d)
     pset = kspp.update_k_paths(inst, view, state, inst.p, [], k)
     crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view)
     ctx = PaaContext(
@@ -22,6 +22,10 @@ def make_context(inst, view, k, uav_pos=None, weights=None):
         k,
     )
     return pset, crit, ctx
+
+
+def priorities(crit, ctx):
+    return {ep.edge: ep for ep in paa.score_edges(crit, ctx)}
 
 
 class TestParameters:
@@ -46,15 +50,17 @@ class TestParameters:
         view = fresh_view(inst)
         pset, crit, ctx = make_context(inst, view, 3)
         e = crit[0].edge
-        assert paa.p1_path_count(inst, e, pset, 5) == pytest.approx(1 / 5)
-        assert paa.p1_path_count(inst, e, pset, 3) == pytest.approx(1 / 3)
+        # Same three paths, but five requested: the share is over k.
+        ctx5 = PaaContext(inst, view, pset, ctx.uav_pos, ctx.weights, 5, ctx.metric)
+        assert priorities(crit, ctx5)[e].p1 == pytest.approx(1 / 5)
+        assert priorities(crit, ctx)[e].p1 == pytest.approx(1 / 3)
 
     def test_p2_single_edge_degenerate(self):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 4.0), (1, 2, (2.0, 6.0))], p=0, d=2)
         view = fresh_view(inst)
         pset, crit, ctx = make_context(inst, view, 1)
-        assert paa.p2_divergence(crit[0].edge, crit, pset, view) == 1.0
+        assert priorities(crit, ctx)[crit[0].edge].p2 == 1.0
 
     def test_p2_linear_interpolation(self):
         inst = self.three_path_instance()
@@ -62,14 +68,14 @@ class TestParameters:
         pset, crit, ctx = make_context(inst, view, 3)
         lam = {c.edge: paa.divergence_time(c.edge, pset, view) for c in crit}
         vals = sorted(lam.values())
-        p2 = {c.edge: paa.p2_divergence(c.edge, crit, pset, view) for c in crit}
+        p2 = {e: ep.p2 for e, ep in priorities(crit, ctx).items()}
         for eid, l in lam.items():
             expect = (vals[-1] - l) / (vals[-1] - vals[0]) if vals[-1] > vals[0] else 1.0
             assert p2[eid] == pytest.approx(expect)
         assert max(p2.values()) == 1.0
         assert min(p2.values()) == 0.0
 
-    def test_p3_variance_ratio(self):
+    def test_p3_is_variance_ratio(self):
         coords = [(0.0, 0.0), (4.0, 1.0), (4.0, -1.0), (8.0, 0.0)]
         inst = build_instance(
             coords,
@@ -78,18 +84,12 @@ class TestParameters:
         )
         view = fresh_view(inst)
         pset, crit, ctx = make_context(inst, view, 2)
-        e_small = inst.ugv_edge_between(1, 3)
-        e_big = inst.ugv_edge_between(2, 3)
-        assert paa.p3_variance(e_small, crit, inst) == pytest.approx(144.0 / 576.0)
-        assert paa.p3_variance(e_big, crit, inst) == 1.0
+        scored = priorities(crit, ctx)
+        assert scored[inst.ugv_edge_between(1, 3)].p3 == pytest.approx(144.0 / 576.0)
+        assert scored[inst.ugv_edge_between(2, 3)].p3 == 1.0
 
     def test_p3_all_equal_distributions(self):
-        inst = self.three_path_instance()
-        view = fresh_view(inst)
-        coords = None
         # Same-width windows mean identical variance: every p3 is 1.
-        import scoutplan.core as core
-
         same = build_instance(
             [(0.0, 0.0), (4.0, 1.0), (4.0, -1.0), (8.0, 0.0)],
             [(0, 1, 5.0), (1, 3, (5.0, 17.0)), (0, 2, 5.0), (2, 3, (6.0, 18.0))],
@@ -97,8 +97,9 @@ class TestParameters:
         )
         view = fresh_view(same)
         pset, crit, ctx = make_context(same, view, 2)
-        for ce in crit:
-            assert paa.p3_variance(ce.edge, crit, same) == 1.0
+        assert len(crit) == 2
+        for ep in priorities(crit, ctx).values():
+            assert ep.p3 == 1.0
 
     def test_p4_endpoint_and_degenerate(self):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
@@ -106,7 +107,7 @@ class TestParameters:
         view = fresh_view(inst)
         pset, crit, ctx = make_context(inst, view, 1, uav_pos=1)
         # Scout is at an endpoint of the only critical edge: d = d_max = 0.
-        assert paa.p4_proximity(crit[0].edge, crit, inst, 1) == 1.0
+        assert priorities(crit, ctx)[crit[0].edge].p4 == 1.0
 
     def test_p4_endpoints_of_range(self):
         inst = self.three_path_instance()
@@ -119,9 +120,9 @@ class TestParameters:
             vals[ce.edge] = min(metric.cost(1, rec.u), metric.cost(1, rec.v))
         far = max(vals, key=vals.get)
         near = min(vals, key=vals.get)
-        assert paa.p4_proximity(far, crit, inst, 1) == 0.0
-        p_near = paa.p4_proximity(near, crit, inst, 1)
-        assert p_near == pytest.approx(1.0 - vals[near] / vals[far])
+        scored = priorities(crit, ctx)
+        assert scored[far].p4 == 0.0
+        assert scored[near].p4 == pytest.approx(1.0 - vals[near] / vals[far])
 
 
 class TestSelection:

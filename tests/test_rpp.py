@@ -10,7 +10,7 @@ from scoutplan.rpp import CriticalEdge
 
 
 def plan_paths(inst, view, k):
-    state = dstar.initialize(inst, view, inst.p, inst.d)
+    state = dstar.initialize(inst, inst.p, inst.d)
     return kspp.update_k_paths(inst, view, state, inst.p, [], k)
 
 
@@ -31,7 +31,6 @@ class TestExtractCriticalEdges:
         crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view)
         assert len(crit) == 1
         assert crit[0].edge == inst.ugv_edge_between(1, 2)
-        assert crit[0].t_min == 0.0
         assert crit[0].t_max == 7.0
 
     def test_start_time_shifts_windows(self):
@@ -81,7 +80,7 @@ class TestTransformedGraph:
 
     def test_single_edge_arcs(self):
         inst = self.one_edge_instance()
-        crit = [CriticalEdge(0, 0.0, 30.0)]
+        crit = [CriticalEdge(0, 30.0)]
         g = rpp.build_transformed_graph(inst, crit, uav_pos=0)
         assert g.size == 3
         assert g.arc[0][1] == 0.0  # already at the forward start
@@ -96,7 +95,7 @@ class TestTransformedGraph:
         impeded = sorted(inst.impeded_ids)[:2]
         if len(impeded) < 2:
             return
-        crit = [CriticalEdge(e, 0.0, INF) for e in impeded]
+        crit = [CriticalEdge(e, INF) for e in impeded]
         g = rpp.build_transformed_graph(inst, crit, uav_pos=inst.q)
         assert g.size == 5
         for i in (1, 2):
@@ -115,7 +114,7 @@ class TestTransformedGraph:
             [(0, 1, (2.0, 6.0), 1.0), (1, 2, 2.0, 1.0), (2, 3, (2.0, 6.0), 1.0)],
             p=0, q=1, d=3,
         )
-        crit = [CriticalEdge(0, 0.0, 20.0), CriticalEdge(2, 0.0, 25.0)]
+        crit = [CriticalEdge(0, 20.0), CriticalEdge(2, 25.0)]
         g = rpp.build_transformed_graph(inst, crit, uav_pos=1, uav_time_offset=2.0)
         # Nodes: 1 = 0->1, 2 = 1->0, 3 = 2->3, 4 = 3->2 (vertex ids via edges).
         assert g.arc[0][1] == 1.0  # fly 1 -> 0
@@ -137,7 +136,7 @@ class TestDfs:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 0.0, 30.0)], uav_pos=0)
+        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 30.0)], uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert sol.best_visited == [0, 1]  # start at the near end
         assert sol.best_cost == 0.0
@@ -147,7 +146,7 @@ class TestDfs:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 0.0, 4.0)], uav_pos=0)
+        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 4.0)], uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert sol.best_visited == [0]
         assert sol.best_cost == 0.0
@@ -163,7 +162,7 @@ class TestDfs:
         crit = []
         for e in sorted(chosen):
             t_max = INF if rng.random() < 0.4 else rng.uniform(5.0, 120.0)
-            crit.append(CriticalEdge(e, 0.0, t_max))
+            crit.append(CriticalEdge(e, t_max))
         pos = rng.randrange(inst.n_vertices)
         offset = rng.choice((0.0, rng.uniform(0.0, 10.0)))
         return rpp.build_transformed_graph(inst, crit, pos, offset), crit, offset
@@ -230,12 +229,12 @@ class TestDfs:
                 continue
             checked += 1
             crit = [
-                CriticalEdge(e, 0.0, INF if rng.random() < 0.4 else rng.uniform(5.0, 90.0))
+                CriticalEdge(e, INF if rng.random() < 0.4 else rng.uniform(5.0, 90.0))
                 for e in impeded[:-1]
             ]
             pos = rng.randrange(inst.n_vertices)
             base = rpp.rpp_dfs(rpp.build_transformed_graph(inst, crit, pos)).inspected
-            extended = crit + [CriticalEdge(impeded[-1], 0.0, INF)]
+            extended = crit + [CriticalEdge(impeded[-1], INF)]
             more = rpp.rpp_dfs(rpp.build_transformed_graph(inst, extended, pos)).inspected
             assert more >= base
 
@@ -246,7 +245,7 @@ class TestPlanExpansion:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 0.0, 4.0)], uav_pos=0)
+        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 4.0)], uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert rpp.solution_to_uav_plan(g, sol, inst, 0) == []
 
@@ -255,20 +254,20 @@ class TestPlanExpansion:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, q=2, d=1
         )
-        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 0.0, 30.0)], uav_pos=2)
+        g = rpp.build_transformed_graph(inst, [CriticalEdge(0, 30.0)], uav_pos=2)
         sol = rpp.rpp_dfs(g)
         legs = rpp.solution_to_uav_plan(g, sol, inst, 2)
         assert legs[-1].inspect
         assert legs[-1].edge == 0
         assert legs[0].frm == 2
 
-    def test_plan_duration_matches_tour_cost(self, rng):
+    def test_leg_durations_match_tour_cost(self, rng):
         for _ in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=10)
             impeded = sorted(inst.impeded_ids)[:3]
             if not impeded:
                 continue
-            crit = [CriticalEdge(e, 0.0, rng.uniform(20.0, 200.0)) for e in impeded]
+            crit = [CriticalEdge(e, rng.uniform(20.0, 200.0)) for e in impeded]
             pos = rng.randrange(inst.n_vertices)
             g = rpp.build_transformed_graph(inst, crit, pos)
             sol = rpp.rpp_dfs(g)
@@ -277,4 +276,5 @@ class TestPlanExpansion:
                 assert legs == []
                 continue
             last_tau = g.nodes[sol.best_visited[-1]].tau
-            assert rpp.plan_duration(legs) == pytest.approx(sol.best_cost + last_tau, rel=1e-9)
+            total = sum(leg.duration for leg in legs)
+            assert total == pytest.approx(sol.best_cost + last_tau, rel=1e-9)
