@@ -71,9 +71,12 @@ def scaling_spec(size: tuple[int, int]) -> BridgeSpec:
     )
 
 
+FAMILIES = ("grid", "bridge", "scaling", "road")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    family: str = "bridge"  # "grid" | "bridge" | "scaling" | "road"
+    family: str = "bridge"  # one of FAMILIES
     n_instances: int = 100
     k_values: tuple[int, ...] = (1, 2, 3, 4, 5)
     planners: tuple[str, ...] = ("rpp",)
@@ -86,6 +89,17 @@ class ExperimentSpec:
     road_file: str = ""
     rpp_budget_s: float = 1.0
     weights: PriorityWeights = field(default_factory=PriorityWeights)
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if self.family == "road" and not self.road_file:
+            raise ValueError("the road family needs a road_file")
+        for planner in self.planners:
+            if planner not in sim.PLANNERS:
+                raise ValueError(f"unknown planner {planner!r}")
+        if any(k < 1 for k in self.k_values):
+            raise ValueError(f"every k must be at least 1, got {self.k_values}")
 
 
 @dataclass
@@ -419,12 +433,10 @@ def _make_instance(spec: ExperimentSpec, index: int) -> tuple[ProblemInstance, R
         size = spec.sizes[index % len(spec.sizes)]
         inst, real = generate_scaling(size, h)
         label = f"{size[0]}x{size[1]}"
-    elif spec.family == "road":
+    else:  # road
         inst = import_road_network(spec.road_file, spec.impeded_fraction, h)
         real = sample_realization(inst, random.Random(f"real:{seed}"))
         label = ""
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
     return inst, real, label
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from . import bench, sim
@@ -56,12 +57,25 @@ def _dataclass_from(cls, data: dict):
     return cls(**kwargs)
 
 
+#: Spec keys (besides "count") of the families without a spec dataclass.
+_SPEC_KEYS = {"scaling": {"size"}, "road": {"n_vertices", "impeded_fraction", "base_file"}}
+
+
+def _scaling_size(data: dict) -> tuple[int, int]:
+    size = data.get("size", bench.SCALING_SIZES[0])
+    ok = isinstance(size, list | tuple) and len(size) == 2 and all(type(x) is int for x in size)
+    if not ok or size[0] < 2 or size[1] < 1:
+        raise InstanceError(f"size must be [chain_len >= 2, n_paths >= 1], got {size!r}")
+    return tuple(size)
+
+
 def cmd_generate(args) -> int:
     data = _load_json(args.spec) if args.spec else {}
     count = int(data.pop("count", 1))
+    unknown = set(data) - _SPEC_KEYS.get(args.family, set(data))
+    if unknown:
+        raise InstanceError(f"unknown spec keys: {sorted(unknown)}")
     os.makedirs(args.out, exist_ok=True)
-    import random
-
     for i in range(count):
         seed = random.Random(f"{args.seed}:{i}").getrandbits(31)
         if args.family == "grid":
@@ -69,22 +83,15 @@ def cmd_generate(args) -> int:
         elif args.family == "bridge":
             inst, real = bench.generate_bridge(_dataclass_from(bench.BridgeSpec, data), seed)
         elif args.family == "scaling":
-            size = tuple(data.get("size", bench.SCALING_SIZES[0]))
-            inst, real = bench.generate_scaling(size, seed)
+            inst, real = bench.generate_scaling(_scaling_size(data), seed)
         else:  # road
-            if "base_file" in data:
-                inst = bench.import_road_network(
-                    data["base_file"],
-                    impeded_fraction=float(data.get("impeded_fraction", 0.5)),
-                    seed=seed,
-                )
-            else:
+            base_file = data.get("base_file")
+            if base_file is None:
+                base_file = os.path.join(args.out, f"road_base_{i:03d}.txt")
                 base = bench.generate_road_like(int(data.get("n_vertices", 30)), seed)
-                tmp = os.path.join(args.out, f"road_base_{i:03d}.txt")
-                save_instance(base, tmp)
-                inst = bench.import_road_network(
-                    tmp, impeded_fraction=float(data.get("impeded_fraction", 0.5)), seed=seed
-                )
+                save_instance(base, base_file)
+            fraction = float(data.get("impeded_fraction", 0.5))
+            inst = bench.import_road_network(base_file, fraction, seed)
             real = sample_realization(inst, random.Random(f"real:{args.seed}:{i}"))
         save_instance(inst, os.path.join(args.out, f"instance_{i:03d}.txt"))
         save_realization(real, os.path.join(args.out, f"realization_{i:03d}.txt"))
@@ -123,9 +130,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_experiment(args) -> int:
     data = _load_json(args.spec)
-    if "weights" in data:
-        data["weights"] = PriorityWeights(*data["weights"])
-    spec = _dataclass_from(bench.ExperimentSpec, data)
+    try:
+        if "weights" in data:
+            data["weights"] = PriorityWeights(*map(float, data["weights"]))
+        spec = _dataclass_from(bench.ExperimentSpec, data)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"bad experiment spec {args.spec}: {exc}") from None
     summary, failures = bench.run_experiment(spec, args.out, jobs=args.jobs)
     for row in summary:
         print(
@@ -151,12 +161,19 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scoutplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate instance files")
-    g.add_argument("--family", required=True, choices=("grid", "bridge", "scaling", "road"))
+    g.add_argument("--family", required=True, choices=bench.FAMILIES)
     g.add_argument("--spec", help="JSON file with generator parameters")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -166,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--realization", required=True)
     s.add_argument("--planner", default="rpp", choices=tuple(sim.PLANNERS))
-    s.add_argument("--k", type=int, default=3)
+    s.add_argument("--k", type=_positive_int, default=3)
     s.add_argument("--weights", help="w1,w2,w3,w4 for the priority planner")
     s.add_argument("--budget-ms", type=float, default=1000.0)
     s.add_argument("--no-uav", action="store_true", help="run without the scout")

@@ -115,7 +115,6 @@ class ProblemInstance:
         if ugv_edge_ids is None:
             ugv_edge_ids = {e.id for e in edges if e.ugv_cost is not None or e.impeded}
         self.ugv_edge_ids = frozenset(ugv_edge_ids)
-        self.uav_edge_ids = frozenset(e.id for e in edges)
         self.impeded_ids = frozenset(e.id for e in edges if e.impeded)
         self._build_adjacency()
         self.validate()
@@ -286,11 +285,7 @@ class KnowledgeState:
 
 
 class PlanningCostView:
-    """Per-edge planning cost: fixed, realized, or expected.
-
-    Temporary overrides (used to hide edges during spur searches) are kept
-    in an overlay so restoring them never touches the instance.
-    """
+    """Per-edge planning cost: fixed, realized, or expected."""
 
     def __init__(self, inst: ProblemInstance, knowledge: KnowledgeState):
         self.inst = inst
@@ -307,13 +302,8 @@ class PlanningCostView:
             else:
                 self._static.append(e.ugv_cost)
                 self._expected.append(e.ugv_cost)
-        self.overlay: dict[int, float] = {}
 
     def cost(self, eid: int) -> float:
-        if self.overlay:
-            c = self.overlay.get(eid)
-            if c is not None:
-                return c
         s = self._static[eid]
         if s is not None:
             return s
@@ -321,12 +311,6 @@ class PlanningCostView:
         if r is not None:
             return r
         return self._expected[eid]
-
-    def override(self, eid: int, cost: float) -> None:
-        self.overlay[eid] = cost
-
-    def clear_override(self, eid: int) -> None:
-        self.overlay.pop(eid, None)
 
     def path_cost(self, vertices: tuple[int, ...] | list[int]) -> float:
         """Left-to-right sum of view costs along a vertex sequence."""
@@ -406,6 +390,32 @@ def dijkstra(
                 parent[w] = v
                 heapq.heappush(pq, (alt, w))
     return dist, parent
+
+
+def descend(
+    adj: list[list[tuple[int, int]]], dist: list[float], cost_of_edge, source: int, dest: int
+) -> tuple[int, ...] | None:
+    """Greedy descent from source to dest: step to the neighbor minimizing
+    edge cost + dist, lowest vertex id on ties.
+
+    dist holds distances to dest.  Returns the vertex sequence, or None when
+    dest is unreachable or the walk exceeds the vertex count.
+    """
+    v = source
+    out = [v]
+    while v != dest:
+        best = INF
+        nxt = -1
+        for s, eid in adj[v]:
+            cand = cost_of_edge(eid) + dist[s]
+            if cand < best or (cand == best and s < nxt):
+                best = cand
+                nxt = s
+        if nxt < 0 or best == INF or len(out) == len(adj):
+            return None
+        v = nxt
+        out.append(v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance
+from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend
 
 Key = tuple[float, float]
 
@@ -75,12 +75,6 @@ class AddressableHeap:
 
     def __contains__(self, v: int) -> bool:
         return v in self._pos
-
-    def copy(self) -> "AddressableHeap":
-        new = AddressableHeap.__new__(AddressableHeap)
-        new._items = self._items.copy()
-        new._pos = self._pos.copy()
-        return new
 
     def top(self) -> int:
         return self._items[0][2]
@@ -161,11 +155,7 @@ class AddressableHeap:
 
 
 class DStarState:
-    """Mutable search state: g/rhs arrays, queue, key offset and anchor.
-
-    Single-owner mutable; clone() produces a fully independent deep copy
-    (used for spur searches that must not disturb the main search).
-    """
+    """Mutable search state: g/rhs arrays, queue, key offset and anchor."""
 
     def __init__(self, inst: ProblemInstance, start: int, dest: int):
         n = inst.n_vertices
@@ -178,19 +168,6 @@ class DStarState:
         self.v_old = start
         self.v_curr = start
         self.expansions = 0
-
-    def clone(self) -> "DStarState":
-        new = DStarState.__new__(DStarState)
-        new.inst = self.inst
-        new.dest = self.dest
-        new.g = self.g.copy()
-        new.rhs = self.rhs.copy()
-        new.queue = self.queue.copy()
-        new.k_m = self.k_m
-        new.v_old = self.v_old
-        new.v_curr = self.v_curr
-        new.expansions = self.expansions
-        return new
 
     def queue_consistent(self) -> bool:
         """Check the membership invariant: queued iff g != rhs."""
@@ -324,32 +301,14 @@ def compute_shortest_path(
 
 
 def extract_path(state: DStarState, view: PlanningCostView) -> Path:
-    """Greedy descent from v_curr: step to the neighbor minimizing
-    cost + g, lowest vertex id on ties."""
-    inst = state.inst
+    """Greedy descent from v_curr over g (see core.descend)."""
     v = state.v_curr
     dest = state.dest
     if state.rhs[v] == INF:
         raise NoPathError(f"no path from {v} to {dest}")
-    g = state.g
-    cost = view.cost
-    out = [v]
-    limit = inst.n_vertices
-    while v != dest:
-        best = INF
-        nxt = -1
-        for s, eid in inst.ugv_adj[v]:
-            cand = cost(eid) + g[s]
-            if cand < best or (cand == best and s < nxt):
-                best = cand
-                nxt = s
-        if nxt < 0 or best == INF:
-            raise NoPathError(f"no path from {out[0]} to {dest}")
-        v = nxt
-        out.append(v)
-        if len(out) > limit:
-            raise NoPathError("path extraction exceeded the vertex count")
-    vertices = tuple(out)
+    vertices = descend(state.inst.ugv_adj, state.g, view.cost, v, dest)
+    if vertices is None:
+        raise NoPathError(f"no path from {v} to {dest}")
     return Path(vertices, view.path_cost(vertices))
 
 

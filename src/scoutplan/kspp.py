@@ -1,9 +1,9 @@
 """Dynamic k-shortest path maintenance.
 
-Yen's loopless-paths scheme driven by the incremental planner: the best
+Yen's loopless-paths scheme on top of the incremental planner: the best
 path is repaired in place after each batch of cost updates, and every spur
-search runs on a throwaway clone of the search state with hidden edges
-layered onto the cost view, so the shared state never sees them.
+search is a plain Dijkstra search towards the destination with the
+suppressed edges priced at infinity, so the shared state never sees them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dstar
-from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance
+from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend, dijkstra
 from .dstar import CostUpdate, DStarState
 
 
@@ -33,31 +33,42 @@ class PathSet:
 
 
 def yen_edge_suppression(
-    inst: ProblemInstance,
-    view: PlanningCostView,
-    accepted: list[Path],
-    root: tuple[int, ...],
-) -> list[CostUpdate]:
-    """Edges to hide for one spur search from the end of ``root``.
+    inst: ProblemInstance, accepted: list[Path], root: tuple[int, ...]
+) -> set[int]:
+    """Edge ids to hide for one spur search from the end of ``root``.
 
     Hides the continuation edge of every accepted path sharing the root
     prefix, plus every edge incident to an interior root vertex (all of the
-    root except the spur node).  Costs go to infinity via the view overlay;
-    the caller restores them after the spur search.
+    root except the spur node).
     """
     i = len(root)
-    hidden: dict[int, float] = {}
+    hidden: set[int] = set()
     for path in accepted:
         vs = path.vertices
         if len(vs) > i and vs[:i] == root:
-            eid = inst.ugv_edge_between(vs[i - 1], vs[i])
-            if eid not in hidden:
-                hidden[eid] = view.cost(eid)
+            hidden.add(inst.ugv_edge_between(vs[i - 1], vs[i]))
     for w in root[:-1]:
         for _, eid in inst.ugv_adj[w]:
-            if eid not in hidden:
-                hidden[eid] = view.cost(eid)
-    return [CostUpdate(eid, old, INF) for eid, old in sorted(hidden.items())]
+            hidden.add(eid)
+    return hidden
+
+
+def spur_search(
+    inst: ProblemInstance, view: PlanningCostView, hidden: set[int], spur: int, dest: int
+) -> tuple[int, ...] | None:
+    """Shortest spur path from ``spur`` to ``dest`` with ``hidden`` edges
+    priced at infinity, or None when none is left.
+
+    Dijkstra from the destination, then the greedy descent the incremental
+    planner uses, so ties resolve to the lowest vertex id in both.
+    """
+    cost = view.cost
+
+    def cost_of_edge(eid: int) -> float:
+        return INF if eid in hidden else cost(eid)
+
+    dist, _ = dijkstra(inst.ugv_adj, dest, cost_of_edge)
+    return descend(inst.ugv_adj, dist, cost_of_edge, spur, dest)
 
 
 def candidate_admission(
@@ -89,9 +100,9 @@ def update_k_paths(
 ) -> PathSet:
     """Refresh the k best loopless paths from v_curr after cost updates.
 
-    The shared search state is mutated only by the rank-1 repair; spur
-    searches work on clones whose key offset grows by h(v_curr, spur) so
-    the inherited queue ordering stays admissible.
+    Only the rank-1 repair touches the shared search state; ranks 2..k come
+    from Yen spur searches (``spur_search``) that read the view and write
+    nothing shared.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -106,21 +117,11 @@ def update_k_paths(
         prev = accepted[-1].vertices
         for i in range(1, len(prev)):
             root = prev[:i]
-            spur = root[-1]
-            hidden = yen_edge_suppression(inst, view, accepted, root)
-            for up in hidden:
-                view.override(up.edge, INF)
-            spur_state = state.clone()
-            try:
-                spur_path = dstar.replan(spur_state, view, spur, hidden)
-            except NoPathError:
-                spur_path = None
-            finally:
-                for up in hidden:
-                    view.clear_override(up.edge)
+            hidden = yen_edge_suppression(inst, accepted, root)
+            spur_path = spur_search(inst, view, hidden, root[-1], state.dest)
             if spur_path is None:
                 continue
-            vertices = root[:-1] + spur_path.vertices
+            vertices = root[:-1] + spur_path
             candidate = Path(vertices, view.path_cost(vertices))
             candidate_admission(pool, accepted, candidate)
         if not pool:

@@ -39,6 +39,19 @@ def fresh_view(inst):
     return PlanningCostView(inst, KnowledgeState())
 
 
+class ForcedCostView(PlanningCostView):
+    """Cost view whose edges in ``forced`` (edge id -> cost) take the forced
+    cost, for tests that change the cost of a fixed edge."""
+
+    def __init__(self, inst):
+        super().__init__(inst, KnowledgeState())
+        self.forced: dict[int, float] = {}
+
+    def cost(self, eid):
+        c = self.forced.get(eid)
+        return super().cost(eid) if c is None else c
+
+
 def line_instance(costs=(2.0, 3.0)):
     """Vertices on a line, consecutive fixed-cost edges."""
     n = len(costs) + 1

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import oracles
-from conftest import fresh_view, random_connected_instance
+from conftest import ForcedCostView, fresh_view, random_connected_instance
 from scoutplan import bench, dstar, kspp, paa, rpp, sim
 from scoutplan.core import (
     INF,
@@ -45,7 +45,7 @@ class TestCriterion1DStarOracle:
             inst, real = bench.generate_grid(
                 bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=10), seed=trial
             )
-            view = fresh_view(inst)
+            view = ForcedCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             v_curr = inst.p
             path = dstar.replan(state, view, v_curr, [])
@@ -64,7 +64,7 @@ class TestCriterion1DStarOracle:
                         eid = rng.choice(fixed)
                         old = view.cost(eid)
                         new = old * rng.uniform(1.0, 3.0) + rng.uniform(0.0, 5.0)
-                        view.override(eid, new)
+                        view.forced[eid] = new
                         updates.append(CostUpdate(eid, old, new))
                 if len(path.vertices) > 2 and rng.random() < 0.8:
                     v_curr = path.vertices[rng.randint(1, len(path.vertices) - 2)]

@@ -193,6 +193,16 @@ class TestExperimentHarness:
             adversarial=True,
         )
 
+    @pytest.mark.parametrize("bad", [
+        {"family": "hexagon"},
+        {"planners": ("rpp", "astar")},
+        {"k_values": (1, 0)},
+        {"family": "road"},
+    ])
+    def test_spec_rejects_what_cannot_run(self, bad):
+        with pytest.raises(ValueError):
+            bench.ExperimentSpec(**bad)
+
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"

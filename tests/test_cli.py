@@ -2,9 +2,11 @@ import csv
 import json
 import os
 
+import pytest
+
 from scoutplan import bench
 from scoutplan.cli import DATA_ERROR, RUNTIME_ERROR, USAGE_ERROR, main
-from scoutplan.core import save_instance, save_realization
+from scoutplan.core import load_instance, save_instance, save_realization
 
 
 def run_cli(*argv):
@@ -29,11 +31,32 @@ class TestGenerate:
         assert rc == 0
 
     def test_unknown_spec_key_is_data_error(self, tmp_path):
+        cases = [
+            ("grid", {"rowz": 4}),
+            ("scaling", {"rowz": 4}),
+            ("road", {"rowz": 4}),
+            ("scaling", {"size": [8]}),
+            ("scaling", {"size": [1, 3]}),
+            ("scaling", {"size": [20, 0]}),
+            ("scaling", {"size": [20.5, 20]}),
+            ("scaling", {"size": "20x20"}),
+        ]
+        for i, (family, data) in enumerate(cases):
+            spec = tmp_path / f"spec{i}.json"
+            spec.write_text(json.dumps(data))
+            out = tmp_path / f"out{i}"
+            rc = run_cli("generate", "--family", family, "--spec", str(spec),
+                         "--seed", "1", "--out", str(out))
+            assert rc == DATA_ERROR, (family, data)
+            assert not (out / "instance_000.txt").exists()
+
+    def test_scaling_size(self, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"rowz": 4}))
-        rc = run_cli("generate", "--family", "grid", "--spec", str(spec),
+        spec.write_text(json.dumps({"size": [4, 2], "count": 1}))
+        rc = run_cli("generate", "--family", "scaling", "--spec", str(spec),
                      "--seed", "1", "--out", str(tmp_path / "out"))
-        assert rc == DATA_ERROR
+        assert rc == 0
+        assert load_instance(str(tmp_path / "out" / "instance_000.txt")).n_vertices == 4 * 2 + 2
 
 
 class TestSimulate:
@@ -104,6 +127,12 @@ class TestUsageErrors:
     def test_bad_choice(self):
         assert run_cli("generate", "--family", "hexagon", "--out", "x") == USAGE_ERROR
 
+    @pytest.mark.parametrize("k", ["0", "-2", "two"])
+    def test_k_below_one(self, tmp_path, k):
+        rc = run_cli("simulate", "--instance", str(tmp_path / "i.txt"),
+                     "--realization", str(tmp_path / "r.txt"), "--k", k)
+        assert rc == USAGE_ERROR
+
 
 class TestExperimentAndReport:
     def test_experiment_then_report(self, tmp_path, capsys):
@@ -119,6 +148,25 @@ class TestExperimentAndReport:
         rc = run_cli("report", "--in", str(out), "--out", str(tmp_path / "summary2.csv"))
         assert rc == 0
         assert (tmp_path / "summary2.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        {"family": "hexagon"},
+        {"family": "road"},
+        {"planners": ["rpp", "astar"]},
+        {"k_values": [2, 0]},
+        {"k_values": ["2"]},
+        {"weights": [0.2, 0.2, 0.2, 0.2, 0.2]},
+        {"weights": 0.5},
+        {"weights": ["heavy", 0.2]},
+    ])
+    def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"family": "bridge", "n_instances": 1, **bad}))
+        out = tmp_path / "results"
+        rc = run_cli("experiment", "--spec", str(spec), "--out", str(out), "--jobs", "1")
+        assert rc == DATA_ERROR
+        assert "bad experiment spec" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_rejects_runs_without_label_columns(self, tmp_path):
         runs = tmp_path / "runs.csv"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from conftest import fresh_view, line_instance, random_connected_instance
+from conftest import ForcedCostView, fresh_view, line_instance, random_connected_instance
 from scoutplan import bench, dstar
 from scoutplan.core import INF, NoPathError
 from scoutplan.dstar import AddressableHeap, CostUpdate
@@ -145,25 +145,24 @@ class TestUpdateVertex:
 class TestRhsUpdate:
     def test_decrease_far_from_finite_region_is_noop(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=3, cols=4), seed=1)
-        view = fresh_view(inst)
+        view = ForcedCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         # No expansion yet: g is infinite everywhere, so a decrease cannot
         # create a finite lookahead.
         eid = 0
-        view.override(eid, 1.0)
+        view.forced[eid] = 1.0
         before_rhs = state.rhs.copy()
         dstar.rhs_update(state, view, CostUpdate(eid, view.cost(eid) + 1, 1.0))
-        view.clear_override(eid)
         assert state.rhs == before_rhs
 
     def test_increase_on_line_matches_oracle(self):
         inst = line_instance((1.0, 1.0))
-        view = fresh_view(inst)
+        view = ForcedCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         assert state.g[0] == 2.0
         eid = inst.ugv_edge_between(0, 1)
-        view.override(eid, 5.0)
+        view.forced[eid] = 5.0
         path = dstar.replan(state, view, 0, [CostUpdate(eid, 1.0, 5.0)])
         assert state.rhs[0] == 6.0
         assert path.cost == 6.0
@@ -195,11 +194,11 @@ class TestComputeShortestPath:
     def test_disconnected_reports_no_path(self):
         # Hide the only edges around the start to cut it off.
         inst = line_instance((1.0, 1.0))
-        view = fresh_view(inst)
+        view = ForcedCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         eid = inst.ugv_edge_between(0, 1)
-        view.override(eid, INF)
+        view.forced[eid] = INF
         with pytest.raises(NoPathError):
             dstar.replan(state, view, 0, [CostUpdate(eid, 1.0, INF)])
 

@@ -1,8 +1,8 @@
 import random
 
 import oracles
-from conftest import build_instance, fresh_view, random_connected_instance
-from scoutplan import dstar, kspp
+from conftest import ForcedCostView, build_instance, fresh_view, random_connected_instance
+from scoutplan import bench, dstar, kspp
 from scoutplan.core import INF, Path
 from scoutplan.dstar import CostUpdate
 
@@ -40,13 +40,13 @@ class TestBasics:
 
     def test_no_path_returns_empty_set(self):
         inst = diamond()
-        view = fresh_view(inst)
+        view = ForcedCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         ups = []
         for a, b in ((0, 1), (0, 2)):
             eid = inst.ugv_edge_between(a, b)
             ups.append(CostUpdate(eid, view.cost(eid), INF))
-            view.override(eid, INF)
+            view.forced[eid] = INF
         pset = kspp.update_k_paths(inst, view, state, inst.p, ups, 3)
         assert len(pset) == 0
         assert pset.best() is None
@@ -67,29 +67,24 @@ class TestBasics:
 class TestSuppression:
     def test_shared_start_suppresses_one_edge_per_path(self):
         inst = diamond()
-        view = fresh_view(inst)
         a = [Path((0, 1, 3), 2.0), Path((0, 2, 3), 4.0)]
-        ups = kspp.yen_edge_suppression(inst, view, a, (0,))
-        assert len(ups) == 2
-        assert {u.edge for u in ups} == {
+        hidden = kspp.yen_edge_suppression(inst, a, (0,))
+        assert hidden == {
             inst.ugv_edge_between(0, 1),
             inst.ugv_edge_between(0, 2),
         }
-        assert all(u.new_cost == INF for u in ups)
 
     def test_single_vertex_root_removes_no_nodes(self):
         inst = diamond()
-        view = fresh_view(inst)
-        ups = kspp.yen_edge_suppression(inst, view, [Path((0, 1, 3), 2.0)], (0,))
+        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), 2.0)], (0,))
         # Only the continuation edge, no node-removal suppressions.
-        assert {u.edge for u in ups} == {inst.ugv_edge_between(0, 1)}
+        assert hidden == {inst.ugv_edge_between(0, 1)}
 
     def test_interior_nodes_fully_suppressed(self):
         inst = diamond()
-        view = fresh_view(inst)
-        ups = kspp.yen_edge_suppression(inst, view, [Path((0, 1, 3), 2.0)], (0, 1))
+        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), 2.0)], (0, 1))
         # Root interior {0}: both edges at vertex 0, plus continuation (1,3).
-        assert {u.edge for u in ups} == {
+        assert hidden == {
             inst.ugv_edge_between(0, 1),
             inst.ugv_edge_between(0, 2),
             inst.ugv_edge_between(1, 3),
@@ -102,7 +97,41 @@ class TestSuppression:
         plan(inst, view, 4)
         after = {eid: view.cost(eid) for eid in inst.ugv_edge_ids}
         assert before == after
-        assert not view.overlay
+
+
+class TestSpurSearch:
+    @staticmethod
+    def check_roots(inst, view, rng, trials):
+        """Spur paths from random roots equal the oracle's shortest path
+        with the same edges and root vertices blocked."""
+        costs = oracles.view_costs(inst, view)
+        best = oracles.shortest_path(inst, costs, inst.p, inst.d)
+        for _ in range(trials):
+            i = rng.randint(1, len(best) - 1)
+            root = best[:i]
+            hidden = kspp.yen_edge_suppression(inst, [Path(best, 0.0)], root)
+            got = kspp.spur_search(inst, view, hidden, root[-1], inst.d)
+            want = oracles.shortest_path(
+                inst, costs, root[-1], inst.d,
+                blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
+            )
+            assert got == want
+
+    def test_random_instances_match_oracle(self, rng):
+        for _ in range(40):
+            inst = random_connected_instance(rng, n_min=6, n_max=30)
+            self.check_roots(inst, fresh_view(inst), rng, 5)
+
+    def test_largest_scaling_instance_matches_oracle(self, rng):
+        inst, _ = bench.generate_scaling((40, 25), seed=0)
+        assert inst.n_vertices == 1002
+        self.check_roots(inst, fresh_view(inst), rng, 4)
+
+    def test_unreachable_returns_none(self):
+        inst = diamond()
+        view = fresh_view(inst)
+        hidden = {inst.ugv_edge_between(0, 1), inst.ugv_edge_between(0, 2)}
+        assert kspp.spur_search(inst, view, hidden, 0, inst.d) is None
 
 
 class TestAdmission:
