@@ -42,6 +42,10 @@ class GridSpec:
     t_max_range: tuple[float, float] = (80.0, 100.0)
     uav_speed: float = 2.0
 
+    def __post_init__(self):
+        _check_at_least("rows", self.rows, 2)
+        _check_at_least("cols", self.cols, 2)
+
 
 @dataclass(frozen=True)
 class BridgeSpec:
@@ -55,6 +59,15 @@ class BridgeSpec:
     d_coord: tuple[float, float] = (200.0, 0.0)
     adversarial: bool = False
     uav_speed: float = 2.0
+
+    def __post_init__(self):
+        _check_at_least("chain_len", self.chain_len, 2)
+        _check_at_least("n_paths", self.n_paths, 1)
+
+
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 #: Node-grid sizes of the scaling study, as (chain_len, n_paths).
@@ -135,8 +148,6 @@ def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realizati
     """Uniform grid; impeded edges drawn as partial cuts across random columns."""
     rng = random.Random(f"grid:{seed}")
     rows, cols, s = spec.rows, spec.cols, spec.spacing
-    if rows < 2 or cols < 2:
-        raise ValueError("grid needs at least 2 rows and 2 columns")
     vertices = [(c * s, r * s) for r in range(rows) for c in range(cols)]
 
     def vid(r: int, c: int) -> int:

@@ -61,36 +61,37 @@ def _dataclass_from(cls, data: dict):
 _SPEC_KEYS = {"scaling": {"size"}, "road": {"n_vertices", "impeded_fraction", "base_file"}}
 
 
-def _scaling_size(data: dict) -> tuple[int, int]:
-    size = data.get("size", bench.SCALING_SIZES[0])
-    ok = isinstance(size, list | tuple) and len(size) == 2 and all(type(x) is int for x in size)
-    if not ok or size[0] < 2 or size[1] < 1:
-        raise InstanceError(f"size must be [chain_len >= 2, n_paths >= 1], got {size!r}")
-    return tuple(size)
-
-
 def cmd_generate(args) -> int:
     data = _load_json(args.spec) if args.spec else {}
-    count = int(data.pop("count", 1))
+    count = data.pop("count", 1)
     unknown = set(data) - _SPEC_KEYS.get(args.family, set(data))
     if unknown:
         raise InstanceError(f"unknown spec keys: {sorted(unknown)}")
+    try:
+        count = int(count)
+        if args.family == "grid":
+            spec = _dataclass_from(bench.GridSpec, data)
+        elif args.family == "bridge":
+            spec = _dataclass_from(bench.BridgeSpec, data)
+        elif args.family == "scaling":
+            spec = bench.scaling_spec(tuple(data.get("size", bench.SCALING_SIZES[0])))
+        else:
+            n_vertices = int(data.get("n_vertices", 30))
+            fraction = float(data.get("impeded_fraction", 0.5))
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"bad generate spec {args.spec}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     for i in range(count):
         seed = random.Random(f"{args.seed}:{i}").getrandbits(31)
         if args.family == "grid":
-            inst, real = bench.generate_grid(_dataclass_from(bench.GridSpec, data), seed)
-        elif args.family == "bridge":
-            inst, real = bench.generate_bridge(_dataclass_from(bench.BridgeSpec, data), seed)
-        elif args.family == "scaling":
-            inst, real = bench.generate_scaling(_scaling_size(data), seed)
-        else:  # road
+            inst, real = bench.generate_grid(spec, seed)
+        elif args.family != "road":
+            inst, real = bench.generate_bridge(spec, seed)
+        else:
             base_file = data.get("base_file")
             if base_file is None:
                 base_file = os.path.join(args.out, f"road_base_{i:03d}.txt")
-                base = bench.generate_road_like(int(data.get("n_vertices", 30)), seed)
-                save_instance(base, base_file)
-            fraction = float(data.get("impeded_fraction", 0.5))
+                save_instance(bench.generate_road_like(n_vertices, seed), base_file)
             inst = bench.import_road_network(base_file, fraction, seed)
             real = sample_realization(inst, random.Random(f"real:{args.seed}:{i}"))
         save_instance(inst, os.path.join(args.out, f"instance_{i:03d}.txt"))

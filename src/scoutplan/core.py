@@ -103,7 +103,6 @@ class ProblemInstance:
         d: int,
         uav_speed: float = 2.0,
         uav_free_flight: bool = False,
-        ugv_edge_ids: set[int] | None = None,
     ):
         self.vertices = vertices
         self.edges = edges
@@ -112,9 +111,7 @@ class ProblemInstance:
         self.d = d
         self.uav_speed = uav_speed
         self.uav_free_flight = uav_free_flight
-        if ugv_edge_ids is None:
-            ugv_edge_ids = {e.id for e in edges if e.ugv_cost is not None or e.impeded}
-        self.ugv_edge_ids = frozenset(ugv_edge_ids)
+        self.ugv_edge_ids = frozenset(e.id for e in edges if e.ugv_cost is not None or e.impeded)
         self.impeded_ids = frozenset(e.id for e in edges if e.impeded)
         self._build_adjacency()
         self.validate()
@@ -161,10 +158,6 @@ class ProblemInstance:
             if not _positive_finite(e.uav_cost):
                 raise InstanceError(f"edge {e.id}: aerial cost is not finite and positive")
             if e.impeded:
-                if e.id not in self.ugv_edge_ids:
-                    raise InstanceError(
-                        f"edge {e.id}: impeded edge not in UGV edge set"
-                    )
                 if e.ugv_cost is not None:
                     raise InstanceError(
                         f"edge {e.id}: impeded edge carries a fixed UGV cost"
@@ -174,14 +167,10 @@ class ProblemInstance:
                     raise InstanceError(
                         f"edge {e.id}: invalid cost bounds [{dist.t_min}, {dist.t_max}]"
                     )
-            elif e.id in self.ugv_edge_ids:
-                if e.ugv_cost is None or not _positive_finite(e.ugv_cost):
-                    raise InstanceError(
-                        f"edge {e.id}: unimpeded UGV edge needs a finite positive cost"
-                    )
-        for eid in self.ugv_edge_ids:
-            if not 0 <= eid < len(self.edges):
-                raise InstanceError(f"UGV edge id {eid} does not exist")
+            elif e.ugv_cost is not None and not _positive_finite(e.ugv_cost):
+                raise InstanceError(
+                    f"edge {e.id}: unimpeded UGV edge needs a finite positive cost"
+                )
         if not self._connected():
             raise InstanceError("UGV edge set does not connect all vertices")
 

@@ -4,9 +4,12 @@ Both vehicles start at t=0.  The ground vehicle follows its current best
 path and never pauses; entering an impeded edge whose cost is still hidden
 commits it to the true cost, revealed on arrival.  The scout flies its
 inspection plan and reveals an edge when it finishes crossing it.  Every
-revelation triggers replanning for both vehicles, effective at each
-vehicle's next vertex; mid-edge commitments are always honored.  Planning
-wall time is measured but never consumes simulated time.
+revelation replans both vehicles.  Each vehicle holds one plan, and every
+plan starts at the vehicle's next vertex (the one it stands on, or the far
+end of the edge it is committed to), so mid-edge commitments are always
+honored.  When the ground vehicle enters a hidden edge that the scout's
+remaining legs would inspect, the scout alone is replanned without that
+edge.  Planning wall time is measured but never consumes simulated time.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ class SimulationConfig:
     k: int = 3
     weights: PriorityWeights = field(default_factory=PriorityWeights)
     rpp_budget_s: float = 1.0
-    rng_seed: int = 0
     uav_enabled: bool = True
 
     def __post_init__(self):
@@ -209,99 +211,64 @@ class _Engine:
         self.replans: list[ReplanRecord] = []
         self.late = 0
         self.now = 0.0
-        # Ground vehicle: either parked at a vertex or committed to an edge.
-        self.ugv_at: int | None = inst.p
-        self.route: list[int] = []
-        self.route_pos = 0
-        self.ugv_to = inst.p
+        # Ground vehicle: it reaches route[0] over ugv_edge at ugv_arrival.
+        self.route: list[int] = [inst.p]
         self.ugv_edge = -1
         self.ugv_arrival = 0.0
-        self.pending_route: tuple[int, list[int]] | None = None
-        # Scout.
-        self.uav_at: int | None = inst.q
-        self.uav_cur: UavLeg | None = None
-        self.uav_arrival = INF
+        # Scout: flying uav_leg to uav_to until uav_arrival, or idle at uav_to.
+        self.uav_leg: UavLeg | None = None
+        self.uav_to = inst.q
+        self.uav_arrival = 0.0
         self.uav_legs: list[UavLeg] = []
-        self.uav_pending: tuple[int, list[UavLeg]] | None = None
         # Current plan context for inspection windows.
         self.pset = kspp.PathSet()
         self.plan_origin_time = 0.0
 
     # -- planning ---------------------------------------------------------
 
-    def _ugv_origin(self) -> tuple[int, float]:
-        if self.ugv_at is not None:
-            return self.ugv_at, self.now
-        return self.ugv_to, self.ugv_arrival
-
-    def _uav_origin(self) -> tuple[int, float]:
-        if self.uav_at is not None:
-            return self.uav_at, self.now
-        return self.uav_cur.to, self.uav_arrival
-
     def _replan_both(self, trigger: str, updates: list[CostUpdate]) -> None:
         rec = ReplanRecord(trigger)
-        origin, origin_time = self._ugv_origin()
+        origin = self.route[0]
         t0 = _time.perf_counter()
         pset = kspp.update_k_paths(self.inst, self.view, self.dstate, origin, updates, self.k_eff)
         rec.ugv_seconds = _time.perf_counter() - t0
         if not pset.paths:
             raise NoPathError(f"no route from {origin} to {self.inst.d}")
         self.pset = pset
-        self.plan_origin_time = origin_time
-        new_route = list(pset.paths[0].vertices)
-        if self.ugv_at == origin:
-            self.route = new_route
-            self.route_pos = 0
-            self.pending_route = None
-        else:
-            self.pending_route = (origin, new_route)
+        self.plan_origin_time = self.ugv_arrival
+        self.route = list(pset.paths[0].vertices)
         self._replan_uav(rec)
         self.replans.append(rec)
 
     def _replan_uav(self, rec: ReplanRecord) -> None:
         if not self.cfg.uav_enabled:
             return
-        origin, origin_time = self._uav_origin()
+        origin_time = self.now if self.uav_leg is None else self.uav_arrival
         t0 = _time.perf_counter()
         exclude: tuple[int, ...] = ()
-        if self.ugv_at is None and self.inst.edges[self.ugv_edge].impeded and not self.knowledge.knows(self.ugv_edge):
+        if self.ugv_edge in self.inst.impeded_ids and not self.knowledge.knows(self.ugv_edge):
             exclude = (self.ugv_edge,)
         critical = rpp.extract_critical_edges(
             self.pset, self.knowledge, self.inst, self.view,
             start_time=self.plan_origin_time, exclude=exclude,
         )
         plan = PLANNERS[self.cfg.planner]
-        legs = plan(self, critical, origin, origin_time, rec) if critical else []
+        self.uav_legs = plan(self, critical, self.uav_to, origin_time, rec) if critical else []
         rec.uav_seconds += _time.perf_counter() - t0
-        if self.uav_at == origin:
-            self.uav_legs = legs
-            self.uav_pending = None
-        else:
-            self.uav_pending = (origin, legs)
 
     # -- movement ---------------------------------------------------------
 
     def _ugv_depart(self) -> None:
-        v = self.ugv_at
-        nxt = self.route[self.route_pos + 1]
-        eid = self.inst.ugv_edge_between(v, nxt)
+        eid = self.inst.ugv_edge_between(self.route[0], self.route[1])
         rec = self.inst.edges[eid]
-        dur = self.real[eid] if rec.impeded else rec.ugv_cost
-        self.ugv_at = None
+        del self.route[0]
         self.ugv_edge = eid
-        self.ugv_to = nxt
-        self.ugv_arrival = self.now + dur
+        self.ugv_arrival = self.now + (self.real[eid] if rec.impeded else rec.ugv_cost)
         if rec.impeded and not self.knowledge.knows(eid):
             self._cancel_uav_if_targeting(eid)
 
     def _cancel_uav_if_targeting(self, eid: int) -> None:
-        if not self.cfg.uav_enabled:
-            return
-        queued = any(leg.edge == eid for leg in self.uav_legs)
-        if self.uav_pending is not None:
-            queued = queued or any(leg.edge == eid for leg in self.uav_pending[1])
-        if not queued:
+        if not any(leg.edge == eid for leg in self.uav_legs):
             return
         rec = ReplanRecord(f"cancel:{eid}")
         self._replan_uav(rec)
@@ -309,11 +276,11 @@ class _Engine:
         self._uav_depart_if_idle()
 
     def _uav_depart_if_idle(self) -> None:
-        if self.uav_at is not None and self.uav_cur is None and self.uav_legs:
+        if self.uav_leg is None and self.uav_legs:
             leg = self.uav_legs.pop(0)
-            self.uav_cur = leg
+            self.uav_leg = leg
+            self.uav_to = leg.to
             self.uav_arrival = self.now + leg.duration
-            self.uav_at = None
 
     # -- event processing -------------------------------------------------
 
@@ -322,7 +289,7 @@ class _Engine:
 
     def _reveal(self, eid: int, by: str) -> None:
         true = self.real[eid]
-        if by == "uav" and self.ugv_at is None and self.ugv_edge == eid:
+        if by == "uav" and self.ugv_edge == eid:
             self.late += 1
         self._log("reveal", (eid, true, by))
         old = self.view.cost(eid)
@@ -330,36 +297,23 @@ class _Engine:
         self._replan_both(f"reveal:{eid}", [CostUpdate(eid, old, true)])
 
     def _process_uav_arrival(self) -> None:
-        leg = self.uav_cur
+        leg = self.uav_leg
         self.now = self.uav_arrival
-        w = leg.to
-        self.uav_at = w
-        self.uav_cur = None
-        self.uav_arrival = INF
+        self.uav_leg = None
         if leg.inspect and not self.knowledge.knows(leg.edge):
             self._reveal(leg.edge, "uav")
-        self._log("uav_arrives", (w,))
-        if self.uav_pending is not None and self.uav_pending[0] == w:
-            self.uav_legs = self.uav_pending[1]
-            self.uav_pending = None
+        self._log("uav_arrives", (leg.to,))
         self._uav_depart_if_idle()
 
     def _process_ugv_arrival(self) -> bool:
         self.now = self.ugv_arrival
-        v = self.ugv_to
+        v = self.route[0]
         eid = self.ugv_edge
-        self.ugv_at = v
-        if self.inst.edges[eid].impeded and not self.knowledge.knows(eid):
+        if eid in self.inst.impeded_ids and not self.knowledge.knows(eid):
             self._reveal(eid, "ugv")
         self._log("ugv_arrives", (v,))
         if v == self.inst.d:
             return True
-        if self.pending_route is not None and self.pending_route[0] == v:
-            self.route = self.pending_route[1]
-            self.route_pos = 0
-            self.pending_route = None
-        if self.route[self.route_pos] != v:
-            self.route_pos += 1
         self._ugv_depart()
         self._uav_depart_if_idle()
         return False
@@ -373,7 +327,7 @@ class _Engine:
         self._ugv_depart()
         self._uav_depart_if_idle()
         while True:
-            if self.uav_cur is not None and self.uav_arrival <= self.ugv_arrival:
+            if self.uav_leg is not None and self.uav_arrival <= self.ugv_arrival:
                 self._process_uav_arrival()
             else:
                 if self._process_ugv_arrival():

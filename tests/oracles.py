@@ -191,9 +191,9 @@ def replay_tour_times(graph, visited, uav_time_offset=0.0):
 def replay_ugv_arrivals(inst, realization, events):
     """Re-derive the ground vehicle's timeline from its arrival events.
 
-    Checks continuity (consecutive vertices share an edge), the no-waiting
-    rule (arrival gaps equal true traversal costs) and returns the final
-    arrival time.
+    Checks continuity (consecutive vertices share a UGV edge), the
+    no-waiting rule (each arrival time is exactly the previous one plus the
+    edge's true traversal cost) and returns the final arrival time.
     """
     arrivals = [(e.time, e.data[0]) for e in events if e.kind == "ugv_arrives"]
     pos = inst.p
@@ -205,7 +205,7 @@ def replay_ugv_arrivals(inst, realization, events):
         eid = inst.ugv_edge_between(pos, v)
         rec = inst.edges[eid]
         t += realization[eid] if rec.impeded else rec.ugv_cost
-        assert abs(when - t) < 1e-9, (when, t)
+        assert when == t, (when, t)
         pos = v
     assert pos == inst.d
     return t

@@ -270,6 +270,7 @@ class TestCriterion8PropertySuite:
             assert times == sorted(times)
             revealed = [e.data[0] for e in out.events if e.kind == "reveal"]
             assert len(revealed) == len(set(revealed))
+            assert oracles.replay_ugv_arrivals(inst, real, out.events) == out.arrival_time
         elapsed = time.perf_counter() - t0
         report(8, "arrival bounded below", f"10000 randomized runs, {elapsed:.0f}s")
 

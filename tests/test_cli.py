@@ -40,6 +40,10 @@ class TestGenerate:
             ("scaling", {"size": [20, 0]}),
             ("scaling", {"size": [20.5, 20]}),
             ("scaling", {"size": "20x20"}),
+            ("grid", {"rows": 1}),
+            ("grid", {"count": "abc"}),
+            ("bridge", {"chain_len": 1}),
+            ("grid", {"rows": "x"}),
         ]
         for i, (family, data) in enumerate(cases):
             spec = tmp_path / f"spec{i}.json"

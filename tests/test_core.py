@@ -139,16 +139,6 @@ class TestUavTransit:
 
 
 class TestInstanceValidation:
-    def test_impeded_outside_ugv_set_rejected(self):
-        coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-        edges = [
-            EdgeRecord(0, 0, 1, 1.0, 0.5),
-            EdgeRecord(1, 1, 2, 1.0, 0.5),
-            EdgeRecord(2, 0, 2, None, 1.0, UniformCost(2.0, 4.0)),
-        ]
-        with pytest.raises(InstanceError, match="not in UGV edge set"):
-            ProblemInstance(coords, edges, 0, 0, 2, ugv_edge_ids={0, 1})
-
     def test_disconnected_rejected(self):
         coords = [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (6.0, 0.0)]
         edges = [EdgeRecord(0, 0, 1, 1.0, 0.5), EdgeRecord(1, 2, 3, 1.0, 0.5)]

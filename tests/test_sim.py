@@ -150,6 +150,33 @@ class TestReplanSemantics:
         assert [r.data[2] for r in reveals] == ["ugv"]
 
 
+    def test_superseded_scout_plan_triggers_no_cancel(self):
+        # Criterion-8a trial 1666 (paa, k=2).  At t=48.57 the ground vehicle
+        # reaches vertex 10 while the scout flies to vertex 11; the replan
+        # there gives the scout a plan from 11 that inspects edge 17 instead
+        # of edge 20.  The vehicle then enters edge 20, which only the
+        # replaced plan targeted, so the scout is not replanned.
+        rng = random.Random("acceptance-8a")
+        for _ in range(1667):
+            inst = random_connected_instance(rng, n_min=5, n_max=12)
+            real = sample_realization(inst, rng)
+        out = sim.run(inst, real, SimulationConfig(planner="paa", k=2))
+        assert [r.trigger for r in out.replans] == [
+            "init", "reveal:0", "reveal:1", "reveal:17", "reveal:20"
+        ]
+        assert out.event_log_text().splitlines() == [
+            "t=31.982718940367988 reveal edge=0 cost=76.68983353090195 by=uav",
+            "t=31.982718940367988 uav_arrives v=0",
+            "t=48.57225275860216 reveal edge=1 cost=48.57225275860216 by=ugv",
+            "t=48.57225275860216 ugv_arrives v=10",
+            "t=49.016049456549695 uav_arrives v=11",
+            "t=65.10445184510036 reveal edge=17 cost=39.965673994915875 by=uav",
+            "t=65.10445184510036 uav_arrives v=7",
+            "t=69.17262148460927 reveal edge=20 cost=20.600368726007105 by=ugv",
+            "t=69.17262148460927 ugv_arrives v=11",
+        ]
+
+
 class TestInvariants:
     def test_zero_impeded_all_planners_tie(self, rng):
         for _ in range(10):
