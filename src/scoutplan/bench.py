@@ -45,6 +45,9 @@ class GridSpec:
     def __post_init__(self):
         _check_at_least("rows", self.rows, 2)
         _check_at_least("cols", self.cols, 2)
+        _check_at_least("n_impeded_cuts", self.n_impeded_cuts, 0)
+        if self.cut_style not in ("partial", "full"):
+            raise ValueError(f"cut_style must be 'partial' or 'full', got {self.cut_style!r}")
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,19 @@ class BridgeSpec:
     def __post_init__(self):
         _check_at_least("chain_len", self.chain_len, 2)
         _check_at_least("n_paths", self.n_paths, 1)
+        if not self.impeded_per_path > 0:
+            raise ValueError(f"impeded_per_path must be > 0, got {self.impeded_per_path!r}")
+        check_fraction("bridge_fraction", self.bridge_fraction)
 
 
 def _check_at_least(name: str, value: int, least: int) -> None:
     if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_fraction(name: str, value: float) -> None:
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 #: Node-grid sizes of the scaling study, as (chain_len, n_paths).
@@ -100,7 +111,6 @@ class ExperimentSpec:
     impeded_fraction: float = 0.5  # road family
     sizes: tuple[tuple[int, int], ...] = SCALING_SIZES  # scaling family
     road_file: str = ""
-    rpp_budget_s: float = 1.0
     weights: PriorityWeights = field(default_factory=PriorityWeights)
 
     def __post_init__(self):
@@ -113,6 +123,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown planner {planner!r}")
         if any(k < 1 for k in self.k_values):
             raise ValueError(f"every k must be at least 1, got {self.k_values}")
+        BridgeSpec(impeded_per_path=self.impeded_per_path, bridge_fraction=self.bridge_fraction)
+        check_fraction("impeded_fraction", self.impeded_fraction)
 
 
 @dataclass
@@ -476,13 +488,10 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
             }
         )
 
-    naive_cfg = sim.SimulationConfig(planner="naive", k=1, rpp_budget_s=spec.rpp_budget_s)
-    record("naive", 1, sim.run(inst, real, naive_cfg))
+    record("naive", 1, sim.run(inst, real, sim.SimulationConfig(planner="naive", k=1)))
     for k in spec.k_values:
         for planner in spec.planners:
-            cfg = sim.SimulationConfig(
-                planner=planner, k=k, weights=spec.weights, rpp_budget_s=spec.rpp_budget_s
-            )
+            cfg = sim.SimulationConfig(planner=planner, k=k, weights=spec.weights)
             record(planner, k, sim.run(inst, real, cfg))
     return rows
 

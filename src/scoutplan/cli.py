@@ -69,6 +69,8 @@ def cmd_generate(args) -> int:
         raise InstanceError(f"unknown spec keys: {sorted(unknown)}")
     try:
         count = int(count)
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         if args.family == "grid":
             spec = _dataclass_from(bench.GridSpec, data)
         elif args.family == "bridge":
@@ -78,6 +80,7 @@ def cmd_generate(args) -> int:
         else:
             n_vertices = int(data.get("n_vertices", 30))
             fraction = float(data.get("impeded_fraction", 0.5))
+            bench.check_fraction("impeded_fraction", fraction)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"bad generate spec {args.spec}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
@@ -114,7 +117,6 @@ def cmd_simulate(args) -> int:
         planner=args.planner,
         k=args.k,
         weights=weights,
-        rpp_budget_s=args.budget_ms / 1000.0,
         uav_enabled=not args.no_uav,
     )
     outcome = sim.run(inst, real, cfg)
@@ -186,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--planner", default="rpp", choices=tuple(sim.PLANNERS))
     s.add_argument("--k", type=_positive_int, default=3)
     s.add_argument("--weights", help="w1,w2,w3,w4 for the priority planner")
-    s.add_argument("--budget-ms", type=float, default=1000.0)
     s.add_argument("--no-uav", action="store_true", help="run without the scout")
     s.add_argument("--log", help="write the event log to this file")
     s.set_defaults(func=cmd_simulate)

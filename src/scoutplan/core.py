@@ -113,8 +113,10 @@ class ProblemInstance:
         self.uav_free_flight = uav_free_flight
         self.ugv_edge_ids = frozenset(e.id for e in edges if e.ugv_cost is not None or e.impeded)
         self.impeded_ids = frozenset(e.id for e in edges if e.impeded)
-        self._build_adjacency()
         self.validate()
+        self._build_adjacency()
+        if not self._connected():
+            raise InstanceError("UGV edge set does not connect all vertices")
         self.heuristic_admissible = self._check_heuristic()
 
     def _build_adjacency(self) -> None:
@@ -171,8 +173,6 @@ class ProblemInstance:
                 raise InstanceError(
                     f"edge {e.id}: unimpeded UGV edge needs a finite positive cost"
                 )
-        if not self._connected():
-            raise InstanceError("UGV edge set does not connect all vertices")
 
     def _connected(self) -> bool:
         n = len(self.vertices)
@@ -439,9 +439,16 @@ def save_instance(inst: ProblemInstance, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path: str) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_instance(path: str) -> ProblemInstance:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     if not raw or raw[0].strip() != _HEADER:
         raise InstanceError(f"{path}:1: expected header '{_HEADER}'")
 
@@ -492,14 +499,17 @@ def load_instance(path: str) -> ProblemInstance:
         if key not in meta:
             raise InstanceError(f"{path}: meta line is missing {key}")
     try:
+        p, q, d = (int(meta[key]) for key in ("p", "q", "d"))
+        uav_speed = float(meta.get("uav_speed", "2.0"))
+    except ValueError as exc:
+        raise InstanceError(f"{path}: bad meta value: {exc}") from None
+    free_flight = meta.get("free_flight", "0")
+    if free_flight not in ("0", "1"):
+        raise InstanceError(f"{path}: free_flight must be 0 or 1, got {free_flight!r}")
+    try:
         return ProblemInstance(
-            vertices,
-            edges,
-            p=int(meta["p"]),
-            q=int(meta["q"]),
-            d=int(meta["d"]),
-            uav_speed=float(meta.get("uav_speed", "2.0")),
-            uav_free_flight=meta.get("free_flight", "0") == "1",
+            vertices, edges, p=p, q=q, d=d, uav_speed=uav_speed,
+            uav_free_flight=free_flight == "1",
         )
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from None
@@ -513,18 +523,17 @@ def save_realization(real: Realization, path: str) -> None:
 
 def load_realization(path: str, inst: ProblemInstance) -> Realization:
     costs: dict[int, float] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] != "r" or len(parts) != 3:
-                raise InstanceError(f"{path}:{lineno}: malformed realization record")
-            try:
-                costs[int(parts[1])] = float(parts[2])
-            except ValueError as exc:
-                raise InstanceError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] != "r" or len(parts) != 3:
+            raise InstanceError(f"{path}:{lineno}: malformed realization record")
+        try:
+            costs[int(parts[1])] = float(parts[2])
+        except ValueError as exc:
+            raise InstanceError(f"{path}:{lineno}: {exc}") from None
     try:
         return Realization(inst, costs)
     except InstanceError as exc:

@@ -10,7 +10,6 @@ within the deadlines.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .core import (
@@ -143,6 +142,12 @@ def build_transformed_graph(
     return TransformedGraph(nodes, arc, twin)
 
 
+#: DFS nodes (calls of the inner search) after which ``rpp_dfs`` stops and
+#: returns its incumbent.  Counting work instead of time keeps every tour,
+#: and so every event log, independent of machine speed.
+DFS_NODE_BUDGET = 450_000
+
+
 @dataclass
 class RppSolution:
     """Best tour found: node indices starting at the depot."""
@@ -150,13 +155,14 @@ class RppSolution:
     best_cost: float
     best_visited: list[int]
     budget_exhausted: bool = False
+    nodes: int = 0  # DFS nodes visited
 
     @property
     def inspected(self) -> int:
         return len(self.best_visited) - 1
 
 
-def rpp_dfs(graph: TransformedGraph, budget_s: float = 1.0) -> RppSolution:
+def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     """Depth-first branch and prune over inspection orders.
 
     A child is explored when it meets its deadline and is not dominated by
@@ -164,20 +170,18 @@ def rpp_dfs(graph: TransformedGraph, budget_s: float = 1.0) -> RppSolution:
     the incumbent is replaced by tours visiting more edges, or equally many
     at lower cost, so the result is the lexicographic optimum.  Children are
     tried in ascending arc cost, so equal optima resolve deterministically.
-    On budget exhaustion the incumbent is returned as is.
+    After ``DFS_NODE_BUDGET`` nodes the incumbent is returned as is.
     """
     n = graph.size
     arc = graph.arc
-    nodes = graph.nodes
     twin = graph.twin
     best_cost = INF
     best_visited = [0]
     best_set: frozenset[int] = frozenset((0,))
-    deadline = [0.0] * n
-    for j in range(1, n):
-        deadline[j] = nodes[j].deadline
-    start = time.perf_counter()
-    out_of_time = False
+    deadline = [0.0] + [node.deadline for node in graph.nodes[1:]]
+    budget = DFS_NODE_BUDGET
+    nodes = 0
+    exhausted = False
 
     order = [
         sorted((j for j in range(1, n)), key=lambda j: (arc[i][j], j))
@@ -185,12 +189,11 @@ def rpp_dfs(graph: TransformedGraph, budget_s: float = 1.0) -> RppSolution:
     ]
 
     def dfs(v: int, cost: float, visited: list[int], vset: frozenset[int]) -> None:
-        nonlocal best_cost, best_visited, best_set, out_of_time
-        if out_of_time:
+        nonlocal best_cost, best_visited, best_set, nodes, exhausted
+        if nodes == budget:
+            exhausted = True
             return
-        if time.perf_counter() - start > budget_s:
-            out_of_time = True
-            return
+        nodes += 1
         terminal = True
         row = arc[v]
         for nxt in order[v]:
@@ -205,7 +208,7 @@ def rpp_dfs(graph: TransformedGraph, budget_s: float = 1.0) -> RppSolution:
                 dfs(nxt, new_cost, visited, new_set)
                 visited.pop()
                 terminal = False
-                if out_of_time:
+                if exhausted:
                     return
         if terminal:
             if len(visited) > len(best_visited) or (
@@ -218,7 +221,7 @@ def rpp_dfs(graph: TransformedGraph, budget_s: float = 1.0) -> RppSolution:
     dfs(0, 0.0, [0], frozenset((0,)))
     if best_cost == INF:  # no feasible inspection at all
         best_cost = 0.0
-    return RppSolution(best_cost, best_visited, out_of_time)
+    return RppSolution(best_cost, best_visited, exhausted, nodes)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ class SimulationConfig:
     planner: str = "rpp"
     k: int = 3
     weights: PriorityWeights = field(default_factory=PriorityWeights)
-    rpp_budget_s: float = 1.0
     uav_enabled: bool = True
 
     def __post_init__(self):
@@ -165,7 +164,7 @@ def _rpp_legs(
     eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[UavLeg]:
     graph = rpp.build_transformed_graph(eng.inst, critical, origin, origin_time, eng.metric)
-    sol = _timed(rec, rpp.rpp_dfs, graph, eng.cfg.rpp_budget_s)
+    sol = _timed(rec, rpp.rpp_dfs, graph)
     rec.budget_hit = rec.budget_hit or sol.budget_exhausted
     return rpp.solution_to_uav_plan(graph, sol, eng.inst, origin, eng.metric)
 

@@ -155,7 +155,7 @@ class TestCriterion4Walkthrough:
         report(4, "walkthrough instance", "arrival 24.0 unassisted, 18.0 assisted, exact")
 
 
-def _bridge_table(spec, n_instances, seed_tag, k_values, planners, budget_s=1.0):
+def _bridge_table(spec, n_instances, seed_tag, k_values, planners):
     """Per-planner mean costs and wall-time maxima over a bridge family."""
     lbs, naive_costs = [], []
     costs = {(p, k): [] for p in planners for k in k_values}
@@ -169,7 +169,7 @@ def _bridge_table(spec, n_instances, seed_tag, k_values, planners, budget_s=1.0)
         naive_costs.append(out.arrival_time)
         for k in k_values:
             for planner in planners:
-                o = sim.run(inst, real, SimulationConfig(planner=planner, k=k, rpp_budget_s=budget_s))
+                o = sim.run(inst, real, SimulationConfig(planner=planner, k=k))
                 costs[(planner, k)].append(o.arrival_time)
                 ugv_ms[(planner, k)] = max(ugv_ms[(planner, k)], o.max_ugv_replan_s * 1e3)
                 solver_ms[(planner, k)] = max(solver_ms[(planner, k)], o.max_uav_solver_s * 1e3)

@@ -44,6 +44,16 @@ class TestGenerate:
             ("grid", {"count": "abc"}),
             ("bridge", {"chain_len": 1}),
             ("grid", {"rows": "x"}),
+            ("grid", {"n_impeded_cuts": -1}),
+            ("grid", {"cut_style": "diagonal"}),
+            ("bridge", {"impeded_per_path": 0}),
+            ("bridge", {"impeded_per_path": -1}),
+            ("bridge", {"bridge_fraction": 1.5}),
+            ("bridge", {"bridge_fraction": -0.1}),
+            ("road", {"impeded_fraction": 2.0}),
+            ("road", {"impeded_fraction": -0.5}),
+            ("grid", {"count": 0}),
+            ("bridge", {"count": -2}),
         ]
         for i, (family, data) in enumerate(cases):
             spec = tmp_path / f"spec{i}.json"
@@ -90,11 +100,10 @@ class TestSimulate:
         assert rc == 0
         assert "arrival_time 24.0" in capsys.readouterr().out
 
-    def test_weights_and_budget_flags(self, tmp_path, capsys):
+    def test_weights_flag(self, tmp_path, capsys):
         ip, rp = self.write_pair(tmp_path)
         rc = run_cli("simulate", "--instance", ip, "--realization", rp,
-                     "--planner", "paa", "--k", "2",
-                     "--weights", "0.4,0.3,0.2,0.1", "--budget-ms", "500")
+                     "--planner", "paa", "--k", "2", "--weights", "0.4,0.3,0.2,0.1")
         assert rc == 0
 
     def test_missing_file_is_runtime_or_data_error(self, tmp_path):
@@ -108,6 +117,9 @@ class TestSimulate:
         for name, bad in (
             ("inf_cost.txt", text.replace("e 0 0 1 4.0 ", "e 0 0 1 inf ")),
             ("zero_speed.txt", text.replace("uav_speed=2.0", "uav_speed=0.0")),
+            ("text_speed.txt", text.replace("uav_speed=2.0", "uav_speed=fast")),
+            ("text_p.txt", text.replace("p=0", "p=x")),
+            ("bad_free_flight.txt", text.replace("free_flight=0", "free_flight=yes")),
         ):
             assert bad != text
             path = tmp_path / name
@@ -162,6 +174,9 @@ class TestExperimentAndReport:
         {"weights": [0.2, 0.2, 0.2, 0.2, 0.2]},
         {"weights": 0.5},
         {"weights": ["heavy", 0.2]},
+        {"bridge_fraction": 5},
+        {"impeded_per_path": 0},
+        {"family": "road", "road_file": "roads.txt", "impeded_fraction": 1.5},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scoutplan
 from conftest import build_instance, fresh_view, line_instance, random_connected_instance
@@ -189,6 +191,76 @@ class TestExports:
     def test_every_exported_name_resolves(self):
         for name in scoutplan.__all__:
             assert hasattr(scoutplan, name), name
+
+
+# Tokens that instance files are made of, valid and not.
+_TOKENS = st.sampled_from([
+    "v", "e", "meta", "U", "-", "0", "1", "2", "3", "-1", "7", "0.5", "2.0", "1e400",
+    "nan", "inf", "-inf", "x", "", "p=0", "q=1", "d=2", "d=3", "d=9", "p=", "p=x",
+    "uav_speed=2.0", "uav_speed=fast", "uav_speed=0", "free_flight=0", "free_flight=1",
+    "free_flight=yes",
+])
+_LINES = st.lists(_TOKENS, max_size=9).map(" ".join)
+# The walkthrough instance as save_instance writes it.
+_DEMO_TEXT = """sapp 1
+v 0 0.0 0.0
+v 1 4.0 0.0
+v 2 8.0 0.0
+v 3 10.0 0.0
+v 4 4.0 -2.0
+e 0 0 1 4.0 2.0 -
+e 1 1 2 - 2.0 U 4.0 18.0
+e 2 2 3 2.0 1.0 -
+e 3 1 4 2.0 1.0 -
+e 4 3 4 - 3.1622776601683795 U 6.5 17.5
+meta p=0 q=4 d=3 uav_speed=2.0 free_flight=0
+"""
+
+
+@st.composite
+def _instance_texts(draw):
+    """Any text, token soup behind the header, or a saved instance with an
+    extra edge, with tokens appended to its meta line, or with up to three
+    tokens replaced."""
+    kind = draw(st.sampled_from(["text", "soup", "edge", "meta", "mutant"]))
+    if kind == "text":
+        return draw(st.text())
+    if kind == "soup":
+        return "\n".join(["sapp 1", *draw(st.lists(_LINES, max_size=12))])
+    if kind == "edge":
+        u, v = draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
+        return _DEMO_TEXT + f"e 5 {u} {v} {draw(_TOKENS)} 1.0 -\n"
+    if kind == "meta":
+        return _DEMO_TEXT.rstrip("\n") + " " + draw(_LINES)
+    lines = [ln.split(" ") for ln in _DEMO_TEXT.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        col = draw(st.integers(0, len(lines[row]) - 1))
+        lines[row][col] = draw(_TOKENS | st.text(max_size=4))
+    return "\n".join(" ".join(ln) for ln in lines)
+
+
+@pytest.mark.filterwarnings("ignore:edge .* is shorter")
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_instance_texts())
+    def test_any_text_loads_or_is_instance_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_instance(str(path))
+        except InstanceError:
+            pass
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.binary())
+    def test_any_bytes_load_or_are_instance_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(data)
+        try:
+            load_instance(str(path))
+        except InstanceError:
+            pass
 
 
 class TestFiles:

@@ -238,6 +238,38 @@ class TestDfs:
             more = rpp.rpp_dfs(rpp.build_transformed_graph(inst, extended, pos)).inspected
             assert more >= base
 
+    def test_node_budget_ends_search_deterministically(self, monkeypatch):
+        rng = random.Random("rpp-budget")
+        inst = random_connected_instance(rng, n_min=12, n_max=12, impeded_frac=0.9)
+        crit = [
+            CriticalEdge(e, INF if rng.random() < 0.5 else rng.uniform(60.0, 200.0))
+            for e in sorted(inst.impeded_ids)
+        ]
+        assert len(crit) >= 10
+        g = rpp.build_transformed_graph(inst, crit, uav_pos=3, uav_time_offset=2.0)
+        monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", 500)
+        sol = rpp.rpp_dfs(g)
+        assert sol.budget_exhausted
+        assert sol.nodes == 500
+        assert sol.inspected > 0
+        windows = {c.edge: c.t_max for c in crit}
+        for eid, done in oracles.replay_tour_times(g, sol.best_visited, 2.0):
+            assert done <= windows[eid] + 1e-9
+        assert rpp.rpp_dfs(g) == sol
+
+    def test_search_within_budget_is_unchanged(self, monkeypatch, rng):
+        case = None
+        while case is None:
+            case = self.random_case(rng, max_edges=5)
+        g = case[0]
+        full = rpp.rpp_dfs(g)
+        assert not full.budget_exhausted
+        monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", full.nodes)
+        assert rpp.rpp_dfs(g) == full
+        monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", full.nodes - 1)
+        cut = rpp.rpp_dfs(g)
+        assert cut.budget_exhausted and cut.nodes == full.nodes - 1
+
 
 class TestPlanExpansion:
     def test_depot_only_plan_is_empty(self):

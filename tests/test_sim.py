@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from conftest import build_instance, random_connected_instance
-from scoutplan import bench, sim
+from scoutplan import bench, rpp, sim
 from scoutplan.core import Realization, sample_realization
 from scoutplan.sim import SimulationConfig
 
@@ -212,6 +212,17 @@ class TestInvariants:
             b = sim.run(inst, real, cfg)
             assert a.events == b.events
             assert a.arrival_time == b.arrival_time
+
+    def test_budget_hit_missions_are_deterministic(self, monkeypatch):
+        monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", 200)
+        spec = bench.BridgeSpec(n_paths=4, chain_len=8, impeded_per_path=0.5)
+        inst, real = bench.generate_bridge(spec, 7)
+        cfg = SimulationConfig(planner="rpp", k=3)
+        a = sim.run(inst, real, cfg)
+        b = sim.run(inst, real, cfg)
+        assert a.budget_hits > 0
+        assert a.event_log_text() == b.event_log_text()
+        assert [r.trigger for r in a.replans] == [r.trigger for r in b.replans]
 
     def test_knowledge_grows_monotonically(self, rng):
         inst = random_connected_instance(rng, n_min=8, n_max=12, impeded_frac=0.6)
