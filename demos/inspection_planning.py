@@ -23,7 +23,7 @@ view = PlanningCostView(inst, KnowledgeState())
 state = dstar.initialize(inst, inst.p, inst.d)
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
 
-critical = rpp.extract_critical_edges(pset, view.knowledge, inst, view)
+critical = rpp.extract_critical_edges(pset, view.knowledge, inst)
 print(f"{len(critical)} critical edges from {len(pset)} routes:")
 for ce in critical:
     rec = inst.edges[ce.edge]

@@ -123,6 +123,12 @@ class ExperimentSpec:
                 raise ValueError(f"unknown planner {planner!r}")
         if any(k < 1 for k in self.k_values):
             raise ValueError(f"every k must be at least 1, got {self.k_values}")
+        _check_at_least("n_instances", self.n_instances, 1)
+        if self.family == "scaling":
+            if not self.sizes:
+                raise ValueError("the scaling family needs at least one size")
+            for size in self.sizes:
+                scaling_spec(size)
         BridgeSpec(impeded_per_path=self.impeded_per_path, bridge_fraction=self.bridge_fraction)
         check_fraction("impeded_fraction", self.impeded_fraction)
 
@@ -295,7 +301,7 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
             if inst.edges[eid].impeded
             else inst.edges[eid].ugv_cost
         )
-        dist, parent = dijkstra(inst.ugv_adj, p, exp_cost)
+        dist, parent, _ = dijkstra(inst.ugv_adj, p, exp_cost)
         on_path: set[int] = set()
         v = d
         while v != p:
@@ -385,7 +391,7 @@ def import_road_network(
     length_of = lambda eid: lengths.get(eid, INF)
     best = (0.0, 0, 0)
     for src in range(probe.n_vertices):
-        dist, _ = dijkstra(probe.ugv_adj, src, length_of)
+        dist, _, _ = dijkstra(probe.ugv_adj, src, length_of)
         far = max(range(probe.n_vertices), key=lambda v: (dist[v] < INF, dist[v]))
         if dist[far] > best[0]:
             best = (dist[far], src, far)

@@ -212,7 +212,8 @@ class ProblemInstance:
         """Lower bound on ground travel time between two vertices."""
         if not self.heuristic_admissible:
             return 0.0
-        return self.euclid(a, b)
+        # euclid inlined: the searches call this once per heap push.
+        return math.dist(self.vertices[a], self.vertices[b])
 
     def ugv_edge_between(self, a: int, b: int) -> int:
         key = (a, b) if a < b else (b, a)
@@ -317,9 +318,9 @@ class UavMetric:
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        self._cache: dict[int, tuple[list[float], list[int]]] = {}
+        self._cache: dict[int, tuple[list[float], list[int], int]] = {}
 
-    def _sssp(self, src: int) -> tuple[list[float], list[int]]:
+    def _sssp(self, src: int) -> tuple[list[float], list[int], int]:
         hit = self._cache.get(src)
         if hit is None:
             edges = self.inst.edges
@@ -340,7 +341,7 @@ class UavMetric:
             return [a]
         if self.inst.uav_free_flight:
             return [a, b]
-        dist, parent = self._sssp(a)
+        dist, parent, _ = self._sssp(a)
         if dist[b] == INF:
             raise NoPathError(f"vertex {b} unreachable by the UAV from {a}")
         out = [b]
@@ -352,33 +353,57 @@ class UavMetric:
         return out
 
 
+def _no_heuristic(v: int, target: int) -> float:
+    return 0.0
+
+
 def dijkstra(
     adj: list[list[tuple[int, int]]],
     source: int,
     cost_of_edge,
-) -> tuple[list[float], list[int]]:
-    """Single-source shortest paths over an adjacency list of
+    target: int | None = None,
+    heuristic=_no_heuristic,
+) -> tuple[list[float], list[int], int]:
+    """Shortest paths from source over an adjacency list of
     (neighbor, edge id) pairs.
 
     cost_of_edge maps an edge id to its cost; infinite costs hide edges.
-    Returns (distance, parent) arrays.
+    Returns (distance, parent, settled), where settled counts the vertices
+    expanded.
+
+    Without a target every reachable vertex is settled.  With one, the
+    search is A*: the heap is ordered by distance + heuristic(v, target),
+    and the search stops once that key exceeds the target's distance by
+    more than a relative 1e-9 plus 2 * _EPS per vertex.  The heuristic must
+    be a lower bound on the cost from v to the target whose consistency
+    fails by at most 2 * _EPS per edge, as ``ProblemInstance.heuristic``
+    does: an edge's lower cost may undercut the straight line by _EPS, and
+    a realized cost its lower bound by another _EPS.  Every vertex on a
+    shortest source-target path then has f <= the target's distance plus
+    that slack, so it is settled and its distance is the one a full search
+    gives, bit for bit; every other distance is an upper bound.
     """
     n = len(adj)
     dist = [INF] * n
     parent = [-1] * n
     dist[source] = 0.0
-    pq = [(0.0, source)]
+    slack = 2 * _EPS * n
+    pq = [(heuristic(source, target), 0.0, source)]
+    settled = 0
     while pq:
-        dv, v = heapq.heappop(pq)
+        f, dv, v = heapq.heappop(pq)
         if dv > dist[v]:
             continue
+        if target is not None and f > dist[target] * (1.0 + 1e-9) + slack:
+            break
+        settled += 1
         for w, eid in adj[v]:
             alt = dv + cost_of_edge(eid)
             if alt < dist[w]:
                 dist[w] = alt
                 parent[w] = v
-                heapq.heappush(pq, (alt, w))
-    return dist, parent
+                heapq.heappush(pq, (alt + heuristic(w, target), alt, w))
+    return dist, parent, settled
 
 
 def descend(

@@ -1,26 +1,40 @@
 """Dynamic k-shortest path maintenance.
 
 Yen's loopless-paths scheme on top of the incremental planner: the best
-path is repaired in place after each batch of cost updates, and every spur
-search is a plain Dijkstra search towards the destination with the
-suppressed edges priced at infinity, so the shared state never sees them.
+path is repaired in place after each batch of cost updates.  Every spur
+search is an A* search from the destination towards the spur vertex that
+stops once the spur's shortest paths are settled, with the suppressed
+edges priced at infinity, so the shared state never sees them.  Lawler's
+rule spurs each path only from the vertex where it left its parent path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import dstar
 from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend, dijkstra
 from .dstar import CostUpdate, DStarState
 
 
+class SpurCounts(NamedTuple):
+    """Work of the Yen spur searches of one k-path update, or a sum of them."""
+
+    searches: int = 0  # searches run
+    isolated: int = 0  # skipped because every edge at the spur vertex was hidden
+    nopath: int = 0  # searches run that found no spur path
+    settled: int = 0  # vertices settled by the searches run
+
+
 @dataclass
 class PathSet:
-    """Ranked loopless paths plus the candidate pool left behind."""
+    """Ranked loopless paths plus the candidate pool left behind, and the
+    spur-search work that found them."""
 
     paths: list[Path] = field(default_factory=list)
     pool: list[Path] = field(default_factory=list)
+    spur: SpurCounts = SpurCounts()
 
     def best(self) -> Path | None:
         return self.paths[0] if self.paths else None
@@ -55,26 +69,35 @@ def yen_edge_suppression(
 
 def spur_search(
     inst: ProblemInstance, view: PlanningCostView, hidden: set[int], spur: int, dest: int
-) -> tuple[int, ...] | None:
+) -> tuple[tuple[int, ...] | None, int]:
     """Shortest spur path from ``spur`` to ``dest`` with ``hidden`` edges
-    priced at infinity, or None when none is left.
+    priced at infinity (None when none is left), and the number of vertices
+    the search settled.
 
-    Dijkstra from the destination, then the greedy descent the incremental
-    planner uses, so ties resolve to the lowest vertex id in both.
+    A spur vertex whose every edge is hidden gives (None, 0) without a
+    search.  Otherwise an A* search runs from the destination with the
+    spur as its target and stops early (``core.dijkstra``); the distances
+    it leaves on the spur's shortest paths are exact, so the greedy descent
+    the incremental planner uses walks the path a full search would give,
+    ties to the lowest vertex id included.
     """
+    adj = inst.ugv_adj
+    if spur != dest and all(eid in hidden for _, eid in adj[spur]):
+        return None, 0
     cost = view.cost
 
     def cost_of_edge(eid: int) -> float:
         return INF if eid in hidden else cost(eid)
 
-    dist, _ = dijkstra(inst.ugv_adj, dest, cost_of_edge)
-    return descend(inst.ugv_adj, dist, cost_of_edge, spur, dest)
+    dist, _, settled = dijkstra(adj, dest, cost_of_edge, spur, inst.heuristic)
+    return descend(adj, dist, cost_of_edge, spur, dest), settled
 
 
 def candidate_admission(
     pool: list[Path], accepted: list[Path], candidate: Path
-) -> None:
-    """Add a candidate unless its vertex sequence is already ranked or pooled.
+) -> bool:
+    """Add a candidate unless its vertex sequence is already ranked or
+    pooled; return whether it was added.
 
     The pool stays sorted by (cost, vertex sequence) so selection is
     deterministic under cost ties.
@@ -82,12 +105,13 @@ def candidate_admission(
     seq = candidate.vertices
     for p in accepted:
         if p.vertices == seq:
-            return
+            return False
     for p in pool:
         if p.vertices == seq:
-            return
+            return False
     pool.append(candidate)
     pool.sort(key=lambda p: (p.cost, p.vertices))
+    return True
 
 
 def update_k_paths(
@@ -103,6 +127,12 @@ def update_k_paths(
     Only the rank-1 repair touches the shared search state; ranks 2..k come
     from Yen spur searches (``spur_search``) that read the view and write
     nothing shared.
+
+    Lawler's rule: each pooled path records its deviation index, the
+    position of the spur vertex where it left the path it was spurred from
+    (rank 1 deviates at 0), and is spurred only from there on.  A spur
+    before that index hides the same edges as an earlier spur from the same
+    root did, so it would only find a candidate already ranked or pooled.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -112,19 +142,28 @@ def update_k_paths(
         return PathSet()
     accepted = [best]
     pool: list[Path] = []
+    deviation = {best.vertices: 0}
+    searches = isolated = nopath = settled = 0
 
     for _ in range(2, k + 1):
         prev = accepted[-1].vertices
-        for i in range(1, len(prev)):
+        for i in range(deviation[prev] + 1, len(prev)):
             root = prev[:i]
             hidden = yen_edge_suppression(inst, accepted, root)
-            spur_path = spur_search(inst, view, hidden, root[-1], state.dest)
+            spur_path, n_settled = spur_search(inst, view, hidden, root[-1], state.dest)
+            if not n_settled:
+                isolated += 1
+                continue
+            searches += 1
+            settled += n_settled
             if spur_path is None:
+                nopath += 1
                 continue
             vertices = root[:-1] + spur_path
             candidate = Path(vertices, view.path_cost(vertices))
-            candidate_admission(pool, accepted, candidate)
+            if candidate_admission(pool, accepted, candidate):
+                deviation[vertices] = i - 1
         if not pool:
             break
         accepted.append(pool.pop(0))
-    return PathSet(accepted, pool)
+    return PathSet(accepted, pool, SpurCounts(searches, isolated, nopath, settled))

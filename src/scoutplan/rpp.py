@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .core import (
     INF,
     KnowledgeState,
-    PlanningCostView,
     ProblemInstance,
     UavMetric,
 )
@@ -34,7 +33,6 @@ def extract_critical_edges(
     path_set: PathSet,
     knowledge: KnowledgeState,
     inst: ProblemInstance,
-    view: PlanningCostView,
     start_time: float = 0.0,
     exclude: tuple[int, ...] = (),
 ) -> list[CriticalEdge]:

@@ -68,6 +68,7 @@ class ReplanRecord:
     uav_seconds: float = 0.0
     uav_solver_seconds: float = 0.0
     budget_hit: bool = False
+    spur: kspp.SpurCounts = kspp.SpurCounts()  # of the k-path update, if any
 
 
 @dataclass
@@ -98,6 +99,11 @@ class SimulationOutcome:
     def budget_hits(self) -> int:
         return sum(1 for r in self.replans if r.budget_hit)
 
+    @property
+    def spur(self) -> kspp.SpurCounts:
+        """Spur-search work summed over every replan."""
+        return kspp.SpurCounts(*map(sum, zip(*(r.spur for r in self.replans))))
+
     def event_log_text(self) -> str:
         return "\n".join(format_event(ev) for ev in self.events) + "\n"
 
@@ -110,7 +116,7 @@ def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
         rec = edges[eid]
         return realization[eid] if rec.impeded else rec.ugv_cost
 
-    dist, _ = dijkstra(inst.ugv_adj, inst.p, cost)
+    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, cost, inst.d, inst.heuristic)
     if dist[inst.d] == INF:
         raise NoPathError("destination unreachable")
     return dist[inst.d]
@@ -118,7 +124,6 @@ def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
 
 def naive_step(
     inst: ProblemInstance,
-    view: PlanningCostView,
     metric: UavMetric,
     critical: list[CriticalEdge],
     path_set: kspp.PathSet,
@@ -186,7 +191,7 @@ def _naive_legs(
     eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[UavLeg]:
     chosen = _timed(
-        rec, naive_step, eng.inst, eng.view, eng.metric, critical, eng.pset, origin, origin_time
+        rec, naive_step, eng.inst, eng.metric, critical, eng.pset, origin, origin_time
     )
     if chosen is None:
         return []
@@ -231,6 +236,7 @@ class _Engine:
         t0 = _time.perf_counter()
         pset = kspp.update_k_paths(self.inst, self.view, self.dstate, origin, updates, self.k_eff)
         rec.ugv_seconds = _time.perf_counter() - t0
+        rec.spur = pset.spur
         if not pset.paths:
             raise NoPathError(f"no route from {origin} to {self.inst.d}")
         self.pset = pset
@@ -248,7 +254,7 @@ class _Engine:
         if self.ugv_edge in self.inst.impeded_ids and not self.knowledge.knows(self.ugv_edge):
             exclude = (self.ugv_edge,)
         critical = rpp.extract_critical_edges(
-            self.pset, self.knowledge, self.inst, self.view,
+            self.pset, self.knowledge, self.inst,
             start_time=self.plan_origin_time, exclude=exclude,
         )
         plan = PLANNERS[self.cfg.planner]

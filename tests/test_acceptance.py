@@ -321,7 +321,7 @@ class TestCriterion8PropertySuite:
             view = fresh_view(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
-            crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view)
+            crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
             if not crit:
                 continue
             ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 3)

@@ -69,7 +69,7 @@ class TestBridgeGenerator:
                 if inst.edges[eid].impeded
                 else inst.edges[eid].ugv_cost
             )
-            dist, parent = dijkstra(inst.ugv_adj, inst.p, exp)
+            dist, parent, _ = dijkstra(inst.ugv_adj, inst.p, exp)
             on_path = set()
             v = inst.d
             while v != inst.p:
@@ -156,9 +156,9 @@ class TestRoadImport:
         )
         best = 0.0
         for src in range(out.n_vertices):
-            dist, _ = dijkstra(out.ugv_adj, src, length)
+            dist, _, _ = dijkstra(out.ugv_adj, src, length)
             best = max(best, max(d for d in dist if d < float("inf")))
-        got, _ = dijkstra(out.ugv_adj, out.p, length)
+        got, _, _ = dijkstra(out.ugv_adj, out.p, length)
         assert got[out.d] == pytest.approx(best)
 
     def test_simulates_cleanly(self, tmp_path):
@@ -198,6 +198,9 @@ class TestExperimentHarness:
         {"planners": ("rpp", "astar")},
         {"k_values": (1, 0)},
         {"family": "road"},
+        {"family": "scaling", "sizes": ((1, 3),)},
+        {"n_instances": 0},
+        {"family": "scaling", "sizes": ()},
     ])
     def test_spec_rejects_what_cannot_run(self, bad):
         with pytest.raises(ValueError):

@@ -177,6 +177,9 @@ class TestExperimentAndReport:
         {"bridge_fraction": 5},
         {"impeded_per_path": 0},
         {"family": "road", "road_file": "roads.txt", "impeded_fraction": 1.5},
+        {"family": "scaling", "sizes": [[1, 3]]},
+        {"n_instances": -1},
+        {"family": "scaling", "sizes": [[20, 20, 5]]},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"

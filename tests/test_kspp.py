@@ -1,4 +1,7 @@
+import math
 import random
+
+import pytest
 
 import oracles
 from conftest import ForcedCostView, build_instance, fresh_view, random_connected_instance
@@ -13,6 +16,42 @@ def diamond():
     return build_instance(
         coords, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 2.0), (2, 3, 2.0)], p=0, d=3
     )
+
+
+def integer_grid(rng, rows, cols):
+    """Unit-spaced grid with integer costs of 1 to 3 (1 is exactly the
+    straight line), a fifth of them impeded with integer bounds, so many
+    paths tie on cost."""
+    coords = [(float(c), float(r)) for r in range(rows) for c in range(cols)]
+    specs = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            right = [v + 1] if c + 1 < cols else []
+            down = [v + cols] if r + 1 < rows else []
+            for w in right + down:
+                lo = rng.randint(1, 3)
+                cost = (lo, lo + rng.randint(1, 2)) if rng.random() < 0.2 else lo
+                specs.append((v, w, cost))
+    return build_instance(coords, specs, p=0, q=0, d=rows * cols - 1)
+
+
+def straight_line_instance(rng, n, shrink_one=False):
+    """Random integer points whose edges are exactly as long as the straight
+    line; with ``shrink_one`` one edge is shorter, so the heuristic is zero."""
+    coords = [(float(rng.randint(0, 8)), float(rng.randint(0, 8))) for _ in range(n)]
+    while len(set(coords)) < n:
+        coords = [(float(rng.randint(0, 8)), float(rng.randint(0, 8))) for _ in range(n)]
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    for _ in range(2 * n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    specs = [(u, v, math.dist(coords[u], coords[v])) for u, v in sorted(pairs)]
+    if shrink_one:
+        u, v, cost = specs[0]
+        specs[0] = (u, v, cost / 2)
+    return build_instance(coords, specs, p=0, q=0, d=n - 1)
 
 
 def plan(inst, view, k, updates=None, state=None, v_curr=None):
@@ -110,7 +149,7 @@ class TestSpurSearch:
             i = rng.randint(1, len(best) - 1)
             root = best[:i]
             hidden = kspp.yen_edge_suppression(inst, [Path(best, 0.0)], root)
-            got = kspp.spur_search(inst, view, hidden, root[-1], inst.d)
+            got, _ = kspp.spur_search(inst, view, hidden, root[-1], inst.d)
             want = oracles.shortest_path(
                 inst, costs, root[-1], inst.d,
                 blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
@@ -127,11 +166,55 @@ class TestSpurSearch:
         assert inst.n_vertices == 1002
         self.check_roots(inst, fresh_view(inst), rng, 4)
 
-    def test_unreachable_returns_none(self):
+    def test_edges_as_long_as_the_straight_line_match_oracle(self, rng):
+        # The heuristic is exact along every edge, so whole shortest paths
+        # tie on f and the early stop sits right at the spur's distance.
+        for _ in range(40):
+            inst = straight_line_instance(rng, rng.randint(6, 20))
+            assert inst.heuristic_admissible
+            self.check_roots(inst, fresh_view(inst), rng, 5)
+
+    def test_zero_heuristic_matches_oracle(self, rng):
+        for _ in range(20):
+            with pytest.warns(UserWarning, match="straight line"):
+                inst = straight_line_instance(rng, rng.randint(6, 20), shrink_one=True)
+            assert not inst.heuristic_admissible
+            self.check_roots(inst, fresh_view(inst), rng, 5)
+
+    def test_tie_that_runs_straight_into_the_spur(self):
+        # Two shortest routes from the destination 4 to the spur 0, both of
+        # cost 9 on tight edges: 4-2-0 and 4-3-1-0, whose last two edges run
+        # straight into the spur.  Vertices 3 and 1 have f exactly 9, the
+        # spur's distance once 2 has been settled, yet they must be settled
+        # for the descent to take the lower-id neighbour 1.
+        coords = [(0.0, 0.0), (0.0, 1.0), (3.0, 4.0), (0.0, 4.0), (3.0, 8.0)]
+        inst = build_instance(
+            coords, [(4, 2, 4.0), (2, 0, 5.0), (4, 3, 5.0), (3, 1, 3.0), (1, 0, 1.0)], p=0, d=4
+        )
+        path, _ = kspp.spur_search(inst, fresh_view(inst), set(), 0, inst.d)
+        assert path == (0, 1, 3, 4)
+
+    def test_early_stop_settles_part_of_the_graph(self):
+        inst, _ = bench.generate_scaling((40, 25), seed=0)
+        view = fresh_view(inst)
+        best = oracles.shortest_path(inst, oracles.view_costs(inst, view), inst.p, inst.d)
+        spur = best[-3]
+        path, settled = kspp.spur_search(inst, view, set(), spur, inst.d)
+        assert path == best[-3:]
+        assert 0 < settled < inst.n_vertices // 10
+
+    def test_isolated_spur_is_not_searched(self):
         inst = diamond()
         view = fresh_view(inst)
         hidden = {inst.ugv_edge_between(0, 1), inst.ugv_edge_between(0, 2)}
-        assert kspp.spur_search(inst, view, hidden, 0, inst.d) is None
+        assert kspp.spur_search(inst, view, hidden, 0, inst.d) == (None, 0)
+
+    def test_unreachable_returns_none(self):
+        inst = diamond()
+        view = fresh_view(inst)
+        hidden = {inst.ugv_edge_between(1, 3), inst.ugv_edge_between(2, 3)}
+        path, settled = kspp.spur_search(inst, view, hidden, 0, inst.d)
+        assert path is None and settled == 1
 
 
 class TestAdmission:
@@ -181,6 +264,44 @@ class TestOracleEquivalence:
             assert [p.cost for p in pset] == want
             yen = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 4)
             assert [p.vertices for p in pset] == yen
+
+    def test_integer_grids_match_yen_at_k7(self, rng):
+        for _ in range(12):
+            inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
+            view = fresh_view(inst)
+            state = dstar.initialize(inst, inst.p, inst.d)
+            pset = kspp.update_k_paths(inst, view, state, inst.p, [], 7)
+            v_curr = inst.p
+            for eid in sorted(inst.impeded_ids)[:4]:
+                yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
+                assert [p.vertices for p in pset] == yen
+                old = view.cost(eid)
+                view.knowledge.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
+                if len(pset.best().vertices) > 2:
+                    v_curr = pset.best().vertices[1]
+                pset = kspp.update_k_paths(
+                    inst, view, state, v_curr, [CostUpdate(eid, old, view.cost(eid))], 7
+                )
+            yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
+            assert [p.vertices for p in pset] == yen
+
+    def test_spur_counts_add_up(self, rng):
+        lawler = yen = 0
+        for _ in range(20):
+            inst = integer_grid(rng, 4, 5)
+            pset, _ = plan(inst, fresh_view(inst), 7)
+            c = pset.spur
+            assert c.searches > 0 and c.settled >= c.searches
+            assert 0 <= c.nopath <= c.searches
+            # Plain Yen spurs every processed path from every vertex but the
+            # last; the last ranked path is processed only if the pool ran dry.
+            processed = pset.paths[:-1] if len(pset) == 7 else pset.paths
+            lawler += c.searches + c.isolated
+            yen += sum(len(p) - 1 for p in processed)
+            assert c.searches + c.isolated <= sum(len(p) - 1 for p in processed)
+        assert lawler < yen
+        pset, _ = plan(inst, fresh_view(inst), 1)
+        assert pset.spur == kspp.SpurCounts()
 
     def test_incremental_equals_from_scratch(self, rng):
         for trial in range(20):

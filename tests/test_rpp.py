@@ -20,7 +20,7 @@ class TestExtractCriticalEdges:
         inst = build_instance(coords, [(0, 1, 1.0), (1, 2, 1.0)])
         view = fresh_view(inst)
         pset = plan_paths(inst, view, 2)
-        assert rpp.extract_critical_edges(pset, view.knowledge, inst, view) == []
+        assert rpp.extract_critical_edges(pset, view.knowledge, inst) == []
 
     def test_window_is_prefix_sum(self):
         # p -a- b -d with the impeded edge in the middle; prefix cost 7.
@@ -28,7 +28,7 @@ class TestExtractCriticalEdges:
         inst = build_instance(coords, [(0, 1, 7.0), (1, 2, (2.0, 10.0)), (2, 3, 3.0)])
         view = fresh_view(inst)
         pset = plan_paths(inst, view, 1)
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view)
+        crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
         assert len(crit) == 1
         assert crit[0].edge == inst.ugv_edge_between(1, 2)
         assert crit[0].t_max == 7.0
@@ -38,7 +38,7 @@ class TestExtractCriticalEdges:
         inst = build_instance(coords, [(0, 1, 7.0), (1, 2, (2.0, 10.0)), (2, 3, 3.0)])
         view = fresh_view(inst)
         pset = plan_paths(inst, view, 1)
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view, start_time=5.0)
+        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, start_time=5.0)
         assert crit[0].t_max == 12.0
 
     def test_prefix_uses_minimum_cost_for_unrealized(self):
@@ -48,14 +48,14 @@ class TestExtractCriticalEdges:
         )
         view = fresh_view(inst)
         pset = plan_paths(inst, view, 1)
-        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view.knowledge, inst, view)}
+        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view.knowledge, inst)}
         assert crit[inst.ugv_edge_between(1, 2)].t_max == 4.0  # first edge at minimum
 
     def test_best_path_edges_finite_others_infinite(self):
         inst, _ = bench.demo_instance()
         view = fresh_view(inst)
         pset = plan_paths(inst, view, 3)
-        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view.knowledge, inst, view)}
+        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view.knowledge, inst)}
         assert crit[1].t_max == 4.0  # on the best path, behind the 4-cost edge
         assert crit[4].t_max == INF  # alternative-route edge
 
@@ -64,9 +64,9 @@ class TestExtractCriticalEdges:
         view = fresh_view(inst)
         pset = plan_paths(inst, view, 3)
         view.knowledge.reveal(1, 18.0)
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view)
+        crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
         assert [c.edge for c in crit] == [4]
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, view, exclude=(4,))
+        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, exclude=(4,))
         assert crit == []
 
 

@@ -1,11 +1,14 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import build_instance, random_connected_instance
-from scoutplan import bench, rpp, sim
-from scoutplan.core import Realization, sample_realization
+from scoutplan import bench, kspp, rpp, sim
+from scoutplan.core import Realization, dijkstra, sample_realization
 from scoutplan.sim import SimulationConfig
 
 
@@ -16,7 +19,69 @@ def run_all_planners(inst, real, k=2):
     return outs
 
 
+@st.composite
+def _missions(draw):
+    """A connected instance on integer points and one realization.  Edges
+    run exactly as long as the straight line, a little shorter (within the
+    heuristic's tolerance) or longer, and true costs sit anywhere in their
+    window, its tolerance included, so the early stop meets ties and the
+    slack both."""
+    n = draw(st.integers(2, 12))
+    points = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coords = [(float(x), float(y)) for x, y in draw(st.lists(points, min_size=n, max_size=n, unique=True))]
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    specs, windows = [], []
+    for u, v in sorted(pairs):
+        lo = math.dist(coords[u], coords[v]) + draw(st.sampled_from([-0.9e-9, 0.0, 0.0, 1.0, 2.5]))
+        if draw(st.booleans()):
+            hi = lo + draw(st.sampled_from([0.0, 1.0, 7.5]))
+            specs.append((u, v, (lo, hi)))
+            windows.append((lo, hi))
+        else:
+            specs.append((u, v, lo))
+    inst = build_instance(coords, specs, p=0, q=0, d=draw(st.integers(0, n - 1)))
+    true = {}
+    for eid, (lo, hi) in zip(sorted(inst.impeded_ids), windows):
+        true[eid] = draw(st.sampled_from([lo - 1e-9, lo, (lo + hi) / 2, hi, hi + 1e-9]))
+    return inst, Realization(inst, true)
+
+
 class TestLowerBound:
+    def test_early_stop_covers_edges_below_the_straight_line(self):
+        # True costs may undercut the straight line by 2 * _EPS per edge.
+        # The shortest route runs along the chain 0-1-...-6, whose edges
+        # after the first undercut it by that much, so vertex 1 has f about
+        # 1e-8 above the shortest cost, more than a relative 1e-9 of it.  The
+        # longer route 0-7-6 reaches the destination first, at a cost
+        # between the two.
+        coords = [(i / 6, 0.0) for i in range(7)] + [(0.5, 1e-6)]
+        pairs = [(i, i + 1) for i in range(6)] + [(0, 7), (6, 7)]
+        lows = [math.dist(coords[u], coords[v]) - 0.99e-9 for u, v in pairs]
+        inst = build_instance(coords, [(u, v, (lo, lo + 1.0)) for (u, v), lo in zip(pairs, lows)],
+                              p=0, d=6)
+        true = {eid: lo - 0.99e-9 for eid, lo in enumerate(lows)}
+        true[0] = lows[0]
+        true[7] = (1.0 - 3.5e-9) - true[6]
+        real = Realization(inst, true)
+        assert inst.heuristic_admissible
+        chain = sum(true[eid] for eid in range(6))
+        assert chain < true[6] + true[7] < chain + 1e-8
+        cost = lambda eid: real[eid]
+        assert sim.lower_bound(inst, real) == dijkstra(inst.ugv_adj, 0, cost)[0][6]
+
+    @settings(max_examples=300, deadline=None)
+    @given(mission=_missions())
+    def test_early_stop_equals_full_search(self, mission):
+        inst, real = mission
+        edges = inst.edges
+        cost = lambda eid: real[eid] if edges[eid].impeded else edges[eid].ugv_cost
+        dist, _, settled = dijkstra(inst.ugv_adj, inst.p, cost)
+        assert settled == inst.n_vertices
+        assert sim.lower_bound(inst, real) == dist[inst.d]
+
     def test_zero_impeded_equals_static_shortest_path(self):
         coords = [(0.0, 0.0), (3.0, 0.0), (7.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 3.0), (1, 2, 4.0)])
@@ -212,6 +277,17 @@ class TestInvariants:
             b = sim.run(inst, real, cfg)
             assert a.events == b.events
             assert a.arrival_time == b.arrival_time
+            assert [r.spur for r in a.replans] == [r.spur for r in b.replans]
+
+    def test_spur_counts_sum_over_replans(self):
+        inst, real = bench.generate_bridge(bench.BridgeSpec(adversarial=True), seed=3)
+        out = sim.run(inst, real, SimulationConfig(planner="rpp", k=4))
+        assert out.spur.searches == sum(r.spur.searches for r in out.replans) > 0
+        assert out.spur.isolated == sum(r.spur.isolated for r in out.replans) > 0
+        assert out.spur.nopath == sum(r.spur.nopath for r in out.replans)
+        assert out.spur.settled == sum(r.spur.settled for r in out.replans)
+        one = sim.run(inst, real, SimulationConfig(planner="rpp", k=1))
+        assert one.spur == kspp.SpurCounts()
 
     def test_budget_hit_missions_are_deterministic(self, monkeypatch):
         monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", 200)
