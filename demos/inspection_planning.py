@@ -11,6 +11,7 @@ from scoutplan import (
     PaaContext,
     PlanningCostView,
     PriorityWeights,
+    UavMetric,
     bench,
     dstar,
     kspp,
@@ -22,6 +23,7 @@ inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=5, chain_len=12), se
 view = PlanningCostView(inst, KnowledgeState())
 state = dstar.initialize(inst, inst.p, inst.d)
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
+metric = UavMetric(inst)
 
 critical = rpp.extract_critical_edges(pset, view.knowledge, inst)
 print(f"{len(critical)} critical edges from {len(pset)} routes:")
@@ -30,15 +32,15 @@ for ce in critical:
     window = "no deadline" if ce.t_max == float("inf") else f"finish by t={ce.t_max:.1f}"
     print(f"  edge {ce.edge} ({rec.u}-{rec.v}), {window}")
 
-graph = rpp.build_transformed_graph(inst, critical, uav_pos=inst.q)
+graph = rpp.build_transformed_graph(inst, metric, critical, uav_pos=inst.q)
 sol = rpp.rpp_dfs(graph)
-legs = rpp.solution_to_uav_plan(graph, sol, inst, inst.q)
+legs = rpp.solution_to_uav_plan(graph, sol, inst, metric, inst.q)
 print(f"\ntour solver: inspects {sol.inspected} edges, tour cost {sol.best_cost:.1f}")
 for leg in legs:
     action = f"inspect edge {leg.edge}" if leg.inspect else "fly"
     print(f"  {leg.frm} -> {leg.to}  {action}  ({leg.duration:.1f})")
 
-ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 4)
+ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 4, metric)
 scored = sorted(paa.score_edges(critical, ctx), key=lambda e: -e.score)
 print("\npriority planner ranking:")
 for ep in scored:

@@ -301,13 +301,12 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
             if inst.edges[eid].impeded
             else inst.edges[eid].ugv_cost
         )
-        dist, parent, _ = dijkstra(inst.ugv_adj, p, exp_cost)
+        _, parent, _ = dijkstra(inst.ugv_adj, p, exp_cost)
         on_path: set[int] = set()
         v = d
         while v != p:
-            u = parent[v]
-            on_path.add(inst.ugv_edge_between(u, v))
-            v = u
+            on_path.add(parent[v])
+            v = inst.edges[parent[v]].other(v)
         true_cost = {}
         for eid in inst.impeded_ids:
             lo, hi = inst.edges[eid].distribution.bounds()

@@ -57,6 +57,16 @@ def _dataclass_from(cls, data: dict):
     return cls(**kwargs)
 
 
+def _weights(values: list) -> PriorityWeights:
+    """Priority weights from a list of exactly four numbers (w1, w2, w3, w4)."""
+    try:
+        if not isinstance(values, list) or len(values) != 4:
+            raise ValueError("expected a list of 4 numbers")
+        return PriorityWeights(*map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"bad weights {values!r}: {exc}") from None
+
+
 #: Spec keys (besides "count") of the families without a spec dataclass.
 _SPEC_KEYS = {"scaling": {"size"}, "road": {"n_vertices", "impeded_fraction", "base_file"}}
 
@@ -106,13 +116,7 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
     real = load_realization(args.realization, inst)
-    weights = PriorityWeights()
-    if args.weights:
-        try:
-            w = [float(x) for x in args.weights.split(",")]
-            weights = PriorityWeights(*w)
-        except (ValueError, TypeError):
-            raise InstanceError(f"bad weights {args.weights!r}, expected w1,w2,w3,w4")
+    weights = _weights(args.weights.split(",")) if args.weights else PriorityWeights()
     cfg = sim.SimulationConfig(
         planner=args.planner,
         k=args.k,
@@ -135,7 +139,7 @@ def cmd_experiment(args) -> int:
     data = _load_json(args.spec)
     try:
         if "weights" in data:
-            data["weights"] = PriorityWeights(*map(float, data["weights"]))
+            data["weights"] = _weights(data["weights"])
         spec = _dataclass_from(bench.ExperimentSpec, data)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"bad experiment spec {args.spec}: {exc}") from None

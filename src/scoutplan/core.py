@@ -79,9 +79,11 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class Path:
-    """A simple vertex path together with its cost under some cost view."""
+    """A simple vertex path, the ids of its edges in walking order, and its
+    cost under some cost view."""
 
     vertices: tuple[int, ...]
+    edges: tuple[int, ...]
     cost: float
 
     def __len__(self) -> int:
@@ -124,11 +126,9 @@ class ProblemInstance:
         self.ugv_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.uav_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._ugv_pair: dict[tuple[int, int], int] = {}
-        self._uav_pair: dict[tuple[int, int], int] = {}
         for e in self.edges:
             self.uav_adj[e.u].append((e.v, e.id))
             self.uav_adj[e.v].append((e.u, e.id))
-            self._uav_pair[(e.u, e.v)] = e.id
             if e.id in self.ugv_edge_ids:
                 self.ugv_adj[e.u].append((e.v, e.id))
                 self.ugv_adj[e.v].append((e.u, e.id))
@@ -222,13 +222,6 @@ class ProblemInstance:
         except KeyError:
             raise NoPathError(f"no UGV edge between {a} and {b}") from None
 
-    def uav_edge_between(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        try:
-            return self._uav_pair[key]
-        except KeyError:
-            raise NoPathError(f"no UAV edge between {a} and {b}") from None
-
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -278,7 +271,6 @@ class PlanningCostView:
     """Per-edge planning cost: fixed, realized, or expected."""
 
     def __init__(self, inst: ProblemInstance, knowledge: KnowledgeState):
-        self.inst = inst
         self.knowledge = knowledge
         self._static: list[float | None] = []
         self._expected: list[float] = []
@@ -302,11 +294,11 @@ class PlanningCostView:
             return r
         return self._expected[eid]
 
-    def path_cost(self, vertices: tuple[int, ...] | list[int]) -> float:
-        """Left-to-right sum of view costs along a vertex sequence."""
+    def path_cost(self, edges: tuple[int, ...]) -> float:
+        """Left-to-right sum of view costs along a path's edge ids."""
         total = 0.0
-        for a, b in zip(vertices, vertices[1:]):
-            total += self.cost(self.inst.ugv_edge_between(a, b))
+        for eid in edges:
+            total += self.cost(eid)
         return total
 
 
@@ -335,22 +327,25 @@ class UavMetric:
             return self.inst.euclid(a, b) / self.inst.uav_speed
         return self._sssp(a)[0][b]
 
-    def path(self, a: int, b: int) -> list[int]:
-        """Transit vertex sequence from a to b (inclusive)."""
+    def path(self, a: int, b: int) -> list[tuple[int, int, float]]:
+        """Transit hops (from, to, duration) from a to b; none when a == b."""
         if a == b:
-            return [a]
-        if self.inst.uav_free_flight:
-            return [a, b]
+            return []
+        inst = self.inst
+        if inst.uav_free_flight:
+            return [(a, b, inst.euclid(a, b) / inst.uav_speed)]
         dist, parent, _ = self._sssp(a)
         if dist[b] == INF:
             raise NoPathError(f"vertex {b} unreachable by the UAV from {a}")
-        out = [b]
+        hops = []
         v = b
         while v != a:
-            v = parent[v]
-            out.append(v)
-        out.reverse()
-        return out
+            e = inst.edges[parent[v]]
+            u = e.other(v)
+            hops.append((u, v, e.uav_cost))
+            v = u
+        hops.reverse()
+        return hops
 
 
 def _no_heuristic(v: int, target: int) -> float:
@@ -368,8 +363,9 @@ def dijkstra(
     (neighbor, edge id) pairs.
 
     cost_of_edge maps an edge id to its cost; infinite costs hide edges.
-    Returns (distance, parent, settled), where settled counts the vertices
-    expanded.
+    Returns (distance, parent, settled): parent holds the id of the edge by
+    which each vertex was reached (-1 for the source and unreached
+    vertices), and settled counts the vertices expanded.
 
     Without a target every reachable vertex is settled.  With one, the
     search is A*: the heap is ordered by distance + heuristic(v, target),
@@ -401,35 +397,39 @@ def dijkstra(
             alt = dv + cost_of_edge(eid)
             if alt < dist[w]:
                 dist[w] = alt
-                parent[w] = v
+                parent[w] = eid
                 heapq.heappush(pq, (alt + heuristic(w, target), alt, w))
     return dist, parent, settled
 
 
 def descend(
     adj: list[list[tuple[int, int]]], dist: list[float], cost_of_edge, source: int, dest: int
-) -> tuple[int, ...] | None:
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Greedy descent from source to dest: step to the neighbor minimizing
     edge cost + dist, lowest vertex id on ties.
 
-    dist holds distances to dest.  Returns the vertex sequence, or None when
-    dest is unreachable or the walk exceeds the vertex count.
+    dist holds distances to dest.  Returns the vertex sequence and the ids
+    of the edges taken, or None when dest is unreachable or the walk
+    exceeds the vertex count.
     """
     v = source
-    out = [v]
+    vertices = [v]
+    edges = []
     while v != dest:
         best = INF
-        nxt = -1
+        nxt = taken = -1
         for s, eid in adj[v]:
             cand = cost_of_edge(eid) + dist[s]
             if cand < best or (cand == best and s < nxt):
                 best = cand
                 nxt = s
-        if nxt < 0 or best == INF or len(out) == len(adj):
+                taken = eid
+        if nxt < 0 or best == INF or len(vertices) == len(adj):
             return None
         v = nxt
-        out.append(v)
-    return tuple(out)
+        vertices.append(v)
+        edges.append(taken)
+    return tuple(vertices), tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +556,12 @@ def load_realization(path: str, inst: ProblemInstance) -> Realization:
         if parts[0] != "r" or len(parts) != 3:
             raise InstanceError(f"{path}:{lineno}: malformed realization record")
         try:
-            costs[int(parts[1])] = float(parts[2])
+            eid, cost = int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise InstanceError(f"{path}:{lineno}: {exc}") from None
+        if eid in costs:
+            raise InstanceError(f"{path}:{lineno}: repeated edge id {eid}")
+        costs[eid] = cost
     try:
         return Realization(inst, costs)
     except InstanceError as exc:

@@ -306,10 +306,11 @@ def extract_path(state: DStarState, view: PlanningCostView) -> Path:
     dest = state.dest
     if state.rhs[v] == INF:
         raise NoPathError(f"no path from {v} to {dest}")
-    vertices = descend(state.inst.ugv_adj, state.g, view.cost, v, dest)
-    if vertices is None:
+    walk = descend(state.inst.ugv_adj, state.g, view.cost, v, dest)
+    if walk is None:
         raise NoPathError(f"no path from {v} to {dest}")
-    return Path(vertices, view.path_cost(vertices))
+    vertices, edges = walk
+    return Path(vertices, edges, view.path_cost(edges))
 
 
 def replan(

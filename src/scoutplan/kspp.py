@@ -60,7 +60,7 @@ def yen_edge_suppression(
     for path in accepted:
         vs = path.vertices
         if len(vs) > i and vs[:i] == root:
-            hidden.add(inst.ugv_edge_between(vs[i - 1], vs[i]))
+            hidden.add(path.edges[i - 1])
     for w in root[:-1]:
         for _, eid in inst.ugv_adj[w]:
             hidden.add(eid)
@@ -69,10 +69,10 @@ def yen_edge_suppression(
 
 def spur_search(
     inst: ProblemInstance, view: PlanningCostView, hidden: set[int], spur: int, dest: int
-) -> tuple[tuple[int, ...] | None, int]:
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, int]:
     """Shortest spur path from ``spur`` to ``dest`` with ``hidden`` edges
-    priced at infinity (None when none is left), and the number of vertices
-    the search settled.
+    priced at infinity, as its vertices and edge ids (None when none is
+    left), and the number of vertices the search settled.
 
     A spur vertex whose every edge is hidden gives (None, 0) without a
     search.  Otherwise an A* search runs from the destination with the
@@ -146,9 +146,9 @@ def update_k_paths(
     searches = isolated = nopath = settled = 0
 
     for _ in range(2, k + 1):
-        prev = accepted[-1].vertices
-        for i in range(deviation[prev] + 1, len(prev)):
-            root = prev[:i]
+        prev = accepted[-1]
+        for i in range(deviation[prev.vertices] + 1, len(prev.vertices)):
+            root = prev.vertices[:i]
             hidden = yen_edge_suppression(inst, accepted, root)
             spur_path, n_settled = spur_search(inst, view, hidden, root[-1], state.dest)
             if not n_settled:
@@ -159,8 +159,10 @@ def update_k_paths(
             if spur_path is None:
                 nopath += 1
                 continue
-            vertices = root[:-1] + spur_path
-            candidate = Path(vertices, view.path_cost(vertices))
+            spur_vertices, spur_edges = spur_path
+            vertices = root[:-1] + spur_vertices
+            edges = prev.edges[: i - 1] + spur_edges
+            candidate = Path(vertices, edges, view.path_cost(edges))
             if candidate_admission(pool, accepted, candidate):
                 deviation[vertices] = i - 1
         if not pool:

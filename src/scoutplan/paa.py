@@ -8,6 +8,7 @@ shortest-path distances are available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import INF, PlanningCostView, ProblemInstance, UavMetric
@@ -21,6 +22,10 @@ class PriorityWeights:
     w2: float = 0.25
     w3: float = 0.2
     w4: float = 0.3
+
+    def __post_init__(self):
+        if not all(math.isfinite(w) for w in self.as_tuple()):
+            raise ValueError(f"weights must be finite, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w1, self.w2, self.w3, self.w4)
@@ -46,73 +51,42 @@ class PaaContext:
     uav_pos: int
     weights: PriorityWeights
     k: int
-    metric: UavMetric | None = None
-
-    def __post_init__(self):
-        if self.metric is None:
-            self.metric = UavMetric(self.inst)
-
-
-def divergence_time(edge: int, path_set: PathSet, view: PlanningCostView) -> float:
-    """Expected time before the ground vehicle is past caring about the edge.
-
-    On the best path this is the expected arrival at the edge itself; on a
-    lower-ranked path it is the expected arrival at the vertex where that
-    path leaves the best one.  Edges on several paths take the minimum.
-    """
-    inst = view.inst
-    paths = list(path_set)
-    if not paths:
-        return INF
-    best = paths[0].vertices
-    lam = INF
-    for rank, path in enumerate(paths):
-        vs = path.vertices
-        arrival = 0.0
-        onpath_at = None
-        for a, b in zip(vs, vs[1:]):
-            if inst.ugv_edge_between(a, b) == edge:
-                onpath_at = arrival
-                break
-            arrival += view.cost(inst.ugv_edge_between(a, b))
-        if onpath_at is None:
-            continue
-        if rank == 0:
-            lam = min(lam, onpath_at)
-        else:
-            # Arrival at the last vertex shared with the best path.
-            shared = 0
-            while (
-                shared < len(vs) - 1
-                and shared < len(best) - 1
-                and vs[shared + 1] == best[shared + 1]
-            ):
-                shared += 1
-            div_arrival = 0.0
-            for a, b in zip(vs[: shared + 1], vs[1 : shared + 1]):
-                div_arrival += view.cost(inst.ugv_edge_between(a, b))
-            lam = min(lam, div_arrival)
-    return lam
+    metric: UavMetric
 
 
 def score_edges(critical: list[CriticalEdge], ctx: PaaContext) -> list[EdgePriority]:
-    """All four signals plus the weighted score, one entry per critical edge."""
+    """All four signals plus the weighted score, one entry per critical edge.
+
+    One pass over the ranked paths gives each edge's coverage (the number
+    of paths using it) and its divergence time: the expected time before
+    the ground vehicle is past caring about the edge.  On the best path
+    that is the expected arrival at the edge itself; on a lower-ranked path
+    it is the expected arrival at the last vertex the path shares with the
+    best one.  Edges on several paths take the minimum.
+    """
     if not critical:
         return []
     inst = ctx.inst
     k = ctx.k
+    cost = ctx.view.cost
 
-    counts: dict[int, int] = {ce.edge: 0 for ce in critical}
-    for path in ctx.path_set:
-        vs = path.vertices
-        on_path = set()
-        for a, b in zip(vs, vs[1:]):
-            on_path.add(inst.ugv_edge_between(a, b))
-        for eid in counts:
-            if eid in on_path:
+    counts = {ce.edge: 0 for ce in critical}
+    lam = {ce.edge: INF for ce in critical}
+    paths = ctx.path_set.paths
+    for rank, path in enumerate(paths):
+        arrival = [0.0]  # expected arrival at each vertex of the path
+        for eid in path.edges:
+            arrival.append(arrival[-1] + cost(eid))
+        shared = 0  # edges this path shares with the best one
+        if rank:
+            for a, b in zip(path.edges, paths[0].edges):
+                if a != b:
+                    break
+                shared += 1
+        for i, eid in enumerate(path.edges):
+            if eid in counts:
                 counts[eid] += 1
-
-    lam = {ce.edge: divergence_time(ce.edge, ctx.path_set, ctx.view) for ce in critical}
+                lam[eid] = min(lam[eid], arrival[shared] if rank else arrival[i])
     lam_min = min(lam.values())
     lam_max = max(lam.values())
 

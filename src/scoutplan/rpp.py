@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    INF,
-    KnowledgeState,
-    ProblemInstance,
-    UavMetric,
-)
+from .core import INF, KnowledgeState, ProblemInstance, UavMetric
 from .kspp import PathSet
 
 
@@ -50,10 +45,8 @@ def extract_critical_edges(
     edges = inst.edges
     first = True
     for path in path_set:
-        vs = path.vertices
         arrival = start_time
-        for a, b in zip(vs, vs[1:]):
-            eid = inst.ugv_edge_between(a, b)
+        for eid in path.edges:
             rec = edges[eid]
             if eid in impeded and not knowledge.knows(eid) and eid not in excluded:
                 if first:
@@ -103,10 +96,10 @@ class TransformedGraph:
 
 def build_transformed_graph(
     inst: ProblemInstance,
+    metric: UavMetric,
     critical: list[CriticalEdge],
     uav_pos: int,
     uav_time_offset: float = 0.0,
-    metric: UavMetric | None = None,
 ) -> TransformedGraph:
     """Direction-node graph for the tour search.
 
@@ -114,8 +107,6 @@ def build_transformed_graph(
     edge's own traversal time, so a node is feasible exactly when the whole
     inspection can finish inside the original window.
     """
-    if metric is None:
-        metric = UavMetric(inst)
     nodes: list[TourNode | None] = [None]
     twin = [0]
     for ce in critical:
@@ -241,15 +232,7 @@ def edge_inspection_legs(
 ) -> list[UavLeg]:
     """Transit hops from origin to the chosen endpoint, then the inspection."""
     rec = inst.edges[eid]
-    legs: list[UavLeg] = []
-    transit = metric.path(origin, start)
-    free = inst.uav_free_flight
-    for a, b in zip(transit, transit[1:]):
-        if free:
-            dur = inst.euclid(a, b) / inst.uav_speed
-        else:
-            dur = inst.edges[inst.uav_edge_between(a, b)].uav_cost
-        legs.append(UavLeg(a, b, dur))
+    legs = [UavLeg(a, b, dur) for a, b, dur in metric.path(origin, start)]
     legs.append(UavLeg(start, rec.other(start), rec.uav_cost, edge=eid))
     return legs
 
@@ -258,12 +241,10 @@ def solution_to_uav_plan(
     graph: TransformedGraph,
     sol: RppSolution,
     inst: ProblemInstance,
+    metric: UavMetric,
     uav_pos: int,
-    metric: UavMetric | None = None,
 ) -> list[UavLeg]:
     """Expand a tour into concrete transit hops and inspections."""
-    if metric is None:
-        metric = UavMetric(inst)
     legs: list[UavLeg] = []
     pos = uav_pos
     for idx in sol.best_visited[1:]:

@@ -138,8 +138,7 @@ def naive_step(
     if best is None or not critical:
         return None
     windows = {ce.edge: ce.t_max for ce in critical}
-    for a, b in zip(best.vertices, best.vertices[1:]):
-        eid = inst.ugv_edge_between(a, b)
+    for eid in best.edges:
         t_max = windows.get(eid)
         if t_max is None:
             continue
@@ -168,10 +167,10 @@ def _timed(rec: ReplanRecord, solver, *args):
 def _rpp_legs(
     eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[UavLeg]:
-    graph = rpp.build_transformed_graph(eng.inst, critical, origin, origin_time, eng.metric)
+    graph = rpp.build_transformed_graph(eng.inst, eng.metric, critical, origin, origin_time)
     sol = _timed(rec, rpp.rpp_dfs, graph)
     rec.budget_hit = rec.budget_hit or sol.budget_exhausted
-    return rpp.solution_to_uav_plan(graph, sol, eng.inst, origin, eng.metric)
+    return rpp.solution_to_uav_plan(graph, sol, eng.inst, eng.metric, origin)
 
 
 def _paa_legs(

@@ -35,6 +35,11 @@ def build_instance(coords, edge_specs, p=0, q=0, d=None, uav_speed=2.0, free_fli
     return ProblemInstance(coords, edges, p=p, q=q, d=d, uav_speed=uav_speed, uav_free_flight=free_flight)
 
 
+def edge_walk(inst, vertices):
+    """Edge ids along a vertex sequence, looked up by their endpoints."""
+    return tuple(inst.ugv_edge_between(a, b) for a, b in zip(vertices, vertices[1:]))
+
+
 def fresh_view(inst):
     return PlanningCostView(inst, KnowledgeState())
 

@@ -12,13 +12,14 @@ import time
 import pytest
 
 import oracles
-from conftest import ForcedCostView, fresh_view, random_connected_instance
+from conftest import ForcedCostView, edge_walk, fresh_view, random_connected_instance
 from scoutplan import bench, dstar, kspp, paa, rpp, sim
 from scoutplan.core import (
     INF,
     KnowledgeState,
     PlanningCostView,
     Realization,
+    UavMetric,
     sample_realization,
 )
 from scoutplan.dstar import CostUpdate
@@ -108,6 +109,9 @@ class TestCriterion2KsppOracle:
             yen = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 4)
             assert [p.vertices for p in pset] == yen
             assert [p.cost for p in pset] == [oracles.path_cost(inst, costs, s) for s in yen]
+            for p in pset:
+                assert p.edges == edge_walk(inst, p.vertices)
+                assert len(p.edges) == len(p.vertices) - 1
         elapsed = time.perf_counter() - t0
         report(2, "textbook Yen equivalence",
                f"50 graphs up to 200 vertices, exact, {elapsed:.1f}s")
@@ -131,7 +135,7 @@ class TestCriterion3RppOptimality:
             ]
             pos = rng.randrange(inst.n_vertices)
             offset = rng.uniform(0.0, 8.0)
-            graph = rpp.build_transformed_graph(inst, crit, pos, offset)
+            graph = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset)
             sol = rpp.rpp_dfs(graph)
             count, cost = oracles.rpp_brute_force(graph)
             assert sol.inspected == count
@@ -324,7 +328,7 @@ class TestCriterion8PropertySuite:
             crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
             if not crit:
                 continue
-            ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 3)
+            ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 3, UavMetric(inst))
             for ep in paa.score_edges(crit, ctx):
                 for val in (ep.p1, ep.p2, ep.p3, ep.p4):
                     assert 0.0 <= val <= 1.0
@@ -345,7 +349,7 @@ class TestCriterion8PropertySuite:
             ]
             pos = rng.randrange(inst.n_vertices)
             offset = rng.uniform(0.0, 10.0)
-            graph = rpp.build_transformed_graph(inst, crit, pos, offset)
+            graph = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset)
             sol = rpp.rpp_dfs(graph)
             windows = {c.edge: c.t_max for c in crit}
             for eid, done in oracles.replay_tour_times(graph, sol.best_visited, offset):

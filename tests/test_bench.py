@@ -69,12 +69,12 @@ class TestBridgeGenerator:
                 if inst.edges[eid].impeded
                 else inst.edges[eid].ugv_cost
             )
-            dist, parent, _ = dijkstra(inst.ugv_adj, inst.p, exp)
+            _, parent, _ = dijkstra(inst.ugv_adj, inst.p, exp)
             on_path = set()
             v = inst.d
             while v != inst.p:
-                on_path.add(inst.ugv_edge_between(parent[v], v))
-                v = parent[v]
+                on_path.add(parent[v])
+                v = inst.edges[parent[v]].other(v)
             for eid in inst.impeded_ids:
                 lo, hi = inst.edges[eid].distribution.bounds()
                 if eid in on_path:

@@ -106,6 +106,21 @@ class TestSimulate:
                      "--planner", "paa", "--k", "2", "--weights", "0.4,0.3,0.2,0.1")
         assert rc == 0
 
+    @pytest.mark.parametrize("weights", ["1,2,3", "1,2,3,4,5", "nan,1,1,1", "1,1,inf,1", "a,b,c,d"])
+    def test_bad_weights_are_data_errors(self, tmp_path, capsys, weights):
+        ip, rp = self.write_pair(tmp_path)
+        rc = run_cli("simulate", "--instance", ip, "--realization", rp,
+                     "--planner", "paa", "--weights", weights)
+        assert rc == DATA_ERROR
+        assert "bad weights" in capsys.readouterr().err
+
+    def test_repeated_realization_edge_is_data_error(self, tmp_path, capsys):
+        ip, _ = self.write_pair(tmp_path)
+        rp = tmp_path / "repeated.txt"
+        rp.write_text("r 1 18.0\nr 4 12.0\nr 1 4.0\n")
+        assert run_cli("simulate", "--instance", ip, "--realization", str(rp)) == DATA_ERROR
+        assert "repeated edge id 1" in capsys.readouterr().err
+
     def test_missing_file_is_runtime_or_data_error(self, tmp_path):
         rc = run_cli("simulate", "--instance", str(tmp_path / "nope.txt"),
                      "--realization", str(tmp_path / "nope2.txt"))
@@ -174,6 +189,9 @@ class TestExperimentAndReport:
         {"weights": [0.2, 0.2, 0.2, 0.2, 0.2]},
         {"weights": 0.5},
         {"weights": ["heavy", 0.2]},
+        {"weights": [1, 2]},
+        {"weights": "1234"},
+        {"weights": [1, 1, 1, float("nan")]},
         {"bridge_fraction": 5},
         {"impeded_per_path": 0},
         {"family": "road", "road_file": "roads.txt", "impeded_fraction": 1.5},

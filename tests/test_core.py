@@ -20,6 +20,7 @@ from scoutplan.core import (
     UniformCost,
     load_instance,
     load_realization,
+    sample_realization,
     save_instance,
     save_realization,
 )
@@ -127,6 +128,19 @@ class TestUavTransit:
         coords = [(0.0, 0.0), (2.0, 0.0), (5.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 2.0, 2.0), (1, 2, 3.0, 3.0)])
         assert UavMetric(inst).cost(0, 2) == 5.0
+
+    def test_network_path_hops_carry_edge_costs(self):
+        coords = [(0.0, 0.0), (2.0, 0.0), (5.0, 0.0)]
+        inst = build_instance(coords, [(0, 1, 2.0, 2.0), (1, 2, 3.0, 3.0)])
+        metric = UavMetric(inst)
+        assert metric.path(0, 2) == [(0, 1, 2.0), (1, 2, 3.0)]
+        assert metric.path(2, 0) == [(2, 1, 3.0), (1, 0, 2.0)]
+        assert metric.path(1, 1) == []
+
+    def test_free_flight_path_is_one_hop(self):
+        coords = [(0.0, 0.0), (10.0, 0.0)]
+        inst = build_instance(coords, [(0, 1, 10.0)], free_flight=True, uav_speed=2.0)
+        assert UavMetric(inst).path(0, 1) == [(0, 1, 5.0)]
 
     def test_unreachable_raises(self):
         # Aerial-only extra edge keeps S connected; remove by blocking: use
@@ -287,6 +301,24 @@ class TestFiles:
         save_realization(load_realization(str(r1), inst), str(r2))
         assert r1.read_bytes() == r2.read_bytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), free_flight=st.booleans())
+    def test_random_instances_round_trip_bit_identically(self, tmp_path_factory, seed, free_flight):
+        rng = random.Random(seed)
+        inst = random_connected_instance(rng, free_flight=free_flight)
+        real = sample_realization(inst, rng)
+        base = tmp_path_factory.getbasetemp()
+        p1, p2, r1, r2 = (str(base / name) for name in ("a.txt", "b.txt", "ra.txt", "rb.txt"))
+        save_instance(inst, p1)
+        loaded = load_instance(p1)
+        save_instance(loaded, p2)
+        save_realization(real, r1)
+        save_realization(load_realization(r1, loaded), r2)
+        with open(p1, "rb") as a, open(p2, "rb") as b:
+            assert a.read() == b.read()
+        with open(r1, "rb") as a, open(r2, "rb") as b:
+            assert a.read() == b.read()
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("sapp 1\nv 0 0.0 0.0\nv 1 1.0 zero\n")
@@ -307,6 +339,14 @@ class TestFiles:
         if len(real) > 1:
             with pytest.raises(InstanceError, match="domain"):
                 load_realization(str(path), inst)
+
+    def test_realization_repeated_edge_rejected(self, tmp_path):
+        inst, _ = bench.demo_instance()
+        assert sorted(inst.impeded_ids) == [1, 4]
+        path = tmp_path / "r.txt"
+        path.write_text("r 1 18.0\nr 4 12.0\nr 1 4.0\n")
+        with pytest.raises(InstanceError, match=r"r\.txt:3: repeated edge id 1"):
+            load_realization(str(path), inst)
 
     def test_realization_bounds_checked(self):
         coords = [(0.0, 0.0), (1.0, 0.0)]

@@ -245,7 +245,7 @@ class TestReplanOracle:
             dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
             assert state.g[v_curr] == pytest.approx(dist[v_curr], rel=1e-9)
             assert path.cost == pytest.approx(dist[v_curr], rel=1e-9)
-            assert view.path_cost(path.vertices) == pytest.approx(state.g[v_curr], rel=1e-9)
+            assert view.path_cost(path.edges) == pytest.approx(state.g[v_curr], rel=1e-9)
             assert len(set(path.vertices)) == len(path.vertices)
 
     @pytest.mark.parametrize("seed", range(10))

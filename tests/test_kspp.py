@@ -4,7 +4,13 @@ import random
 import pytest
 
 import oracles
-from conftest import ForcedCostView, build_instance, fresh_view, random_connected_instance
+from conftest import (
+    ForcedCostView,
+    build_instance,
+    edge_walk,
+    fresh_view,
+    random_connected_instance,
+)
 from scoutplan import bench, dstar, kspp
 from scoutplan.core import INF, Path
 from scoutplan.dstar import CostUpdate
@@ -106,7 +112,7 @@ class TestBasics:
 class TestSuppression:
     def test_shared_start_suppresses_one_edge_per_path(self):
         inst = diamond()
-        a = [Path((0, 1, 3), 2.0), Path((0, 2, 3), 4.0)]
+        a = [Path((0, 1, 3), (0, 1), 2.0), Path((0, 2, 3), (2, 3), 4.0)]
         hidden = kspp.yen_edge_suppression(inst, a, (0,))
         assert hidden == {
             inst.ugv_edge_between(0, 1),
@@ -115,13 +121,13 @@ class TestSuppression:
 
     def test_single_vertex_root_removes_no_nodes(self):
         inst = diamond()
-        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), 2.0)], (0,))
+        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), (0, 1), 2.0)], (0,))
         # Only the continuation edge, no node-removal suppressions.
         assert hidden == {inst.ugv_edge_between(0, 1)}
 
     def test_interior_nodes_fully_suppressed(self):
         inst = diamond()
-        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), 2.0)], (0, 1))
+        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), (0, 1), 2.0)], (0, 1))
         # Root interior {0}: both edges at vertex 0, plus continuation (1,3).
         assert hidden == {
             inst.ugv_edge_between(0, 1),
@@ -148,13 +154,15 @@ class TestSpurSearch:
         for _ in range(trials):
             i = rng.randint(1, len(best) - 1)
             root = best[:i]
-            hidden = kspp.yen_edge_suppression(inst, [Path(best, 0.0)], root)
+            hidden = kspp.yen_edge_suppression(
+                inst, [Path(best, edge_walk(inst, best), 0.0)], root
+            )
             got, _ = kspp.spur_search(inst, view, hidden, root[-1], inst.d)
             want = oracles.shortest_path(
                 inst, costs, root[-1], inst.d,
                 blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
             )
-            assert got == want
+            assert got == (None if want is None else (want, edge_walk(inst, want)))
 
     def test_random_instances_match_oracle(self, rng):
         for _ in range(40):
@@ -192,7 +200,7 @@ class TestSpurSearch:
             coords, [(4, 2, 4.0), (2, 0, 5.0), (4, 3, 5.0), (3, 1, 3.0), (1, 0, 1.0)], p=0, d=4
         )
         path, _ = kspp.spur_search(inst, fresh_view(inst), set(), 0, inst.d)
-        assert path == (0, 1, 3, 4)
+        assert path == ((0, 1, 3, 4), edge_walk(inst, (0, 1, 3, 4)))
 
     def test_early_stop_settles_part_of_the_graph(self):
         inst, _ = bench.generate_scaling((40, 25), seed=0)
@@ -200,7 +208,7 @@ class TestSpurSearch:
         best = oracles.shortest_path(inst, oracles.view_costs(inst, view), inst.p, inst.d)
         spur = best[-3]
         path, settled = kspp.spur_search(inst, view, set(), spur, inst.d)
-        assert path == best[-3:]
+        assert path == (best[-3:], edge_walk(inst, best[-3:]))
         assert 0 < settled < inst.n_vertices // 10
 
     def test_isolated_spur_is_not_searched(self):
@@ -219,19 +227,19 @@ class TestSpurSearch:
 
 class TestAdmission:
     def test_duplicate_rejected(self):
-        pool = [Path((0, 1, 3), 2.0)]
-        kspp.candidate_admission(pool, [], Path((0, 1, 3), 2.0))
+        pool = [Path((0, 1, 3), (0, 1), 2.0)]
+        kspp.candidate_admission(pool, [], Path((0, 1, 3), (0, 1), 2.0))
         assert len(pool) == 1
 
     def test_already_ranked_rejected(self):
         pool = []
-        kspp.candidate_admission(pool, [Path((0, 1, 3), 2.0)], Path((0, 1, 3), 2.0))
+        kspp.candidate_admission(pool, [Path((0, 1, 3), (0, 1), 2.0)], Path((0, 1, 3), (0, 1), 2.0))
         assert pool == []
 
     def test_equal_cost_orders_lexicographically(self):
         pool = []
-        kspp.candidate_admission(pool, [], Path((0, 2, 3), 5.0))
-        kspp.candidate_admission(pool, [], Path((0, 1, 3), 5.0))
+        kspp.candidate_admission(pool, [], Path((0, 2, 3), (2, 3), 5.0))
+        kspp.candidate_admission(pool, [], Path((0, 1, 3), (0, 1), 5.0))
         assert [p.vertices for p in pool] == [(0, 1, 3), (0, 2, 3)]
 
 
@@ -275,6 +283,9 @@ class TestOracleEquivalence:
             for eid in sorted(inst.impeded_ids)[:4]:
                 yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
                 assert [p.vertices for p in pset] == yen
+                for p in pset:
+                    assert p.edges == edge_walk(inst, p.vertices)
+                    assert len(p.edges) == len(p.vertices) - 1
                 old = view.cost(eid)
                 view.knowledge.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
                 if len(pset.best().vertices) > 2:
@@ -284,6 +295,9 @@ class TestOracleEquivalence:
                 )
             yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
             assert [p.vertices for p in pset] == yen
+            for p in pset:
+                assert p.edges == edge_walk(inst, p.vertices)
+                assert len(p.edges) == len(p.vertices) - 1
 
     def test_spur_counts_add_up(self, rng):
         lawler = yen = 0

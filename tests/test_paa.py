@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,12 +21,20 @@ def make_context(inst, view, k, uav_pos=None, weights=None):
         inst.q if uav_pos is None else uav_pos,
         weights or PriorityWeights(),
         k,
+        UavMetric(inst),
     )
     return pset, crit, ctx
 
 
 def priorities(crit, ctx):
     return {ep.edge: ep for ep in paa.score_edges(crit, ctx)}
+
+
+class TestWeights:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PriorityWeights(0.25, bad, 0.2, 0.3)
 
 
 class TestParameters:
@@ -66,12 +75,10 @@ class TestParameters:
         inst = self.three_path_instance()
         view = fresh_view(inst)
         pset, crit, ctx = make_context(inst, view, 3)
-        lam = {c.edge: paa.divergence_time(c.edge, pset, view) for c in crit}
-        vals = sorted(lam.values())
+        oracle = oracles.paa_scores(inst, view, ctx.metric, pset, crit, ctx.uav_pos, 3, ctx.weights)
         p2 = {e: ep.p2 for e, ep in priorities(crit, ctx).items()}
-        for eid, l in lam.items():
-            expect = (vals[-1] - l) / (vals[-1] - vals[0]) if vals[-1] > vals[0] else 1.0
-            assert p2[eid] == pytest.approx(expect)
+        for eid, (_, params) in oracle.items():
+            assert p2[eid] == pytest.approx(params[1])
         assert max(p2.values()) == 1.0
         assert min(p2.values()) == 0.0
 
