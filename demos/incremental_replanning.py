@@ -8,7 +8,6 @@ expansions per replanning step collapses once the first search is done.
 import random
 
 from scoutplan import KnowledgeState, PlanningCostView, bench, dstar
-from scoutplan.dstar import CostUpdate
 
 inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
 view = PlanningCostView(inst, KnowledgeState())
@@ -32,7 +31,7 @@ while hidden and pos != inst.d:
     old = view.cost(eid)
     view.knowledge.reveal(eid, real[eid])
     before = state.expansions
-    path = dstar.replan(state, view, pos, [CostUpdate(eid, old, view.cost(eid))])
+    path = dstar.replan(state, view, pos, [eid])
     step += 1
     print(
         f"step {step}: revealed edge {eid} at {real[eid]:.1f} (expected {old:.1f}); "

@@ -2,13 +2,12 @@
 
 The ranked routes shift as impeded edges reveal their true costs; the
 planner keeps all k of them current by repairing one shared search and
-cloning it for the detour computations.
+running one spur search per detour.
 """
 
 import random
 
 from scoutplan import KnowledgeState, PlanningCostView, bench, dstar, kspp
-from scoutplan.dstar import CostUpdate
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=6, chain_len=10), seed=2)
 view = PlanningCostView(inst, KnowledgeState())
@@ -25,9 +24,7 @@ rng = random.Random(5)
 for eid in rng.sample(sorted(inst.impeded_ids), 4):
     old = view.cost(eid)
     view.knowledge.reveal(eid, real[eid])
-    pset = kspp.update_k_paths(
-        inst, view, state, inst.p, [CostUpdate(eid, old, view.cost(eid))], K
-    )
+    pset = kspp.update_k_paths(inst, view, state, inst.p, [eid], K)
     print(f"\nedge {eid}: expected {old:.1f} -> true {real[eid]:.1f}")
     for rank, path in enumerate(pset, start=1):
         print(f"  #{rank}: cost {path.cost:7.2f}, {len(path.vertices)} vertices")

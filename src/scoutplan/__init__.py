@@ -25,7 +25,7 @@ from .core import (
     save_instance,
     save_realization,
 )
-from .dstar import CostUpdate, DStarState
+from .dstar import DStarState
 from .kspp import PathSet, update_k_paths
 from .paa import EdgePriority, PaaContext, PriorityWeights, select_edge
 from .rpp import (
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
-    "CostUpdate",
     "CriticalEdge",
     "DStarState",
     "EdgePriority",

@@ -25,6 +25,7 @@ from .core import (
     ProblemInstance,
     Realization,
     UniformCost,
+    check_at_least,
     dijkstra,
     load_instance,
     sample_realization,
@@ -43,9 +44,9 @@ class GridSpec:
     uav_speed: float = 2.0
 
     def __post_init__(self):
-        _check_at_least("rows", self.rows, 2)
-        _check_at_least("cols", self.cols, 2)
-        _check_at_least("n_impeded_cuts", self.n_impeded_cuts, 0)
+        check_at_least("rows", self.rows, 2)
+        check_at_least("cols", self.cols, 2)
+        check_at_least("n_impeded_cuts", self.n_impeded_cuts, 0)
         if self.cut_style not in ("partial", "full"):
             raise ValueError(f"cut_style must be 'partial' or 'full', got {self.cut_style!r}")
 
@@ -64,16 +65,11 @@ class BridgeSpec:
     uav_speed: float = 2.0
 
     def __post_init__(self):
-        _check_at_least("chain_len", self.chain_len, 2)
-        _check_at_least("n_paths", self.n_paths, 1)
+        check_at_least("chain_len", self.chain_len, 2)
+        check_at_least("n_paths", self.n_paths, 1)
         if not self.impeded_per_path > 0:
             raise ValueError(f"impeded_per_path must be > 0, got {self.impeded_per_path!r}")
         check_fraction("bridge_fraction", self.bridge_fraction)
-
-
-def _check_at_least(name: str, value: int, least: int) -> None:
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_fraction(name: str, value: float) -> None:
@@ -118,12 +114,16 @@ class ExperimentSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.family == "road" and not self.road_file:
             raise ValueError("the road family needs a road_file")
+        if not self.planners:
+            raise ValueError("planners must not be empty")
         for planner in self.planners:
             if planner not in sim.PLANNERS:
                 raise ValueError(f"unknown planner {planner!r}")
-        if any(k < 1 for k in self.k_values):
-            raise ValueError(f"every k must be at least 1, got {self.k_values}")
-        _check_at_least("n_instances", self.n_instances, 1)
+        if not self.k_values:
+            raise ValueError("k_values must not be empty")
+        for k in self.k_values:
+            check_at_least("every k", k, 1)
+        check_at_least("n_instances", self.n_instances, 1)
         if self.family == "scaling":
             if not self.sizes:
                 raise ValueError("the scaling family needs at least one size")

@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a sweep from a JSON spec")
     e.add_argument("--spec", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--jobs", type=_positive_int, default=1)
     e.set_defaults(func=cmd_experiment)
 
     r = sub.add_parser("report", help="aggregate a runs.csv into a summary")

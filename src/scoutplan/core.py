@@ -26,6 +26,11 @@ def _positive_finite(x: float) -> bool:
     return 0 < x < INF  # false for NaN too
 
 
+def check_at_least(name: str, value: int, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class InstanceError(ValueError):
     """Raised when an instance file or instance invariant is invalid."""
 
@@ -125,14 +130,12 @@ class ProblemInstance:
         n = len(self.vertices)
         self.ugv_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.uav_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self._ugv_pair: dict[tuple[int, int], int] = {}
         for e in self.edges:
             self.uav_adj[e.u].append((e.v, e.id))
             self.uav_adj[e.v].append((e.u, e.id))
             if e.id in self.ugv_edge_ids:
                 self.ugv_adj[e.u].append((e.v, e.id))
                 self.ugv_adj[e.v].append((e.u, e.id))
-                self._ugv_pair[(e.u, e.v)] = e.id
 
     def validate(self) -> None:
         n = len(self.vertices)
@@ -214,13 +217,6 @@ class ProblemInstance:
             return 0.0
         # euclid inlined: the searches call this once per heap push.
         return math.dist(self.vertices[a], self.vertices[b])
-
-    def ugv_edge_between(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        try:
-            return self._ugv_pair[key]
-        except KeyError:
-            raise NoPathError(f"no UGV edge between {a} and {b}") from None
 
     @property
     def n_vertices(self) -> int:

@@ -9,7 +9,7 @@ After edge costs change, only the affected region is re-expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
 
 from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend
 
@@ -47,111 +47,56 @@ def key_less(a: Key, b: Key) -> bool:
     return _cmp_tol(a[1], b[1]) < 0
 
 
-@dataclass(frozen=True)
-class CostUpdate:
-    """One edge whose planning cost changed (infinite = temporarily removed)."""
-
-    edge: int
-    old_cost: float
-    new_cost: float
-
-
 class AddressableHeap:
-    """Binary min-heap over (key, vertex) with by-vertex addressing.
+    """Min-queue over (k1, k2, vertex) with by-vertex addressing.
 
-    Insert, update and remove are O(log n); top and top_key are O(1).
-    Ordering is lexicographic on (k1, k2, vertex) so ties resolve to the
-    lowest vertex id.
+    A heapq list with lazy deletion: ``_live`` maps each queued vertex to
+    the one heap entry that holds its live key, and any other entry is
+    dropped when it reaches the top.  So the top is the minimum live
+    (k1, k2, vertex), and ties resolve to the lowest vertex id.
     """
 
-    __slots__ = ("_items", "_pos")
+    __slots__ = ("_heap", "_live")
 
     def __init__(self):
-        self._items: list[tuple[float, float, int]] = []
-        self._pos: dict[int, int] = {}
+        self._heap: list[tuple[float, float, int]] = []
+        self._live: dict[int, tuple[float, float, int]] = {}
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._live)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._pos
+        return v in self._live
+
+    def _live_top(self) -> tuple[float, float, int] | None:
+        heap = self._heap
+        live = self._live
+        while heap:
+            entry = heap[0]
+            if live.get(entry[2]) is entry:
+                return entry
+            heapq.heappop(heap)
+        return None
 
     def top(self) -> int:
-        return self._items[0][2]
+        return self._live_top()[2]
 
     def top_key(self) -> Key:
-        if not self._items:
-            return INF_KEY
-        k1, k2, _ = self._items[0]
-        return (k1, k2)
+        entry = self._live_top()
+        return INF_KEY if entry is None else entry[:2]
 
     def key_of(self, v: int) -> Key:
-        k1, k2, _ = self._items[self._pos[v]]
-        return (k1, k2)
+        return self._live[v][:2]
 
     def insert(self, v: int, key: Key) -> None:
-        items = self._items
-        items.append((key[0], key[1], v))
-        self._pos[v] = len(items) - 1
-        self._sift_up(len(items) - 1)
+        entry = self._live[v] = (key[0], key[1], v)
+        heapq.heappush(self._heap, entry)
 
-    def update(self, v: int, key: Key) -> None:
-        i = self._pos[v]
-        self._items[i] = (key[0], key[1], v)
-        if not self._sift_up(i):
-            self._sift_down(i)
+    # A vertex's live entry is its latest push, so an update is a push.
+    update = insert
 
     def remove(self, v: int) -> None:
-        items = self._items
-        i = self._pos.pop(v)
-        last = items.pop()
-        if i < len(items):
-            items[i] = last
-            self._pos[last[2]] = i
-            if not self._sift_up(i):
-                self._sift_down(i)
-
-    def pop(self) -> int:
-        v = self._items[0][2]
-        self.remove(v)
-        return v
-
-    def _sift_up(self, i: int) -> bool:
-        items = self._items
-        pos = self._pos
-        item = items[i]
-        moved = False
-        while i > 0:
-            parent = (i - 1) >> 1
-            if items[parent] <= item:
-                break
-            items[i] = items[parent]
-            pos[items[i][2]] = i
-            i = parent
-            moved = True
-        items[i] = item
-        pos[item[2]] = i
-        return moved
-
-    def _sift_down(self, i: int) -> None:
-        items = self._items
-        pos = self._pos
-        n = len(items)
-        item = items[i]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            right = child + 1
-            if right < n and items[right] < items[child]:
-                child = right
-            if item <= items[child]:
-                break
-            items[i] = items[child]
-            pos[items[i][2]] = i
-            i = child
-        items[i] = item
-        pos[item[2]] = i
+        del self._live[v]
 
 
 class DStarState:
@@ -171,9 +116,7 @@ class DStarState:
 
     def queue_consistent(self) -> bool:
         """Check the membership invariant: queued iff g != rhs."""
-        queued = set(self.queue._pos)
-        inconsistent = {v for v in range(len(self.g)) if self.g[v] != self.rhs[v]}
-        return queued == inconsistent
+        return all((v in self.queue) == (self.g[v] != self.rhs[v]) for v in range(len(self.g)))
 
 
 def initialize(inst: ProblemInstance, start: int, dest: int) -> DStarState:
@@ -203,41 +146,32 @@ def update_vertex(state: DStarState, v: int) -> None:
         state.queue.remove(v)
 
 
-def rhs_update(state: DStarState, view: PlanningCostView, update: CostUpdate) -> None:
-    """Repair both endpoints of an updated edge (view already holds the
-    new cost).  Decreases relax both ends; increases recompute the lookahead
-    minimum at an endpoint whose value came from the stale edge."""
-    rec = state.inst.edges[update.edge]
-    u, v = rec.u, rec.v
+def lookahead(state: DStarState, cost, v: int) -> float:
+    """rhs by definition: the minimum over v's neighbors w of the edge cost
+    plus g(w)."""
     g = state.g
-    rhs = state.rhs
-    dest = state.dest
-    if update.old_cost > update.new_cost:
-        cand = g[v] + update.new_cost
-        if u != dest and cand < rhs[u]:
-            rhs[u] = cand
-        cand = g[u] + update.new_cost
-        if v != dest and cand < rhs[v]:
-            rhs[v] = cand
-    else:
-        cost = view.cost
-        adj = state.inst.ugv_adj
-        if u != dest and rhs[u] == g[v] + update.old_cost:
-            best = INF
-            for w, eid in adj[u]:
-                cand = g[w] + cost(eid)
-                if cand < best:
-                    best = cand
-            rhs[u] = best
-        if v != dest and rhs[v] == g[u] + update.old_cost:
-            best = INF
-            for w, eid in adj[v]:
-                cand = g[w] + cost(eid)
-                if cand < best:
-                    best = cand
-            rhs[v] = best
-    update_vertex(state, u)
-    update_vertex(state, v)
+    best = INF
+    for w, eid in state.inst.ugv_adj[v]:
+        cand = cost(eid) + g[w]
+        if cand < best:
+            best = cand
+    return best
+
+
+def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
+    """Repair both endpoints of a changed edge (the view already holds its
+    new cost) by recomputing their lookaheads.
+
+    D* Lite keeps every rhs equal to its lookahead, so this gives exactly
+    what relaxing a decrease or re-deriving an increase would, for repeated
+    edges and infinite costs too.
+    """
+    rec = state.inst.edges[eid]
+    for v in (rec.u, rec.v):
+        if v != state.dest:
+            state.rhs[v] = lookahead(state, view.cost, v)
+    update_vertex(state, rec.u)
+    update_vertex(state, rec.v)
 
 
 def compute_shortest_path(
@@ -290,12 +224,7 @@ def compute_shortest_path(
             state.expansions += 1
             for s, eid in adj[v]:
                 if rhs[s] == cost(eid) + g_old and s != dest:
-                    best = INF
-                    for w, eid2 in adj[s]:
-                        cand = cost(eid2) + g[w]
-                        if cand < best:
-                            best = cand
-                    rhs[s] = best
+                    rhs[s] = lookahead(state, cost, s)
                 update_vertex(state, s)
             update_vertex(state, v)
 
@@ -317,9 +246,10 @@ def replan(
     state: DStarState,
     view: PlanningCostView,
     v_curr: int,
-    updates: list[CostUpdate],
+    changed: list[int],
 ) -> Path:
-    """Apply cost updates, repair the search and return the current path.
+    """Apply the cost changes of the edges in ``changed``, repair the search
+    and return the current path.
 
     Advances the key offset by h(v_old, v_curr) so queue ordering stays
     valid as the query vertex moves between calls.
@@ -327,7 +257,7 @@ def replan(
     state.k_m += state.inst.heuristic(state.v_old, v_curr)
     state.v_old = v_curr
     state.v_curr = v_curr
-    for up in updates:
-        rhs_update(state, view, up)
+    for eid in changed:
+        rhs_update(state, view, eid)
     compute_shortest_path(state, view, v_curr)
     return extract_path(state, view)

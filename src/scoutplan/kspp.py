@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import dstar
 from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend, dijkstra
-from .dstar import CostUpdate, DStarState
+from .dstar import DStarState
 
 
 class SpurCounts(NamedTuple):
@@ -119,10 +119,11 @@ def update_k_paths(
     view: PlanningCostView,
     state: DStarState,
     v_curr: int,
-    updates: list[CostUpdate],
+    changed: list[int],
     k: int,
 ) -> PathSet:
-    """Refresh the k best loopless paths from v_curr after cost updates.
+    """Refresh the k best loopless paths from v_curr after the edges in
+    ``changed`` changed cost.
 
     Only the rank-1 repair touches the shared search state; ranks 2..k come
     from Yen spur searches (``spur_search``) that read the view and write
@@ -137,7 +138,7 @@ def update_k_paths(
     if k < 1:
         raise ValueError("k must be at least 1")
     try:
-        best = dstar.replan(state, view, v_curr, updates)
+        best = dstar.replan(state, view, v_curr, changed)
     except NoPathError:
         return PathSet()
     accepted = [best]

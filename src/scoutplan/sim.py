@@ -26,9 +26,9 @@ from .core import (
     ProblemInstance,
     Realization,
     UavMetric,
+    check_at_least,
     dijkstra,
 )
-from .dstar import CostUpdate
 from .paa import PaaContext, PriorityWeights
 from .rpp import CriticalEdge, UavLeg
 
@@ -42,8 +42,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.planner not in PLANNERS:
             raise ValueError(f"unknown planner {self.planner!r}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        check_at_least("k", self.k, 1)
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,10 @@ class _Engine:
         self.replans: list[ReplanRecord] = []
         self.late = 0
         self.now = 0.0
-        # Ground vehicle: it reaches route[0] over ugv_edge at ugv_arrival.
+        # Ground vehicle: it reaches route[0] over ugv_edge at ugv_arrival,
+        # then takes route_edges[0] towards route[1].
         self.route: list[int] = [inst.p]
+        self.route_edges: list[int] = []
         self.ugv_edge = -1
         self.ugv_arrival = 0.0
         # Scout: flying uav_leg to uav_to until uav_arrival, or idle at uav_to.
@@ -229,11 +230,11 @@ class _Engine:
 
     # -- planning ---------------------------------------------------------
 
-    def _replan_both(self, trigger: str, updates: list[CostUpdate]) -> None:
+    def _replan_both(self, trigger: str, changed: list[int]) -> None:
         rec = ReplanRecord(trigger)
         origin = self.route[0]
         t0 = _time.perf_counter()
-        pset = kspp.update_k_paths(self.inst, self.view, self.dstate, origin, updates, self.k_eff)
+        pset = kspp.update_k_paths(self.inst, self.view, self.dstate, origin, changed, self.k_eff)
         rec.ugv_seconds = _time.perf_counter() - t0
         rec.spur = pset.spur
         if not pset.paths:
@@ -241,6 +242,7 @@ class _Engine:
         self.pset = pset
         self.plan_origin_time = self.ugv_arrival
         self.route = list(pset.paths[0].vertices)
+        self.route_edges = list(pset.paths[0].edges)
         self._replan_uav(rec)
         self.replans.append(rec)
 
@@ -263,7 +265,7 @@ class _Engine:
     # -- movement ---------------------------------------------------------
 
     def _ugv_depart(self) -> None:
-        eid = self.inst.ugv_edge_between(self.route[0], self.route[1])
+        eid = self.route_edges.pop(0)
         rec = self.inst.edges[eid]
         del self.route[0]
         self.ugv_edge = eid
@@ -296,9 +298,8 @@ class _Engine:
         if by == "uav" and self.ugv_edge == eid:
             self.late += 1
         self._log("reveal", (eid, true, by))
-        old = self.view.cost(eid)
         self.knowledge.reveal(eid, true)
-        self._replan_both(f"reveal:{eid}", [CostUpdate(eid, old, true)])
+        self._replan_both(f"reveal:{eid}", [eid])
 
     def _process_uav_arrival(self) -> None:
         leg = self.uav_leg

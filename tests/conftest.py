@@ -35,9 +35,17 @@ def build_instance(coords, edge_specs, p=0, q=0, d=None, uav_speed=2.0, free_fli
     return ProblemInstance(coords, edges, p=p, q=q, d=d, uav_speed=uav_speed, uav_free_flight=free_flight)
 
 
+def edge_between(inst, a, b):
+    """Id of the UGV edge joining a and b, looked up in the adjacency."""
+    for w, eid in inst.ugv_adj[a]:
+        if w == b:
+            return eid
+    raise KeyError(f"no UGV edge between {a} and {b}")
+
+
 def edge_walk(inst, vertices):
     """Edge ids along a vertex sequence, looked up by their endpoints."""
-    return tuple(inst.ugv_edge_between(a, b) for a, b in zip(vertices, vertices[1:]))
+    return tuple(edge_between(inst, a, b) for a, b in zip(vertices, vertices[1:]))
 
 
 def fresh_view(inst):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import heapq
 
+from conftest import edge_between
+
 INF = float("inf")
 
 
@@ -72,7 +74,7 @@ def greedy_path(inst, costs, dist, source, dest, blocked_vertices=frozenset()):
 def path_cost(inst, costs, vertices):
     total = 0.0
     for a, b in zip(vertices, vertices[1:]):
-        total += costs[inst.ugv_edge_between(a, b)]
+        total += costs[edge_between(inst, a, b)]
     return total
 
 
@@ -100,7 +102,7 @@ def yen_k_paths(inst, costs, source, dest, k):
             blocked_edges = set()
             for p in a_list:
                 if len(p) > i and p[:i] == root:
-                    blocked_edges.add(inst.ugv_edge_between(p[i - 1], p[i]))
+                    blocked_edges.add(edge_between(inst, p[i - 1], p[i]))
             blocked_vertices = frozenset(root[:-1])
             sp = shortest_path(inst, costs, spur, dest, blocked_edges, blocked_vertices)
             if sp is None:
@@ -202,7 +204,7 @@ def replay_ugv_arrivals(inst, realization, events):
         if v == pos:  # start == destination edge case
             assert when == 0.0
             continue
-        eid = inst.ugv_edge_between(pos, v)
+        eid = edge_between(inst, pos, v)
         rec = inst.edges[eid]
         t += realization[eid] if rec.impeded else rec.ugv_cost
         assert when == t, (when, t)
@@ -226,7 +228,7 @@ def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
     def prefix_cost(vs, upto):
         total = 0.0
         for a, b in zip(vs[:upto], vs[1 : upto + 1]):
-            total += view.cost(inst.ugv_edge_between(a, b))
+            total += view.cost(edge_between(inst, a, b))
         return total
 
     lam = {}

@@ -22,7 +22,6 @@ from scoutplan.core import (
     UavMetric,
     sample_realization,
 )
-from scoutplan.dstar import CostUpdate
 from scoutplan.paa import PaaContext, PriorityWeights
 from scoutplan.rpp import CriticalEdge
 from scoutplan.sim import SimulationConfig
@@ -58,15 +57,14 @@ class TestCriterion1DStarOracle:
                 for _ in range(rng.randint(1, 2)):
                     if unrevealed and rng.random() < 0.7:
                         eid = unrevealed.pop()
-                        old = view.cost(eid)
                         view.knowledge.reveal(eid, real[eid])
-                        updates.append(CostUpdate(eid, old, view.cost(eid)))
+                        updates.append(eid)
                     else:
                         eid = rng.choice(fixed)
                         old = view.cost(eid)
                         new = old * rng.uniform(1.0, 3.0) + rng.uniform(0.0, 5.0)
                         view.forced[eid] = new
-                        updates.append(CostUpdate(eid, old, new))
+                        updates.append(eid)
                 if len(path.vertices) > 2 and rng.random() < 0.8:
                     v_curr = path.vertices[rng.randint(1, len(path.vertices) - 2)]
                 path = dstar.replan(state, view, v_curr, updates)
@@ -309,9 +307,8 @@ class TestCriterion8PropertySuite:
             dstar.replan(state, view, inst.p, [])
             assert state.queue_consistent()
             for eid in sorted(inst.impeded_ids):
-                old = view.cost(eid)
                 view.knowledge.reveal(eid, inst.edges[eid].distribution.t_max)
-                dstar.rhs_update(state, view, CostUpdate(eid, old, view.cost(eid)))
+                dstar.rhs_update(state, view, eid)
                 assert state.queue_consistent()
                 dstar.compute_shortest_path(state, view, inst.p)
                 assert state.queue_consistent()

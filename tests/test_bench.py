@@ -201,6 +201,9 @@ class TestExperimentHarness:
         {"family": "scaling", "sizes": ((1, 3),)},
         {"n_instances": 0},
         {"family": "scaling", "sizes": ()},
+        {"k_values": (2.5,)},
+        {"k_values": ()},
+        {"planners": ()},
     ])
     def test_spec_rejects_what_cannot_run(self, bad):
         with pytest.raises(ValueError):

@@ -198,6 +198,9 @@ class TestExperimentAndReport:
         {"family": "scaling", "sizes": [[1, 3]]},
         {"n_instances": -1},
         {"family": "scaling", "sizes": [[20, 20, 5]]},
+        {"k_values": [2.5], "planners": ["rpp"]},
+        {"k_values": []},
+        {"planners": []},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"

@@ -1,12 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import ForcedCostView, fresh_view, line_instance, random_connected_instance
+from conftest import (
+    ForcedCostView,
+    edge_between,
+    fresh_view,
+    line_instance,
+    random_connected_instance,
+)
 from scoutplan import bench, dstar
 from scoutplan.core import INF, NoPathError
-from scoutplan.dstar import AddressableHeap, CostUpdate
+from scoutplan.dstar import AddressableHeap
 
 
 class TestAddressableHeap:
@@ -37,7 +45,7 @@ class TestAddressableHeap:
         live = {}
         for step in range(3000):
             op = rng.random()
-            if op < 0.5 or not live:
+            if op < 0.4 or not live:
                 v = rng.randrange(500)
                 key = (rng.uniform(0, 10), rng.uniform(0, 10))
                 if v in live:
@@ -45,7 +53,14 @@ class TestAddressableHeap:
                 else:
                     h.insert(v, key)
                 live[v] = key
-            elif op < 0.75:
+            elif op < 0.5:
+                v = rng.choice(list(live))
+                h.update(v, live[v])  # same key: a second entry for v
+            elif op < 0.6:
+                v = rng.choice(list(live))
+                h.remove(v)
+                h.insert(v, live[v])  # the removed entry's key comes back
+            elif op < 0.8:
                 v = rng.choice(list(live))
                 h.remove(v)
                 del live[v]
@@ -53,6 +68,7 @@ class TestAddressableHeap:
                 want = min(live.items(), key=lambda kv: (kv[1], kv[0]))
                 assert h.top() == want[0]
                 assert h.top_key() == want[1]
+            assert len(h) == len(live)
         assert h.top_key() == min(live.values()) if live else True
 
     def test_empty_top_key_is_infinite(self):
@@ -152,7 +168,7 @@ class TestRhsUpdate:
         eid = 0
         view.forced[eid] = 1.0
         before_rhs = state.rhs.copy()
-        dstar.rhs_update(state, view, CostUpdate(eid, view.cost(eid) + 1, 1.0))
+        dstar.rhs_update(state, view, eid)
         assert state.rhs == before_rhs
 
     def test_increase_on_line_matches_oracle(self):
@@ -161,9 +177,9 @@ class TestRhsUpdate:
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         assert state.g[0] == 2.0
-        eid = inst.ugv_edge_between(0, 1)
+        eid = edge_between(inst, 0, 1)
         view.forced[eid] = 5.0
-        path = dstar.replan(state, view, 0, [CostUpdate(eid, 1.0, 5.0)])
+        path = dstar.replan(state, view, 0, [eid])
         assert state.rhs[0] == 6.0
         assert path.cost == 6.0
         costs = oracles.view_costs(inst, view)
@@ -176,8 +192,8 @@ class TestRhsUpdate:
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         g0, rhs0 = state.g.copy(), state.rhs.copy()
-        eid = inst.ugv_edge_between(0, 1)
-        dstar.rhs_update(state, view, CostUpdate(eid, 1.0, 1.0))
+        eid = edge_between(inst, 0, 1)
+        dstar.rhs_update(state, view, eid)
         assert state.g == g0 and state.rhs == rhs0
 
 
@@ -197,10 +213,10 @@ class TestComputeShortestPath:
         view = ForcedCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
-        eid = inst.ugv_edge_between(0, 1)
+        eid = edge_between(inst, 0, 1)
         view.forced[eid] = INF
         with pytest.raises(NoPathError):
-            dstar.replan(state, view, 0, [CostUpdate(eid, 1.0, INF)])
+            dstar.replan(state, view, 0, [eid])
 
     def test_queue_invariant_after_operations(self, rng):
         inst = random_connected_instance(rng, n_min=8, n_max=14)
@@ -210,9 +226,8 @@ class TestComputeShortestPath:
         dstar.replan(state, view, inst.p, [])
         assert state.queue_consistent()
         for eid in sorted(inst.impeded_ids):
-            old = view.cost(eid)
             view.knowledge.reveal(eid, inst.edges[eid].distribution.t_max)
-            dstar.rhs_update(state, view, CostUpdate(eid, old, view.cost(eid)))
+            dstar.rhs_update(state, view, eid)
             assert state.queue_consistent()
             dstar.compute_shortest_path(state, view, inst.p)
             assert state.queue_consistent()
@@ -235,9 +250,8 @@ class TestReplanOracle:
             for _ in range(rng.randint(1, 2)):
                 if unrevealed:
                     eid = unrevealed.pop()
-                    old = view.cost(eid)
                     view.knowledge.reveal(eid, real[eid])
-                    updates.append(CostUpdate(eid, old, view.cost(eid)))
+                    updates.append(eid)
             if len(path.vertices) > 2:
                 v_curr = path.vertices[rng.randint(1, len(path.vertices) - 2)]
             path = dstar.replan(state, view, v_curr, updates)
@@ -263,3 +277,61 @@ class TestReplanOracle:
             dstar.replan(state, view, v, [])
             assert state.k_m >= last
             last = state.k_m
+
+
+class TestReplanStateful:
+    """Random cost-change batches and a moving start against Dijkstra."""
+
+    def new_cost(self, inst, view, eid, kind, factor):
+        c = view.cost(eid)
+        if kind == "inf":
+            return INF
+        if kind == "same":
+            return c
+        if c == INF:
+            c = fresh_view(inst).cost(eid)
+        if kind == "up":
+            return c * (1.0 + 2.0 * factor)
+        # Down, but never below the straight line, so the heuristic stays
+        # consistent.
+        rec = inst.edges[eid]
+        lower = inst.euclid(rec.u, rec.v)
+        return max(lower, lower + (c - lower) * factor)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), data=st.data())
+    def test_batches_and_moving_start_match_dijkstra(self, rng, data):
+        inst = random_connected_instance(rng, n_min=5, n_max=12)
+        edges = sorted(inst.ugv_edge_ids)
+        view = ForcedCostView(inst)
+        state = dstar.initialize(inst, inst.p, inst.d)
+        v_curr = inst.p
+        path = dstar.replan(state, view, v_curr, [])
+        for _ in range(data.draw(st.integers(1, 10), label="steps")):
+            # About half of the changes hit the current path, where they matter.
+            near = edges if path is None or not path.edges else path.edges
+            change = st.tuples(
+                st.sampled_from(edges) | st.sampled_from(near),
+                st.sampled_from(("up", "down", "inf", "same")),
+                st.floats(0.0, 1.0),
+            )
+            batch = data.draw(st.lists(change, max_size=4), label="batch")
+            if batch and data.draw(st.booleans(), label="twice"):
+                batch.append(data.draw(change.map(lambda c: (batch[0][0],) + c[1:])))
+            for eid, kind, factor in batch:
+                view.forced[eid] = self.new_cost(inst, view, eid, kind, factor)
+            if path is not None:  # stay, or step to the next vertex
+                v_curr = path.vertices[min(data.draw(st.integers(0, 1)), len(path.vertices) - 1)]
+            changed = [eid for eid, _, _ in batch]
+            dist = oracles.dijkstra_to_dest(inst, oracles.view_costs(inst, view), inst.d)
+            if dist[v_curr] == INF:
+                with pytest.raises(NoPathError):
+                    dstar.replan(state, view, v_curr, changed)
+                path = None
+            else:
+                path = dstar.replan(state, view, v_curr, changed)
+                assert state.g[v_curr] == pytest.approx(dist[v_curr], rel=1e-9)
+                assert path.cost == pytest.approx(dist[v_curr], rel=1e-9)
+                assert path.vertices[0] == v_curr and path.vertices[-1] == inst.d
+                assert len(set(path.vertices)) == len(path.vertices)
+            assert state.queue_consistent()

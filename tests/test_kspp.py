@@ -7,13 +7,13 @@ import oracles
 from conftest import (
     ForcedCostView,
     build_instance,
+    edge_between,
     edge_walk,
     fresh_view,
     random_connected_instance,
 )
 from scoutplan import bench, dstar, kspp
 from scoutplan.core import INF, Path
-from scoutplan.dstar import CostUpdate
 
 
 def diamond():
@@ -89,8 +89,8 @@ class TestBasics:
         state = dstar.initialize(inst, inst.p, inst.d)
         ups = []
         for a, b in ((0, 1), (0, 2)):
-            eid = inst.ugv_edge_between(a, b)
-            ups.append(CostUpdate(eid, view.cost(eid), INF))
+            eid = edge_between(inst, a, b)
+            ups.append(eid)
             view.forced[eid] = INF
         pset = kspp.update_k_paths(inst, view, state, inst.p, ups, 3)
         assert len(pset) == 0
@@ -115,24 +115,24 @@ class TestSuppression:
         a = [Path((0, 1, 3), (0, 1), 2.0), Path((0, 2, 3), (2, 3), 4.0)]
         hidden = kspp.yen_edge_suppression(inst, a, (0,))
         assert hidden == {
-            inst.ugv_edge_between(0, 1),
-            inst.ugv_edge_between(0, 2),
+            edge_between(inst, 0, 1),
+            edge_between(inst, 0, 2),
         }
 
     def test_single_vertex_root_removes_no_nodes(self):
         inst = diamond()
         hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), (0, 1), 2.0)], (0,))
         # Only the continuation edge, no node-removal suppressions.
-        assert hidden == {inst.ugv_edge_between(0, 1)}
+        assert hidden == {edge_between(inst, 0, 1)}
 
     def test_interior_nodes_fully_suppressed(self):
         inst = diamond()
         hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), (0, 1), 2.0)], (0, 1))
         # Root interior {0}: both edges at vertex 0, plus continuation (1,3).
         assert hidden == {
-            inst.ugv_edge_between(0, 1),
-            inst.ugv_edge_between(0, 2),
-            inst.ugv_edge_between(1, 3),
+            edge_between(inst, 0, 1),
+            edge_between(inst, 0, 2),
+            edge_between(inst, 1, 3),
         }
 
     def test_restoration_is_exact(self, rng):
@@ -214,13 +214,13 @@ class TestSpurSearch:
     def test_isolated_spur_is_not_searched(self):
         inst = diamond()
         view = fresh_view(inst)
-        hidden = {inst.ugv_edge_between(0, 1), inst.ugv_edge_between(0, 2)}
+        hidden = {edge_between(inst, 0, 1), edge_between(inst, 0, 2)}
         assert kspp.spur_search(inst, view, hidden, 0, inst.d) == (None, 0)
 
     def test_unreachable_returns_none(self):
         inst = diamond()
         view = fresh_view(inst)
-        hidden = {inst.ugv_edge_between(1, 3), inst.ugv_edge_between(2, 3)}
+        hidden = {edge_between(inst, 1, 3), edge_between(inst, 2, 3)}
         path, settled = kspp.spur_search(inst, view, hidden, 0, inst.d)
         assert path is None and settled == 1
 
@@ -251,13 +251,14 @@ class TestSharedStateIsolation:
             state = dstar.initialize(inst, inst.p, inst.d)
             kspp.update_k_paths(inst, view, state, inst.p, [], 1)
             g0, rhs0 = state.g.copy(), state.rhs.copy()
-            km0, items0 = state.k_m, sorted(state.queue._items)
+            km0, heap0, live0 = state.k_m, list(state.queue._heap), dict(state.queue._live)
             state2 = state  # same object, ranks 2+ must not mutate it
             kspp.update_k_paths(inst, view, state2, inst.p, [], 4)
             assert state2.g == g0
             assert state2.rhs == rhs0
             assert state2.k_m == km0
-            assert sorted(state2.queue._items) == items0
+            assert state2.queue._heap == heap0
+            assert state2.queue._live == live0
 
 
 class TestOracleEquivalence:
@@ -286,13 +287,10 @@ class TestOracleEquivalence:
                 for p in pset:
                     assert p.edges == edge_walk(inst, p.vertices)
                     assert len(p.edges) == len(p.vertices) - 1
-                old = view.cost(eid)
                 view.knowledge.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
                 if len(pset.best().vertices) > 2:
                     v_curr = pset.best().vertices[1]
-                pset = kspp.update_k_paths(
-                    inst, view, state, v_curr, [CostUpdate(eid, old, view.cost(eid))], 7
-                )
+                pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 7)
             yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
             assert [p.vertices for p in pset] == yen
             for p in pset:
@@ -325,15 +323,12 @@ class TestOracleEquivalence:
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids):
-                old = view.cost(eid)
                 true = inst.edges[eid].distribution.sample(rng)
                 view.knowledge.reveal(eid, true)
                 best = pset.best()
                 if best is not None and len(best.vertices) > 1:
                     v_curr = best.vertices[1]
-                pset = kspp.update_k_paths(
-                    inst, view, state, v_curr, [CostUpdate(eid, old, view.cost(eid))], 3
-                )
+                pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 3)
                 costs = oracles.view_costs(inst, view)
                 yen = oracles.yen_k_paths(inst, costs, v_curr, inst.d, 3)
                 assert [p.vertices for p in pset] == yen

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from conftest import build_instance, fresh_view, random_connected_instance
+from conftest import build_instance, edge_between, fresh_view, random_connected_instance
 from scoutplan import dstar, kspp, paa, rpp
 from scoutplan.core import UavMetric
 from scoutplan.paa import PaaContext, PriorityWeights
@@ -92,8 +92,8 @@ class TestParameters:
         view = fresh_view(inst)
         pset, crit, ctx = make_context(inst, view, 2)
         scored = priorities(crit, ctx)
-        assert scored[inst.ugv_edge_between(1, 3)].p3 == pytest.approx(144.0 / 576.0)
-        assert scored[inst.ugv_edge_between(2, 3)].p3 == 1.0
+        assert scored[edge_between(inst, 1, 3)].p3 == pytest.approx(144.0 / 576.0)
+        assert scored[edge_between(inst, 2, 3)].p3 == 1.0
 
     def test_p3_all_equal_distributions(self):
         # Same-width windows mean identical variance: every p3 is 1.

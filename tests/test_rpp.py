@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from conftest import build_instance, fresh_view, random_connected_instance
+from conftest import build_instance, edge_between, fresh_view, random_connected_instance
 from scoutplan import bench, dstar, kspp, rpp
 from scoutplan.core import INF, UavMetric
 from scoutplan.rpp import CriticalEdge
@@ -30,7 +30,7 @@ class TestExtractCriticalEdges:
         pset = plan_paths(inst, view, 1)
         crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
         assert len(crit) == 1
-        assert crit[0].edge == inst.ugv_edge_between(1, 2)
+        assert crit[0].edge == edge_between(inst, 1, 2)
         assert crit[0].t_max == 7.0
 
     def test_start_time_shifts_windows(self):
@@ -49,7 +49,7 @@ class TestExtractCriticalEdges:
         view = fresh_view(inst)
         pset = plan_paths(inst, view, 1)
         crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view.knowledge, inst)}
-        assert crit[inst.ugv_edge_between(1, 2)].t_max == 4.0  # first edge at minimum
+        assert crit[edge_between(inst, 1, 2)].t_max == 4.0  # first edge at minimum
 
     def test_best_path_edges_finite_others_infinite(self):
         inst, _ = bench.demo_instance()
