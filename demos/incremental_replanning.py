@@ -7,10 +7,10 @@ expansions per replanning step collapses once the first search is done.
 
 import random
 
-from scoutplan import KnowledgeState, PlanningCostView, bench, dstar
+from scoutplan import PlanningCostView, bench, dstar
 
 inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
-view = PlanningCostView(inst, KnowledgeState())
+view = PlanningCostView(inst)
 
 state = dstar.initialize(inst, inst.p, inst.d)
 path = dstar.replan(state, view, inst.p, [])
@@ -28,8 +28,8 @@ while hidden and pos != inst.d:
     hops = min(3, len(path.vertices) - 1)
     pos = path.vertices[hops]
     eid = hidden.pop()
-    old = view.cost(eid)
-    view.knowledge.reveal(eid, real[eid])
+    old = view.costs[eid]
+    view.reveal(eid, real[eid])
     before = state.expansions
     path = dstar.replan(state, view, pos, [eid])
     step += 1

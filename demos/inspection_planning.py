@@ -7,7 +7,6 @@ inspection tour and the linear-time priority pick.
 """
 
 from scoutplan import (
-    KnowledgeState,
     PaaContext,
     PlanningCostView,
     PriorityWeights,
@@ -20,12 +19,12 @@ from scoutplan import (
 )
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=5, chain_len=12), seed=11)
-view = PlanningCostView(inst, KnowledgeState())
+view = PlanningCostView(inst)
 state = dstar.initialize(inst, inst.p, inst.d)
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
 metric = UavMetric(inst)
 
-critical = rpp.extract_critical_edges(pset, view.knowledge, inst)
+critical = rpp.extract_critical_edges(pset, view, inst)
 print(f"{len(critical)} critical edges from {len(pset)} routes:")
 for ce in critical:
     rec = inst.edges[ce.edge]

@@ -7,10 +7,10 @@ running one spur search per detour.
 
 import random
 
-from scoutplan import KnowledgeState, PlanningCostView, bench, dstar, kspp
+from scoutplan import PlanningCostView, bench, dstar, kspp
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=6, chain_len=10), seed=2)
-view = PlanningCostView(inst, KnowledgeState())
+view = PlanningCostView(inst)
 state = dstar.initialize(inst, inst.p, inst.d)
 
 K = 4
@@ -22,8 +22,8 @@ for rank, path in enumerate(pset, start=1):
 
 rng = random.Random(5)
 for eid in rng.sample(sorted(inst.impeded_ids), 4):
-    old = view.cost(eid)
-    view.knowledge.reveal(eid, real[eid])
+    old = view.costs[eid]
+    view.reveal(eid, real[eid])
     pset = kspp.update_k_paths(inst, view, state, inst.p, [eid], K)
     print(f"\nedge {eid}: expected {old:.1f} -> true {real[eid]:.1f}")
     for rank, path in enumerate(pset, start=1):

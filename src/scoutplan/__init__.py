@@ -11,7 +11,6 @@ from .core import (
     INF,
     EdgeRecord,
     InstanceError,
-    KnowledgeState,
     NoPathError,
     Path,
     PlanningCostView,
@@ -57,7 +56,6 @@ __all__ = [
     "EdgeRecord",
     "Event",
     "InstanceError",
-    "KnowledgeState",
     "NoPathError",
     "PaaContext",
     "Path",

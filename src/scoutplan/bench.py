@@ -22,10 +22,12 @@ from .core import (
     EdgeRecord,
     INF,
     InstanceError,
+    PlanningCostView,
     ProblemInstance,
     Realization,
     UniformCost,
     check_at_least,
+    check_positive,
     dijkstra,
     load_instance,
     sample_realization,
@@ -47,6 +49,8 @@ class GridSpec:
         check_at_least("rows", self.rows, 2)
         check_at_least("cols", self.cols, 2)
         check_at_least("n_impeded_cuts", self.n_impeded_cuts, 0)
+        check_positive("spacing", self.spacing)
+        check_positive("uav_speed", self.uav_speed)
         if self.cut_style not in ("partial", "full"):
             raise ValueError(f"cut_style must be 'partial' or 'full', got {self.cut_style!r}")
 
@@ -70,6 +74,7 @@ class BridgeSpec:
         if not self.impeded_per_path > 0:
             raise ValueError(f"impeded_per_path must be > 0, got {self.impeded_per_path!r}")
         check_fraction("bridge_fraction", self.bridge_fraction)
+        check_positive("uav_speed", self.uav_speed)
 
 
 def check_fraction(name: str, value: float) -> None:
@@ -296,12 +301,7 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
     )
 
     if spec.adversarial:
-        exp_cost = lambda eid: (
-            inst.edges[eid].distribution.expected()
-            if inst.edges[eid].impeded
-            else inst.edges[eid].ugv_cost
-        )
-        _, parent, _ = dijkstra(inst.ugv_adj, p, exp_cost)
+        _, parent, _ = dijkstra(inst.ugv_adj, p, PlanningCostView(inst).costs)
         on_path: set[int] = set()
         v = d
         while v != p:
@@ -362,7 +362,7 @@ def import_road_network(
     """
     base = load_instance(path)
     rng = random.Random(f"roadimport:{seed}")
-    lengths = {}
+    lengths = [INF] * len(base.edges)
     ugv_ids = sorted(base.ugv_edge_ids)
     for eid in ugv_ids:
         rec = base.edges[eid]
@@ -377,7 +377,7 @@ def import_road_network(
                 EdgeRecord(rec.id, rec.u, rec.v, None, length / uav_speed,
                            UniformCost(length, 10.0 * length))
             )
-        elif rec.id in lengths:
+        elif rec.id in base.ugv_edge_ids:
             length = lengths[rec.id]
             edges.append(EdgeRecord(rec.id, rec.u, rec.v, length, length / uav_speed))
         else:
@@ -387,10 +387,9 @@ def import_road_network(
         base.vertices, edges, p=0, q=0, d=len(base.vertices) - 1,
         uav_speed=uav_speed, uav_free_flight=True,
     )
-    length_of = lambda eid: lengths.get(eid, INF)
     best = (0.0, 0, 0)
     for src in range(probe.n_vertices):
-        dist, _, _ = dijkstra(probe.ugv_adj, src, length_of)
+        dist, _, _ = dijkstra(probe.ugv_adj, src, lengths)
         far = max(range(probe.n_vertices), key=lambda v: (dist[v] < INF, dist[v]))
         if dist[far] > best[0]:
             best = (dist[far], src, far)

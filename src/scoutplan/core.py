@@ -14,7 +14,7 @@ import heapq
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 INF = float("inf")
 
@@ -29,6 +29,11 @@ def _positive_finite(x: float) -> bool:
 def check_at_least(name: str, value: int, least: int) -> None:
     if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(name: str, value: float) -> None:
+    if not _positive_finite(value):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class InstanceError(ValueError):
@@ -250,51 +255,38 @@ def sample_realization(inst: ProblemInstance, rng: random.Random) -> Realization
     )
 
 
-@dataclass
-class KnowledgeState:
-    """True costs revealed so far; grows monotonically during a run."""
+class PlanningCostView:
+    """What is known so far, and the planning cost it gives every edge.
 
-    realized: dict[int, float] = field(default_factory=dict)
+    ``realized`` holds the true costs revealed so far; it only grows.
+    ``costs`` is indexed by edge id: the fixed cost of a fixed UGV edge, the
+    realized cost of a revealed impeded edge, the expected cost of any other
+    impeded edge, and INF for an aerial-only edge.  Searches index it
+    directly; ``reveal`` keeps the two in step.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        self.realized: dict[int, float] = {}
+        self.costs: list[float] = [
+            INF if e.id not in inst.ugv_edge_ids
+            else e.distribution.expected() if e.impeded
+            else e.ugv_cost
+            for e in inst.edges
+        ]
 
     def reveal(self, eid: int, cost: float) -> None:
         self.realized[eid] = cost
+        self.costs[eid] = cost
 
     def knows(self, eid: int) -> bool:
         return eid in self.realized
 
-
-class PlanningCostView:
-    """Per-edge planning cost: fixed, realized, or expected."""
-
-    def __init__(self, inst: ProblemInstance, knowledge: KnowledgeState):
-        self.knowledge = knowledge
-        self._static: list[float | None] = []
-        self._expected: list[float] = []
-        for e in inst.edges:
-            if e.id not in inst.ugv_edge_ids:
-                self._static.append(None)
-                self._expected.append(INF)
-            elif e.impeded:
-                self._static.append(None)
-                self._expected.append(e.distribution.expected())
-            else:
-                self._static.append(e.ugv_cost)
-                self._expected.append(e.ugv_cost)
-
-    def cost(self, eid: int) -> float:
-        s = self._static[eid]
-        if s is not None:
-            return s
-        r = self.knowledge.realized.get(eid)
-        if r is not None:
-            return r
-        return self._expected[eid]
-
     def path_cost(self, edges: tuple[int, ...]) -> float:
-        """Left-to-right sum of view costs along a path's edge ids."""
+        """Left-to-right sum of the planning costs along a path's edge ids."""
+        costs = self.costs
         total = 0.0
         for eid in edges:
-            total += self.cost(eid)
+            total += costs[eid]
         return total
 
 
@@ -306,13 +298,13 @@ class UavMetric:
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
+        self._uav_costs = [e.uav_cost for e in inst.edges]
         self._cache: dict[int, tuple[list[float], list[int], int]] = {}
 
     def _sssp(self, src: int) -> tuple[list[float], list[int], int]:
         hit = self._cache.get(src)
         if hit is None:
-            edges = self.inst.edges
-            hit = dijkstra(self.inst.uav_adj, src, lambda eid: edges[eid].uav_cost)
+            hit = dijkstra(self.inst.uav_adj, src, self._uav_costs)
             self._cache[src] = hit
         return hit
 
@@ -351,17 +343,18 @@ def _no_heuristic(v: int, target: int) -> float:
 def dijkstra(
     adj: list[list[tuple[int, int]]],
     source: int,
-    cost_of_edge,
+    cost: list[float],
     target: int | None = None,
     heuristic=_no_heuristic,
 ) -> tuple[list[float], list[int], int]:
     """Shortest paths from source over an adjacency list of
     (neighbor, edge id) pairs.
 
-    cost_of_edge maps an edge id to its cost; infinite costs hide edges.
-    Returns (distance, parent, settled): parent holds the id of the edge by
-    which each vertex was reached (-1 for the source and unreached
-    vertices), and settled counts the vertices expanded.
+    cost is a list of edge costs indexed by edge id, such as
+    ``PlanningCostView.costs``; infinite costs hide edges.  Returns
+    (distance, parent, settled): parent holds the id of the edge by which
+    each vertex was reached (-1 for the source and unreached vertices), and
+    settled counts the vertices expanded.
 
     Without a target every reachable vertex is settled.  With one, the
     search is A*: the heap is ordered by distance + heuristic(v, target),
@@ -390,7 +383,7 @@ def dijkstra(
             break
         settled += 1
         for w, eid in adj[v]:
-            alt = dv + cost_of_edge(eid)
+            alt = dv + cost[eid]
             if alt < dist[w]:
                 dist[w] = alt
                 parent[w] = eid
@@ -399,14 +392,14 @@ def dijkstra(
 
 
 def descend(
-    adj: list[list[tuple[int, int]]], dist: list[float], cost_of_edge, source: int, dest: int
+    adj: list[list[tuple[int, int]]], dist: list[float], cost: list[float], source: int, dest: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Greedy descent from source to dest: step to the neighbor minimizing
     edge cost + dist, lowest vertex id on ties.
 
-    dist holds distances to dest.  Returns the vertex sequence and the ids
-    of the edges taken, or None when dest is unreachable or the walk
-    exceeds the vertex count.
+    dist holds distances to dest and cost the edge costs by edge id.
+    Returns the vertex sequence and the ids of the edges taken, or None when
+    dest is unreachable or the walk exceeds the vertex count.
     """
     v = source
     vertices = [v]
@@ -415,7 +408,7 @@ def descend(
         best = INF
         nxt = taken = -1
         for s, eid in adj[v]:
-            cand = cost_of_edge(eid) + dist[s]
+            cand = cost[eid] + dist[s]
             if cand < best or (cand == best and s < nxt):
                 best = cand
                 nxt = s

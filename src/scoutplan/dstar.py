@@ -146,13 +146,13 @@ def update_vertex(state: DStarState, v: int) -> None:
         state.queue.remove(v)
 
 
-def lookahead(state: DStarState, cost, v: int) -> float:
+def lookahead(state: DStarState, cost: list[float], v: int) -> float:
     """rhs by definition: the minimum over v's neighbors w of the edge cost
-    plus g(w)."""
+    (``cost`` is indexed by edge id) plus g(w)."""
     g = state.g
     best = INF
     for w, eid in state.inst.ugv_adj[v]:
-        cand = cost(eid) + g[w]
+        cand = cost[eid] + g[w]
         if cand < best:
             best = cand
     return best
@@ -169,7 +169,7 @@ def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
     rec = state.inst.edges[eid]
     for v in (rec.u, rec.v):
         if v != state.dest:
-            state.rhs[v] = lookahead(state, view.cost, v)
+            state.rhs[v] = lookahead(state, view.costs, v)
     update_vertex(state, rec.u)
     update_vertex(state, rec.v)
 
@@ -188,7 +188,7 @@ def compute_shortest_path(
     adj = inst.ugv_adj
     h = inst.heuristic
     dest = state.dest
-    cost = view.cost
+    cost = view.costs
     k_m = state.k_m
 
     while True:
@@ -213,7 +213,7 @@ def compute_shortest_path(
             state.expansions += 1
             for s, eid in adj[v]:
                 if s != dest:
-                    cand = cost(eid) + gv
+                    cand = cost[eid] + gv
                     if cand < rhs[s]:
                         rhs[s] = cand
                 update_vertex(state, s)
@@ -223,7 +223,7 @@ def compute_shortest_path(
             g[v] = INF
             state.expansions += 1
             for s, eid in adj[v]:
-                if rhs[s] == cost(eid) + g_old and s != dest:
+                if rhs[s] == cost[eid] + g_old and s != dest:
                     rhs[s] = lookahead(state, cost, s)
                 update_vertex(state, s)
             update_vertex(state, v)
@@ -235,7 +235,7 @@ def extract_path(state: DStarState, view: PlanningCostView) -> Path:
     dest = state.dest
     if state.rhs[v] == INF:
         raise NoPathError(f"no path from {v} to {dest}")
-    walk = descend(state.inst.ugv_adj, state.g, view.cost, v, dest)
+    walk = descend(state.inst.ugv_adj, state.g, view.costs, v, dest)
     if walk is None:
         raise NoPathError(f"no path from {v} to {dest}")
     vertices, edges = walk

@@ -4,8 +4,9 @@ Yen's loopless-paths scheme on top of the incremental planner: the best
 path is repaired in place after each batch of cost updates.  Every spur
 search is an A* search from the destination towards the spur vertex that
 stops once the spur's shortest paths are settled, with the suppressed
-edges priced at infinity, so the shared state never sees them.  Lawler's
-rule spurs each path only from the vertex where it left its parent path.
+edges priced at infinity in its own copy of the edge costs, so the shared
+view never sees them.  Lawler's rule spurs each path only from the vertex
+where it left its parent path.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ def spur_search(
     inst: ProblemInstance, view: PlanningCostView, hidden: set[int], spur: int, dest: int
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, int]:
     """Shortest spur path from ``spur`` to ``dest`` with ``hidden`` edges
-    priced at infinity, as its vertices and edge ids (None when none is
-    left), and the number of vertices the search settled.
+    priced at infinity in a copy of the view's costs, as its vertices and
+    edge ids (None when none is left), and the number of vertices the search
+    settled.
 
     A spur vertex whose every edge is hidden gives (None, 0) without a
     search.  Otherwise an A* search runs from the destination with the
@@ -84,13 +86,11 @@ def spur_search(
     adj = inst.ugv_adj
     if spur != dest and all(eid in hidden for _, eid in adj[spur]):
         return None, 0
-    cost = view.cost
-
-    def cost_of_edge(eid: int) -> float:
-        return INF if eid in hidden else cost(eid)
-
-    dist, _, settled = dijkstra(adj, dest, cost_of_edge, spur, inst.heuristic)
-    return descend(adj, dist, cost_of_edge, spur, dest), settled
+    cost = view.costs.copy()
+    for eid in hidden:
+        cost[eid] = INF
+    dist, _, settled = dijkstra(adj, dest, cost, spur, inst.heuristic)
+    return descend(adj, dist, cost, spur, dest), settled
 
 
 def candidate_admission(

@@ -68,7 +68,7 @@ def score_edges(critical: list[CriticalEdge], ctx: PaaContext) -> list[EdgePrior
         return []
     inst = ctx.inst
     k = ctx.k
-    cost = ctx.view.cost
+    cost = ctx.view.costs
 
     counts = {ce.edge: 0 for ce in critical}
     lam = {ce.edge: INF for ce in critical}
@@ -76,7 +76,7 @@ def score_edges(critical: list[CriticalEdge], ctx: PaaContext) -> list[EdgePrior
     for rank, path in enumerate(paths):
         arrival = [0.0]  # expected arrival at each vertex of the path
         for eid in path.edges:
-            arrival.append(arrival[-1] + cost(eid))
+            arrival.append(arrival[-1] + cost[eid])
         shared = 0  # edges this path shares with the best one
         if rank:
             for a, b in zip(path.edges, paths[0].edges):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INF, KnowledgeState, ProblemInstance, UavMetric
+from .core import INF, PlanningCostView, ProblemInstance, UavMetric
 from .kspp import PathSet
 
 
@@ -26,7 +26,7 @@ class CriticalEdge:
 
 def extract_critical_edges(
     path_set: PathSet,
-    knowledge: KnowledgeState,
+    view: PlanningCostView,
     inst: ProblemInstance,
     start_time: float = 0.0,
     exclude: tuple[int, ...] = (),
@@ -40,28 +40,29 @@ def extract_critical_edges(
     deadlines to absolute simulation time.
     """
     excluded = set(exclude)
-    found: dict[int, float] = {}
+    realized = view.realized
     impeded = inst.impeded_ids
     edges = inst.edges
-    first = True
-    for path in path_set:
+
+    def target(eid: int) -> bool:
+        return eid in impeded and eid not in realized and eid not in excluded
+
+    found: dict[int, float] = {}
+    paths = path_set.paths
+    if paths:
         arrival = start_time
-        for eid in path.edges:
+        for eid in paths[0].edges:
+            if target(eid):
+                found.setdefault(eid, arrival)
             rec = edges[eid]
-            if eid in impeded and not knowledge.knows(eid) and eid not in excluded:
-                if first:
-                    prior = found.get(eid, INF)
-                    if arrival < prior:
-                        found[eid] = arrival
-                elif eid not in found:
-                    found[eid] = INF
             if rec.impeded:
-                known = knowledge.realized.get(eid)
-                step = known if known is not None else rec.distribution.t_min
+                arrival += realized.get(eid, rec.distribution.t_min)
             else:
-                step = rec.ugv_cost
-            arrival += step
-        first = False
+                arrival += rec.ugv_cost
+    for path in paths[1:]:
+        for eid in path.edges:
+            if target(eid):
+                found.setdefault(eid, INF)
     return [CriticalEdge(e, found[e]) for e in sorted(found)]
 
 

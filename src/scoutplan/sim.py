@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from . import dstar, kspp, paa, rpp
 from .core import (
     INF,
-    KnowledgeState,
     NoPathError,
     PlanningCostView,
     ProblemInstance,
@@ -109,13 +108,10 @@ class SimulationOutcome:
 
 def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
     """Perfect-information shortest arrival: every hidden cost known upfront."""
-    edges = inst.edges
-
-    def cost(eid: int) -> float:
-        rec = edges[eid]
-        return realization[eid] if rec.impeded else rec.ugv_cost
-
-    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, cost, inst.d, inst.heuristic)
+    view = PlanningCostView(inst)
+    for eid in inst.impeded_ids:
+        view.reveal(eid, realization[eid])
+    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, view.costs, inst.d, inst.heuristic)
     if dist[inst.d] == INF:
         raise NoPathError("destination unreachable")
     return dist[inst.d]
@@ -205,8 +201,7 @@ class _Engine:
         self.real = realization
         self.cfg = cfg
         self.k_eff = 1 if cfg.planner == "naive" else cfg.k
-        self.knowledge = KnowledgeState()
-        self.view = PlanningCostView(inst, self.knowledge)
+        self.view = PlanningCostView(inst)
         self.metric = UavMetric(inst)
         self.dstate = dstar.initialize(inst, inst.p, inst.d)
         self.events: list[Event] = []
@@ -252,10 +247,10 @@ class _Engine:
         origin_time = self.now if self.uav_leg is None else self.uav_arrival
         t0 = _time.perf_counter()
         exclude: tuple[int, ...] = ()
-        if self.ugv_edge in self.inst.impeded_ids and not self.knowledge.knows(self.ugv_edge):
+        if self.ugv_edge in self.inst.impeded_ids and not self.view.knows(self.ugv_edge):
             exclude = (self.ugv_edge,)
         critical = rpp.extract_critical_edges(
-            self.pset, self.knowledge, self.inst,
+            self.pset, self.view, self.inst,
             start_time=self.plan_origin_time, exclude=exclude,
         )
         plan = PLANNERS[self.cfg.planner]
@@ -270,7 +265,7 @@ class _Engine:
         del self.route[0]
         self.ugv_edge = eid
         self.ugv_arrival = self.now + (self.real[eid] if rec.impeded else rec.ugv_cost)
-        if rec.impeded and not self.knowledge.knows(eid):
+        if rec.impeded and not self.view.knows(eid):
             self._cancel_uav_if_targeting(eid)
 
     def _cancel_uav_if_targeting(self, eid: int) -> None:
@@ -298,14 +293,14 @@ class _Engine:
         if by == "uav" and self.ugv_edge == eid:
             self.late += 1
         self._log("reveal", (eid, true, by))
-        self.knowledge.reveal(eid, true)
+        self.view.reveal(eid, true)
         self._replan_both(f"reveal:{eid}", [eid])
 
     def _process_uav_arrival(self) -> None:
         leg = self.uav_leg
         self.now = self.uav_arrival
         self.uav_leg = None
-        if leg.inspect and not self.knowledge.knows(leg.edge):
+        if leg.inspect and not self.view.knows(leg.edge):
             self._reveal(leg.edge, "uav")
         self._log("uav_arrives", (leg.to,))
         self._uav_depart_if_idle()
@@ -314,7 +309,7 @@ class _Engine:
         self.now = self.ugv_arrival
         v = self.route[0]
         eid = self.ugv_edge
-        if eid in self.inst.impeded_ids and not self.knowledge.knows(eid):
+        if eid in self.inst.impeded_ids and not self.view.knows(eid):
             self._reveal(eid, "ugv")
         self._log("ugv_arrives", (v,))
         if v == self.inst.d:

@@ -5,8 +5,6 @@ import pytest
 
 from scoutplan.core import (
     EdgeRecord,
-    KnowledgeState,
-    PlanningCostView,
     ProblemInstance,
     Realization,
     UniformCost,
@@ -46,23 +44,6 @@ def edge_between(inst, a, b):
 def edge_walk(inst, vertices):
     """Edge ids along a vertex sequence, looked up by their endpoints."""
     return tuple(edge_between(inst, a, b) for a, b in zip(vertices, vertices[1:]))
-
-
-def fresh_view(inst):
-    return PlanningCostView(inst, KnowledgeState())
-
-
-class ForcedCostView(PlanningCostView):
-    """Cost view whose edges in ``forced`` (edge id -> cost) take the forced
-    cost, for tests that change the cost of a fixed edge."""
-
-    def __init__(self, inst):
-        super().__init__(inst, KnowledgeState())
-        self.forced: dict[int, float] = {}
-
-    def cost(self, eid):
-        c = self.forced.get(eid)
-        return super().cost(eid) if c is None else c
 
 
 def line_instance(costs=(2.0, 3.0)):

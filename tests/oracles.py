@@ -17,7 +17,7 @@ INF = float("inf")
 
 def view_costs(inst, view):
     """Edge-id -> cost mapping for the UGV edges under a view."""
-    return {eid: view.cost(eid) for eid in inst.ugv_edge_ids}
+    return {eid: view.costs[eid] for eid in inst.ugv_edge_ids}
 
 
 def dijkstra_to_dest(inst, costs, dest, blocked_vertices=frozenset()):
@@ -228,7 +228,7 @@ def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
     def prefix_cost(vs, upto):
         total = 0.0
         for a, b in zip(vs[:upto], vs[1 : upto + 1]):
-            total += view.cost(edge_between(inst, a, b))
+            total += view.costs[edge_between(inst, a, b)]
         return total
 
     lam = {}

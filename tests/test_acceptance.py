@@ -12,11 +12,10 @@ import time
 import pytest
 
 import oracles
-from conftest import ForcedCostView, edge_walk, fresh_view, random_connected_instance
+from conftest import edge_walk, random_connected_instance
 from scoutplan import bench, dstar, kspp, paa, rpp, sim
 from scoutplan.core import (
     INF,
-    KnowledgeState,
     PlanningCostView,
     Realization,
     UavMetric,
@@ -45,7 +44,7 @@ class TestCriterion1DStarOracle:
             inst, real = bench.generate_grid(
                 bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=10), seed=trial
             )
-            view = ForcedCostView(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             v_curr = inst.p
             path = dstar.replan(state, view, v_curr, [])
@@ -57,13 +56,13 @@ class TestCriterion1DStarOracle:
                 for _ in range(rng.randint(1, 2)):
                     if unrevealed and rng.random() < 0.7:
                         eid = unrevealed.pop()
-                        view.knowledge.reveal(eid, real[eid])
+                        view.reveal(eid, real[eid])
                         updates.append(eid)
                     else:
                         eid = rng.choice(fixed)
-                        old = view.cost(eid)
+                        old = view.costs[eid]
                         new = old * rng.uniform(1.0, 3.0) + rng.uniform(0.0, 5.0)
-                        view.forced[eid] = new
+                        view.costs[eid] = new
                         updates.append(eid)
                 if len(path.vertices) > 2 and rng.random() < 0.8:
                     v_curr = path.vertices[rng.randint(1, len(path.vertices) - 2)]
@@ -85,7 +84,7 @@ class TestCriterion2KsppOracle:
         rng = random.Random("acceptance-2a")
         for trial in range(200):
             inst = random_connected_instance(rng, n_min=5, n_max=12)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
@@ -100,7 +99,7 @@ class TestCriterion2KsppOracle:
         rng = random.Random("acceptance-2b")
         for trial in range(50):
             inst = random_connected_instance(rng, n_min=60, n_max=200)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
@@ -301,13 +300,13 @@ class TestCriterion8PropertySuite:
         rng = random.Random("acceptance-8d")
         for _ in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=14)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             assert state.queue_consistent()
             dstar.replan(state, view, inst.p, [])
             assert state.queue_consistent()
             for eid in sorted(inst.impeded_ids):
-                view.knowledge.reveal(eid, inst.edges[eid].distribution.t_max)
+                view.reveal(eid, inst.edges[eid].distribution.t_max)
                 dstar.rhs_update(state, view, eid)
                 assert state.queue_consistent()
                 dstar.compute_shortest_path(state, view, inst.p)
@@ -319,10 +318,10 @@ class TestCriterion8PropertySuite:
         checked = 0
         while checked < 100:
             inst = random_connected_instance(rng, n_min=6, n_max=14, impeded_frac=0.5)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
-            crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
+            crit = rpp.extract_critical_edges(pset, view, inst)
             if not crit:
                 continue
             ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 3, UavMetric(inst))

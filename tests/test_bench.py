@@ -64,11 +64,7 @@ class TestBridgeGenerator:
         hit = 0
         for seed in range(8):
             inst, real = bench.generate_bridge(bench.BridgeSpec(adversarial=True), seed=seed)
-            exp = lambda eid: (
-                inst.edges[eid].distribution.expected()
-                if inst.edges[eid].impeded
-                else inst.edges[eid].ugv_cost
-            )
+            exp = [e.distribution.expected() if e.impeded else e.ugv_cost for e in inst.edges]
             _, parent, _ = dijkstra(inst.ugv_adj, inst.p, exp)
             on_path = set()
             v = inst.d
@@ -149,11 +145,7 @@ class TestRoadImport:
         out = bench.import_road_network(path, impeded_fraction=0.3, seed=3)
         from scoutplan.core import dijkstra
 
-        length = lambda eid: (
-            out.edges[eid].ugv_cost
-            if out.edges[eid].ugv_cost is not None
-            else out.edges[eid].distribution.t_min
-        )
+        length = [e.distribution.t_min if e.impeded else e.ugv_cost for e in out.edges]
         best = 0.0
         for src in range(out.n_vertices):
             dist, _, _ = dijkstra(out.ugv_adj, src, length)

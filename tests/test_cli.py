@@ -54,6 +54,12 @@ class TestGenerate:
             ("road", {"impeded_fraction": -0.5}),
             ("grid", {"count": 0}),
             ("bridge", {"count": -2}),
+            ("grid", {"uav_speed": 0}),
+            ("bridge", {"uav_speed": 0}),
+            ("grid", {"uav_speed": -2.0}),
+            ("bridge", {"uav_speed": "fast"}),
+            ("grid", {"spacing": 0}),
+            ("grid", {"spacing": -10.0}),
         ]
         for i, (family, data) in enumerate(cases):
             spec = tmp_path / f"spec{i}.json"
@@ -62,7 +68,7 @@ class TestGenerate:
             rc = run_cli("generate", "--family", family, "--spec", str(spec),
                          "--seed", "1", "--out", str(out))
             assert rc == DATA_ERROR, (family, data)
-            assert not (out / "instance_000.txt").exists()
+            assert not out.exists(), (family, data)
 
     def test_scaling_size(self, tmp_path):
         spec = tmp_path / "spec.json"

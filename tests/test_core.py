@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scoutplan
-from conftest import build_instance, fresh_view, line_instance, random_connected_instance
+from conftest import build_instance, line_instance, random_connected_instance
 from scoutplan import bench
 from scoutplan.core import (
+    INF,
     EdgeRecord,
     InstanceError,
-    KnowledgeState,
     NoPathError,
     PlanningCostView,
     ProblemInstance,
@@ -46,20 +46,32 @@ class TestPlanningCost:
     def make(self):
         coords = [(0.0, 0.0), (10.0, 0.0), (13.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 10.0), (1, 2, (4.0, 20.0))])
-        return inst, fresh_view(inst)
+        return inst, PlanningCostView(inst)
 
     def test_unimpeded_pass_through(self):
         inst, view = self.make()
-        assert view.cost(0) == 10.0
+        assert view.costs[0] == 10.0
 
     def test_unrealized_uses_expected(self):
         inst, view = self.make()
-        assert view.cost(1) == 12.0
+        assert view.costs[1] == 12.0
+        assert not view.knows(1)
 
     def test_realized_uses_true_cost(self):
         inst, view = self.make()
-        view.knowledge.reveal(1, 18.0)
-        assert view.cost(1) == 18.0
+        view.reveal(1, 18.0)
+        assert view.costs[1] == 18.0
+        assert view.knows(1) and view.realized == {1: 18.0}
+
+    def test_aerial_only_edge_reads_inf(self):
+        coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        edges = [
+            EdgeRecord(0, 0, 1, 1.0, 0.5),
+            EdgeRecord(1, 1, 2, 1.0, 0.5),
+            EdgeRecord(2, 0, 2, None, 1.0),  # aerial only
+        ]
+        inst = ProblemInstance(coords, edges, 0, 0, 2)
+        assert PlanningCostView(inst).costs == [1.0, 1.0, INF]
 
     def test_non_ugv_edge_rejected(self):
         coords = [(0.0, 0.0), (1.0, 0.0)]
@@ -72,17 +84,15 @@ class TestPlanningCost:
 
     def test_realizing_one_edge_changes_only_that_edge(self, rng):
         inst = random_connected_instance(rng)
-        view = fresh_view(inst)
-        before = {eid: view.cost(eid) for eid in inst.ugv_edge_ids}
+        view = PlanningCostView(inst)
+        before = view.costs.copy()
         target = min(inst.impeded_ids, default=None)
         if target is None:
             return
-        view.knowledge.reveal(target, inst.edges[target].distribution.t_max)
-        for eid in inst.ugv_edge_ids:
-            if eid == target:
-                assert view.cost(eid) == inst.edges[target].distribution.t_max
-            else:
-                assert view.cost(eid) == before[eid]
+        view.reveal(target, inst.edges[target].distribution.t_max)
+        changed = [eid for eid, (a, b) in enumerate(zip(before, view.costs)) if a != b]
+        assert changed == [target]
+        assert view.costs[target] == inst.edges[target].distribution.t_max
 
 
 class TestHeuristic:
@@ -97,14 +107,14 @@ class TestHeuristic:
 
     def test_consistency_on_grid(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=6, cols=8), seed=3)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         rng = random.Random(0)
         for _ in range(1000):
             b = rng.randrange(inst.n_vertices)
             a = rng.randrange(inst.n_vertices)
             nbrs = inst.ugv_adj[b]
             c, eid = nbrs[rng.randrange(len(nbrs))]
-            assert inst.heuristic(a, c) <= inst.heuristic(a, b) + view.cost(eid) + 1e-9
+            assert inst.heuristic(a, c) <= inst.heuristic(a, b) + view.costs[eid] + 1e-9
 
     def test_inadmissible_instance_warns_and_zeroes(self):
         coords = [(0.0, 0.0), (10.0, 0.0)]

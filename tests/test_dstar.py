@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
-    ForcedCostView,
     edge_between,
-    fresh_view,
     line_instance,
     random_connected_instance,
 )
 from scoutplan import bench, dstar
-from scoutplan.core import INF, NoPathError
+from scoutplan.core import INF, NoPathError, PlanningCostView
 from scoutplan.dstar import AddressableHeap
 
 
@@ -78,7 +76,7 @@ class TestAddressableHeap:
 class TestInitialize:
     def test_postconditions(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=5), seed=2)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         assert state.rhs[inst.d] == 0.0
         assert state.g[inst.d] == INF
@@ -89,7 +87,7 @@ class TestInitialize:
 
     def test_start_equals_dest(self):
         inst = line_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 2, 2)
         path = dstar.replan(state, view, 2, [])
         assert state.g[2] == 0.0
@@ -98,7 +96,7 @@ class TestInitialize:
 
     def test_grid_matches_dijkstra(self):
         inst, _ = bench.generate_grid(bench.GridSpec(), seed=4)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         path = dstar.replan(state, view, inst.p, [])
         costs = oracles.view_costs(inst, view)
@@ -110,19 +108,19 @@ class TestInitialize:
 class TestCalculateKey:
     def test_at_init(self):
         inst = line_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         assert dstar.calculate_key(state, 2) == (inst.heuristic(0, 2), 0.0)
 
     def test_all_infinite(self):
         inst = line_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         assert dstar.calculate_key(state, 1) == (INF, INF)
 
     def test_formula(self):
         inst = line_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         state.g[1] = 5.0
         state.rhs[1] = 7.0
@@ -135,7 +133,7 @@ class TestCalculateKey:
 class TestUpdateVertex:
     def setup_state(self):
         inst = line_instance((2.0, 3.0))
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         return inst, view, state
 
@@ -161,24 +159,24 @@ class TestUpdateVertex:
 class TestRhsUpdate:
     def test_decrease_far_from_finite_region_is_noop(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=3, cols=4), seed=1)
-        view = ForcedCostView(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         # No expansion yet: g is infinite everywhere, so a decrease cannot
         # create a finite lookahead.
         eid = 0
-        view.forced[eid] = 1.0
+        view.costs[eid] = 1.0
         before_rhs = state.rhs.copy()
         dstar.rhs_update(state, view, eid)
         assert state.rhs == before_rhs
 
     def test_increase_on_line_matches_oracle(self):
         inst = line_instance((1.0, 1.0))
-        view = ForcedCostView(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         assert state.g[0] == 2.0
         eid = edge_between(inst, 0, 1)
-        view.forced[eid] = 5.0
+        view.costs[eid] = 5.0
         path = dstar.replan(state, view, 0, [eid])
         assert state.rhs[0] == 6.0
         assert path.cost == 6.0
@@ -188,7 +186,7 @@ class TestRhsUpdate:
 
     def test_same_cost_update_keeps_state(self):
         inst = line_instance((1.0, 1.0))
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         g0, rhs0 = state.g.copy(), state.rhs.copy()
@@ -200,7 +198,7 @@ class TestRhsUpdate:
 class TestComputeShortestPath:
     def test_second_run_expands_nothing(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=5, cols=6), seed=9)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         dstar.replan(state, view, inst.p, [])
         before = state.expansions
@@ -210,23 +208,23 @@ class TestComputeShortestPath:
     def test_disconnected_reports_no_path(self):
         # Hide the only edges around the start to cut it off.
         inst = line_instance((1.0, 1.0))
-        view = ForcedCostView(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, 0, 2)
         dstar.replan(state, view, 0, [])
         eid = edge_between(inst, 0, 1)
-        view.forced[eid] = INF
+        view.costs[eid] = INF
         with pytest.raises(NoPathError):
             dstar.replan(state, view, 0, [eid])
 
     def test_queue_invariant_after_operations(self, rng):
         inst = random_connected_instance(rng, n_min=8, n_max=14)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         assert state.queue_consistent()
         dstar.replan(state, view, inst.p, [])
         assert state.queue_consistent()
         for eid in sorted(inst.impeded_ids):
-            view.knowledge.reveal(eid, inst.edges[eid].distribution.t_max)
+            view.reveal(eid, inst.edges[eid].distribution.t_max)
             dstar.rhs_update(state, view, eid)
             assert state.queue_consistent()
             dstar.compute_shortest_path(state, view, inst.p)
@@ -239,7 +237,7 @@ class TestReplanOracle:
         inst, real = bench.generate_grid(
             bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=6), seed=seed
         )
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
@@ -250,7 +248,7 @@ class TestReplanOracle:
             for _ in range(rng.randint(1, 2)):
                 if unrevealed:
                     eid = unrevealed.pop()
-                    view.knowledge.reveal(eid, real[eid])
+                    view.reveal(eid, real[eid])
                     updates.append(eid)
             if len(path.vertices) > 2:
                 v_curr = path.vertices[rng.randint(1, len(path.vertices) - 2)]
@@ -269,7 +267,7 @@ class TestReplanOracle:
 
     def test_km_monotone(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=6), seed=3)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         last = state.k_m
         path = dstar.replan(state, view, inst.p, [])
@@ -283,13 +281,13 @@ class TestReplanStateful:
     """Random cost-change batches and a moving start against Dijkstra."""
 
     def new_cost(self, inst, view, eid, kind, factor):
-        c = view.cost(eid)
+        c = view.costs[eid]
         if kind == "inf":
             return INF
         if kind == "same":
             return c
         if c == INF:
-            c = fresh_view(inst).cost(eid)
+            c = PlanningCostView(inst).costs[eid]
         if kind == "up":
             return c * (1.0 + 2.0 * factor)
         # Down, but never below the straight line, so the heuristic stays
@@ -303,7 +301,7 @@ class TestReplanStateful:
     def test_batches_and_moving_start_match_dijkstra(self, rng, data):
         inst = random_connected_instance(rng, n_min=5, n_max=12)
         edges = sorted(inst.ugv_edge_ids)
-        view = ForcedCostView(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
@@ -319,7 +317,7 @@ class TestReplanStateful:
             if batch and data.draw(st.booleans(), label="twice"):
                 batch.append(data.draw(change.map(lambda c: (batch[0][0],) + c[1:])))
             for eid, kind, factor in batch:
-                view.forced[eid] = self.new_cost(inst, view, eid, kind, factor)
+                view.costs[eid] = self.new_cost(inst, view, eid, kind, factor)
             if path is not None:  # stay, or step to the next vertex
                 v_curr = path.vertices[min(data.draw(st.integers(0, 1)), len(path.vertices) - 1)]
             changed = [eid for eid, _, _ in batch]

@@ -5,15 +5,13 @@ import pytest
 
 import oracles
 from conftest import (
-    ForcedCostView,
     build_instance,
     edge_between,
     edge_walk,
-    fresh_view,
     random_connected_instance,
 )
 from scoutplan import bench, dstar, kspp
-from scoutplan.core import INF, Path
+from scoutplan.core import INF, Path, PlanningCostView
 
 
 def diamond():
@@ -72,26 +70,26 @@ def plan(inst, view, k, updates=None, state=None, v_curr=None):
 class TestBasics:
     def test_diamond_two_paths(self):
         inst = diamond()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, _ = plan(inst, view, 2)
         assert [p.vertices for p in pset] == [(0, 1, 3), (0, 2, 3)]
         assert [p.cost for p in pset] == [2.0, 4.0]
 
     def test_k_exceeding_simple_paths(self):
         inst = diamond()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, _ = plan(inst, view, 10)
         assert len(pset) == 2
 
     def test_no_path_returns_empty_set(self):
         inst = diamond()
-        view = ForcedCostView(inst)
+        view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
         ups = []
         for a, b in ((0, 1), (0, 2)):
             eid = edge_between(inst, a, b)
             ups.append(eid)
-            view.forced[eid] = INF
+            view.costs[eid] = INF
         pset = kspp.update_k_paths(inst, view, state, inst.p, ups, 3)
         assert len(pset) == 0
         assert pset.best() is None
@@ -99,7 +97,7 @@ class TestBasics:
     def test_costs_sorted_and_paths_simple(self, rng):
         for _ in range(30):
             inst = random_connected_instance(rng)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             pset, _ = plan(inst, view, 4)
             costs = [p.cost for p in pset]
             assert costs == sorted(costs)
@@ -137,10 +135,10 @@ class TestSuppression:
 
     def test_restoration_is_exact(self, rng):
         inst = random_connected_instance(rng)
-        view = fresh_view(inst)
-        before = {eid: view.cost(eid) for eid in inst.ugv_edge_ids}
+        view = PlanningCostView(inst)
+        before = {eid: view.costs[eid] for eid in inst.ugv_edge_ids}
         plan(inst, view, 4)
-        after = {eid: view.cost(eid) for eid in inst.ugv_edge_ids}
+        after = {eid: view.costs[eid] for eid in inst.ugv_edge_ids}
         assert before == after
 
 
@@ -148,7 +146,9 @@ class TestSpurSearch:
     @staticmethod
     def check_roots(inst, view, rng, trials):
         """Spur paths from random roots equal the oracle's shortest path
-        with the same edges and root vertices blocked."""
+        with the same edges and root vertices blocked, and the hidden edges
+        never reach the view's shared cost list."""
+        shared = view.costs.copy()
         costs = oracles.view_costs(inst, view)
         best = oracles.shortest_path(inst, costs, inst.p, inst.d)
         for _ in range(trials):
@@ -163,16 +163,17 @@ class TestSpurSearch:
                 blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
             )
             assert got == (None if want is None else (want, edge_walk(inst, want)))
+            assert view.costs == shared
 
     def test_random_instances_match_oracle(self, rng):
         for _ in range(40):
             inst = random_connected_instance(rng, n_min=6, n_max=30)
-            self.check_roots(inst, fresh_view(inst), rng, 5)
+            self.check_roots(inst, PlanningCostView(inst), rng, 5)
 
     def test_largest_scaling_instance_matches_oracle(self, rng):
         inst, _ = bench.generate_scaling((40, 25), seed=0)
         assert inst.n_vertices == 1002
-        self.check_roots(inst, fresh_view(inst), rng, 4)
+        self.check_roots(inst, PlanningCostView(inst), rng, 4)
 
     def test_edges_as_long_as_the_straight_line_match_oracle(self, rng):
         # The heuristic is exact along every edge, so whole shortest paths
@@ -180,14 +181,14 @@ class TestSpurSearch:
         for _ in range(40):
             inst = straight_line_instance(rng, rng.randint(6, 20))
             assert inst.heuristic_admissible
-            self.check_roots(inst, fresh_view(inst), rng, 5)
+            self.check_roots(inst, PlanningCostView(inst), rng, 5)
 
     def test_zero_heuristic_matches_oracle(self, rng):
         for _ in range(20):
             with pytest.warns(UserWarning, match="straight line"):
                 inst = straight_line_instance(rng, rng.randint(6, 20), shrink_one=True)
             assert not inst.heuristic_admissible
-            self.check_roots(inst, fresh_view(inst), rng, 5)
+            self.check_roots(inst, PlanningCostView(inst), rng, 5)
 
     def test_tie_that_runs_straight_into_the_spur(self):
         # Two shortest routes from the destination 4 to the spur 0, both of
@@ -199,12 +200,12 @@ class TestSpurSearch:
         inst = build_instance(
             coords, [(4, 2, 4.0), (2, 0, 5.0), (4, 3, 5.0), (3, 1, 3.0), (1, 0, 1.0)], p=0, d=4
         )
-        path, _ = kspp.spur_search(inst, fresh_view(inst), set(), 0, inst.d)
+        path, _ = kspp.spur_search(inst, PlanningCostView(inst), set(), 0, inst.d)
         assert path == ((0, 1, 3, 4), edge_walk(inst, (0, 1, 3, 4)))
 
     def test_early_stop_settles_part_of_the_graph(self):
         inst, _ = bench.generate_scaling((40, 25), seed=0)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         best = oracles.shortest_path(inst, oracles.view_costs(inst, view), inst.p, inst.d)
         spur = best[-3]
         path, settled = kspp.spur_search(inst, view, set(), spur, inst.d)
@@ -213,13 +214,13 @@ class TestSpurSearch:
 
     def test_isolated_spur_is_not_searched(self):
         inst = diamond()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         hidden = {edge_between(inst, 0, 1), edge_between(inst, 0, 2)}
         assert kspp.spur_search(inst, view, hidden, 0, inst.d) == (None, 0)
 
     def test_unreachable_returns_none(self):
         inst = diamond()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         hidden = {edge_between(inst, 1, 3), edge_between(inst, 2, 3)}
         path, settled = kspp.spur_search(inst, view, hidden, 0, inst.d)
         assert path is None and settled == 1
@@ -247,7 +248,7 @@ class TestSharedStateIsolation:
     def test_rank2_leaves_shared_state_bit_identical(self, rng):
         for _ in range(10):
             inst = random_connected_instance(rng)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             kspp.update_k_paths(inst, view, state, inst.p, [], 1)
             g0, rhs0 = state.g.copy(), state.rhs.copy()
@@ -265,7 +266,7 @@ class TestOracleEquivalence:
     def test_small_graphs_match_enumeration_and_yen(self, rng):
         for trial in range(60):
             inst = random_connected_instance(rng, n_min=5, n_max=8)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             pset, _ = plan(inst, view, 4)
             costs = oracles.view_costs(inst, view)
             enumerated = oracles.all_simple_paths(inst, costs, inst.p, inst.d)
@@ -277,7 +278,7 @@ class TestOracleEquivalence:
     def test_integer_grids_match_yen_at_k7(self, rng):
         for _ in range(12):
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 7)
             v_curr = inst.p
@@ -287,7 +288,7 @@ class TestOracleEquivalence:
                 for p in pset:
                     assert p.edges == edge_walk(inst, p.vertices)
                     assert len(p.edges) == len(p.vertices) - 1
-                view.knowledge.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
+                view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
                 if len(pset.best().vertices) > 2:
                     v_curr = pset.best().vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 7)
@@ -301,7 +302,7 @@ class TestOracleEquivalence:
         lawler = yen = 0
         for _ in range(20):
             inst = integer_grid(rng, 4, 5)
-            pset, _ = plan(inst, fresh_view(inst), 7)
+            pset, _ = plan(inst, PlanningCostView(inst), 7)
             c = pset.spur
             assert c.searches > 0 and c.settled >= c.searches
             assert 0 <= c.nopath <= c.searches
@@ -312,19 +313,19 @@ class TestOracleEquivalence:
             yen += sum(len(p) - 1 for p in processed)
             assert c.searches + c.isolated <= sum(len(p) - 1 for p in processed)
         assert lawler < yen
-        pset, _ = plan(inst, fresh_view(inst), 1)
+        pset, _ = plan(inst, PlanningCostView(inst), 1)
         assert pset.spur == kspp.SpurCounts()
 
     def test_incremental_equals_from_scratch(self, rng):
         for trial in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=10)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             state = dstar.initialize(inst, inst.p, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids):
                 true = inst.edges[eid].distribution.sample(rng)
-                view.knowledge.reveal(eid, true)
+                view.reveal(eid, true)
                 best = pset.best()
                 if best is not None and len(best.vertices) > 1:
                     v_curr = best.vertices[1]

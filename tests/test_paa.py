@@ -4,16 +4,16 @@ import random
 import pytest
 
 import oracles
-from conftest import build_instance, edge_between, fresh_view, random_connected_instance
+from conftest import build_instance, edge_between, random_connected_instance
 from scoutplan import dstar, kspp, paa, rpp
-from scoutplan.core import UavMetric
+from scoutplan.core import PlanningCostView, UavMetric
 from scoutplan.paa import PaaContext, PriorityWeights
 
 
 def make_context(inst, view, k, uav_pos=None, weights=None):
     state = dstar.initialize(inst, inst.p, inst.d)
     pset = kspp.update_k_paths(inst, view, state, inst.p, [], k)
-    crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
+    crit = rpp.extract_critical_edges(pset, view, inst)
     ctx = PaaContext(
         inst,
         view,
@@ -56,7 +56,7 @@ class TestParameters:
 
     def test_p1_counts_paths(self):
         inst = self.three_path_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 3)
         e = crit[0].edge
         # Same three paths, but five requested: the share is over k.
@@ -67,13 +67,13 @@ class TestParameters:
     def test_p2_single_edge_degenerate(self):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 4.0), (1, 2, (2.0, 6.0))], p=0, d=2)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1)
         assert priorities(crit, ctx)[crit[0].edge].p2 == 1.0
 
     def test_p2_linear_interpolation(self):
         inst = self.three_path_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 3)
         oracle = oracles.paa_scores(inst, view, ctx.metric, pset, crit, ctx.uav_pos, 3, ctx.weights)
         p2 = {e: ep.p2 for e, ep in priorities(crit, ctx).items()}
@@ -89,7 +89,7 @@ class TestParameters:
             [(0, 1, 5.0), (1, 3, (5.0, 17.0)), (0, 2, 5.0), (2, 3, (5.0, 29.0))],
             p=0, d=3,
         )
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 2)
         scored = priorities(crit, ctx)
         assert scored[edge_between(inst, 1, 3)].p3 == pytest.approx(144.0 / 576.0)
@@ -102,7 +102,7 @@ class TestParameters:
             [(0, 1, 5.0), (1, 3, (5.0, 17.0)), (0, 2, 5.0), (2, 3, (6.0, 18.0))],
             p=0, d=3,
         )
-        view = fresh_view(same)
+        view = PlanningCostView(same)
         pset, crit, ctx = make_context(same, view, 2)
         assert len(crit) == 2
         for ep in priorities(crit, ctx).values():
@@ -111,14 +111,14 @@ class TestParameters:
     def test_p4_endpoint_and_degenerate(self):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 4.0), (1, 2, (2.0, 6.0))], p=0, q=1, d=2)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1, uav_pos=1)
         # Scout is at an endpoint of the only critical edge: d = d_max = 0.
         assert priorities(crit, ctx)[crit[0].edge].p4 == 1.0
 
     def test_p4_endpoints_of_range(self):
         inst = self.three_path_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 3, uav_pos=1)
         metric = UavMetric(inst)
         vals = {}
@@ -137,14 +137,14 @@ class TestSelection:
         from scoutplan import bench
 
         inst, _ = bench.demo_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1)
         assert paa.select_edge([], ctx) is None
 
     def test_single_edge_selected_regardless_of_weights(self):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 4.0), (1, 2, (2.0, 6.0))], p=0, d=2)
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         for w in (PriorityWeights(), PriorityWeights(1, 0, 0, 0), PriorityWeights(0, 0, 0, 9)):
             pset, crit, ctx = make_context(inst, view, 1, weights=w)
             assert paa.select_edge(crit, ctx) == crit[0].edge
@@ -153,7 +153,7 @@ class TestSelection:
         checked = 0
         while checked < 40:
             inst = random_connected_instance(rng, n_min=8, n_max=14, impeded_frac=0.5)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             pset, crit, ctx = make_context(inst, view, 3, uav_pos=inst.q)
             if len(crit) < 2:
                 continue
@@ -175,7 +175,7 @@ class TestSelection:
         checked = 0
         while checked < 10:
             inst = random_connected_instance(rng, n_min=8, n_max=12, impeded_frac=0.5)
-            view = fresh_view(inst)
+            view = PlanningCostView(inst)
             pset, crit, ctx = make_context(inst, view, 3)
             if len(crit) < 2:
                 continue
@@ -198,7 +198,7 @@ class TestSelection:
             [(0, 1, (5.0, 17.0)), (1, 3, 5.0), (0, 2, (5.0, 17.0)), (2, 3, 5.0)],
             p=0, q=0, d=3,
         )
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 2)
         scored = paa.score_edges(crit, ctx)
         assert scored[0].score == pytest.approx(scored[1].score)

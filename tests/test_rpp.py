@@ -3,9 +3,9 @@ import random
 import pytest
 
 import oracles
-from conftest import build_instance, edge_between, fresh_view, random_connected_instance
+from conftest import build_instance, edge_between, random_connected_instance
 from scoutplan import bench, dstar, kspp, rpp
-from scoutplan.core import INF, UavMetric
+from scoutplan.core import INF, PlanningCostView, UavMetric
 from scoutplan.rpp import CriticalEdge
 
 
@@ -18,17 +18,17 @@ class TestExtractCriticalEdges:
     def test_no_impeded_edges_gives_empty_list(self):
         coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 1.0), (1, 2, 1.0)])
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 2)
-        assert rpp.extract_critical_edges(pset, view.knowledge, inst) == []
+        assert rpp.extract_critical_edges(pset, view, inst) == []
 
     def test_window_is_prefix_sum(self):
         # p -a- b -d with the impeded edge in the middle; prefix cost 7.
         coords = [(0.0, 0.0), (7.0, 0.0), (9.0, 0.0), (12.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 7.0), (1, 2, (2.0, 10.0)), (2, 3, 3.0)])
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 1)
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
+        crit = rpp.extract_critical_edges(pset, view, inst)
         assert len(crit) == 1
         assert crit[0].edge == edge_between(inst, 1, 2)
         assert crit[0].t_max == 7.0
@@ -36,9 +36,9 @@ class TestExtractCriticalEdges:
     def test_start_time_shifts_windows(self):
         coords = [(0.0, 0.0), (7.0, 0.0), (9.0, 0.0), (12.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 7.0), (1, 2, (2.0, 10.0)), (2, 3, 3.0)])
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 1)
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, start_time=5.0)
+        crit = rpp.extract_critical_edges(pset, view, inst, start_time=5.0)
         assert crit[0].t_max == 12.0
 
     def test_prefix_uses_minimum_cost_for_unrealized(self):
@@ -46,27 +46,27 @@ class TestExtractCriticalEdges:
         inst = build_instance(
             coords, [(0, 1, (4.0, 10.0)), (1, 2, (2.0, 8.0)), (2, 3, 2.0)]
         )
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 1)
-        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view.knowledge, inst)}
+        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view, inst)}
         assert crit[edge_between(inst, 1, 2)].t_max == 4.0  # first edge at minimum
 
     def test_best_path_edges_finite_others_infinite(self):
         inst, _ = bench.demo_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 3)
-        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view.knowledge, inst)}
+        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view, inst)}
         assert crit[1].t_max == 4.0  # on the best path, behind the 4-cost edge
         assert crit[4].t_max == INF  # alternative-route edge
 
     def test_realized_and_excluded_edges_skipped(self):
         inst, _ = bench.demo_instance()
-        view = fresh_view(inst)
+        view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 3)
-        view.knowledge.reveal(1, 18.0)
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst)
+        view.reveal(1, 18.0)
+        crit = rpp.extract_critical_edges(pset, view, inst)
         assert [c.edge for c in crit] == [4]
-        crit = rpp.extract_critical_edges(pset, view.knowledge, inst, exclude=(4,))
+        crit = rpp.extract_critical_edges(pset, view, inst, exclude=(4,))
         assert crit == []
 
 

@@ -69,15 +69,14 @@ class TestLowerBound:
         assert inst.heuristic_admissible
         chain = sum(true[eid] for eid in range(6))
         assert chain < true[6] + true[7] < chain + 1e-8
-        cost = lambda eid: real[eid]
+        cost = [real[e.id] for e in inst.edges]
         assert sim.lower_bound(inst, real) == dijkstra(inst.ugv_adj, 0, cost)[0][6]
 
     @settings(max_examples=300, deadline=None)
     @given(mission=_missions())
     def test_early_stop_equals_full_search(self, mission):
         inst, real = mission
-        edges = inst.edges
-        cost = lambda eid: real[eid] if edges[eid].impeded else edges[eid].ugv_cost
+        cost = [real[e.id] if e.impeded else e.ugv_cost for e in inst.edges]
         dist, _, settled = dijkstra(inst.ugv_adj, inst.p, cost)
         assert settled == inst.n_vertices
         assert sim.lower_bound(inst, real) == dist[inst.d]
@@ -267,6 +266,20 @@ class TestInvariants:
             assert times == sorted(times)
             revealed = [e.data[0] for e in out.events if e.kind == "reveal"]
             assert len(revealed) == len(set(revealed))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mission=_missions(), planner=st.sampled_from(sorted(sim.PLANNERS)), k=st.integers(1, 4))
+    def test_mission_properties(self, mission, planner, k):
+        inst, real = mission
+        out = sim.run(inst, real, SimulationConfig(planner=planner, k=k))
+        assert out.arrival_time >= out.lower_bound * (1.0 - 1e-9)
+        assert oracles.replay_ugv_arrivals(inst, real, out.events) == out.arrival_time
+        times = [e.time for e in out.events]
+        assert times == sorted(times)
+        reveals = [e.data for e in out.events if e.kind == "reveal"]
+        assert len({eid for eid, _, _ in reveals}) == len(reveals)
+        for eid, cost, _ in reveals:
+            assert eid in inst.impeded_ids and cost == real[eid]
 
     def test_fixed_seed_is_deterministic(self, rng):
         for _ in range(5):
