@@ -342,10 +342,11 @@ def _no_heuristic(v: int, target: int) -> float:
 
 def dijkstra(
     adj: list[list[tuple[int, int]]],
-    source: int,
+    source: int | list[int],
     cost: list[float],
     target: int | None = None,
     heuristic=_no_heuristic,
+    dist: list[float] | None = None,
 ) -> tuple[list[float], list[int], int]:
     """Shortest paths from source over an adjacency list of
     (neighbor, edge id) pairs.
@@ -367,13 +368,23 @@ def dijkstra(
     shortest source-target path then has f <= the target's distance plus
     that slack, so it is settled and its distance is the one a full search
     gives, bit for bit; every other distance is an upper bound.
+
+    A seeded search passes ``dist`` too, and ``source`` is then a list of
+    frontier vertices: the search starts from each of them at its ``dist``
+    entry instead of from one vertex at 0, and writes into ``dist``.  Every
+    other finite entry must be final, at most what any path from the
+    frontier gives, so the search never improves it; the paths from the
+    frontier then play the part of the source's in everything above.
     """
     n = len(adj)
-    dist = [INF] * n
+    if dist is None:
+        dist = [INF] * n
+        dist[source] = 0.0
+        source = (source,)
     parent = [-1] * n
-    dist[source] = 0.0
     slack = 2 * _EPS * n
-    pq = [(heuristic(source, target), 0.0, source)]
+    pq = [(dist[v] + heuristic(v, target), dist[v], v) for v in source]
+    heapq.heapify(pq)
     settled = 0
     while pq:
         f, dv, v = heapq.heappop(pq)

@@ -85,9 +85,6 @@ class AddressableHeap:
         entry = self._live_top()
         return INF_KEY if entry is None else entry[:2]
 
-    def key_of(self, v: int) -> Key:
-        return self._live[v][:2]
-
     def insert(self, v: int, key: Key) -> None:
         entry = self._live[v] = (key[0], key[1], v)
         heapq.heappush(self._heap, entry)

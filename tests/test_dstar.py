@@ -147,7 +147,9 @@ class TestUpdateVertex:
         state.rhs[1] = 3.0
         dstar.update_vertex(state, 1)
         assert 1 in state.queue
-        assert state.queue.key_of(1) == dstar.calculate_key(state, 1)
+        state.queue.remove(2)  # the destination's key (2.0, 0.0) precedes 1's
+        assert state.queue.top() == 1
+        assert state.queue.top_key() == dstar.calculate_key(state, 1) == (4.0, 3.0)
 
     def test_consistent_queued_removed(self):
         _, _, state = self.setup_state()

@@ -11,7 +11,7 @@ from conftest import (
     random_connected_instance,
 )
 from scoutplan import bench, dstar, kspp
-from scoutplan.core import INF, Path, PlanningCostView
+from scoutplan.core import INF, Path, PlanningCostView, dijkstra
 
 
 def diamond():
@@ -142,33 +142,83 @@ class TestSuppression:
         assert before == after
 
 
+def yellow_set(inst, view, hidden):
+    """Vertices whose path in the shortest-path tree to the destination
+    crosses a hidden edge, and the tree's edge ids."""
+    _, parent, _ = dijkstra(inst.ugv_adj, inst.d, view.costs)
+    crosses = {}
+    for v in range(inst.n_vertices):
+        chain = []
+        while v not in crosses and parent[v] >= 0:
+            chain.append(v)
+            v = inst.edges[parent[v]].other(v)
+        flag = crosses.get(v, False)
+        for u in reversed(chain):
+            flag = flag or parent[u] in hidden
+            crosses[u] = flag
+    return {v for v, flag in crosses.items() if flag}, set(parent) - {-1}
+
+
 class TestSpurSearch:
     @staticmethod
     def check_roots(inst, view, rng, trials):
-        """Spur paths from random roots equal the oracle's shortest path
-        with the same edges and root vertices blocked, and the hidden edges
-        never reach the view's shared cost list."""
+        """Spur paths equal the oracle's shortest path with the same edges and
+        root vertices blocked, from a tree shared by every trial and from a
+        fresh one, and the hidden edges never reach the view's shared cost
+        list.  Half the trials take successive roots of one of the first
+        Yen paths, hiding what a k-path update would; the rest hide a random
+        edge set and spur from a random vertex.  Returns how many spurs lay
+        outside the yellow set and how many hidden sets held both tree and
+        non-tree edges."""
         shared = view.costs.copy()
         costs = oracles.view_costs(inst, view)
-        best = oracles.shortest_path(inst, costs, inst.p, inst.d)
+        paths = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 3)
+        tree = kspp.ReverseTree(inst, view, inst.d)
+        ugv_edges = sorted(inst.ugv_edge_ids)
+        outside = mixed = 0
         for _ in range(trials):
-            i = rng.randint(1, len(best) - 1)
-            root = best[:i]
-            hidden = kspp.yen_edge_suppression(
-                inst, [Path(best, edge_walk(inst, best), 0.0)], root
-            )
-            got, _ = kspp.spur_search(inst, view, hidden, root[-1], inst.d)
-            want = oracles.shortest_path(
-                inst, costs, root[-1], inst.d,
-                blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
-            )
-            assert got == (None if want is None else (want, edge_walk(inst, want)))
-            assert view.costs == shared
+            if rng.random() < 0.5:
+                accepted = [Path(p, edge_walk(inst, p), 0.0) for p in paths[: rng.randint(1, len(paths))]]
+                best = accepted[-1].vertices
+                first = rng.randint(1, len(best) - 1)
+                spurs = [(best[:i], kspp.yen_edge_suppression(inst, accepted, best[:i]))
+                         for i in range(first, min(first + 3, len(best)))]
+            else:
+                hidden = set(rng.sample(ugv_edges, rng.randint(0, len(ugv_edges) // 3)))
+                spurs = [((rng.randrange(inst.n_vertices),), hidden)]
+            for root, hidden in spurs:
+                yellow, tree_edges = yellow_set(inst, view, hidden)
+                outside += root[-1] not in yellow
+                mixed += bool(hidden & tree_edges) and bool(hidden - tree_edges)
+                want = oracles.shortest_path(
+                    inst, costs, root[-1], inst.d,
+                    blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
+                )
+                for t in (tree, kspp.ReverseTree(inst, view, inst.d)):
+                    got, settled = kspp.spur_search(t, hidden, root[-1])
+                    assert got == (None if want is None else (want, edge_walk(inst, want)))
+                    assert settled <= len(yellow)
+                assert view.costs == shared
+        return outside, mixed
 
     def test_random_instances_match_oracle(self, rng):
         for _ in range(40):
             inst = random_connected_instance(rng, n_min=6, n_max=30)
             self.check_roots(inst, PlanningCostView(inst), rng, 5)
+
+    def test_integer_grids_match_oracle(self, rng):
+        # Integer costs make many spur paths tie, inside the yellow set and
+        # across its boundary.
+        outside = mixed = 0
+        for _ in range(30):
+            inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
+            view = PlanningCostView(inst)
+            for eid in sorted(inst.impeded_ids)[::2]:
+                view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
+            o, m = self.check_roots(inst, view, rng, 6)
+            outside += o
+            mixed += m
+        assert outside > 20 and mixed > 20
 
     def test_largest_scaling_instance_matches_oracle(self, rng):
         inst, _ = bench.generate_scaling((40, 25), seed=0)
@@ -191,39 +241,84 @@ class TestSpurSearch:
             self.check_roots(inst, PlanningCostView(inst), rng, 5)
 
     def test_tie_that_runs_straight_into_the_spur(self):
-        # Two shortest routes from the destination 4 to the spur 0, both of
-        # cost 9 on tight edges: 4-2-0 and 4-3-1-0, whose last two edges run
-        # straight into the spur.  Vertices 3 and 1 have f exactly 9, the
+        # Two shortest routes from 4 to the spur 0, both of cost 9 on tight
+        # edges: 4-2-0 and 4-3-1-0, whose last two edges run straight into
+        # the spur.  With the tree edge 4-5 hidden, 0..4 are yellow and
+        # seeded through 6 at 4; vertices 3 and 1 then have f exactly the
         # spur's distance once 2 has been settled, yet they must be settled
         # for the descent to take the lower-id neighbour 1.
-        coords = [(0.0, 0.0), (0.0, 1.0), (3.0, 4.0), (0.0, 4.0), (3.0, 8.0)]
+        coords = [(0.0, 0.0), (0.0, 1.0), (3.0, 4.0), (0.0, 4.0), (3.0, 8.0), (3.0, 10.0), (5.0, 9.0)]
         inst = build_instance(
-            coords, [(4, 2, 4.0), (2, 0, 5.0), (4, 3, 5.0), (3, 1, 3.0), (1, 0, 1.0)], p=0, d=4
+            coords,
+            [(4, 2, 4.0), (2, 0, 5.0), (4, 3, 5.0), (3, 1, 3.0), (1, 0, 1.0),
+             (4, 5, 2.0), (4, 6, 3.0), (6, 5, 3.0)],
+            p=0, d=5,
         )
-        path, _ = kspp.spur_search(inst, PlanningCostView(inst), set(), 0, inst.d)
-        assert path == ((0, 1, 3, 4), edge_walk(inst, (0, 1, 3, 4)))
+        view = PlanningCostView(inst)
+        path, settled = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), set(), 0)
+        assert path == ((0, 1, 3, 4, 5), edge_walk(inst, (0, 1, 3, 4, 5)))
+        assert settled == 0  # nothing hidden: the tree path is the answer
+        hidden = {edge_between(inst, 4, 5)}
+        assert yellow_set(inst, view, hidden)[0] == {0, 1, 2, 3, 4}
+        path, _ = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), hidden, 0)
+        assert path == ((0, 1, 3, 4, 6, 5), edge_walk(inst, (0, 1, 3, 4, 6, 5)))
 
     def test_early_stop_settles_part_of_the_graph(self):
+        # Every spur of the best path on the largest instance, from one tree.
         inst, _ = bench.generate_scaling((40, 25), seed=0)
         view = PlanningCostView(inst)
-        best = oracles.shortest_path(inst, oracles.view_costs(inst, view), inst.p, inst.d)
-        spur = best[-3]
-        path, settled = kspp.spur_search(inst, view, set(), spur, inst.d)
-        assert path == (best[-3:], edge_walk(inst, best[-3:]))
-        assert 0 < settled < inst.n_vertices // 10
+        costs = oracles.view_costs(inst, view)
+        best = oracles.shortest_path(inst, costs, inst.p, inst.d)
+        accepted = [Path(best, edge_walk(inst, best), 0.0)]
+        tree = kspp.ReverseTree(inst, view, inst.d)
+        settled = yellow = 0
+        for i in range(1, len(best)):
+            root = best[:i]
+            hidden = kspp.yen_edge_suppression(inst, accepted, root)
+            want = oracles.shortest_path(
+                inst, costs, root[-1], inst.d,
+                blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
+            )
+            got, n = kspp.spur_search(tree, hidden, root[-1])
+            assert got == (None if want is None else (want, edge_walk(inst, want)))
+            settled += n
+            yellow += len(yellow_set(inst, view, hidden)[0])
+        assert 0 < settled < yellow // 3
 
     def test_isolated_spur_is_not_searched(self):
+        # k=3 on the diamond: one spur is searched; the spur at 1 under rank
+        # 1 and both spurs under rank 2 have every edge hidden.  The tree
+        # build settles all 4 vertices, the one search the spur 0 only.
         inst = diamond()
-        view = PlanningCostView(inst)
-        hidden = {edge_between(inst, 0, 1), edge_between(inst, 0, 2)}
-        assert kspp.spur_search(inst, view, hidden, 0, inst.d) == (None, 0)
+        pset, _ = plan(inst, PlanningCostView(inst), 3)
+        assert pset.spur == kspp.SpurCounts(searches=1, isolated=3, nopath=0, settled=4 + 1)
 
     def test_unreachable_returns_none(self):
+        # Both edges into the destination are hidden, so 0, 1 and 2 are all
+        # yellow and none of them has a seed: nothing is settled.
         inst = diamond()
         view = PlanningCostView(inst)
         hidden = {edge_between(inst, 1, 3), edge_between(inst, 2, 3)}
-        path, settled = kspp.spur_search(inst, view, hidden, 0, inst.d)
-        assert path is None and settled == 1
+        path, settled = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), hidden, 0)
+        assert path is None and settled == 0
+
+    def test_no_path_settles_at_most_the_yellow_set(self):
+        # Cut a 3x3 block of the 1002-vertex grid off from the rest: a full
+        # search would settle the destination's whole component, this one
+        # at most the yellow vertices, whose tree paths cross the cut.
+        inst, _ = bench.generate_scaling((40, 25), seed=0)
+        view = PlanningCostView(inst)
+        centre = min(range(inst.n_vertices), key=lambda v: inst.euclid(v, inst.p))
+        block = {centre}
+        for _ in range(1):
+            block |= {w for v in block for w, _ in inst.ugv_adj[v]}
+        hidden = {eid for v in block for w, eid in inst.ugv_adj[v] if w not in block}
+        assert inst.d not in block
+        yellow, _ = yellow_set(inst, view, hidden)
+        path, settled = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), hidden, centre)
+        assert path is None
+        assert block <= yellow
+        assert 0 < settled <= len(yellow) < inst.n_vertices // 10
 
 
 class TestAdmission:
