@@ -17,6 +17,7 @@ from . import bench, sim
 from .core import (
     InstanceError,
     NoPathError,
+    check_at_least,
     load_instance,
     load_realization,
     sample_realization,
@@ -37,12 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, command: str) -> dict:
+    """The JSON object in a spec file; anything else is a data error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InstanceError(f"cannot read spec {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InstanceError(f"bad {command} spec {path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _dataclass_from(cls, data: dict):
@@ -72,15 +77,13 @@ _SPEC_KEYS = {"scaling": {"size"}, "road": {"n_vertices", "impeded_fraction", "b
 
 
 def cmd_generate(args) -> int:
-    data = _load_json(args.spec) if args.spec else {}
+    data = _load_json(args.spec, "generate") if args.spec else {}
     count = data.pop("count", 1)
     unknown = set(data) - _SPEC_KEYS.get(args.family, set(data))
     if unknown:
         raise InstanceError(f"unknown spec keys: {sorted(unknown)}")
     try:
-        count = int(count)
-        if count < 1:
-            raise ValueError(f"count must be at least 1, got {count}")
+        check_at_least("count", count, 1)
         if args.family == "grid":
             spec = _dataclass_from(bench.GridSpec, data)
         elif args.family == "bridge":
@@ -136,7 +139,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    data = _load_json(args.spec)
+    data = _load_json(args.spec, "experiment")
     try:
         if "weights" in data:
             data["weights"] = _weights(data["weights"])

@@ -4,15 +4,17 @@ Yen's loopless-paths scheme on top of the incremental planner: the best
 path is repaired in place after each batch of cost updates.  The spur
 searches of one update share a reverse shortest-path tree to the
 destination (Feng's node classification): a spur search re-derives only
-the distances of the "yellow" vertices, whose tree paths cross an edge it
-hides, by an early-stopping A* seeded from their neighbours outside that
-set, with the hidden edges priced at infinity in the tree's own copy of
-the edge costs, so the shared view never sees them.  Lawler's rule spurs
-each path only from the vertex where it left its parent path.
+the distances of the "yellow" vertices, whose tree paths cross a hidden
+edge, by an early-stopping A* seeded from their neighbours outside that
+set.  The tree owns the hidden edges, priced at infinity in its own copy
+of the edge costs so the shared view never sees them; along one path's
+roots the set only grows, and it is reset between paths.  Lawler's rule
+spurs each path only from the vertex where it left its parent path.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,18 +27,18 @@ class SpurCounts(NamedTuple):
     """Work of the Yen spur searches of one k-path update, or a sum of them."""
 
     searches: int = 0  # searches run
-    isolated: int = 0  # skipped because every edge at the spur vertex was hidden
+    isolated: int = 0  # skipped because every edge at the spur vertex was hidden or at INF
     nopath: int = 0  # searches run that found no spur path
     settled: int = 0  # vertices settled by the tree build and the searches run
 
 
 @dataclass
 class PathSet:
-    """Ranked loopless paths plus the candidate pool left behind, and the
-    spur-search work that found them."""
+    """Ranked loopless paths plus the candidate pool left behind, a heap of
+    (cost, vertices, path), and the spur-search work that found them."""
 
     paths: list[Path] = field(default_factory=list)
-    pool: list[Path] = field(default_factory=list)
+    pool: list[tuple[float, tuple[int, ...], Path]] = field(default_factory=list)
     spur: SpurCounts = SpurCounts()
 
     def best(self) -> Path | None:
@@ -49,35 +51,16 @@ class PathSet:
         return iter(self.paths)
 
 
-def yen_edge_suppression(
-    inst: ProblemInstance, accepted: list[Path], root: tuple[int, ...]
-) -> set[int]:
-    """Edge ids to hide for one spur search from the end of ``root``.
-
-    Hides the continuation edge of every accepted path sharing the root
-    prefix, plus every edge incident to an interior root vertex (all of the
-    root except the spur node).
-    """
-    i = len(root)
-    hidden: set[int] = set()
-    for path in accepted:
-        vs = path.vertices
-        if len(vs) > i and vs[:i] == root:
-            hidden.add(path.edges[i - 1])
-    for w in root[:-1]:
-        for _, eid in inst.ugv_adj[w]:
-            hidden.add(eid)
-    return hidden
-
-
 class ReverseTree:
     """Shortest-path tree towards ``dest`` under the view's costs, built once
     per k-path update and shared by its spur searches.
 
     ``dist`` and ``parent`` (edge ids) are those of a full ``core.dijkstra``
-    from ``dest``, and ``settled`` its settled count.  The tree also holds
-    the searches' working state: its own copy of the costs with the last
-    search's hidden edges at INF, and that search's yellow marks.
+    from ``dest``, and ``settled`` its settled count.  The tree owns the
+    hidden edges of the path being spurred: ``cost`` is its own copy of the
+    view's costs with the ``hidden`` edges at INF, and ``marked`` lists the
+    yellow vertices, the subtrees below the hidden tree edges.  ``hide``
+    grows the set root by root; ``reset`` empties it between paths.
     """
 
     def __init__(self, inst: ProblemInstance, view: PlanningCostView, dest: int):
@@ -90,30 +73,20 @@ class ReverseTree:
         for v, eid in enumerate(self.parent):
             if eid >= 0:
                 self.children[inst.edges[eid].other(v)].append(v)
-        self.hidden: set[int] = set()
+        self.hidden: list[int] = []
         self.yellow = bytearray(len(inst.ugv_adj))
         self.marked: list[int] = []  # the yellow vertices
 
-    def hide(self, hidden: set[int]) -> list[int]:
-        """Price the ``hidden`` edges at INF in ``cost``, mark the subtrees
-        below the hidden tree edges yellow, and return the yellow vertices.
-
-        When ``hidden`` contains the last call's set, as along the successive
-        roots of one path, only the new edges and subtrees are handled;
-        otherwise the last call's are restored first.
-        """
-        cost, yellow, marked = self.cost, self.yellow, self.marked
-        if not self.hidden <= hidden:
-            for eid in self.hidden:
-                cost[eid] = self.view_costs[eid]
-            for v in marked:
-                yellow[v] = 0
-            marked.clear()
-            self.hidden = set()
-        parent, edges, children = self.parent, self.inst.edges, self.children
-        new = hidden - self.hidden
-        for eid in new:
+    def hide(self, edge_ids) -> None:
+        """Price the edges at INF in ``cost`` and mark yellow the subtree
+        below each tree edge; an edge already at INF is off the tree."""
+        cost, parent, edges, children = self.cost, self.parent, self.inst.edges, self.children
+        yellow, marked = self.yellow, self.marked
+        for eid in edge_ids:
+            if cost[eid] == INF:
+                continue
             cost[eid] = INF
+            self.hidden.append(eid)
             e = edges[eid]
             child = e.u if parent[e.u] == eid else e.v if parent[e.v] == eid else -1
             stack = [child] if child >= 0 else []
@@ -123,16 +96,23 @@ class ReverseTree:
                     yellow[v] = 1
                     marked.append(v)
                     stack.extend(children[v])
-        self.hidden |= new
-        return marked
+
+    def reset(self) -> None:
+        """Restore the hidden edges' costs and clear the yellow marks."""
+        for eid in self.hidden:
+            self.cost[eid] = self.view_costs[eid]
+        for v in self.marked:
+            self.yellow[v] = 0
+        self.hidden.clear()
+        self.marked.clear()
 
 
 def spur_search(
-    tree: ReverseTree, hidden: set[int], spur: int
+    tree: ReverseTree, spur: int
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, int]:
     """Shortest path from ``spur`` to the tree's destination that avoids the
-    ``hidden`` edges, as its vertices and edge ids (None when none is left),
-    and the number of vertices the search settled.
+    tree's hidden edges, as its vertices and edge ids (None when none is
+    left), and the number of vertices the search settled.
 
     Exactness.  Hiding edges only removes paths, so no vertex gets closer to
     the destination than its tree distance.  The yellow vertices are those
@@ -152,16 +132,12 @@ def spur_search(
 
     Work.  A spur outside the yellow set has its distance from the start, so
     only the yellow vertices that could tie with it are settled; a search
-    that finds no path settles at most the yellow set.  An isolated spur,
-    whose every edge is hidden, finds no path; ``update_k_paths`` skips it.
+    that finds no path settles at most the yellow set.
     """
-    adj = tree.inst.ugv_adj
-    cost = tree.cost
-    yellow = tree.yellow
-    marked = tree.hide(hidden)
+    adj, cost, yellow = tree.inst.ugv_adj, tree.cost, tree.yellow
     dist = tree.dist.copy()
     frontier = []
-    for y in marked:
+    for y in tree.marked:
         best = INF
         for w, eid in adj[y]:
             if not yellow[w]:
@@ -173,27 +149,6 @@ def spur_search(
             frontier.append(y)
     _, _, settled = dijkstra(adj, frontier, cost, spur, tree.inst.heuristic, dist)
     return descend(adj, dist, cost, spur, tree.dest), settled
-
-
-def candidate_admission(
-    pool: list[Path], accepted: list[Path], candidate: Path
-) -> bool:
-    """Add a candidate unless its vertex sequence is already ranked or
-    pooled; return whether it was added.
-
-    The pool stays sorted by (cost, vertex sequence) so selection is
-    deterministic under cost ties.
-    """
-    seq = candidate.vertices
-    for p in accepted:
-        if p.vertices == seq:
-            return False
-    for p in pool:
-        if p.vertices == seq:
-            return False
-    pool.append(candidate)
-    pool.sort(key=lambda p: (p.cost, p.vertices))
-    return True
 
 
 def update_k_paths(
@@ -209,13 +164,20 @@ def update_k_paths(
 
     Only the rank-1 repair touches the shared search state; ranks 2..k come
     from Yen spur searches (``spur_search``) against one ``ReverseTree``,
-    built at the first spur that is not isolated, and write nothing shared.
+    built when k > 1, and write nothing shared.
+
+    Each ranked path is walked once, root by root.  A spur from the end of
+    a root hides every edge at an interior root vertex and the continuation
+    edge of each accepted path sharing the root, so each step adds the
+    edges of the vertex just made interior (which hold the last step's
+    continuations) and those of the paths still sharing the root.
 
     Lawler's rule: each pooled path records its deviation index, the
     position of the spur vertex where it left the path it was spurred from
-    (rank 1 deviates at 0), and is spurred only from there on.  A spur
-    before that index hides the same edges as an earlier spur from the same
-    root did, so it would only find a candidate already ranked or pooled.
+    (rank 1 deviates at 0), and is spurred only from there on; an earlier
+    spur would only find a candidate already ranked or pooled.  A
+    candidate is new exactly when its vertices are not a key of
+    ``deviation``, which holds every ranked or pooled sequence.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -224,35 +186,44 @@ def update_k_paths(
     except NoPathError:
         return PathSet()
     accepted = [best]
-    pool: list[Path] = []
+    if k == 1:
+        return PathSet(accepted)
+    adj = inst.ugv_adj
+    pool: list[tuple[float, tuple[int, ...], Path]] = []
     deviation = {best.vertices: 0}
-    searches = isolated = nopath = settled = 0
-    tree = None
+    tree = ReverseTree(inst, view, state.dest)
+    searches = isolated = nopath = 0
+    settled = tree.settled
 
     for _ in range(2, k + 1):
         prev = accepted[-1]
-        for i in range(deviation[prev.vertices] + 1, len(prev.vertices)):
-            root = prev.vertices[:i]
-            hidden = yen_edge_suppression(inst, accepted, root)
-            if all(eid in hidden for _, eid in inst.ugv_adj[root[-1]]):
+        vs, first = prev.vertices, deviation[prev.vertices]
+        tree.reset()
+        sharing = accepted
+        for j, spur in enumerate(vs[:-1]):
+            if j:
+                tree.hide([eid for _, eid in adj[vs[j - 1]]])
+            sharing = [p for p in sharing if p.vertices[j] == spur]
+            tree.hide([p.edges[j] for p in sharing])
+            if j < first:
+                continue
+            if all(tree.cost[eid] == INF for _, eid in adj[spur]):
                 isolated += 1
                 continue
-            if tree is None:
-                tree = ReverseTree(inst, view, state.dest)
-                settled += tree.settled
-            spur_path, n_settled = spur_search(tree, hidden, root[-1])
+            spur_path, n_settled = spur_search(tree, spur)
             searches += 1
             settled += n_settled
             if spur_path is None:
                 nopath += 1
                 continue
             spur_vertices, spur_edges = spur_path
-            vertices = root[:-1] + spur_vertices
-            edges = prev.edges[: i - 1] + spur_edges
-            candidate = Path(vertices, edges, view.path_cost(edges))
-            if candidate_admission(pool, accepted, candidate):
-                deviation[vertices] = i - 1
+            vertices = vs[:j] + spur_vertices
+            if vertices not in deviation:
+                deviation[vertices] = j
+                edges = prev.edges[:j] + spur_edges
+                cost = view.path_cost(edges)
+                heapq.heappush(pool, (cost, vertices, Path(vertices, edges, cost)))
         if not pool:
             break
-        accepted.append(pool.pop(0))
+        accepted.append(heapq.heappop(pool)[2])
     return PathSet(accepted, pool, SpurCounts(searches, isolated, nopath, settled))

@@ -14,8 +14,9 @@ from scoutplan.core import (
 def build_instance(coords, edge_specs, p=0, q=0, d=None, uav_speed=2.0, free_flight=False):
     """Compact instance builder for tests.
 
-    edge_specs: (u, v, ugv_cost) for fixed edges or (u, v, (t_min, t_max))
-    for impeded ones; aerial cost defaults to the straight-line time.
+    edge_specs: (u, v, ugv_cost) for fixed edges, (u, v, (t_min, t_max))
+    for impeded ones or (u, v, None) for aerial-only ones; aerial cost
+    defaults to the straight-line time.
     """
     if d is None:
         d = len(coords) - 1
@@ -29,7 +30,7 @@ def build_instance(coords, edge_specs, p=0, q=0, d=None, uav_speed=2.0, free_fli
         if isinstance(cost, tuple):
             edges.append(EdgeRecord(eid, u, v, None, tau, UniformCost(*cost)))
         else:
-            edges.append(EdgeRecord(eid, u, v, float(cost), tau))
+            edges.append(EdgeRecord(eid, u, v, None if cost is None else float(cost), tau))
     return ProblemInstance(coords, edges, p=p, q=q, d=d, uav_speed=uav_speed, uav_free_flight=free_flight)
 
 

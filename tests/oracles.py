@@ -121,6 +121,18 @@ def yen_k_paths(inst, costs, source, dest, k):
     return a_list
 
 
+def yen_hidden_edges(inst, accepted, root):
+    """Edge ids a textbook Yen spur from the end of ``root`` hides, given the
+    accepted vertex sequences: the continuation edge of every one that
+    shares the root, and every edge at an interior root vertex (all of the
+    root but the spur)."""
+    i = len(root)
+    hidden = {edge_between(inst, p[i - 1], p[i]) for p in accepted if len(p) > i and p[:i] == root}
+    for w in root[:-1]:
+        hidden.update(eid for _, eid in inst.ugv_adj[w])
+    return hidden
+
+
 def all_simple_paths(inst, costs, source, dest):
     """Every loopless source->dest path with its cost, sorted by (cost, seq)."""
     out = []

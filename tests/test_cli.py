@@ -60,6 +60,11 @@ class TestGenerate:
             ("bridge", {"uav_speed": "fast"}),
             ("grid", {"spacing": 0}),
             ("grid", {"spacing": -10.0}),
+            ("grid", {"count": 2.7}),
+            ("bridge", {"count": True}),
+            ("bridge", [1, 2]),
+            ("grid", None),
+            ("road", "x"),
         ]
         for i, (family, data) in enumerate(cases):
             spec = tmp_path / f"spec{i}.json"
@@ -207,10 +212,14 @@ class TestExperimentAndReport:
         {"k_values": [2.5], "planners": ["rpp"]},
         {"k_values": []},
         {"planners": []},
+        [],  # not an object: read as the default sweep unless rejected
+        None,
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"
-        spec.write_text(json.dumps({"family": "bridge", "n_instances": 1, **bad}))
+        if isinstance(bad, dict):
+            bad = {"family": "bridge", "n_instances": 1, **bad}
+        spec.write_text(json.dumps(bad))
         out = tmp_path / "results"
         rc = run_cli("experiment", "--spec", str(spec), "--out", str(out), "--jobs", "1")
         assert rc == DATA_ERROR

@@ -11,7 +11,7 @@ from conftest import (
     random_connected_instance,
 )
 from scoutplan import bench, dstar, kspp
-from scoutplan.core import INF, Path, PlanningCostView, dijkstra
+from scoutplan.core import INF, PlanningCostView, dijkstra
 
 
 def diamond():
@@ -108,38 +108,124 @@ class TestBasics:
 
 
 class TestSuppression:
-    def test_shared_start_suppresses_one_edge_per_path(self):
-        inst = diamond()
-        a = [Path((0, 1, 3), (0, 1), 2.0), Path((0, 2, 3), (2, 3), 4.0)]
-        hidden = kspp.yen_edge_suppression(inst, a, (0,))
-        assert hidden == {
-            edge_between(inst, 0, 1),
-            edge_between(inst, 0, 2),
-        }
+    """The tree hides what textbook Yen hides (``oracles.yen_hidden_edges``)
+    and marks the subtrees below the hidden tree edges.  On the diamond the
+    tree runs 3-1-0 and 3-2, so only the edges 0-1 and 1-3 are tree edges."""
+
+    @staticmethod
+    def hide(inst, tree, accepted, root):
+        hidden = oracles.yen_hidden_edges(inst, accepted, root)
+        tree.hide(hidden)
+        assert sorted(tree.hidden) == sorted(hidden)
+        return {v for v in range(inst.n_vertices) if tree.yellow[v]}
 
     def test_single_vertex_root_removes_no_nodes(self):
         inst = diamond()
-        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), (0, 1), 2.0)], (0,))
-        # Only the continuation edge, no node-removal suppressions.
-        assert hidden == {edge_between(inst, 0, 1)}
+        tree = kspp.ReverseTree(inst, PlanningCostView(inst), inst.d)
+        # Only the continuation edge 0-1, no node-removal suppressions.
+        assert oracles.yen_hidden_edges(inst, [(0, 1, 3)], (0,)) == {edge_between(inst, 0, 1)}
+        assert self.hide(inst, tree, [(0, 1, 3)], (0,)) == {0}
+
+    def test_shared_start_suppresses_one_edge_per_path(self):
+        inst = diamond()
+        tree = kspp.ReverseTree(inst, PlanningCostView(inst), inst.d)
+        accepted = [(0, 1, 3), (0, 2, 3)]
+        assert oracles.yen_hidden_edges(inst, accepted, (0,)) == {
+            edge_between(inst, 0, 1),
+            edge_between(inst, 0, 2),
+        }
+        assert self.hide(inst, tree, accepted, (0,)) == {0}
 
     def test_interior_nodes_fully_suppressed(self):
-        inst = diamond()
-        hidden = kspp.yen_edge_suppression(inst, [Path((0, 1, 3), (0, 1), 2.0)], (0, 1))
         # Root interior {0}: both edges at vertex 0, plus continuation (1,3).
-        assert hidden == {
+        # The set grows from the root (0,), as along the path 0-1-3.
+        inst = diamond()
+        tree = kspp.ReverseTree(inst, PlanningCostView(inst), inst.d)
+        assert oracles.yen_hidden_edges(inst, [(0, 1, 3)], (0, 1)) == {
             edge_between(inst, 0, 1),
             edge_between(inst, 0, 2),
             edge_between(inst, 1, 3),
         }
+        self.hide(inst, tree, [(0, 1, 3)], (0,))
+        assert self.hide(inst, tree, [(0, 1, 3)], (0, 1)) == {0, 1}
+        assert sorted(tree.marked) == [0, 1]
 
     def test_restoration_is_exact(self, rng):
-        inst = random_connected_instance(rng)
+        # reset() restores the tree's costs to the view's and clears every
+        # yellow mark, and a whole update leaves the view's costs unchanged.
+        for _ in range(10):
+            inst = random_connected_instance(rng)
+            view = PlanningCostView(inst)
+            before = view.costs.copy()
+            tree = kspp.ReverseTree(inst, view, inst.d)
+            ugv_edges = sorted(inst.ugv_edge_ids)
+            for _ in range(3):
+                for _ in range(3):
+                    tree.hide(rng.sample(ugv_edges, rng.randint(1, len(ugv_edges))))
+                assert tree.marked
+                tree.reset()
+                assert tree.cost == view.costs
+                assert not any(tree.yellow)
+                assert tree.hidden == [] and tree.marked == []
+            plan(inst, view, 4)
+            assert view.costs == before
+
+    def test_hidden_edges_match_textbook_yen(self, monkeypatch, rng):
+        # At every spur search of a k-path update the tree hides exactly what
+        # textbook Yen hides for that root, given the paths accepted so far,
+        # prices exactly those edges at INF and marks exactly their subtrees.
+        # The path being spurred is the last accepted one when the tree was
+        # last reset.
+        seen = []
+        search = kspp.spur_search
+        reset = kspp.ReverseTree.reset
+
+        def counting_reset(tree):
+            tree.resets = getattr(tree, "resets", 0) + 1
+            reset(tree)
+
+        def recording_search(tree, spur):
+            changed = {e for e, c in enumerate(tree.cost) if c != tree.view_costs[e]}
+            assert changed == set(tree.hidden) and len(tree.hidden) == len(changed)
+            assert len(tree.marked) == len(set(tree.marked))
+            seen.append((tree.resets, spur, changed, set(tree.marked)))
+            return search(tree, spur)
+
+        monkeypatch.setattr(kspp.ReverseTree, "reset", counting_reset)
+        monkeypatch.setattr(kspp, "spur_search", recording_search)
+        checked = deep = shared = 0
+
+        def check(inst, view, pset):
+            nonlocal checked, deep, shared
+            for m, spur, hidden, marked in seen:
+                accepted = [p.vertices for p in pset.paths[:m]]
+                walked = accepted[-1]
+                root = walked[: walked.index(spur) + 1]
+                assert hidden == oracles.yen_hidden_edges(inst, accepted, root)
+                assert marked == yellow_set(inst, view, hidden)[0]
+                checked += 1
+                deep += m > 1 and len(root) > 1
+                shared += sum(p[: len(root)] == root for p in accepted) > 1
+            seen.clear()
+
+        inst = diamond()
         view = PlanningCostView(inst)
-        before = {eid: view.costs[eid] for eid in inst.ugv_edge_ids}
-        plan(inst, view, 4)
-        after = {eid: view.costs[eid] for eid in inst.ugv_edge_ids}
-        assert before == after
+        pset, _ = plan(inst, view, 4)
+        check(inst, view, pset)
+        for _ in range(12):
+            inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
+            view = PlanningCostView(inst)
+            state = dstar.initialize(inst, inst.p, inst.d)
+            v_curr = inst.p
+            pset = kspp.update_k_paths(inst, view, state, v_curr, [], 7)
+            check(inst, view, pset)
+            for eid in sorted(inst.impeded_ids)[:3]:
+                view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
+                if len(pset.best().vertices) > 2:
+                    v_curr = pset.best().vertices[1]
+                pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], rng.choice([4, 7]))
+                check(inst, view, pset)
+        assert checked > 500 and deep > 300 and shared > 70
 
 
 def yellow_set(inst, view, hidden):
@@ -166,10 +252,11 @@ class TestSpurSearch:
         root vertices blocked, from a tree shared by every trial and from a
         fresh one, and the hidden edges never reach the view's shared cost
         list.  Half the trials take successive roots of one of the first
-        Yen paths, hiding what a k-path update would; the rest hide a random
-        edge set and spur from a random vertex.  Returns how many spurs lay
-        outside the yellow set and how many hidden sets held both tree and
-        non-tree edges."""
+        Yen paths, hiding what a k-path update would, so the shared tree's
+        hidden set grows root by root; the rest hide a random edge set and
+        spur from a random vertex.  Returns how many spurs lay outside the
+        yellow set and how many hidden sets held both tree and non-tree
+        edges."""
         shared = view.costs.copy()
         costs = oracles.view_costs(inst, view)
         paths = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 3)
@@ -178,14 +265,15 @@ class TestSpurSearch:
         outside = mixed = 0
         for _ in range(trials):
             if rng.random() < 0.5:
-                accepted = [Path(p, edge_walk(inst, p), 0.0) for p in paths[: rng.randint(1, len(paths))]]
-                best = accepted[-1].vertices
+                accepted = paths[: rng.randint(1, len(paths))]
+                best = accepted[-1]
                 first = rng.randint(1, len(best) - 1)
-                spurs = [(best[:i], kspp.yen_edge_suppression(inst, accepted, best[:i]))
+                spurs = [(best[:i], oracles.yen_hidden_edges(inst, accepted, best[:i]))
                          for i in range(first, min(first + 3, len(best)))]
             else:
                 hidden = set(rng.sample(ugv_edges, rng.randint(0, len(ugv_edges) // 3)))
                 spurs = [((rng.randrange(inst.n_vertices),), hidden)]
+            tree.reset()
             for root, hidden in spurs:
                 yellow, tree_edges = yellow_set(inst, view, hidden)
                 outside += root[-1] not in yellow
@@ -194,8 +282,10 @@ class TestSpurSearch:
                     inst, costs, root[-1], inst.d,
                     blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
                 )
-                for t in (tree, kspp.ReverseTree(inst, view, inst.d)):
-                    got, settled = kspp.spur_search(t, hidden, root[-1])
+                fresh = kspp.ReverseTree(inst, view, inst.d)
+                for t in (tree, fresh):
+                    t.hide(hidden)
+                    got, settled = kspp.spur_search(t, root[-1])
                     assert got == (None if want is None else (want, edge_walk(inst, want)))
                     assert settled <= len(yellow)
                 assert view.costs == shared
@@ -255,12 +345,14 @@ class TestSpurSearch:
             p=0, d=5,
         )
         view = PlanningCostView(inst)
-        path, settled = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), set(), 0)
+        tree = kspp.ReverseTree(inst, view, inst.d)
+        path, settled = kspp.spur_search(tree, 0)
         assert path == ((0, 1, 3, 4, 5), edge_walk(inst, (0, 1, 3, 4, 5)))
         assert settled == 0  # nothing hidden: the tree path is the answer
         hidden = {edge_between(inst, 4, 5)}
         assert yellow_set(inst, view, hidden)[0] == {0, 1, 2, 3, 4}
-        path, _ = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), hidden, 0)
+        tree.hide(hidden)
+        path, _ = kspp.spur_search(tree, 0)
         assert path == ((0, 1, 3, 4, 6, 5), edge_walk(inst, (0, 1, 3, 4, 6, 5)))
 
     def test_early_stop_settles_part_of_the_graph(self):
@@ -269,17 +361,17 @@ class TestSpurSearch:
         view = PlanningCostView(inst)
         costs = oracles.view_costs(inst, view)
         best = oracles.shortest_path(inst, costs, inst.p, inst.d)
-        accepted = [Path(best, edge_walk(inst, best), 0.0)]
         tree = kspp.ReverseTree(inst, view, inst.d)
         settled = yellow = 0
         for i in range(1, len(best)):
             root = best[:i]
-            hidden = kspp.yen_edge_suppression(inst, accepted, root)
+            hidden = oracles.yen_hidden_edges(inst, [best], root)
             want = oracles.shortest_path(
                 inst, costs, root[-1], inst.d,
                 blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
             )
-            got, n = kspp.spur_search(tree, hidden, root[-1])
+            tree.hide(hidden)
+            got, n = kspp.spur_search(tree, root[-1])
             assert got == (None if want is None else (want, edge_walk(inst, want)))
             settled += n
             yellow += len(yellow_set(inst, view, hidden)[0])
@@ -298,8 +390,9 @@ class TestSpurSearch:
         # yellow and none of them has a seed: nothing is settled.
         inst = diamond()
         view = PlanningCostView(inst)
-        hidden = {edge_between(inst, 1, 3), edge_between(inst, 2, 3)}
-        path, settled = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), hidden, 0)
+        tree = kspp.ReverseTree(inst, view, inst.d)
+        tree.hide([edge_between(inst, 1, 3), edge_between(inst, 2, 3)])
+        path, settled = kspp.spur_search(tree, 0)
         assert path is None and settled == 0
 
     def test_no_path_settles_at_most_the_yellow_set(self):
@@ -315,28 +408,12 @@ class TestSpurSearch:
         hidden = {eid for v in block for w, eid in inst.ugv_adj[v] if w not in block}
         assert inst.d not in block
         yellow, _ = yellow_set(inst, view, hidden)
-        path, settled = kspp.spur_search(kspp.ReverseTree(inst, view, inst.d), hidden, centre)
+        tree = kspp.ReverseTree(inst, view, inst.d)
+        tree.hide(hidden)
+        path, settled = kspp.spur_search(tree, centre)
         assert path is None
         assert block <= yellow
         assert 0 < settled <= len(yellow) < inst.n_vertices // 10
-
-
-class TestAdmission:
-    def test_duplicate_rejected(self):
-        pool = [Path((0, 1, 3), (0, 1), 2.0)]
-        kspp.candidate_admission(pool, [], Path((0, 1, 3), (0, 1), 2.0))
-        assert len(pool) == 1
-
-    def test_already_ranked_rejected(self):
-        pool = []
-        kspp.candidate_admission(pool, [Path((0, 1, 3), (0, 1), 2.0)], Path((0, 1, 3), (0, 1), 2.0))
-        assert pool == []
-
-    def test_equal_cost_orders_lexicographically(self):
-        pool = []
-        kspp.candidate_admission(pool, [], Path((0, 2, 3), (2, 3), 5.0))
-        kspp.candidate_admission(pool, [], Path((0, 1, 3), (0, 1), 5.0))
-        assert [p.vertices for p in pool] == [(0, 1, 3), (0, 2, 3)]
 
 
 class TestSharedStateIsolation:

@@ -25,12 +25,15 @@ def _integer_missions(draw):
     run exactly as long as the straight line, a little shorter (within the
     heuristic's tolerance) or longer, and true costs sit anywhere in their
     window, its tolerance included, so the early stop meets ties and the
-    slack both."""
+    slack both.  The scout starts anywhere, and either flies freely or over
+    the edges, some of them aerial-only and some slower than the straight
+    line, so its transits take several hops."""
     n = draw(st.integers(2, 12))
     points = st.tuples(st.integers(0, 6), st.integers(0, 6))
     coords = [(float(x), float(y)) for x, y in draw(st.lists(points, min_size=n, max_size=n, unique=True))]
     pairs = {(i, i + 1) for i in range(n - 1)}
-    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)):
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(ends, max_size=2 * n)):
         if a != b:
             pairs.add((min(a, b), max(a, b)))
     specs, windows = [], []
@@ -42,7 +45,16 @@ def _integer_missions(draw):
             windows.append((lo, hi))
         else:
             specs.append((u, v, lo))
-    inst = build_instance(coords, specs, p=0, q=0, d=draw(st.integers(0, n - 1)))
+    for a, b in draw(st.lists(ends, max_size=n)):
+        pair = (min(a, b), max(a, b))
+        if a != b and pair not in pairs:
+            pairs.add(pair)
+            specs.append((*pair, None))  # aerial-only
+    # Aerial cost: the straight-line time at build_instance's speed of 2, or three times it.
+    specs = [(u, v, cost, math.dist(coords[u], coords[v]) / 2.0 * draw(st.sampled_from([1.0, 1.0, 3.0])))
+             for u, v, cost in specs]
+    inst = build_instance(coords, specs, p=0, q=draw(st.integers(0, n - 1)), d=draw(st.integers(0, n - 1)),
+                          free_flight=draw(st.booleans()))
     true = {}
     for eid, (lo, hi) in zip(sorted(inst.impeded_ids), windows):
         true[eid] = draw(st.sampled_from([lo - 1e-9, lo, (lo + hi) / 2, hi, hi + 1e-9]))
