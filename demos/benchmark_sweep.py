@@ -21,8 +21,8 @@ summary, failures = bench.run_experiment(spec, "sweep_results")
 print(f"{'planner':8} {'k':>2} {'LB':>7} {'naive':>7} {'cost':>7} {'gap closed':>10}")
 for row in summary:
     print(
-        f"{row.planner:8} {row.k:>2} {row.lb_mean:7.1f} {row.naive_mean:7.1f} "
-        f"{row.cost_mean:7.1f} {row.delta:9.1f}%"
+        f"{row['planner']:8} {row['k']:>2} {row['LB']:7.1f} {row['naive_cost']:7.1f} "
+        f"{row['cost']:7.1f} {row['delta_pct']:9.1f}%"
     )
 print("\nper-run data: sweep_results/runs.csv; plot data: sweep_results/plot_*.txt")
 if failures:

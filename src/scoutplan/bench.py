@@ -13,6 +13,7 @@ import csv
 import math
 import os
 import random
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import fmean, pstdev
@@ -75,11 +76,13 @@ class BridgeSpec:
             raise ValueError(f"impeded_per_path must be > 0, got {self.impeded_per_path!r}")
         check_fraction("bridge_fraction", self.bridge_fraction)
         check_positive("uav_speed", self.uav_speed)
+        if type(self.adversarial) is not bool:
+            raise ValueError(f"adversarial must be true or false, got {self.adversarial!r}")
 
 
 def check_fraction(name: str, value: float) -> None:
-    if not 0 <= value <= 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    if type(value) not in (int, float) or not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 #: Node-grid sizes of the scaling study, as (chain_len, n_paths).
@@ -96,7 +99,40 @@ def scaling_spec(size: tuple[int, int]) -> BridgeSpec:
     )
 
 
-FAMILIES = ("grid", "bridge", "scaling", "road")
+@dataclass(frozen=True)
+class ScalingSpec:
+    """One size of the scaling study: a bridged instance on a (chain_len, n_paths) grid."""
+
+    size: tuple[int, int] = SCALING_SIZES[0]
+
+    def __post_init__(self):
+        scaling_spec(self.size)
+
+
+@dataclass(frozen=True)
+class RoadSpec:
+    """Road networks re-dressed by `import_road_network`: the network in
+    `base_file`, loaded here, or else a synthetic one of `n_vertices` per
+    instance."""
+
+    n_vertices: int = 30
+    impeded_fraction: float = 0.5
+    base_file: str | None = None
+    base: ProblemInstance | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_at_least("n_vertices", self.n_vertices, 1)
+        check_fraction("impeded_fraction", self.impeded_fraction)
+        if self.base_file is not None:
+            if type(self.base_file) is not str:
+                raise ValueError(f"base_file must be a path, got {self.base_file!r}")
+            object.__setattr__(self, "base", load_instance(self.base_file))
+
+
+#: The generate spec of each instance family.
+FAMILY_SPECS = {"grid": GridSpec, "bridge": BridgeSpec, "scaling": ScalingSpec, "road": RoadSpec}
+FAMILIES = tuple(FAMILY_SPECS)
+FamilySpec = GridSpec | BridgeSpec | ScalingSpec | RoadSpec
 
 
 @dataclass(frozen=True)
@@ -113,12 +149,13 @@ class ExperimentSpec:
     sizes: tuple[tuple[int, int], ...] = SCALING_SIZES  # scaling family
     road_file: str = ""
     weights: PriorityWeights = field(default_factory=PriorityWeights)
+    #: (family spec, summary label) pairs that instances cycle through;
+    #: built, and so checked, once (a road spec loads road_file here).
+    family_specs: tuple[tuple[FamilySpec, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "road" and not self.road_file:
-            raise ValueError("the road family needs a road_file")
         if not self.planners:
             raise ValueError("planners must not be empty")
         for planner in self.planners:
@@ -129,29 +166,30 @@ class ExperimentSpec:
         for k in self.k_values:
             check_at_least("every k", k, 1)
         check_at_least("n_instances", self.n_instances, 1)
-        if self.family == "scaling":
-            if not self.sizes:
-                raise ValueError("the scaling family needs at least one size")
-            for size in self.sizes:
-                scaling_spec(size)
-        BridgeSpec(impeded_per_path=self.impeded_per_path, bridge_fraction=self.bridge_fraction)
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        # The bridge and road keys are checked whichever family runs.
+        bridge = BridgeSpec(
+            adversarial=self.adversarial,
+            impeded_per_path=self.impeded_per_path,
+            bridge_fraction=self.bridge_fraction,
+        )
         check_fraction("impeded_fraction", self.impeded_fraction)
+        if self.family == "scaling":
+            specs = tuple((ScalingSpec(size), f"{size[0]}x{size[1]}") for size in self.sizes)
+            if not specs:
+                raise ValueError("the scaling family needs at least one size")
+        elif self.family == "road":
+            if not self.road_file:
+                raise ValueError("the road family needs a road_file")
+            specs = ((RoadSpec(impeded_fraction=self.impeded_fraction, base_file=self.road_file), ""),)
+        else:
+            specs = ((GridSpec() if self.family == "grid" else bridge, ""),)
+        object.__setattr__(self, "family_specs", specs)
 
-
-@dataclass
-class SummaryRow:
-    planner: str
-    k: int
-    label: str
-    n: int
-    lb_mean: float
-    naive_mean: float
-    cost_mean: float
-    delta: float
-    naive_std: float
-    cost_std: float
-    max_ugv_ms: float
-    max_uav_ms: float
+    def instance_spec(self, index: int) -> tuple[FamilySpec, str]:
+        """The family spec and summary label of instance `index`."""
+        return self.family_specs[index % len(self.family_specs)]
 
 
 def delta_percent(lb_mean: float, naive_mean: float, cost_mean: float) -> float:
@@ -165,6 +203,14 @@ def delta_percent(lb_mean: float, naive_mean: float, cost_mean: float) -> float:
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+
+def _edge(eid: int, u: int, v: int, length: float, uav_speed: float,
+          t_max: float | None = None) -> EdgeRecord:
+    """A drivable edge: fixed at `length`, or impeded on [length, t_max]."""
+    if t_max is None:
+        return EdgeRecord(eid, u, v, length, length / uav_speed)
+    return EdgeRecord(eid, u, v, None, length / uav_speed, UniformCost(length, t_max))
 
 
 def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realization]:
@@ -189,22 +235,18 @@ def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realizati
         for r in range(lo, lo + length):
             impeded_pairs.add((vid(r, j), vid(r, j + 1)))
 
-    lo_t, hi_t = spec.t_max_range
-    edges: list[EdgeRecord] = []
+    pairs = []
     for r in range(rows):
         for c in range(cols):
-            u = vid(r, c)
-            for v in ((vid(r, c + 1) if c + 1 < cols else None), (vid(r + 1, c) if r + 1 < rows else None)):
-                if v is None:
-                    continue
-                eid = len(edges)
-                length = s
-                tau = length / spec.uav_speed
-                if (u, v) in impeded_pairs:
-                    t_max = rng.uniform(lo_t, hi_t)
-                    edges.append(EdgeRecord(eid, u, v, None, tau, UniformCost(length, t_max)))
-                else:
-                    edges.append(EdgeRecord(eid, u, v, length, tau))
+            if c + 1 < cols:
+                pairs.append((vid(r, c), vid(r, c + 1)))
+            if r + 1 < rows:
+                pairs.append((vid(r, c), vid(r + 1, c)))
+    lo_t, hi_t = spec.t_max_range
+    edges = [
+        _edge(eid, u, v, s, spec.uav_speed, rng.uniform(lo_t, hi_t) if (u, v) in impeded_pairs else None)
+        for eid, (u, v) in enumerate(pairs)
+    ]
     q = rng.randrange(rows * cols)
     inst = ProblemInstance(
         vertices, edges, p=0, q=q, d=rows * cols - 1,
@@ -246,9 +288,6 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
     def vid(i: int, j: int) -> int:
         return 1 + i * chain_len + j
 
-    def euclid(a: int, b: int) -> float:
-        return math.dist(vertices[a], vertices[b])
-
     # Impeded chain edges, drawn per chain.
     n_imp = _impeded_count(spec.impeded_per_path, chain_len - 1)
     impeded_pairs: set[tuple[int, int]] = set()
@@ -272,27 +311,18 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
             a, b = vid(i, j), vid(other, j)
             bridge_pairs.add((min(a, b), max(a, b)))
 
-    lo_t, hi_t = spec.t_max_range
-    edges: list[EdgeRecord] = []
-
-    def add_edge(u: int, v: int, impeded: bool) -> None:
-        length = euclid(u, v)
-        tau = length / spec.uav_speed
-        eid = len(edges)
-        if impeded:
-            t_max = rng.uniform(lo_t, hi_t)
-            edges.append(EdgeRecord(eid, u, v, None, tau, UniformCost(length, t_max)))
-        else:
-            edges.append(EdgeRecord(eid, u, v, length, tau))
-
+    # Each chain p -> d, then the crossings; only chain edges are impeded.
+    pairs = []
     for i in range(n_paths):
-        add_edge(p, vid(i, 0), False)
-        for j in range(chain_len - 1):
-            u, v = vid(i, j), vid(i, j + 1)
-            add_edge(u, v, (u, v) in impeded_pairs)
-        add_edge(vid(i, chain_len - 1), d, False)
-    for u, v in sorted(bridge_pairs):
-        add_edge(u, v, False)
+        chain = [p, *range(vid(i, 0), vid(i, chain_len)), d]
+        pairs.extend(zip(chain, chain[1:]))
+    pairs.extend(sorted(bridge_pairs))
+    lo_t, hi_t = spec.t_max_range
+    edges = [
+        _edge(eid, u, v, math.dist(vertices[u], vertices[v]), spec.uav_speed,
+              rng.uniform(lo_t, hi_t) if (u, v) in impeded_pairs else None)
+        for eid, (u, v) in enumerate(pairs)
+    ]
 
     q = rng.randrange(len(vertices))
     inst = ProblemInstance(
@@ -340,10 +370,10 @@ def generate_road_like(n_vertices: int, seed: int, uav_speed: float = 2.0) -> Pr
         )[:3]
         for j in near[: rng.randint(1, 3)]:
             pairs.add((min(i, j), max(i, j)))
-    edges = []
-    for u, v in sorted(pairs):
-        length = math.dist(pts[u], pts[v]) * rng.uniform(1.0, 1.4)
-        edges.append(EdgeRecord(len(edges), u, v, length, length / uav_speed))
+    edges = [
+        _edge(eid, u, v, math.dist(pts[u], pts[v]) * rng.uniform(1.0, 1.4), uav_speed)
+        for eid, (u, v) in enumerate(sorted(pairs))
+    ]
     return ProblemInstance(
         pts, edges, p=0, q=0, d=n_vertices - 1,
         uav_speed=uav_speed, uav_free_flight=True,
@@ -351,16 +381,15 @@ def generate_road_like(n_vertices: int, seed: int, uav_speed: float = 2.0) -> Pr
 
 
 def import_road_network(
-    path: str, impeded_fraction: float = 0.5, seed: int = 0, uav_speed: float = 2.0
+    base: ProblemInstance, impeded_fraction: float = 0.5, seed: int = 0, uav_speed: float = 2.0
 ) -> ProblemInstance:
-    """Road network from an instance file, re-dressed for the experiments.
+    """A road network (say, loaded from an instance file), re-dressed for the experiments.
 
     Redraws the impeded set at the requested fraction of the drivable edges
     (window: length to 10x length), prices aerial travel from edge lengths,
     enables free flight, and places the endpoints at the two vertices
     farthest apart in the graph.
     """
-    base = load_instance(path)
     rng = random.Random(f"roadimport:{seed}")
     lengths = [INF] * len(base.edges)
     ugv_ids = sorted(base.ugv_edge_ids)
@@ -369,19 +398,13 @@ def import_road_network(
         lengths[eid] = rec.ugv_cost if rec.ugv_cost is not None else rec.distribution.t_min
     n_imp = int(impeded_fraction * len(ugv_ids))
     impeded = set(rng.sample(ugv_ids, n_imp))
-    edges = []
-    for rec in base.edges:
-        if rec.id in impeded:
-            length = lengths[rec.id]
-            edges.append(
-                EdgeRecord(rec.id, rec.u, rec.v, None, length / uav_speed,
-                           UniformCost(length, 10.0 * length))
-            )
-        elif rec.id in base.ugv_edge_ids:
-            length = lengths[rec.id]
-            edges.append(EdgeRecord(rec.id, rec.u, rec.v, length, length / uav_speed))
-        else:
-            edges.append(EdgeRecord(rec.id, rec.u, rec.v, None, rec.uav_cost))
+    edges = [
+        _edge(rec.id, rec.u, rec.v, lengths[rec.id], uav_speed,
+              10.0 * lengths[rec.id] if rec.id in impeded else None)
+        if rec.id in base.ugv_edge_ids
+        else EdgeRecord(rec.id, rec.u, rec.v, None, rec.uav_cost)
+        for rec in base.edges
+    ]
 
     probe = ProblemInstance(
         base.vertices, edges, p=0, q=0, d=len(base.vertices) - 1,
@@ -430,46 +453,43 @@ def demo_instance() -> tuple[ProblemInstance, Realization]:
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-RUN_COLUMNS = (
-    "instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time",
-    "n_replans", "max_ugv_replan_ms", "max_uav_replan_ms",
-    "label", "n_vertices", "max_uav_solver_ms", "budget_hits",
-)
-_INT_COLUMNS = ("instance_id", "k", "n_replans", "n_vertices", "budget_hits")
-_FLOAT_COLUMNS = (
-    "LB", "cost", "arrival_time", "max_ugv_replan_ms", "max_uav_replan_ms", "max_uav_solver_ms",
+#: runs.csv's columns, in order, with the type `read_runs_csv` reads each as.
+RUN_COLUMNS = {
+    "instance_id": int, "seed": str, "planner": str, "k": int, "LB": float, "cost": float,
+    "arrival_time": float, "n_replans": int, "max_ugv_replan_ms": float, "max_uav_replan_ms": float,
+    "label": str, "n_vertices": int, "max_uav_solver_ms": float, "budget_hits": int,
+}
+SUMMARY_COLUMNS = (
+    "planner", "k", "label", "n", "LB", "naive_cost", "cost", "delta_pct",
+    "naive_std", "cost_std", "max_ugv_replan_ms", "max_uav_replan_ms",
 )
 FAILURE_COLUMNS = ("instance_id", "seed", "error", "message")
 
 
-def _make_instance(spec: ExperimentSpec, index: int) -> tuple[ProblemInstance, Realization, str]:
-    seed = f"{spec.seed}:{index}"
-    h = random.Random(seed).getrandbits(31)
-    if spec.family == "grid":
-        inst, real = generate_grid(GridSpec(uav_speed=2.0), h)
-        label = ""
-    elif spec.family == "bridge":
-        bs = BridgeSpec(
-            adversarial=spec.adversarial,
-            impeded_per_path=spec.impeded_per_path,
-            bridge_fraction=spec.bridge_fraction,
-        )
-        inst, real = generate_bridge(bs, h)
-        label = ""
-    elif spec.family == "scaling":
-        size = spec.sizes[index % len(spec.sizes)]
-        inst, real = generate_scaling(size, h)
-        label = f"{size[0]}x{size[1]}"
-    else:  # road
-        inst = import_road_network(spec.road_file, spec.impeded_fraction, h)
-        real = sample_realization(inst, random.Random(f"real:{seed}"))
-        label = ""
-    return inst, real, label
+def make_instance(
+    spec: FamilySpec, tag: str
+) -> tuple[ProblemInstance, Realization, ProblemInstance | None]:
+    """Instance `tag` ("<seed>:<index>") of a family spec: the instance, its
+    realization and, for a road spec without a base file, the synthetic road
+    network it was imported from (else None).  The tag fixes every draw."""
+    seed = random.Random(tag).getrandbits(31)
+    if isinstance(spec, RoadSpec):
+        drawn = generate_road_like(spec.n_vertices, seed) if spec.base is None else None
+        inst = import_road_network(drawn or spec.base, spec.impeded_fraction, seed)
+        return inst, sample_realization(inst, random.Random(f"real:{tag}")), drawn
+    if isinstance(spec, GridSpec):
+        inst, real = generate_grid(spec, seed)
+    elif isinstance(spec, ScalingSpec):
+        inst, real = generate_scaling(spec.size, seed)
+    else:
+        inst, real = generate_bridge(spec, seed)
+    return inst, real, None
 
 
 def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     """All planner runs for one instance, naive baseline included."""
-    inst, real, label = _make_instance(spec, index)
+    family_spec, label = spec.instance_spec(index)
+    inst, real, _ = make_instance(family_spec, f"{spec.seed}:{index}")
     rows: list[dict] = []
 
     def record(planner: str, k: int, outcome: sim.SimulationOutcome) -> None:
@@ -500,9 +520,10 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     return rows
 
 
-def summarize_rows(rows: list[dict]) -> list[SummaryRow]:
-    """One row per (planner, k, label), paired with the naive runs of the
-    same label.  The label is empty outside the scaling family."""
+def summarize_rows(rows: list[dict]) -> list[dict]:
+    """One row per (planner, k, label), keyed by SUMMARY_COLUMNS and paired
+    with the naive runs of the same label.  The label is empty outside the
+    scaling family."""
     naive: dict[str, list[dict]] = {}
     algo: dict[tuple, list[dict]] = {}
     for r in rows:
@@ -521,25 +542,25 @@ def summarize_rows(rows: list[dict]) -> list[SummaryRow]:
         cost_mean = fmean(cost)
         naive_mean = fmean(naive_cost) if naive_cost else math.nan
         out.append(
-            SummaryRow(
-                planner=planner,
-                k=k,
-                label=lbl,
-                n=len(rs),
-                lb_mean=lb_mean,
-                naive_mean=naive_mean,
-                cost_mean=cost_mean,
-                delta=delta_percent(lb_mean, naive_mean, cost_mean),
-                naive_std=pstdev(naive_cost) if naive_cost else math.nan,
-                cost_std=pstdev(cost),
-                max_ugv_ms=max(r["max_ugv_replan_ms"] for r in rs),
-                max_uav_ms=max(r["max_uav_replan_ms"] for r in rs),
-            )
+            {
+                "planner": planner,
+                "k": k,
+                "label": lbl,
+                "n": len(rs),
+                "LB": lb_mean,
+                "naive_cost": naive_mean,
+                "cost": cost_mean,
+                "delta_pct": delta_percent(lb_mean, naive_mean, cost_mean),
+                "naive_std": pstdev(naive_cost) if naive_cost else math.nan,
+                "cost_std": pstdev(cost),
+                "max_ugv_replan_ms": max(r["max_ugv_replan_ms"] for r in rs),
+                "max_uav_replan_ms": max(r["max_uav_replan_ms"] for r in rs),
+            }
         )
     return out
 
 
-def _write_csv(rows: list[dict], columns: tuple[str, ...], path: str) -> None:
+def _write_csv(rows: list[dict], columns: Iterable[str], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
@@ -554,36 +575,24 @@ def read_runs_csv(path: str) -> list[dict]:
         if missing:
             raise InstanceError(f"{path}: missing run columns {missing}")
         for r in reader:
-            for key in _INT_COLUMNS:
-                r[key] = int(r[key])
-            for key in _FLOAT_COLUMNS:
-                r[key] = float(r[key])
+            for key, kind in RUN_COLUMNS.items():
+                r[key] = kind(r[key])
             out.append(r)
     return out
 
 
-def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["planner", "k", "label", "n", "LB", "naive_cost", "cost", "delta_pct",
-             "naive_std", "cost_std", "max_ugv_replan_ms", "max_uav_replan_ms"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.planner, r.k, r.label, r.n, r.lb_mean, r.naive_mean, r.cost_mean,
-                 r.delta, r.naive_std, r.cost_std, r.max_ugv_ms, r.max_uav_ms]
-            )
+def write_summary_csv(rows: list[dict], path: str) -> None:
+    _write_csv(rows, SUMMARY_COLUMNS, path)
 
 
 def run_experiment(
     spec: ExperimentSpec, out_dir: str, jobs: int = 1
-) -> tuple[list[SummaryRow], list[dict]]:
+) -> tuple[list[dict], list[dict]]:
     """Run the full sweep and write runs.csv, summary.csv, failures.csv and
     plot data.  Returns the summary and one record per failed instance;
     a failed instance contributes no rows to the summary."""
     os.makedirs(out_dir, exist_ok=True)
-    n = spec.n_instances * (len(spec.sizes) if spec.family == "scaling" else 1)
+    n = spec.n_instances * len(spec.family_specs)
     rows: list[dict] = []
     failures: list[dict] = []
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import bench, sim
@@ -20,7 +19,6 @@ from .core import (
     check_at_least,
     load_instance,
     load_realization,
-    sample_realization,
     save_instance,
     save_realization,
 )
@@ -51,7 +49,8 @@ def _load_json(path: str, command: str) -> dict:
 
 
 def _dataclass_from(cls, data: dict):
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
+    """`cls` built from a spec object; a key that is not an init field is an error."""
+    fields = {f.name for f in cls.__dataclass_fields__.values() if f.init}
     unknown = set(data) - fields
     if unknown:
         raise InstanceError(f"unknown spec keys: {sorted(unknown)}")
@@ -72,44 +71,19 @@ def _weights(values: list) -> PriorityWeights:
         raise InstanceError(f"bad weights {values!r}: {exc}") from None
 
 
-#: Spec keys (besides "count") of the families without a spec dataclass.
-_SPEC_KEYS = {"scaling": {"size"}, "road": {"n_vertices", "impeded_fraction", "base_file"}}
-
-
 def cmd_generate(args) -> int:
     data = _load_json(args.spec, "generate") if args.spec else {}
     count = data.pop("count", 1)
-    unknown = set(data) - _SPEC_KEYS.get(args.family, set(data))
-    if unknown:
-        raise InstanceError(f"unknown spec keys: {sorted(unknown)}")
     try:
         check_at_least("count", count, 1)
-        if args.family == "grid":
-            spec = _dataclass_from(bench.GridSpec, data)
-        elif args.family == "bridge":
-            spec = _dataclass_from(bench.BridgeSpec, data)
-        elif args.family == "scaling":
-            spec = bench.scaling_spec(tuple(data.get("size", bench.SCALING_SIZES[0])))
-        else:
-            n_vertices = int(data.get("n_vertices", 30))
-            fraction = float(data.get("impeded_fraction", 0.5))
-            bench.check_fraction("impeded_fraction", fraction)
+        spec = _dataclass_from(bench.FAMILY_SPECS[args.family], data)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"bad generate spec {args.spec}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     for i in range(count):
-        seed = random.Random(f"{args.seed}:{i}").getrandbits(31)
-        if args.family == "grid":
-            inst, real = bench.generate_grid(spec, seed)
-        elif args.family != "road":
-            inst, real = bench.generate_bridge(spec, seed)
-        else:
-            base_file = data.get("base_file")
-            if base_file is None:
-                base_file = os.path.join(args.out, f"road_base_{i:03d}.txt")
-                save_instance(bench.generate_road_like(n_vertices, seed), base_file)
-            inst = bench.import_road_network(base_file, fraction, seed)
-            real = sample_realization(inst, random.Random(f"real:{args.seed}:{i}"))
+        inst, real, road_base = bench.make_instance(spec, f"{args.seed}:{i}")
+        if road_base is not None:
+            save_instance(road_base, os.path.join(args.out, f"road_base_{i:03d}.txt"))
         save_instance(inst, os.path.join(args.out, f"instance_{i:03d}.txt"))
         save_realization(real, os.path.join(args.out, f"realization_{i:03d}.txt"))
     print(f"wrote {count} instance(s) to {args.out}")
@@ -149,9 +123,9 @@ def cmd_experiment(args) -> int:
     summary, failures = bench.run_experiment(spec, args.out, jobs=args.jobs)
     for row in summary:
         print(
-            f"{row.planner} k={row.k}{' ' + row.label if row.label else ''}: "
-            f"LB {row.lb_mean:.1f} naive {row.naive_mean:.1f} cost {row.cost_mean:.1f} "
-            f"delta {row.delta:.1f}%"
+            f"{row['planner']} k={row['k']}{' ' + row['label'] if row['label'] else ''}: "
+            f"LB {row['LB']:.1f} naive {row['naive_cost']:.1f} cost {row['cost']:.1f} "
+            f"delta {row['delta_pct']:.1f}%"
         )
     if failures:
         where = os.path.join(args.out, "failures.csv")

@@ -116,24 +116,23 @@ class TestScaling:
 
 class TestRoadImport:
     def make_base(self, tmp_path, n=30):
-        inst = bench.generate_road_like(n, seed=5)
         path = tmp_path / "road.txt"
-        save_instance(inst, str(path))
-        return inst, str(path)
+        save_instance(bench.generate_road_like(n, seed=5), str(path))
+        return load_instance(str(path))
 
     def test_fraction_zero(self, tmp_path):
-        _, path = self.make_base(tmp_path)
-        out = bench.import_road_network(path, impeded_fraction=0.0, seed=1)
+        base = self.make_base(tmp_path)
+        out = bench.import_road_network(base, impeded_fraction=0.0, seed=1)
         assert not out.impeded_ids
 
     def test_fraction_one(self, tmp_path):
-        _, path = self.make_base(tmp_path)
-        out = bench.import_road_network(path, impeded_fraction=1.0, seed=1)
+        base = self.make_base(tmp_path)
+        out = bench.import_road_network(base, impeded_fraction=1.0, seed=1)
         assert out.impeded_ids == out.ugv_edge_ids
 
     def test_fraction_half_counts_and_windows(self, tmp_path):
-        base, path = self.make_base(tmp_path)
-        out = bench.import_road_network(path, impeded_fraction=0.5, seed=2)
+        base = self.make_base(tmp_path)
+        out = bench.import_road_network(base, impeded_fraction=0.5, seed=2)
         assert len(out.impeded_ids) == len(out.ugv_edge_ids) // 2
         for eid in out.impeded_ids:
             lo, hi = out.edges[eid].distribution.bounds()
@@ -141,8 +140,8 @@ class TestRoadImport:
         assert out.uav_free_flight
 
     def test_endpoints_are_farthest_pair(self, tmp_path):
-        base, path = self.make_base(tmp_path, n=20)
-        out = bench.import_road_network(path, impeded_fraction=0.3, seed=3)
+        base = self.make_base(tmp_path, n=20)
+        out = bench.import_road_network(base, impeded_fraction=0.3, seed=3)
         from scoutplan.core import dijkstra
 
         length = [e.distribution.t_min if e.impeded else e.ugv_cost for e in out.edges]
@@ -154,8 +153,8 @@ class TestRoadImport:
         assert got[out.d] == pytest.approx(best)
 
     def test_simulates_cleanly(self, tmp_path):
-        _, path = self.make_base(tmp_path)
-        out = bench.import_road_network(path, impeded_fraction=0.5, seed=4)
+        base = self.make_base(tmp_path)
+        out = bench.import_road_network(base, impeded_fraction=0.5, seed=4)
         real = bench.sample_realization(out, random.Random(9))
         res = sim.run(out, real, SimulationConfig(planner="paa", k=3))
         assert res.arrival_time >= res.lower_bound - 1e-9
@@ -224,7 +223,7 @@ class TestExperimentHarness:
         # Simulated results are seed-deterministic; only the measured
         # wall-clock columns may differ between identical runs.
         assert rows_without_wall_times(out1 / "runs.csv") == rows_without_wall_times(out2 / "runs.csv")
-        assert [r.cost_mean for r in s1] == [r.cost_mean for r in s2]
+        assert [r["cost"] for r in s1] == [r["cost"] for r in s2]
         assert (out1 / "plot_costs.txt").read_bytes() == (out2 / "plot_costs.txt").read_bytes()
         with open(out1 / "runs.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -238,10 +237,10 @@ class TestExperimentHarness:
         rows = bench.read_runs_csv(str(out / "runs.csv"))
         summary = bench.summarize_rows(rows)
         assert summary
-        by_key = {(r.planner, r.k): r for r in summary}
+        by_key = {(r["planner"], r["k"]): r for r in summary}
         assert ("rpp", 1) in by_key and ("paa", 2) in by_key
         for r in summary:
-            assert r.lb_mean <= r.cost_mean + 1e-9
+            assert r["LB"] <= r["cost"] + 1e-9
 
     def test_report_reproduces_scaling_summary(self, tmp_path):
         spec = bench.ExperimentSpec(
@@ -250,7 +249,7 @@ class TestExperimentHarness:
         )
         out = tmp_path / "run"
         summary, _ = bench.run_experiment(spec, str(out))
-        assert sorted({r.label for r in summary}) == ["10x5", "8x4"]
+        assert sorted({r["label"] for r in summary}) == ["10x5", "8x4"]
         rows = bench.read_runs_csv(str(out / "runs.csv"))
         assert {r["n_vertices"] for r in rows} == {8 * 4 + 2, 10 * 5 + 2}
         bench.write_summary_csv(bench.summarize_rows(rows), str(tmp_path / "report.csv"))

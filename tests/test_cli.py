@@ -65,6 +65,14 @@ class TestGenerate:
             ("bridge", [1, 2]),
             ("grid", None),
             ("road", "x"),
+            ("road", {"base_file": 5}),
+            ("road", {"n_vertices": 0}),
+            ("road", {"n_vertices": -3}),
+            ("road", {"n_vertices": 2.7}),
+            ("road", {"n_vertices": "12"}),
+            ("road", {"n_vertices": True}),
+            ("road", {"impeded_fraction": "0.5"}),
+            ("bridge", {"adversarial": "no"}),
         ]
         for i, (family, data) in enumerate(cases):
             spec = tmp_path / f"spec{i}.json"
@@ -214,6 +222,10 @@ class TestExperimentAndReport:
         {"planners": []},
         [],  # not an object: read as the default sweep unless rejected
         None,
+        {"family": "road", "road_file": 5},
+        {"adversarial": "no"},
+        {"seed": "x"},
+        {"seed": 1.5},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"
@@ -226,6 +238,35 @@ class TestExperimentAndReport:
         assert "bad experiment spec" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_road_file_is_loaded_once_before_running(self, tmp_path, monkeypatch):
+        road = tmp_path / "road.txt"
+        save_instance(bench.generate_road_like(12, seed=1), str(road))
+        loads = []
+        monkeypatch.setattr(bench, "load_instance", lambda path: loads.append(path) or load_instance(path))
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({
+            "family": "road", "n_instances": 3, "k_values": [1], "planners": ["paa"],
+            "road_file": str(road),
+        }))
+        rc = run_cli("experiment", "--spec", str(spec), "--out", str(tmp_path / "ok"), "--jobs", "1")
+        assert rc == 0
+        assert loads == [str(road)]
+        assert len(bench.read_runs_csv(str(tmp_path / "ok" / "runs.csv"))) == 3 * 2
+
+    def test_bad_road_file_fails_before_running(self, tmp_path):
+        corrupt = tmp_path / "corrupt.txt"
+        corrupt.write_text("sapp 1\nv 0 a b\n")
+        missing = str(tmp_path / "missing.txt")
+        # A missing road file exits as a missing instance does in simulate.
+        missing_rc = run_cli("simulate", "--instance", missing, "--realization", missing)
+        for road_file, want in ((str(corrupt), DATA_ERROR), (missing, missing_rc)):
+            spec = tmp_path / "exp.json"
+            spec.write_text(json.dumps({"family": "road", "n_instances": 2, "road_file": road_file}))
+            out = tmp_path / "results"
+            rc = run_cli("experiment", "--spec", str(spec), "--out", str(out), "--jobs", "1")
+            assert rc == want, road_file
+            assert not out.exists(), road_file
+
     def test_report_rejects_runs_without_label_columns(self, tmp_path):
         runs = tmp_path / "runs.csv"
         runs.write_text("instance_id,seed,planner,k,LB,cost\n0,1,naive,1,2.0,3.0\n")
@@ -233,14 +274,14 @@ class TestExperimentAndReport:
         assert rc == DATA_ERROR
 
     def test_failed_instance_is_recorded_and_exits_3(self, tmp_path, monkeypatch, capsys):
-        make_instance = bench._make_instance
+        make_instance = bench.make_instance
 
-        def failing_make_instance(spec, index):
-            if index == 1:
+        def failing_make_instance(spec, tag):
+            if tag == "5:1":
                 raise ValueError("injected failure")
-            return make_instance(spec, index)
+            return make_instance(spec, tag)
 
-        monkeypatch.setattr(bench, "_make_instance", failing_make_instance)
+        monkeypatch.setattr(bench, "make_instance", failing_make_instance)
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({
             "family": "bridge", "n_instances": 2, "k_values": [1],

@@ -271,6 +271,30 @@ class TestDfs:
         assert cut.budget_exhausted and cut.nodes == full.nodes - 1
 
 
+@pytest.mark.xfail(strict=True, reason="the incumbent-subset prune in rpp_dfs is unsound")
+def test_subset_prune_counterexample():
+    # Tie-heavy integer arcs.  rpp_dfs finds [0, 2, 5] (2 inspections, cost 5)
+    # first; at node 5 it then prunes child 2 (cost 5, node set inside the
+    # incumbent's), although that child ends at node 2, from which tour
+    # [0, 5, 2, 3] meets every deadline: 3 inspections at cost 9.
+    nodes = [None] + [
+        rpp.TourNode(edge, 0, 0, 1.0, deadline)
+        for edge, deadline in zip((0, 0, 1, 1, 2, 2), (10.0, 10.0, 9.0, 9.0, 9.0, 9.0))
+    ]
+    arc = [
+        [INF, 4, 2, 5, 4, 2, 4],
+        [1, INF, INF, 4, 3, 3, 3],
+        [1, INF, INF, 4, 5, 3, 5],
+        [1, 5, 3, INF, INF, 5, 5],
+        [1, 4, 4, INF, INF, 4, 6],
+        [1, 5, 3, 6, 5, INF, INF],
+        [1, 3, 3, 4, 5, INF, INF],
+    ]
+    g = rpp.TransformedGraph(nodes, [[float(a) for a in row] for row in arc], [0, 2, 1, 4, 3, 6, 5])
+    sol = rpp.rpp_dfs(g)
+    assert (sol.inspected, sol.best_cost) == oracles.rpp_brute_force(g) == (3, 9.0)
+
+
 class TestPlanExpansion:
     def test_depot_only_plan_is_empty(self):
         coords = [(0.0, 0.0), (8.0, 0.0), (4.0, 3.0)]
