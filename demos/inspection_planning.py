@@ -1,7 +1,7 @@
 """Choosing what the scout should inspect.
 
 From the ground vehicle's candidate routes we collect the critical edges
-(unrealized impeded edges on any route, deadline-stamped when they sit on
+(unrevealed impeded edges on any route, deadline-stamped when they sit on
 the best route), then compare the two scout planners: the optimal
 inspection tour and the linear-time priority pick.
 """
@@ -26,10 +26,10 @@ metric = UavMetric(inst)
 
 critical = rpp.extract_critical_edges(pset, view, inst)
 print(f"{len(critical)} critical edges from {len(pset)} routes:")
-for ce in critical:
-    rec = inst.edges[ce.edge]
-    window = "no deadline" if ce.t_max == float("inf") else f"finish by t={ce.t_max:.1f}"
-    print(f"  edge {ce.edge} ({rec.u}-{rec.v}), {window}")
+for eid, t_max in critical.items():
+    rec = inst.edges[eid]
+    window = "no deadline" if t_max == float("inf") else f"finish by t={t_max:.1f}"
+    print(f"  edge {eid} ({rec.u}-{rec.v}), {window}")
 
 graph = rpp.build_transformed_graph(inst, metric, critical, uav_pos=inst.q)
 sol = rpp.rpp_dfs(graph)

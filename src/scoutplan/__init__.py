@@ -28,7 +28,6 @@ from .dstar import DStarState
 from .kspp import PathSet, update_k_paths
 from .paa import EdgePriority, PaaContext, PriorityWeights, select_edge
 from .rpp import (
-    CriticalEdge,
     RppSolution,
     TransformedGraph,
     UavLeg,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
-    "CriticalEdge",
     "DStarState",
     "EdgePriority",
     "EdgeRecord",

@@ -10,6 +10,7 @@ emits plain columnar files with plot data.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import random
@@ -52,6 +53,7 @@ class GridSpec:
         check_at_least("n_impeded_cuts", self.n_impeded_cuts, 0)
         check_positive("spacing", self.spacing)
         check_positive("uav_speed", self.uav_speed)
+        check_window("t_max_range", self.t_max_range)
         if self.cut_style not in ("partial", "full"):
             raise ValueError(f"cut_style must be 'partial' or 'full', got {self.cut_style!r}")
 
@@ -78,11 +80,31 @@ class BridgeSpec:
         check_positive("uav_speed", self.uav_speed)
         if type(self.adversarial) is not bool:
             raise ValueError(f"adversarial must be true or false, got {self.adversarial!r}")
+        check_window("t_max_range", self.t_max_range)
+        bbox = self.bbox
+        if not (isinstance(bbox, tuple) and len(bbox) == 2 and all(map(_finite_pair, bbox))):
+            raise ValueError(f"bbox must be two (x, y) pairs of finite numbers, got {bbox!r}")
+        for name in ("p_coord", "d_coord"):
+            point = getattr(self, name)
+            if not _finite_pair(point):
+                raise ValueError(f"{name} must be an (x, y) pair of finite numbers, got {point!r}")
 
 
 def check_fraction(name: str, value: float) -> None:
     if type(value) not in (int, float) or not 0 <= value <= 1:
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def _finite_pair(value) -> bool:
+    return (
+        isinstance(value, tuple) and len(value) == 2
+        and all(type(x) in (int, float) and math.isfinite(x) for x in value)
+    )
+
+
+def check_window(name: str, value: tuple[float, float]) -> None:
+    if not (_finite_pair(value) and 0 < value[0] <= value[1]):
+        raise ValueError(f"{name} must be finite numbers lo, hi with 0 < lo <= hi, got {value!r}")
 
 
 #: Node-grid sizes of the scaling study, as (chain_len, n_paths).
@@ -391,11 +413,8 @@ def import_road_network(
     farthest apart in the graph.
     """
     rng = random.Random(f"roadimport:{seed}")
-    lengths = [INF] * len(base.edges)
+    lengths, p, d = _road_layout(base)
     ugv_ids = sorted(base.ugv_edge_ids)
-    for eid in ugv_ids:
-        rec = base.edges[eid]
-        lengths[eid] = rec.ugv_cost if rec.ugv_cost is not None else rec.distribution.t_min
     n_imp = int(impeded_fraction * len(ugv_ids))
     impeded = set(rng.sample(ugv_ids, n_imp))
     edges = [
@@ -405,23 +424,29 @@ def import_road_network(
         else EdgeRecord(rec.id, rec.u, rec.v, None, rec.uav_cost)
         for rec in base.edges
     ]
-
-    probe = ProblemInstance(
-        base.vertices, edges, p=0, q=0, d=len(base.vertices) - 1,
-        uav_speed=uav_speed, uav_free_flight=True,
-    )
-    best = (0.0, 0, 0)
-    for src in range(probe.n_vertices):
-        dist, _, _ = dijkstra(probe.ugv_adj, src, lengths)
-        far = max(range(probe.n_vertices), key=lambda v: (dist[v] < INF, dist[v]))
-        if dist[far] > best[0]:
-            best = (dist[far], src, far)
-    _, p, d = best
-    q = rng.randrange(probe.n_vertices)
+    q = rng.randrange(base.n_vertices)
     return ProblemInstance(
         base.vertices, edges, p=p, q=q, d=d,
         uav_speed=uav_speed, uav_free_flight=True,
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _road_layout(base: ProblemInstance) -> tuple[tuple[float, ...], int, int]:
+    """Each drivable edge's length (INF for an aerial-only edge) and the two
+    vertices farthest apart under those lengths.  Cached for the last base,
+    so the instances of one base network search all pairs once."""
+    lengths = [INF] * len(base.edges)
+    for eid in base.ugv_edge_ids:
+        rec = base.edges[eid]
+        lengths[eid] = rec.ugv_cost if rec.ugv_cost is not None else rec.distribution.t_min
+    best = (0.0, 0, 0)
+    for src in range(base.n_vertices):
+        dist, _, _ = dijkstra(base.ugv_adj, src, lengths)
+        far = max(range(base.n_vertices), key=lambda v: (dist[v] < INF, dist[v]))
+        if dist[far] > best[0]:
+            best = (dist[far], src, far)
+    return tuple(lengths), best[1], best[2]
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,7 @@ class PlanningCostView:
 
     def __init__(self, inst: ProblemInstance):
         self.realized: dict[int, float] = {}
+        self.impeded = inst.impeded_ids
         self.costs: list[float] = [
             INF if e.id not in inst.ugv_edge_ids
             else e.distribution.expected() if e.impeded
@@ -278,8 +279,9 @@ class PlanningCostView:
         self.realized[eid] = cost
         self.costs[eid] = cost
 
-    def knows(self, eid: int) -> bool:
-        return eid in self.realized
+    def unrevealed(self, eid: int) -> bool:
+        """Whether ``eid`` is an impeded edge whose true cost is still hidden."""
+        return eid in self.impeded and eid not in self.realized
 
     def path_cost(self, edges: tuple[int, ...]) -> float:
         """Left-to-right sum of the planning costs along a path's edge ids."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import dstar
-from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend, dijkstra
+from .core import INF, Path, PlanningCostView, ProblemInstance, descend, dijkstra
 from .dstar import DStarState
 
 
@@ -160,7 +160,7 @@ def update_k_paths(
     k: int,
 ) -> PathSet:
     """Refresh the k best loopless paths from v_curr after the edges in
-    ``changed`` changed cost.
+    ``changed`` changed cost; ``NoPathError`` when no route is left.
 
     Only the rank-1 repair touches the shared search state; ranks 2..k come
     from Yen spur searches (``spur_search``) against one ``ReverseTree``,
@@ -181,10 +181,7 @@ def update_k_paths(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    try:
-        best = dstar.replan(state, view, v_curr, changed)
-    except NoPathError:
-        return PathSet()
+    best = dstar.replan(state, view, v_curr, changed)
     accepted = [best]
     if k == 1:
         return PathSet(accepted)

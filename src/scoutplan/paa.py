@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .core import INF, PlanningCostView, ProblemInstance, UavMetric
 from .kspp import PathSet
-from .rpp import CriticalEdge
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class PaaContext:
     metric: UavMetric
 
 
-def score_edges(critical: list[CriticalEdge], ctx: PaaContext) -> list[EdgePriority]:
+def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriority]:
     """All four signals plus the weighted score, one entry per critical edge.
 
     One pass over the ranked paths gives each edge's coverage (the number
@@ -70,8 +69,8 @@ def score_edges(critical: list[CriticalEdge], ctx: PaaContext) -> list[EdgePrior
     k = ctx.k
     cost = ctx.view.costs
 
-    counts = {ce.edge: 0 for ce in critical}
-    lam = {ce.edge: INF for ce in critical}
+    counts = dict.fromkeys(critical, 0)
+    lam = dict.fromkeys(critical, INF)
     paths = ctx.path_set.paths
     for rank, path in enumerate(paths):
         arrival = [0.0]  # expected arrival at each vertex of the path
@@ -90,21 +89,20 @@ def score_edges(critical: list[CriticalEdge], ctx: PaaContext) -> list[EdgePrior
     lam_min = min(lam.values())
     lam_max = max(lam.values())
 
-    var = {ce.edge: inst.edges[ce.edge].distribution.variance() for ce in critical}
+    var = {e: inst.edges[e].distribution.variance() for e in critical}
     var_max = max(var.values())
 
     dist = {}
-    for ce in critical:
-        rec = inst.edges[ce.edge]
-        dist[ce.edge] = min(
+    for e in critical:
+        rec = inst.edges[e]
+        dist[e] = min(
             ctx.metric.cost(ctx.uav_pos, rec.u), ctx.metric.cost(ctx.uav_pos, rec.v)
         )
     d_max = max(dist.values())
 
     out = []
     w1, w2, w3, w4 = ctx.weights.as_tuple()
-    for ce in critical:
-        e = ce.edge
+    for e in critical:
         p1 = counts[e] / k
         p2 = 1.0 if lam_min == lam_max else (lam_max - lam[e]) / (lam_max - lam_min)
         p3 = 1.0 if var_max == 0 else var[e] / var_max
@@ -113,7 +111,7 @@ def score_edges(critical: list[CriticalEdge], ctx: PaaContext) -> list[EdgePrior
     return out
 
 
-def select_edge(critical: list[CriticalEdge], ctx: PaaContext) -> int | None:
+def select_edge(critical: dict[int, float], ctx: PaaContext) -> int | None:
     """Highest-score critical edge; lowest edge id on ties; None when empty."""
     scored = score_edges(critical, ctx)
     if not scored:

@@ -16,54 +16,37 @@ from .core import INF, PlanningCostView, ProblemInstance, UavMetric
 from .kspp import PathSet
 
 
-@dataclass(frozen=True)
-class CriticalEdge:
-    """An inspection target and the window in which it must be finished."""
-
-    edge: int
-    t_max: float
-
-
 def extract_critical_edges(
     path_set: PathSet,
     view: PlanningCostView,
     inst: ProblemInstance,
     start_time: float = 0.0,
     exclude: tuple[int, ...] = (),
-) -> list[CriticalEdge]:
-    """Unrealized impeded edges on any ranked path.
+) -> dict[int, float]:
+    """Unrevealed impeded edges on any ranked path, mapped to the time by
+    which the scout must have finished inspecting them, in ascending edge id.
 
     An edge on the best path gets a finite deadline: the earliest the ground
     vehicle could reach the edge's first endpoint, i.e. the prefix cost with
-    every unrealized impeded edge priced at its minimum.  Edges only on
+    every unrevealed impeded edge priced at its minimum.  Edges only on
     lower-ranked paths get an infinite deadline.  ``start_time`` shifts the
     deadlines to absolute simulation time.
     """
     excluded = set(exclude)
-    realized = view.realized
-    impeded = inst.impeded_ids
-    edges = inst.edges
-
-    def target(eid: int) -> bool:
-        return eid in impeded and eid not in realized and eid not in excluded
-
     found: dict[int, float] = {}
     paths = path_set.paths
     if paths:
         arrival = start_time
         for eid in paths[0].edges:
-            if target(eid):
+            unrevealed = view.unrevealed(eid)
+            if unrevealed and eid not in excluded:
                 found.setdefault(eid, arrival)
-            rec = edges[eid]
-            if rec.impeded:
-                arrival += realized.get(eid, rec.distribution.t_min)
-            else:
-                arrival += rec.ugv_cost
+            arrival += inst.edges[eid].distribution.t_min if unrevealed else view.costs[eid]
     for path in paths[1:]:
         for eid in path.edges:
-            if target(eid):
+            if view.unrevealed(eid) and eid not in excluded:
                 found.setdefault(eid, INF)
-    return [CriticalEdge(e, found[e]) for e in sorted(found)]
+    return dict(sorted(found.items()))
 
 
 @dataclass(frozen=True)
@@ -98,7 +81,7 @@ class TransformedGraph:
 def build_transformed_graph(
     inst: ProblemInstance,
     metric: UavMetric,
-    critical: list[CriticalEdge],
+    critical: dict[int, float],
     uav_pos: int,
     uav_time_offset: float = 0.0,
 ) -> TransformedGraph:
@@ -110,12 +93,12 @@ def build_transformed_graph(
     """
     nodes: list[TourNode | None] = [None]
     twin = [0]
-    for ce in critical:
-        rec = inst.edges[ce.edge]
+    for eid, t_max in critical.items():
+        rec = inst.edges[eid]
         tau = rec.uav_cost
-        deadline = ce.t_max - tau - uav_time_offset
-        nodes.append(TourNode(ce.edge, rec.u, rec.v, tau, deadline))
-        nodes.append(TourNode(ce.edge, rec.v, rec.u, tau, deadline))
+        deadline = t_max - tau - uav_time_offset
+        nodes.append(TourNode(eid, rec.u, rec.v, tau, deadline))
+        nodes.append(TourNode(eid, rec.v, rec.u, tau, deadline))
         n = len(nodes)
         twin.extend((n - 1, n - 2))
     n = len(nodes)

@@ -29,7 +29,7 @@ from .core import (
     dijkstra,
 )
 from .paa import PaaContext, PriorityWeights
-from .rpp import CriticalEdge, UavLeg
+from .rpp import UavLeg
 
 @dataclass
 class SimulationConfig:
@@ -120,7 +120,7 @@ def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
 def naive_step(
     inst: ProblemInstance,
     metric: UavMetric,
-    critical: list[CriticalEdge],
+    critical: dict[int, float],
     path_set: kspp.PathSet,
     uav_pos: int,
     uav_time: float,
@@ -129,12 +129,8 @@ def naive_step(
 
     Returns (edge id, starting endpoint) or None when nothing is feasible.
     """
-    best = path_set.best()
-    if best is None or not critical:
-        return None
-    windows = {ce.edge: ce.t_max for ce in critical}
-    for eid in best.edges:
-        t_max = windows.get(eid)
+    for eid in path_set.paths[0].edges:
+        t_max = critical.get(eid)
         if t_max is None:
             continue
         rec = inst.edges[eid]
@@ -160,7 +156,7 @@ def _timed(rec: ReplanRecord, solver, *args):
 
 
 def _rpp_legs(
-    eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
+    eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[UavLeg]:
     graph = rpp.build_transformed_graph(eng.inst, eng.metric, critical, origin, origin_time)
     sol = _timed(rec, rpp.rpp_dfs, graph)
@@ -169,7 +165,7 @@ def _rpp_legs(
 
 
 def _paa_legs(
-    eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
+    eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[UavLeg]:
     cfg = eng.cfg
     ctx = PaaContext(eng.inst, eng.view, eng.pset, origin, cfg.weights, cfg.k, eng.metric)
@@ -182,7 +178,7 @@ def _paa_legs(
 
 
 def _naive_legs(
-    eng: _Engine, critical: list[CriticalEdge], origin: int, origin_time: float, rec: ReplanRecord
+    eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[UavLeg]:
     chosen = _timed(
         rec, naive_step, eng.inst, eng.metric, critical, eng.pset, origin, origin_time
@@ -232,8 +228,6 @@ class _Engine:
         pset = kspp.update_k_paths(self.inst, self.view, self.dstate, origin, changed, self.k_eff)
         rec.ugv_seconds = _time.perf_counter() - t0
         rec.spur = pset.spur
-        if not pset.paths:
-            raise NoPathError(f"no route from {origin} to {self.inst.d}")
         self.pset = pset
         self.plan_origin_time = self.ugv_arrival
         self.route = list(pset.paths[0].vertices)
@@ -246,9 +240,7 @@ class _Engine:
             return
         origin_time = self.now if self.uav_leg is None else self.uav_arrival
         t0 = _time.perf_counter()
-        exclude: tuple[int, ...] = ()
-        if self.ugv_edge in self.inst.impeded_ids and not self.view.knows(self.ugv_edge):
-            exclude = (self.ugv_edge,)
+        exclude = (self.ugv_edge,) if self.view.unrevealed(self.ugv_edge) else ()
         critical = rpp.extract_critical_edges(
             self.pset, self.view, self.inst,
             start_time=self.plan_origin_time, exclude=exclude,
@@ -265,7 +257,7 @@ class _Engine:
         del self.route[0]
         self.ugv_edge = eid
         self.ugv_arrival = self.now + (self.real[eid] if rec.impeded else rec.ugv_cost)
-        if rec.impeded and not self.view.knows(eid):
+        if self.view.unrevealed(eid):
             self._cancel_uav_if_targeting(eid)
 
     def _cancel_uav_if_targeting(self, eid: int) -> None:
@@ -300,7 +292,7 @@ class _Engine:
         leg = self.uav_leg
         self.now = self.uav_arrival
         self.uav_leg = None
-        if leg.inspect and not self.view.knows(leg.edge):
+        if leg.inspect and self.view.unrevealed(leg.edge):
             self._reveal(leg.edge, "uav")
         self._log("uav_arrives", (leg.to,))
         self._uav_depart_if_idle()
@@ -309,7 +301,7 @@ class _Engine:
         self.now = self.ugv_arrival
         v = self.route[0]
         eid = self.ugv_edge
-        if eid in self.inst.impeded_ids and not self.view.knows(eid):
+        if self.view.unrevealed(eid):
             self._reveal(eid, "ugv")
         self._log("ugv_arrives", (v,))
         if v == self.inst.d:

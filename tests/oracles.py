@@ -229,9 +229,9 @@ def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
     """Straight-line re-derivation of the four priority signals."""
     paths = [p.vertices for p in path_set]
     edge_of = {}
-    for ce in critical:
-        rec = inst.edges[ce.edge]
-        edge_of[ce.edge] = (rec.u, rec.v)
+    for eid in critical:
+        rec = inst.edges[eid]
+        edge_of[eid] = (rec.u, rec.v)
 
     def on_path(eid, vs):
         u, v = edge_of[eid]
@@ -244,8 +244,7 @@ def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
         return total
 
     lam = {}
-    for ce in critical:
-        eid = ce.edge
+    for eid in critical:
         vals = []
         for rank, vs in enumerate(paths):
             if not on_path(eid, vs):
@@ -269,17 +268,16 @@ def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
         lam[eid] = min(vals)
     lam_lo, lam_hi = min(lam.values()), max(lam.values())
 
-    var = {ce.edge: inst.edges[ce.edge].distribution.variance() for ce in critical}
+    var = {eid: inst.edges[eid].distribution.variance() for eid in critical}
     var_hi = max(var.values())
     dist = {
-        ce.edge: min(metric.cost(uav_pos, edge_of[ce.edge][0]), metric.cost(uav_pos, edge_of[ce.edge][1]))
-        for ce in critical
+        eid: min(metric.cost(uav_pos, edge_of[eid][0]), metric.cost(uav_pos, edge_of[eid][1]))
+        for eid in critical
     }
     d_hi = max(dist.values())
 
     scores = {}
-    for ce in critical:
-        eid = ce.edge
+    for eid in critical:
         p1 = sum(1 for vs in paths if on_path(eid, vs)) / k
         p2 = 1.0 if lam_lo == lam_hi else (lam_hi - lam[eid]) / (lam_hi - lam_lo)
         p3 = 1.0 if var_hi == 0 else var[eid] / var_hi

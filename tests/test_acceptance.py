@@ -22,7 +22,6 @@ from scoutplan.core import (
     sample_realization,
 )
 from scoutplan.paa import PaaContext, PriorityWeights
-from scoutplan.rpp import CriticalEdge
 from scoutplan.sim import SimulationConfig
 
 
@@ -126,10 +125,10 @@ class TestCriterion3RppOptimality:
                 continue
             rng.shuffle(impeded)
             chosen = sorted(impeded[: rng.randint(1, min(6, len(impeded)))])
-            crit = [
-                CriticalEdge(e, INF if rng.random() < 0.35 else rng.uniform(5.0, 150.0))
+            crit = {
+                e: INF if rng.random() < 0.35 else rng.uniform(5.0, 150.0)
                 for e in chosen
-            ]
+            }
             pos = rng.randrange(inst.n_vertices)
             offset = rng.uniform(0.0, 8.0)
             graph = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset)
@@ -339,16 +338,15 @@ class TestCriterion8PropertySuite:
             impeded = sorted(inst.impeded_ids)
             if not impeded:
                 continue
-            crit = [
-                CriticalEdge(e, INF if rng.random() < 0.3 else rng.uniform(4.0, 150.0))
+            crit = {
+                e: INF if rng.random() < 0.3 else rng.uniform(4.0, 150.0)
                 for e in impeded[:5]
-            ]
+            }
             pos = rng.randrange(inst.n_vertices)
             offset = rng.uniform(0.0, 10.0)
             graph = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset)
             sol = rpp.rpp_dfs(graph)
-            windows = {c.edge: c.t_max for c in crit}
             for eid, done in oracles.replay_tour_times(graph, sol.best_visited, offset):
-                assert done <= windows[eid] + 1e-9
+                assert done <= crit[eid] + 1e-9
             checked += 1
         report(8, "inspection deadline soundness", "100 random tours")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from scoutplan import bench, sim
-from scoutplan.core import load_instance, save_instance
+from scoutplan.core import dijkstra, load_instance, save_instance
 from scoutplan.sim import SimulationConfig
 
 
@@ -142,8 +142,6 @@ class TestRoadImport:
     def test_endpoints_are_farthest_pair(self, tmp_path):
         base = self.make_base(tmp_path, n=20)
         out = bench.import_road_network(base, impeded_fraction=0.3, seed=3)
-        from scoutplan.core import dijkstra
-
         length = [e.distribution.t_min if e.impeded else e.ugv_cost for e in out.edges]
         best = 0.0
         for src in range(out.n_vertices):
@@ -151,6 +149,16 @@ class TestRoadImport:
             best = max(best, max(d for d in dist if d < float("inf")))
         got, _, _ = dijkstra(out.ugv_adj, out.p, length)
         assert got[out.d] == pytest.approx(best)
+
+    def test_endpoints_searched_once_per_base(self, tmp_path, monkeypatch):
+        path = tmp_path / "road.txt"
+        save_instance(bench.generate_road_like(15, seed=5), str(path))
+        spec = bench.RoadSpec(base_file=str(path))
+        calls = []
+        monkeypatch.setattr(bench, "dijkstra", lambda *a: calls.append(a[1]) or dijkstra(*a))
+        for i in range(3):
+            bench.make_instance(spec, f"0:{i}")
+        assert sorted(calls) == list(range(15))
 
     def test_simulates_cleanly(self, tmp_path):
         base = self.make_base(tmp_path)

@@ -73,6 +73,16 @@ class TestGenerate:
             ("road", {"n_vertices": True}),
             ("road", {"impeded_fraction": "0.5"}),
             ("bridge", {"adversarial": "no"}),
+            ("grid", {"t_max_range": ["a", "b"]}),
+            ("grid", {"t_max_range": [5]}),
+            ("grid", {"t_max_range": [100, 5]}),
+            ("grid", {"t_max_range": [0, 5]}),
+            ("bridge", {"t_max_range": [5, float("inf")]}),
+            ("bridge", {"bbox": [1, 2]}),
+            ("bridge", {"bbox": [[0, 1], [2, float("nan")]]}),
+            ("bridge", {"p_coord": "x"}),
+            ("bridge", {"p_coord": [0, True]}),
+            ("bridge", {"d_coord": [1]}),
         ]
         for i, (family, data) in enumerate(cases):
             spec = tmp_path / f"spec{i}.json"

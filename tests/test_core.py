@@ -55,13 +55,13 @@ class TestPlanningCost:
     def test_unrealized_uses_expected(self):
         inst, view = self.make()
         assert view.costs[1] == 12.0
-        assert not view.knows(1)
+        assert view.unrevealed(1)
 
     def test_realized_uses_true_cost(self):
         inst, view = self.make()
         view.reveal(1, 18.0)
         assert view.costs[1] == 18.0
-        assert view.knows(1) and view.realized == {1: 18.0}
+        assert not view.unrevealed(1) and view.realized == {1: 18.0}
 
     def test_aerial_only_edge_reads_inf(self):
         coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]

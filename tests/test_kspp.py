@@ -11,7 +11,7 @@ from conftest import (
     random_connected_instance,
 )
 from scoutplan import bench, dstar, kspp
-from scoutplan.core import INF, PlanningCostView, dijkstra
+from scoutplan.core import INF, NoPathError, PlanningCostView, dijkstra
 
 
 def diamond():
@@ -81,7 +81,7 @@ class TestBasics:
         pset, _ = plan(inst, view, 10)
         assert len(pset) == 2
 
-    def test_no_path_returns_empty_set(self):
+    def test_no_path_raises(self):
         inst = diamond()
         view = PlanningCostView(inst)
         state = dstar.initialize(inst, inst.p, inst.d)
@@ -90,9 +90,8 @@ class TestBasics:
             eid = edge_between(inst, a, b)
             ups.append(eid)
             view.costs[eid] = INF
-        pset = kspp.update_k_paths(inst, view, state, inst.p, ups, 3)
-        assert len(pset) == 0
-        assert pset.best() is None
+        with pytest.raises(NoPathError):
+            kspp.update_k_paths(inst, view, state, inst.p, ups, 3)
 
     def test_costs_sorted_and_paths_simple(self, rng):
         for _ in range(30):

@@ -58,7 +58,7 @@ class TestParameters:
         inst = self.three_path_instance()
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 3)
-        e = crit[0].edge
+        e = min(crit)
         # Same three paths, but five requested: the share is over k.
         ctx5 = PaaContext(inst, view, pset, ctx.uav_pos, ctx.weights, 5, ctx.metric)
         assert priorities(crit, ctx5)[e].p1 == pytest.approx(1 / 5)
@@ -69,7 +69,7 @@ class TestParameters:
         inst = build_instance(coords, [(0, 1, 4.0), (1, 2, (2.0, 6.0))], p=0, d=2)
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1)
-        assert priorities(crit, ctx)[crit[0].edge].p2 == 1.0
+        assert priorities(crit, ctx)[min(crit)].p2 == 1.0
 
     def test_p2_linear_interpolation(self):
         inst = self.three_path_instance()
@@ -114,7 +114,7 @@ class TestParameters:
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1, uav_pos=1)
         # Scout is at an endpoint of the only critical edge: d = d_max = 0.
-        assert priorities(crit, ctx)[crit[0].edge].p4 == 1.0
+        assert priorities(crit, ctx)[min(crit)].p4 == 1.0
 
     def test_p4_endpoints_of_range(self):
         inst = self.three_path_instance()
@@ -122,9 +122,9 @@ class TestParameters:
         pset, crit, ctx = make_context(inst, view, 3, uav_pos=1)
         metric = UavMetric(inst)
         vals = {}
-        for ce in crit:
-            rec = inst.edges[ce.edge]
-            vals[ce.edge] = min(metric.cost(1, rec.u), metric.cost(1, rec.v))
+        for e in crit:
+            rec = inst.edges[e]
+            vals[e] = min(metric.cost(1, rec.u), metric.cost(1, rec.v))
         far = max(vals, key=vals.get)
         near = min(vals, key=vals.get)
         scored = priorities(crit, ctx)
@@ -139,7 +139,7 @@ class TestSelection:
         inst, _ = bench.demo_instance()
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1)
-        assert paa.select_edge([], ctx) is None
+        assert paa.select_edge({}, ctx) is None
 
     def test_single_edge_selected_regardless_of_weights(self):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
@@ -147,7 +147,7 @@ class TestSelection:
         view = PlanningCostView(inst)
         for w in (PriorityWeights(), PriorityWeights(1, 0, 0, 0), PriorityWeights(0, 0, 0, 9)):
             pset, crit, ctx = make_context(inst, view, 1, weights=w)
-            assert paa.select_edge(crit, ctx) == crit[0].edge
+            assert paa.select_edge(crit, ctx) == min(crit)
 
     def test_matches_independent_recomputation(self, rng):
         checked = 0
@@ -202,4 +202,4 @@ class TestSelection:
         pset, crit, ctx = make_context(inst, view, 2)
         scored = paa.score_edges(crit, ctx)
         assert scored[0].score == pytest.approx(scored[1].score)
-        assert paa.select_edge(crit, ctx) == min(c.edge for c in crit)
+        assert paa.select_edge(crit, ctx) == min(crit)

@@ -6,7 +6,6 @@ import oracles
 from conftest import build_instance, edge_between, random_connected_instance
 from scoutplan import bench, dstar, kspp, rpp
 from scoutplan.core import INF, PlanningCostView, UavMetric
-from scoutplan.rpp import CriticalEdge
 
 
 def plan_paths(inst, view, k):
@@ -20,7 +19,7 @@ class TestExtractCriticalEdges:
         inst = build_instance(coords, [(0, 1, 1.0), (1, 2, 1.0)])
         view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 2)
-        assert rpp.extract_critical_edges(pset, view, inst) == []
+        assert rpp.extract_critical_edges(pset, view, inst) == {}
 
     def test_window_is_prefix_sum(self):
         # p -a- b -d with the impeded edge in the middle; prefix cost 7.
@@ -29,9 +28,7 @@ class TestExtractCriticalEdges:
         view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 1)
         crit = rpp.extract_critical_edges(pset, view, inst)
-        assert len(crit) == 1
-        assert crit[0].edge == edge_between(inst, 1, 2)
-        assert crit[0].t_max == 7.0
+        assert crit == {edge_between(inst, 1, 2): 7.0}
 
     def test_start_time_shifts_windows(self):
         coords = [(0.0, 0.0), (7.0, 0.0), (9.0, 0.0), (12.0, 0.0)]
@@ -39,7 +36,7 @@ class TestExtractCriticalEdges:
         view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 1)
         crit = rpp.extract_critical_edges(pset, view, inst, start_time=5.0)
-        assert crit[0].t_max == 12.0
+        assert crit[min(crit)] == 12.0
 
     def test_prefix_uses_minimum_cost_for_unrealized(self):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0), (8.0, 0.0)]
@@ -48,16 +45,16 @@ class TestExtractCriticalEdges:
         )
         view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 1)
-        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view, inst)}
-        assert crit[edge_between(inst, 1, 2)].t_max == 4.0  # first edge at minimum
+        crit = rpp.extract_critical_edges(pset, view, inst)
+        assert crit[edge_between(inst, 1, 2)] == 4.0  # first edge at minimum
 
     def test_best_path_edges_finite_others_infinite(self):
         inst, _ = bench.demo_instance()
         view = PlanningCostView(inst)
         pset = plan_paths(inst, view, 3)
-        crit = {c.edge: c for c in rpp.extract_critical_edges(pset, view, inst)}
-        assert crit[1].t_max == 4.0  # on the best path, behind the 4-cost edge
-        assert crit[4].t_max == INF  # alternative-route edge
+        crit = rpp.extract_critical_edges(pset, view, inst)
+        assert crit[1] == 4.0  # on the best path, behind the 4-cost edge
+        assert crit[4] == INF  # alternative-route edge
 
     def test_realized_and_excluded_edges_skipped(self):
         inst, _ = bench.demo_instance()
@@ -65,9 +62,9 @@ class TestExtractCriticalEdges:
         pset = plan_paths(inst, view, 3)
         view.reveal(1, 18.0)
         crit = rpp.extract_critical_edges(pset, view, inst)
-        assert [c.edge for c in crit] == [4]
+        assert list(crit) == [4]
         crit = rpp.extract_critical_edges(pset, view, inst, exclude=(4,))
-        assert crit == []
+        assert crit == {}
 
 
 class TestTransformedGraph:
@@ -80,7 +77,7 @@ class TestTransformedGraph:
 
     def test_single_edge_arcs(self):
         inst = self.one_edge_instance()
-        crit = [CriticalEdge(0, 30.0)]
+        crit = {0: 30.0}
         g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=0)
         assert g.size == 3
         assert g.arc[0][1] == 0.0  # already at the forward start
@@ -95,7 +92,7 @@ class TestTransformedGraph:
         impeded = sorted(inst.impeded_ids)[:2]
         if len(impeded) < 2:
             return
-        crit = [CriticalEdge(e, INF) for e in impeded]
+        crit = dict.fromkeys(impeded, INF)
         g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=inst.q)
         assert g.size == 5
         for i in (1, 2):
@@ -114,7 +111,7 @@ class TestTransformedGraph:
             [(0, 1, (2.0, 6.0), 1.0), (1, 2, 2.0, 1.0), (2, 3, (2.0, 6.0), 1.0)],
             p=0, q=1, d=3,
         )
-        crit = [CriticalEdge(0, 20.0), CriticalEdge(2, 25.0)]
+        crit = {0: 20.0, 2: 25.0}
         g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=1, uav_time_offset=2.0)
         # Nodes: 1 = 0->1, 2 = 1->0, 3 = 2->3, 4 = 3->2 (vertex ids via edges).
         assert g.arc[0][1] == 1.0  # fly 1 -> 0
@@ -136,7 +133,7 @@ class TestDfs:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), [CriticalEdge(0, 30.0)], uav_pos=0)
+        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 30.0}, uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert sol.best_visited == [0, 1]  # start at the near end
         assert sol.best_cost == 0.0
@@ -146,7 +143,7 @@ class TestDfs:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), [CriticalEdge(0, 4.0)], uav_pos=0)
+        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 4.0}, uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert sol.best_visited == [0]
         assert sol.best_cost == 0.0
@@ -159,10 +156,9 @@ class TestDfs:
             return None
         rng.shuffle(impeded)
         chosen = impeded[: rng.randint(1, min(max_edges, len(impeded)))]
-        crit = []
+        crit = {}
         for e in sorted(chosen):
-            t_max = INF if rng.random() < 0.4 else rng.uniform(5.0, 120.0)
-            crit.append(CriticalEdge(e, t_max))
+            crit[e] = INF if rng.random() < 0.4 else rng.uniform(5.0, 120.0)
         pos = rng.randrange(inst.n_vertices)
         offset = rng.choice((0.0, rng.uniform(0.0, 10.0)))
         return rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset), crit, offset
@@ -186,9 +182,8 @@ class TestDfs:
                 continue
             g, crit, offset = case
             sol = rpp.rpp_dfs(g)
-            windows = {c.edge: c.t_max for c in crit}
             for eid, done in oracles.replay_tour_times(g, sol.best_visited, offset):
-                assert done <= windows[eid] + 1e-9
+                assert done <= crit[eid] + 1e-9
 
     def test_tour_cost_identity(self, rng):
         for _ in range(20):
@@ -228,23 +223,23 @@ class TestDfs:
             if len(impeded) < 2:
                 continue
             checked += 1
-            crit = [
-                CriticalEdge(e, INF if rng.random() < 0.4 else rng.uniform(5.0, 90.0))
+            crit = {
+                e: INF if rng.random() < 0.4 else rng.uniform(5.0, 90.0)
                 for e in impeded[:-1]
-            ]
+            }
             pos = rng.randrange(inst.n_vertices)
             base = rpp.rpp_dfs(rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos)).inspected
-            extended = crit + [CriticalEdge(impeded[-1], INF)]
+            extended = {**crit, impeded[-1]: INF}
             more = rpp.rpp_dfs(rpp.build_transformed_graph(inst, UavMetric(inst), extended, pos)).inspected
             assert more >= base
 
     def test_node_budget_ends_search_deterministically(self, monkeypatch):
         rng = random.Random("rpp-budget")
         inst = random_connected_instance(rng, n_min=12, n_max=12, impeded_frac=0.9)
-        crit = [
-            CriticalEdge(e, INF if rng.random() < 0.5 else rng.uniform(60.0, 200.0))
+        crit = {
+            e: INF if rng.random() < 0.5 else rng.uniform(60.0, 200.0)
             for e in sorted(inst.impeded_ids)
-        ]
+        }
         assert len(crit) >= 10
         g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=3, uav_time_offset=2.0)
         monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", 500)
@@ -252,9 +247,8 @@ class TestDfs:
         assert sol.budget_exhausted
         assert sol.nodes == 500
         assert sol.inspected > 0
-        windows = {c.edge: c.t_max for c in crit}
         for eid, done in oracles.replay_tour_times(g, sol.best_visited, 2.0):
-            assert done <= windows[eid] + 1e-9
+            assert done <= crit[eid] + 1e-9
         assert rpp.rpp_dfs(g) == sol
 
     def test_search_within_budget_is_unchanged(self, monkeypatch, rng):
@@ -301,7 +295,7 @@ class TestPlanExpansion:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), [CriticalEdge(0, 4.0)], uav_pos=0)
+        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 4.0}, uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert rpp.solution_to_uav_plan(g, sol, inst, UavMetric(inst), 0) == []
 
@@ -310,7 +304,7 @@ class TestPlanExpansion:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, q=2, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), [CriticalEdge(0, 30.0)], uav_pos=2)
+        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 30.0}, uav_pos=2)
         sol = rpp.rpp_dfs(g)
         legs = rpp.solution_to_uav_plan(g, sol, inst, UavMetric(inst), 2)
         assert legs[-1].inspect
@@ -323,7 +317,7 @@ class TestPlanExpansion:
             impeded = sorted(inst.impeded_ids)[:3]
             if not impeded:
                 continue
-            crit = [CriticalEdge(e, rng.uniform(20.0, 200.0)) for e in impeded]
+            crit = {e: rng.uniform(20.0, 200.0) for e in impeded}
             pos = rng.randrange(inst.n_vertices)
             g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos)
             sol = rpp.rpp_dfs(g)
