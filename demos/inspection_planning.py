@@ -33,7 +33,7 @@ for eid, t_max in critical.items():
 
 graph = rpp.build_transformed_graph(inst, metric, critical, uav_pos=inst.q)
 sol = rpp.rpp_dfs(graph)
-legs = rpp.solution_to_uav_plan(graph, sol, inst, metric, inst.q)
+legs = rpp.solution_to_uav_plan(graph.inspections(sol), metric, inst.q)
 print(f"\ntour solver: inspects {sol.inspected} edges, tour cost {sol.best_cost:.1f}")
 for leg in legs:
     action = f"inspect edge {leg.edge}" if leg.inspect else "fly"
@@ -48,4 +48,4 @@ for ep in scored:
         f"(coverage {ep.p1:.2f}, urgency {ep.p2:.2f}, "
         f"uncertainty {ep.p3:.2f}, proximity {ep.p4:.2f})"
     )
-print(f"selected: edge {paa.select_edge(critical, ctx)}")
+print(f"selected: edge {paa.select_edge(critical, ctx)[0]}")

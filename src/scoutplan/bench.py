@@ -10,7 +10,6 @@ emits plain columnar files with plot data.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import os
 import random
@@ -131,16 +130,23 @@ class ScalingSpec:
         scaling_spec(self.size)
 
 
+#: A road network's drivable edge lengths and its farthest vertex pair (p, d).
+RoadLayout = tuple[tuple[float, ...], int, int]
+#: Aerial speed of the road family's networks.
+ROAD_UAV_SPEED = 2.0
+
+
 @dataclass(frozen=True)
 class RoadSpec:
     """Road networks re-dressed by `import_road_network`: the network in
-    `base_file`, loaded here, or else a synthetic one of `n_vertices` per
-    instance."""
+    `base_file`, loaded here with its road layout, or else a synthetic one
+    of `n_vertices` per instance."""
 
     n_vertices: int = 30
     impeded_fraction: float = 0.5
     base_file: str | None = None
     base: ProblemInstance | None = field(default=None, init=False, repr=False, compare=False)
+    layout: RoadLayout | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_at_least("n_vertices", self.n_vertices, 1)
@@ -149,6 +155,7 @@ class RoadSpec:
             if type(self.base_file) is not str:
                 raise ValueError(f"base_file must be a path, got {self.base_file!r}")
             object.__setattr__(self, "base", load_instance(self.base_file))
+            object.__setattr__(self, "layout", road_layout(self.base))
 
 
 #: The generate spec of each instance family.
@@ -374,7 +381,7 @@ def generate_scaling(size: tuple[int, int], seed: int) -> tuple[ProblemInstance,
     return generate_bridge(scaling_spec(size), seed)
 
 
-def generate_road_like(n_vertices: int, seed: int, uav_speed: float = 2.0) -> ProblemInstance:
+def generate_road_like(n_vertices: int, seed: int) -> ProblemInstance:
     """Small synthetic road network: random points, near-neighbor links,
     winding edge lengths of at least the straight-line distance."""
     rng = random.Random(f"road:{seed}")
@@ -393,32 +400,36 @@ def generate_road_like(n_vertices: int, seed: int, uav_speed: float = 2.0) -> Pr
         for j in near[: rng.randint(1, 3)]:
             pairs.add((min(i, j), max(i, j)))
     edges = [
-        _edge(eid, u, v, math.dist(pts[u], pts[v]) * rng.uniform(1.0, 1.4), uav_speed)
+        _edge(eid, u, v, math.dist(pts[u], pts[v]) * rng.uniform(1.0, 1.4), ROAD_UAV_SPEED)
         for eid, (u, v) in enumerate(sorted(pairs))
     ]
     return ProblemInstance(
         pts, edges, p=0, q=0, d=n_vertices - 1,
-        uav_speed=uav_speed, uav_free_flight=True,
+        uav_speed=ROAD_UAV_SPEED, uav_free_flight=True,
     )
 
 
 def import_road_network(
-    base: ProblemInstance, impeded_fraction: float = 0.5, seed: int = 0, uav_speed: float = 2.0
+    base: ProblemInstance,
+    impeded_fraction: float = 0.5,
+    seed: int = 0,
+    layout: RoadLayout | None = None,
 ) -> ProblemInstance:
     """A road network (say, loaded from an instance file), re-dressed for the experiments.
 
     Redraws the impeded set at the requested fraction of the drivable edges
     (window: length to 10x length), prices aerial travel from edge lengths,
     enables free flight, and places the endpoints at the two vertices
-    farthest apart in the graph.
+    farthest apart in the graph.  `layout` is the base's `road_layout`,
+    computed here when not given.
     """
     rng = random.Random(f"roadimport:{seed}")
-    lengths, p, d = _road_layout(base)
+    lengths, p, d = layout or road_layout(base)
     ugv_ids = sorted(base.ugv_edge_ids)
     n_imp = int(impeded_fraction * len(ugv_ids))
     impeded = set(rng.sample(ugv_ids, n_imp))
     edges = [
-        _edge(rec.id, rec.u, rec.v, lengths[rec.id], uav_speed,
+        _edge(rec.id, rec.u, rec.v, lengths[rec.id], ROAD_UAV_SPEED,
               10.0 * lengths[rec.id] if rec.id in impeded else None)
         if rec.id in base.ugv_edge_ids
         else EdgeRecord(rec.id, rec.u, rec.v, None, rec.uav_cost)
@@ -427,15 +438,13 @@ def import_road_network(
     q = rng.randrange(base.n_vertices)
     return ProblemInstance(
         base.vertices, edges, p=p, q=q, d=d,
-        uav_speed=uav_speed, uav_free_flight=True,
+        uav_speed=ROAD_UAV_SPEED, uav_free_flight=True,
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _road_layout(base: ProblemInstance) -> tuple[tuple[float, ...], int, int]:
+def road_layout(base: ProblemInstance) -> RoadLayout:
     """Each drivable edge's length (INF for an aerial-only edge) and the two
-    vertices farthest apart under those lengths.  Cached for the last base,
-    so the instances of one base network search all pairs once."""
+    vertices farthest apart under those lengths: one Dijkstra per vertex."""
     lengths = [INF] * len(base.edges)
     for eid in base.ugv_edge_ids:
         rec = base.edges[eid]
@@ -500,7 +509,7 @@ def make_instance(
     seed = random.Random(tag).getrandbits(31)
     if isinstance(spec, RoadSpec):
         drawn = generate_road_like(spec.n_vertices, seed) if spec.base is None else None
-        inst = import_road_network(drawn or spec.base, spec.impeded_fraction, seed)
+        inst = import_road_network(drawn or spec.base, spec.impeded_fraction, seed, spec.layout)
         return inst, sample_realization(inst, random.Random(f"real:{tag}")), drawn
     if isinstance(spec, GridSpec):
         inst, real = generate_grid(spec, seed)
@@ -593,16 +602,27 @@ def _write_csv(rows: list[dict], columns: Iterable[str], path: str) -> None:
 
 
 def read_runs_csv(path: str) -> list[dict]:
+    """The rows of a UTF-8 runs.csv, each RUN_COLUMNS cell read as its type.
+    A malformed file is an InstanceError naming the file and line."""
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InstanceError(f"{path}: missing run columns {missing}")
-        for r in reader:
-            for key, kind in RUN_COLUMNS.items():
-                r[key] = kind(r[key])
-            out.append(r)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise InstanceError(f"{path}: missing run columns {missing}")
+            for r in reader:
+                where = f"{path}:{reader.line_num}"
+                if None in r or None in r.values():
+                    raise InstanceError(f"{where}: expected {len(reader.fieldnames)} cells")
+                try:
+                    for key, kind in RUN_COLUMNS.items():
+                        r[key] = kind(r[key])
+                except ValueError as exc:
+                    raise InstanceError(f"{where}: {exc}") from None
+                out.append(r)
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
     return out
 
 

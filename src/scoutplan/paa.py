@@ -38,6 +38,7 @@ class EdgePriority:
     p3: float  # cost variance relative to the most uncertain critical edge
     p4: float  # closeness of the nearer endpoint to the scout
     score: float
+    start: int  # the endpoint nearer the scout (u on ties), where an inspection starts
 
 
 @dataclass
@@ -92,12 +93,12 @@ def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriorit
     var = {e: inst.edges[e].distribution.variance() for e in critical}
     var_max = max(var.values())
 
-    dist = {}
+    dist, start = {}, {}
     for e in critical:
         rec = inst.edges[e]
-        dist[e] = min(
-            ctx.metric.cost(ctx.uav_pos, rec.u), ctx.metric.cost(ctx.uav_pos, rec.v)
-        )
+        cu = ctx.metric.cost(ctx.uav_pos, rec.u)
+        cv = ctx.metric.cost(ctx.uav_pos, rec.v)
+        dist[e], start[e] = (cu, rec.u) if cu <= cv else (cv, rec.v)
     d_max = max(dist.values())
 
     out = []
@@ -107,17 +108,16 @@ def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriorit
         p2 = 1.0 if lam_min == lam_max else (lam_max - lam[e]) / (lam_max - lam_min)
         p3 = 1.0 if var_max == 0 else var[e] / var_max
         p4 = 1.0 if d_max == 0 else 1.0 - dist[e] / d_max
-        out.append(EdgePriority(e, p1, p2, p3, p4, w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4))
+        score = w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4
+        out.append(EdgePriority(e, p1, p2, p3, p4, score, start[e]))
     return out
 
 
-def select_edge(critical: dict[int, float], ctx: PaaContext) -> int | None:
-    """Highest-score critical edge; lowest edge id on ties; None when empty."""
+def select_edge(critical: dict[int, float], ctx: PaaContext) -> tuple[int, int] | None:
+    """The highest-score critical edge and its start vertex, as (edge id,
+    start); lowest edge id on ties; None when there is no critical edge."""
     scored = score_edges(critical, ctx)
     if not scored:
         return None
-    best = scored[0]
-    for ep in scored[1:]:
-        if ep.score > best.score or (ep.score == best.score and ep.edge < best.edge):
-            best = ep
-    return best.edge
+    best = max(scored, key=lambda ep: (ep.score, -ep.edge))
+    return best.edge, best.start

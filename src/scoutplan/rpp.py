@@ -77,6 +77,10 @@ class TransformedGraph:
     def size(self) -> int:
         return len(self.nodes)
 
+    def inspections(self, sol: RppSolution) -> list[tuple[int, int]]:
+        """A tour's inspections as (edge id, start vertex), in visit order."""
+        return [(self.nodes[i].edge, self.nodes[i].start) for i in sol.best_visited[1:]]
+
 
 def build_transformed_graph(
     inst: ProblemInstance,
@@ -211,29 +215,16 @@ class UavLeg:
         return self.edge is not None
 
 
-def edge_inspection_legs(
-    inst: ProblemInstance, metric: UavMetric, origin: int, eid: int, start: int
-) -> list[UavLeg]:
-    """Transit hops from origin to the chosen endpoint, then the inspection."""
-    rec = inst.edges[eid]
-    legs = [UavLeg(a, b, dur) for a, b, dur in metric.path(origin, start)]
-    legs.append(UavLeg(start, rec.other(start), rec.uav_cost, edge=eid))
-    return legs
-
-
 def solution_to_uav_plan(
-    graph: TransformedGraph,
-    sol: RppSolution,
-    inst: ProblemInstance,
-    metric: UavMetric,
-    uav_pos: int,
+    inspections: list[tuple[int, int]], metric: UavMetric, uav_pos: int
 ) -> list[UavLeg]:
-    """Expand a tour into concrete transit hops and inspections."""
+    """Expand (edge id, start vertex) inspections, in flying order, into
+    transit hops from the scout's position and the inspection legs."""
     legs: list[UavLeg] = []
     pos = uav_pos
-    for idx in sol.best_visited[1:]:
-        node = graph.nodes[idx]
-        legs.extend(edge_inspection_legs(inst, metric, pos, node.edge, node.start))
-        pos = node.end
+    for eid, start in inspections:
+        rec = metric.inst.edges[eid]
+        legs.extend(UavLeg(a, b, dur) for a, b, dur in metric.path(pos, start))
+        pos = rec.other(start)
+        legs.append(UavLeg(start, pos, rec.uav_cost, edge=eid))
     return legs
-

@@ -146,49 +146,42 @@ def _timed(rec: ReplanRecord, solver, *args):
     """Call a scout solver and charge its wall time to the replan record."""
     s0 = _time.perf_counter()
     out = solver(*args)
-    rec.uav_solver_seconds = max(rec.uav_solver_seconds, _time.perf_counter() - s0)
+    rec.uav_solver_seconds = _time.perf_counter() - s0
     return out
 
 
 # Scout planners: each maps (engine, critical edges, scout origin, origin
-# time, replan record) to the scout's legs.  Layers are looked up through
-# their modules at call time, so patched module attributes take effect.
+# time, replan record) to the inspections it chose, in flying order, as
+# (edge id, start vertex) pairs.  Layers are looked up through their
+# modules at call time, so patched module attributes take effect.
 
 
-def _rpp_legs(
+def _rpp_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
-) -> list[UavLeg]:
+) -> list[tuple[int, int]]:
     graph = rpp.build_transformed_graph(eng.inst, eng.metric, critical, origin, origin_time)
     sol = _timed(rec, rpp.rpp_dfs, graph)
-    rec.budget_hit = rec.budget_hit or sol.budget_exhausted
-    return rpp.solution_to_uav_plan(graph, sol, eng.inst, eng.metric, origin)
+    rec.budget_hit = sol.budget_exhausted
+    return graph.inspections(sol)
 
 
-def _paa_legs(
+def _paa_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
-) -> list[UavLeg]:
+) -> list[tuple[int, int]]:
     cfg = eng.cfg
     ctx = PaaContext(eng.inst, eng.view, eng.pset, origin, cfg.weights, cfg.k, eng.metric)
     chosen = _timed(rec, paa.select_edge, critical, ctx)
-    if chosen is None:
-        return []
-    e = eng.inst.edges[chosen]
-    start = e.u if eng.metric.cost(origin, e.u) <= eng.metric.cost(origin, e.v) else e.v
-    return rpp.edge_inspection_legs(eng.inst, eng.metric, origin, chosen, start)
+    return [] if chosen is None else [chosen]
 
 
-def _naive_legs(
+def _naive_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
-) -> list[UavLeg]:
-    chosen = _timed(
-        rec, naive_step, eng.inst, eng.metric, critical, eng.pset, origin, origin_time
-    )
-    if chosen is None:
-        return []
-    return rpp.edge_inspection_legs(eng.inst, eng.metric, origin, *chosen)
+) -> list[tuple[int, int]]:
+    chosen = _timed(rec, naive_step, eng.inst, eng.metric, critical, eng.pset, origin, origin_time)
+    return [] if chosen is None else [chosen]
 
 
-PLANNERS = {"rpp": _rpp_legs, "paa": _paa_legs, "naive": _naive_legs}
+PLANNERS = {"rpp": _rpp_inspections, "paa": _paa_inspections, "naive": _naive_inspections}
 
 
 class _Engine:
@@ -221,33 +214,35 @@ class _Engine:
 
     # -- planning ---------------------------------------------------------
 
-    def _replan_both(self, trigger: str, changed: list[int]) -> None:
+    def _replan(self, trigger: str, changed: list[int] | None) -> None:
+        """Replan and record it: the ground vehicle's k paths from its next
+        vertex after the cost changes in `changed` (None keeps its route:
+        a scout-only replan), then the scout's legs from its next vertex."""
         rec = ReplanRecord(trigger)
-        origin = self.route[0]
-        t0 = _time.perf_counter()
-        pset = kspp.update_k_paths(self.inst, self.view, self.dstate, origin, changed, self.k_eff)
-        rec.ugv_seconds = _time.perf_counter() - t0
-        rec.spur = pset.spur
-        self.pset = pset
-        self.plan_origin_time = self.ugv_arrival
-        self.route = list(pset.paths[0].vertices)
-        self.route_edges = list(pset.paths[0].edges)
-        self._replan_uav(rec)
+        if changed is not None:
+            t0 = _time.perf_counter()
+            pset = kspp.update_k_paths(
+                self.inst, self.view, self.dstate, self.route[0], changed, self.k_eff
+            )
+            rec.ugv_seconds = _time.perf_counter() - t0
+            rec.spur = pset.spur
+            self.pset = pset
+            self.plan_origin_time = self.ugv_arrival
+            self.route = list(pset.paths[0].vertices)
+            self.route_edges = list(pset.paths[0].edges)
+        if self.cfg.uav_enabled:
+            origin_time = self.now if self.uav_leg is None else self.uav_arrival
+            t0 = _time.perf_counter()
+            exclude = (self.ugv_edge,) if self.view.unrevealed(self.ugv_edge) else ()
+            critical = rpp.extract_critical_edges(
+                self.pset, self.view, self.inst,
+                start_time=self.plan_origin_time, exclude=exclude,
+            )
+            plan = PLANNERS[self.cfg.planner]
+            inspections = plan(self, critical, self.uav_to, origin_time, rec) if critical else []
+            self.uav_legs = rpp.solution_to_uav_plan(inspections, self.metric, self.uav_to)
+            rec.uav_seconds = _time.perf_counter() - t0
         self.replans.append(rec)
-
-    def _replan_uav(self, rec: ReplanRecord) -> None:
-        if not self.cfg.uav_enabled:
-            return
-        origin_time = self.now if self.uav_leg is None else self.uav_arrival
-        t0 = _time.perf_counter()
-        exclude = (self.ugv_edge,) if self.view.unrevealed(self.ugv_edge) else ()
-        critical = rpp.extract_critical_edges(
-            self.pset, self.view, self.inst,
-            start_time=self.plan_origin_time, exclude=exclude,
-        )
-        plan = PLANNERS[self.cfg.planner]
-        self.uav_legs = plan(self, critical, self.uav_to, origin_time, rec) if critical else []
-        rec.uav_seconds += _time.perf_counter() - t0
 
     # -- movement ---------------------------------------------------------
 
@@ -257,16 +252,9 @@ class _Engine:
         del self.route[0]
         self.ugv_edge = eid
         self.ugv_arrival = self.now + (self.real[eid] if rec.impeded else rec.ugv_cost)
-        if self.view.unrevealed(eid):
-            self._cancel_uav_if_targeting(eid)
-
-    def _cancel_uav_if_targeting(self, eid: int) -> None:
-        if not any(leg.edge == eid for leg in self.uav_legs):
-            return
-        rec = ReplanRecord(f"cancel:{eid}")
-        self._replan_uav(rec)
-        self.replans.append(rec)
-        self._uav_depart_if_idle()
+        if self.view.unrevealed(eid) and any(leg.edge == eid for leg in self.uav_legs):
+            self._replan(f"cancel:{eid}", None)
+            self._uav_depart_if_idle()
 
     def _uav_depart_if_idle(self) -> None:
         if self.uav_leg is None and self.uav_legs:
@@ -286,7 +274,7 @@ class _Engine:
             self.late += 1
         self._log("reveal", (eid, true, by))
         self.view.reveal(eid, true)
-        self._replan_both(f"reveal:{eid}", [eid])
+        self._replan(f"reveal:{eid}", [eid])
 
     def _process_uav_arrival(self) -> None:
         leg = self.uav_leg
@@ -312,7 +300,7 @@ class _Engine:
 
     def run(self) -> SimulationOutcome:
         lb = lower_bound(self.inst, self.real)
-        self._replan_both("init", [])
+        self._replan("init", [])
         if self.inst.p == self.inst.d:
             self._log("ugv_arrives", (self.inst.p,))
             return SimulationOutcome(0.0, self.events, self.replans, lb, self.late)

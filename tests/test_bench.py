@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 import random
 
 import pytest
@@ -153,12 +154,27 @@ class TestRoadImport:
     def test_endpoints_searched_once_per_base(self, tmp_path, monkeypatch):
         path = tmp_path / "road.txt"
         save_instance(bench.generate_road_like(15, seed=5), str(path))
-        spec = bench.RoadSpec(base_file=str(path))
         calls = []
         monkeypatch.setattr(bench, "dijkstra", lambda *a: calls.append(a[1]) or dijkstra(*a))
+        spec = bench.RoadSpec(base_file=str(path))
         for i in range(3):
             bench.make_instance(spec, f"0:{i}")
         assert sorted(calls) == list(range(15))
+
+    def test_unpickled_spec_keeps_its_layout(self, tmp_path, monkeypatch):
+        # A --jobs worker gets the spec pickled; it must not search again.
+        path = tmp_path / "road.txt"
+        save_instance(bench.generate_road_like(15, seed=5), str(path))
+        spec = bench.RoadSpec(base_file=str(path))
+        want = [bench.make_instance(spec, f"0:{i}") for i in range(3)]
+        calls = []
+        monkeypatch.setattr(bench, "dijkstra", lambda *a: calls.append(a[1]) or dijkstra(*a))
+        got = [bench.make_instance(pickle.loads(pickle.dumps(spec)), f"0:{i}") for i in range(3)]
+        assert calls == []
+        for (inst, real, _), (want_inst, want_real, _) in zip(got, want):
+            assert (inst.p, inst.q, inst.d) == (want_inst.p, want_inst.q, want_inst.d)
+            assert inst.edges == want_inst.edges
+            assert real.true_cost == want_real.true_cost
 
     def test_simulates_cleanly(self, tmp_path):
         base = self.make_base(tmp_path)

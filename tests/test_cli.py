@@ -283,6 +283,28 @@ class TestExperimentAndReport:
         rc = run_cli("report", "--in", str(runs), "--out", str(tmp_path / "summary.csv"))
         assert rc == DATA_ERROR
 
+    @pytest.mark.parametrize(
+        "row,where",
+        [
+            ("0,1,naive,x,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3:"),  # non-numeric k
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1", ":3:"),  # one cell short
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0,9", ":3:"),  # one cell long
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,\xff,5,0.1,0", "not UTF-8"),
+        ],
+        ids=["non-numeric", "short", "long", "not-utf8"],
+    )
+    def test_report_rejects_malformed_runs_as_data_error(self, tmp_path, capsys, row, where):
+        # A good row, then the bad one on line 3; without it report succeeds.
+        runs = tmp_path / "runs.csv"
+        good = "0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0"
+        text = ",".join(bench.RUN_COLUMNS) + "\n" + good + "\n"
+        runs.write_bytes(text.encode() + row.encode("latin-1") + b"\n")
+        assert run_cli("report", "--in", str(runs), "--out", str(tmp_path / "ok.csv")) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {runs}") and where in err
+        runs.write_text(text)
+        assert run_cli("report", "--in", str(runs), "--out", str(tmp_path / "ok.csv")) == 0
+
     def test_failed_instance_is_recorded_and_exits_3(self, tmp_path, monkeypatch, capsys):
         make_instance = bench.make_instance
 

@@ -147,7 +147,7 @@ class TestSelection:
         view = PlanningCostView(inst)
         for w in (PriorityWeights(), PriorityWeights(1, 0, 0, 0), PriorityWeights(0, 0, 0, 9)):
             pset, crit, ctx = make_context(inst, view, 1, weights=w)
-            assert paa.select_edge(crit, ctx) == min(crit)
+            assert paa.select_edge(crit, ctx) == (min(crit), 1)
 
     def test_matches_independent_recomputation(self, rng):
         checked = 0
@@ -169,7 +169,9 @@ class TestSelection:
                 for val in (ep.p1, ep.p2, ep.p3, ep.p4):
                     assert 0.0 <= val <= 1.0
             want = max(oracle.items(), key=lambda kv: (kv[1][0], -kv[0]))[0]
-            assert paa.select_edge(crit, ctx) == want
+            rec = inst.edges[want]
+            nearer_v = ctx.metric.cost(inst.q, rec.v) < ctx.metric.cost(inst.q, rec.u)
+            assert paa.select_edge(crit, ctx) == (want, rec.v if nearer_v else rec.u)
 
     def test_argmax_invariant_under_weight_scaling(self, rng):
         checked = 0
@@ -202,4 +204,18 @@ class TestSelection:
         pset, crit, ctx = make_context(inst, view, 2)
         scored = paa.score_edges(crit, ctx)
         assert scored[0].score == pytest.approx(scored[1].score)
-        assert paa.select_edge(crit, ctx) == min(crit)
+        assert paa.select_edge(crit, ctx) == (min(crit), 0)
+
+    @pytest.mark.parametrize("q,start", [(2, 2), (3, 1)])
+    def test_inspection_starts_at_nearer_endpoint_u_on_ties(self, q, start):
+        # Edge 1 joins u=1 and v=2.  From vertex 2 the scout is nearer v;
+        # vertex 3 is 5.0 from both ends, so the tie goes to u.
+        coords = [(0.0, 0.0), (4.0, 0.0), (10.0, 0.0), (7.0, 4.0)]
+        inst = build_instance(
+            coords, [(0, 1, 4.0), (1, 2, (6.0, 12.0)), (2, 3, 5.0)],
+            p=0, q=q, d=2, free_flight=True,
+        )
+        pset, crit, ctx = make_context(inst, PlanningCostView(inst), 1)
+        assert crit.keys() == {1}
+        assert paa.select_edge(crit, ctx) == (1, start)
+        assert paa.score_edges(crit, ctx)[0].start == start

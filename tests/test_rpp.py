@@ -297,7 +297,7 @@ class TestPlanExpansion:
         )
         g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 4.0}, uav_pos=0)
         sol = rpp.rpp_dfs(g)
-        assert rpp.solution_to_uav_plan(g, sol, inst, UavMetric(inst), 0) == []
+        assert rpp.solution_to_uav_plan(g.inspections(sol), UavMetric(inst), 0) == []
 
     def test_single_edge_plan(self):
         coords = [(0.0, 0.0), (8.0, 0.0), (4.0, 3.0)]
@@ -306,10 +306,26 @@ class TestPlanExpansion:
         )
         g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 30.0}, uav_pos=2)
         sol = rpp.rpp_dfs(g)
-        legs = rpp.solution_to_uav_plan(g, sol, inst, UavMetric(inst), 2)
+        legs = rpp.solution_to_uav_plan(g.inspections(sol), UavMetric(inst), 2)
         assert legs[-1].inspect
         assert legs[-1].edge == 0
         assert legs[0].frm == 2
+
+    @pytest.mark.parametrize("inspections", [[(4, 4), (1, 2)], [(1, 1), (4, 5)]])
+    def test_legs_chain_through_graph_constrained_transit(self, inspections):
+        # A path 0-1-2-3-4-5 with edges 1 (1-2) and 4 (4-5) impeded; the
+        # scout flies only along edges, so every transit takes several hops.
+        coords = [(float(i), 0.0) for i in range(6)]
+        specs = [(i, i + 1, (2.0, 6.0) if i in (1, 4) else 2.0) for i in range(5)]
+        inst = build_instance(coords, specs, p=0, q=0, d=5, free_flight=False)
+        legs = rpp.solution_to_uav_plan(inspections, UavMetric(inst), 0)
+        assert legs[0].frm == 0
+        for prev, leg in zip(legs, legs[1:]):
+            assert leg.frm == prev.to
+        assert [(leg.edge, leg.frm) for leg in legs if leg.inspect] == inspections
+        for leg in legs:
+            assert leg.duration == inst.edges[edge_between(inst, leg.frm, leg.to)].uav_cost
+        assert len(legs) > len(inspections) + 2
 
     def test_leg_durations_match_tour_cost(self, rng):
         for _ in range(20):
@@ -321,7 +337,7 @@ class TestPlanExpansion:
             pos = rng.randrange(inst.n_vertices)
             g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos)
             sol = rpp.rpp_dfs(g)
-            legs = rpp.solution_to_uav_plan(g, sol, inst, UavMetric(inst), pos)
+            legs = rpp.solution_to_uav_plan(g.inspections(sol), UavMetric(inst), pos)
             if sol.inspected == 0:
                 assert legs == []
                 continue
