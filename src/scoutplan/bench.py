@@ -15,7 +15,7 @@ import os
 import random
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import fmean, pstdev
 
 from . import sim
@@ -164,6 +164,15 @@ FAMILIES = tuple(FAMILY_SPECS)
 FamilySpec = GridSpec | BridgeSpec | ScalingSpec | RoadSpec
 
 
+#: The family keys of an experiment spec, by the family that reads them.
+EXPERIMENT_FAMILY_KEYS = {
+    "grid": (),
+    "bridge": ("adversarial", "impeded_per_path", "bridge_fraction"),
+    "scaling": ("sizes",),
+    "road": ("impeded_fraction", "road_file"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     family: str = "bridge"  # one of FAMILIES
@@ -197,13 +206,11 @@ class ExperimentSpec:
         check_at_least("n_instances", self.n_instances, 1)
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        # The bridge and road keys are checked whichever family runs.
-        bridge = BridgeSpec(
-            adversarial=self.adversarial,
-            impeded_per_path=self.impeded_per_path,
-            bridge_fraction=self.bridge_fraction,
-        )
-        check_fraction("impeded_fraction", self.impeded_fraction)
+        for f in fields(self):
+            if (any(f.name in keys for keys in EXPERIMENT_FAMILY_KEYS.values())
+                    and f.name not in EXPERIMENT_FAMILY_KEYS[self.family]
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"the {self.family} family does not read {f.name}")
         if self.family == "scaling":
             specs = tuple((ScalingSpec(size), f"{size[0]}x{size[1]}") for size in self.sizes)
             if not specs:
@@ -212,8 +219,14 @@ class ExperimentSpec:
             if not self.road_file:
                 raise ValueError("the road family needs a road_file")
             specs = ((RoadSpec(impeded_fraction=self.impeded_fraction, base_file=self.road_file), ""),)
+        elif self.family == "bridge":
+            specs = ((BridgeSpec(
+                adversarial=self.adversarial,
+                impeded_per_path=self.impeded_per_path,
+                bridge_fraction=self.bridge_fraction,
+            ), ""),)
         else:
-            specs = ((GridSpec() if self.family == "grid" else bridge, ""),)
+            specs = ((GridSpec(), ""),)
         object.__setattr__(self, "family_specs", specs)
 
     def instance_spec(self, index: int) -> tuple[FamilySpec, str]:
@@ -602,8 +615,9 @@ def _write_csv(rows: list[dict], columns: Iterable[str], path: str) -> None:
 
 
 def read_runs_csv(path: str) -> list[dict]:
-    """The rows of a UTF-8 runs.csv, each RUN_COLUMNS cell read as its type.
-    A malformed file is an InstanceError naming the file and line."""
+    """The rows of a UTF-8 runs.csv, each RUN_COLUMNS cell read as its type;
+    a number must be finite and at least 0 (``k`` and ``n_vertices`` at
+    least 1).  A malformed file is an InstanceError naming the file and line."""
     out = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -618,6 +632,9 @@ def read_runs_csv(path: str) -> list[dict]:
                 try:
                     for key, kind in RUN_COLUMNS.items():
                         r[key] = kind(r[key])
+                        low = 1 if key in ("k", "n_vertices") else 0
+                        if kind is not str and not low <= r[key] < INF:
+                            raise ValueError(f"{key} {r[key]!r} is not finite and at least {low}")
                 except ValueError as exc:
                     raise InstanceError(f"{where}: {exc}") from None
                 out.append(r)

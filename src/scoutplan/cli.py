@@ -107,6 +107,7 @@ def cmd_simulate(args) -> int:
     print(f"arrival_time {outcome.arrival_time!r}")
     print(f"lower_bound {outcome.lower_bound!r}")
     print(f"n_replans {outcome.n_replans}")
+    print(f"late_inspections {outcome.late_inspections}")
     print(f"max_ugv_replan_ms {outcome.max_ugv_replan_s * 1e3:.3f}")
     print(f"max_uav_replan_ms {outcome.max_uav_replan_s * 1e3:.3f}")
     return 0

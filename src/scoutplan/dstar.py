@@ -1,10 +1,14 @@
-"""Incremental single-destination shortest paths (D* Lite).
+"""Incremental single-destination shortest paths (D* Lite with h = 0).
 
 The search runs backwards from the destination and keeps two distance
 estimates per vertex: g (the committed estimate) and rhs (a one-step
 lookahead over the neighbors).  A vertex is locally consistent when the
-two agree; exactly the inconsistent vertices sit in the priority queue.
-After edge costs change, only the affected region is re-expanded.
+two agree; exactly the inconsistent vertices sit in the priority queue,
+keyed by min(g, rhs).  Without a goal-directed term h this is Ramalingam
+and Reps' incremental shortest paths, and every repair runs until no
+vertex is inconsistent: g is then the exact distance everywhere, the
+reverse shortest-path tree the k-path layer spurs from.  After edge costs
+change, only the vertices whose distance changes are re-expanded.
 """
 
 from __future__ import annotations
@@ -13,54 +17,21 @@ import heapq
 
 from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend
 
-Key = tuple[float, float]
-
-INF_KEY: Key = (INF, INF)
-
-# Keys that are equal in exact arithmetic can differ by a few ulps here,
-# because k1 mixes sums of edge costs with directly computed straight-line
-# distances.  On collinear geometry the lexicographic tie-break is load
-# bearing (an underconsistent vertex must win an exact k1 tie through its
-# smaller k2), so the expansion-loop comparisons treat k1 values within a
-# relative 1e-9 as tied instead of trusting the last bits.
-_REL_TOL = 1e-9
-
-
-def _cmp_tol(a: float, b: float) -> int:
-    if a == b:
-        return 0
-    if a == INF or b == INF:
-        return -1 if a < b else 1
-    tol = _REL_TOL * max(1.0, abs(a), abs(b))
-    if a < b - tol:
-        return -1
-    if a > b + tol:
-        return 1
-    return 0
-
-
-def key_less(a: Key, b: Key) -> bool:
-    """Lexicographic key order with tolerant component comparison."""
-    c = _cmp_tol(a[0], b[0])
-    if c:
-        return c < 0
-    return _cmp_tol(a[1], b[1]) < 0
-
 
 class AddressableHeap:
-    """Min-queue over (k1, k2, vertex) with by-vertex addressing.
+    """Min-queue over (key, vertex) with by-vertex addressing.
 
     A heapq list with lazy deletion: ``_live`` maps each queued vertex to
     the one heap entry that holds its live key, and any other entry is
     dropped when it reaches the top.  So the top is the minimum live
-    (k1, k2, vertex), and ties resolve to the lowest vertex id.
+    (key, vertex), and ties resolve to the lowest vertex id.
     """
 
     __slots__ = ("_heap", "_live")
 
     def __init__(self):
-        self._heap: list[tuple[float, float, int]] = []
-        self._live: dict[int, tuple[float, float, int]] = {}
+        self._heap: list[tuple[float, int]] = []
+        self._live: dict[int, tuple[float, int]] = {}
 
     def __len__(self) -> int:
         return len(self._live)
@@ -68,25 +39,15 @@ class AddressableHeap:
     def __contains__(self, v: int) -> bool:
         return v in self._live
 
-    def _live_top(self) -> tuple[float, float, int] | None:
+    def top(self) -> int:
         heap = self._heap
         live = self._live
-        while heap:
-            entry = heap[0]
-            if live.get(entry[2]) is entry:
-                return entry
+        while live.get(heap[0][1]) is not heap[0]:
             heapq.heappop(heap)
-        return None
+        return heap[0][1]
 
-    def top(self) -> int:
-        return self._live_top()[2]
-
-    def top_key(self) -> Key:
-        entry = self._live_top()
-        return INF_KEY if entry is None else entry[:2]
-
-    def insert(self, v: int, key: Key) -> None:
-        entry = self._live[v] = (key[0], key[1], v)
+    def insert(self, v: int, key: float) -> None:
+        entry = self._live[v] = (key, v)
         heapq.heappush(self._heap, entry)
 
     # A vertex's live entry is its latest push, so an update is a push.
@@ -94,10 +55,12 @@ class AddressableHeap:
 
     def remove(self, v: int) -> None:
         del self._live[v]
+        if not self._live:
+            self._heap.clear()  # only dead entries are left
 
 
 class DStarState:
-    """Mutable search state: g/rhs arrays, queue, key offset and anchor."""
+    """Mutable search state: g/rhs arrays, the queue and the query vertex."""
 
     def __init__(self, inst: ProblemInstance, start: int, dest: int):
         n = inst.n_vertices
@@ -106,8 +69,6 @@ class DStarState:
         self.g: list[float] = [INF] * n
         self.rhs: list[float] = [INF] * n
         self.queue = AddressableHeap()
-        self.k_m = 0.0
-        self.v_old = start
         self.v_curr = start
         self.expansions = 0
 
@@ -120,26 +81,20 @@ def initialize(inst: ProblemInstance, start: int, dest: int) -> DStarState:
     """Fresh search state: rhs(dest)=0, queue holds only the destination."""
     state = DStarState(inst, start, dest)
     state.rhs[dest] = 0.0
-    state.queue.insert(dest, (inst.heuristic(start, dest), 0.0))
+    state.queue.insert(dest, 0.0)
     return state
 
 
-def calculate_key(state: DStarState, v: int) -> Key:
-    m = state.g[v]
-    r = state.rhs[v]
-    if r < m:
-        m = r
-    return (m + state.inst.heuristic(v, state.v_curr) + state.k_m, m)
-
-
 def update_vertex(state: DStarState, v: int) -> None:
-    queued = v in state.queue
-    if state.g[v] != state.rhs[v]:
-        if queued:
-            state.queue.update(v, calculate_key(state, v))
+    """Queue v under the key min(g, rhs) when inconsistent, else dequeue it."""
+    g = state.g[v]
+    r = state.rhs[v]
+    if g != r:
+        if v in state.queue:
+            state.queue.update(v, r if r < g else g)
         else:
-            state.queue.insert(v, calculate_key(state, v))
-    elif queued:
+            state.queue.insert(v, r if r < g else g)
+    elif v in state.queue:
         state.queue.remove(v)
 
 
@@ -174,67 +129,50 @@ def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
 def compute_shortest_path(
     state: DStarState, view: PlanningCostView, v_curr: int
 ) -> None:
-    """Expand until v_curr is locally consistent and no queued key precedes
-    its own.  g(v_curr) then equals its shortest distance to the destination,
-    or infinity when unreachable."""
+    """Make v_curr the query vertex and expand in key order until no vertex
+    is inconsistent.  Every g then equals its lookahead, the minimum over the
+    neighbors of edge cost + g with these float sums, which is its distance
+    to the destination bit for bit (infinity when unreachable).  A key is
+    never stale: ``update_vertex`` runs whenever a g or rhs changes.
+    """
     state.v_curr = v_curr
     g = state.g
     rhs = state.rhs
     queue = state.queue
-    inst = state.inst
-    adj = inst.ugv_adj
-    h = inst.heuristic
+    adj = state.inst.ugv_adj
     dest = state.dest
     cost = view.costs
-    k_m = state.k_m
 
-    while True:
-        # h(v_curr, v_curr) = 0, so the query key needs no heuristic term.
-        m = g[v_curr] if g[v_curr] < rhs[v_curr] else rhs[v_curr]
-        key_curr = (m + k_m, m)
-        top = queue.top_key()
-        if not key_less(top, key_curr) and rhs[v_curr] == g[v_curr]:
-            break
-        if not queue:
-            break
+    while queue:
         v = queue.top()
-        k_old = top
-        k_new = calculate_key(state, v)
-        if key_less(k_old, k_new):
-            queue.update(v, k_new)
-        elif g[v] > rhs[v]:
+        state.expansions += 1
+        if g[v] > rhs[v]:
             # Overconsistent: commit and relax the neighbors.
-            gv = rhs[v]
-            g[v] = gv
+            gv = g[v] = rhs[v]
             queue.remove(v)
-            state.expansions += 1
             for s, eid in adj[v]:
-                if s != dest:
-                    cand = cost[eid] + gv
-                    if cand < rhs[s]:
-                        rhs[s] = cand
-                update_vertex(state, s)
+                cand = cost[eid] + gv
+                if cand < rhs[s] and s != dest:
+                    rhs[s] = cand
+                    update_vertex(state, s)
         else:
-            # Underconsistent: retract and recompute affected lookaheads.
+            # Underconsistent: retract and recompute the lookaheads it supported.
             g_old = g[v]
             g[v] = INF
-            state.expansions += 1
             for s, eid in adj[v]:
                 if rhs[s] == cost[eid] + g_old and s != dest:
-                    rhs[s] = lookahead(state, cost, s)
-                update_vertex(state, s)
+                    r = lookahead(state, cost, s)
+                    if r != rhs[s]:
+                        rhs[s] = r
+                        update_vertex(state, s)
             update_vertex(state, v)
 
 
 def extract_path(state: DStarState, view: PlanningCostView) -> Path:
     """Greedy descent from v_curr over g (see core.descend)."""
-    v = state.v_curr
-    dest = state.dest
-    if state.rhs[v] == INF:
-        raise NoPathError(f"no path from {v} to {dest}")
-    walk = descend(state.inst.ugv_adj, state.g, view.costs, v, dest)
+    walk = descend(state.inst.ugv_adj, state.g, view.costs, state.v_curr, state.dest)
     if walk is None:
-        raise NoPathError(f"no path from {v} to {dest}")
+        raise NoPathError(f"no path from {state.v_curr} to {state.dest}")
     vertices, edges = walk
     return Path(vertices, edges, view.path_cost(edges))
 
@@ -246,14 +184,7 @@ def replan(
     changed: list[int],
 ) -> Path:
     """Apply the cost changes of the edges in ``changed``, repair the search
-    and return the current path.
-
-    Advances the key offset by h(v_old, v_curr) so queue ordering stays
-    valid as the query vertex moves between calls.
-    """
-    state.k_m += state.inst.heuristic(state.v_old, v_curr)
-    state.v_old = v_curr
-    state.v_curr = v_curr
+    and return the current path from v_curr."""
     for eid in changed:
         rhs_update(state, view, eid)
     compute_shortest_path(state, view, v_curr)

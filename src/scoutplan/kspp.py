@@ -1,9 +1,10 @@
 """Dynamic k-shortest path maintenance.
 
 Yen's loopless-paths scheme on top of the incremental planner: the best
-path is repaired in place after each batch of cost updates.  The spur
-searches of one update share a reverse shortest-path tree to the
-destination (Feng's node classification): a spur search re-derives only
+path is repaired in place after each batch of cost updates.  That repair
+leaves exact distances to the destination everywhere, and the spur
+searches of one update share the reverse shortest-path tree they define
+(Feng's node classification): a spur search re-derives only
 the distances of the "yellow" vertices, whose tree paths cross a hidden
 edge, by an early-stopping A* seeded from their neighbours outside that
 set.  The tree owns the hidden edges, priced at infinity in its own copy
@@ -29,7 +30,7 @@ class SpurCounts(NamedTuple):
     searches: int = 0  # searches run
     isolated: int = 0  # skipped because every edge at the spur vertex was hidden or at INF
     nopath: int = 0  # searches run that found no spur path
-    settled: int = 0  # vertices settled by the tree build and the searches run
+    settled: int = 0  # vertices settled by the searches run
 
 
 @dataclass
@@ -52,27 +53,34 @@ class PathSet:
 
 
 class ReverseTree:
-    """Shortest-path tree towards ``dest`` under the view's costs, built once
-    per k-path update and shared by its spur searches.
+    """Shortest-path tree towards the destination under the view's costs,
+    read off the drained D* state and shared by one update's spur searches.
 
-    ``dist`` and ``parent`` (edge ids) are those of a full ``core.dijkstra``
-    from ``dest``, and ``settled`` its settled count.  The tree owns the
-    hidden edges of the path being spurred: ``cost`` is its own copy of the
-    view's costs with the ``hidden`` edges at INF, and ``marked`` lists the
-    yellow vertices, the subtrees below the hidden tree edges.  ``hide``
-    grows the set root by root; ``reset`` empties it between paths.
+    ``dist`` is the state's ``g``.  A vertex's ``parent`` is its first tight
+    edge in ``ugv_adj`` order, one whose cost plus the far end's ``dist``
+    equals its own; the drained state keeps one at every reachable vertex
+    but the destination.  The tree owns the hidden edges of the path being
+    spurred: ``cost`` is its own copy of the view's costs with the
+    ``hidden`` edges at INF, and ``marked`` lists the yellow vertices, the
+    subtrees below the hidden tree edges.  ``hide`` grows the set root by
+    root; ``reset`` empties it between paths.
     """
 
-    def __init__(self, inst: ProblemInstance, view: PlanningCostView, dest: int):
+    def __init__(self, inst: ProblemInstance, view: PlanningCostView, state: DStarState):
         self.inst = inst
-        self.dest = dest
-        self.view_costs = view.costs
-        self.cost = view.costs.copy()
-        self.dist, self.parent, self.settled = dijkstra(inst.ugv_adj, dest, view.costs)
+        self.dest = state.dest
+        self.view_costs = cost = view.costs
+        self.cost = cost.copy()
+        self.dist = dist = state.g
+        self.parent = [-1] * len(dist)
         self.children: list[list[int]] = [[] for _ in inst.ugv_adj]
-        for v, eid in enumerate(self.parent):
-            if eid >= 0:
-                self.children[inst.edges[eid].other(v)].append(v)
+        for v, nbrs in enumerate(inst.ugv_adj):
+            if v != self.dest and dist[v] < INF:
+                for w, eid in nbrs:
+                    if cost[eid] + dist[w] == dist[v]:
+                        self.parent[v] = eid
+                        self.children[w].append(v)
+                        break
         self.hidden: list[int] = []
         self.yellow = bytearray(len(inst.ugv_adj))
         self.marked: list[int] = []  # the yellow vertices
@@ -163,8 +171,8 @@ def update_k_paths(
     ``changed`` changed cost; ``NoPathError`` when no route is left.
 
     Only the rank-1 repair touches the shared search state; ranks 2..k come
-    from Yen spur searches (``spur_search``) against one ``ReverseTree``,
-    built when k > 1, and write nothing shared.
+    from Yen spur searches (``spur_search``) against one ``ReverseTree``
+    read off that state when k > 1, and write nothing shared.
 
     Each ranked path is walked once, root by root.  A spur from the end of
     a root hides every edge at an interior root vertex and the continuation
@@ -188,9 +196,8 @@ def update_k_paths(
     adj = inst.ugv_adj
     pool: list[tuple[float, tuple[int, ...], Path]] = []
     deviation = {best.vertices: 0}
-    tree = ReverseTree(inst, view, state.dest)
-    searches = isolated = nopath = 0
-    settled = tree.settled
+    tree = ReverseTree(inst, view, state)
+    searches = isolated = nopath = settled = 0
 
     for _ in range(2, k + 1):
         prev = accepted[-1]

@@ -224,6 +224,12 @@ class TestExperimentHarness:
         with pytest.raises(ValueError):
             bench.ExperimentSpec(**bad)
 
+    def test_spec_accepts_unread_family_keys_at_their_defaults(self):
+        spec = bench.ExperimentSpec(family="grid", adversarial=False, sizes=bench.SCALING_SIZES, road_file="")
+        assert spec.family_specs == ((bench.GridSpec(), ""),)
+        with pytest.raises(ValueError, match="the grid family does not read adversarial"):
+            bench.ExperimentSpec(family="grid", adversarial=True)
+
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"

@@ -236,6 +236,12 @@ class TestExperimentAndReport:
         {"adversarial": "no"},
         {"seed": "x"},
         {"seed": 1.5},
+        # A family key that the family does not read, set away from its default.
+        {"family": "grid", "adversarial": True},
+        {"family": "grid", "sizes": [[8, 4]]},
+        {"road_file": "nope.txt"},
+        {"family": "scaling", "impeded_fraction": 0.3},
+        {"family": "road", "road_file": "roads.txt", "bridge_fraction": 0.2},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"
@@ -290,8 +296,15 @@ class TestExperimentAndReport:
             ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1", ":3:"),  # one cell short
             ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0,9", ":3:"),  # one cell long
             ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,\xff,5,0.1,0", "not UTF-8"),
+            ("0,1,naive,1,inf,3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3: LB inf"),
+            ("0,1,naive,1,2.0,-3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3: cost -3.0"),
+            ("0,1,naive,1,2.0,3.0,3.0,-1,0.1,0.1,,5,0.1,0", ":3: n_replans -1"),
+            ("0,1,naive,1,2.0,3.0,nan,1,0.1,0.1,,5,0.1,0", ":3: arrival_time nan"),
+            ("0,1,naive,0,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3: k 0"),
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,0,0.1,0", ":3: n_vertices 0"),
         ],
-        ids=["non-numeric", "short", "long", "not-utf8"],
+        ids=["non-numeric", "short", "long", "not-utf8", "LB-inf", "negative-cost",
+             "negative-replans", "nan-arrival", "k-zero", "no-vertices"],
     )
     def test_report_rejects_malformed_runs_as_data_error(self, tmp_path, capsys, row, where):
         # A good row, then the bad one on line 3; without it report succeeds.

@@ -10,17 +10,17 @@ from conftest import (
     line_instance,
     random_connected_instance,
 )
-from scoutplan import bench, dstar
-from scoutplan.core import INF, NoPathError, PlanningCostView
+from scoutplan import bench, dstar, kspp
+from scoutplan.core import INF, NoPathError, PlanningCostView, dijkstra
 from scoutplan.dstar import AddressableHeap
 
 
 class TestAddressableHeap:
     def test_orders_keys_then_vertex(self):
         h = AddressableHeap()
-        h.insert(5, (1.0, 2.0))
-        h.insert(3, (1.0, 2.0))
-        h.insert(9, (0.5, 9.0))
+        h.insert(5, 1.0)
+        h.insert(3, 1.0)
+        h.insert(9, 0.5)
         assert h.top() == 9
         h.remove(9)
         assert h.top() == 3  # same key, lower id first
@@ -28,10 +28,10 @@ class TestAddressableHeap:
     def test_update_and_remove(self):
         h = AddressableHeap()
         for v in range(20):
-            h.insert(v, (float(v), 0.0))
-        h.update(19, (-1.0, 0.0))
+            h.insert(v, float(v))
+        h.update(19, -1.0)
         assert h.top() == 19
-        h.update(19, (50.0, 0.0))
+        h.update(19, 50.0)
         assert h.top() == 0
         h.remove(0)
         assert h.top() == 1
@@ -45,7 +45,7 @@ class TestAddressableHeap:
             op = rng.random()
             if op < 0.4 or not live:
                 v = rng.randrange(500)
-                key = (rng.uniform(0, 10), rng.uniform(0, 10))
+                key = float(rng.randint(0, 50))  # many ties
                 if v in live:
                     h.update(v, key)
                 else:
@@ -65,12 +65,7 @@ class TestAddressableHeap:
             else:
                 want = min(live.items(), key=lambda kv: (kv[1], kv[0]))
                 assert h.top() == want[0]
-                assert h.top_key() == want[1]
             assert len(h) == len(live)
-        assert h.top_key() == min(live.values()) if live else True
-
-    def test_empty_top_key_is_infinite(self):
-        assert AddressableHeap().top_key() == (INF, INF)
 
 
 class TestInitialize:
@@ -82,8 +77,6 @@ class TestInitialize:
         assert state.g[inst.d] == INF
         assert len(state.queue) == 1
         assert state.queue.top() == inst.d
-        assert state.queue.top_key() == (inst.heuristic(inst.p, inst.d), 0.0)
-        assert state.k_m == 0.0
 
     def test_start_equals_dest(self):
         inst = line_instance()
@@ -105,31 +98,6 @@ class TestInitialize:
         assert path.cost == pytest.approx(dist[inst.p], rel=1e-9)
 
 
-class TestCalculateKey:
-    def test_at_init(self):
-        inst = line_instance()
-        view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 0, 2)
-        assert dstar.calculate_key(state, 2) == (inst.heuristic(0, 2), 0.0)
-
-    def test_all_infinite(self):
-        inst = line_instance()
-        view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 0, 2)
-        assert dstar.calculate_key(state, 1) == (INF, INF)
-
-    def test_formula(self):
-        inst = line_instance()
-        view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 0, 2)
-        state.g[1] = 5.0
-        state.rhs[1] = 7.0
-        state.k_m = 1.0
-        state.v_curr = 1  # h(1, 1) = 0; add a synthetic offset via k_m
-        k1, k2 = dstar.calculate_key(state, 1)
-        assert (k1, k2) == (6.0, 5.0)
-
-
 class TestUpdateVertex:
     def setup_state(self):
         inst = line_instance((2.0, 3.0))
@@ -147,9 +115,8 @@ class TestUpdateVertex:
         state.rhs[1] = 3.0
         dstar.update_vertex(state, 1)
         assert 1 in state.queue
-        state.queue.remove(2)  # the destination's key (2.0, 0.0) precedes 1's
+        state.queue.remove(2)  # the destination's key 0.0 precedes 1's
         assert state.queue.top() == 1
-        assert state.queue.top_key() == dstar.calculate_key(state, 1) == (4.0, 3.0)
 
     def test_consistent_queued_removed(self):
         _, _, state = self.setup_state()
@@ -206,6 +173,28 @@ class TestComputeShortestPath:
         before = state.expansions
         dstar.replan(state, view, inst.p, [])
         assert state.expansions == before
+
+    def test_repairs_expand_less_than_the_initial_search(self):
+        # The grid and reveal order of demos/incremental_replanning.py: each
+        # repair re-expands only the vertices whose distance changed.
+        inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
+        view = PlanningCostView(inst)
+        state = dstar.initialize(inst, inst.p, inst.d)
+        path = dstar.replan(state, view, inst.p, [])
+        initial = state.expansions
+        assert initial >= inst.n_vertices  # the first search settles every vertex
+        rng = random.Random(0)
+        hidden = sorted(inst.impeded_ids)
+        rng.shuffle(hidden)
+        steps = 0
+        while hidden and path.vertices[0] != inst.d:
+            eid = hidden.pop()
+            view.reveal(eid, real[eid])
+            before = state.expansions
+            path = dstar.replan(state, view, path.vertices[min(3, len(path.vertices) - 1)], [eid])
+            assert state.expansions - before < initial
+            steps += 1
+        assert steps == 10
 
     def test_disconnected_reports_no_path(self):
         # Hide the only edges around the start to cut it off.
@@ -267,20 +256,12 @@ class TestReplanOracle:
         rng = random.Random(seed + 1000)
         self.run_batches(seed, rows=rng.randint(3, 8), cols=rng.randint(4, 10))
 
-    def test_km_monotone(self):
-        inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=6), seed=3)
-        view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
-        last = state.k_m
-        path = dstar.replan(state, view, inst.p, [])
-        for v in path.vertices[1:]:
-            dstar.replan(state, view, v, [])
-            assert state.k_m >= last
-            last = state.k_m
-
 
 class TestReplanStateful:
-    """Random cost-change batches and a moving start against Dijkstra."""
+    """Random cost-change batches and a moving start against Dijkstra: the
+    repaired g is a full search's distance everywhere, bit for bit, and the
+    reverse tree read off it has a tight parent edge at every reachable
+    vertex but the destination."""
 
     def new_cost(self, inst, view, eid, kind, factor):
         c = view.costs[eid]
@@ -292,8 +273,7 @@ class TestReplanStateful:
             c = PlanningCostView(inst).costs[eid]
         if kind == "up":
             return c * (1.0 + 2.0 * factor)
-        # Down, but never below the straight line, so the heuristic stays
-        # consistent.
+        # Down, but never below the straight line.
         rec = inst.edges[eid]
         lower = inst.euclid(rec.u, rec.v)
         return max(lower, lower + (c - lower) * factor)
@@ -335,3 +315,11 @@ class TestReplanStateful:
                 assert path.vertices[0] == v_curr and path.vertices[-1] == inst.d
                 assert len(set(path.vertices)) == len(path.vertices)
             assert state.queue_consistent()
+            assert state.g == dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
+            tree = kspp.ReverseTree(inst, view, state)
+            for v, eid in enumerate(tree.parent):
+                if eid < 0:
+                    assert v == inst.d or state.g[v] == INF
+                else:
+                    w = inst.edges[eid].other(v)
+                    assert view.costs[eid] + state.g[w] == state.g[v]

@@ -11,7 +11,7 @@ from conftest import (
     random_connected_instance,
 )
 from scoutplan import bench, dstar, kspp
-from scoutplan.core import INF, NoPathError, PlanningCostView, dijkstra
+from scoutplan.core import INF, NoPathError, PlanningCostView
 
 
 def diamond():
@@ -56,6 +56,13 @@ def straight_line_instance(rng, n, shrink_one=False):
         u, v, cost = specs[0]
         specs[0] = (u, v, cost / 2)
     return build_instance(coords, specs, p=0, q=0, d=n - 1)
+
+
+def reverse_tree(inst, view):
+    """The spur tree a k-path update builds: read off a drained D* state."""
+    state = dstar.initialize(inst, inst.p, inst.d)
+    dstar.compute_shortest_path(state, view, inst.p)
+    return kspp.ReverseTree(inst, view, state)
 
 
 def plan(inst, view, k, updates=None, state=None, v_curr=None):
@@ -120,14 +127,14 @@ class TestSuppression:
 
     def test_single_vertex_root_removes_no_nodes(self):
         inst = diamond()
-        tree = kspp.ReverseTree(inst, PlanningCostView(inst), inst.d)
+        tree = reverse_tree(inst, PlanningCostView(inst))
         # Only the continuation edge 0-1, no node-removal suppressions.
         assert oracles.yen_hidden_edges(inst, [(0, 1, 3)], (0,)) == {edge_between(inst, 0, 1)}
         assert self.hide(inst, tree, [(0, 1, 3)], (0,)) == {0}
 
     def test_shared_start_suppresses_one_edge_per_path(self):
         inst = diamond()
-        tree = kspp.ReverseTree(inst, PlanningCostView(inst), inst.d)
+        tree = reverse_tree(inst, PlanningCostView(inst))
         accepted = [(0, 1, 3), (0, 2, 3)]
         assert oracles.yen_hidden_edges(inst, accepted, (0,)) == {
             edge_between(inst, 0, 1),
@@ -139,7 +146,7 @@ class TestSuppression:
         # Root interior {0}: both edges at vertex 0, plus continuation (1,3).
         # The set grows from the root (0,), as along the path 0-1-3.
         inst = diamond()
-        tree = kspp.ReverseTree(inst, PlanningCostView(inst), inst.d)
+        tree = reverse_tree(inst, PlanningCostView(inst))
         assert oracles.yen_hidden_edges(inst, [(0, 1, 3)], (0, 1)) == {
             edge_between(inst, 0, 1),
             edge_between(inst, 0, 2),
@@ -156,7 +163,7 @@ class TestSuppression:
             inst = random_connected_instance(rng)
             view = PlanningCostView(inst)
             before = view.costs.copy()
-            tree = kspp.ReverseTree(inst, view, inst.d)
+            tree = reverse_tree(inst, view)
             ugv_edges = sorted(inst.ugv_edge_ids)
             for _ in range(3):
                 for _ in range(3):
@@ -187,7 +194,7 @@ class TestSuppression:
             changed = {e for e, c in enumerate(tree.cost) if c != tree.view_costs[e]}
             assert changed == set(tree.hidden) and len(tree.hidden) == len(changed)
             assert len(tree.marked) == len(set(tree.marked))
-            seen.append((tree.resets, spur, changed, set(tree.marked)))
+            seen.append((tree.resets, spur, changed, set(tree.marked), tree.parent))
             return search(tree, spur)
 
         monkeypatch.setattr(kspp.ReverseTree, "reset", counting_reset)
@@ -196,12 +203,12 @@ class TestSuppression:
 
         def check(inst, view, pset):
             nonlocal checked, deep, shared
-            for m, spur, hidden, marked in seen:
+            for m, spur, hidden, marked, parent in seen:
                 accepted = [p.vertices for p in pset.paths[:m]]
                 walked = accepted[-1]
                 root = walked[: walked.index(spur) + 1]
                 assert hidden == oracles.yen_hidden_edges(inst, accepted, root)
-                assert marked == yellow_set(inst, view, hidden)[0]
+                assert marked == yellow_set(inst, parent, hidden)[0]
                 checked += 1
                 deep += m > 1 and len(root) > 1
                 shared += sum(p[: len(root)] == root for p in accepted) > 1
@@ -227,10 +234,10 @@ class TestSuppression:
         assert checked > 500 and deep > 300 and shared > 70
 
 
-def yellow_set(inst, view, hidden):
-    """Vertices whose path in the shortest-path tree to the destination
-    crosses a hidden edge, and the tree's edge ids."""
-    _, parent, _ = dijkstra(inst.ugv_adj, inst.d, view.costs)
+def yellow_set(inst, parent, hidden):
+    """Vertices whose path in the shortest-path tree given by ``parent``
+    (edge ids, as ``ReverseTree.parent``) crosses a hidden edge, and the
+    tree's edge ids."""
     crosses = {}
     for v in range(inst.n_vertices):
         chain = []
@@ -259,7 +266,7 @@ class TestSpurSearch:
         shared = view.costs.copy()
         costs = oracles.view_costs(inst, view)
         paths = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 3)
-        tree = kspp.ReverseTree(inst, view, inst.d)
+        tree = reverse_tree(inst, view)
         ugv_edges = sorted(inst.ugv_edge_ids)
         outside = mixed = 0
         for _ in range(trials):
@@ -274,14 +281,14 @@ class TestSpurSearch:
                 spurs = [((rng.randrange(inst.n_vertices),), hidden)]
             tree.reset()
             for root, hidden in spurs:
-                yellow, tree_edges = yellow_set(inst, view, hidden)
+                yellow, tree_edges = yellow_set(inst, tree.parent, hidden)
                 outside += root[-1] not in yellow
                 mixed += bool(hidden & tree_edges) and bool(hidden - tree_edges)
                 want = oracles.shortest_path(
                     inst, costs, root[-1], inst.d,
                     blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
                 )
-                fresh = kspp.ReverseTree(inst, view, inst.d)
+                fresh = reverse_tree(inst, view)
                 for t in (tree, fresh):
                     t.hide(hidden)
                     got, settled = kspp.spur_search(t, root[-1])
@@ -344,12 +351,12 @@ class TestSpurSearch:
             p=0, d=5,
         )
         view = PlanningCostView(inst)
-        tree = kspp.ReverseTree(inst, view, inst.d)
+        tree = reverse_tree(inst, view)
         path, settled = kspp.spur_search(tree, 0)
         assert path == ((0, 1, 3, 4, 5), edge_walk(inst, (0, 1, 3, 4, 5)))
         assert settled == 0  # nothing hidden: the tree path is the answer
         hidden = {edge_between(inst, 4, 5)}
-        assert yellow_set(inst, view, hidden)[0] == {0, 1, 2, 3, 4}
+        assert yellow_set(inst, tree.parent, hidden)[0] == {0, 1, 2, 3, 4}
         tree.hide(hidden)
         path, _ = kspp.spur_search(tree, 0)
         assert path == ((0, 1, 3, 4, 6, 5), edge_walk(inst, (0, 1, 3, 4, 6, 5)))
@@ -360,7 +367,7 @@ class TestSpurSearch:
         view = PlanningCostView(inst)
         costs = oracles.view_costs(inst, view)
         best = oracles.shortest_path(inst, costs, inst.p, inst.d)
-        tree = kspp.ReverseTree(inst, view, inst.d)
+        tree = reverse_tree(inst, view)
         settled = yellow = 0
         for i in range(1, len(best)):
             root = best[:i]
@@ -373,23 +380,23 @@ class TestSpurSearch:
             got, n = kspp.spur_search(tree, root[-1])
             assert got == (None if want is None else (want, edge_walk(inst, want)))
             settled += n
-            yellow += len(yellow_set(inst, view, hidden)[0])
+            yellow += len(yellow_set(inst, tree.parent, hidden)[0])
         assert 0 < settled < yellow // 3
 
     def test_isolated_spur_is_not_searched(self):
         # k=3 on the diamond: one spur is searched; the spur at 1 under rank
-        # 1 and both spurs under rank 2 have every edge hidden.  The tree
-        # build settles all 4 vertices, the one search the spur 0 only.
+        # 1 and both spurs under rank 2 have every edge hidden.  The one
+        # search settles the spur 0 only.
         inst = diamond()
         pset, _ = plan(inst, PlanningCostView(inst), 3)
-        assert pset.spur == kspp.SpurCounts(searches=1, isolated=3, nopath=0, settled=4 + 1)
+        assert pset.spur == kspp.SpurCounts(searches=1, isolated=3, nopath=0, settled=1)
 
     def test_unreachable_returns_none(self):
         # Both edges into the destination are hidden, so 0, 1 and 2 are all
         # yellow and none of them has a seed: nothing is settled.
         inst = diamond()
         view = PlanningCostView(inst)
-        tree = kspp.ReverseTree(inst, view, inst.d)
+        tree = reverse_tree(inst, view)
         tree.hide([edge_between(inst, 1, 3), edge_between(inst, 2, 3)])
         path, settled = kspp.spur_search(tree, 0)
         assert path is None and settled == 0
@@ -406,8 +413,8 @@ class TestSpurSearch:
             block |= {w for v in block for w, _ in inst.ugv_adj[v]}
         hidden = {eid for v in block for w, eid in inst.ugv_adj[v] if w not in block}
         assert inst.d not in block
-        yellow, _ = yellow_set(inst, view, hidden)
-        tree = kspp.ReverseTree(inst, view, inst.d)
+        tree = reverse_tree(inst, view)
+        yellow, _ = yellow_set(inst, tree.parent, hidden)
         tree.hide(hidden)
         path, settled = kspp.spur_search(tree, centre)
         assert path is None
@@ -423,12 +430,11 @@ class TestSharedStateIsolation:
             state = dstar.initialize(inst, inst.p, inst.d)
             kspp.update_k_paths(inst, view, state, inst.p, [], 1)
             g0, rhs0 = state.g.copy(), state.rhs.copy()
-            km0, heap0, live0 = state.k_m, list(state.queue._heap), dict(state.queue._live)
+            heap0, live0 = list(state.queue._heap), dict(state.queue._live)
             state2 = state  # same object, ranks 2+ must not mutate it
             kspp.update_k_paths(inst, view, state2, inst.p, [], 4)
             assert state2.g == g0
             assert state2.rhs == rhs0
-            assert state2.k_m == km0
             assert state2.queue._heap == heap0
             assert state2.queue._live == live0
 
@@ -469,14 +475,25 @@ class TestOracleEquivalence:
                 assert p.edges == edge_walk(inst, p.vertices)
                 assert len(p.edges) == len(p.vertices) - 1
 
-    def test_spur_counts_add_up(self, rng):
+    def test_spur_counts_add_up(self, monkeypatch, rng):
+        searched = []
+        search = kspp.spur_search
+
+        def recording_search(tree, spur):
+            path, settled = search(tree, spur)
+            searched.append((path is None, settled))
+            return path, settled
+
+        monkeypatch.setattr(kspp, "spur_search", recording_search)
         lawler = yen = 0
         for _ in range(20):
             inst = integer_grid(rng, 4, 5)
+            searched.clear()
             pset, _ = plan(inst, PlanningCostView(inst), 7)
             c = pset.spur
-            assert c.searches > 0 and c.settled >= c.searches
-            assert 0 <= c.nopath <= c.searches
+            assert c.searches == len(searched) > 0
+            assert c.nopath == sum(none for none, _ in searched)
+            assert c.settled == sum(n for _, n in searched) > 0
             # Plain Yen spurs every processed path from every vertex but the
             # last; the last ranked path is processed only if the pool ran dry.
             processed = pset.paths[:-1] if len(pset) == 7 else pset.paths

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import build_instance, random_connected_instance
 from scoutplan import bench, kspp, rpp, sim
-from scoutplan.core import Realization, dijkstra, sample_realization
+from scoutplan.cli import main
+from scoutplan.core import Realization, dijkstra, sample_realization, save_instance, save_realization
 from scoutplan.sim import SimulationConfig
 
 
@@ -208,7 +209,7 @@ class TestReplanSemantics:
         assert out.arrival_time <= 11.0
         oracles.replay_ugv_arrivals(inst, real, out.events)
 
-    def test_late_inspection_counted_and_commitment_honored(self):
+    def test_late_inspection_counted_and_commitment_honored(self, tmp_path, capsys):
         coords = [(0.0, 0.0), (2.0, 0.0), (12.0, 0.0), (12.0, 1.0)]
         inst = build_instance(
             coords,
@@ -223,6 +224,14 @@ class TestReplanSemantics:
         assert reveal.data == (1, 30.0, "uav")
         assert 2.0 < reveal.time < 32.0
         oracles.replay_ugv_arrivals(inst, real, out.events)
+        # simulate prints the count on the line after n_replans.
+        save_instance(inst, str(tmp_path / "i.txt"))
+        save_realization(real, str(tmp_path / "r.txt"))
+        capsys.readouterr()
+        assert main(["simulate", "--instance", str(tmp_path / "i.txt"), "--realization",
+                     str(tmp_path / "r.txt"), "--planner", "paa", "--k", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index(f"n_replans {out.n_replans}") + 1] == "late_inspections 1"
 
     def test_cancellation_when_ugv_enters_targeted_edge(self):
         # Scout is far away; the vehicle reaches the impeded edge before any
