@@ -12,7 +12,7 @@ from scoutplan import PlanningCostView, bench, dstar
 inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
 view = PlanningCostView(inst)
 
-state = dstar.initialize(inst, inst.p, inst.d)
+state = dstar.initialize(inst, inst.d)
 path = dstar.replan(state, view, inst.p, [])
 print(f"grid with {inst.n_vertices} vertices, {len(inst.impeded_ids)} impeded edges")
 print(f"initial search: {state.expansions} expansions, route cost {path.cost:.1f}")

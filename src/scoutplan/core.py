@@ -13,12 +13,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-import warnings
 from dataclasses import dataclass
 
 INF = float("inf")
 
-# Absolute slack for admissibility checks; costs are plain doubles.
+# Absolute slack on a realized cost's bounds; costs are plain doubles.
 _EPS = 1e-9
 
 
@@ -129,7 +128,6 @@ class ProblemInstance:
         self._build_adjacency()
         if not self._connected():
             raise InstanceError("UGV edge set does not connect all vertices")
-        self.heuristic_admissible = self._check_heuristic()
 
     def _build_adjacency(self) -> None:
         n = len(self.vertices)
@@ -197,30 +195,7 @@ class ProblemInstance:
                     stack.append(w)
         return count == n
 
-    def _check_heuristic(self) -> bool:
-        # Straight-line admissibility: every UGV edge must be at least as
-        # long (in time) as the straight line between its endpoints.
-        for e in self.edges:
-            if e.id not in self.ugv_edge_ids:
-                continue
-            lower = e.distribution.t_min if e.impeded else e.ugv_cost
-            if lower + _EPS < self.euclid(e.u, e.v):
-                warnings.warn(
-                    f"edge {e.id} is shorter than the straight line between its "
-                    "endpoints; falling back to a zero heuristic",
-                    stacklevel=3,
-                )
-                return False
-        return True
-
     def euclid(self, a: int, b: int) -> float:
-        return math.dist(self.vertices[a], self.vertices[b])
-
-    def heuristic(self, a: int, b: int) -> float:
-        """Lower bound on ground travel time between two vertices."""
-        if not self.heuristic_admissible:
-            return 0.0
-        # euclid inlined: the searches call this once per heap push.
         return math.dist(self.vertices[a], self.vertices[b])
 
     @property
@@ -338,16 +313,11 @@ class UavMetric:
         return hops
 
 
-def _no_heuristic(v: int, target: int) -> float:
-    return 0.0
-
-
 def dijkstra(
     adj: list[list[tuple[int, int]]],
     source: int | list[int],
     cost: list[float],
     target: int | None = None,
-    heuristic=_no_heuristic,
     dist: list[float] | None = None,
 ) -> tuple[list[float], list[int], int]:
     """Shortest paths from source over an adjacency list of
@@ -360,16 +330,11 @@ def dijkstra(
     settled counts the vertices expanded.
 
     Without a target every reachable vertex is settled.  With one, the
-    search is A*: the heap is ordered by distance + heuristic(v, target),
-    and the search stops once that key exceeds the target's distance by
-    more than a relative 1e-9 plus 2 * _EPS per vertex.  The heuristic must
-    be a lower bound on the cost from v to the target whose consistency
-    fails by at most 2 * _EPS per edge, as ``ProblemInstance.heuristic``
-    does: an edge's lower cost may undercut the straight line by _EPS, and
-    a realized cost its lower bound by another _EPS.  Every vertex on a
-    shortest source-target path then has f <= the target's distance plus
-    that slack, so it is settled and its distance is the one a full search
-    gives, bit for bit; every other distance is an upper bound.
+    search stops at the first popped distance above the target's.  Pops
+    come in nondecreasing distance and the relaxations up to the stop are a
+    full search's, so every vertex no farther than the target, each vertex
+    on a shortest path to it included, is settled with the distance a full
+    search gives, bit for bit.  Every other distance is an upper bound.
 
     A seeded search passes ``dist`` too, and ``source`` is then a list of
     frontier vertices: the search starts from each of them at its ``dist``
@@ -384,15 +349,14 @@ def dijkstra(
         dist[source] = 0.0
         source = (source,)
     parent = [-1] * n
-    slack = 2 * _EPS * n
-    pq = [(dist[v] + heuristic(v, target), dist[v], v) for v in source]
+    pq = [(dist[v], v) for v in source]
     heapq.heapify(pq)
     settled = 0
     while pq:
-        f, dv, v = heapq.heappop(pq)
+        dv, v = heapq.heappop(pq)
         if dv > dist[v]:
             continue
-        if target is not None and f > dist[target] * (1.0 + 1e-9) + slack:
+        if target is not None and dv > dist[target]:
             break
         settled += 1
         for w, eid in adj[v]:
@@ -400,7 +364,7 @@ def dijkstra(
             if alt < dist[w]:
                 dist[w] = alt
                 parent[w] = eid
-                heapq.heappush(pq, (alt + heuristic(w, target), alt, w))
+                heapq.heappush(pq, (alt, w))
     return dist, parent, settled
 
 

@@ -60,16 +60,15 @@ class AddressableHeap:
 
 
 class DStarState:
-    """Mutable search state: g/rhs arrays, the queue and the query vertex."""
+    """Mutable search state: the g/rhs arrays and the queue."""
 
-    def __init__(self, inst: ProblemInstance, start: int, dest: int):
+    def __init__(self, inst: ProblemInstance, dest: int):
         n = inst.n_vertices
         self.inst = inst
         self.dest = dest
         self.g: list[float] = [INF] * n
         self.rhs: list[float] = [INF] * n
         self.queue = AddressableHeap()
-        self.v_curr = start
         self.expansions = 0
 
     def queue_consistent(self) -> bool:
@@ -77,9 +76,9 @@ class DStarState:
         return all((v in self.queue) == (self.g[v] != self.rhs[v]) for v in range(len(self.g)))
 
 
-def initialize(inst: ProblemInstance, start: int, dest: int) -> DStarState:
+def initialize(inst: ProblemInstance, dest: int) -> DStarState:
     """Fresh search state: rhs(dest)=0, queue holds only the destination."""
-    state = DStarState(inst, start, dest)
+    state = DStarState(inst, dest)
     state.rhs[dest] = 0.0
     state.queue.insert(dest, 0.0)
     return state
@@ -126,16 +125,13 @@ def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
     update_vertex(state, rec.v)
 
 
-def compute_shortest_path(
-    state: DStarState, view: PlanningCostView, v_curr: int
-) -> None:
-    """Make v_curr the query vertex and expand in key order until no vertex
-    is inconsistent.  Every g then equals its lookahead, the minimum over the
-    neighbors of edge cost + g with these float sums, which is its distance
-    to the destination bit for bit (infinity when unreachable).  A key is
-    never stale: ``update_vertex`` runs whenever a g or rhs changes.
+def compute_shortest_path(state: DStarState, view: PlanningCostView) -> None:
+    """Expand in key order until no vertex is inconsistent.  Every g then
+    equals its lookahead, the minimum over the neighbors of edge cost + g
+    with these float sums, which is its distance to the destination bit for
+    bit (infinity when unreachable).  A key is never stale:
+    ``update_vertex`` runs whenever a g or rhs changes.
     """
-    state.v_curr = v_curr
     g = state.g
     rhs = state.rhs
     queue = state.queue
@@ -168,11 +164,11 @@ def compute_shortest_path(
             update_vertex(state, v)
 
 
-def extract_path(state: DStarState, view: PlanningCostView) -> Path:
+def extract_path(state: DStarState, view: PlanningCostView, v_curr: int) -> Path:
     """Greedy descent from v_curr over g (see core.descend)."""
-    walk = descend(state.inst.ugv_adj, state.g, view.costs, state.v_curr, state.dest)
+    walk = descend(state.inst.ugv_adj, state.g, view.costs, v_curr, state.dest)
     if walk is None:
-        raise NoPathError(f"no path from {state.v_curr} to {state.dest}")
+        raise NoPathError(f"no path from {v_curr} to {state.dest}")
     vertices, edges = walk
     return Path(vertices, edges, view.path_cost(edges))
 
@@ -187,5 +183,5 @@ def replan(
     and return the current path from v_curr."""
     for eid in changed:
         rhs_update(state, view, eid)
-    compute_shortest_path(state, view, v_curr)
-    return extract_path(state, view)
+    compute_shortest_path(state, view)
+    return extract_path(state, view, v_curr)

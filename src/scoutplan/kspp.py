@@ -4,9 +4,9 @@ Yen's loopless-paths scheme on top of the incremental planner: the best
 path is repaired in place after each batch of cost updates.  That repair
 leaves exact distances to the destination everywhere, and the spur
 searches of one update share the reverse shortest-path tree they define
-(Feng's node classification): a spur search re-derives only
-the distances of the "yellow" vertices, whose tree paths cross a hidden
-edge, by an early-stopping A* seeded from their neighbours outside that
+(Feng's node classification): a spur search re-derives only the
+distances of the "yellow" vertices, whose tree paths cross a hidden edge,
+by an early-stopping search seeded from their neighbours outside that
 set.  The tree owns the hidden edges, priced at infinity in its own copy
 of the edge costs so the shared view never sees them; along one path's
 roots the set only grows, and it is reset between paths.  Lawler's rule
@@ -130,17 +130,18 @@ def spur_search(
     the tree path avoids every hidden edge.  A shortest path to a yellow
     vertex enters the yellow set by one last edge from a vertex outside it,
     so each yellow vertex is seeded with min(edge cost + tree distance) over
-    its neighbours outside the set, and ``core.dijkstra`` runs its
-    early-stopping A* from those seeds towards the spur.  That search never
+    its neighbours outside the set, and ``core.dijkstra`` runs from those
+    seeds until it pops a distance above the spur's.  That search never
     improves a tree distance, so it settles yellow vertices only, and it
-    leaves what a full search would: exact distances on the spur's shortest
-    paths, upper bounds elsewhere.  The greedy descent the incremental
-    planner uses then walks the path a full search gives, ties to the lowest
-    vertex id included.
+    leaves what a full search would: exact distances at every vertex no
+    farther than the spur, so on all of the spur's shortest paths, and upper
+    bounds elsewhere.  The greedy descent the incremental planner uses then
+    walks the path a full search gives, ties to the lowest vertex id
+    included.
 
     Work.  A spur outside the yellow set has its distance from the start, so
-    only the yellow vertices that could tie with it are settled; a search
-    that finds no path settles at most the yellow set.
+    only the yellow vertices no farther than it are settled; a search that
+    finds no path settles at most the yellow set.
     """
     adj, cost, yellow = tree.inst.ugv_adj, tree.cost, tree.yellow
     dist = tree.dist.copy()
@@ -155,7 +156,7 @@ def spur_search(
         dist[y] = best
         if best < INF:
             frontier.append(y)
-    _, _, settled = dijkstra(adj, frontier, cost, spur, tree.inst.heuristic, dist)
+    _, _, settled = dijkstra(adj, frontier, cost, spur, dist=dist)
     return descend(adj, dist, cost, spur, tree.dest), settled
 
 

@@ -111,7 +111,7 @@ def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
     view = PlanningCostView(inst)
     for eid in inst.impeded_ids:
         view.reveal(eid, realization[eid])
-    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, view.costs, inst.d, inst.heuristic)
+    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, view.costs, inst.d)
     if dist[inst.d] == INF:
         raise NoPathError("destination unreachable")
     return dist[inst.d]
@@ -192,7 +192,7 @@ class _Engine:
         self.k_eff = 1 if cfg.planner == "naive" else cfg.k
         self.view = PlanningCostView(inst)
         self.metric = UavMetric(inst)
-        self.dstate = dstar.initialize(inst, inst.p, inst.d)
+        self.dstate = dstar.initialize(inst, inst.d)
         self.events: list[Event] = []
         self.replans: list[ReplanRecord] = []
         self.late = 0

@@ -44,7 +44,7 @@ class TestCriterion1DStarOracle:
                 bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=10), seed=trial
             )
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             v_curr = inst.p
             path = dstar.replan(state, view, v_curr, [])
             unrevealed = sorted(inst.impeded_ids)
@@ -84,7 +84,7 @@ class TestCriterion2KsppOracle:
         for trial in range(200):
             inst = random_connected_instance(rng, n_min=5, n_max=12)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             want = [c for c, _ in oracles.all_simple_paths(inst, costs, inst.p, inst.d)[:4]]
@@ -99,7 +99,7 @@ class TestCriterion2KsppOracle:
         for trial in range(50):
             inst = random_connected_instance(rng, n_min=60, n_max=200)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             yen = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 4)
@@ -300,7 +300,7 @@ class TestCriterion8PropertySuite:
         for _ in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=14)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             assert state.queue_consistent()
             dstar.replan(state, view, inst.p, [])
             assert state.queue_consistent()
@@ -308,7 +308,7 @@ class TestCriterion8PropertySuite:
                 view.reveal(eid, inst.edges[eid].distribution.t_max)
                 dstar.rhs_update(state, view, eid)
                 assert state.queue_consistent()
-                dstar.compute_shortest_path(state, view, inst.p)
+                dstar.compute_shortest_path(state, view)
                 assert state.queue_consistent()
         report(8, "queue membership invariant", "checked after every operation")
 
@@ -318,7 +318,7 @@ class TestCriterion8PropertySuite:
         while checked < 100:
             inst = random_connected_instance(rng, n_min=6, n_max=14, impeded_frac=0.5)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             crit = rpp.extract_critical_edges(pset, view, inst)
             if not crit:

@@ -95,35 +95,6 @@ class TestPlanningCost:
         assert view.costs[target] == inst.edges[target].distribution.t_max
 
 
-class TestHeuristic:
-    def test_identity(self):
-        inst = line_instance()
-        assert inst.heuristic(1, 1) == 0.0
-
-    def test_three_four_five(self):
-        coords = [(0.0, 0.0), (3.0, 4.0)]
-        inst = build_instance(coords, [(0, 1, 5.0)])
-        assert inst.heuristic(0, 1) == 5.0
-
-    def test_consistency_on_grid(self):
-        inst, _ = bench.generate_grid(bench.GridSpec(rows=6, cols=8), seed=3)
-        view = PlanningCostView(inst)
-        rng = random.Random(0)
-        for _ in range(1000):
-            b = rng.randrange(inst.n_vertices)
-            a = rng.randrange(inst.n_vertices)
-            nbrs = inst.ugv_adj[b]
-            c, eid = nbrs[rng.randrange(len(nbrs))]
-            assert inst.heuristic(a, c) <= inst.heuristic(a, b) + view.costs[eid] + 1e-9
-
-    def test_inadmissible_instance_warns_and_zeroes(self):
-        coords = [(0.0, 0.0), (10.0, 0.0)]
-        with pytest.warns(UserWarning):
-            inst = build_instance(coords, [(0, 1, 5.0)])  # cost below distance
-        assert not inst.heuristic_admissible
-        assert inst.heuristic(0, 1) == 0.0
-
-
 class TestUavTransit:
     def test_identity(self):
         inst = line_instance()
@@ -264,7 +235,6 @@ def _instance_texts(draw):
     return "\n".join(" ".join(ln) for ln in lines)
 
 
-@pytest.mark.filterwarnings("ignore:edge .* is shorter")
 class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(text=_instance_texts())

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -72,16 +73,24 @@ class TestInitialize:
     def test_postconditions(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=5), seed=2)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         assert state.rhs[inst.d] == 0.0
         assert state.g[inst.d] == INF
         assert len(state.queue) == 1
         assert state.queue.top() == inst.d
 
+    def test_state_holds_no_start_vertex(self):
+        # Every repair drains the queue, so no search reads a start: the
+        # start enters at the descent only.
+        assert list(inspect.signature(dstar.initialize).parameters) == ["inst", "dest"]
+        assert list(inspect.signature(dstar.compute_shortest_path).parameters) == ["state", "view"]
+        assert "v_curr" in inspect.signature(dstar.extract_path).parameters
+        assert not hasattr(dstar.initialize(line_instance(), 2), "v_curr")
+
     def test_start_equals_dest(self):
         inst = line_instance()
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 2, 2)
+        state = dstar.initialize(inst, 2)
         path = dstar.replan(state, view, 2, [])
         assert state.g[2] == 0.0
         assert path.vertices == (2,)
@@ -90,7 +99,7 @@ class TestInitialize:
     def test_grid_matches_dijkstra(self):
         inst, _ = bench.generate_grid(bench.GridSpec(), seed=4)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         path = dstar.replan(state, view, inst.p, [])
         costs = oracles.view_costs(inst, view)
         dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
@@ -102,7 +111,7 @@ class TestUpdateVertex:
     def setup_state(self):
         inst = line_instance((2.0, 3.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 0, 2)
+        state = dstar.initialize(inst, 2)
         return inst, view, state
 
     def test_consistent_unqueued_noop(self):
@@ -129,7 +138,7 @@ class TestRhsUpdate:
     def test_decrease_far_from_finite_region_is_noop(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=3, cols=4), seed=1)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         # No expansion yet: g is infinite everywhere, so a decrease cannot
         # create a finite lookahead.
         eid = 0
@@ -141,7 +150,7 @@ class TestRhsUpdate:
     def test_increase_on_line_matches_oracle(self):
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 0, 2)
+        state = dstar.initialize(inst, 2)
         dstar.replan(state, view, 0, [])
         assert state.g[0] == 2.0
         eid = edge_between(inst, 0, 1)
@@ -156,7 +165,7 @@ class TestRhsUpdate:
     def test_same_cost_update_keeps_state(self):
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 0, 2)
+        state = dstar.initialize(inst, 2)
         dstar.replan(state, view, 0, [])
         g0, rhs0 = state.g.copy(), state.rhs.copy()
         eid = edge_between(inst, 0, 1)
@@ -168,7 +177,7 @@ class TestComputeShortestPath:
     def test_second_run_expands_nothing(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=5, cols=6), seed=9)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         dstar.replan(state, view, inst.p, [])
         before = state.expansions
         dstar.replan(state, view, inst.p, [])
@@ -179,7 +188,7 @@ class TestComputeShortestPath:
         # repair re-expands only the vertices whose distance changed.
         inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         path = dstar.replan(state, view, inst.p, [])
         initial = state.expansions
         assert initial >= inst.n_vertices  # the first search settles every vertex
@@ -200,7 +209,7 @@ class TestComputeShortestPath:
         # Hide the only edges around the start to cut it off.
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 0, 2)
+        state = dstar.initialize(inst, 2)
         dstar.replan(state, view, 0, [])
         eid = edge_between(inst, 0, 1)
         view.costs[eid] = INF
@@ -210,7 +219,7 @@ class TestComputeShortestPath:
     def test_queue_invariant_after_operations(self, rng):
         inst = random_connected_instance(rng, n_min=8, n_max=14)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         assert state.queue_consistent()
         dstar.replan(state, view, inst.p, [])
         assert state.queue_consistent()
@@ -218,7 +227,7 @@ class TestComputeShortestPath:
             view.reveal(eid, inst.edges[eid].distribution.t_max)
             dstar.rhs_update(state, view, eid)
             assert state.queue_consistent()
-            dstar.compute_shortest_path(state, view, inst.p)
+            dstar.compute_shortest_path(state, view)
             assert state.queue_consistent()
 
 
@@ -229,7 +238,7 @@ class TestReplanOracle:
             bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=6), seed=seed
         )
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
         unrevealed = sorted(inst.impeded_ids)
@@ -273,10 +282,8 @@ class TestReplanStateful:
             c = PlanningCostView(inst).costs[eid]
         if kind == "up":
             return c * (1.0 + 2.0 * factor)
-        # Down, but never below the straight line.
-        rec = inst.edges[eid]
-        lower = inst.euclid(rec.u, rec.v)
-        return max(lower, lower + (c - lower) * factor)
+        # Down, to as little as a hundredth: often below the straight line.
+        return c * max(factor, 0.01)
 
     @settings(max_examples=80, deadline=None)
     @given(rng=st.randoms(use_true_random=False), data=st.data())
@@ -284,7 +291,7 @@ class TestReplanStateful:
         inst = random_connected_instance(rng, n_min=5, n_max=12)
         edges = sorted(inst.ugv_edge_ids)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
         for _ in range(data.draw(st.integers(1, 10), label="steps")):

@@ -42,7 +42,7 @@ def integer_grid(rng, rows, cols):
 
 def straight_line_instance(rng, n, shrink_one=False):
     """Random integer points whose edges are exactly as long as the straight
-    line; with ``shrink_one`` one edge is shorter, so the heuristic is zero."""
+    line; with ``shrink_one`` one edge is half as long."""
     coords = [(float(rng.randint(0, 8)), float(rng.randint(0, 8))) for _ in range(n)]
     while len(set(coords)) < n:
         coords = [(float(rng.randint(0, 8)), float(rng.randint(0, 8))) for _ in range(n)]
@@ -60,14 +60,14 @@ def straight_line_instance(rng, n, shrink_one=False):
 
 def reverse_tree(inst, view):
     """The spur tree a k-path update builds: read off a drained D* state."""
-    state = dstar.initialize(inst, inst.p, inst.d)
-    dstar.compute_shortest_path(state, view, inst.p)
+    state = dstar.initialize(inst, inst.d)
+    dstar.compute_shortest_path(state, view)
     return kspp.ReverseTree(inst, view, state)
 
 
 def plan(inst, view, k, updates=None, state=None, v_curr=None):
     if state is None:
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
     return (
         kspp.update_k_paths(inst, view, state, inst.p if v_curr is None else v_curr, updates or [], k),
         state,
@@ -91,7 +91,7 @@ class TestBasics:
     def test_no_path_raises(self):
         inst = diamond()
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.p, inst.d)
+        state = dstar.initialize(inst, inst.d)
         ups = []
         for a, b in ((0, 1), (0, 2)):
             eid = edge_between(inst, a, b)
@@ -221,7 +221,7 @@ class TestSuppression:
         for _ in range(12):
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             v_curr = inst.p
             pset = kspp.update_k_paths(inst, view, state, v_curr, [], 7)
             check(inst, view, pset)
@@ -322,27 +322,19 @@ class TestSpurSearch:
         self.check_roots(inst, PlanningCostView(inst), rng, 4)
 
     def test_edges_as_long_as_the_straight_line_match_oracle(self, rng):
-        # The heuristic is exact along every edge, so whole shortest paths
-        # tie on f and the early stop sits right at the spur's distance.
-        for _ in range(40):
-            inst = straight_line_instance(rng, rng.randint(6, 20))
-            assert inst.heuristic_admissible
-            self.check_roots(inst, PlanningCostView(inst), rng, 5)
-
-    def test_zero_heuristic_matches_oracle(self, rng):
-        for _ in range(20):
-            with pytest.warns(UserWarning, match="straight line"):
-                inst = straight_line_instance(rng, rng.randint(6, 20), shrink_one=True)
-            assert not inst.heuristic_admissible
+        # Costs are straight-line lengths between integer points, so many
+        # distances tie; one edge in three instances is half as long.
+        for trial in range(60):
+            inst = straight_line_instance(rng, rng.randint(6, 20), shrink_one=trial % 3 == 2)
             self.check_roots(inst, PlanningCostView(inst), rng, 5)
 
     def test_tie_that_runs_straight_into_the_spur(self):
         # Two shortest routes from 4 to the spur 0, both of cost 9 on tight
         # edges: 4-2-0 and 4-3-1-0, whose last two edges run straight into
         # the spur.  With the tree edge 4-5 hidden, 0..4 are yellow and
-        # seeded through 6 at 4; vertices 3 and 1 then have f exactly the
-        # spur's distance once 2 has been settled, yet they must be settled
-        # for the descent to take the lower-id neighbour 1.
+        # seeded through 6 at 4; vertices 3 and 1 then pop at or below the
+        # spur's distance, and they must be settled for the descent to take
+        # the lower-id neighbour 1.
         coords = [(0.0, 0.0), (0.0, 1.0), (3.0, 4.0), (0.0, 4.0), (3.0, 8.0), (3.0, 10.0), (5.0, 9.0)]
         inst = build_instance(
             coords,
@@ -427,7 +419,7 @@ class TestSharedStateIsolation:
         for _ in range(10):
             inst = random_connected_instance(rng)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             kspp.update_k_paths(inst, view, state, inst.p, [], 1)
             g0, rhs0 = state.g.copy(), state.rhs.copy()
             heap0, live0 = list(state.queue._heap), dict(state.queue._live)
@@ -456,7 +448,7 @@ class TestOracleEquivalence:
         for _ in range(12):
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 7)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids)[:4]:
@@ -508,7 +500,7 @@ class TestOracleEquivalence:
         for trial in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=10)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.p, inst.d)
+            state = dstar.initialize(inst, inst.d)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids):

@@ -11,7 +11,7 @@ from scoutplan.paa import PaaContext, PriorityWeights
 
 
 def make_context(inst, view, k, uav_pos=None, weights=None):
-    state = dstar.initialize(inst, inst.p, inst.d)
+    state = dstar.initialize(inst, inst.d)
     pset = kspp.update_k_paths(inst, view, state, inst.p, [], k)
     crit = rpp.extract_critical_edges(pset, view, inst)
     ctx = PaaContext(

@@ -9,7 +9,7 @@ from scoutplan.core import INF, PlanningCostView, UavMetric
 
 
 def plan_paths(inst, view, k):
-    state = dstar.initialize(inst, inst.p, inst.d)
+    state = dstar.initialize(inst, inst.d)
     return kspp.update_k_paths(inst, view, state, inst.p, [], k)
 
 

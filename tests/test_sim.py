@@ -1,5 +1,8 @@
 import math
 import random
+import warnings
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,20 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_instance, random_connected_instance
-from scoutplan import bench, kspp, rpp, sim
+from scoutplan import bench, dstar, kspp, rpp, sim
 from scoutplan.cli import main
-from scoutplan.core import Realization, dijkstra, sample_realization, save_instance, save_realization
+from scoutplan.core import (
+    INF,
+    PlanningCostView,
+    ProblemInstance,
+    Realization,
+    UniformCost,
+    descend,
+    dijkstra,
+    sample_realization,
+    save_instance,
+    save_realization,
+)
 from scoutplan.sim import SimulationConfig
 
 
@@ -23,10 +37,10 @@ def run_all_planners(inst, real, k=2):
 @st.composite
 def _integer_missions(draw):
     """A connected instance on integer points and one realization.  Edges
-    run exactly as long as the straight line, a little shorter (within the
-    heuristic's tolerance) or longer, and true costs sit anywhere in their
-    window, its tolerance included, so the early stop meets ties and the
-    slack both.  The scout starts anywhere, and either flies freely or over
+    run exactly as long as the straight line, a hair shorter or longer, and
+    true costs sit anywhere in their window, the realization check's
+    tolerance included, so distances often tie or differ by an ulp where the early
+    stop looks.  The scout starts anywhere, and either flies freely or over
     the edges, some of them aerial-only and some slower than the straight
     line, so its transits take several hops."""
     n = draw(st.integers(2, 12))
@@ -79,14 +93,36 @@ def _missions():
     return st.one_of(_integer_missions(), _connected_missions())
 
 
+def _recorded(module, call):
+    """call()'s value and the results of the ``dijkstra`` runs it made
+    through ``module``."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(dijkstra(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(module, "dijkstra", recording):
+        return call(), results
+
+
+def _check_early_stop(full, got, settled, candidates, target):
+    """A search given a target stops at the first popped distance above
+    the target's: of the candidates, it settles exactly those reachable
+    and no farther than the target, each at the full search's distance,
+    bit for bit."""
+    near = [v for v in candidates if full[v] <= full[target] and full[v] < INF]
+    assert settled == len(near)
+    assert [got[v] for v in near] == [full[v] for v in near]
+
+
 class TestLowerBound:
     def test_early_stop_covers_edges_below_the_straight_line(self):
         # True costs may undercut the straight line by 2 * _EPS per edge.
         # The shortest route runs along the chain 0-1-...-6, whose edges
-        # after the first undercut it by that much, so vertex 1 has f about
-        # 1e-8 above the shortest cost, more than a relative 1e-9 of it.  The
-        # longer route 0-7-6 reaches the destination first, at a cost
-        # between the two.
+        # after the first undercut it by that much.  The longer route 0-7-6
+        # reaches the destination first, less than 1e-8 above the chain, so
+        # the search must not stop there.
         coords = [(i / 6, 0.0) for i in range(7)] + [(0.5, 1e-6)]
         pairs = [(i, i + 1) for i in range(6)] + [(0, 7), (6, 7)]
         lows = [math.dist(coords[u], coords[v]) - 0.99e-9 for u, v in pairs]
@@ -96,20 +132,26 @@ class TestLowerBound:
         true[0] = lows[0]
         true[7] = (1.0 - 3.5e-9) - true[6]
         real = Realization(inst, true)
-        assert inst.heuristic_admissible
         chain = sum(true[eid] for eid in range(6))
         assert chain < true[6] + true[7] < chain + 1e-8
         cost = [real[e.id] for e in inst.edges]
         assert sim.lower_bound(inst, real) == dijkstra(inst.ugv_adj, 0, cost)[0][6]
 
     @settings(max_examples=300, deadline=None)
-    @given(mission=_integer_missions())
+    @given(mission=_missions())
     def test_early_stop_equals_full_search(self, mission):
         inst, real = mission
-        cost = [real[e.id] if e.impeded else e.ugv_cost for e in inst.edges]
-        dist, _, settled = dijkstra(inst.ugv_adj, inst.p, cost)
-        assert settled == inst.n_vertices
-        assert sim.lower_bound(inst, real) == dist[inst.d]
+        cost = PlanningCostView(inst).costs
+        for eid in inst.impeded_ids:
+            cost[eid] = real[eid]
+        full, _, n = dijkstra(inst.ugv_adj, inst.p, cost)
+        assert n == inst.n_vertices
+        bound, [(got, _, settled)] = _recorded(sim, lambda: sim.lower_bound(inst, real))
+        assert bound == full[inst.d]
+        _check_early_stop(full, got, settled, range(inst.n_vertices), inst.d)
+        walk = descend(inst.ugv_adj, full, cost, inst.d, inst.p)
+        assert descend(inst.ugv_adj, got, cost, inst.d, inst.p) == walk
+        assert [got[v] for v in walk[0]] == [full[v] for v in walk[0]]
 
     def test_zero_impeded_equals_static_shortest_path(self):
         coords = [(0.0, 0.0), (3.0, 0.0), (7.0, 0.0)]
@@ -127,6 +169,58 @@ class TestLowerBound:
                 costs[eid] = real[eid] if rec.impeded else rec.ugv_cost
             dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
             assert sim.lower_bound(inst, real) == pytest.approx(dist[inst.p], rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mission=_missions(), data=st.data())
+def test_spur_search_early_stop_equals_full_search(mission, data):
+    # The seeded search of a spur: only yellow vertices are candidates, and
+    # the full search runs from the destination with the hidden edges cut.
+    inst, real = mission
+    view = PlanningCostView(inst)
+    for eid in sorted(inst.impeded_ids):
+        if data.draw(st.booleans(), label="reveal"):
+            view.reveal(eid, real[eid])
+    state = dstar.initialize(inst, inst.d)
+    dstar.compute_shortest_path(state, view)
+    tree = kspp.ReverseTree(inst, view, state)
+    edges = sorted(inst.ugv_edge_ids)
+    tree.hide(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="hidden"))
+    spur = data.draw(st.integers(0, inst.n_vertices - 1), label="spur")
+    full = dijkstra(inst.ugv_adj, inst.d, tree.cost)[0]
+    (path, settled), [(got, _, _)] = _recorded(kspp, lambda: kspp.spur_search(tree, spur))
+    _check_early_stop(full, got, settled, tree.marked, spur)
+    assert path == descend(inst.ugv_adj, full, tree.cost, spur, inst.d)
+    if path is not None:
+        assert [got[v] for v in path[0]] == [full[v] for v in path[0]]
+
+
+def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
+    # No search assumes an edge is at least as long as the straight line
+    # between its ends: halving the longest one warns of nothing, and the
+    # lower bound and the k paths still match the oracles.
+    for _ in range(20):
+        base = random_connected_instance(rng, n_min=6, n_max=14)
+        longest = max(base.ugv_edge_ids, key=lambda eid: base.euclid(base.edges[eid].u, base.edges[eid].v))
+        edges = list(base.edges)
+        e = edges[longest]
+        if e.impeded:
+            edges[longest] = replace(e, distribution=UniformCost(e.distribution.t_min / 2, e.distribution.t_max / 2))
+        else:
+            edges[longest] = replace(e, ugv_cost=e.ugv_cost / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = ProblemInstance(base.vertices, edges, base.p, base.q, base.d, uav_free_flight=True)
+        view = PlanningCostView(inst)
+        assert view.costs[longest] < inst.euclid(inst.edges[longest].u, inst.edges[longest].v)
+        real = sample_realization(inst, rng)
+        costs = {eid: real[eid] if inst.edges[eid].impeded else inst.edges[eid].ugv_cost
+                 for eid in inst.ugv_edge_ids}
+        dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
+        assert sim.lower_bound(inst, real) == pytest.approx(dist[inst.p], rel=1e-12)
+        pset = kspp.update_k_paths(inst, view, dstar.initialize(inst, inst.d), inst.p, [], 4)
+        yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), inst.p, inst.d, 4)
+        assert [p.vertices for p in pset] == yen
 
 
 class TestWalkthroughScenario:
