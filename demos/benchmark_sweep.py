@@ -14,7 +14,7 @@ spec = bench.ExperimentSpec(
     k_values=(1, 2, 3, 5),
     planners=("rpp", "paa"),
     seed=2024,
-    adversarial=True,
+    specs=(bench.BridgeSpec(adversarial=True),),
 )
 summary, failures = bench.run_experiment(spec, "sweep_results")
 

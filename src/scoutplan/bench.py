@@ -15,7 +15,7 @@ import os
 import random
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from statistics import fmean, pstdev
 
 from . import sim
@@ -73,8 +73,7 @@ class BridgeSpec:
     def __post_init__(self):
         check_at_least("chain_len", self.chain_len, 2)
         check_at_least("n_paths", self.n_paths, 1)
-        if not self.impeded_per_path > 0:
-            raise ValueError(f"impeded_per_path must be > 0, got {self.impeded_per_path!r}")
+        check_positive("impeded_per_path", self.impeded_per_path)
         check_fraction("bridge_fraction", self.bridge_fraction)
         check_positive("uav_speed", self.uav_speed)
         if type(self.adversarial) is not bool:
@@ -164,15 +163,6 @@ FAMILIES = tuple(FAMILY_SPECS)
 FamilySpec = GridSpec | BridgeSpec | ScalingSpec | RoadSpec
 
 
-#: The family keys of an experiment spec, by the family that reads them.
-EXPERIMENT_FAMILY_KEYS = {
-    "grid": (),
-    "bridge": ("adversarial", "impeded_per_path", "bridge_fraction"),
-    "scaling": ("sizes",),
-    "road": ("impeded_fraction", "road_file"),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     family: str = "bridge"  # one of FAMILIES
@@ -180,16 +170,11 @@ class ExperimentSpec:
     k_values: tuple[int, ...] = (1, 2, 3, 4, 5)
     planners: tuple[str, ...] = ("rpp",)
     seed: int = 0
-    adversarial: bool = False
-    impeded_per_path: float = 2
-    bridge_fraction: float = 0.10
-    impeded_fraction: float = 0.5  # road family
-    sizes: tuple[tuple[int, int], ...] = SCALING_SIZES  # scaling family
-    road_file: str = ""
     weights: PriorityWeights = field(default_factory=PriorityWeights)
-    #: (family spec, summary label) pairs that instances cycle through;
-    #: built, and so checked, once (a road spec loads road_file here).
-    family_specs: tuple[tuple[FamilySpec, str], ...] = field(init=False, repr=False, compare=False)
+    #: The family's specs, which instances cycle through; each is built, and
+    #: so checked, once (a road spec loads its base_file then).  None means
+    #: the family's default spec, or one spec per SCALING_SIZES entry.
+    specs: tuple[FamilySpec, ...] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -206,32 +191,13 @@ class ExperimentSpec:
         check_at_least("n_instances", self.n_instances, 1)
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for f in fields(self):
-            if (any(f.name in keys for keys in EXPERIMENT_FAMILY_KEYS.values())
-                    and f.name not in EXPERIMENT_FAMILY_KEYS[self.family]
-                    and getattr(self, f.name) != f.default):
-                raise ValueError(f"the {self.family} family does not read {f.name}")
-        if self.family == "scaling":
-            specs = tuple((ScalingSpec(size), f"{size[0]}x{size[1]}") for size in self.sizes)
-            if not specs:
-                raise ValueError("the scaling family needs at least one size")
-        elif self.family == "road":
-            if not self.road_file:
-                raise ValueError("the road family needs a road_file")
-            specs = ((RoadSpec(impeded_fraction=self.impeded_fraction, base_file=self.road_file), ""),)
-        elif self.family == "bridge":
-            specs = ((BridgeSpec(
-                adversarial=self.adversarial,
-                impeded_per_path=self.impeded_per_path,
-                bridge_fraction=self.bridge_fraction,
-            ), ""),)
-        else:
-            specs = ((GridSpec(), ""),)
-        object.__setattr__(self, "family_specs", specs)
-
-    def instance_spec(self, index: int) -> tuple[FamilySpec, str]:
-        """The family spec and summary label of instance `index`."""
-        return self.family_specs[index % len(self.family_specs)]
+        cls = FAMILY_SPECS[self.family]
+        if self.specs is None:
+            default = tuple(map(ScalingSpec, SCALING_SIZES)) if cls is ScalingSpec else (cls(),)
+            object.__setattr__(self, "specs", default)
+        if not (isinstance(self.specs, tuple) and self.specs
+                and all(type(s) is cls for s in self.specs)):
+            raise ValueError(f"specs must be a non-empty tuple of {cls.__name__}, got {self.specs!r}")
 
 
 def delta_percent(lb_mean: float, naive_mean: float, cost_mean: float) -> float:
@@ -535,7 +501,8 @@ def make_instance(
 
 def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     """All planner runs for one instance, naive baseline included."""
-    family_spec, label = spec.instance_spec(index)
+    family_spec = spec.specs[index % len(spec.specs)]
+    label = "x".join(map(str, family_spec.size)) if isinstance(family_spec, ScalingSpec) else ""
     inst, real, _ = make_instance(family_spec, f"{spec.seed}:{index}")
     rows: list[dict] = []
 
@@ -654,7 +621,7 @@ def run_experiment(
     plot data.  Returns the summary and one record per failed instance;
     a failed instance contributes no rows to the summary."""
     os.makedirs(out_dir, exist_ok=True)
-    n = spec.n_instances * len(spec.family_specs)
+    n = spec.n_instances * len(spec.specs)
     rows: list[dict] = []
     failures: list[dict] = []
 

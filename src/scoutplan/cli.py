@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -118,7 +119,15 @@ def cmd_experiment(args) -> int:
     try:
         if "weights" in data:
             data["weights"] = _weights(data["weights"])
-        spec = _dataclass_from(bench.ExperimentSpec, data)
+        spec = _dataclass_from(bench.ExperimentSpec, {k: v for k, v in data.items() if k != "specs"})
+        if "specs" in data:
+            # Each entry is what `generate --spec` takes for the family, minus count.
+            entries = data["specs"]
+            if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+                raise ValueError(f"specs must be a list of spec objects, got {entries!r}")
+            family = bench.FAMILY_SPECS[spec.family]
+            specs = tuple(_dataclass_from(family, entry) for entry in entries)
+            spec = dataclasses.replace(spec, specs=specs)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"bad experiment spec {args.spec}: {exc}") from None
     summary, failures = bench.run_experiment(spec, args.out, jobs=args.jobs)

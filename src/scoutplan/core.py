@@ -31,8 +31,8 @@ def check_at_least(name: str, value: int, least: int) -> None:
 
 
 def check_positive(name: str, value: float) -> None:
-    if not _positive_finite(value):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if type(value) not in (int, float) or not _positive_finite(value):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 class InstanceError(ValueError):

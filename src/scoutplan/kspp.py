@@ -42,9 +42,6 @@ class PathSet:
     pool: list[tuple[float, tuple[int, ...], Path]] = field(default_factory=list)
     spur: SpurCounts = SpurCounts()
 
-    def best(self) -> Path | None:
-        return self.paths[0] if self.paths else None
-
     def __len__(self) -> int:
         return len(self.paths)
 

@@ -205,30 +205,48 @@ class TestExperimentHarness:
             k_values=(1, 2),
             planners=("rpp", "paa"),
             seed=99,
-            adversarial=True,
+            specs=(bench.BridgeSpec(adversarial=True),),
         )
 
     @pytest.mark.parametrize("bad", [
         {"family": "hexagon"},
         {"planners": ("rpp", "astar")},
         {"k_values": (1, 0)},
-        {"family": "road"},
-        {"family": "scaling", "sizes": ((1, 3),)},
+        {"specs": [{"impeded_per_path": float("inf")}]},
+        {"family": "scaling", "specs": [{"size": (1, 3)}]},
         {"n_instances": 0},
-        {"family": "scaling", "sizes": ()},
+        {"family": "scaling", "specs": []},
         {"k_values": (2.5,)},
         {"k_values": ()},
         {"planners": ()},
+        {"specs": [{"impeded_per_path": True}]},
+        {"family": "grid", "specs": [{"spacing": True}]},
     ])
     def test_spec_rejects_what_cannot_run(self, bad):
+        # A "specs" entry holds the keyword arguments of the family's spec.
         with pytest.raises(ValueError):
+            if "specs" in bad:
+                family = bench.FAMILY_SPECS[bad.get("family", "bridge")]
+                bad = {**bad, "specs": tuple(family(**entry) for entry in bad["specs"])}
             bench.ExperimentSpec(**bad)
 
-    def test_spec_accepts_unread_family_keys_at_their_defaults(self):
-        spec = bench.ExperimentSpec(family="grid", adversarial=False, sizes=bench.SCALING_SIZES, road_file="")
-        assert spec.family_specs == ((bench.GridSpec(), ""),)
-        with pytest.raises(ValueError, match="the grid family does not read adversarial"):
-            bench.ExperimentSpec(family="grid", adversarial=True)
+    @pytest.mark.parametrize("specs", [
+        (bench.BridgeSpec(),),  # another family's spec
+        (bench.GridSpec(), bench.ScalingSpec()),
+        [bench.GridSpec()],  # not a tuple
+        bench.GridSpec(),
+        ({"rows": 4},),
+    ])
+    def test_specs_must_be_the_family_specs(self, specs):
+        with pytest.raises(ValueError, match="specs must be a non-empty tuple of GridSpec"):
+            bench.ExperimentSpec(family="grid", specs=specs)
+
+    def test_default_specs(self):
+        assert bench.ExperimentSpec(family="grid").specs == (bench.GridSpec(),)
+        assert bench.ExperimentSpec(family="road").specs == (bench.RoadSpec(),)
+        assert bench.ExperimentSpec().specs == (bench.BridgeSpec(),)
+        scaling = bench.ExperimentSpec(family="scaling").specs
+        assert [s.size for s in scaling] == list(bench.SCALING_SIZES)
 
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
         out1 = tmp_path / "run1"
@@ -275,7 +293,7 @@ class TestExperimentHarness:
     def test_report_reproduces_scaling_summary(self, tmp_path):
         spec = bench.ExperimentSpec(
             family="scaling", n_instances=1, k_values=(1, 2), planners=("paa",),
-            seed=3, sizes=((8, 4), (10, 5)),
+            seed=3, specs=(bench.ScalingSpec((8, 4)), bench.ScalingSpec((10, 5))),
         )
         out = tmp_path / "run"
         summary, _ = bench.run_experiment(spec, str(out))

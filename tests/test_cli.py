@@ -4,13 +4,74 @@ import os
 
 import pytest
 
-from scoutplan import bench
+from scoutplan import bench, sim
 from scoutplan.cli import DATA_ERROR, RUNTIME_ERROR, USAGE_ERROR, main
-from scoutplan.core import load_instance, save_instance, save_realization
+from scoutplan.core import load_instance, load_realization, save_instance, save_realization
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+#: (family, generate spec) pairs that `generate` rejects as a data error.
+BAD_GENERATE_SPECS = [
+    ("grid", {"rowz": 4}),
+    ("scaling", {"rowz": 4}),
+    ("road", {"rowz": 4}),
+    ("scaling", {"size": [8]}),
+    ("scaling", {"size": [1, 3]}),
+    ("scaling", {"size": [20, 0]}),
+    ("scaling", {"size": [20.5, 20]}),
+    ("scaling", {"size": "20x20"}),
+    ("grid", {"rows": 1}),
+    ("grid", {"count": "abc"}),
+    ("bridge", {"chain_len": 1}),
+    ("grid", {"rows": "x"}),
+    ("grid", {"n_impeded_cuts": -1}),
+    ("grid", {"cut_style": "diagonal"}),
+    ("bridge", {"impeded_per_path": 0}),
+    ("bridge", {"impeded_per_path": -1}),
+    ("bridge", {"bridge_fraction": 1.5}),
+    ("bridge", {"bridge_fraction": -0.1}),
+    ("road", {"impeded_fraction": 2.0}),
+    ("road", {"impeded_fraction": -0.5}),
+    ("grid", {"count": 0}),
+    ("bridge", {"count": -2}),
+    ("grid", {"uav_speed": 0}),
+    ("bridge", {"uav_speed": 0}),
+    ("grid", {"uav_speed": -2.0}),
+    ("bridge", {"uav_speed": "fast"}),
+    ("grid", {"spacing": 0}),
+    ("grid", {"spacing": -10.0}),
+    ("grid", {"count": 2.7}),
+    ("bridge", {"count": True}),
+    ("bridge", [1, 2]),
+    ("grid", None),
+    ("road", "x"),
+    ("road", {"base_file": 5}),
+    ("road", {"n_vertices": 0}),
+    ("road", {"n_vertices": -3}),
+    ("road", {"n_vertices": 2.7}),
+    ("road", {"n_vertices": "12"}),
+    ("road", {"n_vertices": True}),
+    ("road", {"impeded_fraction": "0.5"}),
+    ("bridge", {"adversarial": "no"}),
+    ("grid", {"t_max_range": ["a", "b"]}),
+    ("grid", {"t_max_range": [5]}),
+    ("grid", {"t_max_range": [100, 5]}),
+    ("grid", {"t_max_range": [0, 5]}),
+    ("bridge", {"t_max_range": [5, float("inf")]}),
+    ("bridge", {"bbox": [1, 2]}),
+    ("bridge", {"bbox": [[0, 1], [2, float("nan")]]}),
+    ("bridge", {"p_coord": "x"}),
+    ("bridge", {"p_coord": [0, True]}),
+    ("bridge", {"d_coord": [1]}),
+    ("bridge", {"impeded_per_path": float("inf")}),
+    ("bridge", {"impeded_per_path": True}),
+    ("grid", {"spacing": True}),
+    ("grid", {"uav_speed": True}),
+    ("bridge", {"uav_speed": True}),
+]
 
 
 class TestGenerate:
@@ -31,60 +92,7 @@ class TestGenerate:
         assert rc == 0
 
     def test_unknown_spec_key_is_data_error(self, tmp_path):
-        cases = [
-            ("grid", {"rowz": 4}),
-            ("scaling", {"rowz": 4}),
-            ("road", {"rowz": 4}),
-            ("scaling", {"size": [8]}),
-            ("scaling", {"size": [1, 3]}),
-            ("scaling", {"size": [20, 0]}),
-            ("scaling", {"size": [20.5, 20]}),
-            ("scaling", {"size": "20x20"}),
-            ("grid", {"rows": 1}),
-            ("grid", {"count": "abc"}),
-            ("bridge", {"chain_len": 1}),
-            ("grid", {"rows": "x"}),
-            ("grid", {"n_impeded_cuts": -1}),
-            ("grid", {"cut_style": "diagonal"}),
-            ("bridge", {"impeded_per_path": 0}),
-            ("bridge", {"impeded_per_path": -1}),
-            ("bridge", {"bridge_fraction": 1.5}),
-            ("bridge", {"bridge_fraction": -0.1}),
-            ("road", {"impeded_fraction": 2.0}),
-            ("road", {"impeded_fraction": -0.5}),
-            ("grid", {"count": 0}),
-            ("bridge", {"count": -2}),
-            ("grid", {"uav_speed": 0}),
-            ("bridge", {"uav_speed": 0}),
-            ("grid", {"uav_speed": -2.0}),
-            ("bridge", {"uav_speed": "fast"}),
-            ("grid", {"spacing": 0}),
-            ("grid", {"spacing": -10.0}),
-            ("grid", {"count": 2.7}),
-            ("bridge", {"count": True}),
-            ("bridge", [1, 2]),
-            ("grid", None),
-            ("road", "x"),
-            ("road", {"base_file": 5}),
-            ("road", {"n_vertices": 0}),
-            ("road", {"n_vertices": -3}),
-            ("road", {"n_vertices": 2.7}),
-            ("road", {"n_vertices": "12"}),
-            ("road", {"n_vertices": True}),
-            ("road", {"impeded_fraction": "0.5"}),
-            ("bridge", {"adversarial": "no"}),
-            ("grid", {"t_max_range": ["a", "b"]}),
-            ("grid", {"t_max_range": [5]}),
-            ("grid", {"t_max_range": [100, 5]}),
-            ("grid", {"t_max_range": [0, 5]}),
-            ("bridge", {"t_max_range": [5, float("inf")]}),
-            ("bridge", {"bbox": [1, 2]}),
-            ("bridge", {"bbox": [[0, 1], [2, float("nan")]]}),
-            ("bridge", {"p_coord": "x"}),
-            ("bridge", {"p_coord": [0, True]}),
-            ("bridge", {"d_coord": [1]}),
-        ]
-        for i, (family, data) in enumerate(cases):
+        for i, (family, data) in enumerate(BAD_GENERATE_SPECS):
             spec = tmp_path / f"spec{i}.json"
             spec.write_text(json.dumps(data))
             out = tmp_path / f"out{i}"
@@ -199,7 +207,7 @@ class TestExperimentAndReport:
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({
             "family": "bridge", "n_instances": 2, "k_values": [1, 2],
-            "planners": ["paa"], "seed": 5, "adversarial": True,
+            "planners": ["paa"], "seed": 5, "specs": [{"adversarial": True}],
         }))
         out = tmp_path / "results"
         rc = run_cli("experiment", "--spec", str(spec), "--out", str(out), "--jobs", "1")
@@ -211,7 +219,7 @@ class TestExperimentAndReport:
 
     @pytest.mark.parametrize("bad", [
         {"family": "hexagon"},
-        {"family": "road"},
+        {"family": "road", "road_file": "roads.txt"},  # a family key outside specs
         {"planners": ["rpp", "astar"]},
         {"k_values": [2, 0]},
         {"k_values": ["2"]},
@@ -221,27 +229,41 @@ class TestExperimentAndReport:
         {"weights": [1, 2]},
         {"weights": "1234"},
         {"weights": [1, 1, 1, float("nan")]},
-        {"bridge_fraction": 5},
-        {"impeded_per_path": 0},
-        {"family": "road", "road_file": "roads.txt", "impeded_fraction": 1.5},
-        {"family": "scaling", "sizes": [[1, 3]]},
+        {"specs": [{"bridge_fraction": 5}]},
+        {"specs": [{"impeded_per_path": 0}]},
+        {"family": "road", "specs": [{"base_file": "roads.txt", "impeded_fraction": 1.5}]},
+        {"family": "scaling", "specs": [{"size": [1, 3]}]},
         {"n_instances": -1},
-        {"family": "scaling", "sizes": [[20, 20, 5]]},
+        {"family": "scaling", "specs": [{"size": [8, 4]}, {"size": [20, 20, 5]}]},
         {"k_values": [2.5], "planners": ["rpp"]},
         {"k_values": []},
         {"planners": []},
         [],  # not an object: read as the default sweep unless rejected
         None,
-        {"family": "road", "road_file": 5},
-        {"adversarial": "no"},
+        {"family": "road", "specs": [{"base_file": 5}]},
+        {"specs": [{"adversarial": "no"}]},
         {"seed": "x"},
         {"seed": 1.5},
-        # A family key that the family does not read, set away from its default.
-        {"family": "grid", "adversarial": True},
-        {"family": "grid", "sizes": [[8, 4]]},
-        {"road_file": "nope.txt"},
-        {"family": "scaling", "impeded_fraction": 0.3},
-        {"family": "road", "road_file": "roads.txt", "bridge_fraction": 0.2},
+        # A key that the family's spec does not have.
+        {"family": "grid", "specs": [{"adversarial": True}]},
+        {"family": "grid", "specs": [{"size": [8, 4]}]},
+        {"specs": [{"base_file": "nope.txt"}]},
+        {"family": "scaling", "specs": [{"impeded_fraction": 0.3}]},
+        {"family": "road", "specs": [{"base_file": "roads.txt", "bridge_fraction": 0.2}]},
+        # Not a number, or not finite.
+        {"specs": [{"impeded_per_path": float("inf")}]},
+        {"specs": [{"impeded_per_path": True}]},
+        {"family": "grid", "specs": [{"spacing": True}]},
+        {"specs": [{"uav_speed": True}]},
+        # specs is a non-empty list of spec objects without count.
+        {"specs": {"adversarial": True}},
+        {"specs": None},
+        {"specs": [{"adversarial": True}, [1, 2]]},
+        {"specs": []},
+        {"specs": [{"count": 2}]},
+        # A family key outside specs.
+        {"adversarial": True},
+        {"family": "scaling", "sizes": [[8, 4]]},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"
@@ -254,6 +276,57 @@ class TestExperimentAndReport:
         assert "bad experiment spec" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_specs_entries_are_checked_as_generate_checks_them(self, tmp_path, capsys):
+        # One check and one error message per family parameter.
+        cases = [(f, d) for f, d in BAD_GENERATE_SPECS if isinstance(d, dict) and "count" not in d]
+        for i, (family, data) in enumerate(cases):
+            spec = tmp_path / f"spec{i}.json"
+            spec.write_text(json.dumps(data))
+            rc = run_cli("generate", "--family", family, "--spec", str(spec), "--out", str(tmp_path / "gen"))
+            assert rc == DATA_ERROR, (family, data)
+            reason = capsys.readouterr().err.split(f"{spec}: ", 1)[1]
+            spec.write_text(json.dumps({"family": family, "n_instances": 1, "specs": [data]}))
+            out = tmp_path / f"out{i}"
+            assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == DATA_ERROR, (family, data)
+            assert capsys.readouterr().err == f"data error: bad experiment spec {spec}: {reason}"
+            assert not out.exists(), (family, data)
+
+    @pytest.mark.parametrize("family,entry", [
+        ("grid", {"rows": 4, "cols": 6, "n_impeded_cuts": 2, "cut_style": "full"}),
+        ("bridge", {"n_paths": 3, "chain_len": 6, "adversarial": True}),
+        ("scaling", {"size": [8, 4]}),
+        ("road", {"n_vertices": 15, "impeded_fraction": 0.3}),
+    ])
+    def test_experiment_runs_the_instances_generate_writes(self, tmp_path, family, entry):
+        gen = tmp_path / "gen"
+        spec = tmp_path / "gen.json"
+        spec.write_text(json.dumps({**entry, "count": 2}))
+        assert run_cli("generate", "--family", family, "--spec", str(spec), "--seed", "11",
+                       "--out", str(gen)) == 0
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({
+            "family": family, "n_instances": 2, "k_values": [1], "planners": ["paa"], "seed": 11,
+            "specs": [entry],
+        }))
+        out = tmp_path / "results"
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == 0
+        rows = bench.read_runs_csv(str(out / "runs.csv"))
+        assert sorted({r["instance_id"] for r in rows}) == [0, 1]
+        for r in rows:
+            inst = load_instance(str(gen / f"instance_{r['instance_id']:03d}.txt"))
+            real = load_realization(str(gen / f"realization_{r['instance_id']:03d}.txt"), inst)
+            assert r["LB"] == sim.lower_bound(inst, real)
+            assert r["n_vertices"] == inst.n_vertices
+
+    def test_road_experiment_without_base_file_sweeps_synthetic_networks(self, tmp_path):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"family": "road", "n_instances": 2, "k_values": [1], "planners": ["paa"]}))
+        out = tmp_path / "results"
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == 0
+        rows = bench.read_runs_csv(str(out / "runs.csv"))
+        assert len(rows) == 2 * 2
+        assert {r["n_vertices"] for r in rows} == {bench.RoadSpec().n_vertices}
+
     def test_road_file_is_loaded_once_before_running(self, tmp_path, monkeypatch):
         road = tmp_path / "road.txt"
         save_instance(bench.generate_road_like(12, seed=1), str(road))
@@ -262,7 +335,7 @@ class TestExperimentAndReport:
         spec = tmp_path / "exp.json"
         spec.write_text(json.dumps({
             "family": "road", "n_instances": 3, "k_values": [1], "planners": ["paa"],
-            "road_file": str(road),
+            "specs": [{"base_file": str(road)}],
         }))
         rc = run_cli("experiment", "--spec", str(spec), "--out", str(tmp_path / "ok"), "--jobs", "1")
         assert rc == 0
@@ -275,13 +348,13 @@ class TestExperimentAndReport:
         missing = str(tmp_path / "missing.txt")
         # A missing road file exits as a missing instance does in simulate.
         missing_rc = run_cli("simulate", "--instance", missing, "--realization", missing)
-        for road_file, want in ((str(corrupt), DATA_ERROR), (missing, missing_rc)):
+        for base_file, want in ((str(corrupt), DATA_ERROR), (missing, missing_rc)):
             spec = tmp_path / "exp.json"
-            spec.write_text(json.dumps({"family": "road", "n_instances": 2, "road_file": road_file}))
+            spec.write_text(json.dumps({"family": "road", "n_instances": 2, "specs": [{"base_file": base_file}]}))
             out = tmp_path / "results"
             rc = run_cli("experiment", "--spec", str(spec), "--out", str(out), "--jobs", "1")
-            assert rc == want, road_file
-            assert not out.exists(), road_file
+            assert rc == want, base_file
+            assert not out.exists(), base_file
 
     def test_report_rejects_runs_without_label_columns(self, tmp_path):
         runs = tmp_path / "runs.csv"

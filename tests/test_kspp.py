@@ -227,8 +227,8 @@ class TestSuppression:
             check(inst, view, pset)
             for eid in sorted(inst.impeded_ids)[:3]:
                 view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
-                if len(pset.best().vertices) > 2:
-                    v_curr = pset.best().vertices[1]
+                if len(pset.paths[0].vertices) > 2:
+                    v_curr = pset.paths[0].vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], rng.choice([4, 7]))
                 check(inst, view, pset)
         assert checked > 500 and deep > 300 and shared > 70
@@ -465,8 +465,8 @@ class TestOracleEquivalence:
                     assert p.edges == edge_walk(inst, p.vertices)
                     assert len(p.edges) == len(p.vertices) - 1
                 view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
-                if len(pset.best().vertices) > 2:
-                    v_curr = pset.best().vertices[1]
+                if len(pset.paths[0].vertices) > 2:
+                    v_curr = pset.paths[0].vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 7)
             yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
             assert [p.vertices for p in pset] == yen
@@ -513,8 +513,8 @@ class TestOracleEquivalence:
             for eid in sorted(inst.impeded_ids):
                 true = inst.edges[eid].distribution.sample(rng)
                 view.reveal(eid, true)
-                best = pset.best()
-                if best is not None and len(best.vertices) > 1:
+                best = pset.paths[0]
+                if len(best.vertices) > 1:
                     v_curr = best.vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 3)
                 costs = oracles.view_costs(inst, view)
