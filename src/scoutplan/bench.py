@@ -10,6 +10,7 @@ emits plain columnar files with plot data.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import random
@@ -31,6 +32,8 @@ from .core import (
     check_positive,
     dijkstra,
     load_instance,
+    read_records,
+    read_text,
     sample_realization,
 )
 from .paa import PriorityWeights
@@ -179,15 +182,17 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not self.planners:
-            raise ValueError("planners must not be empty")
         for planner in self.planners:
             if planner not in sim.PLANNERS:
                 raise ValueError(f"unknown planner {planner!r}")
-        if not self.k_values:
-            raise ValueError("k_values must not be empty")
         for k in self.k_values:
             check_at_least("every k", k, 1)
+        for name, values in (("planners", self.planners), ("k_values", self.k_values)):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            repeated = [value for i, value in enumerate(values) if value in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated[0]!r}")
         check_at_least("n_instances", self.n_instances, 1)
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -585,28 +590,23 @@ def read_runs_csv(path: str) -> list[dict]:
     """The rows of a UTF-8 runs.csv, each RUN_COLUMNS cell read as its type;
     a number must be finite and at least 0 (``k`` and ``n_vertices`` at
     least 1).  A malformed file is an InstanceError naming the file and line."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise InstanceError(f"{path}: missing run columns {missing}")
     out = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise InstanceError(f"{path}: missing run columns {missing}")
-            for r in reader:
-                where = f"{path}:{reader.line_num}"
-                if None in r or None in r.values():
-                    raise InstanceError(f"{where}: expected {len(reader.fieldnames)} cells")
-                try:
-                    for key, kind in RUN_COLUMNS.items():
-                        r[key] = kind(r[key])
-                        low = 1 if key in ("k", "n_vertices") else 0
-                        if kind is not str and not low <= r[key] < INF:
-                            raise ValueError(f"{key} {r[key]!r} is not finite and at least {low}")
-                except ValueError as exc:
-                    raise InstanceError(f"{where}: {exc}") from None
-                out.append(r)
-    except UnicodeDecodeError as exc:
-        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
+
+    def record(r: dict) -> None:
+        if None in r or None in r.values():
+            raise ValueError(f"expected {len(reader.fieldnames)} cells")
+        for key, kind in RUN_COLUMNS.items():
+            r[key] = kind(r[key])
+            low = 1 if key in ("k", "n_vertices") else 0
+            if kind is not str and not low <= r[key] < INF:
+                raise ValueError(f"{key} {r[key]!r} is not finite and at least {low}")
+        out.append(r)
+
+    read_records(path, record, ((reader.line_num, r) for r in reader))
     return out
 
 

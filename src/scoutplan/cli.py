@@ -20,6 +20,7 @@ from .core import (
     check_at_least,
     load_instance,
     load_realization,
+    read_text,
     save_instance,
     save_realization,
 )
@@ -40,8 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str, command: str) -> dict:
     """The JSON object in a spec file; anything else is a data error."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise InstanceError(f"cannot read spec {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -62,13 +62,13 @@ def _dataclass_from(cls, data: dict):
     return cls(**kwargs)
 
 
-def _weights(values: list) -> PriorityWeights:
-    """Priority weights from a list of exactly four numbers (w1, w2, w3, w4)."""
+def _weights(values: list, number=lambda w: w) -> PriorityWeights:
+    """Priority weights from a list of four values, each made a number by ``number``."""
     try:
         if not isinstance(values, list) or len(values) != 4:
             raise ValueError("expected a list of 4 numbers")
-        return PriorityWeights(*map(float, values))
-    except (TypeError, ValueError) as exc:
+        return PriorityWeights(*map(number, values))
+    except ValueError as exc:
         raise InstanceError(f"bad weights {values!r}: {exc}") from None
 
 
@@ -94,7 +94,7 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
     real = load_realization(args.realization, inst)
-    weights = _weights(args.weights.split(",")) if args.weights else PriorityWeights()
+    weights = _weights(args.weights.split(","), float) if args.weights else PriorityWeights()
     cfg = sim.SimulationConfig(
         planner=args.planner,
         k=args.k,

