@@ -39,25 +39,27 @@ from .core import (
 from .paa import PriorityWeights
 
 
+#: Aerial speed of every family's networks.
+UAV_SPEED = 2.0
+#: Window of an impeded grid or bridge edge's maximum cost: t_max ~ U(T_MAX_RANGE).
+T_MAX_RANGE = (80.0, 100.0)
+#: Length of a grid edge.
+GRID_SPACING = 10.0
+#: Corners of the bridge family's chain box, and its endpoints p and d.
+BRIDGE_BOX = ((10.0, 100.0), (190.0, -90.0))
+BRIDGE_P, BRIDGE_D = (0.0, 0.0), (200.0, 0.0)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     rows: int = 10
     cols: int = 20
-    spacing: float = 10.0
     n_impeded_cuts: int = 5
-    cut_style: str = "partial"  # "partial" or "full" column cuts
-    t_max_range: tuple[float, float] = (80.0, 100.0)
-    uav_speed: float = 2.0
 
     def __post_init__(self):
         check_at_least("rows", self.rows, 2)
         check_at_least("cols", self.cols, 2)
         check_at_least("n_impeded_cuts", self.n_impeded_cuts, 0)
-        check_positive("spacing", self.spacing)
-        check_positive("uav_speed", self.uav_speed)
-        check_window("t_max_range", self.t_max_range)
-        if self.cut_style not in ("partial", "full"):
-            raise ValueError(f"cut_style must be 'partial' or 'full', got {self.cut_style!r}")
 
 
 @dataclass(frozen=True)
@@ -66,46 +68,20 @@ class BridgeSpec:
     chain_len: int = 19
     impeded_per_path: float = 2  # count if >= 1, else fraction of chain edges
     bridge_fraction: float = 0.10
-    t_max_range: tuple[float, float] = (80.0, 100.0)
-    bbox: tuple[tuple[float, float], tuple[float, float]] = ((10.0, 100.0), (190.0, -90.0))
-    p_coord: tuple[float, float] = (0.0, 0.0)
-    d_coord: tuple[float, float] = (200.0, 0.0)
     adversarial: bool = False
-    uav_speed: float = 2.0
 
     def __post_init__(self):
         check_at_least("chain_len", self.chain_len, 2)
         check_at_least("n_paths", self.n_paths, 1)
         check_positive("impeded_per_path", self.impeded_per_path)
         check_fraction("bridge_fraction", self.bridge_fraction)
-        check_positive("uav_speed", self.uav_speed)
         if type(self.adversarial) is not bool:
             raise ValueError(f"adversarial must be true or false, got {self.adversarial!r}")
-        check_window("t_max_range", self.t_max_range)
-        bbox = self.bbox
-        if not (isinstance(bbox, tuple) and len(bbox) == 2 and all(map(_finite_pair, bbox))):
-            raise ValueError(f"bbox must be two (x, y) pairs of finite numbers, got {bbox!r}")
-        for name in ("p_coord", "d_coord"):
-            point = getattr(self, name)
-            if not _finite_pair(point):
-                raise ValueError(f"{name} must be an (x, y) pair of finite numbers, got {point!r}")
 
 
 def check_fraction(name: str, value: float) -> None:
     if type(value) not in (int, float) or not 0 <= value <= 1:
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-
-
-def _finite_pair(value) -> bool:
-    return (
-        isinstance(value, tuple) and len(value) == 2
-        and all(type(x) in (int, float) and math.isfinite(x) for x in value)
-    )
-
-
-def check_window(name: str, value: tuple[float, float]) -> None:
-    if not (_finite_pair(value) and 0 < value[0] <= value[1]):
-        raise ValueError(f"{name} must be finite numbers lo, hi with 0 < lo <= hi, got {value!r}")
 
 
 #: Node-grid sizes of the scaling study, as (chain_len, n_paths).
@@ -134,8 +110,6 @@ class ScalingSpec:
 
 #: A road network's drivable edge lengths and its farthest vertex pair (p, d).
 RoadLayout = tuple[tuple[float, ...], int, int]
-#: Aerial speed of the road family's networks.
-ROAD_UAV_SPEED = 2.0
 
 
 @dataclass(frozen=True)
@@ -218,18 +192,17 @@ def delta_percent(lb_mean: float, naive_mean: float, cost_mean: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _edge(eid: int, u: int, v: int, length: float, uav_speed: float,
-          t_max: float | None = None) -> EdgeRecord:
+def _edge(eid: int, u: int, v: int, length: float, t_max: float | None = None) -> EdgeRecord:
     """A drivable edge: fixed at `length`, or impeded on [length, t_max]."""
     if t_max is None:
-        return EdgeRecord(eid, u, v, length, length / uav_speed)
-    return EdgeRecord(eid, u, v, None, length / uav_speed, UniformCost(length, t_max))
+        return EdgeRecord(eid, u, v, length, length / UAV_SPEED)
+    return EdgeRecord(eid, u, v, None, length / UAV_SPEED, UniformCost(length, t_max))
 
 
 def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realization]:
     """Uniform grid; impeded edges drawn as partial cuts across random columns."""
     rng = random.Random(f"grid:{seed}")
-    rows, cols, s = spec.rows, spec.cols, spec.spacing
+    rows, cols, s = spec.rows, spec.cols, GRID_SPACING
     vertices = [(c * s, r * s) for r in range(rows) for c in range(cols)]
 
     def vid(r: int, c: int) -> int:
@@ -240,11 +213,8 @@ def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realizati
     cut_cols = rng.sample(range(cols - 1), min(spec.n_impeded_cuts, cols - 1))
     impeded_pairs: set[tuple[int, int]] = set()
     for j in sorted(cut_cols):
-        if spec.cut_style == "full":
-            lo, length = 0, rows
-        else:
-            length = rng.randint(1, rows)
-            lo = rng.randint(0, rows - length)
+        length = rng.randint(1, rows)
+        lo = rng.randint(0, rows - length)
         for r in range(lo, lo + length):
             impeded_pairs.add((vid(r, j), vid(r, j + 1)))
 
@@ -255,15 +225,14 @@ def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realizati
                 pairs.append((vid(r, c), vid(r, c + 1)))
             if r + 1 < rows:
                 pairs.append((vid(r, c), vid(r + 1, c)))
-    lo_t, hi_t = spec.t_max_range
     edges = [
-        _edge(eid, u, v, s, spec.uav_speed, rng.uniform(lo_t, hi_t) if (u, v) in impeded_pairs else None)
+        _edge(eid, u, v, s, rng.uniform(*T_MAX_RANGE) if (u, v) in impeded_pairs else None)
         for eid, (u, v) in enumerate(pairs)
     ]
     q = rng.randrange(rows * cols)
     inst = ProblemInstance(
         vertices, edges, p=0, q=q, d=rows * cols - 1,
-        uav_speed=spec.uav_speed, uav_free_flight=True,
+        uav_speed=UAV_SPEED, uav_free_flight=True,
     )
     return inst, sample_realization(inst, rng)
 
@@ -284,17 +253,17 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
     """
     rng = random.Random(f"bridge:{seed}")
     n_paths, chain_len = spec.n_paths, spec.chain_len
-    (x0, y0), (x1, y1) = spec.bbox
+    (x0, y0), (x1, y1) = BRIDGE_BOX
     xs = [x0 + j * (x1 - x0) / (chain_len - 1) for j in range(chain_len)]
     if n_paths == 1:
         ys = [(y0 + y1) / 2.0]
     else:
         ys = [y0 + i * (y1 - y0) / (n_paths - 1) for i in range(n_paths)]
 
-    vertices = [spec.p_coord]
+    vertices = [BRIDGE_P]
     for y in ys:
         vertices.extend((x, y) for x in xs)
-    vertices.append(spec.d_coord)
+    vertices.append(BRIDGE_D)
     p = 0
     d = len(vertices) - 1
 
@@ -330,17 +299,16 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
         chain = [p, *range(vid(i, 0), vid(i, chain_len)), d]
         pairs.extend(zip(chain, chain[1:]))
     pairs.extend(sorted(bridge_pairs))
-    lo_t, hi_t = spec.t_max_range
     edges = [
-        _edge(eid, u, v, math.dist(vertices[u], vertices[v]), spec.uav_speed,
-              rng.uniform(lo_t, hi_t) if (u, v) in impeded_pairs else None)
+        _edge(eid, u, v, math.dist(vertices[u], vertices[v]),
+              rng.uniform(*T_MAX_RANGE) if (u, v) in impeded_pairs else None)
         for eid, (u, v) in enumerate(pairs)
     ]
 
     q = rng.randrange(len(vertices))
     inst = ProblemInstance(
         vertices, edges, p=p, q=q, d=d,
-        uav_speed=spec.uav_speed, uav_free_flight=True,
+        uav_speed=UAV_SPEED, uav_free_flight=True,
     )
 
     if spec.adversarial:
@@ -384,12 +352,12 @@ def generate_road_like(n_vertices: int, seed: int) -> ProblemInstance:
         for j in near[: rng.randint(1, 3)]:
             pairs.add((min(i, j), max(i, j)))
     edges = [
-        _edge(eid, u, v, math.dist(pts[u], pts[v]) * rng.uniform(1.0, 1.4), ROAD_UAV_SPEED)
+        _edge(eid, u, v, math.dist(pts[u], pts[v]) * rng.uniform(1.0, 1.4))
         for eid, (u, v) in enumerate(sorted(pairs))
     ]
     return ProblemInstance(
         pts, edges, p=0, q=0, d=n_vertices - 1,
-        uav_speed=ROAD_UAV_SPEED, uav_free_flight=True,
+        uav_speed=UAV_SPEED, uav_free_flight=True,
     )
 
 
@@ -413,7 +381,7 @@ def import_road_network(
     n_imp = int(impeded_fraction * len(ugv_ids))
     impeded = set(rng.sample(ugv_ids, n_imp))
     edges = [
-        _edge(rec.id, rec.u, rec.v, lengths[rec.id], ROAD_UAV_SPEED,
+        _edge(rec.id, rec.u, rec.v, lengths[rec.id],
               10.0 * lengths[rec.id] if rec.id in impeded else None)
         if rec.id in base.ugv_edge_ids
         else EdgeRecord(rec.id, rec.u, rec.v, None, rec.uav_cost)
@@ -422,7 +390,7 @@ def import_road_network(
     q = rng.randrange(base.n_vertices)
     return ProblemInstance(
         base.vertices, edges, p=p, q=q, d=d,
-        uav_speed=ROAD_UAV_SPEED, uav_free_flight=True,
+        uav_speed=UAV_SPEED, uav_free_flight=True,
     )
 
 
@@ -591,9 +559,6 @@ def read_runs_csv(path: str) -> list[dict]:
     a number must be finite and at least 0 (``k`` and ``n_vertices`` at
     least 1).  A malformed file is an InstanceError naming the file and line."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
-    if missing:
-        raise InstanceError(f"{path}: missing run columns {missing}")
     out = []
 
     def record(r: dict) -> None:
@@ -606,7 +571,13 @@ def read_runs_csv(path: str) -> list[dict]:
                 raise ValueError(f"{key} {r[key]!r} is not finite and at least {low}")
         out.append(r)
 
-    read_records(path, record, ((reader.line_num, r) for r in reader))
+    try:
+        missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InstanceError(f"{path}: missing run columns {missing}")
+        read_records(path, record, ((reader.line_num, r) for r in reader))
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise InstanceError(f"{path}:{reader.reader.line_num}: {exc}") from None
     return out
 
 

@@ -42,7 +42,7 @@ def _load_json(path: str, command: str) -> dict:
     """The JSON object in a spec file; anything else is a data error."""
     try:
         data = json.loads(read_text(path))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"cannot read spec {path}: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError(f"bad {command} spec {path}: expected a JSON object, got {type(data).__name__}")

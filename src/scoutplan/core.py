@@ -417,8 +417,15 @@ def _bit(text: str) -> bool:
     return text == "1"
 
 
+def _int(text: str) -> int:
+    """An id written in ASCII digits; other text fails with int()'s message."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 #: How each meta key's value is read; p, q and d are required.
-_META = {"p": int, "q": int, "d": int, "uav_speed": float, "free_flight": _bit}
+_META = {"p": _int, "q": _int, "d": _int, "uav_speed": float, "free_flight": _bit}
 
 
 def read_text(path: str) -> str:
@@ -473,12 +480,12 @@ def load_instance(path: str) -> ProblemInstance:
         tag = fields[0]
         if tag == "v":
             _, vid, x, y = fields
-            if int(vid) != len(vertices):
+            if _int(vid) != len(vertices):
                 raise ValueError(f"vertex ids must be dense and ordered, got {vid}")
             vertices.append((float(x), float(y)))
         elif tag == "e":
             _, eid, u, v, ugv, uav, *kind = fields
-            if int(eid) != len(edges):
+            if _int(eid) != len(edges):
                 raise ValueError(f"edge ids must be dense and ordered, got {eid}")
             dist = None
             if kind[:1] == ["U"]:
@@ -487,7 +494,7 @@ def load_instance(path: str) -> ProblemInstance:
             elif kind != ["-"]:
                 raise ValueError(f"unknown distribution {' '.join(kind)!r}, expected - or U t_min t_max")
             ugv_cost = None if ugv == "-" else float(ugv)
-            edges.append(EdgeRecord(len(edges), int(u), int(v), ugv_cost, float(uav), dist))
+            edges.append(EdgeRecord(len(edges), _int(u), _int(v), ugv_cost, float(uav), dist))
         elif tag == "meta" and not meta:
             for item in fields[1:]:
                 key, sep, value = item.partition("=")
@@ -525,9 +532,10 @@ def load_realization(path: str, inst: ProblemInstance) -> Realization:
         tag, eid, cost = fields
         if tag != "r":
             raise ValueError(f"unknown record tag {tag!r}")
-        if int(eid) in costs:
-            raise ValueError(f"repeated edge id {int(eid)}")
-        costs[int(eid)] = float(cost)
+        eid = _int(eid)
+        if eid in costs:
+            raise ValueError(f"repeated edge id {eid}")
+        costs[eid] = float(cost)
 
     read_records(path, record)
     try:

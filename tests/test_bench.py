@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import pickle
 import random
@@ -6,7 +7,7 @@ import random
 import pytest
 
 from scoutplan import bench, sim
-from scoutplan.core import dijkstra, load_instance, save_instance
+from scoutplan.core import dijkstra, load_instance, save_instance, save_realization
 from scoutplan.sim import SimulationConfig
 
 
@@ -41,13 +42,6 @@ class TestGridGenerator:
         save_instance(b, str(fb))
         assert fa.read_bytes() == fb.read_bytes()
         assert ra.true_cost == rb.true_cost
-
-    def test_full_cut_style(self):
-        inst, _ = bench.generate_grid(
-            bench.GridSpec(rows=5, cols=8, n_impeded_cuts=2, cut_style="full"), seed=1
-        )
-        # Full cuts impede whole columns: multiples of the row count.
-        assert len(inst.impeded_ids) == 10
 
 
 class TestBridgeGenerator:
@@ -184,6 +178,26 @@ class TestRoadImport:
         assert res.arrival_time >= res.lower_bound - 1e-9
 
 
+class TestGoldenInstances:
+    # SHA-256 of the instance file then the realization file that
+    # save_instance and save_realization write for make_instance(spec, "7:0"),
+    # with each family's default spec.
+    GOLDEN = {
+        "grid": "b809938de031090fb103f898f7f995069992f3225d7eee8e98bf0bf733f8f6c8",
+        "bridge": "3bcfa2272efaafe936e5ce16849634eaeca8aa021d9ee0f4c7593b0815a86c08",
+        "scaling": "13a049c969d6332ef9934d3a86c47b6864cad555f0e956eabae3d2f028aed5eb",
+        "road": "cdc59c577c900298470180803b6aa4f16fc8db020e5496e06ccd2ebda62864d5",
+    }
+
+    @pytest.mark.parametrize("family", bench.FAMILIES)
+    def test_default_spec_output_is_pinned(self, tmp_path, family):
+        inst, real, _ = bench.make_instance(bench.FAMILY_SPECS[family](), "7:0")
+        save_instance(inst, str(tmp_path / "instance.txt"))
+        save_realization(real, str(tmp_path / "realization.txt"))
+        text = (tmp_path / "instance.txt").read_bytes() + (tmp_path / "realization.txt").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == self.GOLDEN[family]
+
+
 class TestDeltaFormula:
     @pytest.mark.parametrize(
         "lb,naive,cost,want",
@@ -220,7 +234,7 @@ class TestExperimentHarness:
         {"k_values": ()},
         {"planners": ()},
         {"specs": [{"impeded_per_path": True}]},
-        {"family": "grid", "specs": [{"spacing": True}]},
+        {"family": "grid", "specs": [{"n_impeded_cuts": True}]},
         {"planners": ("paa", "paa")},
         {"k_values": (2, 3, 2)},
     ])

@@ -348,14 +348,19 @@ class TestFiles:
         (" d=3", "", ":12: meta line needs p, q and d"),
         ("free_flight=0\n", "free_flight=0\nmeta p=0 q=4 d=3\n", ":13: second meta line"),
         ("v 4 4.0 -2.0\n", "v 4 4.0 -2.0\nw 5\n", ":7: unknown record tag 'w'"),
+        # Ids are ASCII digits, though int() reads each of these.
+        ("v 1 4.0", "v 0_1 4.0", ":3: invalid literal for int() with base 10: '0_1'"),
+        ("e 2 2 3", "e 2 +2 3", ":9: invalid literal for int() with base 10: '+2'"),
+        ("d=3", "d=\u0663", ":12: invalid literal for int() with base 10: '\u0663'"),
     ], ids=["vertex-extra-field", "vertex-short", "edge-extra-after-dash", "edge-extra-bound",
             "edge-unknown-distribution", "edge-id-not-dense", "meta-misspelled-key",
             "meta-repeated-key", "meta-extra-field", "meta-free-flight-yes", "meta-without-d",
-            "second-meta-line", "unknown-tag"])
+            "second-meta-line", "unknown-tag", "vertex-id-underscore", "edge-end-signed",
+            "meta-d-non-ascii-digit"])
     def test_record_must_have_exactly_its_fields(self, tmp_path, old, new, where):
         assert _DEMO_TEXT.count(old) == 1
         path = tmp_path / "bad.txt"
-        path.write_text(_DEMO_TEXT.replace(old, new))
+        path.write_text(_DEMO_TEXT.replace(old, new), encoding="utf-8")
         with pytest.raises(InstanceError) as err:
             load_instance(str(path))
         assert str(err.value).startswith(f"{path}{where}")
@@ -373,11 +378,15 @@ class TestFiles:
         ("r 1 18.0\nr x 12.0\n", ":2: invalid literal for int()"),
         ("r 1 cheap\nr 4 12.0\n", ":1: could not convert string to float"),
         ("r 1 18.0\n\nt 4 12.0\n", ":3: unknown record tag 't'"),
-    ], ids=["short", "long", "non-numeric-id", "non-numeric-cost", "unknown-tag"])
+        ("r 1 18.0\nr 0_4 12.0\n", ":2: invalid literal for int() with base 10: '0_4'"),
+        ("r +1 18.0\nr 4 12.0\n", ":1: invalid literal for int() with base 10: '+1'"),
+        ("r 1 18.0\nr \u0664 12.0\n", ":2: invalid literal for int() with base 10: '\u0664'"),
+    ], ids=["short", "long", "non-numeric-id", "non-numeric-cost", "unknown-tag",
+            "id-underscore", "id-signed", "id-non-ascii-digit"])
     def test_malformed_realization_record_rejected(self, tmp_path, text, where):
         inst, _ = bench.demo_instance()
         path = tmp_path / "r.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(InstanceError) as err:
             load_realization(str(path), inst)
         assert str(err.value).startswith(f"{path}{where}")
