@@ -3,9 +3,9 @@
 Unrealized impeded edges on the ground vehicle's candidate paths become
 inspection targets with visit deadlines.  Each target edge turns into two
 direction nodes of a small complete digraph rooted at a depot node for the
-scout's current position; a depth-first branch-and-prune search then picks
-the tour inspecting as many edges as possible (cheapest among equals)
-within the deadlines.
+scout's current position; an exact depth-first search with a Held-Karp
+dominance memo and a count bound then picks the tour inspecting as many
+edges as possible (cheapest among equals) within the deadlines.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class TransformedGraph:
 
     nodes: list[TourNode | None]  # index 0 is the depot placeholder
     arc: list[list[float]]
-    twin: list[int]
 
     @property
     def size(self) -> int:
@@ -96,15 +95,11 @@ def build_transformed_graph(
     inspection can finish inside the original window.
     """
     nodes: list[TourNode | None] = [None]
-    twin = [0]
     for eid, t_max in critical.items():
         rec = inst.edges[eid]
-        tau = rec.uav_cost
-        deadline = t_max - tau - uav_time_offset
-        nodes.append(TourNode(eid, rec.u, rec.v, tau, deadline))
-        nodes.append(TourNode(eid, rec.v, rec.u, tau, deadline))
-        n = len(nodes)
-        twin.extend((n - 1, n - 2))
+        deadline = t_max - rec.uav_cost - uav_time_offset
+        nodes.append(TourNode(eid, rec.u, rec.v, rec.uav_cost, deadline))
+        nodes.append(TourNode(eid, rec.v, rec.u, rec.uav_cost, deadline))
     n = len(nodes)
     arc = [[INF] * n for _ in range(n)]
     for j in range(1, n):
@@ -113,10 +108,9 @@ def build_transformed_graph(
     for i in range(1, n):
         ni = nodes[i]
         for j in range(1, n):
-            if i == j or nodes[j].edge == ni.edge:
-                continue
-            arc[i][j] = ni.tau + metric.cost(ni.end, nodes[j].start)
-    return TransformedGraph(nodes, arc, twin)
+            if nodes[j].edge != ni.edge:
+                arc[i][j] = ni.tau + metric.cost(ni.end, nodes[j].start)
+    return TransformedGraph(nodes, arc)
 
 
 #: DFS nodes (calls of the inner search) after which ``rpp_dfs`` stops and
@@ -140,64 +134,70 @@ class RppSolution:
 
 
 def rpp_dfs(graph: TransformedGraph) -> RppSolution:
-    """Depth-first branch and prune over inspection orders.
+    """Exact depth-first search over inspection orders.
 
-    A child is explored when it meets its deadline and is not dominated by
-    the incumbent (costlier while visiting only a subset).  At a dead end
-    the incumbent is replaced by tours visiting more edges, or equally many
-    at lower cost, so the result is the lexicographic optimum.  Children are
-    tried in ascending arc cost, so equal optima resolve deterministically.
-    After ``DFS_NODE_BUDGET`` nodes the incumbent is returned as is.
+    A state is the last direction node and the mask of inspected edges.  A
+    child is entered when it meets its deadline, its state was not reached
+    before at no greater cost (a deadline is only a latest time), and it can
+    still beat the incumbent by the count of edges left with a direction j
+    whose arrival bound ``min(c + arc[v][j], (c + min_out[v]) + min_in[j])``
+    from child v at cost c meets j's deadline.  Adding non-negative arcs is
+    monotone in floats, so this holds as summed, without slack or triangle
+    inequality.  Each node entered is a tour and replaces the incumbent on
+    more inspections, or as many at lower cost.  Children go in (arc, index)
+    order, so equal optima resolve to the first found.  After
+    ``DFS_NODE_BUDGET`` nodes the incumbent is returned as is.
     """
-    n = graph.size
-    arc = graph.arc
-    twin = graph.twin
-    best_cost = INF
-    best_visited = [0]
-    best_set: frozenset[int] = frozenset((0,))
+    n, arc = graph.size, graph.arc
     deadline = [0.0] + [node.deadline for node in graph.nodes[1:]]
-    budget = DFS_NODE_BUDGET
-    nodes = 0
-    exhausted = False
+    edges = list(dict.fromkeys(node.edge for node in graph.nodes[1:]))
+    bit = [0] + [1 << edges.index(node.edge) for node in graph.nodes[1:]]
+    free = sum({bit[j] for j in range(1, n) if deadline[j] == INF})  # edges never late
+    min_out = [min(row[1:], default=INF) for row in arc]
+    min_in = [min((arc[i][j] for i in range(1, n)), default=INF) for j in range(n)]
+    timed = [(j, deadline[j], bit[j], min_in[j]) for j in range(1, n) if deadline[j] < INF]
+    kids = [  # finite arcs as (node, arc, deadline, bit), in (arc, node) order
+        [(j, row[j], deadline[j], bit[j]) for j in sorted(range(1, n), key=row.__getitem__)
+         if row[j] < INF] for row in arc]
+    memo: list[dict[int, float]] = [{} for _ in range(n)]  # [node][mask], one per node entered
+    best_cost, best_visited = 0.0, [0]
+    budget, nodes, exhausted = DFS_NODE_BUDGET, 0, False
 
-    order = [
-        sorted((j for j in range(1, n)), key=lambda j: (arc[i][j], j))
-        for i in range(n)
-    ]
-
-    def dfs(v: int, cost: float, visited: list[int], vset: frozenset[int]) -> None:
-        nonlocal best_cost, best_visited, best_set, nodes, exhausted
+    def dfs(v: int, cost: float, mask: int, visited: list[int]) -> None:
+        nonlocal best_cost, best_visited, nodes, exhausted
         if nodes == budget:
             exhausted = True
             return
         nodes += 1
-        terminal = True
-        row = arc[v]
-        for nxt in order[v]:
-            if nxt in vset or twin[nxt] in vset or row[nxt] == INF:
+        count = len(visited)
+        if count > len(best_visited) or (count == len(best_visited) and cost < best_cost):
+            best_cost, best_visited = cost, visited
+        for nxt, a, d, b in kids[v]:
+            if mask & b or cost + a > d:
                 continue
-            new_cost = cost + row[nxt]
-            if new_cost > deadline[nxt]:
+            new_cost, new_mask = cost + a, mask | b
+            if memo[nxt].get(new_mask, INF) <= new_cost:
                 continue
-            new_set = vset | {nxt}
-            if new_cost < best_cost or not new_set <= best_set:
-                visited.append(nxt)
-                dfs(nxt, new_cost, visited, new_set)
-                visited.pop()
-                terminal = False
-                if exhausted:
-                    return
-        if terminal:
-            if len(visited) > len(best_visited) or (
-                len(visited) == len(best_visited) and cost < best_cost
-            ):
-                best_cost = cost
-                best_visited = visited.copy()
-                best_set = vset
+            # Edges the child must still reach to win; equal counts win on cost.
+            need = len(best_visited) - count - (new_cost < best_cost)
+            need -= (free & ~new_mask).bit_count()
+            if need > 0:
+                out, reach = arc[nxt], new_mask | free
+                base = new_cost + min_out[nxt]
+                for j, dj, bj, min_in_j in timed:
+                    if not reach & bj and (new_cost + out[j] <= dj or base + min_in_j <= dj):
+                        reach |= bj
+                        need -= 1
+                        if need == 0:
+                            break
+                else:
+                    continue
+            memo[nxt][new_mask] = new_cost
+            dfs(nxt, new_cost, new_mask, visited + [nxt])
+            if exhausted:
+                return
 
-    dfs(0, 0.0, [0], frozenset((0,)))
-    if best_cost == INF:  # no feasible inspection at all
-        best_cost = 0.0
+    dfs(0, 0.0, 0, [0])
     return RppSolution(best_cost, best_visited, exhausted, nodes)
 
 

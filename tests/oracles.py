@@ -162,7 +162,6 @@ def rpp_brute_force(graph):
     exhaustive enumeration with window checks."""
     n = graph.size
     arc = graph.arc
-    twin = graph.twin
     deadlines = [0.0] + [graph.nodes[j].deadline for j in range(1, n)]
     best = (0, 0.0)
 
@@ -174,7 +173,8 @@ def rpp_brute_force(graph):
         if better((count, cost), best):
             best = (count, cost)
         for j in range(1, n):
-            if j in used or twin[j] in used:
+            edge = graph.nodes[j].edge
+            if edge in used:
                 continue
             a = arc[v][j]
             if a == INF:
@@ -182,9 +182,9 @@ def rpp_brute_force(graph):
             t = cost + a
             if t > deadlines[j]:
                 continue
-            used.add(j)
+            used.add(edge)
             extend(j, t, used, count + 1)
-            used.discard(j)
+            used.discard(edge)
 
     extend(0, 0.0, set(), 0)
     return best

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import build_instance, edge_between, random_connected_instance
@@ -84,7 +86,8 @@ class TestTransformedGraph:
         assert g.arc[1][0] == 5.0  # finishing the edge costs tau
         metric = UavMetric(inst)
         assert g.arc[0][2] == metric.cost(0, 1)  # flight to the reverse start
-        assert g.twin[1] == 2 and g.twin[2] == 1
+        n1, n2 = g.nodes[1], g.nodes[2]  # the two directions of edge 0
+        assert n1.edge == n2.edge == 0 and (n1.start, n1.end) == (n2.end, n2.start) == (0, 1)
         assert g.arc[1][2] == INF and g.arc[2][1] == INF
 
     def test_two_edges_node_count_and_twin_arcs(self, rng):
@@ -265,12 +268,12 @@ class TestDfs:
         assert cut.budget_exhausted and cut.nodes == full.nodes - 1
 
 
-@pytest.mark.xfail(strict=True, reason="the incumbent-subset prune in rpp_dfs is unsound")
 def test_subset_prune_counterexample():
-    # Tie-heavy integer arcs.  rpp_dfs finds [0, 2, 5] (2 inspections, cost 5)
-    # first; at node 5 it then prunes child 2 (cost 5, node set inside the
-    # incumbent's), although that child ends at node 2, from which tour
-    # [0, 5, 2, 3] meets every deadline: 3 inspections at cost 9.
+    # Tie-heavy integer arcs.  The search finds [0, 2, 5] (2 inspections,
+    # cost 5) first; child 2 of node 5 (cost 5) then visits only nodes of
+    # that incumbent, but it ends at node 2, from which tour [0, 5, 2, 3]
+    # meets every deadline: 3 inspections at cost 9.  A prune of children
+    # whose node set lies inside the incumbent's would lose that tour.
     nodes = [None] + [
         rpp.TourNode(edge, 0, 0, 1.0, deadline)
         for edge, deadline in zip((0, 0, 1, 1, 2, 2), (10.0, 10.0, 9.0, 9.0, 9.0, 9.0))
@@ -284,9 +287,45 @@ def test_subset_prune_counterexample():
         [1, 5, 3, 6, 5, INF, INF],
         [1, 3, 3, 4, 5, INF, INF],
     ]
-    g = rpp.TransformedGraph(nodes, [[float(a) for a in row] for row in arc], [0, 2, 1, 4, 3, 6, 5])
+    g = rpp.TransformedGraph(nodes, [[float(a) for a in row] for row in arc])
     sol = rpp.rpp_dfs(g)
     assert (sol.inspected, sol.best_cost) == oracles.rpp_brute_force(g) == (3, 9.0)
+
+
+@st.composite
+def _tour_graphs(draw):
+    """Direction-node graphs with at most 5 edges: small integer arcs that
+    break the triangle inequality and tie often, some INF arcs, and integer
+    or INF deadlines per direction."""
+    m = draw(st.integers(1, 5), label="edges")
+    n = 2 * m + 1
+    weight = st.integers(0, 4).map(lambda a: INF if a == 4 else float(a))
+    arc = [[INF] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(1, n):
+            if (i - 1) // 2 != (j - 1) // 2:
+                arc[i][j] = draw(weight)
+    deadline = st.integers(0, 8).map(lambda d: INF if d == 8 else float(d))
+    nodes = [None]
+    for j in range(1, n):
+        nodes.append(rpp.TourNode((j - 1) // 2, 0, 0, 1.0, draw(deadline)))
+        arc[j][0] = 1.0
+    return rpp.TransformedGraph(nodes, arc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=_tour_graphs())
+def test_dfs_matches_brute_force_on_tie_heavy_graphs(graph):
+    sol = rpp.rpp_dfs(graph)
+    assert not sol.budget_exhausted
+    assert (sol.inspected, sol.best_cost) == oracles.rpp_brute_force(graph)
+    assert len({graph.nodes[j].edge for j in sol.best_visited[1:]}) == sol.inspected
+    cost, prev = 0.0, 0
+    for j in sol.best_visited[1:]:
+        cost += graph.arc[prev][j]
+        assert cost <= graph.nodes[j].deadline
+        prev = j
+    assert cost == sol.best_cost
 
 
 class TestPlanExpansion:
