@@ -1,7 +1,10 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -177,27 +180,34 @@ class TestSuppression:
             assert view.costs == before
 
     def test_hidden_edges_match_textbook_yen(self, monkeypatch, rng):
-        # At every spur search of a k-path update the tree hides exactly what
-        # textbook Yen hides for that root, given the paths accepted so far,
-        # prices exactly those edges at INF and marks exactly their subtrees.
-        # The path being spurred is the last accepted one when the tree was
-        # last reset.
+        # At every spur a k-path update bounds, searched or pruned, the tree
+        # hides exactly what textbook Yen hides for that root, given the
+        # paths accepted so far, prices exactly those edges at INF and marks
+        # exactly their subtrees.  The path being spurred is the last
+        # accepted one when the tree was last reset, and a search follows
+        # the bound of its own spur.
         seen = []
         search = kspp.spur_search
         reset = kspp.ReverseTree.reset
+        lower_bound = kspp.ReverseTree.lower_bound
 
         def counting_reset(tree):
             tree.resets = getattr(tree, "resets", 0) + 1
             reset(tree)
 
-        def recording_search(tree, spur):
+        def recording_bound(tree, spur):
             changed = {e for e, c in enumerate(tree.cost) if c != tree.view_costs[e]}
             assert changed == set(tree.hidden) and len(tree.hidden) == len(changed)
             assert len(tree.marked) == len(set(tree.marked))
             seen.append((tree.resets, spur, changed, set(tree.marked), tree.parent))
-            return search(tree, spur)
+            return lower_bound(tree, spur)
+
+        def recording_search(tree, spur, limit):
+            assert seen[-1][:2] == (tree.resets, spur)
+            return search(tree, spur, limit)
 
         monkeypatch.setattr(kspp.ReverseTree, "reset", counting_reset)
+        monkeypatch.setattr(kspp.ReverseTree, "lower_bound", recording_bound)
         monkeypatch.setattr(kspp, "spur_search", recording_search)
         checked = deep = shared = 0
 
@@ -232,6 +242,15 @@ class TestSuppression:
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], rng.choice([4, 7]))
                 check(inst, view, pset)
         assert checked > 500 and deep > 300 and shared > 70
+
+
+def spur_distance(cost, edges):
+    """A spur path's cost summed from the destination end, as the tree and
+    the spur searches sum it."""
+    d = 0.0
+    for eid in reversed(edges):
+        d = d + cost[eid]
+    return d
 
 
 def yellow_set(inst, parent, hidden):
@@ -291,9 +310,17 @@ class TestSpurSearch:
                 fresh = reverse_tree(inst, view)
                 for t in (tree, fresh):
                     t.hide(hidden)
-                    got, settled = kspp.spur_search(t, root[-1])
+                    got, settled = kspp.spur_search(t, root[-1], INF)
                     assert got == (None if want is None else (want, edge_walk(inst, want)))
                     assert settled <= len(yellow)
+                if got is not None and got[1]:
+                    # The limit admits a path of exactly its cost, and
+                    # nothing one float below it; the capped searches
+                    # settle no more than the uncapped one.
+                    d = spur_distance(tree.cost, got[1])
+                    for limit, found in ((d, got), (math.nextafter(d, 0.0), None)):
+                        path, n = kspp.spur_search(tree, root[-1], limit)
+                        assert path == found and n <= settled
                 assert view.costs == shared
         return outside, mixed
 
@@ -351,13 +378,13 @@ class TestSpurSearch:
         )
         view = PlanningCostView(inst)
         tree = reverse_tree(inst, view)
-        path, settled = kspp.spur_search(tree, 0)
+        path, settled = kspp.spur_search(tree, 0, INF)
         assert path == ((0, 1, 3, 4, 5), edge_walk(inst, (0, 1, 3, 4, 5)))
         assert settled == 0  # nothing hidden: the tree path is the answer
         hidden = {edge_between(inst, 4, 5)}
         assert yellow_set(inst, tree.parent, hidden)[0] == {0, 1, 2, 3, 4}
         tree.hide(hidden)
-        path, _ = kspp.spur_search(tree, 0)
+        path, _ = kspp.spur_search(tree, 0, INF)
         assert path == ((0, 1, 3, 4, 6, 5), edge_walk(inst, (0, 1, 3, 4, 6, 5)))
 
     def test_early_stop_settles_part_of_the_graph(self):
@@ -376,7 +403,7 @@ class TestSpurSearch:
                 blocked_edges=hidden, blocked_vertices=frozenset(root[:-1]),
             )
             tree.hide(hidden)
-            got, n = kspp.spur_search(tree, root[-1])
+            got, n = kspp.spur_search(tree, root[-1], INF)
             assert got == (None if want is None else (want, edge_walk(inst, want)))
             settled += n
             yellow += len(yellow_set(inst, tree.parent, hidden)[0])
@@ -397,7 +424,7 @@ class TestSpurSearch:
         view = PlanningCostView(inst)
         tree = reverse_tree(inst, view)
         tree.hide([edge_between(inst, 1, 3), edge_between(inst, 2, 3)])
-        path, settled = kspp.spur_search(tree, 0)
+        path, settled = kspp.spur_search(tree, 0, INF)
         assert path is None and settled == 0
 
     def test_no_path_settles_at_most_the_yellow_set(self):
@@ -415,7 +442,7 @@ class TestSpurSearch:
         tree = reverse_tree(inst, view)
         yellow, _ = yellow_set(inst, tree.parent, hidden)
         tree.hide(hidden)
-        path, settled = kspp.spur_search(tree, centre)
+        path, settled = kspp.spur_search(tree, centre, INF)
         assert path is None
         assert block <= yellow
         assert 0 < settled <= len(yellow) < inst.n_vertices // 10
@@ -478,13 +505,13 @@ class TestOracleEquivalence:
         searched = []
         search = kspp.spur_search
 
-        def recording_search(tree, spur):
-            path, settled = search(tree, spur)
+        def recording_search(tree, spur, limit):
+            path, settled = search(tree, spur, limit)
             searched.append((path is None, settled))
             return path, settled
 
         monkeypatch.setattr(kspp, "spur_search", recording_search)
-        lawler = yen = 0
+        lawler = yen = pruned = 0
         for _ in range(20):
             inst = integer_grid(rng, 4, 5)
             searched.clear()
@@ -496,10 +523,11 @@ class TestOracleEquivalence:
             # Plain Yen spurs every processed path from every vertex but the
             # last; the last ranked path is processed only if the pool ran dry.
             processed = pset.paths[:-1] if len(pset) == 7 else pset.paths
-            lawler += c.searches + c.isolated
+            lawler += c.searches + c.isolated + c.pruned
             yen += sum(len(p) - 1 for p in processed)
-            assert c.searches + c.isolated <= sum(len(p) - 1 for p in processed)
-        assert lawler < yen
+            assert c.searches + c.isolated + c.pruned <= sum(len(p) - 1 for p in processed)
+            pruned += c.pruned
+        assert lawler < yen and pruned > 0
         pset, _ = plan(inst, PlanningCostView(inst), 1)
         assert pset.spur == kspp.SpurCounts()
 
@@ -520,3 +548,78 @@ class TestOracleEquivalence:
                 costs = oracles.view_costs(inst, view)
                 yen = oracles.yen_k_paths(inst, costs, v_curr, inst.d, 3)
                 assert [p.vertices for p in pset] == yen
+
+
+@st.composite
+def _tie_heavy_missions(draw):
+    """A connected instance with integer costs of 1 to 3, about a third of
+    them impeded with integer bounds, so many paths tie on cost, and up to
+    four reveals at those bounds."""
+    n = draw(st.integers(4, 12), label="vertices")
+    order = draw(st.permutations(range(n)), label="spanning path")
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    pairs = {(min(a, b), max(a, b)) for a, b in list(zip(order, order[1:])) + extra if a != b}
+    specs = []
+    for u, v in sorted(pairs):
+        lo = draw(st.integers(1, 3))
+        impeded = draw(st.integers(0, 2)) == 0
+        specs.append((u, v, (lo, lo + draw(st.integers(1, 2))) if impeded else lo))
+    coords = [(float(i % 4), float(i // 4)) for i in range(n)]
+    inst = build_instance(coords, specs, p=0, q=0, d=n - 1)
+    impeded = sorted(inst.impeded_ids)
+    reveals = draw(st.lists(st.tuples(st.sampled_from(impeded), st.integers(0, 1)),
+                            max_size=4, unique_by=lambda r: r[0])) if impeded else []
+    return inst, reveals
+
+
+def _ranked_updates(inst, reveals, k):
+    """Each k-path update's ranked paths, as (vertices, edges, cost bits),
+    and its spur counts, over a mission that reveals ``reveals`` in turn and
+    steps along the best path.  Checks that no spur search seeds a yellow
+    vertex whose tree distance exceeds its limit."""
+    search, dijkstra = kspp.spur_search, kspp.dijkstra
+    limits = []
+
+    def recording_search(tree, spur, limit):
+        limits.append((tree, limit))
+        return search(tree, spur, limit)
+
+    def checked_dijkstra(adj, frontier, cost, target, dist):
+        tree, limit = limits[-1]
+        assert all(tree.dist[y] <= limit for y in frontier)
+        return dijkstra(adj, frontier, cost, target, dist=dist)
+
+    view = PlanningCostView(inst)
+    state = dstar.initialize(inst, inst.d)
+    v_curr, changed, out = inst.p, [], []
+    with mock.patch.object(kspp, "spur_search", recording_search), \
+            mock.patch.object(kspp, "dijkstra", checked_dijkstra):
+        for eid, high in [(None, 0)] + reveals:
+            if eid is not None:
+                view.reveal(eid, float(inst.edges[eid].distribution.bounds()[high]))
+                changed = [eid]
+            pset = kspp.update_k_paths(inst, view, state, v_curr, changed, k)
+            out.append(([(p.vertices, p.edges, p.cost.hex()) for p in pset], pset.spur))
+            if len(pset.paths[0].vertices) > 2:
+                v_curr = pset.paths[0].vertices[1]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(mission=_tie_heavy_missions(), k=st.integers(2, 6))
+def test_bound_ranks_what_the_unbounded_update_ranks(mission, k):
+    # The same mission with the limit helper at INF, so that nothing is
+    # pruned, capped or cut: the bound leaves every ranked path the same,
+    # vertices, edges and cost bits, and runs no more searches and settles
+    # no more vertices.  Every root it prunes, the unbounded run searches.
+    inst, reveals = mission
+    bounded = _ranked_updates(inst, reveals, k)
+    with mock.patch.object(kspp, "rank_limit", lambda pool, need: INF):
+        unbounded = _ranked_updates(inst, reveals, k)
+    assert len(bounded) == len(unbounded) == len(reveals) + 1
+    for (paths, got), (want, full) in zip(bounded, unbounded):
+        assert paths == want
+        assert full.pruned == 0 and got.isolated == full.isolated
+        assert got.searches + got.pruned == full.searches
+        assert got.settled <= full.settled
+

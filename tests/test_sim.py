@@ -188,7 +188,7 @@ def test_spur_search_early_stop_equals_full_search(mission, data):
     tree.hide(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="hidden"))
     spur = data.draw(st.integers(0, inst.n_vertices - 1), label="spur")
     full = dijkstra(inst.ugv_adj, inst.d, tree.cost)[0]
-    (path, settled), [(got, _, _)] = _recorded(kspp, lambda: kspp.spur_search(tree, spur))
+    (path, settled), [(got, _, _)] = _recorded(kspp, lambda: kspp.spur_search(tree, spur, INF))
     _check_early_stop(full, got, settled, tree.marked, spur)
     assert path == descend(inst.ugv_adj, full, tree.cost, spur, inst.d)
     if path is not None:
