@@ -9,7 +9,6 @@ inspection tour and the linear-time priority pick.
 from scoutplan import (
     PaaContext,
     PlanningCostView,
-    PriorityWeights,
     UavMetric,
     bench,
     dstar,
@@ -39,7 +38,7 @@ for leg in legs:
     action = f"inspect edge {leg.edge}" if leg.inspect else "fly"
     print(f"  {leg.frm} -> {leg.to}  {action}  ({leg.duration:.1f})")
 
-ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 4, metric)
+ctx = PaaContext(inst, view, pset, inst.q, 4, metric)
 scored = sorted(paa.score_edges(critical, ctx), key=lambda e: -e.score)
 print("\npriority planner ranking:")
 for ep in scored:

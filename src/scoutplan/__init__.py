@@ -26,7 +26,7 @@ from .core import (
 )
 from .dstar import DStarState
 from .kspp import PathSet, update_k_paths
-from .paa import EdgePriority, PaaContext, PriorityWeights, select_edge
+from .paa import EdgePriority, PaaContext, select_edge
 from .rpp import (
     RppSolution,
     TransformedGraph,
@@ -59,7 +59,6 @@ __all__ = [
     "Path",
     "PathSet",
     "PlanningCostView",
-    "PriorityWeights",
     "ProblemInstance",
     "Realization",
     "ReplanRecord",

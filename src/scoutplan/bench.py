@@ -36,7 +36,6 @@ from .core import (
     read_text,
     sample_realization,
 )
-from .paa import PriorityWeights
 
 
 #: Aerial speed of every family's networks.
@@ -147,7 +146,6 @@ class ExperimentSpec:
     k_values: tuple[int, ...] = (1, 2, 3, 4, 5)
     planners: tuple[str, ...] = ("rpp",)
     seed: int = 0
-    weights: PriorityWeights = field(default_factory=PriorityWeights)
     #: The family's specs, which instances cycle through; each is built, and
     #: so checked, once (a road spec loads its base_file then).  None means
     #: the family's default spec, or one spec per SCALING_SIZES entry.
@@ -502,7 +500,7 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     record("naive", 1, sim.run(inst, real, sim.SimulationConfig(planner="naive", k=1)))
     for k in spec.k_values:
         for planner in spec.planners:
-            cfg = sim.SimulationConfig(planner=planner, k=k, weights=spec.weights)
+            cfg = sim.SimulationConfig(planner=planner, k=k)
             record(planner, k, sim.run(inst, real, cfg))
     return rows
 

@@ -24,7 +24,6 @@ from .core import (
     save_instance,
     save_realization,
 )
-from .paa import PriorityWeights
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -62,16 +61,6 @@ def _dataclass_from(cls, data: dict):
     return cls(**kwargs)
 
 
-def _weights(values: list, number=lambda w: w) -> PriorityWeights:
-    """Priority weights from a list of four values, each made a number by ``number``."""
-    try:
-        if not isinstance(values, list) or len(values) != 4:
-            raise ValueError("expected a list of 4 numbers")
-        return PriorityWeights(*map(number, values))
-    except ValueError as exc:
-        raise InstanceError(f"bad weights {values!r}: {exc}") from None
-
-
 def cmd_generate(args) -> int:
     data = _load_json(args.spec, "generate") if args.spec else {}
     count = data.pop("count", 1)
@@ -94,13 +83,7 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
     real = load_realization(args.realization, inst)
-    weights = _weights(args.weights.split(","), float) if args.weights else PriorityWeights()
-    cfg = sim.SimulationConfig(
-        planner=args.planner,
-        k=args.k,
-        weights=weights,
-        uav_enabled=not args.no_uav,
-    )
+    cfg = sim.SimulationConfig(planner=args.planner, k=args.k, uav_enabled=not args.no_uav)
     outcome = sim.run(inst, real, cfg)
     if args.log:
         with open(args.log, "w") as fh:
@@ -117,8 +100,6 @@ def cmd_simulate(args) -> int:
 def cmd_experiment(args) -> int:
     data = _load_json(args.spec, "experiment")
     try:
-        if "weights" in data:
-            data["weights"] = _weights(data["weights"])
         spec = _dataclass_from(bench.ExperimentSpec, {k: v for k, v in data.items() if k != "specs"})
         if "specs" in data:
             # Each entry is what `generate --spec` takes for the family, minus count.
@@ -178,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--realization", required=True)
     s.add_argument("--planner", default="rpp", choices=tuple(sim.PLANNERS))
     s.add_argument("--k", type=_positive_int, default=3)
-    s.add_argument("--weights", help="w1,w2,w3,w4 for the priority planner")
     s.add_argument("--no-uav", action="store_true", help="run without the scout")
     s.add_argument("--log", help="write the event log to this file")
     s.set_defaults(func=cmd_simulate)

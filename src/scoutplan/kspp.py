@@ -27,7 +27,7 @@ class SpurCounts(NamedTuple):
     """Work of the Yen spur searches of one k-path update, or a sum of them."""
 
     searches: int = 0  # searches run
-    isolated: int = 0  # skipped because every edge at the spur vertex was hidden or at INF
+    isolated: int = 0  # skipped because every edge at the spur vertex was hidden (bound INF)
     nopath: int = 0  # searches run that found no rankable spur path
     settled: int = 0  # vertices settled by the searches run
     pruned: int = 0  # skipped because the tree bound showed nothing rankable
@@ -220,10 +220,11 @@ def update_k_paths(
             tree.hide([p.edges[j] for p in sharing])
             if j < first:
                 continue
-            if all(tree.cost[eid] == INF for _, eid in adj[spur]):
+            bound = tree.lower_bound(spur)
+            if bound == INF:  # every edge at the spur is hidden: tree distances are finite
                 isolated += 1
                 continue
-            if root_cost + tree.lower_bound(spur) > x * slack:
+            if root_cost + bound > x * slack:
                 pruned += 1
                 continue
             spur_path, n_settled = spur_search(tree, spur, x * slack - root_cost)

@@ -8,26 +8,13 @@ shortest-path distances are available.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import INF, PlanningCostView, ProblemInstance, UavMetric
 from .kspp import PathSet
 
-
-@dataclass(frozen=True)
-class PriorityWeights:
-    w1: float = 0.25
-    w2: float = 0.25
-    w3: float = 0.2
-    w4: float = 0.3
-
-    def __post_init__(self):
-        if not all(type(w) in (int, float) and math.isfinite(w) for w in self.as_tuple()):
-            raise ValueError(f"weights must be finite numbers, got {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w1, self.w2, self.w3, self.w4)
+#: Weights of the four signals in the score, in signal order (p1 to p4).
+WEIGHTS = (0.25, 0.25, 0.2, 0.3)
 
 
 @dataclass(frozen=True)
@@ -49,7 +36,6 @@ class PaaContext:
     view: PlanningCostView
     path_set: PathSet
     uav_pos: int
-    weights: PriorityWeights
     k: int
     metric: UavMetric
 
@@ -102,7 +88,7 @@ def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriorit
     d_max = max(dist.values())
 
     out = []
-    w1, w2, w3, w4 = ctx.weights.as_tuple()
+    w1, w2, w3, w4 = WEIGHTS
     for e in critical:
         p1 = counts[e] / k
         p2 = 1.0 if lam_min == lam_max else (lam_max - lam[e]) / (lam_max - lam_min)

@@ -15,7 +15,7 @@ edge.  Planning wall time is measured but never consumes simulated time.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import dstar, kspp, paa, rpp
 from .core import (
@@ -28,14 +28,13 @@ from .core import (
     check_at_least,
     dijkstra,
 )
-from .paa import PaaContext, PriorityWeights
+from .paa import PaaContext
 from .rpp import UavLeg
 
 @dataclass
 class SimulationConfig:
     planner: str = "rpp"
     k: int = 3
-    weights: PriorityWeights = field(default_factory=PriorityWeights)
     uav_enabled: bool = True
 
     def __post_init__(self):
@@ -168,8 +167,7 @@ def _rpp_inspections(
 def _paa_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[tuple[int, int]]:
-    cfg = eng.cfg
-    ctx = PaaContext(eng.inst, eng.view, eng.pset, origin, cfg.weights, cfg.k, eng.metric)
+    ctx = PaaContext(eng.inst, eng.view, eng.pset, origin, eng.cfg.k, eng.metric)
     chosen = _timed(rec, paa.select_edge, critical, ctx)
     return [] if chosen is None else [chosen]
 

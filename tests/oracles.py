@@ -226,7 +226,9 @@ def replay_ugv_arrivals(inst, realization, events):
 
 
 def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
-    """Straight-line re-derivation of the four priority signals."""
+    """Straight-line re-derivation of the four priority signals; ``weights``
+    is the tuple (w1, w2, w3, w4)."""
+    w1, w2, w3, w4 = weights
     paths = [p.vertices for p in path_set]
     edge_of = {}
     for eid in critical:
@@ -283,7 +285,7 @@ def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
         p3 = 1.0 if var_hi == 0 else var[eid] / var_hi
         p4 = 1.0 if d_hi == 0 else 1.0 - dist[eid] / d_hi
         scores[eid] = (
-            weights.w1 * p1 + weights.w2 * p2 + weights.w3 * p3 + weights.w4 * p4,
+            w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4,
             (p1, p2, p3, p4),
         )
     return scores

@@ -21,7 +21,7 @@ from scoutplan.core import (
     UavMetric,
     sample_realization,
 )
-from scoutplan.paa import PaaContext, PriorityWeights
+from scoutplan.paa import PaaContext
 from scoutplan.sim import SimulationConfig
 
 
@@ -342,7 +342,7 @@ class TestCriterion8PropertySuite:
             crit = rpp.extract_critical_edges(pset, view, inst)
             if not crit:
                 continue
-            ctx = PaaContext(inst, view, pset, inst.q, PriorityWeights(), 3, UavMetric(inst))
+            ctx = PaaContext(inst, view, pset, inst.q, 3, UavMetric(inst))
             for ep in paa.score_edges(crit, ctx):
                 for val in (ep.p1, ep.p2, ep.p3, ep.p4):
                     assert 0.0 <= val <= 1.0

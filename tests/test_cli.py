@@ -165,19 +165,13 @@ class TestSimulate:
         assert rc == 0
         assert "arrival_time 24.0" in capsys.readouterr().out
 
-    def test_weights_flag(self, tmp_path, capsys):
+    def test_weights_flag_is_usage_error(self, tmp_path, capsys):
+        # The priority weights are the constant paa.WEIGHTS.
         ip, rp = self.write_pair(tmp_path)
         rc = run_cli("simulate", "--instance", ip, "--realization", rp,
                      "--planner", "paa", "--k", "2", "--weights", "0.4,0.3,0.2,0.1")
-        assert rc == 0
-
-    @pytest.mark.parametrize("weights", ["1,2,3", "1,2,3,4,5", "nan,1,1,1", "1,1,inf,1", "a,b,c,d"])
-    def test_bad_weights_are_data_errors(self, tmp_path, capsys, weights):
-        ip, rp = self.write_pair(tmp_path)
-        rc = run_cli("simulate", "--instance", ip, "--realization", rp,
-                     "--planner", "paa", "--weights", weights)
-        assert rc == DATA_ERROR
-        assert "bad weights" in capsys.readouterr().err
+        assert rc == USAGE_ERROR
+        assert "unrecognized arguments: --weights" in capsys.readouterr().err
 
     def test_repeated_realization_edge_is_data_error(self, tmp_path, capsys):
         ip, _ = self.write_pair(tmp_path)
@@ -301,7 +295,7 @@ class TestExperimentAndReport:
         # A family key outside specs.
         {"adversarial": True},
         {"family": "scaling", "sizes": [[8, 4]]},
-        # Weights that are not numbers.
+        # The priority weights are a constant: weights is an unknown key.
         {"weights": ["1", True, "0.5", 0]},
         {"weights": ["0.4", "0.3", "0.2", "0.1"]},
         {"weights": [0.4, 0.3, 0.2, False]},
@@ -317,6 +311,16 @@ class TestExperimentAndReport:
         rc = run_cli("experiment", "--spec", str(spec), "--out", str(out), "--jobs", "1")
         assert rc == DATA_ERROR
         assert "bad experiment spec" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weights_key_is_unknown(self, tmp_path, capsys):
+        # The priority weights are the constant paa.WEIGHTS, so a spec that
+        # sets them, even to their value, is rejected naming the key.
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"n_instances": 1, "weights": [0.25, 0.25, 0.2, 0.3]}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == DATA_ERROR
+        assert capsys.readouterr().err == f"data error: bad experiment spec {spec}: unknown spec keys: ['weights']\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bad,reason", [

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,10 +6,10 @@ import oracles
 from conftest import build_instance, edge_between, random_connected_instance
 from scoutplan import dstar, kspp, paa, rpp
 from scoutplan.core import PlanningCostView, UavMetric
-from scoutplan.paa import PaaContext, PriorityWeights
+from scoutplan.paa import PaaContext
 
 
-def make_context(inst, view, k, uav_pos=None, weights=None):
+def make_context(inst, view, k, uav_pos=None):
     state = dstar.initialize(inst, inst.d)
     pset = kspp.update_k_paths(inst, view, state, inst.p, [], k)
     crit = rpp.extract_critical_edges(pset, view, inst)
@@ -19,7 +18,6 @@ def make_context(inst, view, k, uav_pos=None, weights=None):
         view,
         pset,
         inst.q if uav_pos is None else uav_pos,
-        weights or PriorityWeights(),
         k,
         UavMetric(inst),
     )
@@ -28,13 +26,6 @@ def make_context(inst, view, k, uav_pos=None, weights=None):
 
 def priorities(crit, ctx):
     return {ep.edge: ep for ep in paa.score_edges(crit, ctx)}
-
-
-class TestWeights:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.25", True, None, [0.25]])
-    def test_non_finite_weight_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            PriorityWeights(0.25, bad, 0.2, 0.3)
 
 
 class TestParameters:
@@ -60,7 +51,7 @@ class TestParameters:
         pset, crit, ctx = make_context(inst, view, 3)
         e = min(crit)
         # Same three paths, but five requested: the share is over k.
-        ctx5 = PaaContext(inst, view, pset, ctx.uav_pos, ctx.weights, 5, ctx.metric)
+        ctx5 = PaaContext(inst, view, pset, ctx.uav_pos, 5, ctx.metric)
         assert priorities(crit, ctx5)[e].p1 == pytest.approx(1 / 5)
         assert priorities(crit, ctx)[e].p1 == pytest.approx(1 / 3)
 
@@ -75,7 +66,7 @@ class TestParameters:
         inst = self.three_path_instance()
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 3)
-        oracle = oracles.paa_scores(inst, view, ctx.metric, pset, crit, ctx.uav_pos, 3, ctx.weights)
+        oracle = oracles.paa_scores(inst, view, ctx.metric, pset, crit, ctx.uav_pos, 3, paa.WEIGHTS)
         p2 = {e: ep.p2 for e, ep in priorities(crit, ctx).items()}
         for eid, (_, params) in oracle.items():
             assert p2[eid] == pytest.approx(params[1])
@@ -141,12 +132,13 @@ class TestSelection:
         pset, crit, ctx = make_context(inst, view, 1)
         assert paa.select_edge({}, ctx) is None
 
-    def test_single_edge_selected_regardless_of_weights(self):
+    def test_single_edge_selected_regardless_of_weights(self, monkeypatch):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
         inst = build_instance(coords, [(0, 1, 4.0), (1, 2, (2.0, 6.0))], p=0, d=2)
         view = PlanningCostView(inst)
-        for w in (PriorityWeights(), PriorityWeights(1, 0, 0, 0), PriorityWeights(0, 0, 0, 9)):
-            pset, crit, ctx = make_context(inst, view, 1, weights=w)
+        for w in (paa.WEIGHTS, (1, 0, 0, 0), (0, 0, 0, 9)):
+            monkeypatch.setattr(paa, "WEIGHTS", w)
+            pset, crit, ctx = make_context(inst, view, 1)
             assert paa.select_edge(crit, ctx) == (min(crit), 1)
 
     def test_matches_independent_recomputation(self, rng):
@@ -160,7 +152,7 @@ class TestSelection:
             checked += 1
             scored = paa.score_edges(crit, ctx)
             oracle = oracles.paa_scores(
-                inst, view, ctx.metric, pset, crit, inst.q, 3, ctx.weights
+                inst, view, ctx.metric, pset, crit, inst.q, 3, paa.WEIGHTS
             )
             for ep in scored:
                 o_score, o_params = oracle[ep.edge]
@@ -173,7 +165,8 @@ class TestSelection:
             nearer_v = ctx.metric.cost(inst.q, rec.v) < ctx.metric.cost(inst.q, rec.u)
             assert paa.select_edge(crit, ctx) == (want, rec.v if nearer_v else rec.u)
 
-    def test_argmax_invariant_under_weight_scaling(self, rng):
+    def test_argmax_invariant_under_weight_scaling(self, rng, monkeypatch):
+        weights = paa.WEIGHTS
         checked = 0
         while checked < 10:
             inst = random_connected_instance(rng, n_min=8, n_max=12, impeded_frac=0.5)
@@ -182,13 +175,10 @@ class TestSelection:
             if len(crit) < 2:
                 continue
             checked += 1
+            monkeypatch.setattr(paa, "WEIGHTS", weights)
             base = paa.select_edge(crit, ctx)
-            scaled = PaaContext(
-                inst, view, pset, ctx.uav_pos,
-                PriorityWeights(*(7.5 * w for w in ctx.weights.as_tuple())),
-                3, ctx.metric,
-            )
-            assert paa.select_edge(crit, scaled) == base
+            monkeypatch.setattr(paa, "WEIGHTS", tuple(7.5 * w for w in weights))
+            assert paa.select_edge(crit, ctx) == base
 
     def test_deterministic_tie_break_lowest_edge(self):
         # Both impeded edges leave the start vertex, so every signal ties:
