@@ -19,7 +19,7 @@ from scoutplan import (
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=5, chain_len=12), seed=11)
 view = PlanningCostView(inst)
-state = dstar.initialize(inst, inst.d)
+state = dstar.initialize(inst, view)
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
 metric = UavMetric(inst)
 

@@ -11,7 +11,7 @@ from scoutplan import PlanningCostView, bench, dstar, kspp
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=6, chain_len=10), seed=2)
 view = PlanningCostView(inst)
-state = dstar.initialize(inst, inst.d)
+state = dstar.initialize(inst, view)
 
 K = 4
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], K)

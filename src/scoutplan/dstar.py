@@ -7,15 +7,17 @@ two agree; exactly the inconsistent vertices sit in the priority queue,
 keyed by min(g, rhs).  Without a goal-directed term h this is Ramalingam
 and Reps' incremental shortest paths, and every repair runs until no
 vertex is inconsistent: g is then the exact distance everywhere, the
-reverse shortest-path tree the k-path layer spurs from.  After edge costs
-change, only the vertices whose distance changes are re-expanded.
+reverse shortest-path tree the k-path layer spurs from.  The first search
+is a plain ``core.dijkstra``, whose distances are that drained state bit
+for bit, so D* only ever repairs: after edge costs change, only the
+vertices whose distance changes are re-expanded.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend
+from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend, dijkstra
 
 
 class AddressableHeap:
@@ -62,12 +64,11 @@ class AddressableHeap:
 class DStarState:
     """Mutable search state: the g/rhs arrays and the queue."""
 
-    def __init__(self, inst: ProblemInstance, dest: int):
-        n = inst.n_vertices
+    def __init__(self, inst: ProblemInstance, g: list[float]):
         self.inst = inst
-        self.dest = dest
-        self.g: list[float] = [INF] * n
-        self.rhs: list[float] = [INF] * n
+        self.dest = inst.d
+        self.g = g
+        self.rhs = g.copy()
         self.queue = AddressableHeap()
         self.expansions = 0
 
@@ -76,12 +77,11 @@ class DStarState:
         return all((v in self.queue) == (self.g[v] != self.rhs[v]) for v in range(len(self.g)))
 
 
-def initialize(inst: ProblemInstance, dest: int) -> DStarState:
-    """Fresh search state: rhs(dest)=0, queue holds only the destination."""
-    state = DStarState(inst, dest)
-    state.rhs[dest] = 0.0
-    state.queue.insert(dest, 0.0)
-    return state
+def initialize(inst: ProblemInstance, view: PlanningCostView) -> DStarState:
+    """The drained search state for the view's costs: g = rhs = one
+    ``core.dijkstra``'s distances to ``inst.d``, each the minimum over the
+    neighbours of edge cost + g as a drain leaves it, and no queue."""
+    return DStarState(inst, dijkstra(inst.ugv_adj, inst.d, view.costs)[0])
 
 
 def update_vertex(state: DStarState, v: int) -> None:

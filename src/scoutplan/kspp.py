@@ -4,11 +4,12 @@ Yen's loopless-paths scheme on top of the incremental planner, whose repair
 of the best path leaves exact distances to the destination everywhere.  One
 update's spur searches share the reverse shortest-path tree they define
 (Feng's node classification) and re-derive only the "yellow" vertices,
-whose tree paths cross a hidden edge.  Lawler's rule spurs a path only from
-where it left its parent, and only what can be ranked is searched for
-(Martins and Pascoal): a spur whose tree lower bound exceeds X, the cost
-above which nothing can be ranked, is skipped, and a search is capped at X
-less its root's cost and seeds no yellow vertex beyond that limit.
+whose tree paths cross a hidden edge, read only as far as a search reads.
+Lawler's rule spurs a path only from where it left its parent, and only
+what can be ranked is searched for (Martins and Pascoal): a spur whose tree
+lower bound exceeds X, the cost above which nothing can be ranked, is
+skipped, and a search is capped at X less its root's cost and seeds no
+yellow vertex beyond that limit.
 """
 
 from __future__ import annotations
@@ -53,64 +54,75 @@ class ReverseTree:
     """Shortest-path tree towards the destination under the view's costs,
     read off the drained D* state and shared by one update's spur searches.
 
-    ``dist`` is the state's ``g``; a vertex's ``parent`` is its first tight
-    edge in ``ugv_adj`` order, which the drained state keeps at every
-    reachable vertex but the destination.  ``cost`` is the tree's own copy
-    of the view's costs with the ``hidden`` edges at INF, and ``marked``
-    lists the yellow vertices, the subtrees below the hidden tree edges.
+    ``dist`` is the state's ``g``; ``parent`` memoises each vertex's first
+    tight edge in ``ugv_adj`` order under the view's costs, which the
+    drained state keeps at every reachable vertex but the destination (-1:
+    none, -2: unread).  ``cost`` copies the view's costs with the hidden
+    edges at INF.  The yellow vertices, the subtrees below the hidden tree
+    edges, are ``marked`` within ``mark``'s last ``bound``; ``roots`` (from
+    ``hide``) and ``beyond`` (past the bound) hold the (v, e) pairs left to
+    walk down from, v yellow if e is its parent edge.
     """
 
     def __init__(self, inst: ProblemInstance, view: PlanningCostView, state: DStarState):
-        self.inst = inst
-        self.dest = state.dest
-        self.view_costs = cost = view.costs
-        self.cost = cost.copy()
-        self.dist = dist = state.g
-        self.parent = [-1] * len(dist)
-        self.children: list[list[int]] = [[] for _ in inst.ugv_adj]
-        for v, nbrs in enumerate(inst.ugv_adj):
-            if v != self.dest and dist[v] < INF:
-                for w, eid in nbrs:
-                    if cost[eid] + dist[w] == dist[v]:
-                        self.parent[v] = eid
-                        self.children[w].append(v)
-                        break
-        self.hidden: list[int] = []
-        self.yellow = bytearray(len(inst.ugv_adj))
-        self.marked: list[int] = []  # the yellow vertices
+        self.inst, self.dest, self.view_costs, self.dist = inst, state.dest, view.costs, state.g
+        self.parent = [-2] * len(state.g)
+        self.parent[self.dest] = -1
+        self.reset()
 
     def hide(self, edge_ids) -> None:
-        """Price the edges at INF in ``cost`` and mark yellow the subtree
-        below each tree edge; an edge already at INF is off the tree."""
-        cost, parent, edges, children = self.cost, self.parent, self.inst.edges, self.children
-        yellow, marked = self.yellow, self.marked
+        """Price the edges at INF in ``cost`` and queue each end that the
+        edge is tight at as a root; an edge at INF is off the tree."""
+        cost, dist, view_costs, edges = self.cost, self.dist, self.view_costs, self.inst.edges
         for eid in edge_ids:
             if cost[eid] == INF:
                 continue
             cost[eid] = INF
-            self.hidden.append(eid)
-            e = edges[eid]
-            child = e.u if parent[e.u] == eid else e.v if parent[e.v] == eid else -1
-            stack = [child] if child >= 0 else []
-            while stack:
-                v = stack.pop()
-                if not yellow[v]:
-                    yellow[v] = 1
-                    marked.append(v)
-                    stack.extend(children[v])
+            e, c = edges[eid], view_costs[eid]
+            if c + dist[e.v] == dist[e.u] < INF:
+                self.roots.append((e.u, eid))
+            if c + dist[e.u] == dist[e.v] < INF:
+                self.roots.append((e.v, eid))
+
+    def mark(self, bound: float = INF) -> None:
+        """Mark the yellow vertices no farther than ``bound``: a child (a
+        neighbour whose parent edge leads here) is no nearer, so a subtree is
+        walked down to the bound, and pairs past it wait for a larger one."""
+        adj, dist, cost, parent, yellow, marked = (
+            self.inst.ugv_adj, self.dist, self.view_costs, self.parent, self.yellow, self.marked)
+        if bound > self.bound:
+            self.roots, self.beyond = self.roots + self.beyond, []
+        stack, self.roots, self.bound = self.roots, [], bound
+        while stack:
+            v, e = stack.pop()
+            if yellow[v]:
+                continue
+            p, dv = parent[v], dist[v]
+            if p == -2:  # read v's parent
+                for w, p in adj[v]:
+                    if cost[p] + dist[w] == dv:
+                        break
+                parent[v] = p
+            if p != e:
+                continue
+            if dv > bound:
+                self.beyond.append((v, e))
+                continue
+            yellow[v] = 1
+            marked.append(v)
+            for x, eid in adj[v]:
+                if cost[eid] + dv == dist[x] < INF and not yellow[x]:
+                    stack.append((x, eid))
 
     def lower_bound(self, v: int) -> float:
         """min(cost + dist) over v's edges: no path from v costs less."""
         return min(self.cost[eid] + self.dist[w] for w, eid in self.inst.ugv_adj[v])
 
     def reset(self) -> None:
-        """Restore the hidden edges' costs and clear the yellow marks."""
-        for eid in self.hidden:
-            self.cost[eid] = self.view_costs[eid]
-        for v in self.marked:
-            self.yellow[v] = 0
-        self.hidden.clear()
-        self.marked.clear()
+        """Restore the view's costs and clear the hidden edges and marks."""
+        self.cost = self.view_costs.copy()
+        self.yellow = bytearray(len(self.dist))
+        self.roots, self.beyond, self.marked, self.bound = [], [], [], INF
 
 
 def spur_search(
@@ -120,25 +132,24 @@ def spur_search(
     hidden edges and costs at most ``limit``, as its vertices and edge ids
     (None when there is none), and the number of vertices settled.
 
-    Exactness.  Hiding edges only removes paths, so no vertex gets closer to
-    the destination than its tree distance, and a vertex outside the yellow
-    set keeps it, bit for bit, along its tree path.  A shortest path to a
-    yellow vertex enters the set by one last edge from outside it, so each
-    is seeded with min(edge cost + tree distance) over its neighbours
-    outside the set, but one whose tree distance exceeds the limit lies on
-    no path within it and gets INF unscanned.  The spur's distance is capped
-    one float above the limit, and ``core.dijkstra`` runs from the seeds
-    until it pops a distance above the spur's.  A spur still at the cap has
-    no path within the limit; otherwise every vertex no farther than the
-    spur holds a full search's distance, and the greedy descent walks a
-    full search's path, lowest vertex id on ties.
-
-    Work.  Only yellow vertices within the limit are scanned, and only
-    those no farther than the spur and the cap are settled.
+    Hiding edges only removes paths, so no vertex gets closer to the
+    destination than its tree distance, and one outside the yellow set
+    keeps it, bit for bit.  A shortest path to a yellow vertex enters the
+    set by one last edge from outside, so each one within the limit is
+    seeded with min(edge cost + tree distance) over its neighbours outside
+    the set; the rest lie on no path within it and get INF unscanned.  With
+    the spur capped one float above the limit, ``core.dijkstra`` runs until
+    it pops a distance above the spur's: a spur still at the cap has no path
+    within the limit, else every vertex up to the spur holds a full search's
+    distance and the descent walks a full search's path, lowest id on ties.
+    Yellow vertices past the cap, but for the spur's neighbours, are left
+    unmarked: they give only sums past it, which are never popped or
+    descended to, while a seeded spur is pushed at the cap.
     """
     adj, cost, yellow, tree_dist = tree.inst.ugv_adj, tree.cost, tree.yellow, tree.dist
-    dist = tree_dist.copy()
-    frontier = []
+    cap = math.nextafter(limit, INF)
+    tree.mark(max([cap] + [tree_dist[w] for w, eid in adj[spur] if cost[eid] < INF]))
+    dist, frontier = tree_dist.copy(), []
     for y in tree.marked:
         best = INF
         if tree_dist[y] <= limit:
@@ -150,7 +161,6 @@ def spur_search(
         dist[y] = best
         if best < INF:
             frontier.append(y)
-    cap = math.nextafter(limit, INF)
     dist[spur] = min(dist[spur], cap)
     _, _, settled = dijkstra(adj, frontier, cost, spur, dist=dist)
     return None if dist[spur] == cap else descend(adj, dist, cost, spur, tree.dest), settled
@@ -194,14 +204,13 @@ def update_k_paths(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    best = dstar.replan(state, view, v_curr, changed)
-    accepted = [best]
+    accepted = [dstar.replan(state, view, v_curr, changed)]
     if k == 1:
         return PathSet(accepted)
     adj, costs = inst.ugv_adj, view.costs
     slack = 1.0 + 4 * len(adj) * 2.0**-53
     pool: list[tuple[float, tuple[int, ...], Path]] = []
-    deviation = {best.vertices: 0}
+    deviation = {accepted[0].vertices: 0}
     tree = ReverseTree(inst, view, state)
     searches = isolated = nopath = settled = pruned = 0
 
@@ -209,9 +218,7 @@ def update_k_paths(
         prev = accepted[-1]
         vs, first = prev.vertices, deviation[prev.vertices]
         x = rank_limit(pool, k - len(accepted))
-        tree.reset()
-        sharing = accepted
-        root_cost = 0.0
+        sharing, root_cost = accepted, 0.0
         for j, spur in enumerate(vs[:-1]):
             if j:
                 tree.hide([eid for _, eid in adj[vs[j - 1]]])
@@ -244,4 +251,5 @@ def update_k_paths(
         if not pool:
             break
         accepted.append(heapq.heappop(pool)[2])
+        tree.reset()
     return PathSet(accepted, pool, SpurCounts(searches, isolated, nopath, settled, pruned))

@@ -145,10 +145,11 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     whose arrival bound ``min(c + arc[v][j], (c + min_out[v]) + min_in[j])``
     from child v at cost c meets j's deadline.  Adding non-negative arcs is
     monotone in floats, so this holds as summed, without slack or triangle
-    inequality.  Each node entered is a tour and replaces the incumbent on
-    more inspections, or as many at lower cost.  Children go in (arc, index)
-    order, so equal optima resolve to the first found.  After
-    ``DFS_NODE_BUDGET`` nodes the incumbent is returned as is.
+    inequality; the scan is skipped when the edges left with a deadline are
+    too few to win even if all are reached.  Each node entered is a tour and
+    replaces the incumbent on more inspections, or as many at lower cost.
+    Children go in (arc, index) order, so equal optima resolve to the first
+    found.  After ``DFS_NODE_BUDGET`` nodes the incumbent is returned as is.
     """
     n, arc = graph.size, graph.arc
     deadline = [0.0] + [node.deadline for node in graph.nodes[1:]]
@@ -158,6 +159,7 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     min_out = [min(row[1:], default=INF) for row in arc]
     min_in = [min((arc[i][j] for i in range(1, n)), default=INF) for j in range(n)]
     timed = [(j, deadline[j], bit[j], min_in[j]) for j in range(1, n) if deadline[j] < INF]
+    timed_edges = sum({b for _, _, b, _ in timed})  # edges with a direction that has a deadline
     kids = [  # finite arcs as (node, arc, deadline, bit), in (arc, node) order
         [(j, row[j], deadline[j], bit[j]) for j in sorted(range(1, n), key=row.__getitem__)
          if row[j] < INF] for row in arc]
@@ -184,6 +186,8 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
             need = len(best_visited) - count - (new_cost < best_cost)
             need -= (free & ~new_mask).bit_count()
             if need > 0:
+                if need > (timed_edges & ~(new_mask | free)).bit_count():
+                    continue  # the scan below lowers need at most once per such edge
                 out, reach = arc[nxt], new_mask | free
                 base = new_cost + min_out[nxt]
                 for j, dj, bj, min_in_j in timed:

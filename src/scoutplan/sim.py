@@ -190,7 +190,7 @@ class _Engine:
         self.k_eff = 1 if cfg.planner == "naive" else cfg.k
         self.view = PlanningCostView(inst)
         self.metric = UavMetric(inst)
-        self.dstate = dstar.initialize(inst, inst.d)
+        self.dstate = dstar.initialize(inst, self.view)
         self.events: list[Event] = []
         self.replans: list[ReplanRecord] = []
         self.late = 0

@@ -45,6 +45,22 @@ def dijkstra_to_dest(inst, costs, dest, blocked_vertices=frozenset()):
     return dist
 
 
+def tree_parents(inst, costs, dist):
+    """Each vertex's parent edge in the shortest-path tree towards inst.d
+    given by ``dist``: its first edge in ``ugv_adj`` order whose cost plus
+    the far end's distance equals its own, -1 at inst.d and unreachable
+    vertices."""
+    parent = [-1] * inst.n_vertices
+    for v in range(inst.n_vertices):
+        if v == inst.d or dist[v] == INF:
+            continue
+        for w, eid in inst.ugv_adj[v]:
+            if costs.get(eid, INF) + dist[w] == dist[v]:
+                parent[v] = eid
+                break
+    return parent
+
+
 def greedy_path(inst, costs, dist, source, dest, blocked_vertices=frozenset()):
     """Follow cost + dist greedily to dest, lowest vertex id on ties."""
     if dist[source] == INF:
@@ -188,6 +204,54 @@ def rpp_brute_force(graph):
 
     extend(0, 0.0, set(), 0)
     return best
+
+
+def rpp_dfs_nodes(graph):
+    """Nodes ``rpp.rpp_dfs`` enters, by its rules spelled out without its
+    shortcuts: children in (arc, index) order, a child entered when it meets
+    its deadline, its (node, edge set) state was not reached at no greater
+    cost, and a scan of the edges left finds enough of them reachable (a
+    direct arc, or the cheapest way out of the child then the cheapest way
+    in) to beat the incumbent's (count, cost)."""
+    n, arc = graph.size, graph.arc
+    deadline = [0.0] + [graph.nodes[j].deadline for j in range(1, n)]
+    edge = [None] + [graph.nodes[j].edge for j in range(1, n)]
+    min_out = [min(row[1:], default=INF) for row in arc]
+    min_in = [min((arc[i][j] for i in range(1, n)), default=INF) for j in range(n)]
+    memo = {}
+    best = (0, 0.0)
+    nodes = 0
+
+    def dfs(v, cost, used):
+        nonlocal best, nodes
+        nodes += 1
+        if len(used) > best[0] or (len(used) == best[0] and cost < best[1]):
+            best = (len(used), cost)
+        for j in sorted(range(1, n), key=lambda j: arc[v][j]):
+            c = cost + arc[v][j]
+            if arc[v][j] == INF or edge[j] in used or c > deadline[j]:
+                continue
+            state = (j, used | {edge[j]})
+            if memo.get(state, INF) <= c:
+                continue
+            need = best[0] - len(used) - (c < best[1])
+            reach = set(state[1])
+            for i in range(1, n):
+                if deadline[i] == INF and edge[i] not in reach:
+                    reach.add(edge[i])
+                    need -= 1
+            for i in range(1, n):
+                if need > 0 and edge[i] not in reach and (
+                        c + arc[j][i] <= deadline[i] or c + min_out[j] + min_in[i] <= deadline[i]):
+                    reach.add(edge[i])
+                    need -= 1
+            if need > 0:
+                continue
+            memo[state] = c
+            dfs(j, c, state[1])
+
+    dfs(0, 0.0, frozenset())
+    return nodes
 
 
 def replay_tour_times(graph, visited, uav_time_offset=0.0):

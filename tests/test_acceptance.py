@@ -44,7 +44,7 @@ class TestCriterion1DStarOracle:
                 bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=10), seed=trial
             )
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             v_curr = inst.p
             path = dstar.replan(state, view, v_curr, [])
             unrevealed = sorted(inst.impeded_ids)
@@ -84,7 +84,7 @@ class TestCriterion2KsppOracle:
         for trial in range(200):
             inst = random_connected_instance(rng, n_min=5, n_max=12)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             want = [c for c, _ in oracles.all_simple_paths(inst, costs, inst.p, inst.d)[:4]]
@@ -99,7 +99,7 @@ class TestCriterion2KsppOracle:
         for trial in range(50):
             inst = random_connected_instance(rng, n_min=60, n_max=200)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             yen = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 4)
@@ -319,7 +319,7 @@ class TestCriterion8PropertySuite:
         for _ in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=14)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             assert state.queue_consistent()
             dstar.replan(state, view, inst.p, [])
             assert state.queue_consistent()
@@ -337,7 +337,7 @@ class TestCriterion8PropertySuite:
         while checked < 100:
             inst = random_connected_instance(rng, n_min=6, n_max=14, impeded_frac=0.5)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             crit = rpp.extract_critical_edges(pset, view, inst)
             if not crit:

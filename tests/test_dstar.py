@@ -11,7 +11,7 @@ from conftest import (
     line_instance,
     random_connected_instance,
 )
-from scoutplan import bench, dstar, kspp
+from scoutplan import bench, dstar
 from scoutplan.core import INF, NoPathError, PlanningCostView, dijkstra
 from scoutplan.dstar import AddressableHeap
 
@@ -71,26 +71,51 @@ class TestAddressableHeap:
 
 class TestInitialize:
     def test_postconditions(self):
+        # The first search is a plain Dijkstra: the state is drained.
         inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=5), seed=2)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
-        assert state.rhs[inst.d] == 0.0
-        assert state.g[inst.d] == INF
-        assert len(state.queue) == 1
-        assert state.queue.top() == inst.d
+        state = dstar.initialize(inst, view)
+        assert state.dest == inst.d
+        assert state.g[inst.d] == state.rhs[inst.d] == 0.0
+        assert len(state.queue) == 0
+        assert state.expansions == 0
+        assert state.g == dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
+        assert state.rhs == state.g and state.rhs is not state.g
+
+    @settings(max_examples=80, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), data=st.data())
+    def test_drained_state_is_dijkstra(self, rng, data):
+        # Views with revealed, raised and INF-priced edges: g and rhs are a
+        # full search's distances list for list, nothing is queued, and the
+        # first repair expands nothing.
+        inst = random_connected_instance(rng, n_min=4, n_max=14)
+        view = PlanningCostView(inst)
+        edges = sorted(inst.ugv_edge_ids)
+        for eid in data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="changed"):
+            view.costs[eid] = data.draw(st.sampled_from((INF, 0.5, 2.0, 7.0)), label="cost")
+        state = dstar.initialize(inst, view)
+        dist = dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
+        assert state.g == dist and state.rhs == dist
+        assert len(state.queue) == 0 and state.queue_consistent()
+        assert all(state.rhs[v] == dstar.lookahead(state, view.costs, v)
+                   for v in range(inst.n_vertices) if v != inst.d)
+        if dist[inst.p] < INF:
+            path = dstar.replan(state, view, inst.p, [])
+            assert state.expansions == 0 and path.cost == view.path_cost(path.edges)
 
     def test_state_holds_no_start_vertex(self):
         # Every repair drains the queue, so no search reads a start: the
         # start enters at the descent only.
-        assert list(inspect.signature(dstar.initialize).parameters) == ["inst", "dest"]
+        assert list(inspect.signature(dstar.initialize).parameters) == ["inst", "view"]
         assert list(inspect.signature(dstar.compute_shortest_path).parameters) == ["state", "view"]
         assert "v_curr" in inspect.signature(dstar.extract_path).parameters
-        assert not hasattr(dstar.initialize(line_instance(), 2), "v_curr")
+        inst = line_instance()
+        assert not hasattr(dstar.initialize(inst, PlanningCostView(inst)), "v_curr")
 
     def test_start_equals_dest(self):
         inst = line_instance()
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 2)
+        state = dstar.initialize(inst, view)
         path = dstar.replan(state, view, 2, [])
         assert state.g[2] == 0.0
         assert path.vertices == (2,)
@@ -99,7 +124,7 @@ class TestInitialize:
     def test_grid_matches_dijkstra(self):
         inst, _ = bench.generate_grid(bench.GridSpec(), seed=4)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
         path = dstar.replan(state, view, inst.p, [])
         costs = oracles.view_costs(inst, view)
         dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
@@ -111,7 +136,7 @@ class TestUpdateVertex:
     def setup_state(self):
         inst = line_instance((2.0, 3.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 2)
+        state = dstar.initialize(inst, view)
         return inst, view, state
 
     def test_consistent_unqueued_noop(self):
@@ -121,36 +146,40 @@ class TestUpdateVertex:
 
     def test_inconsistent_inserted(self):
         _, _, state = self.setup_state()
-        state.rhs[1] = 3.0
+        assert state.g[1] == 3.0
+        state.rhs[1] = 4.0
         dstar.update_vertex(state, 1)
         assert 1 in state.queue
-        state.queue.remove(2)  # the destination's key 0.0 precedes 1's
         assert state.queue.top() == 1
 
     def test_consistent_queued_removed(self):
         _, _, state = self.setup_state()
-        state.g[2] = 0.0  # now g == rhs == 0
-        dstar.update_vertex(state, 2)
-        assert 2 not in state.queue
+        state.rhs[1] = 4.0
+        dstar.update_vertex(state, 1)
+        state.g[1] = 4.0  # now g == rhs == 4
+        dstar.update_vertex(state, 1)
+        assert 1 not in state.queue
 
 
 class TestRhsUpdate:
-    def test_decrease_far_from_finite_region_is_noop(self):
+    def test_decrease_off_every_shortest_path_is_noop(self):
+        # The state starts drained: a decrease that leaves both endpoints'
+        # lookaheads where they were changes no rhs and queues nothing.
         inst, _ = bench.generate_grid(bench.GridSpec(rows=3, cols=4), seed=1)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
-        # No expansion yet: g is infinite everywhere, so a decrease cannot
-        # create a finite lookahead.
-        eid = 0
-        view.costs[eid] = 1.0
+        state = dstar.initialize(inst, view)
+        eid = next(e for e in sorted(inst.ugv_edge_ids)
+                   if abs(state.g[inst.edges[e].u] - state.g[inst.edges[e].v]) < view.costs[e] - 1.0)
+        view.costs[eid] -= 1.0
         before_rhs = state.rhs.copy()
         dstar.rhs_update(state, view, eid)
         assert state.rhs == before_rhs
+        assert len(state.queue) == 0
 
     def test_increase_on_line_matches_oracle(self):
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 2)
+        state = dstar.initialize(inst, view)
         dstar.replan(state, view, 0, [])
         assert state.g[0] == 2.0
         eid = edge_between(inst, 0, 1)
@@ -165,7 +194,7 @@ class TestRhsUpdate:
     def test_same_cost_update_keeps_state(self):
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 2)
+        state = dstar.initialize(inst, view)
         dstar.replan(state, view, 0, [])
         g0, rhs0 = state.g.copy(), state.rhs.copy()
         eid = edge_between(inst, 0, 1)
@@ -177,7 +206,7 @@ class TestComputeShortestPath:
     def test_second_run_expands_nothing(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=5, cols=6), seed=9)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
         dstar.replan(state, view, inst.p, [])
         before = state.expansions
         dstar.replan(state, view, inst.p, [])
@@ -188,10 +217,10 @@ class TestComputeShortestPath:
         # repair re-expands only the vertices whose distance changed.
         inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
         path = dstar.replan(state, view, inst.p, [])
-        initial = state.expansions
-        assert initial >= inst.n_vertices  # the first search settles every vertex
+        assert state.expansions == 0  # the first search is core.dijkstra's
+        initial = inst.n_vertices  # what it settles: every vertex
         rng = random.Random(0)
         hidden = sorted(inst.impeded_ids)
         rng.shuffle(hidden)
@@ -209,7 +238,7 @@ class TestComputeShortestPath:
         # Hide the only edges around the start to cut it off.
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, 2)
+        state = dstar.initialize(inst, view)
         dstar.replan(state, view, 0, [])
         eid = edge_between(inst, 0, 1)
         view.costs[eid] = INF
@@ -219,7 +248,7 @@ class TestComputeShortestPath:
     def test_queue_invariant_after_operations(self, rng):
         inst = random_connected_instance(rng, n_min=8, n_max=14)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
         assert state.queue_consistent()
         dstar.replan(state, view, inst.p, [])
         assert state.queue_consistent()
@@ -238,7 +267,7 @@ class TestReplanOracle:
             bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=6), seed=seed
         )
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
         unrevealed = sorted(inst.impeded_ids)
@@ -291,7 +320,7 @@ class TestReplanStateful:
         inst = random_connected_instance(rng, n_min=5, n_max=12)
         edges = sorted(inst.ugv_edge_ids)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
         for _ in range(data.draw(st.integers(1, 10), label="steps")):
@@ -323,10 +352,6 @@ class TestReplanStateful:
                 assert len(set(path.vertices)) == len(path.vertices)
             assert state.queue_consistent()
             assert state.g == dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
-            tree = kspp.ReverseTree(inst, view, state)
-            for v, eid in enumerate(tree.parent):
-                if eid < 0:
-                    assert v == inst.d or state.g[v] == INF
-                else:
-                    w = inst.edges[eid].other(v)
-                    assert view.costs[eid] + state.g[w] == state.g[v]
+            parents = oracles.tree_parents(inst, oracles.view_costs(inst, view), state.g)
+            for v, eid in enumerate(parents):
+                assert (eid < 0) == (v == inst.d or state.g[v] == INF)

@@ -63,14 +63,37 @@ def straight_line_instance(rng, n, shrink_one=False):
 
 def reverse_tree(inst, view):
     """The spur tree a k-path update builds: read off a drained D* state."""
-    state = dstar.initialize(inst, inst.d)
-    dstar.compute_shortest_path(state, view)
-    return kspp.ReverseTree(inst, view, state)
+    return kspp.ReverseTree(inst, view, dstar.initialize(inst, view))
+
+
+def eager_parents(inst, view):
+    """The spur tree's parent edges under the view, by the eager rule."""
+    costs = oracles.view_costs(inst, view)
+    return oracles.tree_parents(inst, costs, oracles.dijkstra_to_dest(inst, costs, inst.d))
+
+
+def hidden_edges(tree):
+    """The edges a tree has hidden: those it prices apart from the view."""
+    return {e for e, c in enumerate(tree.cost) if c != tree.view_costs[e]}
+
+
+def check_marks(tree, limit):
+    """What a search with this limit reads of the marks: every yellow vertex
+    (``yellow_set`` under the eager parents) no farther than one float past
+    the limit is marked, and every marked vertex is yellow."""
+    inst = tree.inst
+    costs = {eid: tree.view_costs[eid] for eid in inst.ugv_edge_ids}
+    parents = oracles.tree_parents(inst, costs, oracles.dijkstra_to_dest(inst, costs, inst.d))
+    yellow = yellow_set(inst, parents, hidden_edges(tree))[0]
+    cap = math.nextafter(limit, INF)
+    marked = set(tree.marked)
+    assert len(marked) == len(tree.marked)
+    assert {v for v in yellow if tree.dist[v] <= cap} <= marked <= yellow
 
 
 def plan(inst, view, k, updates=None, state=None, v_curr=None):
     if state is None:
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
     return (
         kspp.update_k_paths(inst, view, state, inst.p if v_curr is None else v_curr, updates or [], k),
         state,
@@ -94,7 +117,7 @@ class TestBasics:
     def test_no_path_raises(self):
         inst = diamond()
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, inst.d)
+        state = dstar.initialize(inst, view)
         ups = []
         for a, b in ((0, 1), (0, 2)):
             eid = edge_between(inst, a, b)
@@ -118,14 +141,16 @@ class TestBasics:
 
 class TestSuppression:
     """The tree hides what textbook Yen hides (``oracles.yen_hidden_edges``)
-    and marks the subtrees below the hidden tree edges.  On the diamond the
-    tree runs 3-1-0 and 3-2, so only the edges 0-1 and 1-3 are tree edges."""
+    and, once asked to mark, marks the subtrees below the hidden tree edges.
+    On the diamond the tree runs 3-1-0 and 3-2, so only the edges 0-1 and
+    1-3 are tree edges."""
 
     @staticmethod
     def hide(inst, tree, accepted, root):
         hidden = oracles.yen_hidden_edges(inst, accepted, root)
         tree.hide(hidden)
-        assert sorted(tree.hidden) == sorted(hidden)
+        assert hidden_edges(tree) == hidden
+        tree.mark()
         return {v for v in range(inst.n_vertices) if tree.yellow[v]}
 
     def test_single_vertex_root_removes_no_nodes(self):
@@ -171,21 +196,23 @@ class TestSuppression:
             for _ in range(3):
                 for _ in range(3):
                     tree.hide(rng.sample(ugv_edges, rng.randint(1, len(ugv_edges))))
+                tree.mark()
                 assert tree.marked
                 tree.reset()
                 assert tree.cost == view.costs
                 assert not any(tree.yellow)
-                assert tree.hidden == [] and tree.marked == []
+                assert tree.marked == []
             plan(inst, view, 4)
             assert view.costs == before
 
     def test_hidden_edges_match_textbook_yen(self, monkeypatch, rng):
         # At every spur a k-path update bounds, searched or pruned, the tree
         # hides exactly what textbook Yen hides for that root, given the
-        # paths accepted so far, prices exactly those edges at INF and marks
-        # exactly their subtrees.  The path being spurred is the last
-        # accepted one when the tree was last reset, and a search follows
-        # the bound of its own spur.
+        # paths accepted so far, and prices exactly those edges at INF.  At
+        # every search, the only reader of the marks, it has marked their
+        # subtrees as far as the search's limit.  The path being spurred is
+        # the last accepted one when the tree was last reset, and a search
+        # follows the bound of its own spur.
         seen = []
         search = kspp.spur_search
         reset = kspp.ReverseTree.reset
@@ -196,30 +223,30 @@ class TestSuppression:
             reset(tree)
 
         def recording_bound(tree, spur):
-            changed = {e for e, c in enumerate(tree.cost) if c != tree.view_costs[e]}
-            assert changed == set(tree.hidden) and len(tree.hidden) == len(changed)
-            assert len(tree.marked) == len(set(tree.marked))
-            seen.append((tree.resets, spur, changed, set(tree.marked), tree.parent))
+            seen.append([tree.resets, spur, hidden_edges(tree), False])
             return lower_bound(tree, spur)
 
         def recording_search(tree, spur, limit):
-            assert seen[-1][:2] == (tree.resets, spur)
-            return search(tree, spur, limit)
+            assert seen[-1][:2] == [tree.resets, spur]
+            found = search(tree, spur, limit)
+            check_marks(tree, limit)
+            seen[-1][3] = True
+            return found
 
         monkeypatch.setattr(kspp.ReverseTree, "reset", counting_reset)
         monkeypatch.setattr(kspp.ReverseTree, "lower_bound", recording_bound)
         monkeypatch.setattr(kspp, "spur_search", recording_search)
-        checked = deep = shared = 0
+        checked = searched = deep = shared = 0
 
         def check(inst, view, pset):
-            nonlocal checked, deep, shared
-            for m, spur, hidden, marked, parent in seen:
+            nonlocal checked, searched, deep, shared
+            for m, spur, hidden, was_searched in seen:
                 accepted = [p.vertices for p in pset.paths[:m]]
                 walked = accepted[-1]
                 root = walked[: walked.index(spur) + 1]
                 assert hidden == oracles.yen_hidden_edges(inst, accepted, root)
-                assert marked == yellow_set(inst, parent, hidden)[0]
                 checked += 1
+                searched += was_searched
                 deep += m > 1 and len(root) > 1
                 shared += sum(p[: len(root)] == root for p in accepted) > 1
             seen.clear()
@@ -231,7 +258,7 @@ class TestSuppression:
         for _ in range(12):
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             v_curr = inst.p
             pset = kspp.update_k_paths(inst, view, state, v_curr, [], 7)
             check(inst, view, pset)
@@ -241,7 +268,7 @@ class TestSuppression:
                     v_curr = pset.paths[0].vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], rng.choice([4, 7]))
                 check(inst, view, pset)
-        assert checked > 500 and deep > 300 and shared > 70
+        assert checked > 500 and searched > 300 and deep > 300 and shared > 70
 
 
 def spur_distance(cost, edges):
@@ -255,7 +282,7 @@ def spur_distance(cost, edges):
 
 def yellow_set(inst, parent, hidden):
     """Vertices whose path in the shortest-path tree given by ``parent``
-    (edge ids, as ``ReverseTree.parent``) crosses a hidden edge, and the
+    (edge ids, as ``oracles.tree_parents``) crosses a hidden edge, and the
     tree's edge ids."""
     crosses = {}
     for v in range(inst.n_vertices):
@@ -286,6 +313,7 @@ class TestSpurSearch:
         costs = oracles.view_costs(inst, view)
         paths = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 3)
         tree = reverse_tree(inst, view)
+        parents = eager_parents(inst, view)
         ugv_edges = sorted(inst.ugv_edge_ids)
         outside = mixed = 0
         for _ in range(trials):
@@ -300,7 +328,7 @@ class TestSpurSearch:
                 spurs = [((rng.randrange(inst.n_vertices),), hidden)]
             tree.reset()
             for root, hidden in spurs:
-                yellow, tree_edges = yellow_set(inst, tree.parent, hidden)
+                yellow, tree_edges = yellow_set(inst, parents, hidden)
                 outside += root[-1] not in yellow
                 mixed += bool(hidden & tree_edges) and bool(hidden - tree_edges)
                 want = oracles.shortest_path(
@@ -378,11 +406,12 @@ class TestSpurSearch:
         )
         view = PlanningCostView(inst)
         tree = reverse_tree(inst, view)
+        parents = eager_parents(inst, view)
         path, settled = kspp.spur_search(tree, 0, INF)
         assert path == ((0, 1, 3, 4, 5), edge_walk(inst, (0, 1, 3, 4, 5)))
         assert settled == 0  # nothing hidden: the tree path is the answer
         hidden = {edge_between(inst, 4, 5)}
-        assert yellow_set(inst, tree.parent, hidden)[0] == {0, 1, 2, 3, 4}
+        assert yellow_set(inst, parents, hidden)[0] == {0, 1, 2, 3, 4}
         tree.hide(hidden)
         path, _ = kspp.spur_search(tree, 0, INF)
         assert path == ((0, 1, 3, 4, 6, 5), edge_walk(inst, (0, 1, 3, 4, 6, 5)))
@@ -394,6 +423,7 @@ class TestSpurSearch:
         costs = oracles.view_costs(inst, view)
         best = oracles.shortest_path(inst, costs, inst.p, inst.d)
         tree = reverse_tree(inst, view)
+        parents = eager_parents(inst, view)
         settled = yellow = 0
         for i in range(1, len(best)):
             root = best[:i]
@@ -406,7 +436,7 @@ class TestSpurSearch:
             got, n = kspp.spur_search(tree, root[-1], INF)
             assert got == (None if want is None else (want, edge_walk(inst, want)))
             settled += n
-            yellow += len(yellow_set(inst, tree.parent, hidden)[0])
+            yellow += len(yellow_set(inst, parents, hidden)[0])
         assert 0 < settled < yellow // 3
 
     def test_isolated_spur_is_not_searched(self):
@@ -440,7 +470,7 @@ class TestSpurSearch:
         hidden = {eid for v in block for w, eid in inst.ugv_adj[v] if w not in block}
         assert inst.d not in block
         tree = reverse_tree(inst, view)
-        yellow, _ = yellow_set(inst, tree.parent, hidden)
+        yellow, _ = yellow_set(inst, eager_parents(inst, view), hidden)
         tree.hide(hidden)
         path, settled = kspp.spur_search(tree, centre, INF)
         assert path is None
@@ -453,7 +483,7 @@ class TestSharedStateIsolation:
         for _ in range(10):
             inst = random_connected_instance(rng)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             kspp.update_k_paths(inst, view, state, inst.p, [], 1)
             g0, rhs0 = state.g.copy(), state.rhs.copy()
             heap0, live0 = list(state.queue._heap), dict(state.queue._live)
@@ -482,7 +512,7 @@ class TestOracleEquivalence:
         for _ in range(12):
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 7)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids)[:4]:
@@ -535,7 +565,7 @@ class TestOracleEquivalence:
         for trial in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=10)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, inst.d)
+            state = dstar.initialize(inst, view)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids):
@@ -590,7 +620,7 @@ def _ranked_updates(inst, reveals, k):
         return dijkstra(adj, frontier, cost, target, dist=dist)
 
     view = PlanningCostView(inst)
-    state = dstar.initialize(inst, inst.d)
+    state = dstar.initialize(inst, view)
     v_curr, changed, out = inst.p, [], []
     with mock.patch.object(kspp, "spur_search", recording_search), \
             mock.patch.object(kspp, "dijkstra", checked_dijkstra):
@@ -623,3 +653,70 @@ def test_bound_ranks_what_the_unbounded_update_ranks(mission, k):
         assert got.searches + got.pruned == full.searches
         assert got.settled <= full.settled
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(mission=_tie_heavy_missions(), k=st.integers(2, 6))
+def test_parents_the_tree_reads_match_the_eager_rule(mission, k):
+    # Integer costs tie often, so many vertices have more than one tight
+    # edge: every parent a k-path update's tree reads is the first tight
+    # edge in adjacency order, as the eager rule gives it, and every search
+    # sees the yellow set that rule's tree gives, as far as its limit.
+    inst, reveals = mission
+    search = kspp.spur_search
+    view = PlanningCostView(inst)
+    trees = []
+
+    def recording_search(tree, spur, limit):
+        found = search(tree, spur, limit)
+        check_marks(tree, limit)
+        trees.append(tree)
+        return found
+
+    state = dstar.initialize(inst, view)
+    v_curr, changed = inst.p, []
+    with mock.patch.object(kspp, "spur_search", recording_search):
+        for eid, high in [(None, 0)] + reveals:
+            if eid is not None:
+                view.reveal(eid, float(inst.edges[eid].distribution.bounds()[high]))
+                changed = [eid]
+            pset = kspp.update_k_paths(inst, view, state, v_curr, changed, k)
+            parents = eager_parents(inst, view)
+            for tree in trees:
+                assert all(p in (-2, want) for p, want in zip(tree.parent, parents))
+            trees.clear()
+            if len(pset.paths[0].vertices) > 2:
+                v_curr = pset.paths[0].vertices[1]
+
+
+def test_marking_to_the_limit_searches_as_full_marking_does(rng):
+    # Each search of a k-path update against the same search from a tree
+    # with the same hidden edges and every yellow vertex marked: the marks
+    # left past the limit change neither the path nor the vertices settled,
+    # not even at a spur whose every seed runs through such a vertex.
+    search = kspp.spur_search
+    compared = 0
+
+    def compared_search(tree, spur, limit):
+        nonlocal compared
+        full = kspp.ReverseTree(tree.inst, view, state)
+        full.hide(hidden_edges(tree))
+        full.mark()
+        got = search(tree, spur, limit)
+        assert got == search(full, spur, limit)
+        compared += limit < INF
+        return got
+
+    with mock.patch.object(kspp, "spur_search", compared_search):
+        for _ in range(40):
+            inst = random_connected_instance(rng, n_min=8, n_max=40)
+            view = PlanningCostView(inst)
+            state = dstar.initialize(inst, view)
+            k, v_curr = rng.randint(2, 7), inst.p
+            pset = kspp.update_k_paths(inst, view, state, v_curr, [], k)
+            for eid in sorted(inst.impeded_ids)[:4]:
+                view.reveal(eid, inst.edges[eid].distribution.sample(rng))
+                if len(pset.paths[0].vertices) > 2:
+                    v_curr = pset.paths[0].vertices[1]
+                pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], k)
+    assert compared > 300

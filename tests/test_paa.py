@@ -10,7 +10,7 @@ from scoutplan.paa import PaaContext
 
 
 def make_context(inst, view, k, uav_pos=None):
-    state = dstar.initialize(inst, inst.d)
+    state = dstar.initialize(inst, view)
     pset = kspp.update_k_paths(inst, view, state, inst.p, [], k)
     crit = rpp.extract_critical_edges(pset, view, inst)
     ctx = PaaContext(

@@ -11,7 +11,7 @@ from scoutplan.core import INF, PlanningCostView, UavMetric
 
 
 def plan_paths(inst, view, k):
-    state = dstar.initialize(inst, inst.d)
+    state = dstar.initialize(inst, view)
     return kspp.update_k_paths(inst, view, state, inst.p, [], k)
 
 
@@ -383,3 +383,12 @@ class TestPlanExpansion:
             last_tau = g.nodes[sol.best_visited[-1]].tau
             total = sum(leg.duration for leg in legs)
             assert total == pytest.approx(sol.best_cost + last_tau, rel=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=_tour_graphs())
+def test_dfs_enters_the_nodes_its_rules_enter(graph):
+    # The search's shortcuts, the precomputed masks and the pre-check before
+    # the count bound's scan, change no decision: it enters exactly the
+    # nodes its rules, spelled out in the oracle, enter.
+    assert rpp.rpp_dfs(graph).nodes == oracles.rpp_dfs_nodes(graph)

@@ -181,9 +181,7 @@ def test_spur_search_early_stop_equals_full_search(mission, data):
     for eid in sorted(inst.impeded_ids):
         if data.draw(st.booleans(), label="reveal"):
             view.reveal(eid, real[eid])
-    state = dstar.initialize(inst, inst.d)
-    dstar.compute_shortest_path(state, view)
-    tree = kspp.ReverseTree(inst, view, state)
+    tree = kspp.ReverseTree(inst, view, dstar.initialize(inst, view))
     edges = sorted(inst.ugv_edge_ids)
     tree.hide(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="hidden"))
     spur = data.draw(st.integers(0, inst.n_vertices - 1), label="spur")
@@ -218,7 +216,7 @@ def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
                  for eid in inst.ugv_edge_ids}
         dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
         assert sim.lower_bound(inst, real) == pytest.approx(dist[inst.p], rel=1e-12)
-        pset = kspp.update_k_paths(inst, view, dstar.initialize(inst, inst.d), inst.p, [], 4)
+        pset = kspp.update_k_paths(inst, view, dstar.initialize(inst, view), inst.p, [], 4)
         yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), inst.p, inst.d, 4)
         assert [p.vertices for p in pset] == yen
 
