@@ -212,6 +212,8 @@ class Realization:
             raise InstanceError("realization domain must be exactly the impeded set")
         for eid, c in true_cost.items():
             lo, hi = inst.edges[eid].distribution.bounds()
+            if not _positive_finite(c):
+                raise InstanceError(f"edge {eid}: true cost {c} is not finite and positive")
             if not lo - _EPS <= c <= hi + _EPS:
                 raise InstanceError(
                     f"edge {eid}: true cost {c} outside [{lo}, {hi}]"
@@ -341,8 +343,9 @@ def dijkstra(
     frontier vertices: the search starts from each of them at its ``dist``
     entry instead of from one vertex at 0, and writes into ``dist``.  Every
     other finite entry must be final, at most what any path from the
-    frontier gives, so the search never improves it; the paths from the
-    frontier then play the part of the source's in everything above.
+    frontier gives, so the search never improves it, or no less than the
+    target's, so it is popped only once a path improves it; the paths from
+    the frontier then play the part of the source's in everything above.
     """
     n = len(adj)
     if dist is None:

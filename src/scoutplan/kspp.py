@@ -6,10 +6,9 @@ update's spur searches share the reverse shortest-path tree they define
 (Feng's node classification) and re-derive only the "yellow" vertices,
 whose tree paths cross a hidden edge, read only as far as a search reads.
 Lawler's rule spurs a path only from where it left its parent, and only
-what can be ranked is searched for (Martins and Pascoal): a spur whose tree
-lower bound exceeds X, the cost above which nothing can be ranked, is
-skipped, and a search is capped at X less its root's cost and seeds no
-yellow vertex beyond that limit.
+what can be ranked is searched for (Martins and Pascoal): a spur is judged
+by one limit, X (the cost above which nothing can be ranked) less its
+root's cost, which never rises along a walk of a path.
 """
 
 from __future__ import annotations
@@ -58,10 +57,9 @@ class ReverseTree:
     tight edge in ``ugv_adj`` order under the view's costs, which the
     drained state keeps at every reachable vertex but the destination (-1:
     none, -2: unread).  ``cost`` copies the view's costs with the hidden
-    edges at INF.  The yellow vertices, the subtrees below the hidden tree
-    edges, are ``marked`` within ``mark``'s last ``bound``; ``roots`` (from
-    ``hide``) and ``beyond`` (past the bound) hold the (v, e) pairs left to
-    walk down from, v yellow if e is its parent edge.
+    edges at INF.  ``mark`` flags the yellow vertices, the subtrees below
+    the hidden tree edges, walking down from the (v, e) ``roots`` that
+    ``hide`` queues (v yellow if e is its parent edge).
     """
 
     def __init__(self, inst: ProblemInstance, view: PlanningCostView, state: DStarState):
@@ -84,20 +82,22 @@ class ReverseTree:
             if c + dist[e.u] == dist[e.v] < INF:
                 self.roots.append((e.v, eid))
 
-    def mark(self, bound: float = INF) -> None:
-        """Mark the yellow vertices no farther than ``bound``: a child (a
-        neighbour whose parent edge leads here) is no nearer, so a subtree is
-        walked down to the bound, and pairs past it wait for a larger one."""
-        adj, dist, cost, parent, yellow, marked = (
-            self.inst.ugv_adj, self.dist, self.view_costs, self.parent, self.yellow, self.marked)
+    def mark(self, bound: float) -> list[int]:
+        """Flag the yellow vertices within ``bound``, walking each subtree
+        down to it (a child is no nearer), and list them in ``marked``.
+        Bounds must not rise between resets: what lies past one is dropped
+        for good from the walk and the list, though it stays flagged."""
         if bound > self.bound:
-            self.roots, self.beyond = self.roots + self.beyond, []
+            raise ValueError(f"mark bound {bound} rises above {self.bound}")
+        adj, dist, cost, parent, yellow = (
+            self.inst.ugv_adj, self.dist, self.view_costs, self.parent, self.yellow)
+        marked = self.marked = [v for v in self.marked if dist[v] <= bound]
         stack, self.roots, self.bound = self.roots, [], bound
         while stack:
             v, e = stack.pop()
-            if yellow[v]:
-                continue
             p, dv = parent[v], dist[v]
+            if yellow[v] or dv > bound:
+                continue
             if p == -2:  # read v's parent
                 for w, p in adj[v]:
                     if cost[p] + dist[w] == dv:
@@ -105,14 +105,12 @@ class ReverseTree:
                 parent[v] = p
             if p != e:
                 continue
-            if dv > bound:
-                self.beyond.append((v, e))
-                continue
             yellow[v] = 1
             marked.append(v)
             for x, eid in adj[v]:
                 if cost[eid] + dv == dist[x] < INF and not yellow[x]:
                     stack.append((x, eid))
+        return marked
 
     def lower_bound(self, v: int) -> float:
         """min(cost + dist) over v's edges: no path from v costs less."""
@@ -122,7 +120,7 @@ class ReverseTree:
         """Restore the view's costs and clear the hidden edges and marks."""
         self.cost = self.view_costs.copy()
         self.yellow = bytearray(len(self.dist))
-        self.roots, self.beyond, self.marked, self.bound = [], [], [], INF
+        self.roots, self.marked, self.bound = [], [], INF
 
 
 def spur_search(
@@ -135,31 +133,25 @@ def spur_search(
     Hiding edges only removes paths, so no vertex gets closer to the
     destination than its tree distance, and one outside the yellow set
     keeps it, bit for bit.  A shortest path to a yellow vertex enters the
-    set by one last edge from outside, so each one within the limit is
-    seeded with min(edge cost + tree distance) over its neighbours outside
-    the set; the rest lie on no path within it and get INF unscanned.  With
-    the spur capped one float above the limit, ``core.dijkstra`` runs until
-    it pops a distance above the spur's: a spur still at the cap has no path
-    within the limit, else every vertex up to the spur holds a full search's
-    distance and the descent walks a full search's path, lowest id on ties.
-    Yellow vertices past the cap, but for the spur's neighbours, are left
-    unmarked: they give only sums past it, which are never popped or
-    descended to, while a seeded spur is pushed at the cap.
+    set by one last edge from outside, so each one marked within the limit
+    gets min(edge cost + tree distance) over its neighbours outside the
+    set, a seed if below the cap, one float above the limit.  With the
+    spur capped there too, ``core.dijkstra`` runs until it pops a distance
+    above the spur's: a spur still at the cap has no path within the
+    limit, else every vertex up to the spur holds a full search's distance
+    and the descent walks a full search's path, lowest id on ties.  A
+    yellow vertex past the limit keeps its tree distance, or gives sums
+    from it, at or past the cap: never lowered, popped or descended to.
     """
-    adj, cost, yellow, tree_dist = tree.inst.ugv_adj, tree.cost, tree.yellow, tree.dist
+    adj, cost, yellow = tree.inst.ugv_adj, tree.cost, tree.yellow
     cap = math.nextafter(limit, INF)
-    tree.mark(max([cap] + [tree_dist[w] for w, eid in adj[spur] if cost[eid] < INF]))
-    dist, frontier = tree_dist.copy(), []
-    for y in tree.marked:
-        best = INF
-        if tree_dist[y] <= limit:
-            for w, eid in adj[y]:
-                if not yellow[w]:
-                    alt = dist[w] + cost[eid]
-                    if alt < best:
-                        best = alt
-        dist[y] = best
-        if best < INF:
+    dist, frontier = tree.dist.copy(), []
+    for y in tree.mark(limit):
+        dist[y] = INF
+        for w, eid in adj[y]:
+            if not yellow[w] and (alt := dist[w] + cost[eid]) < dist[y]:
+                dist[y] = alt
+        if dist[y] < cap:
             frontier.append(y)
     dist[spur] = min(dist[spur], cap)
     _, _, settled = dijkstra(adj, frontier, cost, spur, dist=dist)
@@ -192,15 +184,18 @@ def update_k_paths(
     round pops the cheapest and ``need`` falls by one), so it is dropped; a
     vertex sequence has one cost (no parallel edges), so it is dropped again
     if found again.  Ties with X are kept, as the pool orders them by
-    vertices.  A spur is pruned when its root's cost plus the tree's lower
-    bound exceeds X, and otherwise searched within X less the root's cost.
+    vertices.  A spur is pruned when the tree's lower bound exceeds its
+    ``limit``, X less the root's cost, and otherwise searched within it;
+    along a walk X falls and the root's cost grows, so the limits never rise.
 
     Rounding.  Costs are non-negative and a path has under n = len(ugv_adj)
     edges.  A candidate's cost, a spur distance (at most the float sum from
     the destination along any path: rounding is monotone) and a root's cost
     plus either each sum one path's edges in some order, so each is within a
     relative (n-1)*2**-53 of the exact sum (Jeannerod and Rump 2013), and X
-    scaled by 1 + 4n*2**-53 covers both sides and the limit's subtraction.
+    scaled by 1 + 4n*2**-53 covers both sides and the limit's subtraction:
+    a rankable spur's distance is at most the limit, and so is the lower
+    bound, as a non-yellow vertex's tight edge sums exactly to its distance.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -227,14 +222,14 @@ def update_k_paths(
             tree.hide([p.edges[j] for p in sharing])
             if j < first:
                 continue
-            bound = tree.lower_bound(spur)
+            bound, limit = tree.lower_bound(spur), x * slack - root_cost
             if bound == INF:  # every edge at the spur is hidden: tree distances are finite
                 isolated += 1
                 continue
-            if root_cost + bound > x * slack:
+            if bound > limit:
                 pruned += 1
                 continue
-            spur_path, n_settled = spur_search(tree, spur, x * slack - root_cost)
+            spur_path, n_settled = spur_search(tree, spur, limit)
             searches += 1
             settled += n_settled
             if spur_path is None:

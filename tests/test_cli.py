@@ -204,6 +204,22 @@ class TestSimulate:
             assert run_cli("simulate", "--instance", str(path), "--realization", rp) == DATA_ERROR
             assert capsys.readouterr().err.startswith(f"data error: {path}:")
 
+    def test_zero_true_cost_is_data_error(self, tmp_path, capsys):
+        # A bound of 1e-12 lets a true cost of 0.0 pass the 1e-9 slack, but
+        # a zero cost is not a cost: the file is rejected naming the edge,
+        # instead of the mission failing later with no path.
+        ip, rp = tmp_path / "inst.txt", tmp_path / "real.txt"
+        ip.write_text(
+            "sapp 1\nv 0 0.0 0.0\nv 1 1.0 0.0\nv 2 1.0 1.0\nv 3 0.0 1.0\n"
+            "e 0 0 1 - 0.5 U 1e-12 1.0\ne 1 1 2 1.0 0.5 -\ne 2 0 3 1.0 0.5 -\n"
+            "e 3 2 3 1.0 0.5 -\nmeta p=0 q=3 d=2 uav_speed=2.0 free_flight=1\n"
+        )
+        rp.write_text("r 0 0.0\n")
+        rc = run_cli("simulate", "--instance", str(ip), "--realization", str(rp), "--planner", "paa")
+        assert rc == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"data error: {rp}: edge 0: true cost 0.0 is not finite and positive\n")
+
     def test_missing_instance_is_runtime_error(self, tmp_path):
         _, rp = self.write_pair(tmp_path)
         rc = run_cli("simulate", "--instance", str(tmp_path / "nope.txt"), "--realization", rp)

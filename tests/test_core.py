@@ -415,3 +415,12 @@ class TestFiles:
         inst = build_instance(coords, [(0, 1, (1.0, 2.0))])
         with pytest.raises(InstanceError, match="outside"):
             Realization(inst, {0: 5.0})
+
+    @pytest.mark.parametrize("cost", [-5e-10, 0.0, float("nan"), float("inf")])
+    def test_realization_cost_must_be_finite_and_positive(self, cost):
+        # Within the 1e-9 slack of a 1e-12 bound, yet no cost: a negative
+        # one would make every Dijkstra search relax the edge forever.
+        coords = [(0.0, 0.0), (1.0, 0.0)]
+        inst = build_instance(coords, [(0, 1, (1e-12, 1.0))])
+        with pytest.raises(InstanceError, match="edge 0: true cost .* is not finite and positive"):
+            Realization(inst, {0: cost})

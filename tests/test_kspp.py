@@ -78,17 +78,16 @@ def hidden_edges(tree):
 
 
 def check_marks(tree, limit):
-    """What a search with this limit reads of the marks: every yellow vertex
-    (``yellow_set`` under the eager parents) no farther than one float past
-    the limit is marked, and every marked vertex is yellow."""
+    """What a search with this limit reads of the marks: the marked vertices
+    are exactly the yellow ones (``yellow_set`` under the eager parents) no
+    farther than the limit."""
     inst = tree.inst
     costs = {eid: tree.view_costs[eid] for eid in inst.ugv_edge_ids}
     parents = oracles.tree_parents(inst, costs, oracles.dijkstra_to_dest(inst, costs, inst.d))
     yellow = yellow_set(inst, parents, hidden_edges(tree))[0]
-    cap = math.nextafter(limit, INF)
     marked = set(tree.marked)
     assert len(marked) == len(tree.marked)
-    assert {v for v in yellow if tree.dist[v] <= cap} <= marked <= yellow
+    assert marked == {v for v in yellow if tree.dist[v] <= limit}
 
 
 def plan(inst, view, k, updates=None, state=None, v_curr=None):
@@ -150,7 +149,7 @@ class TestSuppression:
         hidden = oracles.yen_hidden_edges(inst, accepted, root)
         tree.hide(hidden)
         assert hidden_edges(tree) == hidden
-        tree.mark()
+        tree.mark(INF)
         return {v for v in range(inst.n_vertices) if tree.yellow[v]}
 
     def test_single_vertex_root_removes_no_nodes(self):
@@ -196,7 +195,7 @@ class TestSuppression:
             for _ in range(3):
                 for _ in range(3):
                     tree.hide(rng.sample(ugv_edges, rng.randint(1, len(ugv_edges))))
-                tree.mark()
+                tree.mark(INF)
                 assert tree.marked
                 tree.reset()
                 assert tree.cost == view.costs
@@ -205,6 +204,20 @@ class TestSuppression:
             plan(inst, view, 4)
             assert view.costs == before
 
+    def test_rising_mark_bound_is_refused(self):
+        # Within a walk the limits only fall: marks past one are dropped for
+        # good, so a larger bound before the next reset is an error.
+        inst = diamond()
+        tree = reverse_tree(inst, PlanningCostView(inst))
+        tree.hide([edge_between(inst, 1, 3)])
+        assert sorted(tree.mark(INF)) == [0, 1]
+        assert tree.mark(0.5) == []
+        with pytest.raises(ValueError):
+            tree.mark(2.0)
+        tree.reset()
+        tree.hide([edge_between(inst, 1, 3)])
+        assert sorted(tree.mark(2.0)) == [0, 1]
+
     def test_hidden_edges_match_textbook_yen(self, monkeypatch, rng):
         # At every spur a k-path update bounds, searched or pruned, the tree
         # hides exactly what textbook Yen hides for that root, given the
@@ -212,15 +225,23 @@ class TestSuppression:
         # every search, the only reader of the marks, it has marked their
         # subtrees as far as the search's limit.  The path being spurred is
         # the last accepted one when the tree was last reset, and a search
-        # follows the bound of its own spur.
-        seen = []
+        # follows the bound of its own spur.  The limits the searches mark
+        # to never rise between resets.
+        seen, limits = [], []
         search = kspp.spur_search
         reset = kspp.ReverseTree.reset
         lower_bound = kspp.ReverseTree.lower_bound
+        mark = kspp.ReverseTree.mark
 
         def counting_reset(tree):
             tree.resets = getattr(tree, "resets", 0) + 1
+            tree.limits = []
+            limits.append(tree.limits)
             reset(tree)
+
+        def recording_mark(tree, bound):
+            tree.limits.append(bound)
+            return mark(tree, bound)
 
         def recording_bound(tree, spur):
             seen.append([tree.resets, spur, hidden_edges(tree), False])
@@ -235,6 +256,7 @@ class TestSuppression:
 
         monkeypatch.setattr(kspp.ReverseTree, "reset", counting_reset)
         monkeypatch.setattr(kspp.ReverseTree, "lower_bound", recording_bound)
+        monkeypatch.setattr(kspp.ReverseTree, "mark", recording_mark)
         monkeypatch.setattr(kspp, "spur_search", recording_search)
         checked = searched = deep = shared = 0
 
@@ -269,6 +291,8 @@ class TestSuppression:
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], rng.choice([4, 7]))
                 check(inst, view, pset)
         assert checked > 500 and searched > 300 and deep > 300 and shared > 70
+        assert all(walk == sorted(walk, reverse=True) for walk in limits)
+        assert sum(len(walk) > 1 for walk in limits) > 100
 
 
 def spur_distance(cost, edges):
@@ -344,10 +368,12 @@ class TestSpurSearch:
                 if got is not None and got[1]:
                     # The limit admits a path of exactly its cost, and
                     # nothing one float below it; the capped searches
-                    # settle no more than the uncapped one.
-                    d = spur_distance(tree.cost, got[1])
+                    # settle no more than the uncapped one.  They run on
+                    # the fresh tree, as the shared one searches at INF
+                    # again at its next root.
+                    d = spur_distance(fresh.cost, got[1])
                     for limit, found in ((d, got), (math.nextafter(d, 0.0), None)):
-                        path, n = kspp.spur_search(tree, root[-1], limit)
+                        path, n = kspp.spur_search(fresh, root[-1], limit)
                         assert path == found and n <= settled
                 assert view.costs == shared
         return outside, mixed
@@ -701,7 +727,7 @@ def test_marking_to_the_limit_searches_as_full_marking_does(rng):
         nonlocal compared
         full = kspp.ReverseTree(tree.inst, view, state)
         full.hide(hidden_edges(tree))
-        full.mark()
+        full.mark(INF)
         got = search(tree, spur, limit)
         assert got == search(full, spur, limit)
         compared += limit < INF
