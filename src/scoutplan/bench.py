@@ -24,7 +24,6 @@ from .core import (
     EdgeRecord,
     INF,
     InstanceError,
-    PlanningCostView,
     ProblemInstance,
     Realization,
     UniformCost,
@@ -73,6 +72,8 @@ class BridgeSpec:
         check_at_least("chain_len", self.chain_len, 2)
         check_at_least("n_paths", self.n_paths, 1)
         check_positive("impeded_per_path", self.impeded_per_path)
+        if self.impeded_per_path >= 1 and self.impeded_per_path % 1:
+            raise ValueError(f"impeded_per_path of 1 or more is a count, so whole, got {self.impeded_per_path!r}")
         check_fraction("bridge_fraction", self.bridge_fraction)
         if type(self.adversarial) is not bool:
             raise ValueError(f"adversarial must be true or false, got {self.adversarial!r}")
@@ -155,6 +156,8 @@ class ExperimentSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         for planner in self.planners:
+            if planner == "naive":
+                raise ValueError("planners must not list naive: the naive baseline always runs")
             if planner not in sim.PLANNERS:
                 raise ValueError(f"unknown planner {planner!r}")
         for k in self.k_values:
@@ -310,7 +313,7 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
     )
 
     if spec.adversarial:
-        _, parent, _ = dijkstra(inst.ugv_adj, p, PlanningCostView(inst).costs)
+        _, parent, _ = dijkstra(inst.ugv_adj, p, inst.prior_costs)
         on_path: set[int] = set()
         v = d
         while v != p:

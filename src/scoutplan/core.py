@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 INF = float("inf")
@@ -101,7 +101,9 @@ class Path:
 
 
 class ProblemInstance:
-    """Validated instance: vertices with coordinates, edges, endpoints.
+    """Validated instance: vertices with coordinates, edges, endpoints, and
+    the cost tuples by edge id ``uav_costs`` and ``prior_costs``, the ground
+    cost before any reveal (fixed, expected if impeded, INF if aerial-only).
 
     Immutable after construction; safe to share between searches.
     """
@@ -134,12 +136,16 @@ class ProblemInstance:
         n = len(self.vertices)
         self.ugv_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.uav_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        prior = []
         for e in self.edges:
             self.uav_adj[e.u].append((e.v, e.id))
             self.uav_adj[e.v].append((e.u, e.id))
             if e.id in self.ugv_edge_ids:
                 self.ugv_adj[e.u].append((e.v, e.id))
                 self.ugv_adj[e.v].append((e.u, e.id))
+            prior.append(e.distribution.expected() if e.impeded else INF if e.ugv_cost is None else e.ugv_cost)
+        self.prior_costs: tuple[float, ...] = tuple(prior)
+        self.uav_costs: tuple[float, ...] = tuple(e.uav_cost for e in self.edges)
 
     def validate(self) -> None:
         n = len(self.vertices)
@@ -205,11 +211,13 @@ class ProblemInstance:
 
 
 class Realization:
-    """Hidden true cost of every impeded edge; immutable once created."""
+    """Hidden true cost of every impeded edge, and ``costs``: the instance's
+    prior costs with each impeded edge at its true cost.  Immutable."""
 
     def __init__(self, inst: ProblemInstance, true_cost: dict[int, float]):
         if set(true_cost) != set(inst.impeded_ids):
             raise InstanceError("realization domain must be exactly the impeded set")
+        costs = list(inst.prior_costs)
         for eid, c in true_cost.items():
             lo, hi = inst.edges[eid].distribution.bounds()
             if not _positive_finite(c):
@@ -218,7 +226,9 @@ class Realization:
                 raise InstanceError(
                     f"edge {eid}: true cost {c} outside [{lo}, {hi}]"
                 )
+            costs[eid] = c
         self.true_cost = dict(true_cost)
+        self.costs: tuple[float, ...] = tuple(costs)
 
     def __getitem__(self, eid: int) -> float:
         return self.true_cost[eid]
@@ -237,21 +247,15 @@ class PlanningCostView:
     """What is known so far, and the planning cost it gives every edge.
 
     ``realized`` holds the true costs revealed so far; it only grows.
-    ``costs`` is indexed by edge id: the fixed cost of a fixed UGV edge, the
-    realized cost of a revealed impeded edge, the expected cost of any other
-    impeded edge, and INF for an aerial-only edge.  Searches index it
-    directly; ``reveal`` keeps the two in step.
+    ``costs`` is indexed by edge id: a copy of the instance's
+    ``prior_costs`` with each revealed impeded edge at its realized cost.
+    Searches index it directly; ``reveal`` keeps the two in step.
     """
 
     def __init__(self, inst: ProblemInstance):
         self.realized: dict[int, float] = {}
         self.impeded = inst.impeded_ids
-        self.costs: list[float] = [
-            INF if e.id not in inst.ugv_edge_ids
-            else e.distribution.expected() if e.impeded
-            else e.ugv_cost
-            for e in inst.edges
-        ]
+        self.costs: list[float] = list(inst.prior_costs)
 
     def reveal(self, eid: int, cost: float) -> None:
         self.realized[eid] = cost
@@ -278,13 +282,12 @@ class UavMetric:
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        self._uav_costs = [e.uav_cost for e in inst.edges]
         self._cache: dict[int, tuple[list[float], list[int], int]] = {}
 
     def _sssp(self, src: int) -> tuple[list[float], list[int], int]:
         hit = self._cache.get(src)
         if hit is None:
-            hit = dijkstra(self.inst.uav_adj, src, self._uav_costs)
+            hit = dijkstra(self.inst.uav_adj, src, self.inst.uav_costs)
             self._cache[src] = hit
         return hit
 
@@ -319,14 +322,14 @@ class UavMetric:
 def dijkstra(
     adj: list[list[tuple[int, int]]],
     source: int | list[int],
-    cost: list[float],
+    cost: Sequence[float],
     target: int | None = None,
     dist: list[float] | None = None,
 ) -> tuple[list[float], list[int], int]:
     """Shortest paths from source over an adjacency list of
     (neighbor, edge id) pairs.
 
-    cost is a list of edge costs indexed by edge id, such as
+    cost is a sequence of edge costs indexed by edge id, such as
     ``PlanningCostView.costs``; infinite costs hide edges.  Returns
     (distance, parent, settled): parent holds the id of the edge by which
     each vertex was reached (-1 for the source and unreached vertices), and

@@ -107,10 +107,7 @@ class SimulationOutcome:
 
 def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
     """Perfect-information shortest arrival: every hidden cost known upfront."""
-    view = PlanningCostView(inst)
-    for eid in inst.impeded_ids:
-        view.reveal(eid, realization[eid])
-    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, view.costs, inst.d)
+    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, realization.costs, inst.d)
     if dist[inst.d] == INF:
         raise NoPathError("destination unreachable")
     return dist[inst.d]
@@ -246,10 +243,9 @@ class _Engine:
 
     def _ugv_depart(self) -> None:
         eid = self.route_edges.pop(0)
-        rec = self.inst.edges[eid]
         del self.route[0]
         self.ugv_edge = eid
-        self.ugv_arrival = self.now + (self.real[eid] if rec.impeded else rec.ugv_cost)
+        self.ugv_arrival = self.now + self.real.costs[eid]
         if self.view.unrevealed(eid) and any(leg.edge == eid for leg in self.uav_legs):
             self._replan(f"cancel:{eid}", None)
             self._uav_depart_if_idle()

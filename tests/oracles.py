@@ -15,6 +15,16 @@ from conftest import edge_between
 INF = float("inf")
 
 
+def prior_costs(inst):
+    """Edge-id -> cost for the UGV edges before any reveal, read off the edge
+    records: the fixed cost, or the window's midpoint for an impeded edge."""
+    costs = {}
+    for eid in inst.ugv_edge_ids:
+        rec = inst.edges[eid]
+        costs[eid] = (rec.distribution.t_min + rec.distribution.t_max) / 2.0 if rec.impeded else rec.ugv_cost
+    return costs
+
+
 def view_costs(inst, view):
     """Edge-id -> cost mapping for the UGV edges under a view."""
     return {eid: view.costs[eid] for eid in inst.ugv_edge_ids}

@@ -237,6 +237,7 @@ class TestExperimentHarness:
         {"family": "grid", "specs": [{"n_impeded_cuts": True}]},
         {"planners": ("paa", "paa")},
         {"k_values": (2, 3, 2)},
+        {"planners": ("naive", "rpp")},  # the naive baseline always runs
     ])
     def test_spec_rejects_what_cannot_run(self, bad):
         # A "specs" entry holds the keyword arguments of the family's spec.

@@ -51,6 +51,7 @@ BAD_GENERATE_SPECS = [
     ("bridge", {"adversarial": "no"}),
     ("bridge", {"impeded_per_path": float("inf")}),
     ("bridge", {"impeded_per_path": True}),
+    ("bridge", {"impeded_per_path": 2.7}),  # a count of 1 or more must be whole
 ]
 
 
@@ -187,7 +188,8 @@ class TestSimulate:
 
     def test_invalid_costs_and_speed_are_data_errors(self, tmp_path, capsys):
         ip, rp = self.write_pair(tmp_path)
-        text = open(ip).read()
+        with open(ip) as fh:
+            text = fh.read()
         for name, bad in (
             ("inf_cost.txt", text.replace("e 0 0 1 4.0 ", "e 0 0 1 inf ")),
             ("zero_speed.txt", text.replace("uav_speed=2.0", "uav_speed=0.0")),
@@ -317,6 +319,8 @@ class TestExperimentAndReport:
         {"weights": [0.4, 0.3, 0.2, False]},
         # A planner and a k given twice.
         {"k_values": [2, 2], "planners": ["paa", "paa"]},
+        # The naive baseline always runs, so planners must not list it.
+        {"planners": ["naive", "rpp"]},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"

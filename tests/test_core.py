@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import scoutplan
 from conftest import build_instance, line_instance, random_connected_instance
-from scoutplan import bench
+from scoutplan import bench, sim
 from scoutplan.core import (
     INF,
     EdgeRecord,
@@ -93,6 +94,50 @@ class TestPlanningCost:
         changed = [eid for eid, (a, b) in enumerate(zip(before, view.costs)) if a != b]
         assert changed == [target]
         assert view.costs[target] == inst.edges[target].distribution.t_max
+
+
+def with_aerial_only_edges(inst, rng):
+    """The instance plus aerial-only edges between a few pairs it leaves unjoined."""
+    joined = {(e.u, e.v) for e in inst.edges}
+    n = inst.n_vertices
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in joined]
+    edges = list(inst.edges)
+    for u, v in rng.sample(free, min(len(free), rng.randint(1, 4))):
+        edges.append(EdgeRecord(len(edges), u, v, None, inst.euclid(u, v) / inst.uav_speed + 0.1))
+    return ProblemInstance(inst.vertices, edges, inst.p, inst.q, inst.d, inst.uav_speed, inst.uav_free_flight)
+
+
+class TestCostOwners:
+    """The instance owns the prior and aerial costs, the realization the true
+    costs; a view copies the prior."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_each_cost_list_matches_its_rule(self, seed):
+        rng = random.Random(seed)
+        # Six or more vertices leave at least one pair unjoined.
+        inst = with_aerial_only_edges(random_connected_instance(rng, n_min=6), rng)
+        real = sample_realization(inst, rng)
+        m = len(inst.edges)
+        assert m > len(inst.ugv_edge_ids)
+        prior = oracles.prior_costs(inst)
+        want = tuple(prior.get(e, INF) for e in range(m))
+        assert inst.prior_costs == want
+        assert inst.uav_costs == tuple(e.uav_cost for e in inst.edges)
+
+        view, other = PlanningCostView(inst), PlanningCostView(inst)
+        assert view.costs == list(inst.prior_costs)
+        for eid in sorted(inst.impeded_ids):
+            view.reveal(eid, real[eid])
+        assert inst.prior_costs == want
+        assert other.costs == list(inst.prior_costs) and not other.realized
+
+        for e in range(m):
+            assert real.costs[e] == (real[e] if e in inst.impeded_ids else inst.prior_costs[e])
+        assert list(real.costs) == view.costs
+        # Rooted at p, the oracle sums each path from p, as lower_bound does.
+        dist = oracles.dijkstra_to_dest(inst, oracles.view_costs(inst, view), inst.p)
+        assert sim.lower_bound(inst, real) == dist[inst.d]
 
 
 class TestUavTransit:
