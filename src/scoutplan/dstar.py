@@ -5,12 +5,12 @@ estimates per vertex: g (the committed estimate) and rhs (a one-step
 lookahead over the neighbors).  A vertex is locally consistent when the
 two agree; exactly the inconsistent vertices sit in the priority queue,
 keyed by min(g, rhs).  Without a goal-directed term h this is Ramalingam
-and Reps' incremental shortest paths, and every repair runs until no
-vertex is inconsistent: g is then the exact distance everywhere, the
-reverse shortest-path tree the k-path layer spurs from.  The first search
-is a plain ``core.dijkstra``, whose distances are that drained state bit
-for bit, so D* only ever repairs: after edge costs change, only the
-vertices whose distance changes are re-expanded.
+and Reps' incremental shortest paths.  A repair drains the queue, leaving
+g exact everywhere (the reverse tree the k-path layer spurs from), or
+stops at the vehicle as D* Lite does, once g is exact as far as the
+descent from it reads.  The first search is a plain ``core.dijkstra``,
+whose distances are the drained state bit for bit, so D* only ever
+repairs: only the vertices whose distance changes are re-expanded.
 """
 
 from __future__ import annotations
@@ -73,8 +73,10 @@ class DStarState:
         self.expansions = 0
 
     def queue_consistent(self) -> bool:
-        """Check the membership invariant: queued iff g != rhs."""
-        return all((v in self.queue) == (self.g[v] != self.rhs[v]) for v in range(len(self.g)))
+        """Check the invariant: queued iff g != rhs, under the key min(g, rhs)."""
+        live = self.queue._live
+        return all(live.get(v) == ((min(g, r), v) if g != r else None)
+                   for v, (g, r) in enumerate(zip(self.g, self.rhs)))
 
 
 def initialize(inst: ProblemInstance, view: PlanningCostView) -> DStarState:
@@ -122,12 +124,18 @@ def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
     update_vertex(state, rec.v)
 
 
-def compute_shortest_path(state: DStarState, view: PlanningCostView) -> None:
-    """Expand in key order until no vertex is inconsistent.  Every g then
-    equals its lookahead, the minimum over the neighbors of edge cost + g
-    with these float sums, which is its distance to the destination bit for
-    bit (infinity when unreachable).  A key is never stale:
-    ``update_vertex`` runs whenever a g or rhs changes.
+def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int | None = None) -> None:
+    """Expand in key order until no vertex is inconsistent, or, given a
+    ``stop`` vertex, while the top key is at most g(stop).  A drained g is
+    its lookahead, the minimum over the neighbors of edge cost + g with
+    these float sums: its distance bit for bit (INF when unreachable).  A
+    key is never stale: ``update_vertex`` runs whenever a g or rhs changes.
+
+    A stopped repair leaves the rest queued for the next one.  Stop is then
+    consistent (its key would be at least the top key), and a vertex with g
+    below the top key is exact (Koenig and Likhachev 2002).  A queued vertex
+    has g >= its key >= the top key > g(stop), so no descent step from a
+    vertex on the path from stop can pick one or tie with it.
     """
     g = state.g
     rhs = state.rhs
@@ -138,6 +146,8 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView) -> None:
 
     while queue:
         v = queue.top()
+        if stop is not None and min(g[v], rhs[v]) > g[stop]:
+            break
         state.expansions += 1
         if g[v] > rhs[v]:
             # Overconsistent: commit and relax the neighbors.
@@ -175,10 +185,11 @@ def replan(
     view: PlanningCostView,
     v_curr: int,
     changed: list[int],
+    drain: bool = True,
 ) -> Path:
     """Apply the cost changes of the edges in ``changed``, repair the search
-    and return the current path from v_curr."""
+    (up to v_curr unless ``drain``) and return the current path from v_curr."""
     for eid in changed:
         rhs_update(state, view, eid)
-    compute_shortest_path(state, view)
+    compute_shortest_path(state, view, None if drain else v_curr)
     return extract_path(state, view, v_curr)

@@ -1,7 +1,8 @@
 """Dynamic k-shortest path maintenance.
 
 Yen's loopless-paths scheme on top of the incremental planner, whose repair
-of the best path leaves exact distances to the destination everywhere.  One
+of the best path drains to exact distances to the destination everywhere
+when k >= 2 (at k = 1 it stops at the vehicle: nothing reads past it).  One
 update's spur searches share the reverse shortest-path tree they define
 (Feng's node classification) and re-derive only the "yellow" vertices,
 whose tree paths cross a hidden edge, read only as far as a search reads.
@@ -51,7 +52,8 @@ class PathSet:
 
 class ReverseTree:
     """Shortest-path tree towards the destination under the view's costs,
-    read off the drained D* state and shared by one update's spur searches.
+    read off the D* state, which only an update with k >= 2 drains, and
+    shared by one update's spur searches.
 
     ``dist`` is the state's ``g``; ``parent`` memoises each vertex's first
     tight edge in ``ugv_adj`` order under the view's costs, which the
@@ -170,8 +172,9 @@ def update_k_paths(
     """Refresh the k best loopless paths from v_curr after the edges in
     ``changed`` changed cost; ``NoPathError`` when no route is left.
 
-    Only the rank-1 repair touches the shared search state; ranks 2..k come
-    from spur searches against one ``ReverseTree`` read off it.  Each ranked
+    Only the rank-1 repair touches the shared search state; it stops at
+    v_curr when k = 1 and drains for the spur searches of ranks 2..k, which
+    run against one ``ReverseTree`` read off it.  Each ranked
     path is walked once, root by root: a step hides the edges of the vertex
     just made interior and the next edge of each accepted path still sharing
     the root, and adds one edge to the root's cost, left to right as
@@ -199,7 +202,7 @@ def update_k_paths(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    accepted = [dstar.replan(state, view, v_curr, changed)]
+    accepted = [dstar.replan(state, view, v_curr, changed, drain=k > 1)]
     if k == 1:
         return PathSet(accepted)
     adj, costs = inst.ugv_adj, view.costs

@@ -66,6 +66,7 @@ class ReplanRecord:
     uav_solver_seconds: float = 0.0
     budget_hit: bool = False
     spur: kspp.SpurCounts = kspp.SpurCounts()  # of the k-path update, if any
+    expansions: int = 0  # D* expansions of the k-path update, if any
 
 
 @dataclass
@@ -95,6 +96,11 @@ class SimulationOutcome:
     @property
     def budget_hits(self) -> int:
         return sum(1 for r in self.replans if r.budget_hit)
+
+    @property
+    def expansions(self) -> int:
+        """D* expansions summed over every replan."""
+        return sum(r.expansions for r in self.replans)
 
     @property
     def spur(self) -> kspp.SpurCounts:
@@ -215,11 +221,13 @@ class _Engine:
         a scout-only replan), then the scout's legs from its next vertex."""
         rec = ReplanRecord(trigger)
         if changed is not None:
+            expanded = self.dstate.expansions
             t0 = _time.perf_counter()
             pset = kspp.update_k_paths(
                 self.inst, self.view, self.dstate, self.route[0], changed, self.k_eff
             )
             rec.ugv_seconds = _time.perf_counter() - t0
+            rec.expansions = self.dstate.expansions - expanded
             rec.spur = pset.spur
             self.pset = pset
             self.plan_origin_time = self.ugv_arrival

@@ -12,7 +12,7 @@ from conftest import (
     random_connected_instance,
 )
 from scoutplan import bench, dstar
-from scoutplan.core import INF, NoPathError, PlanningCostView, dijkstra
+from scoutplan.core import INF, NoPathError, PlanningCostView, descend, dijkstra
 from scoutplan.dstar import AddressableHeap
 
 
@@ -104,13 +104,26 @@ class TestInitialize:
             assert state.expansions == 0 and path.cost == view.path_cost(path.edges)
 
     def test_state_holds_no_start_vertex(self):
-        # Every repair drains the queue, so no search reads a start: the
-        # start enters at the descent only.
+        # The state holds no start: a repair is told where to stop, if
+        # anywhere, and by default drains the queue.
         assert list(inspect.signature(dstar.initialize).parameters) == ["inst", "view"]
-        assert list(inspect.signature(dstar.compute_shortest_path).parameters) == ["state", "view"]
+        params = inspect.signature(dstar.compute_shortest_path).parameters
+        assert list(params) == ["state", "view", "stop"] and params["stop"].default is None
+        assert inspect.signature(dstar.replan).parameters["drain"].default is True
         assert "v_curr" in inspect.signature(dstar.extract_path).parameters
-        inst = line_instance()
-        assert not hasattr(dstar.initialize(inst, PlanningCostView(inst)), "v_curr")
+        inst = line_instance((1.0, 1.0))
+        view = PlanningCostView(inst)
+        state = dstar.initialize(inst, view)
+        assert not hasattr(state, "v_curr")
+        # Raise the far edge: stopped at vertex 1 the repair leaves vertex 0
+        # queued, the default drains it.
+        eid = edge_between(inst, 0, 1)
+        view.costs[eid] = 5.0
+        dstar.rhs_update(state, view, eid)
+        dstar.compute_shortest_path(state, view, 1)
+        assert 0 in state.queue and state.queue_consistent()
+        dstar.compute_shortest_path(state, view)
+        assert len(state.queue) == 0 and state.g == dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
 
     def test_start_equals_dest(self):
         inst = line_instance()
@@ -246,18 +259,29 @@ class TestComputeShortestPath:
             dstar.replan(state, view, 0, [eid])
 
     def test_queue_invariant_after_operations(self, rng):
+        # Repairs alternate between stopping at the start, which carries
+        # queue entries over to the next repair, and draining.
         inst = random_connected_instance(rng, n_min=8, n_max=14)
         view = PlanningCostView(inst)
         state = dstar.initialize(inst, view)
         assert state.queue_consistent()
-        dstar.replan(state, view, inst.p, [])
+        dstar.replan(state, view, inst.p, [], drain=False)
         assert state.queue_consistent()
-        for eid in sorted(inst.impeded_ids):
+        for i, eid in enumerate(sorted(inst.impeded_ids)):
             view.reveal(eid, inst.edges[eid].distribution.t_max)
             dstar.rhs_update(state, view, eid)
             assert state.queue_consistent()
-            dstar.compute_shortest_path(state, view)
+            dstar.compute_shortest_path(state, view, inst.p if i % 2 == 0 else None)
             assert state.queue_consistent()
+
+    def test_queue_consistent_reads_the_live_key(self):
+        inst = line_instance((2.0, 3.0))
+        state = dstar.initialize(inst, PlanningCostView(inst))
+        state.rhs[1] = 4.0
+        dstar.update_vertex(state, 1)
+        assert state.queue_consistent()
+        state.queue.insert(1, 2.0)  # queued, but not under min(g, rhs) = 3
+        assert not state.queue_consistent()
 
 
 class TestReplanOracle:
@@ -355,3 +379,39 @@ class TestReplanStateful:
             parents = oracles.tree_parents(inst, oracles.view_costs(inst, view), state.g)
             for v, eid in enumerate(parents):
                 assert (eid < 0) == (v == inst.d or state.g[v] == INF)
+
+
+class TestStoppedRepair:
+    """Repairs that stop at a moving vehicle, on costs from a few values so
+    that distances and keys tie often, against a fresh Dijkstra bit for
+    bit: the descent from the vehicle is a full search's, and so is every g
+    no farther from the destination than the vehicle."""
+
+    COSTS = (INF, 0.5, 1.0, 2.0, 7.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), data=st.data())
+    def test_stopped_repairs_match_dijkstra_up_to_the_vehicle(self, rng, data):
+        inst = random_connected_instance(rng, n_min=4, n_max=14)
+        adj, d = inst.ugv_adj, inst.d
+        edges = sorted(inst.ugv_edge_ids)
+        cost = st.sampled_from(self.COSTS)
+        view = PlanningCostView(inst)
+        for eid in edges:
+            view.costs[eid] = data.draw(cost, label="initial cost")
+        state = dstar.initialize(inst, view)
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            batch = data.draw(st.lists(st.tuples(st.sampled_from(edges), cost), max_size=4), label="batch")
+            for eid, c in batch:
+                view.costs[eid] = c
+                dstar.rhs_update(state, view, eid)
+            v_curr = data.draw(st.integers(0, inst.n_vertices - 1), label="v_curr")
+            dstar.compute_shortest_path(state, view, v_curr)
+            assert state.queue_consistent()
+            dist = dijkstra(adj, d, view.costs)[0]
+            assert descend(adj, state.g, view.costs, v_curr, d) == descend(adj, dist, view.costs, v_curr, d)
+            assert [g for g, x in zip(state.g, dist) if x <= dist[v_curr]] == [
+                x for x in dist if x <= dist[v_curr]]
+        dstar.compute_shortest_path(state, view)
+        assert len(state.queue) == 0
+        assert state.g == state.rhs == dijkstra(adj, d, view.costs)[0]

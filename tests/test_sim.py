@@ -324,6 +324,7 @@ class TestReplanSemantics:
                      str(tmp_path / "r.txt"), "--planner", "paa", "--k", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[lines.index(f"n_replans {out.n_replans}") + 1] == "late_inspections 1"
+        assert lines[-1] == f"dstar_expansions {out.expansions}"
 
     def test_cancellation_when_ugv_enters_targeted_edge(self):
         # Scout is far away; the vehicle reaches the impeded edge before any
@@ -417,6 +418,19 @@ class TestInvariants:
         assert out.spur.settled == sum(r.spur.settled for r in out.replans)
         one = sim.run(inst, real, SimulationConfig(planner="rpp", k=1))
         assert one.spur == kspp.SpurCounts()
+
+    def test_stopped_repairs_keep_the_event_logs(self, monkeypatch):
+        # The tour-dense shape: at k = 1 the rank-1 repair stops at the
+        # vehicle, and each log is what a draining repair gives, for less work.
+        spec = bench.BridgeSpec(impeded_per_path=0.5, bridge_fraction=0.2)
+        missions = [bench.generate_bridge(spec, seed) for seed in range(20)]
+        cfg = SimulationConfig(planner="rpp", k=1)
+        stopped = [sim.run(inst, real, cfg) for inst, real in missions]
+        drain = dstar.compute_shortest_path
+        monkeypatch.setattr(dstar, "compute_shortest_path", lambda state, view, stop=None: drain(state, view))
+        drained = [sim.run(inst, real, cfg) for inst, real in missions]
+        assert [o.event_log_text() for o in stopped] == [o.event_log_text() for o in drained]
+        assert 0 < sum(o.expansions for o in stopped) < sum(o.expansions for o in drained)
 
     def test_budget_hit_missions_are_deterministic(self, monkeypatch):
         monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", 200)
