@@ -24,6 +24,6 @@ for row in summary:
         f"{row['planner']:8} {row['k']:>2} {row['LB']:7.1f} {row['naive_cost']:7.1f} "
         f"{row['cost']:7.1f} {row['delta_pct']:9.1f}%"
     )
-print("\nper-run data: sweep_results/runs.csv; plot data: sweep_results/plot_*.txt")
+print("\nper-run data: sweep_results/runs.csv; summary: sweep_results/summary.csv")
 if failures:
     print(f"{len(failures)} instance(s) failed; see sweep_results/failures.csv")

@@ -14,7 +14,7 @@ print("hidden true costs:", {e: real[e] for e in sorted(real.true_cost)})
 print("perfect-information bound:", sim.lower_bound(inst, real))
 
 for label, cfg in (
-    ("unassisted", SimulationConfig(planner="rpp", k=2, uav_enabled=False)),
+    ("unassisted", SimulationConfig(planner="none")),
     ("with scout (tour planner)", SimulationConfig(planner="rpp", k=2)),
     ("with scout (priority planner)", SimulationConfig(planner="paa", k=2)),
     ("with scout (naive baseline)", SimulationConfig(planner="naive")),

@@ -3,20 +3,21 @@
 Three synthetic families: uniform grids, "bridged multipath" instances
 (parallel chains joined by a few crossings, so rerouting is expensive),
 and road-like networks with winding edges.  The harness runs planner
-sweeps over generated instances, writes per-run and summary CSVs, and
-emits plain columnar files with plot data.
+sweeps over generated instances and writes per-run and summary CSVs,
+each run labelled by its spec.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import random
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import fmean, pstdev
 
 from . import sim
@@ -89,6 +90,8 @@ SCALING_SIZES = ((20, 20), (25, 20), (30, 20), (30, 25), (40, 25))
 
 
 def scaling_spec(size: tuple[int, int]) -> BridgeSpec:
+    """The bridge spec of one scaling-study size.  The study is the bridge
+    experiment with `specs=tuple(map(scaling_spec, SCALING_SIZES))`."""
     chain_len, n_paths = size
     return BridgeSpec(
         n_paths=n_paths,
@@ -96,16 +99,6 @@ def scaling_spec(size: tuple[int, int]) -> BridgeSpec:
         impeded_per_path=0.3,
         bridge_fraction=0.3,
     )
-
-
-@dataclass(frozen=True)
-class ScalingSpec:
-    """One size of the scaling study: a bridged instance on a (chain_len, n_paths) grid."""
-
-    size: tuple[int, int] = SCALING_SIZES[0]
-
-    def __post_init__(self):
-        scaling_spec(self.size)
 
 
 #: A road network's drivable edge lengths and its farthest vertex pair (p, d).
@@ -135,9 +128,20 @@ class RoadSpec:
 
 
 #: The generate spec of each instance family.
-FAMILY_SPECS = {"grid": GridSpec, "bridge": BridgeSpec, "scaling": ScalingSpec, "road": RoadSpec}
+FAMILY_SPECS = {"grid": GridSpec, "bridge": BridgeSpec, "road": RoadSpec}
 FAMILIES = tuple(FAMILY_SPECS)
-FamilySpec = GridSpec | BridgeSpec | ScalingSpec | RoadSpec
+FamilySpec = GridSpec | BridgeSpec | RoadSpec
+
+
+def spec_label(spec: FamilySpec) -> str:
+    """The spec's init fields that differ from their defaults, in field
+    order, as space-separated ``name=value`` with JSON values (so ASCII):
+    "" for the default spec."""
+    return " ".join(
+        f"{f.name}={json.dumps(getattr(spec, f.name))}"
+        for f in fields(spec)
+        if f.init and getattr(spec, f.name) != f.default
+    )
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class ExperimentSpec:
     seed: int = 0
     #: The family's specs, which instances cycle through; each is built, and
     #: so checked, once (a road spec loads its base_file then).  None means
-    #: the family's default spec, or one spec per SCALING_SIZES entry.
+    #: the family's default spec.
     specs: tuple[FamilySpec, ...] | None = None
 
     def __post_init__(self):
@@ -173,8 +177,7 @@ class ExperimentSpec:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         cls = FAMILY_SPECS[self.family]
         if self.specs is None:
-            default = tuple(map(ScalingSpec, SCALING_SIZES)) if cls is ScalingSpec else (cls(),)
-            object.__setattr__(self, "specs", default)
+            object.__setattr__(self, "specs", (cls(),))
         if not (isinstance(self.specs, tuple) and self.specs
                 and all(type(s) is cls for s in self.specs)):
             raise ValueError(f"specs must be a non-empty tuple of {cls.__name__}, got {self.specs!r}")
@@ -465,18 +468,14 @@ def make_instance(
         inst = import_road_network(drawn or spec.base, spec.impeded_fraction, seed, spec.layout)
         return inst, sample_realization(inst, random.Random(f"real:{tag}")), drawn
     if isinstance(spec, GridSpec):
-        inst, real = generate_grid(spec, seed)
-    elif isinstance(spec, ScalingSpec):
-        inst, real = generate_scaling(spec.size, seed)
-    else:
-        inst, real = generate_bridge(spec, seed)
-    return inst, real, None
+        return *generate_grid(spec, seed), None
+    return *generate_bridge(spec, seed), None
 
 
 def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     """All planner runs for one instance, naive baseline included."""
     family_spec = spec.specs[index % len(spec.specs)]
-    label = "x".join(map(str, family_spec.size)) if isinstance(family_spec, ScalingSpec) else ""
+    label = spec_label(family_spec)
     inst, real, _ = make_instance(family_spec, f"{spec.seed}:{index}")
     rows: list[dict] = []
 
@@ -510,8 +509,7 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
 
 def summarize_rows(rows: list[dict]) -> list[dict]:
     """One row per (planner, k, label), keyed by SUMMARY_COLUMNS and paired
-    with the naive runs of the same label.  The label is empty outside the
-    scaling family."""
+    with the naive runs of the same label, i.e. of the same spec."""
     naive: dict[str, list[dict]] = {}
     algo: dict[tuple, list[dict]] = {}
     for r in rows:
@@ -589,9 +587,9 @@ def write_summary_csv(rows: list[dict], path: str) -> None:
 def run_experiment(
     spec: ExperimentSpec, out_dir: str, jobs: int = 1
 ) -> tuple[list[dict], list[dict]]:
-    """Run the full sweep and write runs.csv, summary.csv, failures.csv and
-    plot data.  Returns the summary and one record per failed instance;
-    a failed instance contributes no rows to the summary."""
+    """Run the full sweep and write runs.csv, summary.csv and failures.csv.
+    Returns the summary and one record per failed instance; a failed
+    instance contributes no rows to the summary."""
     os.makedirs(out_dir, exist_ok=True)
     n = spec.n_instances * len(spec.specs)
     rows: list[dict] = []
@@ -619,17 +617,4 @@ def run_experiment(
     _write_csv(failures, FAILURE_COLUMNS, os.path.join(out_dir, "failures.csv"))
     summary = summarize_rows(rows)
     write_summary_csv(summary, os.path.join(out_dir, "summary.csv"))
-
-    with open(os.path.join(out_dir, "plot_replan_ms.txt"), "w") as fh:
-        fh.write("# n_vertices k planner max_ugv_ms max_uav_ms max_uav_solver_ms\n")
-        for r in rows:
-            fh.write(
-                f"{r['n_vertices']} {r['k']} {r['planner']} "
-                f"{r['max_ugv_replan_ms']:.3f} {r['max_uav_replan_ms']:.3f} "
-                f"{r['max_uav_solver_ms']:.3f}\n"
-            )
-    with open(os.path.join(out_dir, "plot_costs.txt"), "w") as fh:
-        fh.write("# instance planner k lb cost\n")
-        for r in rows:
-            fh.write(f"{r['instance_id']} {r['planner']} {r['k']} {r['LB']!r} {r['cost']!r}\n")
     return summary, failures

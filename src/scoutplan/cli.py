@@ -83,7 +83,7 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     inst = load_instance(args.instance)
     real = load_realization(args.realization, inst)
-    cfg = sim.SimulationConfig(planner=args.planner, k=args.k, uav_enabled=not args.no_uav)
+    cfg = sim.SimulationConfig(planner=args.planner, k=args.k)
     outcome = sim.run(inst, real, cfg)
     if args.log:
         with open(args.log, "w") as fh:
@@ -158,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="simulate one mission")
     s.add_argument("--instance", required=True)
     s.add_argument("--realization", required=True)
-    s.add_argument("--planner", default="rpp", choices=tuple(sim.PLANNERS))
+    s.add_argument("--planner", default="rpp", choices=tuple(sim.PLANNERS),
+                   help="the scout's planner; none runs without the scout")
     s.add_argument("--k", type=_positive_int, default=3)
-    s.add_argument("--no-uav", action="store_true", help="run without the scout")
     s.add_argument("--log", help="write the event log to this file")
     s.set_defaults(func=cmd_simulate)
 

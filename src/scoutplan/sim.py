@@ -35,7 +35,6 @@ from .rpp import UavLeg
 class SimulationConfig:
     planner: str = "rpp"
     k: int = 3
-    uav_enabled: bool = True
 
     def __post_init__(self):
         if self.planner not in PLANNERS:
@@ -154,8 +153,9 @@ def _timed(rec: ReplanRecord, solver, *args):
 
 # Scout planners: each maps (engine, critical edges, scout origin, origin
 # time, replan record) to the inspections it chose, in flying order, as
-# (edge id, start vertex) pairs.  Layers are looked up through their
-# modules at call time, so patched module attributes take effect.
+# (edge id, start vertex) pairs; "none" never inspects, so the scout stays
+# at its start.  Layers are looked up through their modules at call time,
+# so patched module attributes take effect.
 
 
 def _rpp_inspections(
@@ -182,7 +182,8 @@ def _naive_inspections(
     return [] if chosen is None else [chosen]
 
 
-PLANNERS = {"rpp": _rpp_inspections, "paa": _paa_inspections, "naive": _naive_inspections}
+PLANNERS = {"rpp": _rpp_inspections, "paa": _paa_inspections, "naive": _naive_inspections,
+            "none": lambda *_: []}
 
 
 class _Engine:
@@ -190,7 +191,7 @@ class _Engine:
         self.inst = inst
         self.real = realization
         self.cfg = cfg
-        self.k_eff = 1 if cfg.planner == "naive" else cfg.k
+        self.k_eff = 1 if cfg.planner in ("naive", "none") else cfg.k
         self.view = PlanningCostView(inst)
         self.metric = UavMetric(inst)
         self.dstate = dstar.initialize(inst, self.view)
@@ -233,18 +234,17 @@ class _Engine:
             self.plan_origin_time = self.ugv_arrival
             self.route = list(pset.paths[0].vertices)
             self.route_edges = list(pset.paths[0].edges)
-        if self.cfg.uav_enabled:
-            origin_time = self.now if self.uav_leg is None else self.uav_arrival
-            t0 = _time.perf_counter()
-            exclude = (self.ugv_edge,) if self.view.unrevealed(self.ugv_edge) else ()
-            critical = rpp.extract_critical_edges(
-                self.pset, self.view, self.inst,
-                start_time=self.plan_origin_time, exclude=exclude,
-            )
-            plan = PLANNERS[self.cfg.planner]
-            inspections = plan(self, critical, self.uav_to, origin_time, rec) if critical else []
-            self.uav_legs = rpp.solution_to_uav_plan(inspections, self.metric, self.uav_to)
-            rec.uav_seconds = _time.perf_counter() - t0
+        origin_time = self.now if self.uav_leg is None else self.uav_arrival
+        t0 = _time.perf_counter()
+        exclude = (self.ugv_edge,) if self.view.unrevealed(self.ugv_edge) else ()
+        critical = rpp.extract_critical_edges(
+            self.pset, self.view, self.inst,
+            start_time=self.plan_origin_time, exclude=exclude,
+        )
+        plan = PLANNERS[self.cfg.planner]
+        inspections = plan(self, critical, self.uav_to, origin_time, rec) if critical else []
+        self.uav_legs = rpp.solution_to_uav_plan(inspections, self.metric, self.uav_to)
+        rec.uav_seconds = _time.perf_counter() - t0
         self.replans.append(rec)
 
     # -- movement ---------------------------------------------------------

@@ -146,7 +146,7 @@ class TestCriterion3RppOptimality:
 class TestCriterion4Walkthrough:
     def test_two_detour_scenario(self):
         inst, real = bench.demo_instance()
-        solo = sim.run(inst, real, SimulationConfig(planner="rpp", k=2, uav_enabled=False))
+        solo = sim.run(inst, real, SimulationConfig(planner="none"))
         assert solo.arrival_time == 24.0
         assisted = sim.run(inst, real, SimulationConfig(planner="rpp", k=2))
         assert assisted.arrival_time == 18.0

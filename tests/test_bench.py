@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import pickle
 import random
@@ -181,7 +182,8 @@ class TestRoadImport:
 class TestGoldenInstances:
     # SHA-256 of the instance file then the realization file that
     # save_instance and save_realization write for make_instance(spec, "7:0"),
-    # with each family's default spec.
+    # with each family's default spec, and for "scaling" the bridge spec of
+    # the first scaling-study size.
     GOLDEN = {
         "grid": "b809938de031090fb103f898f7f995069992f3225d7eee8e98bf0bf733f8f6c8",
         "bridge": "3bcfa2272efaafe936e5ce16849634eaeca8aa021d9ee0f4c7593b0815a86c08",
@@ -189,13 +191,43 @@ class TestGoldenInstances:
         "road": "cdc59c577c900298470180803b6aa4f16fc8db020e5496e06ccd2ebda62864d5",
     }
 
-    @pytest.mark.parametrize("family", bench.FAMILIES)
-    def test_default_spec_output_is_pinned(self, tmp_path, family):
-        inst, real, _ = bench.make_instance(bench.FAMILY_SPECS[family](), "7:0")
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_default_spec_output_is_pinned(self, tmp_path, name):
+        if name == "scaling":
+            spec = bench.scaling_spec(bench.SCALING_SIZES[0])
+        else:
+            spec = bench.FAMILY_SPECS[name]()
+        inst, real, _ = bench.make_instance(spec, "7:0")
         save_instance(inst, str(tmp_path / "instance.txt"))
         save_realization(real, str(tmp_path / "realization.txt"))
         text = (tmp_path / "instance.txt").read_bytes() + (tmp_path / "realization.txt").read_bytes()
-        assert hashlib.sha256(text).hexdigest() == self.GOLDEN[family]
+        assert hashlib.sha256(text).hexdigest() == self.GOLDEN[name]
+
+
+class TestSpecLabel:
+    @pytest.mark.parametrize("family", bench.FAMILIES)
+    def test_default_spec_is_unlabelled(self, family):
+        assert bench.spec_label(bench.FAMILY_SPECS[family]()) == ""
+
+    def test_changed_fields_in_field_order_as_json(self):
+        assert bench.spec_label(bench.BridgeSpec(adversarial=True)) == "adversarial=true"
+        assert bench.spec_label(bench.scaling_spec(bench.SCALING_SIZES[0])) == (
+            "n_paths=20 chain_len=20 impeded_per_path=0.3 bridge_fraction=0.3")
+        assert bench.spec_label(bench.GridSpec(cols=6, rows=4)) == "rows=4 cols=6"
+
+    def test_scaling_sizes_are_told_apart(self):
+        labels = [bench.spec_label(bench.scaling_spec(size)) for size in bench.SCALING_SIZES]
+        assert len(set(labels)) == len(bench.SCALING_SIZES)
+
+    def test_road_base_file_label_is_ascii(self, tmp_path):
+        # The loaded network and its layout are not init fields, so only
+        # the path shows, escaped to ASCII.
+        road = tmp_path / "straße.txt"
+        save_instance(bench.generate_road_like(8, seed=1), str(road))
+        label = bench.spec_label(bench.RoadSpec(base_file=str(road)))
+        assert label.isascii()
+        assert label == f"base_file={json.dumps(str(road))}"
+        assert "stra\\u00dfe.txt" in label
 
 
 class TestDeltaFormula:
@@ -227,9 +259,9 @@ class TestExperimentHarness:
         {"planners": ("rpp", "astar")},
         {"k_values": (1, 0)},
         {"specs": [{"impeded_per_path": float("inf")}]},
-        {"family": "scaling", "specs": [{"size": (1, 3)}]},
+        {"specs": [{"chain_len": 1, "n_paths": 3}]},
         {"n_instances": 0},
-        {"family": "scaling", "specs": []},
+        {"family": "grid", "specs": []},
         {"k_values": (2.5,)},
         {"k_values": ()},
         {"planners": ()},
@@ -249,7 +281,7 @@ class TestExperimentHarness:
 
     @pytest.mark.parametrize("specs", [
         (bench.BridgeSpec(),),  # another family's spec
-        (bench.GridSpec(), bench.ScalingSpec()),
+        (bench.GridSpec(), bench.BridgeSpec()),
         [bench.GridSpec()],  # not a tuple
         bench.GridSpec(),
         ({"rows": 4},),
@@ -262,17 +294,13 @@ class TestExperimentHarness:
         assert bench.ExperimentSpec(family="grid").specs == (bench.GridSpec(),)
         assert bench.ExperimentSpec(family="road").specs == (bench.RoadSpec(),)
         assert bench.ExperimentSpec().specs == (bench.BridgeSpec(),)
-        scaling = bench.ExperimentSpec(family="scaling").specs
-        assert [s.size for s in scaling] == list(bench.SCALING_SIZES)
 
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
         s1, f1 = bench.run_experiment(self.spec(), str(out1))
         s2, _ = bench.run_experiment(self.spec(), str(out2))
-        for name in ("runs.csv", "summary.csv", "failures.csv", "plot_replan_ms.txt",
-                     "plot_costs.txt"):
-            assert (out1 / name).exists()
+        assert sorted(os.listdir(out1)) == ["failures.csv", "runs.csv", "summary.csv"]
         assert f1 == []
         assert (out1 / "failures.csv").read_text().splitlines() == [",".join(bench.FAILURE_COLUMNS)]
 
@@ -289,7 +317,6 @@ class TestExperimentHarness:
         # wall-clock columns may differ between identical runs.
         assert rows_without_wall_times(out1 / "runs.csv") == rows_without_wall_times(out2 / "runs.csv")
         assert [r["cost"] for r in s1] == [r["cost"] for r in s2]
-        assert (out1 / "plot_costs.txt").read_bytes() == (out2 / "plot_costs.txt").read_bytes()
         with open(out1 / "runs.csv") as fh:
             rows = list(csv.DictReader(fh))
         # naive once per instance plus one row per (k, planner).
@@ -309,12 +336,15 @@ class TestExperimentHarness:
 
     def test_report_reproduces_scaling_summary(self, tmp_path):
         spec = bench.ExperimentSpec(
-            family="scaling", n_instances=1, k_values=(1, 2), planners=("paa",),
-            seed=3, specs=(bench.ScalingSpec((8, 4)), bench.ScalingSpec((10, 5))),
+            family="bridge", n_instances=1, k_values=(1, 2), planners=("paa",),
+            seed=3, specs=(bench.scaling_spec((8, 4)), bench.scaling_spec((10, 5))),
         )
         out = tmp_path / "run"
         summary, _ = bench.run_experiment(spec, str(out))
-        assert sorted({r["label"] for r in summary}) == ["10x5", "8x4"]
+        assert [(r["k"], r["label"], r["n"]) for r in summary] == [
+            (k, f"n_paths={n_paths} chain_len={chain_len} impeded_per_path=0.3 bridge_fraction=0.3", 1)
+            for k in (1, 2) for chain_len, n_paths in ((8, 4), (10, 5))
+        ]
         rows = bench.read_runs_csv(str(out / "runs.csv"))
         assert {r["n_vertices"] for r in rows} == {8 * 4 + 2, 10 * 5 + 2}
         bench.write_summary_csv(bench.summarize_rows(rows), str(tmp_path / "report.csv"))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -16,13 +17,10 @@ def run_cli(*argv):
 #: (family, generate spec) pairs that `generate` rejects as a data error.
 BAD_GENERATE_SPECS = [
     ("grid", {"rowz": 4}),
-    ("scaling", {"rowz": 4}),
+    ("bridge", {"rowz": 4}),
     ("road", {"rowz": 4}),
-    ("scaling", {"size": [8]}),
-    ("scaling", {"size": [1, 3]}),
-    ("scaling", {"size": [20, 0]}),
-    ("scaling", {"size": [20.5, 20]}),
-    ("scaling", {"size": "20x20"}),
+    ("bridge", {"n_paths": 0}),
+    ("bridge", {"chain_len": 20.5}),
     ("grid", {"rows": 1}),
     ("grid", {"count": "abc"}),
     ("bridge", {"chain_len": 1}),
@@ -107,9 +105,11 @@ class TestGenerate:
             assert not out.exists(), key
 
     def test_scaling_size(self, tmp_path):
+        # A scaling-study size is a bridge spec: chain_len x n_paths chain
+        # vertices, plus p and d.
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"size": [4, 2], "count": 1}))
-        rc = run_cli("generate", "--family", "scaling", "--spec", str(spec),
+        spec.write_text(json.dumps({**dataclasses.asdict(bench.scaling_spec((4, 2))), "count": 1}))
+        rc = run_cli("generate", "--family", "bridge", "--spec", str(spec),
                      "--seed", "1", "--out", str(tmp_path / "out"))
         assert rc == 0
         assert load_instance(str(tmp_path / "out" / "instance_000.txt")).n_vertices == 4 * 2 + 2
@@ -160,11 +160,16 @@ class TestSimulate:
         assert text.startswith("t=") and "reveal" in text
 
     def test_no_uav_flag(self, tmp_path, capsys):
+        # Planner none runs without the scout; the old --no-uav flag is gone.
         ip, rp = self.write_pair(tmp_path)
         rc = run_cli("simulate", "--instance", ip, "--realization", rp,
-                     "--planner", "rpp", "--k", "2", "--no-uav")
+                     "--planner", "none", "--k", "2")
         assert rc == 0
         assert "arrival_time 24.0" in capsys.readouterr().out
+        rc = run_cli("simulate", "--instance", ip, "--realization", rp,
+                     "--planner", "rpp", "--k", "2", "--no-uav")
+        assert rc == USAGE_ERROR
+        assert "unrecognized arguments: --no-uav" in capsys.readouterr().err
 
     def test_weights_flag_is_usage_error(self, tmp_path, capsys):
         # The priority weights are the constant paa.WEIGHTS.
@@ -244,6 +249,13 @@ class TestUsageErrors:
     def test_bad_choice(self):
         assert run_cli("generate", "--family", "hexagon", "--out", "x") == USAGE_ERROR
 
+    def test_scaling_family_is_usage_error(self, tmp_path, capsys):
+        # A scaling-study size is a bridge spec (bench.scaling_spec).
+        out = tmp_path / "out"
+        assert run_cli("generate", "--family", "scaling", "--out", str(out)) == USAGE_ERROR
+        assert "invalid choice: 'scaling'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", ["0", "-2", "two"])
     def test_k_below_one(self, tmp_path, k):
         rc = run_cli("simulate", "--instance", str(tmp_path / "i.txt"),
@@ -281,9 +293,9 @@ class TestExperimentAndReport:
         {"specs": [{"bridge_fraction": 5}]},
         {"specs": [{"impeded_per_path": 0}]},
         {"family": "road", "specs": [{"base_file": "roads.txt", "impeded_fraction": 1.5}]},
-        {"family": "scaling", "specs": [{"size": [1, 3]}]},
+        {"specs": [{"chain_len": 1, "n_paths": 3}]},
         {"n_instances": -1},
-        {"family": "scaling", "specs": [{"size": [8, 4]}, {"size": [20, 20, 5]}]},
+        {"specs": [{"chain_len": 8, "n_paths": 4}, {"chain_len": 20, "n_paths": 0}]},
         {"k_values": [2.5], "planners": ["rpp"]},
         {"k_values": []},
         {"planners": []},
@@ -297,7 +309,7 @@ class TestExperimentAndReport:
         {"family": "grid", "specs": [{"adversarial": True}]},
         {"family": "grid", "specs": [{"size": [8, 4]}]},
         {"specs": [{"base_file": "nope.txt"}]},
-        {"family": "scaling", "specs": [{"impeded_fraction": 0.3}]},
+        {"specs": [{"impeded_fraction": 0.3}]},
         {"family": "road", "specs": [{"base_file": "roads.txt", "bridge_fraction": 0.2}]},
         # Not a number, or not finite.
         {"specs": [{"impeded_per_path": float("inf")}]},
@@ -312,7 +324,7 @@ class TestExperimentAndReport:
         {"specs": [{"count": 2}]},
         # A family key outside specs.
         {"adversarial": True},
-        {"family": "scaling", "sizes": [[8, 4]]},
+        {"chain_len": 8, "n_paths": 4},
         # The priority weights are a constant: weights is an unknown key.
         {"weights": ["1", True, "0.5", 0]},
         {"weights": ["0.4", "0.3", "0.2", "0.1"]},
@@ -332,6 +344,40 @@ class TestExperimentAndReport:
         assert rc == DATA_ERROR
         assert "bad experiment spec" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scaling_family_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"family": "scaling", "n_instances": 1}))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == DATA_ERROR
+        assert capsys.readouterr().err == (
+            f"data error: bad experiment spec {spec}: unknown family 'scaling', "
+            f"expected one of ('grid', 'bridge', 'road')\n")
+        assert not out.exists()
+
+    def test_two_spec_experiment_summarizes_each_spec(self, tmp_path, capsys):
+        # README's two-spec bridge experiment: one summary row per
+        # (planner, k, spec), labelled by the spec, which report rebuilds.
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({
+            "family": "bridge", "n_instances": 1, "k_values": [2], "planners": ["paa"], "seed": 7,
+            "specs": [{"impeded_per_path": 0.3}, {"impeded_per_path": 0.8}],
+        }))
+        out = tmp_path / "results"
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == [
+            "paa k=2 impeded_per_path=0.3", "paa k=2 impeded_per_path=0.8"]
+        with open(out / "summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert [(r["planner"], r["k"], r["label"], r["n"]) for r in summary] == [
+            ("paa", "2", "impeded_per_path=0.3", "1"), ("paa", "2", "impeded_per_path=0.8", "1")]
+        runs = {r["label"]: r for r in bench.read_runs_csv(str(out / "runs.csv")) if r["planner"] == "paa"}
+        for r in summary:
+            assert float(r["cost"]) == runs[r["label"]]["cost"]
+            assert float(r["cost_std"]) == 0.0
+        assert run_cli("report", "--in", str(out), "--out", str(tmp_path / "summary.csv")) == 0
+        assert (tmp_path / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
     def test_weights_key_is_unknown(self, tmp_path, capsys):
         # The priority weights are the constant paa.WEIGHTS, so a spec that
@@ -363,9 +409,16 @@ class TestExperimentAndReport:
         for jobs in ("1", "2"):
             outs.append(tmp_path / f"jobs{jobs}")
             assert run_cli("experiment", "--spec", str(spec), "--out", str(outs[-1]), "--jobs", jobs) == 0
-        for name in ("plot_costs.txt", "failures.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        assert len((outs[0] / "plot_costs.txt").read_text().splitlines()) == 1 + 3 * (1 + 2 * 2)
+        assert (outs[0] / "failures.csv").read_bytes() == (outs[1] / "failures.csv").read_bytes()
+        runs = []
+        for out in outs:
+            rows = bench.read_runs_csv(str(out / "runs.csv"))
+            for r in rows:
+                for wall_time in ("max_ugv_replan_ms", "max_uav_replan_ms", "max_uav_solver_ms"):
+                    del r[wall_time]
+            runs.append(rows)
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 3 * (1 + 2 * 2)
 
     def test_specs_entries_are_checked_as_generate_checks_them(self, tmp_path, capsys):
         # One check and one error message per family parameter.
@@ -385,7 +438,6 @@ class TestExperimentAndReport:
     @pytest.mark.parametrize("family,entry", [
         ("grid", {"rows": 4, "cols": 6, "n_impeded_cuts": 2}),
         ("bridge", {"n_paths": 3, "chain_len": 6, "adversarial": True}),
-        ("scaling", {"size": [8, 4]}),
         ("road", {"n_vertices": 15, "impeded_fraction": 0.3}),
     ])
     def test_experiment_runs_the_instances_generate_writes(self, tmp_path, family, entry):

@@ -224,7 +224,7 @@ def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
 class TestWalkthroughScenario:
     def test_without_scout_arrival_24(self):
         inst, real = bench.demo_instance()
-        out = sim.run(inst, real, SimulationConfig(planner="rpp", k=2, uav_enabled=False))
+        out = sim.run(inst, real, SimulationConfig(planner="none"))
         assert out.arrival_time == 24.0
 
     def test_with_scout_arrival_18(self):
@@ -408,6 +408,15 @@ class TestInvariants:
             assert a.events == b.events
             assert a.arrival_time == b.arrival_time
             assert [r.spur for r in a.replans] == [r.spur for r in b.replans]
+
+    def test_planner_none_never_flies_the_scout(self, rng):
+        for _ in range(10):
+            inst = random_connected_instance(rng, n_min=6, n_max=12)
+            real = sample_realization(inst, rng)
+            out = sim.run(inst, real, SimulationConfig(planner="none", k=4))
+            assert {e.kind for e in out.events} <= {"reveal", "ugv_arrives"}
+            assert all(e.data[2] == "ugv" for e in out.events if e.kind == "reveal")
+            assert out.late_inspections == 0
 
     def test_spur_counts_sum_over_replans(self):
         inst, real = bench.generate_bridge(bench.BridgeSpec(adversarial=True), seed=3)
