@@ -162,7 +162,7 @@ class ExperimentSpec:
         for planner in self.planners:
             if planner == "naive":
                 raise ValueError("planners must not list naive: the naive baseline always runs")
-            if planner not in sim.PLANNERS:
+            if type(planner) is not str or planner not in sim.PLANNERS:
                 raise ValueError(f"unknown planner {planner!r}")
         for k in self.k_values:
             check_at_least("every k", k, 1)
@@ -285,8 +285,6 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
     bridge_pairs: set[tuple[int, int]] = set()
     n_bridge = max(1, round(spec.bridge_fraction * chain_len)) if n_paths > 1 else 0
     for i in range(n_paths):
-        if n_paths == 1:
-            break
         for j in rng.sample(range(chain_len), n_bridge):
             if i == 0:
                 other = 1
@@ -316,7 +314,7 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
     )
 
     if spec.adversarial:
-        _, parent, _ = dijkstra(inst.ugv_adj, p, inst.prior_costs)
+        _, parent, _ = dijkstra(inst.adj, p, inst.prior_costs)
         on_path: set[int] = set()
         v = d
         while v != p:
@@ -381,13 +379,13 @@ def import_road_network(
     """
     rng = random.Random(f"roadimport:{seed}")
     lengths, p, d = layout or road_layout(base)
-    ugv_ids = sorted(base.ugv_edge_ids)
+    ugv_ids = [eid for eid, c in enumerate(base.prior_costs) if c < INF]
     n_imp = int(impeded_fraction * len(ugv_ids))
     impeded = set(rng.sample(ugv_ids, n_imp))
     edges = [
         _edge(rec.id, rec.u, rec.v, lengths[rec.id],
               10.0 * lengths[rec.id] if rec.id in impeded else None)
-        if rec.id in base.ugv_edge_ids
+        if base.prior_costs[rec.id] < INF
         else EdgeRecord(rec.id, rec.u, rec.v, None, rec.uav_cost)
         for rec in base.edges
     ]
@@ -401,13 +399,11 @@ def import_road_network(
 def road_layout(base: ProblemInstance) -> RoadLayout:
     """Each drivable edge's length (INF for an aerial-only edge) and the two
     vertices farthest apart under those lengths: one Dijkstra per vertex."""
-    lengths = [INF] * len(base.edges)
-    for eid in base.ugv_edge_ids:
-        rec = base.edges[eid]
-        lengths[eid] = rec.ugv_cost if rec.ugv_cost is not None else rec.distribution.t_min
+    lengths = [INF if c == INF else rec.distribution.t_min if rec.impeded else rec.ugv_cost
+               for rec, c in zip(base.edges, base.prior_costs)]
     best = (0.0, 0, 0)
     for src in range(base.n_vertices):
-        dist, _, _ = dijkstra(base.ugv_adj, src, lengths)
+        dist, _, _ = dijkstra(base.adj, src, lengths)
         far = max(range(base.n_vertices), key=lambda v: (dist[v] < INF, dist[v]))
         if dist[far] > best[0]:
             best = (dist[far], src, far)

@@ -54,11 +54,7 @@ def _dataclass_from(cls, data: dict):
     unknown = set(data) - fields
     if unknown:
         raise InstanceError(f"unknown spec keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key, val in kwargs.items():
-        if isinstance(val, list):
-            kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-    return cls(**kwargs)
+    return cls(**{key: tuple(val) if isinstance(val, list) else val for key, val in data.items()})
 
 
 def cmd_generate(args) -> int:

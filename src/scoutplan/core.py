@@ -68,8 +68,8 @@ class UniformCost:
 class EdgeRecord:
     """One undirected edge, canonically oriented u < v.
 
-    ugv_cost is None for aerial-only edges and for impeded edges (whose
-    ground cost is the distribution, not a fixed number).
+    ugv_cost is None for impeded edges (whose ground cost is the
+    distribution) and for aerial-only edges, which the ground prices at INF.
     """
 
     id: int
@@ -105,6 +105,15 @@ class ProblemInstance:
     the cost tuples by edge id ``uav_costs`` and ``prior_costs``, the ground
     cost before any reveal (fixed, expected if impeded, INF if aerial-only).
 
+    ``adj`` lists each vertex's (neighbor, edge id) pairs over all of S, in
+    edge-id order.  The ground vehicle may drive an edge iff its prior cost
+    is finite, and that INF alone keeps aerial-only edges out of the ground
+    searches over ``adj``: ``dijkstra`` never relaxes d + INF; ``descend``
+    never picks or ties an INF step; D*'s test cand < rhs fails for INF, and
+    rhs == cost + g_old holds only for an INF rhs, whose lookahead stays INF
+    (edges are never parallel); ``ReverseTree.hide`` skips INF edges, and
+    INF + dist never equals the finite g its parent and child reads need.
+
     Immutable after construction; safe to share between searches.
     """
 
@@ -125,7 +134,6 @@ class ProblemInstance:
         self.d = d
         self.uav_speed = uav_speed
         self.uav_free_flight = uav_free_flight
-        self.ugv_edge_ids = frozenset(e.id for e in edges if e.ugv_cost is not None or e.impeded)
         self.impeded_ids = frozenset(e.id for e in edges if e.impeded)
         self.validate()
         self._build_adjacency()
@@ -133,16 +141,11 @@ class ProblemInstance:
             raise InstanceError("UGV edge set does not connect all vertices")
 
     def _build_adjacency(self) -> None:
-        n = len(self.vertices)
-        self.ugv_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.uav_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         prior = []
         for e in self.edges:
-            self.uav_adj[e.u].append((e.v, e.id))
-            self.uav_adj[e.v].append((e.u, e.id))
-            if e.id in self.ugv_edge_ids:
-                self.ugv_adj[e.u].append((e.v, e.id))
-                self.ugv_adj[e.v].append((e.u, e.id))
+            self.adj[e.u].append((e.v, e.id))
+            self.adj[e.v].append((e.u, e.id))
             prior.append(e.distribution.expected() if e.impeded else INF if e.ugv_cost is None else e.ugv_cost)
         self.prior_costs: tuple[float, ...] = tuple(prior)
         self.uav_costs: tuple[float, ...] = tuple(e.uav_cost for e in self.edges)
@@ -195,8 +198,8 @@ class ProblemInstance:
         count = 1
         while stack:
             v = stack.pop()
-            for w, _ in self.ugv_adj[v]:
-                if not seen[w]:
+            for w, eid in self.adj[v]:
+                if not seen[w] and self.prior_costs[eid] < INF:
                     seen[w] = True
                     count += 1
                     stack.append(w)
@@ -287,7 +290,7 @@ class UavMetric:
     def _sssp(self, src: int) -> tuple[list[float], list[int], int]:
         hit = self._cache.get(src)
         if hit is None:
-            hit = dijkstra(self.inst.uav_adj, src, self.inst.uav_costs)
+            hit = dijkstra(self.inst.adj, src, self.inst.uav_costs)
             self._cache[src] = hit
         return hit
 

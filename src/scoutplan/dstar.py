@@ -83,7 +83,7 @@ def initialize(inst: ProblemInstance, view: PlanningCostView) -> DStarState:
     """The drained search state for the view's costs: g = rhs = one
     ``core.dijkstra``'s distances to ``inst.d``, each the minimum over the
     neighbours of edge cost + g as a drain leaves it, and no queue."""
-    return DStarState(inst, dijkstra(inst.ugv_adj, inst.d, view.costs)[0])
+    return DStarState(inst, dijkstra(inst.adj, inst.d, view.costs)[0])
 
 
 def update_vertex(state: DStarState, v: int) -> None:
@@ -101,7 +101,7 @@ def lookahead(state: DStarState, cost: list[float], v: int) -> float:
     (``cost`` is indexed by edge id) plus g(w)."""
     g = state.g
     best = INF
-    for w, eid in state.inst.ugv_adj[v]:
+    for w, eid in state.inst.adj[v]:
         cand = cost[eid] + g[w]
         if cand < best:
             best = cand
@@ -140,7 +140,7 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
     g = state.g
     rhs = state.rhs
     queue = state.queue
-    adj = state.inst.ugv_adj
+    adj = state.inst.adj
     dest = state.dest
     cost = view.costs
 
@@ -173,7 +173,7 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
 
 def extract_path(state: DStarState, view: PlanningCostView, v_curr: int) -> Path:
     """Greedy descent from v_curr over g (see core.descend)."""
-    walk = descend(state.inst.ugv_adj, state.g, view.costs, v_curr, state.dest)
+    walk = descend(state.inst.adj, state.g, view.costs, v_curr, state.dest)
     if walk is None:
         raise NoPathError(f"no path from {v_curr} to {state.dest}")
     vertices, edges = walk

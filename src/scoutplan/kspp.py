@@ -56,7 +56,7 @@ class ReverseTree:
     shared by one update's spur searches.
 
     ``dist`` is the state's ``g``; ``parent`` memoises each vertex's first
-    tight edge in ``ugv_adj`` order under the view's costs, which the
+    tight edge in ``adj`` order under the view's costs, which the
     drained state keeps at every reachable vertex but the destination (-1:
     none, -2: unread).  ``cost`` copies the view's costs with the hidden
     edges at INF.  ``mark`` flags the yellow vertices, the subtrees below
@@ -92,7 +92,7 @@ class ReverseTree:
         if bound > self.bound:
             raise ValueError(f"mark bound {bound} rises above {self.bound}")
         adj, dist, cost, parent, yellow = (
-            self.inst.ugv_adj, self.dist, self.view_costs, self.parent, self.yellow)
+            self.inst.adj, self.dist, self.view_costs, self.parent, self.yellow)
         marked = self.marked = [v for v in self.marked if dist[v] <= bound]
         stack, self.roots, self.bound = self.roots, [], bound
         while stack:
@@ -116,7 +116,7 @@ class ReverseTree:
 
     def lower_bound(self, v: int) -> float:
         """min(cost + dist) over v's edges: no path from v costs less."""
-        return min(self.cost[eid] + self.dist[w] for w, eid in self.inst.ugv_adj[v])
+        return min(self.cost[eid] + self.dist[w] for w, eid in self.inst.adj[v])
 
     def reset(self) -> None:
         """Restore the view's costs and clear the hidden edges and marks."""
@@ -145,7 +145,7 @@ def spur_search(
     yellow vertex past the limit keeps its tree distance, or gives sums
     from it, at or past the cap: never lowered, popped or descended to.
     """
-    adj, cost, yellow = tree.inst.ugv_adj, tree.cost, tree.yellow
+    adj, cost, yellow = tree.inst.adj, tree.cost, tree.yellow
     cap = math.nextafter(limit, INF)
     dist, frontier = tree.dist.copy(), []
     for y in tree.mark(limit):
@@ -191,7 +191,7 @@ def update_k_paths(
     ``limit``, X less the root's cost, and otherwise searched within it;
     along a walk X falls and the root's cost grows, so the limits never rise.
 
-    Rounding.  Costs are non-negative and a path has under n = len(ugv_adj)
+    Rounding.  Costs are non-negative and a path has under n = len(adj)
     edges.  A candidate's cost, a spur distance (at most the float sum from
     the destination along any path: rounding is monotone) and a root's cost
     plus either each sum one path's edges in some order, so each is within a
@@ -205,7 +205,7 @@ def update_k_paths(
     accepted = [dstar.replan(state, view, v_curr, changed, drain=k > 1)]
     if k == 1:
         return PathSet(accepted)
-    adj, costs = inst.ugv_adj, view.costs
+    adj, costs = inst.adj, view.costs
     slack = 1.0 + 4 * len(adj) * 2.0**-53
     pool: list[tuple[float, tuple[int, ...], Path]] = []
     deviation = {accepted[0].vertices: 0}

@@ -112,7 +112,7 @@ class SimulationOutcome:
 
 def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
     """Perfect-information shortest arrival: every hidden cost known upfront."""
-    dist, _, _ = dijkstra(inst.ugv_adj, inst.p, realization.costs, inst.d)
+    dist, _, _ = dijkstra(inst.adj, inst.p, realization.costs, inst.d)
     if dist[inst.d] == INF:
         raise NoPathError("destination unreachable")
     return dist[inst.d]

@@ -36,8 +36,9 @@ def build_instance(coords, edge_specs, p=0, q=0, d=None, uav_speed=2.0, free_fli
 
 def edge_between(inst, a, b):
     """Id of the UGV edge joining a and b, looked up in the adjacency."""
-    for w, eid in inst.ugv_adj[a]:
-        if w == b:
+    for w, eid in inst.adj[a]:
+        rec = inst.edges[eid]
+        if w == b and (rec.ugv_cost is not None or rec.impeded):
             return eid
     raise KeyError(f"no UGV edge between {a} and {b}")
 
@@ -45,6 +46,17 @@ def edge_between(inst, a, b):
 def edge_walk(inst, vertices):
     """Edge ids along a vertex sequence, looked up by their endpoints."""
     return tuple(edge_between(inst, a, b) for a, b in zip(vertices, vertices[1:]))
+
+
+def with_aerial_only_edges(inst, rng):
+    """The instance plus 1-4 aerial-only edges between pairs it leaves unjoined."""
+    joined = {(e.u, e.v) for e in inst.edges}
+    n = inst.n_vertices
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in joined]
+    edges = list(inst.edges)
+    for u, v in rng.sample(free, min(len(free), rng.randint(1, 4))):
+        edges.append(EdgeRecord(len(edges), u, v, None, inst.euclid(u, v) / inst.uav_speed + 0.1))
+    return ProblemInstance(inst.vertices, edges, inst.p, inst.q, inst.d, inst.uav_speed, inst.uav_free_flight)
 
 
 def line_instance(costs=(2.0, 3.0)):

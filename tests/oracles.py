@@ -15,11 +15,17 @@ from conftest import edge_between
 INF = float("inf")
 
 
+def ugv_edges(inst):
+    """Ids of the edges the ground vehicle may drive, read off the edge
+    records: those with a fixed ground cost or a cost window."""
+    return frozenset(rec.id for rec in inst.edges if rec.ugv_cost is not None or rec.impeded)
+
+
 def prior_costs(inst):
     """Edge-id -> cost for the UGV edges before any reveal, read off the edge
     records: the fixed cost, or the window's midpoint for an impeded edge."""
     costs = {}
-    for eid in inst.ugv_edge_ids:
+    for eid in ugv_edges(inst):
         rec = inst.edges[eid]
         costs[eid] = (rec.distribution.t_min + rec.distribution.t_max) / 2.0 if rec.impeded else rec.ugv_cost
     return costs
@@ -27,7 +33,7 @@ def prior_costs(inst):
 
 def view_costs(inst, view):
     """Edge-id -> cost mapping for the UGV edges under a view."""
-    return {eid: view.costs[eid] for eid in inst.ugv_edge_ids}
+    return {eid: view.costs[eid] for eid in ugv_edges(inst)}
 
 
 def dijkstra_to_dest(inst, costs, dest, blocked_vertices=frozenset()):
@@ -42,7 +48,7 @@ def dijkstra_to_dest(inst, costs, dest, blocked_vertices=frozenset()):
         dv, v = heapq.heappop(pq)
         if dv > dist[v]:
             continue
-        for w, eid in inst.ugv_adj[v]:
+        for w, eid in inst.adj[v]:
             if w in blocked_vertices:
                 continue
             c = costs.get(eid, INF)
@@ -57,14 +63,14 @@ def dijkstra_to_dest(inst, costs, dest, blocked_vertices=frozenset()):
 
 def tree_parents(inst, costs, dist):
     """Each vertex's parent edge in the shortest-path tree towards inst.d
-    given by ``dist``: its first edge in ``ugv_adj`` order whose cost plus
+    given by ``dist``: its first edge in ``adj`` order whose cost plus
     the far end's distance equals its own, -1 at inst.d and unreachable
     vertices."""
     parent = [-1] * inst.n_vertices
     for v in range(inst.n_vertices):
         if v == inst.d or dist[v] == INF:
             continue
-        for w, eid in inst.ugv_adj[v]:
+        for w, eid in inst.adj[v]:
             if costs.get(eid, INF) + dist[w] == dist[v]:
                 parent[v] = eid
                 break
@@ -80,7 +86,7 @@ def greedy_path(inst, costs, dist, source, dest, blocked_vertices=frozenset()):
     while v != dest:
         best = INF
         nxt = -1
-        for w, eid in inst.ugv_adj[v]:
+        for w, eid in inst.adj[v]:
             if w in blocked_vertices:
                 continue
             c = costs.get(eid, INF)
@@ -155,7 +161,7 @@ def yen_hidden_edges(inst, accepted, root):
     i = len(root)
     hidden = {edge_between(inst, p[i - 1], p[i]) for p in accepted if len(p) > i and p[:i] == root}
     for w in root[:-1]:
-        hidden.update(eid for _, eid in inst.ugv_adj[w])
+        hidden.update(eid for _, eid in inst.adj[w])
     return hidden
 
 
@@ -168,7 +174,7 @@ def all_simple_paths(inst, costs, source, dest):
         if v == dest:
             out.append((path_cost(inst, costs, tuple(acc)), tuple(acc)))
             return
-        for w, eid in inst.ugv_adj[v]:
+        for w, eid in inst.adj[v]:
             if seen[w] or costs.get(eid, INF) == INF:
                 continue
             seen[w] = True

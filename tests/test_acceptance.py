@@ -49,7 +49,7 @@ class TestCriterion1DStarOracle:
             path = dstar.replan(state, view, v_curr, [])
             unrevealed = sorted(inst.impeded_ids)
             rng.shuffle(unrevealed)
-            fixed = sorted(inst.ugv_edge_ids - inst.impeded_ids)
+            fixed = sorted(oracles.ugv_edges(inst) - inst.impeded_ids)
             for _ in range(20):
                 updates = []
                 for _ in range(rng.randint(1, 2)):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import oracles
 from scoutplan import bench, sim
 from scoutplan.core import dijkstra, load_instance, save_instance, save_realization
 from scoutplan.sim import SimulationConfig
@@ -61,7 +62,7 @@ class TestBridgeGenerator:
         for seed in range(8):
             inst, real = bench.generate_bridge(bench.BridgeSpec(adversarial=True), seed=seed)
             exp = [e.distribution.expected() if e.impeded else e.ugv_cost for e in inst.edges]
-            _, parent, _ = dijkstra(inst.ugv_adj, inst.p, exp)
+            _, parent, _ = dijkstra(inst.adj, inst.p, exp)
             on_path = set()
             v = inst.d
             while v != inst.p:
@@ -124,12 +125,12 @@ class TestRoadImport:
     def test_fraction_one(self, tmp_path):
         base = self.make_base(tmp_path)
         out = bench.import_road_network(base, impeded_fraction=1.0, seed=1)
-        assert out.impeded_ids == out.ugv_edge_ids
+        assert out.impeded_ids == oracles.ugv_edges(out)
 
     def test_fraction_half_counts_and_windows(self, tmp_path):
         base = self.make_base(tmp_path)
         out = bench.import_road_network(base, impeded_fraction=0.5, seed=2)
-        assert len(out.impeded_ids) == len(out.ugv_edge_ids) // 2
+        assert len(out.impeded_ids) == len(oracles.ugv_edges(out)) // 2
         for eid in out.impeded_ids:
             lo, hi = out.edges[eid].distribution.bounds()
             assert hi == pytest.approx(10.0 * lo)
@@ -141,9 +142,9 @@ class TestRoadImport:
         length = [e.distribution.t_min if e.impeded else e.ugv_cost for e in out.edges]
         best = 0.0
         for src in range(out.n_vertices):
-            dist, _, _ = dijkstra(out.ugv_adj, src, length)
+            dist, _, _ = dijkstra(out.adj, src, length)
             best = max(best, max(d for d in dist if d < float("inf")))
-        got, _, _ = dijkstra(out.ugv_adj, out.p, length)
+        got, _, _ = dijkstra(out.adj, out.p, length)
         assert got[out.d] == pytest.approx(best)
 
     def test_endpoints_searched_once_per_base(self, tmp_path, monkeypatch):

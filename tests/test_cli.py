@@ -333,6 +333,9 @@ class TestExperimentAndReport:
         {"k_values": [2, 2], "planners": ["paa", "paa"]},
         # The naive baseline always runs, so planners must not list it.
         {"planners": ["naive", "rpp"]},
+        # A nested list is no k and no planner.
+        {"k_values": [[1]]},
+        {"planners": [["rpp"]]},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"
@@ -344,6 +347,16 @@ class TestExperimentAndReport:
         assert rc == DATA_ERROR
         assert "bad experiment spec" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"k_values": [[1]]}, "every k must be an integer >= 1, got [1]"),
+        ({"planners": [["rpp"]]}, "unknown planner ['rpp']"),
+    ])
+    def test_nested_list_fails_the_spec_check(self, tmp_path, capsys, bad, message):
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({"family": "bridge", "n_instances": 1, **bad}))
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(tmp_path / "out")) == DATA_ERROR
+        assert capsys.readouterr().err == f"data error: bad experiment spec {spec}: {message}\n"
 
     def test_scaling_family_is_data_error(self, tmp_path, capsys):
         spec = tmp_path / "exp.json"

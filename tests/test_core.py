@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 import scoutplan
-from conftest import build_instance, line_instance, random_connected_instance
+from conftest import build_instance, line_instance, random_connected_instance, with_aerial_only_edges
 from scoutplan import bench, sim
 from scoutplan.core import (
     INF,
@@ -96,17 +96,6 @@ class TestPlanningCost:
         assert view.costs[target] == inst.edges[target].distribution.t_max
 
 
-def with_aerial_only_edges(inst, rng):
-    """The instance plus aerial-only edges between a few pairs it leaves unjoined."""
-    joined = {(e.u, e.v) for e in inst.edges}
-    n = inst.n_vertices
-    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in joined]
-    edges = list(inst.edges)
-    for u, v in rng.sample(free, min(len(free), rng.randint(1, 4))):
-        edges.append(EdgeRecord(len(edges), u, v, None, inst.euclid(u, v) / inst.uav_speed + 0.1))
-    return ProblemInstance(inst.vertices, edges, inst.p, inst.q, inst.d, inst.uav_speed, inst.uav_free_flight)
-
-
 class TestCostOwners:
     """The instance owns the prior and aerial costs, the realization the true
     costs; a view copies the prior."""
@@ -119,7 +108,7 @@ class TestCostOwners:
         inst = with_aerial_only_edges(random_connected_instance(rng, n_min=6), rng)
         real = sample_realization(inst, rng)
         m = len(inst.edges)
-        assert m > len(inst.ugv_edge_ids)
+        assert m > len(oracles.ugv_edges(inst))
         prior = oracles.prior_costs(inst)
         want = tuple(prior.get(e, INF) for e in range(m))
         assert inst.prior_costs == want
@@ -182,10 +171,13 @@ class TestUavTransit:
 
 class TestInstanceValidation:
     def test_disconnected_rejected(self):
+        # Two ground components, alone or joined only by an aerial-only edge,
+        # which joins S but not E.
         coords = [(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (6.0, 0.0)]
         edges = [EdgeRecord(0, 0, 1, 1.0, 0.5), EdgeRecord(1, 2, 3, 1.0, 0.5)]
-        with pytest.raises(InstanceError, match="connect"):
-            ProblemInstance(coords, edges, 0, 0, 3)
+        for extra in ([], [EdgeRecord(2, 1, 2, None, 2.0)]):
+            with pytest.raises(InstanceError, match="connect"):
+                ProblemInstance(coords, edges + extra, 0, 0, 3)
 
     def test_non_canonical_orientation_rejected(self):
         coords = [(0.0, 0.0), (1.0, 0.0)]

@@ -79,7 +79,7 @@ class TestInitialize:
         assert state.g[inst.d] == state.rhs[inst.d] == 0.0
         assert len(state.queue) == 0
         assert state.expansions == 0
-        assert state.g == dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
+        assert state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
         assert state.rhs == state.g and state.rhs is not state.g
 
     @settings(max_examples=80, deadline=None)
@@ -90,11 +90,11 @@ class TestInitialize:
         # first repair expands nothing.
         inst = random_connected_instance(rng, n_min=4, n_max=14)
         view = PlanningCostView(inst)
-        edges = sorted(inst.ugv_edge_ids)
+        edges = sorted(oracles.ugv_edges(inst))
         for eid in data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="changed"):
             view.costs[eid] = data.draw(st.sampled_from((INF, 0.5, 2.0, 7.0)), label="cost")
         state = dstar.initialize(inst, view)
-        dist = dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
+        dist = dijkstra(inst.adj, inst.d, view.costs)[0]
         assert state.g == dist and state.rhs == dist
         assert len(state.queue) == 0 and state.queue_consistent()
         assert all(state.rhs[v] == dstar.lookahead(state, view.costs, v)
@@ -123,7 +123,7 @@ class TestInitialize:
         dstar.compute_shortest_path(state, view, 1)
         assert 0 in state.queue and state.queue_consistent()
         dstar.compute_shortest_path(state, view)
-        assert len(state.queue) == 0 and state.g == dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
+        assert len(state.queue) == 0 and state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
 
     def test_start_equals_dest(self):
         inst = line_instance()
@@ -181,7 +181,7 @@ class TestRhsUpdate:
         inst, _ = bench.generate_grid(bench.GridSpec(rows=3, cols=4), seed=1)
         view = PlanningCostView(inst)
         state = dstar.initialize(inst, view)
-        eid = next(e for e in sorted(inst.ugv_edge_ids)
+        eid = next(e for e in sorted(oracles.ugv_edges(inst))
                    if abs(state.g[inst.edges[e].u] - state.g[inst.edges[e].v]) < view.costs[e] - 1.0)
         view.costs[eid] -= 1.0
         before_rhs = state.rhs.copy()
@@ -342,7 +342,7 @@ class TestReplanStateful:
     @given(rng=st.randoms(use_true_random=False), data=st.data())
     def test_batches_and_moving_start_match_dijkstra(self, rng, data):
         inst = random_connected_instance(rng, n_min=5, n_max=12)
-        edges = sorted(inst.ugv_edge_ids)
+        edges = sorted(oracles.ugv_edges(inst))
         view = PlanningCostView(inst)
         state = dstar.initialize(inst, view)
         v_curr = inst.p
@@ -375,7 +375,7 @@ class TestReplanStateful:
                 assert path.vertices[0] == v_curr and path.vertices[-1] == inst.d
                 assert len(set(path.vertices)) == len(path.vertices)
             assert state.queue_consistent()
-            assert state.g == dijkstra(inst.ugv_adj, inst.d, view.costs)[0]
+            assert state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
             parents = oracles.tree_parents(inst, oracles.view_costs(inst, view), state.g)
             for v, eid in enumerate(parents):
                 assert (eid < 0) == (v == inst.d or state.g[v] == INF)
@@ -393,8 +393,8 @@ class TestStoppedRepair:
     @given(rng=st.randoms(use_true_random=False), data=st.data())
     def test_stopped_repairs_match_dijkstra_up_to_the_vehicle(self, rng, data):
         inst = random_connected_instance(rng, n_min=4, n_max=14)
-        adj, d = inst.ugv_adj, inst.d
-        edges = sorted(inst.ugv_edge_ids)
+        adj, d = inst.adj, inst.d
+        edges = sorted(oracles.ugv_edges(inst))
         cost = st.sampled_from(self.COSTS)
         view = PlanningCostView(inst)
         for eid in edges:

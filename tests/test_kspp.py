@@ -82,7 +82,7 @@ def check_marks(tree, limit):
     are exactly the yellow ones (``yellow_set`` under the eager parents) no
     farther than the limit."""
     inst = tree.inst
-    costs = {eid: tree.view_costs[eid] for eid in inst.ugv_edge_ids}
+    costs = {eid: tree.view_costs[eid] for eid in oracles.ugv_edges(inst)}
     parents = oracles.tree_parents(inst, costs, oracles.dijkstra_to_dest(inst, costs, inst.d))
     yellow = yellow_set(inst, parents, hidden_edges(tree))[0]
     marked = set(tree.marked)
@@ -191,7 +191,7 @@ class TestSuppression:
             view = PlanningCostView(inst)
             before = view.costs.copy()
             tree = reverse_tree(inst, view)
-            ugv_edges = sorted(inst.ugv_edge_ids)
+            ugv_edges = sorted(oracles.ugv_edges(inst))
             for _ in range(3):
                 for _ in range(3):
                     tree.hide(rng.sample(ugv_edges, rng.randint(1, len(ugv_edges))))
@@ -338,7 +338,7 @@ class TestSpurSearch:
         paths = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 3)
         tree = reverse_tree(inst, view)
         parents = eager_parents(inst, view)
-        ugv_edges = sorted(inst.ugv_edge_ids)
+        ugv_edges = sorted(oracles.ugv_edges(inst))
         outside = mixed = 0
         for _ in range(trials):
             if rng.random() < 0.5:
@@ -492,8 +492,8 @@ class TestSpurSearch:
         centre = min(range(inst.n_vertices), key=lambda v: inst.euclid(v, inst.p))
         block = {centre}
         for _ in range(1):
-            block |= {w for v in block for w, _ in inst.ugv_adj[v]}
-        hidden = {eid for v in block for w, eid in inst.ugv_adj[v] if w not in block}
+            block |= {w for v in block for w, _ in inst.adj[v]}
+        hidden = {eid for v in block for w, eid in inst.adj[v] if w not in block}
         assert inst.d not in block
         tree = reverse_tree(inst, view)
         yellow, _ = yellow_set(inst, eager_parents(inst, view), hidden)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build_instance, random_connected_instance
+from conftest import build_instance, random_connected_instance, with_aerial_only_edges
 from scoutplan import bench, dstar, kspp, rpp, sim
 from scoutplan.cli import main
 from scoutplan.core import (
@@ -135,7 +135,7 @@ class TestLowerBound:
         chain = sum(true[eid] for eid in range(6))
         assert chain < true[6] + true[7] < chain + 1e-8
         cost = [real[e.id] for e in inst.edges]
-        assert sim.lower_bound(inst, real) == dijkstra(inst.ugv_adj, 0, cost)[0][6]
+        assert sim.lower_bound(inst, real) == dijkstra(inst.adj, 0, cost)[0][6]
 
     @settings(max_examples=300, deadline=None)
     @given(mission=_missions())
@@ -144,13 +144,13 @@ class TestLowerBound:
         cost = PlanningCostView(inst).costs
         for eid in inst.impeded_ids:
             cost[eid] = real[eid]
-        full, _, n = dijkstra(inst.ugv_adj, inst.p, cost)
+        full, _, n = dijkstra(inst.adj, inst.p, cost)
         assert n == inst.n_vertices
         bound, [(got, _, settled)] = _recorded(sim, lambda: sim.lower_bound(inst, real))
         assert bound == full[inst.d]
         _check_early_stop(full, got, settled, range(inst.n_vertices), inst.d)
-        walk = descend(inst.ugv_adj, full, cost, inst.d, inst.p)
-        assert descend(inst.ugv_adj, got, cost, inst.d, inst.p) == walk
+        walk = descend(inst.adj, full, cost, inst.d, inst.p)
+        assert descend(inst.adj, got, cost, inst.d, inst.p) == walk
         assert [got[v] for v in walk[0]] == [full[v] for v in walk[0]]
 
     def test_zero_impeded_equals_static_shortest_path(self):
@@ -164,7 +164,7 @@ class TestLowerBound:
             inst = random_connected_instance(rng)
             real = sample_realization(inst, rng)
             costs = {}
-            for eid in inst.ugv_edge_ids:
+            for eid in oracles.ugv_edges(inst):
                 rec = inst.edges[eid]
                 costs[eid] = real[eid] if rec.impeded else rec.ugv_cost
             dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
@@ -182,13 +182,13 @@ def test_spur_search_early_stop_equals_full_search(mission, data):
         if data.draw(st.booleans(), label="reveal"):
             view.reveal(eid, real[eid])
     tree = kspp.ReverseTree(inst, view, dstar.initialize(inst, view))
-    edges = sorted(inst.ugv_edge_ids)
+    edges = sorted(oracles.ugv_edges(inst))
     tree.hide(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="hidden"))
     spur = data.draw(st.integers(0, inst.n_vertices - 1), label="spur")
-    full = dijkstra(inst.ugv_adj, inst.d, tree.cost)[0]
+    full = dijkstra(inst.adj, inst.d, tree.cost)[0]
     (path, settled), [(got, _, _)] = _recorded(kspp, lambda: kspp.spur_search(tree, spur, INF))
     _check_early_stop(full, got, settled, tree.marked, spur)
-    assert path == descend(inst.ugv_adj, full, tree.cost, spur, inst.d)
+    assert path == descend(inst.adj, full, tree.cost, spur, inst.d)
     if path is not None:
         assert [got[v] for v in path[0]] == [full[v] for v in path[0]]
 
@@ -199,7 +199,7 @@ def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
     # lower bound and the k paths still match the oracles.
     for _ in range(20):
         base = random_connected_instance(rng, n_min=6, n_max=14)
-        longest = max(base.ugv_edge_ids, key=lambda eid: base.euclid(base.edges[eid].u, base.edges[eid].v))
+        longest = max(oracles.ugv_edges(base), key=lambda eid: base.euclid(base.edges[eid].u, base.edges[eid].v))
         edges = list(base.edges)
         e = edges[longest]
         if e.impeded:
@@ -213,12 +213,34 @@ def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
         assert view.costs[longest] < inst.euclid(inst.edges[longest].u, inst.edges[longest].v)
         real = sample_realization(inst, rng)
         costs = {eid: real[eid] if inst.edges[eid].impeded else inst.edges[eid].ugv_cost
-                 for eid in inst.ugv_edge_ids}
+                 for eid in oracles.ugv_edges(inst)}
         dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
         assert sim.lower_bound(inst, real) == pytest.approx(dist[inst.p], rel=1e-12)
         pset = kspp.update_k_paths(inst, view, dstar.initialize(inst, view), inst.p, [], 4)
         yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), inst.p, inst.d, 4)
         assert [p.vertices for p in pset] == yen
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_aerial_only_edges_never_change_a_free_flight_mission(seed):
+    # The scout flies straight lines, and aerial-only edges are INF to every
+    # ground search, so adding them leaves each mission as it was.
+    rng = random.Random(seed)
+    # Six or more vertices leave at least one pair unjoined.
+    inst = random_connected_instance(rng, n_min=6)
+    real = sample_realization(inst, rng)
+    ext = with_aerial_only_edges(inst, rng)
+    ext_real = Realization(ext, real.true_cost)
+    assert len(ext.edges) > len(inst.edges)
+    g = dstar.initialize(ext, PlanningCostView(ext)).g
+    assert g == oracles.dijkstra_to_dest(ext, oracles.prior_costs(ext), ext.d)
+    for planner in sim.PLANNERS:
+        for k in range(1, 5):
+            cfg = SimulationConfig(planner=planner, k=k)
+            want, got = sim.run(inst, real, cfg), sim.run(ext, ext_real, cfg)
+            assert got.event_log_text() == want.event_log_text()
+            assert (got.lower_bound, got.expansions, got.spur) == (want.lower_bound, want.expansions, want.spur)
 
 
 class TestWalkthroughScenario:
