@@ -90,6 +90,7 @@ def cmd_simulate(args) -> int:
     print(f"late_inspections {outcome.late_inspections}")
     print(f"max_ugv_replan_ms {outcome.max_ugv_replan_s * 1e3:.3f}")
     print(f"max_uav_replan_ms {outcome.max_uav_replan_s * 1e3:.3f}")
+    print(f"dfs_nodes {outcome.dfs_nodes}")
     print(f"dstar_expansions {outcome.expansions}")
     return 0
 

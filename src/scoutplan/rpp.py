@@ -4,8 +4,9 @@ Unrealized impeded edges on the ground vehicle's candidate paths become
 inspection targets with visit deadlines.  Each target edge turns into two
 direction nodes of a small complete digraph rooted at a depot node for the
 scout's current position; an exact depth-first search with a Held-Karp
-dominance memo and a count bound then picks the tour inspecting as many
-edges as possible (cheapest among equals) within the deadlines.
+dominance memo, a count bound and a cost bound for ties then picks the tour
+inspecting as many edges as possible (cheapest among equals) within the
+deadlines.
 """
 
 from __future__ import annotations
@@ -115,9 +116,11 @@ def build_transformed_graph(
 
 #: DFS nodes (calls of the inner search) after which ``rpp_dfs`` stops and
 #: returns its incumbent.  Counting work instead of time keeps every tour,
-#: and so every event log, independent of machine speed.  Sized so that a
-#: search reaching it takes about 1 s: searches on 18-30 critical edges ran
-#: at a median of 149,000 nodes/s on a 2-core x86 host (Python 3.11).
+#: and so every event log, independent of machine speed.  A search reaching
+#: it takes 0.5-0.9 s: the seven that did among the tour searches of six
+#: 20x20 bridge missions with 80% of chain edges impeded (15-21 critical
+#: edges) ran at a median of 211,000 nodes/s on a 2-core x86 host
+#: (Python 3.11).
 DFS_NODE_BUDGET = 140_000
 
 
@@ -143,47 +146,72 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     before at no greater cost (a deadline is only a latest time), and it can
     still beat the incumbent by the count of edges left with a direction j
     whose arrival bound ``min(c + arc[v][j], (c + min_out[v]) + min_in[j])``
-    from child v at cost c meets j's deadline.  Adding non-negative arcs is
-    monotone in floats, so this holds as summed, without slack or triangle
-    inequality; the scan is skipped when the edges left with a deadline are
-    too few to win even if all are reached.  Each node entered is a tour and
-    replaces the incumbent on more inspections, or as many at lower cost.
-    Children go in (arc, index) order, so equal optima resolve to the first
-    found.  After ``DFS_NODE_BUDGET`` nodes the incumbent is returned as is.
+    from child v at cost c meets j's deadline.  An equal count wins only on
+    cost: a tour below child v that ties the incumbent's count needs
+    ``tie`` more arcs, the first out of v and each later one between
+    direction nodes, so it costs at least ``low``: c, plus ``min_out[v]``,
+    plus the least arc between direction nodes ``tie - 1`` times, added one
+    at a time.  Adding non-negative arcs is monotone in floats, so both
+    bounds hold as summed, without slack or triangle inequality; the scan
+    is skipped when the edges left with a deadline are too few to win even
+    if all are reached.  Each node entered is a tour and replaces the
+    incumbent on more inspections, or as many at lower cost.  Children go
+    in (arc, index) order.  After ``DFS_NODE_BUDGET`` nodes the incumbent
+    is returned as is.
+
+    Unless the budget binds, the result is F, the first optimal tour in
+    (arc, index) pre-order, because each prune skips only children whose
+    subtree holds no tour strictly better than the current incumbent.
+    (i) Had such a prune skipped an ancestor of F, the incumbent then was
+    already optimal and entered before F, so F would not be the first.
+    (ii) Had the memo skipped an ancestor x of F, an earlier node y with
+    x's state was entered at no greater cost, and y is not an ancestor of
+    x.  F's suffix from x flown from y meets every deadline, since
+    ``fl(c + a)`` is monotone in c, and gives an optimum before F.  So any
+    prunes of this kind, the count and tie bounds included, return F.
     """
     n, arc = graph.size, graph.arc
     deadline = [0.0] + [node.deadline for node in graph.nodes[1:]]
-    edges = list(dict.fromkeys(node.edge for node in graph.nodes[1:]))
-    bit = [0] + [1 << edges.index(node.edge) for node in graph.nodes[1:]]
+    index: dict[int, int] = {}
+    bit = [0] + [1 << index.setdefault(node.edge, len(index)) for node in graph.nodes[1:]]
     free = sum({bit[j] for j in range(1, n) if deadline[j] == INF})  # edges never late
-    min_out = [min(row[1:], default=INF) for row in arc]
-    min_in = [min((arc[i][j] for i in range(1, n)), default=INF) for j in range(n)]
-    timed = [(j, deadline[j], bit[j], min_in[j]) for j in range(1, n) if deadline[j] < INF]
-    timed_edges = sum({b for _, _, b, _ in timed})  # edges with a direction that has a deadline
     kids = [  # finite arcs as (node, arc, deadline, bit), in (arc, node) order
         [(j, row[j], deadline[j], bit[j]) for j in sorted(range(1, n), key=row.__getitem__)
          if row[j] < INF] for row in arc]
+    min_out = [k[0][1] if k else INF for k in kids]
+    min_in = list(map(min, zip(*arc[1:])))  # over arcs from direction nodes
+    least = min(min_out[1:], default=INF)  # no arc between direction nodes costs less
+    timed = [(j, deadline[j], bit[j], min_in[j]) for j in range(1, n) if deadline[j] < INF]
+    timed_edges = sum({b for _, _, b, _ in timed})  # edges with a direction that has a deadline
     memo: list[dict[int, float]] = [{} for _ in range(n)]  # [node][mask], one per node entered
-    best_cost, best_visited = 0.0, [0]
+    visited = [0]  # the current tour, shared down the search
+    best_cost, best_count, best_visited = 0.0, 1, [0]
     budget, nodes, exhausted = DFS_NODE_BUDGET, 0, False
 
-    def dfs(v: int, cost: float, mask: int, visited: list[int]) -> None:
-        nonlocal best_cost, best_visited, nodes, exhausted
+    def dfs(v: int, cost: float, mask: int) -> None:
+        nonlocal best_cost, best_count, best_visited, nodes, exhausted
         if nodes == budget:
             exhausted = True
             return
         nodes += 1
         count = len(visited)
-        if count > len(best_visited) or (count == len(best_visited) and cost < best_cost):
-            best_cost, best_visited = cost, visited
+        if count > best_count or (count == best_count and cost < best_cost):
+            best_cost, best_count, best_visited = cost, count, visited[:]
         for nxt, a, d, b in kids[v]:
             if mask & b or cost + a > d:
                 continue
             new_cost, new_mask = cost + a, mask | b
             if memo[nxt].get(new_mask, INF) <= new_cost:
                 continue
+            # Least cost of a tour below the child that ties the incumbent.
+            low, tie = new_cost, best_count - count - 1
+            if tie > 0:
+                low += min_out[nxt]
+                while tie > 1 and low < best_cost:
+                    low += least
+                    tie -= 1
             # Edges the child must still reach to win; equal counts win on cost.
-            need = len(best_visited) - count - (new_cost < best_cost)
+            need = best_count - count - (low < best_cost)
             need -= (free & ~new_mask).bit_count()
             if need > 0:
                 if need > (timed_edges & ~(new_mask | free)).bit_count():
@@ -199,11 +227,13 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
                 else:
                     continue
             memo[nxt][new_mask] = new_cost
-            dfs(nxt, new_cost, new_mask, visited + [nxt])
+            visited.append(nxt)
+            dfs(nxt, new_cost, new_mask)
+            visited.pop()
             if exhausted:
                 return
 
-    dfs(0, 0.0, 0, [0])
+    dfs(0, 0.0, 0)
     return RppSolution(best_cost, best_visited, exhausted, nodes)
 
 

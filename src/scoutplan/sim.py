@@ -66,6 +66,7 @@ class ReplanRecord:
     budget_hit: bool = False
     spur: kspp.SpurCounts = kspp.SpurCounts()  # of the k-path update, if any
     expansions: int = 0  # D* expansions of the k-path update, if any
+    dfs_nodes: int = 0  # nodes of the tour search, if any
 
 
 @dataclass
@@ -100,6 +101,11 @@ class SimulationOutcome:
     def expansions(self) -> int:
         """D* expansions summed over every replan."""
         return sum(r.expansions for r in self.replans)
+
+    @property
+    def dfs_nodes(self) -> int:
+        """Tour-search nodes summed over every replan."""
+        return sum(r.dfs_nodes for r in self.replans)
 
     @property
     def spur(self) -> kspp.SpurCounts:
@@ -163,7 +169,7 @@ def _rpp_inspections(
 ) -> list[tuple[int, int]]:
     graph = rpp.build_transformed_graph(eng.inst, eng.metric, critical, origin, origin_time)
     sol = _timed(rec, rpp.rpp_dfs, graph)
-    rec.budget_hit = sol.budget_exhausted
+    rec.budget_hit, rec.dfs_nodes = sol.budget_exhausted, sol.nodes
     return graph.inspections(sol)
 
 

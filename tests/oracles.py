@@ -222,18 +222,46 @@ def rpp_brute_force(graph):
     return best
 
 
+def rpp_first_optimum(graph):
+    """The first optimal tour in (arc, index) pre-order, as (visited, cost),
+    by full enumeration with no memo and no bound: children go in (arc,
+    index) order, and a tour replaces the best only on strictly more
+    inspections, or on as many at lower cost."""
+    n, arc = graph.size, graph.arc
+    deadline = [0.0] + [graph.nodes[j].deadline for j in range(1, n)]
+    edge = [None] + [graph.nodes[j].edge for j in range(1, n)]
+    best = ([0], 0.0)
+
+    def extend(v, cost, tour):
+        nonlocal best
+        if len(tour) > len(best[0]) or (len(tour) == len(best[0]) and cost < best[1]):
+            best = (list(tour), cost)
+        for j in sorted(range(1, n), key=lambda j: arc[v][j]):
+            c = cost + arc[v][j]
+            if arc[v][j] == INF or edge[j] in {edge[i] for i in tour} or c > deadline[j]:
+                continue
+            extend(j, c, tour + [j])
+
+    extend(0, 0.0, [0])
+    return best
+
+
 def rpp_dfs_nodes(graph):
     """Nodes ``rpp.rpp_dfs`` enters, by its rules spelled out without its
     shortcuts: children in (arc, index) order, a child entered when it meets
     its deadline, its (node, edge set) state was not reached at no greater
     cost, and a scan of the edges left finds enough of them reachable (a
     direct arc, or the cheapest way out of the child then the cheapest way
-    in) to beat the incumbent's (count, cost)."""
+    in) to beat the incumbent's (count, cost).  A tour that ties the
+    incumbent's count beats it only when its least cost (the child's cost,
+    the cheapest way out of the child, then the cheapest way into any
+    direction node for each further arc) is below the incumbent's."""
     n, arc = graph.size, graph.arc
     deadline = [0.0] + [graph.nodes[j].deadline for j in range(1, n)]
     edge = [None] + [graph.nodes[j].edge for j in range(1, n)]
     min_out = [min(row[1:], default=INF) for row in arc]
     min_in = [min((arc[i][j] for i in range(1, n)), default=INF) for j in range(n)]
+    least = min(min_in[1:], default=INF)
     memo = {}
     best = (0, 0.0)
     nodes = 0
@@ -250,7 +278,13 @@ def rpp_dfs_nodes(graph):
             state = (j, used | {edge[j]})
             if memo.get(state, INF) <= c:
                 continue
-            need = best[0] - len(used) - (c < best[1])
+            tie = best[0] - len(used) - 1  # arcs past the child to tie the count
+            low = c
+            if tie > 0:
+                low += min_out[j]
+                for _ in range(tie - 1):
+                    low += least
+            need = best[0] - len(used) - (low < best[1])
             reach = set(state[1])
             for i in range(1, n):
                 if deadline[i] == INF and edge[i] not in reach:

@@ -159,6 +159,19 @@ class TestSimulate:
         text = log.read_text()
         assert text.startswith("t=") and "reveal" in text
 
+    @pytest.mark.parametrize("planner", ["rpp", "paa"])
+    def test_prints_dfs_nodes_before_the_expansions(self, tmp_path, capsys, planner):
+        # The tour-search nodes summed over the replans: some for rpp on a
+        # mission with critical edges, none for paa, which runs no search.
+        ip, rp = self.write_pair(tmp_path)
+        inst = load_instance(ip)
+        out = sim.run(inst, load_realization(rp, inst), sim.SimulationConfig(planner=planner, k=2))
+        assert run_cli("simulate", "--instance", ip, "--realization", rp,
+                       "--planner", planner, "--k", "2") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"dfs_nodes {out.dfs_nodes}", f"dstar_expansions {out.expansions}"]
+        assert (out.dfs_nodes > 0) == (planner == "rpp")
+
     def test_no_uav_flag(self, tmp_path, capsys):
         # Planner none runs without the scout; the old --no-uav flag is gone.
         ip, rp = self.write_pair(tmp_path)

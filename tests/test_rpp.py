@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -392,3 +392,29 @@ def test_dfs_enters_the_nodes_its_rules_enter(graph):
     # the count bound's scan, change no decision: it enters exactly the
     # nodes its rules, spelled out in the oracle, enter.
     assert rpp.rpp_dfs(graph).nodes == oracles.rpp_dfs_nodes(graph)
+
+
+# The search enters [0, 2] and then [0, 2, 4] (cost 2).  Back at the depot,
+# child 3 (cost 0) ties that count with one more arc, which costs at least
+# min_out[3] = 1, and [0, 3, 2] does so at cost 1.  A tie bound that also
+# adds the least arc in (1) for that arc reaches 2 and loses the tour.
+_TIE_BOUND_EXACT = rpp.TransformedGraph(
+    [None] + [rpp.TourNode(edge, 0, 0, 1.0, deadline)
+              for edge, deadline in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 2.0))],
+    [[INF, 1.0, 0.0, 0.0, 0.0],
+     [1.0, INF, INF, 1.0, 1.0],
+     [1.0, INF, INF, 1.0, 2.0],
+     [1.0, 1.0, 1.0, INF, INF],
+     [1.0, 1.0, 1.0, INF, INF]],
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=_tour_graphs())
+@example(graph=_TIE_BOUND_EXACT)
+def test_dfs_returns_the_first_optimum_in_pre_order(graph):
+    # Memo and bounds prune only subtrees without a tour strictly better than
+    # the incumbent, so the search returns the tour a full enumeration in the
+    # same child order finds first, not merely an optimum.
+    sol = rpp.rpp_dfs(graph)
+    assert (sol.best_visited, sol.best_cost) == oracles.rpp_first_optimum(graph)
