@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -114,7 +115,9 @@ class ProblemInstance:
     (edges are never parallel); ``ReverseTree.hide`` skips INF edges, and
     INF + dist never equals the finite g its parent and child reads need.
 
-    Immutable after construction; safe to share between searches.
+    Immutable after construction; safe to share between searches.  The
+    distances to d under the prior costs, which every mission's first
+    backward search needs, are computed on first use and kept.
     """
 
     def __init__(
@@ -135,6 +138,7 @@ class ProblemInstance:
         self.uav_speed = uav_speed
         self.uav_free_flight = uav_free_flight
         self.impeded_ids = frozenset(e.id for e in edges if e.impeded)
+        self._prior_dist: array | None = None
         self.validate()
         self._build_adjacency()
         if not self._connected():
@@ -205,6 +209,13 @@ class ProblemInstance:
                     stack.append(w)
         return count == n
 
+    def prior_distances(self) -> array:
+        """Each vertex's distance to d under ``prior_costs`` (INF when
+        unreachable), from one ``dijkstra`` on the first call.  Callers copy it."""
+        if self._prior_dist is None:
+            self._prior_dist = array("d", dijkstra(self.adj, self.d, self.prior_costs)[0])
+        return self._prior_dist
+
     def euclid(self, a: int, b: int) -> float:
         return math.dist(self.vertices[a], self.vertices[b])
 
@@ -215,7 +226,10 @@ class ProblemInstance:
 
 class Realization:
     """Hidden true cost of every impeded edge, and ``costs``: the instance's
-    prior costs with each impeded edge at its true cost.  Immutable."""
+    prior costs with each impeded edge at its true cost.  Immutable, but for
+    ``lower_bound``: None until ``sim.lower_bound`` first searches, then the
+    perfect-information arrival it found.  A realization is validated
+    against one instance, so it alone keys that search."""
 
     def __init__(self, inst: ProblemInstance, true_cost: dict[int, float]):
         if set(true_cost) != set(inst.impeded_ids):
@@ -232,6 +246,7 @@ class Realization:
             costs[eid] = c
         self.true_cost = dict(true_cost)
         self.costs: tuple[float, ...] = tuple(costs)
+        self.lower_bound: float | None = None
 
     def __getitem__(self, eid: int) -> float:
         return self.true_cost[eid]

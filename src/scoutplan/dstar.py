@@ -8,16 +8,18 @@ keyed by min(g, rhs).  Without a goal-directed term h this is Ramalingam
 and Reps' incremental shortest paths.  A repair drains the queue, leaving
 g exact everywhere (the reverse tree the k-path layer spurs from), or
 stops at the vehicle as D* Lite does, once g is exact as far as the
-descent from it reads.  The first search is a plain ``core.dijkstra``,
-whose distances are the drained state bit for bit, so D* only ever
-repairs: only the vertices whose distance changes are re-expanded.
+descent from it reads.  Every state starts from a copy of the instance's
+prior distance field (one ``core.dijkstra`` per instance, kept by
+``ProblemInstance.prior_distances``), which is the drained state for the
+prior costs bit for bit.  So D* only ever repairs, the start included:
+only the vertices whose distance changes are re-expanded.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend, dijkstra
+from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend
 
 
 class AddressableHeap:
@@ -80,10 +82,18 @@ class DStarState:
 
 
 def initialize(inst: ProblemInstance, view: PlanningCostView) -> DStarState:
-    """The drained search state for the view's costs: g = rhs = one
-    ``core.dijkstra``'s distances to ``inst.d``, each the minimum over the
-    neighbours of edge cost + g as a drain leaves it, and no queue."""
-    return DStarState(inst, dijkstra(inst.adj, inst.d, view.costs)[0])
+    """The drained search state for the view's costs, with no queue and no
+    expansions counted.  It starts from a copy of the prior distance field,
+    each entry the minimum over the neighbours of edge cost + g as a drain
+    leaves it, and repairs every edge whose view cost differs from its prior
+    cost; a fresh view differs nowhere, so nothing is repaired."""
+    state = DStarState(inst, inst.prior_distances().tolist())
+    for eid, (cost, prior) in enumerate(zip(view.costs, inst.prior_costs)):
+        if cost != prior:
+            rhs_update(state, view, eid)
+    compute_shortest_path(state, view)
+    state.expansions = 0
+    return state
 
 
 def update_vertex(state: DStarState, v: int) -> None:

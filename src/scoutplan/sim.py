@@ -66,6 +66,7 @@ class ReplanRecord:
     budget_hit: bool = False
     spur: kspp.SpurCounts = kspp.SpurCounts()  # of the k-path update, if any
     expansions: int = 0  # D* expansions of the k-path update, if any
+    critical_edges: int = 0  # critical edges handed to the scout's planner
     dfs_nodes: int = 0  # nodes of the tour search, if any
 
 
@@ -103,6 +104,11 @@ class SimulationOutcome:
         return sum(r.expansions for r in self.replans)
 
     @property
+    def critical_edges(self) -> int:
+        """Critical edges summed over every replan."""
+        return sum(r.critical_edges for r in self.replans)
+
+    @property
     def dfs_nodes(self) -> int:
         """Tour-search nodes summed over every replan."""
         return sum(r.dfs_nodes for r in self.replans)
@@ -117,11 +123,16 @@ class SimulationOutcome:
 
 
 def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
-    """Perfect-information shortest arrival: every hidden cost known upfront."""
-    dist, _, _ = dijkstra(inst.adj, inst.p, realization.costs, inst.d)
-    if dist[inst.d] == INF:
-        raise NoPathError("destination unreachable")
-    return dist[inst.d]
+    """Perfect-information shortest arrival: every hidden cost known upfront.
+    The first call on a realization searches and stores the result in it;
+    later calls return it.  An unreachable destination raises every time."""
+    lb = realization.lower_bound
+    if lb is None:
+        dist, _, _ = dijkstra(inst.adj, inst.p, realization.costs, inst.d)
+        if dist[inst.d] == INF:
+            raise NoPathError("destination unreachable")
+        lb = realization.lower_bound = dist[inst.d]
+    return lb
 
 
 def naive_step(
@@ -247,6 +258,7 @@ class _Engine:
             self.pset, self.view, self.inst,
             start_time=self.plan_origin_time, exclude=exclude,
         )
+        rec.critical_edges = len(critical)
         plan = PLANNERS[self.cfg.planner]
         inspections = plan(self, critical, self.uav_to, origin_time, rec) if critical else []
         self.uav_legs = rpp.solution_to_uav_plan(inspections, self.metric, self.uav_to)

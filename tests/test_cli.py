@@ -172,6 +172,17 @@ class TestSimulate:
         assert lines[-2:] == [f"dfs_nodes {out.dfs_nodes}", f"dstar_expansions {out.expansions}"]
         assert (out.dfs_nodes > 0) == (planner == "rpp")
 
+    def test_prints_critical_edges_before_dfs_nodes(self, tmp_path, capsys):
+        # The critical edges summed over the replans of an rpp mission that
+        # reveals edges.
+        ip, rp = self.write_pair(tmp_path)
+        inst = load_instance(ip)
+        out = sim.run(inst, load_realization(rp, inst), sim.SimulationConfig(planner="rpp", k=2))
+        assert any(e.kind == "reveal" for e in out.events) and out.critical_edges > 0
+        assert run_cli("simulate", "--instance", ip, "--realization", rp, "--planner", "rpp", "--k", "2") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:-1] == [f"critical_edges {out.critical_edges}", f"dfs_nodes {out.dfs_nodes}"]
+
     def test_no_uav_flag(self, tmp_path, capsys):
         # Planner none runs without the scout; the old --no-uav flag is gone.
         ip, rp = self.write_pair(tmp_path)

@@ -1,7 +1,9 @@
+import copy
 import math
 import random
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build_instance, random_connected_instance, with_aerial_only_edges
-from scoutplan import bench, dstar, kspp, rpp, sim
+from conftest import build_instance, line_instance, random_connected_instance, with_aerial_only_edges
+from scoutplan import bench, core, dstar, kspp, rpp, sim
 from scoutplan.cli import main
 from scoutplan.core import (
     INF,
+    NoPathError,
     PlanningCostView,
     ProblemInstance,
     Realization,
@@ -77,13 +80,13 @@ def _integer_missions(draw):
 
 
 @st.composite
-def _connected_missions(draw):
+def _connected_missions(draw, free_flight=True):
     """A ``random_connected_instance`` (real coordinates, a scout start
-    anywhere, free flight, up to 60% of the edges impeded) and a realization
-    sampled from its windows."""
+    anywhere, free flight unless told otherwise, up to 60% of the edges
+    impeded) and a realization sampled from its windows."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     inst = random_connected_instance(
-        rng, n_min=5, n_max=14, impeded_frac=draw(st.sampled_from([0.3, 0.6]))
+        rng, n_min=5, n_max=14, impeded_frac=draw(st.sampled_from([0.3, 0.6])), free_flight=free_flight
     )
     return inst, sample_realization(inst, rng)
 
@@ -241,6 +244,76 @@ def test_aerial_only_edges_never_change_a_free_flight_mission(seed):
             want, got = sim.run(inst, real, cfg), sim.run(ext, ext_real, cfg)
             assert got.event_log_text() == want.event_log_text()
             assert (got.lower_bound, got.expansions, got.spur) == (want.lower_bound, want.expansions, want.spur)
+
+
+def _configs():
+    return st.builds(SimulationConfig, planner=st.sampled_from(sorted(sim.PLANNERS)), k=st.integers(1, 4))
+
+
+def _outputs(out):
+    return (out.event_log_text(), out.arrival_time, out.lower_bound, out.expansions, out.spur, out.dfs_nodes)
+
+
+class TestOneSearchPerInput:
+    """Missions on one instance share its prior distance field, and missions
+    on one realization its lower bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mission=st.one_of(_missions(), _connected_missions(free_flight=False)),
+           first=_configs(), then=_configs())
+    def test_order_does_not_matter(self, mission, first, then):
+        # A mission run after another on the same objects is the mission on
+        # fresh ones, and the stored field is still a fresh search's.
+        inst, real = mission
+        fresh_inst, fresh_real = copy.deepcopy(mission)
+        sim.run(inst, real, first)
+        assert _outputs(sim.run(inst, real, then)) == _outputs(sim.run(fresh_inst, fresh_real, then))
+        assert inst.prior_distances().tolist() == dijkstra(inst.adj, inst.d, inst.prior_costs)[0]
+
+    def test_a_second_lower_bound_searches_nothing(self):
+        inst, real = bench.demo_instance()
+        first, runs = _recorded(sim, lambda: sim.lower_bound(inst, real))
+        assert len(runs) == 1
+        again, runs = _recorded(sim, lambda: sim.lower_bound(inst, real))
+        assert runs == [] and again is first
+
+    def test_an_unreachable_destination_raises_every_time(self):
+        inst = line_instance()
+        real = Realization(inst, {})
+        real.costs = (INF,) * len(inst.edges)  # no loaded realization is unreachable
+        for _ in range(2):
+            with mock.patch.object(sim, "dijkstra", mock.Mock(wraps=dijkstra)) as search:
+                with pytest.raises(NoPathError, match="destination unreachable"):
+                    sim.lower_bound(inst, real)
+            assert search.call_count == 1
+        assert real.lower_bound is None
+
+    def test_initialize_after_a_mission_searches_nothing(self):
+        inst, real = bench.demo_instance()
+        view = PlanningCostView(inst)
+        _, runs = _recorded(core, lambda: dstar.initialize(inst, view))
+        assert len(runs) == 1
+        sim.run(inst, real, SimulationConfig(planner="rpp", k=2))
+        state, runs = _recorded(core, lambda: dstar.initialize(inst, PlanningCostView(inst)))
+        assert runs == [] and state.expansions == 0 and len(state.queue) == 0
+        assert state.g == state.rhs == dijkstra(inst.adj, inst.d, inst.prior_costs)[0]
+
+
+class TestCriticalEdges:
+    def test_equals_the_tracers_count(self, monkeypatch):
+        # perfbench's tracer counts the critical edges each extraction returns.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from tracer import Tracer
+        from workloads import WORKLOADS
+
+        workload = WORKLOADS["kpaths-adversarial"]
+        tracer = Tracer()
+        tracer.install()
+        try:
+            outs = [sim.run(inst, real, workload.config()) for inst, real in workload.instances(0)]
+        finally:
+            tracer.uninstall()
+        assert sum(o.critical_edges for o in outs) == tracer.totals()["rpp.critical_edges"] > 0
 
 
 class TestWalkthroughScenario:
