@@ -10,7 +10,7 @@ from scoutplan import SimulationConfig, bench, sim
 from scoutplan.sim import format_event
 
 inst, real = bench.demo_instance()
-print("hidden true costs:", {e: real[e] for e in sorted(real.true_cost)})
+print("hidden true costs:", dict(sorted(real.true_cost.items())))
 print("perfect-information bound:", sim.lower_bound(inst, real))
 
 for label, cfg in (

@@ -13,7 +13,7 @@ from scoutplan import PlanningCostView, bench, dstar
 inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
 view = PlanningCostView(inst)
 
-state = dstar.initialize(inst, view)
+state = dstar.initialize(inst)
 path = dstar.replan(state, view, inst.p, [])
 print(f"grid with {inst.n_vertices} vertices, {len(inst.impeded_ids)} impeded edges")
 print(f"initial search: Dijkstra over all {inst.n_vertices} vertices, route cost {path.cost:.1f}")
@@ -30,12 +30,12 @@ while hidden and pos != inst.d:
     pos = path.vertices[hops]
     eid = hidden.pop()
     old = view.costs[eid]
-    view.reveal(eid, real[eid])
+    view.reveal(eid, real.costs[eid])
     before = state.expansions
     path = dstar.replan(state, view, pos, [eid])
     step += 1
     print(
-        f"step {step}: revealed edge {eid} at {real[eid]:.1f} (expected {old:.1f}); "
+        f"step {step}: revealed edge {eid} at {real.costs[eid]:.1f} (expected {old:.1f}); "
         f"repaired with {state.expansions - before} expansions, "
         f"cost to go {path.cost:.1f}"
     )

@@ -7,7 +7,6 @@ inspection tour and the linear-time priority pick.
 """
 
 from scoutplan import (
-    PaaContext,
     PlanningCostView,
     UavMetric,
     bench,
@@ -19,12 +18,12 @@ from scoutplan import (
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=5, chain_len=12), seed=11)
 view = PlanningCostView(inst)
-state = dstar.initialize(inst, view)
+state = dstar.initialize(inst)
 pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
 metric = UavMetric(inst)
 
 critical = rpp.extract_critical_edges(pset, view, inst)
-print(f"{len(critical)} critical edges from {len(pset)} routes:")
+print(f"{len(critical)} critical edges from {len(pset.paths)} routes:")
 for eid, t_max in critical.items():
     rec = inst.edges[eid]
     window = "no deadline" if t_max == float("inf") else f"finish by t={t_max:.1f}"
@@ -38,8 +37,8 @@ for leg in legs:
     action = f"inspect edge {leg.edge}" if leg.inspect else "fly"
     print(f"  {leg.frm} -> {leg.to}  {action}  ({leg.duration:.1f})")
 
-ctx = PaaContext(inst, view, pset, inst.q, 4, metric)
-scored = sorted(paa.score_edges(critical, ctx), key=lambda e: -e.score)
+scorer_args = (inst, view, pset, inst.q, 4, metric)
+scored = sorted(paa.score_edges(critical, *scorer_args), key=lambda e: -e.score)
 print("\npriority planner ranking:")
 for ep in scored:
     print(
@@ -47,4 +46,4 @@ for ep in scored:
         f"(coverage {ep.p1:.2f}, urgency {ep.p2:.2f}, "
         f"uncertainty {ep.p3:.2f}, proximity {ep.p4:.2f})"
     )
-print(f"selected: edge {paa.select_edge(critical, ctx)[0]}")
+print(f"selected: edge {paa.select_edge(critical, *scorer_args)[0]}")

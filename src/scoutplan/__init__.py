@@ -26,7 +26,7 @@ from .core import (
 )
 from .dstar import DStarState
 from .kspp import PathSet, update_k_paths
-from .paa import EdgePriority, PaaContext, select_edge
+from .paa import EdgePriority, select_edge
 from .rpp import (
     RppSolution,
     TransformedGraph,
@@ -55,7 +55,6 @@ __all__ = [
     "Event",
     "InstanceError",
     "NoPathError",
-    "PaaContext",
     "Path",
     "PathSet",
     "PlanningCostView",

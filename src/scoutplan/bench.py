@@ -542,7 +542,7 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _write_csv(rows: list[dict], columns: Iterable[str], path: str) -> None:
+def write_csv(rows: list[dict], columns: Iterable[str], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
@@ -576,10 +576,6 @@ def read_runs_csv(path: str) -> list[dict]:
     return out
 
 
-def write_summary_csv(rows: list[dict], path: str) -> None:
-    _write_csv(rows, SUMMARY_COLUMNS, path)
-
-
 def run_experiment(
     spec: ExperimentSpec, out_dir: str, jobs: int = 1
 ) -> tuple[list[dict], list[dict]]:
@@ -609,8 +605,8 @@ def run_experiment(
         for i in range(n):
             collect(i, lambda: run_instance_suite(spec, i))
 
-    _write_csv(rows, RUN_COLUMNS, os.path.join(out_dir, "runs.csv"))
-    _write_csv(failures, FAILURE_COLUMNS, os.path.join(out_dir, "failures.csv"))
+    write_csv(rows, RUN_COLUMNS, os.path.join(out_dir, "runs.csv"))
+    write_csv(failures, FAILURE_COLUMNS, os.path.join(out_dir, "failures.csv"))
     summary = summarize_rows(rows)
-    write_summary_csv(summary, os.path.join(out_dir, "summary.csv"))
+    write_csv(summary, SUMMARY_COLUMNS, os.path.join(out_dir, "summary.csv"))
     return summary, failures

@@ -130,7 +130,7 @@ def cmd_report(args) -> int:
         path = os.path.join(path, "runs.csv")
     rows = bench.read_runs_csv(path)
     summary = bench.summarize_rows(rows)
-    bench.write_summary_csv(summary, args.out)
+    bench.write_csv(summary, bench.SUMMARY_COLUMNS, args.out)
     print(f"wrote {args.out} ({len(summary)} row(s))")
     return 0
 

@@ -97,9 +97,6 @@ class Path:
     edges: tuple[int, ...]
     cost: float
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 class ProblemInstance:
     """Validated instance: vertices with coordinates, edges, endpoints, and
@@ -247,12 +244,6 @@ class Realization:
         self.true_cost = dict(true_cost)
         self.costs: tuple[float, ...] = tuple(costs)
         self.lower_bound: float | None = None
-
-    def __getitem__(self, eid: int) -> float:
-        return self.true_cost[eid]
-
-    def __len__(self) -> int:
-        return len(self.true_cost)
 
 
 def sample_realization(inst: ProblemInstance, rng: random.Random) -> Realization:

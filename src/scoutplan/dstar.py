@@ -8,11 +8,11 @@ keyed by min(g, rhs).  Without a goal-directed term h this is Ramalingam
 and Reps' incremental shortest paths.  A repair drains the queue, leaving
 g exact everywhere (the reverse tree the k-path layer spurs from), or
 stops at the vehicle as D* Lite does, once g is exact as far as the
-descent from it reads.  Every state starts from a copy of the instance's
+descent from it reads.  Every state starts as a copy of the instance's
 prior distance field (one ``core.dijkstra`` per instance, kept by
 ``ProblemInstance.prior_distances``), which is the drained state for the
-prior costs bit for bit.  So D* only ever repairs, the start included:
-only the vertices whose distance changes are re-expanded.
+prior costs bit for bit.  So D* only ever repairs, and only through
+``replan``: only the vertices whose distance changes are re-expanded.
 """
 
 from __future__ import annotations
@@ -68,32 +68,17 @@ class DStarState:
 
     def __init__(self, inst: ProblemInstance, g: list[float]):
         self.inst = inst
-        self.dest = inst.d
         self.g = g
         self.rhs = g.copy()
         self.queue = AddressableHeap()
         self.expansions = 0
 
-    def queue_consistent(self) -> bool:
-        """Check the invariant: queued iff g != rhs, under the key min(g, rhs)."""
-        live = self.queue._live
-        return all(live.get(v) == ((min(g, r), v) if g != r else None)
-                   for v, (g, r) in enumerate(zip(self.g, self.rhs)))
 
-
-def initialize(inst: ProblemInstance, view: PlanningCostView) -> DStarState:
-    """The drained search state for the view's costs, with no queue and no
-    expansions counted.  It starts from a copy of the prior distance field,
-    each entry the minimum over the neighbours of edge cost + g as a drain
-    leaves it, and repairs every edge whose view cost differs from its prior
-    cost; a fresh view differs nowhere, so nothing is repaired."""
-    state = DStarState(inst, inst.prior_distances().tolist())
-    for eid, (cost, prior) in enumerate(zip(view.costs, inst.prior_costs)):
-        if cost != prior:
-            rhs_update(state, view, eid)
-    compute_shortest_path(state, view)
-    state.expansions = 0
-    return state
+def initialize(inst: ProblemInstance) -> DStarState:
+    """The drained search state for the prior costs, with no queue: a copy
+    of the prior distance field, each entry the minimum over the neighbours
+    of edge cost + g as a drain leaves it."""
+    return DStarState(inst, inst.prior_distances().tolist())
 
 
 def update_vertex(state: DStarState, v: int) -> None:
@@ -128,7 +113,7 @@ def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
     """
     rec = state.inst.edges[eid]
     for v in (rec.u, rec.v):
-        if v != state.dest:
+        if v != state.inst.d:
             state.rhs[v] = lookahead(state, view.costs, v)
     update_vertex(state, rec.u)
     update_vertex(state, rec.v)
@@ -151,7 +136,7 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
     rhs = state.rhs
     queue = state.queue
     adj = state.inst.adj
-    dest = state.dest
+    dest = state.inst.d
     cost = view.costs
 
     while queue:
@@ -181,25 +166,17 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
             update_vertex(state, v)
 
 
-def extract_path(state: DStarState, view: PlanningCostView, v_curr: int) -> Path:
-    """Greedy descent from v_curr over g (see core.descend)."""
-    walk = descend(state.inst.adj, state.g, view.costs, v_curr, state.dest)
-    if walk is None:
-        raise NoPathError(f"no path from {v_curr} to {state.dest}")
-    vertices, edges = walk
-    return Path(vertices, edges, view.path_cost(edges))
-
-
 def replan(
-    state: DStarState,
-    view: PlanningCostView,
-    v_curr: int,
-    changed: list[int],
-    drain: bool = True,
+    state: DStarState, view: PlanningCostView, v_curr: int, changed: list[int], drain: bool = True
 ) -> Path:
     """Apply the cost changes of the edges in ``changed``, repair the search
-    (up to v_curr unless ``drain``) and return the current path from v_curr."""
+    (up to v_curr unless ``drain``) and return the current path from v_curr,
+    the greedy descent over g (see core.descend)."""
     for eid in changed:
         rhs_update(state, view, eid)
     compute_shortest_path(state, view, None if drain else v_curr)
-    return extract_path(state, view, v_curr)
+    walk = descend(state.inst.adj, state.g, view.costs, v_curr, state.inst.d)
+    if walk is None:
+        raise NoPathError(f"no path from {v_curr} to {state.inst.d}")
+    vertices, edges = walk
+    return Path(vertices, edges, view.path_cost(edges))

@@ -43,12 +43,6 @@ class PathSet:
     pool: list[tuple[float, tuple[int, ...], Path]] = field(default_factory=list)
     spur: SpurCounts = SpurCounts()
 
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
 
 class ReverseTree:
     """Shortest-path tree towards the destination under the view's costs,
@@ -64,8 +58,8 @@ class ReverseTree:
     ``hide`` queues (v yellow if e is its parent edge).
     """
 
-    def __init__(self, inst: ProblemInstance, view: PlanningCostView, state: DStarState):
-        self.inst, self.dest, self.view_costs, self.dist = inst, state.dest, view.costs, state.g
+    def __init__(self, view: PlanningCostView, state: DStarState):
+        self.inst, self.dest, self.view_costs, self.dist = state.inst, state.inst.d, view.costs, state.g
         self.parent = [-2] * len(state.g)
         self.parent[self.dest] = -1
         self.reset()
@@ -209,7 +203,7 @@ def update_k_paths(
     slack = 1.0 + 4 * len(adj) * 2.0**-53
     pool: list[tuple[float, tuple[int, ...], Path]] = []
     deviation = {accepted[0].vertices: 0}
-    tree = ReverseTree(inst, view, state)
+    tree = ReverseTree(view, state)
     searches = isolated = nopath = settled = pruned = 0
 
     for _ in range(2, k + 1):

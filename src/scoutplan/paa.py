@@ -28,20 +28,13 @@ class EdgePriority:
     start: int  # the endpoint nearer the scout (u on ties), where an inspection starts
 
 
-@dataclass
-class PaaContext:
-    """Everything the scorer needs besides the critical edges themselves."""
-
-    inst: ProblemInstance
-    view: PlanningCostView
-    path_set: PathSet
-    uav_pos: int
-    k: int
-    metric: UavMetric
-
-
-def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriority]:
-    """All four signals plus the weighted score, one entry per critical edge.
+def score_edges(
+    critical: dict[int, float], inst: ProblemInstance, view: PlanningCostView,
+    path_set: PathSet, uav_pos: int, k: int, metric: UavMetric,
+) -> list[EdgePriority]:
+    """All four signals plus the weighted score, one entry per critical edge,
+    for the ranked paths in ``path_set`` (k of them requested) and the scout
+    at ``uav_pos``.
 
     One pass over the ranked paths gives each edge's coverage (the number
     of paths using it) and its divergence time: the expected time before
@@ -52,13 +45,11 @@ def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriorit
     """
     if not critical:
         return []
-    inst = ctx.inst
-    k = ctx.k
-    cost = ctx.view.costs
+    cost = view.costs
 
     counts = dict.fromkeys(critical, 0)
     lam = dict.fromkeys(critical, INF)
-    paths = ctx.path_set.paths
+    paths = path_set.paths
     for rank, path in enumerate(paths):
         arrival = [0.0]  # expected arrival at each vertex of the path
         for eid in path.edges:
@@ -82,8 +73,8 @@ def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriorit
     dist, start = {}, {}
     for e in critical:
         rec = inst.edges[e]
-        cu = ctx.metric.cost(ctx.uav_pos, rec.u)
-        cv = ctx.metric.cost(ctx.uav_pos, rec.v)
+        cu = metric.cost(uav_pos, rec.u)
+        cv = metric.cost(uav_pos, rec.v)
         dist[e], start[e] = (cu, rec.u) if cu <= cv else (cv, rec.v)
     d_max = max(dist.values())
 
@@ -99,10 +90,13 @@ def score_edges(critical: dict[int, float], ctx: PaaContext) -> list[EdgePriorit
     return out
 
 
-def select_edge(critical: dict[int, float], ctx: PaaContext) -> tuple[int, int] | None:
+def select_edge(
+    critical: dict[int, float], inst: ProblemInstance, view: PlanningCostView,
+    path_set: PathSet, uav_pos: int, k: int, metric: UavMetric,
+) -> tuple[int, int] | None:
     """The highest-score critical edge and its start vertex, as (edge id,
     start); lowest edge id on ties; None when there is no critical edge."""
-    scored = score_edges(critical, ctx)
+    scored = score_edges(critical, inst, view, path_set, uav_pos, k, metric)
     if not scored:
         return None
     best = max(scored, key=lambda ep: (ep.score, -ep.edge))

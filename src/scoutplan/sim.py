@@ -28,7 +28,6 @@ from .core import (
     check_at_least,
     dijkstra,
 )
-from .paa import PaaContext
 from .rpp import UavLeg
 
 @dataclass
@@ -187,8 +186,8 @@ def _rpp_inspections(
 def _paa_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[tuple[int, int]]:
-    ctx = PaaContext(eng.inst, eng.view, eng.pset, origin, eng.cfg.k, eng.metric)
-    chosen = _timed(rec, paa.select_edge, critical, ctx)
+    chosen = _timed(rec, paa.select_edge, critical, eng.inst, eng.view, eng.pset, origin,
+                    eng.cfg.k, eng.metric)
     return [] if chosen is None else [chosen]
 
 
@@ -211,7 +210,7 @@ class _Engine:
         self.k_eff = 1 if cfg.planner in ("naive", "none") else cfg.k
         self.view = PlanningCostView(inst)
         self.metric = UavMetric(inst)
-        self.dstate = dstar.initialize(inst, self.view)
+        self.dstate = dstar.initialize(inst)
         self.events: list[Event] = []
         self.replans: list[ReplanRecord] = []
         self.late = 0
@@ -289,7 +288,7 @@ class _Engine:
         self.events.append(Event(self.now, kind, data))
 
     def _reveal(self, eid: int, by: str) -> None:
-        true = self.real[eid]
+        true = self.real.costs[eid]
         if by == "uav" and self.ugv_edge == eid:
             self.late += 1
         self._log("reveal", (eid, true, by))

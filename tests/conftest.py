@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from scoutplan import dstar
 from scoutplan.core import (
     EdgeRecord,
     ProblemInstance,
@@ -92,6 +93,19 @@ def random_connected_instance(rng, n_min=5, n_max=12, impeded_frac=0.3, free_fli
     d = n - 1
     q = rng.randrange(n)
     return build_instance(coords, specs, p=p, q=q, d=d, free_flight=free_flight)
+
+
+def drained_state(inst, view):
+    """The drained D* state for a view's costs, with no expansions counted:
+    the prior state, repaired at every edge whose view cost differs from its
+    prior cost."""
+    state = dstar.initialize(inst)
+    for eid, (cost, prior) in enumerate(zip(view.costs, inst.prior_costs)):
+        if cost != prior:
+            dstar.rhs_update(state, view, eid)
+    dstar.compute_shortest_path(state, view)
+    state.expansions = 0
+    return state
 
 
 def realize_all(inst, rng):

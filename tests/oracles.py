@@ -77,6 +77,14 @@ def tree_parents(inst, costs, dist):
     return parent
 
 
+def queue_consistent(state):
+    """A D* state's queue invariant: a vertex is queued iff g != rhs, and
+    then under the live key min(g, rhs), read off the heap's ``_live`` map."""
+    live = state.queue._live
+    return all(live.get(v) == ((min(g, r), v) if g != r else None)
+               for v, (g, r) in enumerate(zip(state.g, state.rhs)))
+
+
 def greedy_path(inst, costs, dist, source, dest, blocked_vertices=frozenset()):
     """Follow cost + dist greedily to dest, lowest vertex id on ties."""
     if dist[source] == INF:
@@ -332,7 +340,7 @@ def replay_ugv_arrivals(inst, realization, events):
             continue
         eid = edge_between(inst, pos, v)
         rec = inst.edges[eid]
-        t += realization[eid] if rec.impeded else rec.ugv_cost
+        t += realization.true_cost[eid] if rec.impeded else rec.ugv_cost
         assert when == t, (when, t)
         pos = v
     assert pos == inst.d
@@ -343,7 +351,7 @@ def paa_scores(inst, view, metric, path_set, critical, uav_pos, k, weights):
     """Straight-line re-derivation of the four priority signals; ``weights``
     is the tuple (w1, w2, w3, w4)."""
     w1, w2, w3, w4 = weights
-    paths = [p.vertices for p in path_set]
+    paths = [p.vertices for p in path_set.paths]
     edge_of = {}
     for eid in critical:
         rec = inst.edges[eid]

@@ -21,7 +21,6 @@ from scoutplan.core import (
     UavMetric,
     sample_realization,
 )
-from scoutplan.paa import PaaContext
 from scoutplan.sim import SimulationConfig
 
 
@@ -44,7 +43,7 @@ class TestCriterion1DStarOracle:
                 bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=10), seed=trial
             )
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             v_curr = inst.p
             path = dstar.replan(state, view, v_curr, [])
             unrevealed = sorted(inst.impeded_ids)
@@ -55,7 +54,7 @@ class TestCriterion1DStarOracle:
                 for _ in range(rng.randint(1, 2)):
                     if unrevealed and rng.random() < 0.7:
                         eid = unrevealed.pop()
-                        view.reveal(eid, real[eid])
+                        view.reveal(eid, real.costs[eid])
                         updates.append(eid)
                     else:
                         eid = rng.choice(fixed)
@@ -84,11 +83,11 @@ class TestCriterion2KsppOracle:
         for trial in range(200):
             inst = random_connected_instance(rng, n_min=5, n_max=12)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             want = [c for c, _ in oracles.all_simple_paths(inst, costs, inst.p, inst.d)[:4]]
-            assert [p.cost for p in pset] == want
+            assert [p.cost for p in pset.paths] == want
         elapsed = time.perf_counter() - t0
         report(2, "k-path enumeration equivalence",
                f"200 graphs at 12 vertices or fewer, exact, {elapsed:.1f}s")
@@ -99,13 +98,13 @@ class TestCriterion2KsppOracle:
         for trial in range(50):
             inst = random_connected_instance(rng, n_min=60, n_max=200)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 4)
             costs = oracles.view_costs(inst, view)
             yen = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 4)
-            assert [p.vertices for p in pset] == yen
-            assert [p.cost for p in pset] == [oracles.path_cost(inst, costs, s) for s in yen]
-            for p in pset:
+            assert [p.vertices for p in pset.paths] == yen
+            assert [p.cost for p in pset.paths] == [oracles.path_cost(inst, costs, s) for s in yen]
+            for p in pset.paths:
                 assert p.edges == edge_walk(inst, p.vertices)
                 assert len(p.edges) == len(p.vertices) - 1
         elapsed = time.perf_counter() - t0
@@ -319,17 +318,17 @@ class TestCriterion8PropertySuite:
         for _ in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=14)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
-            assert state.queue_consistent()
+            state = dstar.initialize(inst)
+            assert oracles.queue_consistent(state)
             dstar.replan(state, view, inst.p, [], drain=False)
-            assert state.queue_consistent()
+            assert oracles.queue_consistent(state)
             for i, eid in enumerate(sorted(inst.impeded_ids)):
                 view.reveal(eid, inst.edges[eid].distribution.t_max)
                 dstar.rhs_update(state, view, eid)
-                assert state.queue_consistent()
+                assert oracles.queue_consistent(state)
                 # Stopped repairs carry queue entries over; every other one drains.
                 dstar.compute_shortest_path(state, view, inst.p if i % 2 == 0 else None)
-                assert state.queue_consistent()
+                assert oracles.queue_consistent(state)
         report(8, "queue membership invariant", "checked after every operation, stopped and drained repairs")
 
     def test_priority_signals_stay_normalized(self):
@@ -338,13 +337,12 @@ class TestCriterion8PropertySuite:
         while checked < 100:
             inst = random_connected_instance(rng, n_min=6, n_max=14, impeded_frac=0.5)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             crit = rpp.extract_critical_edges(pset, view, inst)
             if not crit:
                 continue
-            ctx = PaaContext(inst, view, pset, inst.q, 3, UavMetric(inst))
-            for ep in paa.score_edges(crit, ctx):
+            for ep in paa.score_edges(crit, inst, view, pset, inst.q, 3, UavMetric(inst)):
                 for val in (ep.p1, ep.p2, ep.p3, ep.p4):
                     assert 0.0 <= val <= 1.0
             checked += 1

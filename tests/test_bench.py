@@ -34,7 +34,7 @@ class TestGridGenerator:
         assert inst.n_vertices == 4
         assert len(inst.edges) == 4
         assert not inst.impeded_ids
-        assert len(real) == 0
+        assert len(real.true_cost) == 0
 
     def test_fixed_seed_reproduces(self, tmp_path):
         a, ra = bench.generate_grid(bench.GridSpec(), seed=42)
@@ -71,10 +71,10 @@ class TestBridgeGenerator:
             for eid in inst.impeded_ids:
                 lo, hi = inst.edges[eid].distribution.bounds()
                 if eid in on_path:
-                    assert real[eid] == hi
+                    assert real.true_cost[eid] == hi
                     hit += 1
                 else:
-                    assert real[eid] == lo
+                    assert real.true_cost[eid] == lo
         # The expected-cost path can legitimately dodge every impeded edge on
         # some instances, but not across a batch of seeds.
         assert hit > 0
@@ -86,7 +86,7 @@ class TestBridgeGenerator:
         # One chain: no crossings, and the adversary maxes every on-path edge.
         assert inst.n_vertices == 21
         for eid in inst.impeded_ids:
-            assert real[eid] == inst.edges[eid].distribution.t_max
+            assert real.true_cost[eid] == inst.edges[eid].distribution.t_max
 
     def test_lower_bound_mean_near_reference(self):
         lbs = []
@@ -348,7 +348,7 @@ class TestExperimentHarness:
         ]
         rows = bench.read_runs_csv(str(out / "runs.csv"))
         assert {r["n_vertices"] for r in rows} == {8 * 4 + 2, 10 * 5 + 2}
-        bench.write_summary_csv(bench.summarize_rows(rows), str(tmp_path / "report.csv"))
+        bench.write_csv(bench.summarize_rows(rows), bench.SUMMARY_COLUMNS, str(tmp_path / "report.csv"))
         assert (tmp_path / "report.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
 

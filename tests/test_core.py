@@ -117,12 +117,12 @@ class TestCostOwners:
         view, other = PlanningCostView(inst), PlanningCostView(inst)
         assert view.costs == list(inst.prior_costs)
         for eid in sorted(inst.impeded_ids):
-            view.reveal(eid, real[eid])
+            view.reveal(eid, real.costs[eid])
         assert inst.prior_costs == want
         assert other.costs == list(inst.prior_costs) and not other.realized
 
         for e in range(m):
-            assert real.costs[e] == (real[e] if e in inst.impeded_ids else inst.prior_costs[e])
+            assert real.costs[e] == (real.true_cost[e] if e in inst.impeded_ids else inst.prior_costs[e])
         assert list(real.costs) == view.costs
         # Rooted at p, the oracle sums each path from p, as lower_bound does.
         dist = oracles.dijkstra_to_dest(inst, oracles.view_costs(inst, view), inst.p)
@@ -353,7 +353,7 @@ class TestFiles:
         path = tmp_path / "r.txt"
         some = sorted(real.true_cost)[0]
         path.write_text(f"r {some} {real.true_cost[some]!r}\n")
-        if len(real) > 1:
+        if len(real.true_cost) > 1:
             with pytest.raises(InstanceError, match="domain"):
                 load_realization(str(path), inst)
 

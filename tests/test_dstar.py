@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
+    drained_state,
     edge_between,
     line_instance,
     random_connected_instance,
@@ -71,32 +72,32 @@ class TestAddressableHeap:
 
 class TestInitialize:
     def test_postconditions(self):
-        # The first search is a plain Dijkstra: the state is drained.
+        # The state is the prior distance field, a plain Dijkstra: drained.
         inst, _ = bench.generate_grid(bench.GridSpec(rows=4, cols=5), seed=2)
-        view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
-        assert state.dest == inst.d
+        state = dstar.initialize(inst)
+        assert state.inst is inst
         assert state.g[inst.d] == state.rhs[inst.d] == 0.0
         assert len(state.queue) == 0
         assert state.expansions == 0
-        assert state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
+        assert state.g == dijkstra(inst.adj, inst.d, inst.prior_costs)[0]
         assert state.rhs == state.g and state.rhs is not state.g
 
     @settings(max_examples=80, deadline=None)
     @given(rng=st.randoms(use_true_random=False), data=st.data())
     def test_drained_state_is_dijkstra(self, rng, data):
-        # Views with revealed, raised and INF-priced edges: g and rhs are a
-        # full search's distances list for list, nothing is queued, and the
-        # first repair expands nothing.
+        # Views with revealed, raised and INF-priced edges, repaired from the
+        # prior state and drained: g and rhs are a full search's distances
+        # list for list, nothing is queued, and the next repair expands
+        # nothing.
         inst = random_connected_instance(rng, n_min=4, n_max=14)
         view = PlanningCostView(inst)
         edges = sorted(oracles.ugv_edges(inst))
         for eid in data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="changed"):
             view.costs[eid] = data.draw(st.sampled_from((INF, 0.5, 2.0, 7.0)), label="cost")
-        state = dstar.initialize(inst, view)
+        state = drained_state(inst, view)
         dist = dijkstra(inst.adj, inst.d, view.costs)[0]
         assert state.g == dist and state.rhs == dist
-        assert len(state.queue) == 0 and state.queue_consistent()
+        assert len(state.queue) == 0 and oracles.queue_consistent(state)
         assert all(state.rhs[v] == dstar.lookahead(state, view.costs, v)
                    for v in range(inst.n_vertices) if v != inst.d)
         if dist[inst.p] < INF:
@@ -106,14 +107,14 @@ class TestInitialize:
     def test_state_holds_no_start_vertex(self):
         # The state holds no start: a repair is told where to stop, if
         # anywhere, and by default drains the queue.
-        assert list(inspect.signature(dstar.initialize).parameters) == ["inst", "view"]
+        assert list(inspect.signature(dstar.initialize).parameters) == ["inst"]
         params = inspect.signature(dstar.compute_shortest_path).parameters
         assert list(params) == ["state", "view", "stop"] and params["stop"].default is None
-        assert inspect.signature(dstar.replan).parameters["drain"].default is True
-        assert "v_curr" in inspect.signature(dstar.extract_path).parameters
+        params = inspect.signature(dstar.replan).parameters
+        assert "v_curr" in params and params["drain"].default is True
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         assert not hasattr(state, "v_curr")
         # Raise the far edge: stopped at vertex 1 the repair leaves vertex 0
         # queued, the default drains it.
@@ -121,14 +122,14 @@ class TestInitialize:
         view.costs[eid] = 5.0
         dstar.rhs_update(state, view, eid)
         dstar.compute_shortest_path(state, view, 1)
-        assert 0 in state.queue and state.queue_consistent()
+        assert 0 in state.queue and oracles.queue_consistent(state)
         dstar.compute_shortest_path(state, view)
         assert len(state.queue) == 0 and state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
 
     def test_start_equals_dest(self):
         inst = line_instance()
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         path = dstar.replan(state, view, 2, [])
         assert state.g[2] == 0.0
         assert path.vertices == (2,)
@@ -137,7 +138,7 @@ class TestInitialize:
     def test_grid_matches_dijkstra(self):
         inst, _ = bench.generate_grid(bench.GridSpec(), seed=4)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         path = dstar.replan(state, view, inst.p, [])
         costs = oracles.view_costs(inst, view)
         dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
@@ -149,7 +150,7 @@ class TestUpdateVertex:
     def setup_state(self):
         inst = line_instance((2.0, 3.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         return inst, view, state
 
     def test_consistent_unqueued_noop(self):
@@ -180,7 +181,7 @@ class TestRhsUpdate:
         # lookaheads where they were changes no rhs and queues nothing.
         inst, _ = bench.generate_grid(bench.GridSpec(rows=3, cols=4), seed=1)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         eid = next(e for e in sorted(oracles.ugv_edges(inst))
                    if abs(state.g[inst.edges[e].u] - state.g[inst.edges[e].v]) < view.costs[e] - 1.0)
         view.costs[eid] -= 1.0
@@ -192,7 +193,7 @@ class TestRhsUpdate:
     def test_increase_on_line_matches_oracle(self):
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         dstar.replan(state, view, 0, [])
         assert state.g[0] == 2.0
         eid = edge_between(inst, 0, 1)
@@ -207,7 +208,7 @@ class TestRhsUpdate:
     def test_same_cost_update_keeps_state(self):
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         dstar.replan(state, view, 0, [])
         g0, rhs0 = state.g.copy(), state.rhs.copy()
         eid = edge_between(inst, 0, 1)
@@ -219,7 +220,7 @@ class TestComputeShortestPath:
     def test_second_run_expands_nothing(self):
         inst, _ = bench.generate_grid(bench.GridSpec(rows=5, cols=6), seed=9)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         dstar.replan(state, view, inst.p, [])
         before = state.expansions
         dstar.replan(state, view, inst.p, [])
@@ -230,7 +231,7 @@ class TestComputeShortestPath:
         # repair re-expands only the vertices whose distance changed.
         inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         path = dstar.replan(state, view, inst.p, [])
         assert state.expansions == 0  # the first search is core.dijkstra's
         initial = inst.n_vertices  # what it settles: every vertex
@@ -240,7 +241,7 @@ class TestComputeShortestPath:
         steps = 0
         while hidden and path.vertices[0] != inst.d:
             eid = hidden.pop()
-            view.reveal(eid, real[eid])
+            view.reveal(eid, real.costs[eid])
             before = state.expansions
             path = dstar.replan(state, view, path.vertices[min(3, len(path.vertices) - 1)], [eid])
             assert state.expansions - before < initial
@@ -251,7 +252,7 @@ class TestComputeShortestPath:
         # Hide the only edges around the start to cut it off.
         inst = line_instance((1.0, 1.0))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         dstar.replan(state, view, 0, [])
         eid = edge_between(inst, 0, 1)
         view.costs[eid] = INF
@@ -263,25 +264,25 @@ class TestComputeShortestPath:
         # queue entries over to the next repair, and draining.
         inst = random_connected_instance(rng, n_min=8, n_max=14)
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
-        assert state.queue_consistent()
+        state = dstar.initialize(inst)
+        assert oracles.queue_consistent(state)
         dstar.replan(state, view, inst.p, [], drain=False)
-        assert state.queue_consistent()
+        assert oracles.queue_consistent(state)
         for i, eid in enumerate(sorted(inst.impeded_ids)):
             view.reveal(eid, inst.edges[eid].distribution.t_max)
             dstar.rhs_update(state, view, eid)
-            assert state.queue_consistent()
+            assert oracles.queue_consistent(state)
             dstar.compute_shortest_path(state, view, inst.p if i % 2 == 0 else None)
-            assert state.queue_consistent()
+            assert oracles.queue_consistent(state)
 
     def test_queue_consistent_reads_the_live_key(self):
         inst = line_instance((2.0, 3.0))
-        state = dstar.initialize(inst, PlanningCostView(inst))
+        state = dstar.initialize(inst)
         state.rhs[1] = 4.0
         dstar.update_vertex(state, 1)
-        assert state.queue_consistent()
+        assert oracles.queue_consistent(state)
         state.queue.insert(1, 2.0)  # queued, but not under min(g, rhs) = 3
-        assert not state.queue_consistent()
+        assert not oracles.queue_consistent(state)
 
 
 class TestReplanOracle:
@@ -291,7 +292,7 @@ class TestReplanOracle:
             bench.GridSpec(rows=rows, cols=cols, n_impeded_cuts=6), seed=seed
         )
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
         unrevealed = sorted(inst.impeded_ids)
@@ -301,7 +302,7 @@ class TestReplanOracle:
             for _ in range(rng.randint(1, 2)):
                 if unrevealed:
                     eid = unrevealed.pop()
-                    view.reveal(eid, real[eid])
+                    view.reveal(eid, real.costs[eid])
                     updates.append(eid)
             if len(path.vertices) > 2:
                 v_curr = path.vertices[rng.randint(1, len(path.vertices) - 2)]
@@ -344,7 +345,7 @@ class TestReplanStateful:
         inst = random_connected_instance(rng, n_min=5, n_max=12)
         edges = sorted(oracles.ugv_edges(inst))
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         v_curr = inst.p
         path = dstar.replan(state, view, v_curr, [])
         for _ in range(data.draw(st.integers(1, 10), label="steps")):
@@ -374,7 +375,7 @@ class TestReplanStateful:
                 assert path.cost == pytest.approx(dist[v_curr], rel=1e-9)
                 assert path.vertices[0] == v_curr and path.vertices[-1] == inst.d
                 assert len(set(path.vertices)) == len(path.vertices)
-            assert state.queue_consistent()
+            assert oracles.queue_consistent(state)
             assert state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
             parents = oracles.tree_parents(inst, oracles.view_costs(inst, view), state.g)
             for v, eid in enumerate(parents):
@@ -399,7 +400,7 @@ class TestStoppedRepair:
         view = PlanningCostView(inst)
         for eid in edges:
             view.costs[eid] = data.draw(cost, label="initial cost")
-        state = dstar.initialize(inst, view)
+        state = drained_state(inst, view)
         for _ in range(data.draw(st.integers(1, 12), label="steps")):
             batch = data.draw(st.lists(st.tuples(st.sampled_from(edges), cost), max_size=4), label="batch")
             for eid, c in batch:
@@ -407,7 +408,7 @@ class TestStoppedRepair:
                 dstar.rhs_update(state, view, eid)
             v_curr = data.draw(st.integers(0, inst.n_vertices - 1), label="v_curr")
             dstar.compute_shortest_path(state, view, v_curr)
-            assert state.queue_consistent()
+            assert oracles.queue_consistent(state)
             dist = dijkstra(adj, d, view.costs)[0]
             assert descend(adj, state.g, view.costs, v_curr, d) == descend(adj, dist, view.costs, v_curr, d)
             assert [g for g, x in zip(state.g, dist) if x <= dist[v_curr]] == [

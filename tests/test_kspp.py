@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (
     build_instance,
+    drained_state,
     edge_between,
     edge_walk,
     random_connected_instance,
@@ -63,7 +64,7 @@ def straight_line_instance(rng, n, shrink_one=False):
 
 def reverse_tree(inst, view):
     """The spur tree a k-path update builds: read off a drained D* state."""
-    return kspp.ReverseTree(inst, view, dstar.initialize(inst, view))
+    return kspp.ReverseTree(view, drained_state(inst, view))
 
 
 def eager_parents(inst, view):
@@ -92,7 +93,7 @@ def check_marks(tree, limit):
 
 def plan(inst, view, k, updates=None, state=None, v_curr=None):
     if state is None:
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
     return (
         kspp.update_k_paths(inst, view, state, inst.p if v_curr is None else v_curr, updates or [], k),
         state,
@@ -104,19 +105,19 @@ class TestBasics:
         inst = diamond()
         view = PlanningCostView(inst)
         pset, _ = plan(inst, view, 2)
-        assert [p.vertices for p in pset] == [(0, 1, 3), (0, 2, 3)]
-        assert [p.cost for p in pset] == [2.0, 4.0]
+        assert [p.vertices for p in pset.paths] == [(0, 1, 3), (0, 2, 3)]
+        assert [p.cost for p in pset.paths] == [2.0, 4.0]
 
     def test_k_exceeding_simple_paths(self):
         inst = diamond()
         view = PlanningCostView(inst)
         pset, _ = plan(inst, view, 10)
-        assert len(pset) == 2
+        assert len(pset.paths) == 2
 
     def test_no_path_raises(self):
         inst = diamond()
         view = PlanningCostView(inst)
-        state = dstar.initialize(inst, view)
+        state = dstar.initialize(inst)
         ups = []
         for a, b in ((0, 1), (0, 2)):
             eid = edge_between(inst, a, b)
@@ -130,9 +131,9 @@ class TestBasics:
             inst = random_connected_instance(rng)
             view = PlanningCostView(inst)
             pset, _ = plan(inst, view, 4)
-            costs = [p.cost for p in pset]
+            costs = [p.cost for p in pset.paths]
             assert costs == sorted(costs)
-            for p in pset:
+            for p in pset.paths:
                 assert p.vertices[0] == inst.p
                 assert p.vertices[-1] == inst.d
                 assert len(set(p.vertices)) == len(p.vertices)
@@ -280,7 +281,7 @@ class TestSuppression:
         for _ in range(12):
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             v_curr = inst.p
             pset = kspp.update_k_paths(inst, view, state, v_curr, [], 7)
             check(inst, view, pset)
@@ -509,7 +510,7 @@ class TestSharedStateIsolation:
         for _ in range(10):
             inst = random_connected_instance(rng)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             kspp.update_k_paths(inst, view, state, inst.p, [], 1)
             g0, rhs0 = state.g.copy(), state.rhs.copy()
             heap0, live0 = list(state.queue._heap), dict(state.queue._live)
@@ -530,21 +531,21 @@ class TestOracleEquivalence:
             costs = oracles.view_costs(inst, view)
             enumerated = oracles.all_simple_paths(inst, costs, inst.p, inst.d)
             want = [c for c, _ in enumerated[:4]]
-            assert [p.cost for p in pset] == want
+            assert [p.cost for p in pset.paths] == want
             yen = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 4)
-            assert [p.vertices for p in pset] == yen
+            assert [p.vertices for p in pset.paths] == yen
 
     def test_integer_grids_match_yen_at_k7(self, rng):
         for _ in range(12):
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 7)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids)[:4]:
                 yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
-                assert [p.vertices for p in pset] == yen
-                for p in pset:
+                assert [p.vertices for p in pset.paths] == yen
+                for p in pset.paths:
                     assert p.edges == edge_walk(inst, p.vertices)
                     assert len(p.edges) == len(p.vertices) - 1
                 view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
@@ -552,8 +553,8 @@ class TestOracleEquivalence:
                     v_curr = pset.paths[0].vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 7)
             yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, 7)
-            assert [p.vertices for p in pset] == yen
-            for p in pset:
+            assert [p.vertices for p in pset.paths] == yen
+            for p in pset.paths:
                 assert p.edges == edge_walk(inst, p.vertices)
                 assert len(p.edges) == len(p.vertices) - 1
 
@@ -578,10 +579,10 @@ class TestOracleEquivalence:
             assert c.settled == sum(n for _, n in searched) > 0
             # Plain Yen spurs every processed path from every vertex but the
             # last; the last ranked path is processed only if the pool ran dry.
-            processed = pset.paths[:-1] if len(pset) == 7 else pset.paths
+            processed = pset.paths[:-1] if len(pset.paths) == 7 else pset.paths
             lawler += c.searches + c.isolated + c.pruned
-            yen += sum(len(p) - 1 for p in processed)
-            assert c.searches + c.isolated + c.pruned <= sum(len(p) - 1 for p in processed)
+            yen += sum(len(p.edges) for p in processed)
+            assert c.searches + c.isolated + c.pruned <= sum(len(p.edges) for p in processed)
             pruned += c.pruned
         assert lawler < yen and pruned > 0
         pset, _ = plan(inst, PlanningCostView(inst), 1)
@@ -591,7 +592,7 @@ class TestOracleEquivalence:
         for trial in range(20):
             inst = random_connected_instance(rng, n_min=6, n_max=10)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             pset = kspp.update_k_paths(inst, view, state, inst.p, [], 3)
             v_curr = inst.p
             for eid in sorted(inst.impeded_ids):
@@ -603,7 +604,7 @@ class TestOracleEquivalence:
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 3)
                 costs = oracles.view_costs(inst, view)
                 yen = oracles.yen_k_paths(inst, costs, v_curr, inst.d, 3)
-                assert [p.vertices for p in pset] == yen
+                assert [p.vertices for p in pset.paths] == yen
 
 
 @st.composite
@@ -646,7 +647,7 @@ def _ranked_updates(inst, reveals, k):
         return dijkstra(adj, frontier, cost, target, dist=dist)
 
     view = PlanningCostView(inst)
-    state = dstar.initialize(inst, view)
+    state = dstar.initialize(inst)
     v_curr, changed, out = inst.p, [], []
     with mock.patch.object(kspp, "spur_search", recording_search), \
             mock.patch.object(kspp, "dijkstra", checked_dijkstra):
@@ -655,7 +656,7 @@ def _ranked_updates(inst, reveals, k):
                 view.reveal(eid, float(inst.edges[eid].distribution.bounds()[high]))
                 changed = [eid]
             pset = kspp.update_k_paths(inst, view, state, v_curr, changed, k)
-            out.append(([(p.vertices, p.edges, p.cost.hex()) for p in pset], pset.spur))
+            out.append(([(p.vertices, p.edges, p.cost.hex()) for p in pset.paths], pset.spur))
             if len(pset.paths[0].vertices) > 2:
                 v_curr = pset.paths[0].vertices[1]
     return out
@@ -699,7 +700,7 @@ def test_parents_the_tree_reads_match_the_eager_rule(mission, k):
         trees.append(tree)
         return found
 
-    state = dstar.initialize(inst, view)
+    state = dstar.initialize(inst)
     v_curr, changed = inst.p, []
     with mock.patch.object(kspp, "spur_search", recording_search):
         for eid, high in [(None, 0)] + reveals:
@@ -725,7 +726,7 @@ def test_marking_to_the_limit_searches_as_full_marking_does(rng):
 
     def compared_search(tree, spur, limit):
         nonlocal compared
-        full = kspp.ReverseTree(tree.inst, view, state)
+        full = kspp.ReverseTree(view, state)
         full.hide(hidden_edges(tree))
         full.mark(INF)
         got = search(tree, spur, limit)
@@ -737,7 +738,7 @@ def test_marking_to_the_limit_searches_as_full_marking_does(rng):
         for _ in range(40):
             inst = random_connected_instance(rng, n_min=8, n_max=40)
             view = PlanningCostView(inst)
-            state = dstar.initialize(inst, view)
+            state = dstar.initialize(inst)
             k, v_curr = rng.randint(2, 7), inst.p
             pset = kspp.update_k_paths(inst, view, state, v_curr, [], k)
             for eid in sorted(inst.impeded_ids)[:4]:

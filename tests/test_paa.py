@@ -1,31 +1,35 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
 import oracles
 from conftest import build_instance, edge_between, random_connected_instance
 from scoutplan import dstar, kspp, paa, rpp
-from scoutplan.core import PlanningCostView, UavMetric
-from scoutplan.paa import PaaContext
+from scoutplan.core import PlanningCostView, ProblemInstance, UavMetric
+
+
+class Context(NamedTuple):
+    """The scorer's arguments after the critical edges, in order."""
+
+    inst: ProblemInstance
+    view: PlanningCostView
+    path_set: kspp.PathSet
+    uav_pos: int
+    k: int
+    metric: UavMetric
 
 
 def make_context(inst, view, k, uav_pos=None):
-    state = dstar.initialize(inst, view)
+    state = dstar.initialize(inst)
     pset = kspp.update_k_paths(inst, view, state, inst.p, [], k)
     crit = rpp.extract_critical_edges(pset, view, inst)
-    ctx = PaaContext(
-        inst,
-        view,
-        pset,
-        inst.q if uav_pos is None else uav_pos,
-        k,
-        UavMetric(inst),
-    )
+    ctx = Context(inst, view, pset, inst.q if uav_pos is None else uav_pos, k, UavMetric(inst))
     return pset, crit, ctx
 
 
 def priorities(crit, ctx):
-    return {ep.edge: ep for ep in paa.score_edges(crit, ctx)}
+    return {ep.edge: ep for ep in paa.score_edges(crit, *ctx)}
 
 
 class TestParameters:
@@ -51,7 +55,7 @@ class TestParameters:
         pset, crit, ctx = make_context(inst, view, 3)
         e = min(crit)
         # Same three paths, but five requested: the share is over k.
-        ctx5 = PaaContext(inst, view, pset, ctx.uav_pos, 5, ctx.metric)
+        ctx5 = ctx._replace(k=5)
         assert priorities(crit, ctx5)[e].p1 == pytest.approx(1 / 5)
         assert priorities(crit, ctx)[e].p1 == pytest.approx(1 / 3)
 
@@ -130,7 +134,7 @@ class TestSelection:
         inst, _ = bench.demo_instance()
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1)
-        assert paa.select_edge({}, ctx) is None
+        assert paa.select_edge({}, *ctx) is None
 
     def test_single_edge_selected_regardless_of_weights(self, monkeypatch):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
@@ -139,7 +143,7 @@ class TestSelection:
         for w in (paa.WEIGHTS, (1, 0, 0, 0), (0, 0, 0, 9)):
             monkeypatch.setattr(paa, "WEIGHTS", w)
             pset, crit, ctx = make_context(inst, view, 1)
-            assert paa.select_edge(crit, ctx) == (min(crit), 1)
+            assert paa.select_edge(crit, *ctx) == (min(crit), 1)
 
     def test_matches_independent_recomputation(self, rng):
         checked = 0
@@ -150,7 +154,7 @@ class TestSelection:
             if len(crit) < 2:
                 continue
             checked += 1
-            scored = paa.score_edges(crit, ctx)
+            scored = paa.score_edges(crit, *ctx)
             oracle = oracles.paa_scores(
                 inst, view, ctx.metric, pset, crit, inst.q, 3, paa.WEIGHTS
             )
@@ -163,7 +167,7 @@ class TestSelection:
             want = max(oracle.items(), key=lambda kv: (kv[1][0], -kv[0]))[0]
             rec = inst.edges[want]
             nearer_v = ctx.metric.cost(inst.q, rec.v) < ctx.metric.cost(inst.q, rec.u)
-            assert paa.select_edge(crit, ctx) == (want, rec.v if nearer_v else rec.u)
+            assert paa.select_edge(crit, *ctx) == (want, rec.v if nearer_v else rec.u)
 
     def test_argmax_invariant_under_weight_scaling(self, rng, monkeypatch):
         weights = paa.WEIGHTS
@@ -176,9 +180,9 @@ class TestSelection:
                 continue
             checked += 1
             monkeypatch.setattr(paa, "WEIGHTS", weights)
-            base = paa.select_edge(crit, ctx)
+            base = paa.select_edge(crit, *ctx)
             monkeypatch.setattr(paa, "WEIGHTS", tuple(7.5 * w for w in weights))
-            assert paa.select_edge(crit, ctx) == base
+            assert paa.select_edge(crit, *ctx) == base
 
     def test_deterministic_tie_break_lowest_edge(self):
         # Both impeded edges leave the start vertex, so every signal ties:
@@ -192,9 +196,9 @@ class TestSelection:
         )
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 2)
-        scored = paa.score_edges(crit, ctx)
+        scored = paa.score_edges(crit, *ctx)
         assert scored[0].score == pytest.approx(scored[1].score)
-        assert paa.select_edge(crit, ctx) == (min(crit), 0)
+        assert paa.select_edge(crit, *ctx) == (min(crit), 0)
 
     @pytest.mark.parametrize("q,start", [(2, 2), (3, 1)])
     def test_inspection_starts_at_nearer_endpoint_u_on_ties(self, q, start):
@@ -207,5 +211,5 @@ class TestSelection:
         )
         pset, crit, ctx = make_context(inst, PlanningCostView(inst), 1)
         assert crit.keys() == {1}
-        assert paa.select_edge(crit, ctx) == (1, start)
-        assert paa.score_edges(crit, ctx)[0].start == start
+        assert paa.select_edge(crit, *ctx) == (1, start)
+        assert paa.score_edges(crit, *ctx)[0].start == start

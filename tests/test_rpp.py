@@ -11,7 +11,7 @@ from scoutplan.core import INF, PlanningCostView, UavMetric
 
 
 def plan_paths(inst, view, k):
-    state = dstar.initialize(inst, view)
+    state = dstar.initialize(inst)
     return kspp.update_k_paths(inst, view, state, inst.p, [], k)
 
 

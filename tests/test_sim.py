@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import build_instance, line_instance, random_connected_instance, with_aerial_only_edges
+from conftest import (
+    build_instance,
+    drained_state,
+    line_instance,
+    random_connected_instance,
+    with_aerial_only_edges,
+)
 from scoutplan import bench, core, dstar, kspp, rpp, sim
 from scoutplan.cli import main
 from scoutplan.core import (
@@ -137,7 +143,7 @@ class TestLowerBound:
         real = Realization(inst, true)
         chain = sum(true[eid] for eid in range(6))
         assert chain < true[6] + true[7] < chain + 1e-8
-        cost = [real[e.id] for e in inst.edges]
+        cost = [real.true_cost[e.id] for e in inst.edges]
         assert sim.lower_bound(inst, real) == dijkstra(inst.adj, 0, cost)[0][6]
 
     @settings(max_examples=300, deadline=None)
@@ -146,7 +152,7 @@ class TestLowerBound:
         inst, real = mission
         cost = PlanningCostView(inst).costs
         for eid in inst.impeded_ids:
-            cost[eid] = real[eid]
+            cost[eid] = real.true_cost[eid]
         full, _, n = dijkstra(inst.adj, inst.p, cost)
         assert n == inst.n_vertices
         bound, [(got, _, settled)] = _recorded(sim, lambda: sim.lower_bound(inst, real))
@@ -169,7 +175,7 @@ class TestLowerBound:
             costs = {}
             for eid in oracles.ugv_edges(inst):
                 rec = inst.edges[eid]
-                costs[eid] = real[eid] if rec.impeded else rec.ugv_cost
+                costs[eid] = real.true_cost[eid] if rec.impeded else rec.ugv_cost
             dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
             assert sim.lower_bound(inst, real) == pytest.approx(dist[inst.p], rel=1e-12)
 
@@ -183,8 +189,8 @@ def test_spur_search_early_stop_equals_full_search(mission, data):
     view = PlanningCostView(inst)
     for eid in sorted(inst.impeded_ids):
         if data.draw(st.booleans(), label="reveal"):
-            view.reveal(eid, real[eid])
-    tree = kspp.ReverseTree(inst, view, dstar.initialize(inst, view))
+            view.reveal(eid, real.costs[eid])
+    tree = kspp.ReverseTree(view, drained_state(inst, view))
     edges = sorted(oracles.ugv_edges(inst))
     tree.hide(data.draw(st.lists(st.sampled_from(edges), max_size=len(edges)), label="hidden"))
     spur = data.draw(st.integers(0, inst.n_vertices - 1), label="spur")
@@ -215,13 +221,13 @@ def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
         view = PlanningCostView(inst)
         assert view.costs[longest] < inst.euclid(inst.edges[longest].u, inst.edges[longest].v)
         real = sample_realization(inst, rng)
-        costs = {eid: real[eid] if inst.edges[eid].impeded else inst.edges[eid].ugv_cost
+        costs = {eid: real.true_cost[eid] if inst.edges[eid].impeded else inst.edges[eid].ugv_cost
                  for eid in oracles.ugv_edges(inst)}
         dist = oracles.dijkstra_to_dest(inst, costs, inst.d)
         assert sim.lower_bound(inst, real) == pytest.approx(dist[inst.p], rel=1e-12)
-        pset = kspp.update_k_paths(inst, view, dstar.initialize(inst, view), inst.p, [], 4)
+        pset = kspp.update_k_paths(inst, view, dstar.initialize(inst), inst.p, [], 4)
         yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), inst.p, inst.d, 4)
-        assert [p.vertices for p in pset] == yen
+        assert [p.vertices for p in pset.paths] == yen
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,7 +242,7 @@ def test_aerial_only_edges_never_change_a_free_flight_mission(seed):
     ext = with_aerial_only_edges(inst, rng)
     ext_real = Realization(ext, real.true_cost)
     assert len(ext.edges) > len(inst.edges)
-    g = dstar.initialize(ext, PlanningCostView(ext)).g
+    g = dstar.initialize(ext).g
     assert g == oracles.dijkstra_to_dest(ext, oracles.prior_costs(ext), ext.d)
     for planner in sim.PLANNERS:
         for k in range(1, 5):
@@ -290,13 +296,36 @@ class TestOneSearchPerInput:
 
     def test_initialize_after_a_mission_searches_nothing(self):
         inst, real = bench.demo_instance()
-        view = PlanningCostView(inst)
-        _, runs = _recorded(core, lambda: dstar.initialize(inst, view))
+        _, runs = _recorded(core, lambda: dstar.initialize(inst))
         assert len(runs) == 1
         sim.run(inst, real, SimulationConfig(planner="rpp", k=2))
-        state, runs = _recorded(core, lambda: dstar.initialize(inst, PlanningCostView(inst)))
+        state, runs = _recorded(core, lambda: dstar.initialize(inst))
         assert runs == [] and state.expansions == 0 and len(state.queue) == 0
         assert state.g == state.rhs == dijkstra(inst.adj, inst.d, inst.prior_costs)[0]
+
+    @staticmethod
+    def _check_one_repair_per_update(inst, real, cfg):
+        # D* repairs only through replan: one compute_shortest_path call per
+        # k-path update, i.e. per replan that a cancel did not trigger.
+        wrapped = mock.Mock(wraps=dstar.compute_shortest_path)
+        with mock.patch.object(dstar, "compute_shortest_path", wrapped):
+            out = sim.run(inst, real, cfg)
+        updates = sum(not r.trigger.startswith("cancel:") for r in out.replans)
+        assert wrapped.call_count == updates > 0
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(mission=_missions(), cfg=_configs())
+    def test_a_mission_repairs_once_per_k_path_update(self, mission, cfg):
+        self._check_one_repair_per_update(*mission, cfg)
+
+    def test_a_cancel_repairs_nothing(self):
+        # The scout is too far to inspect edge 1 before the vehicle enters it.
+        coords = [(0.0, 0.0), (2.0, 0.0), (12.0, 0.0), (500.0, 5.0)]
+        inst = build_instance(coords, [(0, 1, 2.0), (1, 2, (10.0, 30.0)), (2, 3, 490.0)], p=0, q=3, d=2)
+        out = self._check_one_repair_per_update(
+            inst, Realization(inst, {1: 12.0}), SimulationConfig(planner="paa", k=2))
+        assert any(r.trigger.startswith("cancel:") for r in out.replans)
 
 
 class TestCriticalEdges:
@@ -491,7 +520,7 @@ class TestInvariants:
         reveals = [e.data for e in out.events if e.kind == "reveal"]
         assert len({eid for eid, _, _ in reveals}) == len(reveals)
         for eid, cost, _ in reveals:
-            assert eid in inst.impeded_ids and cost == real[eid]
+            assert eid in inst.impeded_ids and cost == real.true_cost[eid]
 
     def test_fixed_seed_is_deterministic(self, rng):
         for _ in range(5):
