@@ -36,6 +36,7 @@ from .core import (
     read_text,
     sample_realization,
 )
+from .kspp import SpurCounts
 
 
 #: Aerial speed of every family's networks.
@@ -439,11 +440,18 @@ def demo_instance() -> tuple[ProblemInstance, Realization]:
 # Experiment harness
 # ---------------------------------------------------------------------------
 
+#: runs.csv's per-run work totals, summed over the replans (the spur ones
+#: are `SpurCounts`' fields); `read_runs_csv` takes files without them.
+COUNTER_COLUMNS = (
+    "critical_edges", "dfs_nodes", "dstar_expansions", "late_inspections",
+    *(f"spur_{name}" for name in SpurCounts._fields),
+)
 #: runs.csv's columns, in order, with the type `read_runs_csv` reads each as.
 RUN_COLUMNS = {
     "instance_id": int, "seed": str, "planner": str, "k": int, "LB": float, "cost": float,
     "arrival_time": float, "n_replans": int, "max_ugv_replan_ms": float, "max_uav_replan_ms": float,
     "label": str, "n_vertices": int, "max_uav_solver_ms": float, "budget_hits": int,
+    **dict.fromkeys(COUNTER_COLUMNS, int),
 }
 SUMMARY_COLUMNS = (
     "planner", "k", "label", "n", "LB", "naive_cost", "cost", "delta_pct",
@@ -492,6 +500,11 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
                 "n_vertices": inst.n_vertices,
                 "max_uav_solver_ms": outcome.max_uav_solver_s * 1e3,
                 "budget_hits": outcome.budget_hits,
+                "critical_edges": outcome.critical_edges,
+                "dfs_nodes": outcome.dfs_nodes,
+                "dstar_expansions": outcome.expansions,
+                "late_inspections": outcome.late_inspections,
+                **{f"spur_{name}": n for name, n in outcome.spur._asdict().items()},
             }
         )
 
@@ -552,7 +565,9 @@ def write_csv(rows: list[dict], columns: Iterable[str], path: str) -> None:
 def read_runs_csv(path: str) -> list[dict]:
     """The rows of a UTF-8 runs.csv, each RUN_COLUMNS cell read as its type;
     a number must be finite and at least 0 (``k`` and ``n_vertices`` at
-    least 1).  A malformed file is an InstanceError naming the file and line."""
+    least 1).  Any COUNTER_COLUMNS may be absent, as in files written before
+    they were; the rest must be there.  A malformed file is an InstanceError
+    naming the file and line."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     out = []
 
@@ -560,6 +575,8 @@ def read_runs_csv(path: str) -> list[dict]:
         if None in r or None in r.values():
             raise ValueError(f"expected {len(reader.fieldnames)} cells")
         for key, kind in RUN_COLUMNS.items():
+            if key not in r:  # an absent counter column
+                continue
             r[key] = kind(r[key])
             low = 1 if key in ("k", "n_vertices") else 0
             if kind is not str and not low <= r[key] < INF:
@@ -567,7 +584,8 @@ def read_runs_csv(path: str) -> list[dict]:
         out.append(r)
 
     try:
-        missing = [c for c in RUN_COLUMNS if c not in (reader.fieldnames or ())]
+        present = reader.fieldnames or ()
+        missing = [c for c in RUN_COLUMNS if c not in present and c not in COUNTER_COLUMNS]
         if missing:
             raise InstanceError(f"{path}: missing run columns {missing}")
         read_records(path, record, ((reader.line_num, r) for r in reader))

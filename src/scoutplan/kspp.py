@@ -9,7 +9,11 @@ whose tree paths cross a hidden edge, read only as far as a search reads.
 Lawler's rule spurs a path only from where it left its parent, and only
 what can be ranked is searched for (Martins and Pascoal): a spur is judged
 by one limit, X (the cost above which nothing can be ranked) less its
-root's cost, which never rises along a walk of a path.
+root's cost, which never rises along a walk of a path.  A walk reads
+bounds and sorts out the paths sharing its root only at branch vertices: a
+vertex with two edges, reached past the start, is entered by one and left
+by the other on every path that shares the root, so both are hidden there
+and no spur can leave it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class SpurCounts(NamedTuple):
     """Work of the Yen spur searches of one k-path update, or a sum of them."""
 
     searches: int = 0  # searches run
-    isolated: int = 0  # skipped because every edge at the spur vertex was hidden (bound INF)
+    isolated: int = 0  # skipped: every edge at the spur was hidden (bound INF); chain vertices by degree
     nopath: int = 0  # searches run that found no rankable spur path
     settled: int = 0  # vertices settled by the searches run
     pruned: int = 0  # skipped because the tree bound showed nothing rankable
@@ -175,6 +179,17 @@ def update_k_paths(
     ``view.path_cost`` sums.  Lawler's rule spurs a path only from its
     ``deviation`` index; a candidate is new when its vertices are not a key.
 
+    Chain vertices.  Edges are never parallel and paths are loopless, so a
+    vertex with exactly two ``adj`` entries, reached at j >= 1, has
+    ``prev.edges[j - 1]``, already hidden as an edge of the interior vertex
+    ``vs[j - 1]``, and ``prev.edges[j]`` as its edges, and every path still
+    sharing the root leaves it by the latter.  Hiding that edge alone therefore hides what
+    the sharing paths would, the spur's lower bound is INF without reading
+    it, and the vertex counts as ``isolated`` when j >= ``deviation``.  At
+    the next step both of its edges are already INF, and every sharing path
+    goes on to ``vs[j + 1]``, so the step skips hiding them and filtering
+    ``sharing``.  Neither holds at j = 0, where the way in is not hidden.
+
     The bound.  With ``need`` = k - len(accepted) paths still to rank, X is
     the ``need``-th cheapest pooled cost (``rank_limit``).  A candidate above
     X is never ranked, as ``need`` pooled ones beat it and X never rises (a
@@ -210,12 +225,20 @@ def update_k_paths(
         prev = accepted[-1]
         vs, first = prev.vertices, deviation[prev.vertices]
         x = rank_limit(pool, k - len(accepted))
-        sharing, root_cost = accepted, 0.0
+        sharing, root_cost, chain = accepted, 0.0, False
         for j, spur in enumerate(vs[:-1]):
             if j:
-                tree.hide([eid for _, eid in adj[vs[j - 1]]])
                 root_cost += costs[prev.edges[j - 1]]
-            sharing = [p for p in sharing if p.vertices[j] == spur]
+            if not chain:  # after a chain vertex both would change nothing
+                if j:
+                    tree.hide([eid for _, eid in adj[vs[j - 1]]])
+                sharing = [p for p in sharing if p.vertices[j] == spur]
+            chain = j > 0 and len(adj[spur]) == 2
+            if chain:  # in by a hidden edge, on by prev's next edge: both INF
+                tree.hide((prev.edges[j],))
+                if j >= first:
+                    isolated += 1
+                continue
             tree.hide([p.edges[j] for p in sharing])
             if j < first:
                 continue

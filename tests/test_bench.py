@@ -335,6 +335,42 @@ class TestExperimentHarness:
         for r in summary:
             assert r["LB"] <= r["cost"] + 1e-9
 
+    def test_counter_columns_total_each_runs_replans(self, tmp_path):
+        # Each counter column is the run's own total: the same mission run
+        # directly gives the same sums.
+        out = tmp_path / "run"
+        bench.run_experiment(self.spec(), str(out))
+        rows = bench.read_runs_csv(str(out / "runs.csv"))
+        inst, real, _ = bench.make_instance(self.spec().specs[0], "99:1")
+        spurred = 0
+        for r in rows:
+            if r["instance_id"] != 1:
+                continue
+            outcome = sim.run(inst, real, SimulationConfig(planner=r["planner"], k=r["k"]))
+            want = [outcome.critical_edges, outcome.dfs_nodes, outcome.expansions,
+                    outcome.late_inspections, *outcome.spur]
+            assert [r[c] for c in bench.COUNTER_COLUMNS] == want
+            spurred += outcome.spur.searches > 0
+        assert spurred
+
+    def test_report_rebuilds_the_summary_without_counter_columns(self, tmp_path):
+        # A runs.csv written before the counter columns, i.e. cut to the
+        # columns before them, gives report the same summary.csv bytes.
+        out = tmp_path / "run"
+        bench.run_experiment(self.spec(), str(out))
+        with open(out / "runs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        kept = len(bench.RUN_COLUMNS) - len(bench.COUNTER_COLUMNS)
+        assert rows[0][kept:] == list(bench.COUNTER_COLUMNS)
+        old = tmp_path / "old_runs.csv"
+        with open(old, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:kept] for row in rows)
+        for runs in (out / "runs.csv", old):
+            report = tmp_path / "report.csv"
+            bench.write_csv(bench.summarize_rows(bench.read_runs_csv(str(runs))),
+                            bench.SUMMARY_COLUMNS, str(report))
+            assert report.read_bytes() == (out / "summary.csv").read_bytes()
+
     def test_report_reproduces_scaling_summary(self, tmp_path):
         spec = bench.ExperimentSpec(
             family="bridge", n_instances=1, k_values=(1, 2), planners=("paa",),

@@ -562,10 +562,33 @@ class TestExperimentAndReport:
     )
     def test_report_rejects_malformed_runs_as_data_error(self, tmp_path, capsys, row, where):
         # A good row, then the bad one on line 3; without it report succeeds.
+        # The header leaves out the counter columns, which may be absent.
         runs = tmp_path / "runs.csv"
         good = "0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0"
-        text = ",".join(bench.RUN_COLUMNS) + "\n" + good + "\n"
+        text = ",".join(c for c in bench.RUN_COLUMNS if c not in bench.COUNTER_COLUMNS) + "\n" + good + "\n"
         runs.write_bytes(text.encode() + row.encode("latin-1") + b"\n")
+        assert run_cli("report", "--in", str(runs), "--out", str(tmp_path / "ok.csv")) == DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {runs}") and where in err
+        runs.write_text(text)
+        assert run_cli("report", "--in", str(runs), "--out", str(tmp_path / "ok.csv")) == 0
+
+    @pytest.mark.parametrize(
+        "counters,where",
+        [
+            ("1,0,0,0,0,0,0,0,-1", ":3: spur_pruned -1"),
+            ("1,2.5,0,0,0,0,0,0,0", ":3:"),  # a count that is not whole
+            ("1,0,inf,0,0,0,0,0,0", ":3:"),
+            ("1,0,0,0,0,0,0,0", ":3:"),  # one cell short
+        ],
+        ids=["negative-pruned", "fractional-dfs-nodes", "inf-expansions", "short"],
+    )
+    def test_report_range_checks_counter_columns(self, tmp_path, capsys, counters, where):
+        # The counter columns, when present, are read and checked like the rest.
+        runs = tmp_path / "runs.csv"
+        good = "0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0,"
+        text = ",".join(bench.RUN_COLUMNS) + "\n" + good + "1,0,0,0,0,0,0,0,0\n"
+        runs.write_text(text + good + counters + "\n")
         assert run_cli("report", "--in", str(runs), "--out", str(tmp_path / "ok.csv")) == DATA_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {runs}") and where in err

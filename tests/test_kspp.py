@@ -13,6 +13,7 @@ from conftest import (
     edge_between,
     edge_walk,
     random_connected_instance,
+    with_aerial_only_edges,
 )
 from scoutplan import bench, dstar, kspp
 from scoutplan.core import INF, NoPathError, PlanningCostView
@@ -60,6 +61,26 @@ def straight_line_instance(rng, n, shrink_one=False):
         u, v, cost = specs[0]
         specs[0] = (u, v, cost / 2)
     return build_instance(coords, specs, p=0, q=0, d=n - 1)
+
+
+def subdivided(inst, rng, share=0.5):
+    """The instance with about ``share`` of its ground edges each replaced by
+    a chain of two or three edges through new vertices, so that many
+    vertices have exactly two edges.  The chain's first edge keeps the
+    edge's cost or window; the others get a fixed integer cost of 1 to 3."""
+    coords, specs = list(inst.vertices), []
+    for e in inst.edges:
+        cost = (e.distribution.t_min, e.distribution.t_max) if e.impeded else e.ugv_cost
+        if cost is None or rng.random() >= share:
+            specs.append((e.u, e.v, cost, e.uav_cost))
+            continue
+        (x0, y0), (x1, y1) = coords[e.u], coords[e.v]
+        pieces = rng.randint(2, 3)
+        chain = [e.u] + [len(coords) + i for i in range(pieces - 1)] + [e.v]
+        coords += [(x0 + (x1 - x0) * i / pieces, y0 + (y1 - y0) * i / pieces) for i in range(1, pieces)]
+        specs += [(a, b, cost if a == e.u else rng.randint(1, 3)) for a, b in zip(chain, chain[1:])]
+    return build_instance(coords, specs, p=inst.p, q=inst.q, d=inst.d,
+                          uav_speed=inst.uav_speed, free_flight=inst.uav_free_flight)
 
 
 def reverse_tree(inst, view):
@@ -259,10 +280,21 @@ class TestSuppression:
         monkeypatch.setattr(kspp.ReverseTree, "lower_bound", recording_bound)
         monkeypatch.setattr(kspp.ReverseTree, "mark", recording_mark)
         monkeypatch.setattr(kspp, "spur_search", recording_search)
-        checked = searched = deep = shared = 0
+        checked = searched = deep = shared = chains = after_chain = 0
 
-        def check(inst, view, pset):
-            nonlocal checked, searched, deep, shared
+        def check(inst, view, pset, k):
+            # A chain vertex past a walk's start (two edges) is skipped with
+            # no bound read: textbook Yen hides both of its edges there, and
+            # the bounded spurs after it still hide exactly what Yen hides.
+            nonlocal checked, searched, deep, shared, chains, after_chain
+            walked = pset.paths[:-1] if len(pset.paths) == k else pset.paths
+            for m, path in enumerate(walked, 1):
+                accepted = [p.vertices for p in pset.paths[:m]]
+                for j, v in enumerate(path.vertices[1:-1], 1):
+                    if len(inst.adj[v]) == 2:
+                        root = path.vertices[: j + 1]
+                        assert {eid for _, eid in inst.adj[v]} <= oracles.yen_hidden_edges(inst, accepted, root)
+                        chains += 1
             for m, spur, hidden, was_searched in seen:
                 accepted = [p.vertices for p in pset.paths[:m]]
                 walked = accepted[-1]
@@ -272,26 +304,32 @@ class TestSuppression:
                 searched += was_searched
                 deep += m > 1 and len(root) > 1
                 shared += sum(p[: len(root)] == root for p in accepted) > 1
+                after_chain += len(root) > 2 and len(inst.adj[root[-2]]) == 2
             seen.clear()
 
         inst = diamond()
         view = PlanningCostView(inst)
         pset, _ = plan(inst, view, 4)
-        check(inst, view, pset)
-        for _ in range(12):
+        check(inst, view, pset, 4)
+        for trial in range(24):
+            # The last twelve grids have chains of two-edge vertices.
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
+            if trial >= 12:
+                inst = subdivided(inst, rng)
             view = PlanningCostView(inst)
             state = dstar.initialize(inst)
             v_curr = inst.p
             pset = kspp.update_k_paths(inst, view, state, v_curr, [], 7)
-            check(inst, view, pset)
+            check(inst, view, pset, 7)
             for eid in sorted(inst.impeded_ids)[:3]:
                 view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
                 if len(pset.paths[0].vertices) > 2:
                     v_curr = pset.paths[0].vertices[1]
-                pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], rng.choice([4, 7]))
-                check(inst, view, pset)
+                k = rng.choice([4, 7])
+                pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], k)
+                check(inst, view, pset, k)
         assert checked > 500 and searched > 300 and deep > 300 and shared > 70
+        assert chains > 500 and after_chain > 250
         assert all(walk == sorted(walk, reverse=True) for walk in limits)
         assert sum(len(walk) > 1 for walk in limits) > 100
 
@@ -747,3 +785,83 @@ def test_marking_to_the_limit_searches_as_full_marking_does(rng):
                     v_curr = pset.paths[0].vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], k)
     assert compared > 300
+
+
+@st.composite
+def _chain_heavy_missions(draw):
+    """An instance with many two-edge vertices: a random connected one with
+    about half its ground edges subdivided, with or without aerial-only
+    edges, or a small bridge instance; and up to three reveals, each at a
+    cost drawn from the edge's window."""
+    seed = draw(st.integers(0, 2**31 - 1), label="seed")
+    kind = draw(st.sampled_from(["subdivided", "subdivided, aerial-only edges", "bridge"]))
+    rng = random.Random(seed)
+    if kind == "bridge":
+        spec = bench.BridgeSpec(n_paths=draw(st.integers(2, 4)), chain_len=draw(st.integers(4, 7)),
+                                adversarial=draw(st.booleans()))
+        inst, _ = bench.generate_bridge(spec, seed)
+    else:
+        inst = subdivided(random_connected_instance(rng, n_min=4, n_max=9), rng)
+        if kind != "subdivided":
+            inst = with_aerial_only_edges(inst, rng)
+    impeded = sorted(inst.impeded_ids)
+    n_reveals = draw(st.integers(0, min(3, len(impeded))), label="reveals")
+    reveals = [(eid, inst.edges[eid].distribution.sample(rng)) for eid in rng.sample(impeded, n_reveals)]
+    return inst, reveals
+
+
+def _walk_deviations(inst, view, state, v_curr, changed, k):
+    """One k-path update, and each walked path with the index it was spurred
+    from (Lawler's ``deviation``): a candidate is built while its parent is
+    walked, from the index where it leaves the parent."""
+    walk, built = 0, []
+    reset, make_path = kspp.ReverseTree.reset, kspp.Path
+
+    def counting_reset(tree):
+        nonlocal walk
+        walk += 1
+        reset(tree)
+
+    def recording_path(vertices, edges, cost):
+        built.append((walk, vertices))
+        return make_path(vertices, edges, cost)
+
+    with mock.patch.object(kspp.ReverseTree, "reset", counting_reset), \
+            mock.patch.object(kspp, "Path", recording_path):
+        pset = kspp.update_k_paths(inst, view, state, v_curr, changed, k)
+    deviation = {pset.paths[0].vertices: 0}
+    for m, vertices in built:
+        parent = pset.paths[m - 1].vertices
+        deviation[vertices] = next(j for j, (a, b) in enumerate(zip(vertices, parent)) if a != b) - 1
+    walked = pset.paths[:-1] if len(pset.paths) == k else pset.paths
+    return pset, [(p.vertices, deviation[p.vertices]) for p in walked]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mission=_chain_heavy_missions(), k=st.integers(2, 7))
+def test_chain_heavy_updates_match_textbook_yen(mission, k):
+    # Where most vertices have two edges, the walk reads no bound at a chain
+    # vertex: the ranked paths are still textbook Yen's (criterion 2), and
+    # the isolated count is still the number of spurs at or past the
+    # deviation where Yen's hidden set holds every ground edge.
+    inst, reveals = mission
+    view = PlanningCostView(inst)
+    state = dstar.initialize(inst)
+    ground = oracles.ugv_edges(inst)
+    v_curr, changed = inst.p, []
+    for eid, cost in [(None, None)] + reveals:
+        if eid is not None:
+            view.reveal(eid, cost)
+            changed = [eid]
+        pset, walks = _walk_deviations(inst, view, state, v_curr, changed, k)
+        yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, k)
+        assert [p.vertices for p in pset.paths] == yen
+        isolated = 0
+        for m, (vs, first) in enumerate(walks, 1):
+            accepted = [p.vertices for p in pset.paths[:m]]
+            for j in range(first, len(vs) - 1):
+                hidden = oracles.yen_hidden_edges(inst, accepted, vs[: j + 1])
+                isolated += all(eid in hidden for _, eid in inst.adj[vs[j]] if eid in ground)
+        assert pset.spur.isolated == isolated
+        if len(pset.paths[0].vertices) > 2:
+            v_curr = pset.paths[0].vertices[1]
