@@ -18,6 +18,7 @@ import random
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from operator import add
 from statistics import fmean, pstdev
 
 from . import sim
@@ -48,6 +49,8 @@ GRID_SPACING = 10.0
 #: Corners of the bridge family's chain box, and its endpoints p and d.
 BRIDGE_BOX = ((10.0, 100.0), (190.0, -90.0))
 BRIDGE_P, BRIDGE_D = (0.0, 0.0), (200.0, 0.0)
+#: The least chain_len whose chain edges, box width / (chain_len - 1), fit every t_max window.
+MIN_CHAIN_LEN = math.ceil((BRIDGE_BOX[1][0] - BRIDGE_BOX[0][0]) / T_MAX_RANGE[0]) + 1
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class BridgeSpec:
     adversarial: bool = False
 
     def __post_init__(self):
-        check_at_least("chain_len", self.chain_len, 2)
+        check_at_least("chain_len", self.chain_len, MIN_CHAIN_LEN)
         check_at_least("n_paths", self.n_paths, 1)
         check_positive("impeded_per_path", self.impeded_per_path)
         if self.impeded_per_path >= 1 and self.impeded_per_path % 1:
@@ -476,6 +479,29 @@ def make_instance(
     return *generate_bridge(spec, seed), None
 
 
+def run_totals(outcome: sim.SimulationOutcome) -> dict:
+    """A run's totals under their runs.csv names, in RUN_COLUMNS order: the
+    replan count, the longest planning times in ms, and the work counters
+    summed over the replans.  `scoutplan simulate` prints the same list."""
+    ugv = uav = solver = 0.0
+    hits = critical = dfs = expansions = 0
+    spur = SpurCounts()
+    for r in outcome.replans:
+        ugv, uav, solver = max(ugv, r.ugv_seconds), max(uav, r.uav_seconds), max(solver, r.uav_solver_seconds)
+        hits += r.budget_hit
+        critical += r.critical_edges
+        dfs += r.dfs_nodes
+        expansions += r.expansions
+        spur = SpurCounts(*map(add, spur, r.spur))
+    return {
+        "n_replans": len(outcome.replans), "max_ugv_replan_ms": ugv * 1e3,
+        "max_uav_replan_ms": uav * 1e3, "max_uav_solver_ms": solver * 1e3,
+        "budget_hits": hits, "critical_edges": critical, "dfs_nodes": dfs,
+        "dstar_expansions": expansions, "late_inspections": outcome.late_inspections,
+        **{f"spur_{name}": n for name, n in spur._asdict().items()},
+    }
+
+
 def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     """All planner runs for one instance, naive baseline included."""
     family_spec = spec.specs[index % len(spec.specs)]
@@ -486,25 +512,10 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
     def record(planner: str, k: int, outcome: sim.SimulationOutcome) -> None:
         rows.append(
             {
-                "instance_id": index,
-                "seed": spec.seed,
-                "planner": planner,
-                "k": k,
-                "LB": outcome.lower_bound,
-                "cost": outcome.arrival_time,
-                "arrival_time": outcome.arrival_time,
-                "n_replans": outcome.n_replans,
-                "max_ugv_replan_ms": outcome.max_ugv_replan_s * 1e3,
-                "max_uav_replan_ms": outcome.max_uav_replan_s * 1e3,
-                "label": label,
-                "n_vertices": inst.n_vertices,
-                "max_uav_solver_ms": outcome.max_uav_solver_s * 1e3,
-                "budget_hits": outcome.budget_hits,
-                "critical_edges": outcome.critical_edges,
-                "dfs_nodes": outcome.dfs_nodes,
-                "dstar_expansions": outcome.expansions,
-                "late_inspections": outcome.late_inspections,
-                **{f"spur_{name}": n for name, n in outcome.spur._asdict().items()},
+                "instance_id": index, "seed": spec.seed, "planner": planner, "k": k,
+                "label": label, "n_vertices": inst.n_vertices, "LB": outcome.lower_bound,
+                "cost": outcome.arrival_time, "arrival_time": outcome.arrival_time,
+                **run_totals(outcome),
             }
         )
 

@@ -86,13 +86,8 @@ def cmd_simulate(args) -> int:
             fh.write(outcome.event_log_text())
     print(f"arrival_time {outcome.arrival_time!r}")
     print(f"lower_bound {outcome.lower_bound!r}")
-    print(f"n_replans {outcome.n_replans}")
-    print(f"late_inspections {outcome.late_inspections}")
-    print(f"max_ugv_replan_ms {outcome.max_ugv_replan_s * 1e3:.3f}")
-    print(f"max_uav_replan_ms {outcome.max_uav_replan_s * 1e3:.3f}")
-    print(f"critical_edges {outcome.critical_edges}")
-    print(f"dfs_nodes {outcome.dfs_nodes}")
-    print(f"dstar_expansions {outcome.expansions}")
+    for name, total in bench.run_totals(outcome).items():
+        print(f"{name} {total:.3f}" if isinstance(total, float) else f"{name} {total}")
     return 0
 
 

@@ -255,24 +255,23 @@ def sample_realization(inst: ProblemInstance, rng: random.Random) -> Realization
 class PlanningCostView:
     """What is known so far, and the planning cost it gives every edge.
 
-    ``realized`` holds the true costs revealed so far; it only grows.
-    ``costs`` is indexed by edge id: a copy of the instance's
-    ``prior_costs`` with each revealed impeded edge at its realized cost.
+    ``hidden`` holds the impeded edges whose true cost is still unrevealed;
+    it only shrinks.  ``costs`` is indexed by edge id: a copy of the
+    instance's ``prior_costs`` with each revealed edge at its realized cost.
     Searches index it directly; ``reveal`` keeps the two in step.
     """
 
     def __init__(self, inst: ProblemInstance):
-        self.realized: dict[int, float] = {}
-        self.impeded = inst.impeded_ids
+        self.hidden: set[int] = set(inst.impeded_ids)
         self.costs: list[float] = list(inst.prior_costs)
 
     def reveal(self, eid: int, cost: float) -> None:
-        self.realized[eid] = cost
+        self.hidden.discard(eid)
         self.costs[eid] = cost
 
     def unrevealed(self, eid: int) -> bool:
         """Whether ``eid`` is an impeded edge whose true cost is still hidden."""
-        return eid in self.impeded and eid not in self.realized
+        return eid in self.hidden
 
     def path_cost(self, edges: tuple[int, ...]) -> float:
         """Left-to-right sum of the planning costs along a path's edge ids."""

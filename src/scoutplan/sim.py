@@ -78,44 +78,8 @@ class SimulationOutcome:
     late_inspections: int = 0
 
     @property
-    def n_replans(self) -> int:
-        return len(self.replans)
-
-    @property
-    def max_ugv_replan_s(self) -> float:
-        return max((r.ugv_seconds for r in self.replans), default=0.0)
-
-    @property
-    def max_uav_replan_s(self) -> float:
-        return max((r.uav_seconds for r in self.replans), default=0.0)
-
-    @property
-    def max_uav_solver_s(self) -> float:
-        return max((r.uav_solver_seconds for r in self.replans), default=0.0)
-
-    @property
     def budget_hits(self) -> int:
         return sum(1 for r in self.replans if r.budget_hit)
-
-    @property
-    def expansions(self) -> int:
-        """D* expansions summed over every replan."""
-        return sum(r.expansions for r in self.replans)
-
-    @property
-    def critical_edges(self) -> int:
-        """Critical edges summed over every replan."""
-        return sum(r.critical_edges for r in self.replans)
-
-    @property
-    def dfs_nodes(self) -> int:
-        """Tour-search nodes summed over every replan."""
-        return sum(r.dfs_nodes for r in self.replans)
-
-    @property
-    def spur(self) -> kspp.SpurCounts:
-        """Spur-search work summed over every replan."""
-        return kspp.SpurCounts(*map(sum, zip(*(r.spur for r in self.replans))))
 
     def event_log_text(self) -> str:
         return "\n".join(format_event(ev) for ev in self.events) + "\n"

@@ -88,6 +88,17 @@ class TestBridgeGenerator:
         for eid in inst.impeded_ids:
             assert real.true_cost[eid] == inst.edges[eid].distribution.t_max
 
+    def test_shortest_chain_fits_every_window(self):
+        # Chain edges of MIN_CHAIN_LEN are no longer than the least t_max, so
+        # every seed generates; one vertex fewer and they would be longer.
+        (x0, _), (x1, _) = bench.BRIDGE_BOX
+        shortest = bench.MIN_CHAIN_LEN
+        assert (x1 - x0) / (shortest - 2) > bench.T_MAX_RANGE[0] >= (x1 - x0) / (shortest - 1)
+        for seed in range(20):
+            bench.generate_bridge(bench.BridgeSpec(chain_len=shortest, impeded_per_path=shortest - 1), seed)
+        with pytest.raises(ValueError, match=f"chain_len must be an integer >= {shortest}"):
+            bench.BridgeSpec(chain_len=shortest - 1)
+
     def test_lower_bound_mean_near_reference(self):
         lbs = []
         for i in range(100):
@@ -271,6 +282,8 @@ class TestExperimentHarness:
         {"planners": ("paa", "paa")},
         {"k_values": (2, 3, 2)},
         {"planners": ("naive", "rpp")},  # the naive baseline always runs
+        {"specs": [{"chain_len": 2}]},  # chain edges outgrow every t_max
+        {"specs": [{"chain_len": 3}]},
     ])
     def test_spec_rejects_what_cannot_run(self, bad):
         # A "specs" entry holds the keyword arguments of the family's spec.
@@ -324,6 +337,16 @@ class TestExperimentHarness:
         assert len(rows) == 3 * (1 + 2 * 2)
         assert list(rows[0]) == list(bench.RUN_COLUMNS)
 
+    def test_rows_are_the_instance_keys_and_the_run_totals(self):
+        # Every runs.csv column past the instance's own is a run_totals entry,
+        # and run_totals lists them in the columns' order.
+        rows = bench.run_instance_suite(self.spec(), 0)
+        totals = list(bench.run_totals(sim.run(*bench.demo_instance(), SimulationConfig())))
+        assert [c for c in bench.RUN_COLUMNS if c not in totals] == [
+            "instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time", "label", "n_vertices"]
+        assert totals == [c for c in bench.RUN_COLUMNS if c in totals]
+        assert all(sorted(r) == sorted(bench.RUN_COLUMNS) for r in rows)
+
     def test_report_round_trip(self, tmp_path):
         out = tmp_path / "run"
         bench.run_experiment(self.spec(), str(out))
@@ -347,10 +370,14 @@ class TestExperimentHarness:
             if r["instance_id"] != 1:
                 continue
             outcome = sim.run(inst, real, SimulationConfig(planner=r["planner"], k=r["k"]))
-            want = [outcome.critical_edges, outcome.dfs_nodes, outcome.expansions,
-                    outcome.late_inspections, *outcome.spur]
-            assert [r[c] for c in bench.COUNTER_COLUMNS] == want
-            spurred += outcome.spur.searches > 0
+            totals = bench.run_totals(outcome)
+            want = [sum(rec.critical_edges for rec in outcome.replans),
+                    sum(rec.dfs_nodes for rec in outcome.replans),
+                    sum(rec.expansions for rec in outcome.replans),
+                    outcome.late_inspections,
+                    *map(sum, zip(*(rec.spur for rec in outcome.replans)))]
+            assert [r[c] for c in bench.COUNTER_COLUMNS] == [totals[c] for c in bench.COUNTER_COLUMNS] == want
+            spurred += totals["spur_searches"] > 0
         assert spurred
 
     def test_report_rebuilds_the_summary_without_counter_columns(self, tmp_path):

@@ -50,6 +50,8 @@ BAD_GENERATE_SPECS = [
     ("bridge", {"impeded_per_path": float("inf")}),
     ("bridge", {"impeded_per_path": True}),
     ("bridge", {"impeded_per_path": 2.7}),  # a count of 1 or more must be whole
+    ("bridge", {"chain_len": 2}),  # chain edges of 180 or 90 outgrow every t_max
+    ("bridge", {"chain_len": 3}),
 ]
 
 
@@ -169,8 +171,11 @@ class TestSimulate:
         assert run_cli("simulate", "--instance", ip, "--realization", rp,
                        "--planner", planner, "--k", "2") == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-2:] == [f"dfs_nodes {out.dfs_nodes}", f"dstar_expansions {out.expansions}"]
-        assert (out.dfs_nodes > 0) == (planner == "rpp")
+        totals = bench.run_totals(out)
+        i = lines.index(f"dfs_nodes {totals['dfs_nodes']}")
+        assert lines[i:i + 2] == [f"dfs_nodes {totals['dfs_nodes']}",
+                                  f"dstar_expansions {totals['dstar_expansions']}"]
+        assert (totals["dfs_nodes"] > 0) == (planner == "rpp")
 
     def test_prints_critical_edges_before_dfs_nodes(self, tmp_path, capsys):
         # The critical edges summed over the replans of an rpp mission that
@@ -178,10 +183,46 @@ class TestSimulate:
         ip, rp = self.write_pair(tmp_path)
         inst = load_instance(ip)
         out = sim.run(inst, load_realization(rp, inst), sim.SimulationConfig(planner="rpp", k=2))
-        assert any(e.kind == "reveal" for e in out.events) and out.critical_edges > 0
+        totals = bench.run_totals(out)
+        assert any(e.kind == "reveal" for e in out.events) and totals["critical_edges"] > 0
         assert run_cli("simulate", "--instance", ip, "--realization", rp, "--planner", "rpp", "--k", "2") == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-3:-1] == [f"critical_edges {out.critical_edges}", f"dfs_nodes {out.dfs_nodes}"]
+        i = lines.index(f"critical_edges {totals['critical_edges']}")
+        assert lines[i:i + 2] == [f"critical_edges {totals['critical_edges']}",
+                                  f"dfs_nodes {totals['dfs_nodes']}"]
+
+    @pytest.mark.parametrize("planner", ["rpp", "paa"])
+    def test_prints_the_runs_csv_totals(self, tmp_path, capsys, planner):
+        # After arrival_time and lower_bound, simulate prints runs.csv's total
+        # columns in order, and each count is the one experiment writes for
+        # the same instance, planner and k.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_instances": 1, "k_values": [3], "planners": [planner],
+                                    "seed": 5, "specs": [{"adversarial": True}]}))
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"adversarial": True}))
+        inst_dir, out = tmp_path / "inst", tmp_path / "out"
+        assert run_cli("generate", "--family", "bridge", "--spec", str(family), "--seed", "5",
+                       "--out", str(inst_dir)) == 0
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == 0
+        capsys.readouterr()
+        log = tmp_path / "events.log"
+        assert run_cli("simulate", "--instance", str(inst_dir / "instance_000.txt"),
+                       "--realization", str(inst_dir / "realization_000.txt"),
+                       "--planner", planner, "--k", "3", "--log", str(log)) == 0
+        lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+        assert "reveal" in log.read_text()
+
+        (row,) = (r for r in bench.read_runs_csv(str(out / "runs.csv")) if r["planner"] == planner)
+        instance_keys = ("instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time",
+                         "label", "n_vertices")
+        totals = [c for c in bench.RUN_COLUMNS if c not in instance_keys]
+        assert lines[:2] == [["arrival_time", repr(row["arrival_time"])], ["lower_bound", repr(row["LB"])]]
+        assert [name for name, _ in lines[2:]] == totals
+        for name, text in lines[2:]:
+            if bench.RUN_COLUMNS[name] is int:
+                assert int(text) == row[name]
+        assert row["critical_edges"] > 0 and row["n_replans"] > 1 and row["spur_searches"] > 0
 
     def test_no_uav_flag(self, tmp_path, capsys):
         # Planner none runs without the scout; the old --no-uav flag is gone.
@@ -360,6 +401,9 @@ class TestExperimentAndReport:
         # A nested list is no k and no planner.
         {"k_values": [[1]]},
         {"planners": [["rpp"]]},
+        # Bridge chains whose edges outgrow every t_max.
+        {"specs": [{"chain_len": 2}]},
+        {"specs": [{"chain_len": 3}]},
     ])
     def test_bad_spec_is_data_error_before_running(self, tmp_path, capsys, bad):
         spec = tmp_path / "exp.json"

@@ -61,8 +61,8 @@ class TestPlanningCost:
     def test_realized_uses_true_cost(self):
         inst, view = self.make()
         view.reveal(1, 18.0)
-        assert view.costs[1] == 18.0
-        assert not view.unrevealed(1) and view.realized == {1: 18.0}
+        assert view.costs == [10.0, 18.0]
+        assert not view.unrevealed(1) and not view.unrevealed(0)
 
     def test_aerial_only_edge_reads_inf(self):
         coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
@@ -119,7 +119,9 @@ class TestCostOwners:
         for eid in sorted(inst.impeded_ids):
             view.reveal(eid, real.costs[eid])
         assert inst.prior_costs == want
-        assert other.costs == list(inst.prior_costs) and not other.realized
+        assert other.costs == list(inst.prior_costs)
+        assert [e for e in range(m) if other.unrevealed(e)] == sorted(inst.impeded_ids)
+        assert not any(view.unrevealed(e) for e in range(m))
 
         for e in range(m):
             assert real.costs[e] == (real.true_cost[e] if e in inst.impeded_ids else inst.prior_costs[e])

@@ -249,15 +249,22 @@ def test_aerial_only_edges_never_change_a_free_flight_mission(seed):
             cfg = SimulationConfig(planner=planner, k=k)
             want, got = sim.run(inst, real, cfg), sim.run(ext, ext_real, cfg)
             assert got.event_log_text() == want.event_log_text()
-            assert (got.lower_bound, got.expansions, got.spur) == (want.lower_bound, want.expansions, want.spur)
+            assert got.lower_bound == want.lower_bound
+            assert _work(got) == _work(want)
 
 
 def _configs():
     return st.builds(SimulationConfig, planner=st.sampled_from(sorted(sim.PLANNERS)), k=st.integers(1, 4))
 
 
+def _work(out):
+    """A run's D* expansions and spur-search counts."""
+    totals = bench.run_totals(out)
+    return {name: n for name, n in totals.items() if name == "dstar_expansions" or name.startswith("spur_")}
+
+
 def _outputs(out):
-    return (out.event_log_text(), out.arrival_time, out.lower_bound, out.expansions, out.spur, out.dfs_nodes)
+    return (out.event_log_text(), out.arrival_time, out.lower_bound, _work(out), bench.run_totals(out)["dfs_nodes"])
 
 
 class TestOneSearchPerInput:
@@ -342,7 +349,7 @@ class TestCriticalEdges:
             outs = [sim.run(inst, real, workload.config()) for inst, real in workload.instances(0)]
         finally:
             tracer.uninstall()
-        assert sum(o.critical_edges for o in outs) == tracer.totals()["rpp.critical_edges"] > 0
+        assert sum(bench.run_totals(o)["critical_edges"] for o in outs) == tracer.totals()["rpp.critical_edges"] > 0
 
 
 class TestWalkthroughScenario:
@@ -440,15 +447,18 @@ class TestReplanSemantics:
         assert reveal.data == (1, 30.0, "uav")
         assert 2.0 < reveal.time < 32.0
         oracles.replay_ugv_arrivals(inst, real, out.events)
-        # simulate prints the count on the line after n_replans.
+        # simulate prints the count among the run's totals, on the line after
+        # dstar_expansions.
         save_instance(inst, str(tmp_path / "i.txt"))
         save_realization(real, str(tmp_path / "r.txt"))
         capsys.readouterr()
         assert main(["simulate", "--instance", str(tmp_path / "i.txt"), "--realization",
                      str(tmp_path / "r.txt"), "--planner", "paa", "--k", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[lines.index(f"n_replans {out.n_replans}") + 1] == "late_inspections 1"
-        assert lines[-1] == f"dstar_expansions {out.expansions}"
+        totals = bench.run_totals(out)
+        assert f"n_replans {len(out.replans)}" in lines
+        i = lines.index("late_inspections 1")
+        assert lines[i - 1] == f"dstar_expansions {totals['dstar_expansions']}"
 
     def test_cancellation_when_ugv_enters_targeted_edge(self):
         # Scout is far away; the vehicle reaches the impeded edge before any
@@ -545,12 +555,14 @@ class TestInvariants:
     def test_spur_counts_sum_over_replans(self):
         inst, real = bench.generate_bridge(bench.BridgeSpec(adversarial=True), seed=3)
         out = sim.run(inst, real, SimulationConfig(planner="rpp", k=4))
-        assert out.spur.searches == sum(r.spur.searches for r in out.replans) > 0
-        assert out.spur.isolated == sum(r.spur.isolated for r in out.replans) > 0
-        assert out.spur.nopath == sum(r.spur.nopath for r in out.replans)
-        assert out.spur.settled == sum(r.spur.settled for r in out.replans)
-        one = sim.run(inst, real, SimulationConfig(planner="rpp", k=1))
-        assert one.spur == kspp.SpurCounts()
+        totals = bench.run_totals(out)
+        assert totals["spur_searches"] == sum(r.spur.searches for r in out.replans) > 0
+        assert totals["spur_isolated"] == sum(r.spur.isolated for r in out.replans) > 0
+        assert totals["spur_nopath"] == sum(r.spur.nopath for r in out.replans)
+        assert totals["spur_settled"] == sum(r.spur.settled for r in out.replans)
+        assert totals["spur_pruned"] == sum(r.spur.pruned for r in out.replans)
+        one = bench.run_totals(sim.run(inst, real, SimulationConfig(planner="rpp", k=1)))
+        assert [one[f"spur_{name}"] for name in kspp.SpurCounts._fields] == list(kspp.SpurCounts())
 
     def test_stopped_repairs_keep_the_event_logs(self, monkeypatch):
         # The tour-dense shape: at k = 1 the rank-1 repair stops at the
@@ -563,7 +575,8 @@ class TestInvariants:
         monkeypatch.setattr(dstar, "compute_shortest_path", lambda state, view, stop=None: drain(state, view))
         drained = [sim.run(inst, real, cfg) for inst, real in missions]
         assert [o.event_log_text() for o in stopped] == [o.event_log_text() for o in drained]
-        assert 0 < sum(o.expansions for o in stopped) < sum(o.expansions for o in drained)
+        expansions = [sum(bench.run_totals(o)["dstar_expansions"] for o in outs) for outs in (stopped, drained)]
+        assert 0 < expansions[0] < expansions[1]
 
     def test_budget_hit_missions_are_deterministic(self, monkeypatch):
         # The first search of this mission enters 145 nodes, so 100 binds.
