@@ -16,6 +16,7 @@ import random
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 INF = float("inf")
 
@@ -88,8 +89,7 @@ class EdgeRecord:
         return self.v if w == self.u else self.u
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A simple vertex path, the ids of its edges in walking order, and its
     cost under some cost view."""
 
@@ -285,11 +285,13 @@ class PlanningCostView:
 class UavMetric:
     """Aerial transit metric over S: straight lines in free flight,
     otherwise shortest paths under the aerial edge costs.  Single-source
-    results are cached; instances never change, so the cache is permanent.
+    results are cached; instances never change, so the cache is permanent,
+    and ``cost`` reads the flight mode, coordinates and speed bound here.
     """
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
+        self._free, self._coords, self._speed = inst.uav_free_flight, inst.vertices, inst.uav_speed
         self._cache: dict[int, tuple[list[float], list[int], int]] = {}
 
     def _sssp(self, src: int) -> tuple[list[float], list[int], int]:
@@ -302,8 +304,8 @@ class UavMetric:
     def cost(self, a: int, b: int) -> float:
         if a == b:
             return 0.0
-        if self.inst.uav_free_flight:
-            return self.inst.euclid(a, b) / self.inst.uav_speed
+        if self._free:
+            return math.dist(self._coords[a], self._coords[b]) / self._speed
         return self._sssp(a)[0][b]
 
     def path(self, a: int, b: int) -> list[tuple[int, int, float]]:

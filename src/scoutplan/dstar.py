@@ -17,7 +17,7 @@ prior costs bit for bit.  So D* only ever repairs, and only through
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
 from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend
 
@@ -26,9 +26,10 @@ class AddressableHeap:
     """Min-queue over (key, vertex) with by-vertex addressing.
 
     A heapq list with lazy deletion: ``_live`` maps each queued vertex to
-    the one heap entry that holds its live key, and any other entry is
-    dropped when it reaches the top.  So the top is the minimum live
-    (key, vertex), and ties resolve to the lowest vertex id.
+    the one heap entry that holds its live key, and
+    ``compute_shortest_path`` drops any other entry when it reaches the
+    top.  So the top is the minimum live (key, vertex), and ties resolve to
+    the lowest vertex id.
     """
 
     __slots__ = ("_heap", "_live")
@@ -37,22 +38,12 @@ class AddressableHeap:
         self._heap: list[tuple[float, int]] = []
         self._live: dict[int, tuple[float, int]] = {}
 
-    def __len__(self) -> int:
-        return len(self._live)
-
     def __contains__(self, v: int) -> bool:
         return v in self._live
 
-    def top(self) -> int:
-        heap = self._heap
-        live = self._live
-        while live.get(heap[0][1]) is not heap[0]:
-            heapq.heappop(heap)
-        return heap[0][1]
-
     def insert(self, v: int, key: float) -> None:
         entry = self._live[v] = (key, v)
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
 
     # A live entry is the latest push, so an update is a push; perfbench's tracer patches it.
     update = insert
@@ -124,7 +115,10 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
     ``stop`` vertex, while the top key is at most g(stop).  A drained g is
     its lookahead, the minimum over the neighbors of edge cost + g with
     these float sums: its distance bit for bit (INF when unreachable).  A
-    key is never stale: ``update_vertex`` runs whenever a g or rhs changes.
+    key is never stale: ``update_vertex`` runs whenever a g or rhs changes,
+    so the top entry's key is min(g, rhs) of its vertex.  The loop drops
+    the queue's dead heap entries itself and computes the underconsistent
+    branch's lookaheads inline, as ``lookahead`` does.
 
     A stopped repair leaves the rest queued for the next one.  Stop is then
     consistent (its key would be at least the top key), and a vertex with g
@@ -135,15 +129,21 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
     g = state.g
     rhs = state.rhs
     queue = state.queue
+    heap, live = queue._heap, queue._live
     adj = state.inst.adj
     dest = state.inst.d
     cost = view.costs
+    expansions = 0
 
-    while queue:
-        v = queue.top()
-        if stop is not None and min(g[v], rhs[v]) > g[stop]:
+    while live:
+        top = heap[0]
+        v = top[1]
+        if live.get(v) is not top:
+            heappop(heap)  # a dead entry
+            continue
+        if stop is not None and top[0] > g[stop]:
             break
-        state.expansions += 1
+        expansions += 1
         if g[v] > rhs[v]:
             # Overconsistent: commit and relax the neighbors.
             gv = g[v] = rhs[v]
@@ -159,11 +159,16 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
             g[v] = INF
             for s, eid in adj[v]:
                 if rhs[s] == cost[eid] + g_old and s != dest:
-                    r = lookahead(state, cost, s)
+                    r = INF  # s's lookahead
+                    for w, e in adj[s]:
+                        cand = cost[e] + g[w]
+                        if cand < r:
+                            r = cand
                     if r != rhs[s]:
                         rhs[s] = r
                         update_vertex(state, s)
             update_vertex(state, v)
+    state.expansions += expansions
 
 
 def replan(

@@ -18,7 +18,7 @@ and no spur can leave it.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -40,8 +40,9 @@ class SpurCounts(NamedTuple):
 
 @dataclass
 class PathSet:
-    """Ranked loopless paths plus the rankable candidates left over, a heap
-    of (cost, vertices, path), and the spur-search work that found them."""
+    """Ranked loopless paths plus the rankable candidates left over, a list
+    of (cost, vertices, path) sorted by (cost, vertices), and the
+    spur-search work that found them."""
 
     paths: list[Path] = field(default_factory=list)
     pool: list[tuple[float, tuple[int, ...], Path]] = field(default_factory=list)
@@ -159,8 +160,8 @@ def spur_search(
 
 
 def rank_limit(pool: list[tuple[float, tuple[int, ...], Path]], need: int) -> float:
-    """X: the pool's ``need``-th cheapest cost, INF while it holds fewer."""
-    return heapq.nsmallest(need, pool)[-1][0] if len(pool) >= need else INF
+    """X: the sorted pool's ``need``-th cheapest cost, INF while it holds fewer."""
+    return pool[need - 1][0] if len(pool) >= need else INF
 
 
 def update_k_paths(
@@ -261,10 +262,10 @@ def update_k_paths(
                 cost = view.path_cost(edges)
                 if cost <= x:
                     deviation[vertices] = j
-                    heapq.heappush(pool, (cost, vertices, Path(vertices, edges, cost)))
+                    bisect.insort(pool, (cost, vertices, Path(vertices, edges, cost)))
                     x = rank_limit(pool, k - len(accepted))
         if not pool:
             break
-        accepted.append(heapq.heappop(pool)[2])
+        accepted.append(pool.pop(0)[2])
         tree.reset()
     return PathSet(accepted, pool, SpurCounts(searches, isolated, nopath, settled, pruned))

@@ -11,7 +11,13 @@ deadlines.
 
 from __future__ import annotations
 
+import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
+from typing import NamedTuple
 
 from .core import INF, PlanningCostView, ProblemInstance, UavMetric
 from .kspp import PathSet
@@ -50,8 +56,7 @@ def extract_critical_edges(
     return dict(sorted(found.items()))
 
 
-@dataclass(frozen=True)
-class TourNode:
+class TourNode(NamedTuple):
     """One traversal direction of a critical edge in the transformed graph."""
 
     edge: int
@@ -101,16 +106,11 @@ def build_transformed_graph(
         deadline = t_max - rec.uav_cost - uav_time_offset
         nodes.append(TourNode(eid, rec.u, rec.v, rec.uav_cost, deadline))
         nodes.append(TourNode(eid, rec.v, rec.u, rec.uav_cost, deadline))
-    n = len(nodes)
-    arc = [[INF] * n for _ in range(n)]
-    for j in range(1, n):
-        arc[0][j] = metric.cost(uav_pos, nodes[j].start)
-        arc[j][0] = nodes[j].tau
-    for i in range(1, n):
-        ni = nodes[i]
-        for j in range(1, n):
-            if nodes[j].edge != ni.edge:
-                arc[i][j] = ni.tau + metric.cost(ni.end, nodes[j].start)
+    cost = metric.cost
+    targets = [(node.edge, node.start) for node in nodes[1:]]
+    arc = [[INF] + [cost(uav_pos, start) for _, start in targets]]
+    for edge, _, end, tau, _ in nodes[1:]:
+        arc.append([tau] + [tau + cost(end, start) if e != edge else INF for e, start in targets])
     return TransformedGraph(nodes, arc)
 
 
@@ -138,6 +138,50 @@ class RppSolution:
         return len(self.best_visited) - 1
 
 
+def _largest_under(t: float, least: float) -> float:
+    """The largest float x >= 0 with fl(x + least) <= t, -INF if there is
+    none; ``least`` >= 0."""
+    if not least <= t:
+        return -INF
+    x = t - least  # the answer, or next to it unless the sum drops low bits of x
+    if x + least <= t:
+        if not math.nextafter(x, INF) + least <= t:
+            return x
+    elif (down := math.nextafter(x, -INF)) + least <= t:
+        return down
+    # Bisect the bit patterns of [0, t], which order the floats they encode.
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", t))[0]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if struct.unpack("<d", struct.pack("<q", mid))[0] + least <= t:
+            lo = mid
+        else:
+            hi = mid - 1
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
+
+
+def tie_thresholds(best_cost: float, least: float, ties: int) -> list[float]:
+    """T[m] for m < max(ties, 1): from c = fl(new_cost + min_out), adding
+    ``least`` m times, one float sum at a time, ends below ``best_cost``
+    iff c <= T[m], for any c >= 0 (INF included).
+
+    T[0] is the largest float below ``best_cost``; T[m] is the largest x >= 0
+    with fl(x + least) <= T[m - 1] (-INF if none).  For x, y >= 0 and
+    ``least`` >= 0, fl(x + least) >= x, and x <= y gives fl(x + least) <=
+    fl(y + least), as rounding is monotone.  So the x >= 0 with fl(x +
+    least) <= T[m - 1] are exactly those up to T[m], and by induction the
+    sum after m additions is at most T[0] iff c is at most T[m].  A sum
+    never falls as it grows, so stopping the additions once it reaches
+    ``best_cost`` decides the same.
+    """
+    t = math.nextafter(best_cost, -INF)
+    thresholds = [t]
+    for _ in range(1, ties):
+        t = _largest_under(t, least)
+        thresholds.append(t)
+    return thresholds
+
+
 def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     """Exact depth-first search over inspection orders.
 
@@ -149,15 +193,21 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     from child v at cost c meets j's deadline.  An equal count wins only on
     cost: a tour below child v that ties the incumbent's count needs
     ``tie`` more arcs, the first out of v and each later one between
-    direction nodes, so it costs at least ``low``: c, plus ``min_out[v]``,
-    plus the least arc between direction nodes ``tie - 1`` times, added one
-    at a time.  Adding non-negative arcs is monotone in floats, so both
-    bounds hold as summed, without slack or triangle inequality; the scan
-    is skipped when the edges left with a deadline are too few to win even
-    if all are reached.  Each node entered is a tour and replaces the
+    direction nodes, so it costs at least c, plus ``min_out[v]``, plus the
+    least arc between direction nodes ``tie - 1`` times, added one at a
+    time; ``tie_thresholds`` decides whether that sum is below the
+    incumbent's cost with one comparison, computed once per incumbent when
+    a tie first needs them.  Adding non-negative arcs is monotone in floats,
+    so both bounds hold as summed, without slack or triangle inequality, and
+    no direction due before c can be reached: the scan reads only those due
+    at c or later, and is skipped when their edges left are too few to win
+    even if all are reached.  Each node entered is a tour and replaces the
     incumbent on more inspections, or as many at lower cost.  Children go
-    in (arc, index) order.  After ``DFS_NODE_BUDGET`` nodes the incumbent
-    is returned as is.
+    in (arc, index) order, a stable sort of each row's indices, and the
+    inspected edges are tested first.  No INF arc is entered: a direction
+    node's own edge is inspected, and any other INF arc misses a finite
+    deadline or finds the memo's INF default.  After ``DFS_NODE_BUDGET``
+    nodes the incumbent is returned as is.
 
     Unless the budget binds, the result is F, the first optimal tour in
     (arc, index) pre-order, because each prune skips only children whose
@@ -175,50 +225,60 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     index: dict[int, int] = {}
     bit = [0] + [1 << index.setdefault(node.edge, len(index)) for node in graph.nodes[1:]]
     free = sum({bit[j] for j in range(1, n) if deadline[j] == INF})  # edges never late
-    kids = [  # finite arcs as (node, arc, deadline, bit), in (arc, node) order
-        [(j, row[j], deadline[j], bit[j]) for j in sorted(range(1, n), key=row.__getitem__)
-         if row[j] < INF] for row in arc]
-    min_out = [k[0][1] if k else INF for k in kids]
+    order = [sorted(range(1, n), key=row.__getitem__) for row in arc]  # children, (arc, index) order
+    min_out = [row[kids[0]] if kids else INF for row, kids in zip(arc, order)]
     min_in = list(map(min, zip(*arc[1:])))  # over arcs from direction nodes
     least = min(min_out[1:], default=INF)  # no arc between direction nodes costs less
-    timed = [(j, deadline[j], bit[j], min_in[j]) for j in range(1, n) if deadline[j] < INF]
-    timed_edges = sum({b for _, _, b, _ in timed})  # edges with a direction that has a deadline
+    # Directions with a deadline, latest first: from cost c only those due at
+    # c or later can be reached, the first bisect_right(due, -c) of them.
+    timed = sorted(((deadline[j], j, bit[j], min_in[j]) for j in range(1, n) if deadline[j] < INF),
+                   reverse=True)
+    due = [-d for d, _, _, _ in timed]
+    timed_edges = list(accumulate((b for _, _, b, _ in timed), or_, initial=0))  # [k]: edges of the first k
     memo: list[dict[int, float]] = [{} for _ in range(n)]  # [node][mask], one per node entered
     visited = [0]  # the current tour, shared down the search
     best_cost, best_count, best_visited = 0.0, 1, [0]
+    below: list[float] | None = None  # tie_thresholds of the incumbent, once a tie needs them
     budget, nodes, exhausted = DFS_NODE_BUDGET, 0, False
 
     def dfs(v: int, cost: float, mask: int) -> None:
-        nonlocal best_cost, best_count, best_visited, nodes, exhausted
+        nonlocal best_cost, best_count, best_visited, below, nodes, exhausted
         if nodes == budget:
             exhausted = True
             return
         nodes += 1
         count = len(visited)
         if count > best_count or (count == best_count and cost < best_cost):
-            best_cost, best_count, best_visited = cost, count, visited[:]
-        for nxt, a, d, b in kids[v]:
-            if mask & b or cost + a > d:
+            best_cost, best_count, best_visited, below = cost, count, visited[:], None
+        row = arc[v]
+        for nxt in order[v]:
+            b = bit[nxt]
+            if mask & b:
                 continue
-            new_cost, new_mask = cost + a, mask | b
+            new_cost = cost + row[nxt]
+            if new_cost > deadline[nxt]:
+                continue
+            new_mask = mask | b
             if memo[nxt].get(new_mask, INF) <= new_cost:
                 continue
-            # Least cost of a tour below the child that ties the incumbent.
-            low, tie = new_cost, best_count - count - 1
+            # Edges the child must still reach to win; equal counts win on
+            # cost, within the threshold of the arcs a tie needs below it.
+            tie = best_count - count - 1
             if tie > 0:
-                low += min_out[nxt]
-                while tie > 1 and low < best_cost:
-                    low += least
-                    tie -= 1
-            # Edges the child must still reach to win; equal counts win on cost.
-            need = best_count - count - (low < best_cost)
+                if below is None:
+                    below = tie_thresholds(best_cost, least, best_count - 2)
+                need = tie + 1 - (new_cost + min_out[nxt] <= below[tie - 1])
+            else:
+                need = tie + 1 - (new_cost < best_cost)
             need -= (free & ~new_mask).bit_count()
             if need > 0:
-                if need > (timed_edges & ~(new_mask | free)).bit_count():
+                reach = new_mask | free
+                k = bisect_right(due, -new_cost)
+                if need > (timed_edges[k] & ~reach).bit_count():
                     continue  # the scan below lowers need at most once per such edge
-                out, reach = arc[nxt], new_mask | free
+                out = arc[nxt]
                 base = new_cost + min_out[nxt]
-                for j, dj, bj, min_in_j in timed:
+                for dj, j, bj, min_in_j in timed[:k]:
                     if not reach & bj and (new_cost + out[j] <= dj or base + min_in_j <= dj):
                         reach |= bj
                         need -= 1
@@ -237,8 +297,7 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     return RppSolution(best_cost, best_visited, exhausted, nodes)
 
 
-@dataclass(frozen=True)
-class UavLeg:
+class UavLeg(NamedTuple):
     """One planned scout action: a transit hop or a full edge inspection."""
 
     frm: int

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dstar, kspp, paa, rpp
 from .core import (
@@ -41,8 +42,7 @@ class SimulationConfig:
         check_at_least("k", self.k, 1)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: float
     kind: str  # "reveal" | "ugv_arrives" | "uav_arrives"
     data: tuple

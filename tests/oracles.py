@@ -85,6 +85,17 @@ def queue_consistent(state):
                for v, (g, r) in enumerate(zip(state.g, state.rhs)))
 
 
+def queue_top(queue):
+    """The vertex of a D* queue's minimum live (key, vertex) entry, the one
+    a repair expands next: the heap list must keep the heap property and
+    hold every entry of ``_live``, the rest being dead."""
+    heap, live = queue._heap, queue._live
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+    entries = [e for e in heap if live.get(e[1]) is e]
+    assert len(entries) == len(live)
+    return min(entries)[1]
+
+
 def greedy_path(inst, costs, dist, source, dest, blocked_vertices=frozenset()):
     """Follow cost + dist greedily to dest, lowest vertex id on ties."""
     if dist[source] == INF:

@@ -23,20 +23,20 @@ class TestAddressableHeap:
         h.insert(5, 1.0)
         h.insert(3, 1.0)
         h.insert(9, 0.5)
-        assert h.top() == 9
+        assert oracles.queue_top(h) == 9
         h.remove(9)
-        assert h.top() == 3  # same key, lower id first
+        assert oracles.queue_top(h) == 3  # same key, lower id first
 
     def test_update_and_remove(self):
         h = AddressableHeap()
         for v in range(20):
             h.insert(v, float(v))
         h.update(19, -1.0)
-        assert h.top() == 19
+        assert oracles.queue_top(h) == 19
         h.update(19, 50.0)
-        assert h.top() == 0
+        assert oracles.queue_top(h) == 0
         h.remove(0)
-        assert h.top() == 1
+        assert oracles.queue_top(h) == 1
         assert 0 not in h and 19 in h
 
     def test_random_against_sorting(self):
@@ -66,8 +66,8 @@ class TestAddressableHeap:
                 del live[v]
             else:
                 want = min(live.items(), key=lambda kv: (kv[1], kv[0]))
-                assert h.top() == want[0]
-            assert len(h) == len(live)
+                assert oracles.queue_top(h) == want[0]
+            assert len(h._live) == len(live)
 
 
 class TestInitialize:
@@ -77,7 +77,7 @@ class TestInitialize:
         state = dstar.initialize(inst)
         assert state.inst is inst
         assert state.g[inst.d] == state.rhs[inst.d] == 0.0
-        assert len(state.queue) == 0
+        assert not state.queue._live
         assert state.expansions == 0
         assert state.g == dijkstra(inst.adj, inst.d, inst.prior_costs)[0]
         assert state.rhs == state.g and state.rhs is not state.g
@@ -97,7 +97,7 @@ class TestInitialize:
         state = drained_state(inst, view)
         dist = dijkstra(inst.adj, inst.d, view.costs)[0]
         assert state.g == dist and state.rhs == dist
-        assert len(state.queue) == 0 and oracles.queue_consistent(state)
+        assert not state.queue._live and oracles.queue_consistent(state)
         assert all(state.rhs[v] == dstar.lookahead(state, view.costs, v)
                    for v in range(inst.n_vertices) if v != inst.d)
         if dist[inst.p] < INF:
@@ -124,7 +124,7 @@ class TestInitialize:
         dstar.compute_shortest_path(state, view, 1)
         assert 0 in state.queue and oracles.queue_consistent(state)
         dstar.compute_shortest_path(state, view)
-        assert len(state.queue) == 0 and state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
+        assert not state.queue._live and state.g == dijkstra(inst.adj, inst.d, view.costs)[0]
 
     def test_start_equals_dest(self):
         inst = line_instance()
@@ -164,7 +164,7 @@ class TestUpdateVertex:
         state.rhs[1] = 4.0
         dstar.update_vertex(state, 1)
         assert 1 in state.queue
-        assert state.queue.top() == 1
+        assert oracles.queue_top(state.queue) == 1
 
     def test_consistent_queued_removed(self):
         _, _, state = self.setup_state()
@@ -188,7 +188,7 @@ class TestRhsUpdate:
         before_rhs = state.rhs.copy()
         dstar.rhs_update(state, view, eid)
         assert state.rhs == before_rhs
-        assert len(state.queue) == 0
+        assert not state.queue._live
 
     def test_increase_on_line_matches_oracle(self):
         inst = line_instance((1.0, 1.0))
@@ -414,5 +414,5 @@ class TestStoppedRepair:
             assert [g for g, x in zip(state.g, dist) if x <= dist[v_curr]] == [
                 x for x in dist if x <= dist[v_curr]]
         dstar.compute_shortest_path(state, view)
-        assert len(state.queue) == 0
+        assert not state.queue._live
         assert state.g == state.rhs == dijkstra(adj, d, view.costs)[0]

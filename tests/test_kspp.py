@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from unittest import mock
@@ -844,18 +845,28 @@ def test_chain_heavy_updates_match_textbook_yen(mission, k):
     # vertex: the ranked paths are still textbook Yen's (criterion 2), and
     # the isolated count is still the number of spurs at or past the
     # deviation where Yen's hidden set holds every ground edge.
+    # The pool stays sorted, so X is read off it as a heap's need-th pop.
     inst, reveals = mission
     view = PlanningCostView(inst)
     state = dstar.initialize(inst)
     ground = oracles.ugv_edges(inst)
+    rank_limit = kspp.rank_limit
+
+    def checked_rank_limit(pool, need):
+        x = rank_limit(pool, need)
+        assert x == (heapq.nsmallest(need, pool)[-1][0] if len(pool) >= need else INF)
+        return x
+
     v_curr, changed = inst.p, []
     for eid, cost in [(None, None)] + reveals:
         if eid is not None:
             view.reveal(eid, cost)
             changed = [eid]
-        pset, walks = _walk_deviations(inst, view, state, v_curr, changed, k)
+        with mock.patch.object(kspp, "rank_limit", checked_rank_limit):
+            pset, walks = _walk_deviations(inst, view, state, v_curr, changed, k)
         yen = oracles.yen_k_paths(inst, oracles.view_costs(inst, view), v_curr, inst.d, k)
         assert [p.vertices for p in pset.paths] == yen
+        assert [entry[:2] for entry in pset.pool] == sorted(entry[:2] for entry in pset.pool)
         isolated = 0
         for m, (vs, first) in enumerate(walks, 1):
             accepted = [p.vertices for p in pset.paths[:m]]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -418,3 +419,35 @@ def test_dfs_returns_the_first_optimum_in_pre_order(graph):
     # same child order finds first, not merely an optimum.
     sol = rpp.rpp_dfs(graph)
     assert (sol.best_visited, sol.best_cost) == oracles.rpp_first_optimum(graph)
+
+
+_tie_floats = st.one_of(
+    st.sampled_from([0.0, INF]),
+    st.integers(0, 8).map(float),  # ties among small sums
+    st.floats(0.0, 1e-300),  # subnormal and tiny
+    st.floats(0.0, 1e9),
+    st.floats(0.0, 1.7e308),  # sums that overflow
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(c=_tie_floats, least=_tie_floats, best=_tie_floats, tie=st.integers(1, 8),
+       at=st.sampled_from([None, -1, 0, 1]))
+def test_tie_thresholds_decide_as_the_summing_loop(c, least, best, tie, at):
+    # From c, add least one float sum at a time for each of the tie's further
+    # arcs, stopping once the sum reaches best: it ends below best exactly
+    # when c is within the tie's threshold.  ``at`` puts best on the sum or
+    # one float either side of it.
+    low, left = c, tie
+    if at is not None:
+        for _ in range(left - 1):
+            low += least
+        best = low if at == 0 else math.nextafter(low, at * INF)
+        best = max(best, 0.0)
+        low = c
+    while left > 1 and low < best:
+        low += least
+        left -= 1
+    thresholds = rpp.tie_thresholds(best, least, tie)
+    assert len(thresholds) == tie
+    assert (c <= thresholds[tie - 1]) == (low < best)

@@ -307,7 +307,7 @@ class TestOneSearchPerInput:
         assert len(runs) == 1
         sim.run(inst, real, SimulationConfig(planner="rpp", k=2))
         state, runs = _recorded(core, lambda: dstar.initialize(inst))
-        assert runs == [] and state.expansions == 0 and len(state.queue) == 0
+        assert runs == [] and state.expansions == 0 and not state.queue._live
         assert state.g == state.rhs == dijkstra(inst.adj, inst.d, inst.prior_costs)[0]
 
     @staticmethod
@@ -335,9 +335,21 @@ class TestOneSearchPerInput:
         assert any(r.trigger.startswith("cancel:") for r in out.replans)
 
 
+# What perfbench's tracer counts over the kpaths-adversarial seed-0 list.
+TRACER_COUNTS = {
+    "dstar.expansions.rank1": 3_577,
+    "dstar.update_vertex.calls": 4_159,
+    "dstar.heap_ops": 7_258,
+    "core.UavMetric.cost.calls": 5_206,
+    "core.UavMetric.path.calls": 407,
+}
+
+
 class TestCriticalEdges:
     def test_equals_the_tracers_count(self, monkeypatch):
         # perfbench's tracer counts the critical edges each extraction returns.
+        # The same run pins the calls it counts in the hot loops: a repair or
+        # tour build that went round a counted call would read lower.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         from tracer import Tracer
         from workloads import WORKLOADS
@@ -349,7 +361,9 @@ class TestCriticalEdges:
             outs = [sim.run(inst, real, workload.config()) for inst, real in workload.instances(0)]
         finally:
             tracer.uninstall()
-        assert sum(bench.run_totals(o)["critical_edges"] for o in outs) == tracer.totals()["rpp.critical_edges"] > 0
+        totals = tracer.totals()
+        assert sum(bench.run_totals(o)["critical_edges"] for o in outs) == totals["rpp.critical_edges"] > 0
+        assert {key: totals[key] for key in TRACER_COUNTS} == TRACER_COUNTS
 
 
 class TestWalkthroughScenario:
