@@ -6,8 +6,8 @@ edge first, the news lands before the junction and the vehicle reroutes,
 arriving at t=18, which matches the perfect-information bound here.
 """
 
-from scoutplan import SimulationConfig, bench, sim
-from scoutplan.sim import format_event
+from scoutplan import bench, sim
+from scoutplan.sim import SimulationConfig, format_event
 
 inst, real = bench.demo_instance()
 print("hidden true costs:", dict(sorted(real.true_cost.items())))

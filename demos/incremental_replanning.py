@@ -8,7 +8,8 @@ only the few vertices whose distance the revealed cost changed.
 
 import random
 
-from scoutplan import PlanningCostView, bench, dstar
+from scoutplan import bench, dstar
+from scoutplan.core import PlanningCostView
 
 inst, real = bench.generate_grid(bench.GridSpec(rows=10, cols=20, n_impeded_cuts=8), seed=7)
 view = PlanningCostView(inst)

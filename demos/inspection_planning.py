@@ -6,15 +6,8 @@ the best route), then compare the two scout planners: the optimal
 inspection tour and the linear-time priority pick.
 """
 
-from scoutplan import (
-    PlanningCostView,
-    UavMetric,
-    bench,
-    dstar,
-    kspp,
-    paa,
-    rpp,
-)
+from scoutplan import bench, dstar, kspp, paa, rpp
+from scoutplan.core import PlanningCostView, UavMetric
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=5, chain_len=12), seed=11)
 view = PlanningCostView(inst)
@@ -29,7 +22,7 @@ for eid, t_max in critical.items():
     window = "no deadline" if t_max == float("inf") else f"finish by t={t_max:.1f}"
     print(f"  edge {eid} ({rec.u}-{rec.v}), {window}")
 
-graph = rpp.build_transformed_graph(inst, metric, critical, uav_pos=inst.q)
+graph = rpp.build_transformed_graph(metric, critical, uav_pos=inst.q)
 sol = rpp.rpp_dfs(graph)
 legs = rpp.solution_to_uav_plan(graph.inspections(sol), metric, inst.q)
 print(f"\ntour solver: inspects {sol.inspected} edges, tour cost {sol.best_cost:.1f}")
@@ -37,7 +30,7 @@ for leg in legs:
     action = f"inspect edge {leg.edge}" if leg.inspect else "fly"
     print(f"  {leg.frm} -> {leg.to}  {action}  ({leg.duration:.1f})")
 
-scorer_args = (inst, view, pset, inst.q, 4, metric)
+scorer_args = (view, pset, inst.q, 4, metric)
 scored = sorted(paa.score_edges(critical, *scorer_args), key=lambda e: -e.score)
 print("\npriority planner ranking:")
 for ep in scored:

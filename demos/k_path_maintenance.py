@@ -7,7 +7,8 @@ running one spur search per detour.
 
 import random
 
-from scoutplan import PlanningCostView, bench, dstar, kspp
+from scoutplan import bench, dstar, kspp
+from scoutplan.core import PlanningCostView
 
 inst, real = bench.generate_bridge(bench.BridgeSpec(n_paths=6, chain_len=10), seed=2)
 view = PlanningCostView(inst)

@@ -326,8 +326,8 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
             v = inst.edges[parent[v]].other(v)
         true_cost = {}
         for eid in inst.impeded_ids:
-            lo, hi = inst.edges[eid].distribution.bounds()
-            true_cost[eid] = hi if eid in on_path else lo
+            dist = inst.edges[eid].distribution
+            true_cost[eid] = dist.t_max if eid in on_path else dist.t_min
         real = Realization(inst, true_cost)
     else:
         real = sample_realization(inst, rng)

@@ -59,9 +59,6 @@ class UniformCost:
     def variance(self) -> float:
         return (self.t_max - self.t_min) ** 2 / 12.0
 
-    def bounds(self) -> tuple[float, float]:
-        return (self.t_min, self.t_max)
-
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.t_min, self.t_max)
 
@@ -213,9 +210,6 @@ class ProblemInstance:
             self._prior_dist = array("d", dijkstra(self.adj, self.d, self.prior_costs)[0])
         return self._prior_dist
 
-    def euclid(self, a: int, b: int) -> float:
-        return math.dist(self.vertices[a], self.vertices[b])
-
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -233,7 +227,8 @@ class Realization:
             raise InstanceError("realization domain must be exactly the impeded set")
         costs = list(inst.prior_costs)
         for eid, c in true_cost.items():
-            lo, hi = inst.edges[eid].distribution.bounds()
+            dist = inst.edges[eid].distribution
+            lo, hi = dist.t_min, dist.t_max
             if not _positive_finite(c):
                 raise InstanceError(f"edge {eid}: true cost {c} is not finite and positive")
             if not lo - _EPS <= c <= hi + _EPS:
@@ -286,7 +281,8 @@ class UavMetric:
     """Aerial transit metric over S: straight lines in free flight,
     otherwise shortest paths under the aerial edge costs.  Single-source
     results are cached; instances never change, so the cache is permanent,
-    and ``cost`` reads the flight mode, coordinates and speed bound here.
+    and ``cost`` and ``path`` read the flight mode, coordinates and speed
+    bound here.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -312,16 +308,15 @@ class UavMetric:
         """Transit hops (from, to, duration) from a to b; none when a == b."""
         if a == b:
             return []
-        inst = self.inst
-        if inst.uav_free_flight:
-            return [(a, b, inst.euclid(a, b) / inst.uav_speed)]
+        if self._free:
+            return [(a, b, math.dist(self._coords[a], self._coords[b]) / self._speed)]
         dist, parent, _ = self._sssp(a)
         if dist[b] == INF:
             raise NoPathError(f"vertex {b} unreachable by the UAV from {a}")
         hops = []
         v = b
         while v != a:
-            e = inst.edges[parent[v]]
+            e = self.inst.edges[parent[v]]
             u = e.other(v)
             hops.append((u, v, e.uav_cost))
             v = u

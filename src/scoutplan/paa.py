@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INF, PlanningCostView, ProblemInstance, UavMetric
+from .core import INF, PlanningCostView, UavMetric
 from .kspp import PathSet
 
 #: Weights of the four signals in the score, in signal order (p1 to p4).
@@ -29,12 +29,12 @@ class EdgePriority:
 
 
 def score_edges(
-    critical: dict[int, float], inst: ProblemInstance, view: PlanningCostView,
-    path_set: PathSet, uav_pos: int, k: int, metric: UavMetric,
+    critical: dict[int, float], view: PlanningCostView, path_set: PathSet,
+    uav_pos: int, k: int, metric: UavMetric,
 ) -> list[EdgePriority]:
-    """All four signals plus the weighted score, one entry per critical edge,
-    for the ranked paths in ``path_set`` (k of them requested) and the scout
-    at ``uav_pos``.
+    """All four signals plus the weighted score, one entry per critical edge
+    of ``metric.inst``, for the ranked paths in ``path_set`` (k of them
+    requested) and the scout at ``uav_pos``.
 
     One pass over the ranked paths gives each edge's coverage (the number
     of paths using it) and its divergence time: the expected time before
@@ -46,6 +46,7 @@ def score_edges(
     if not critical:
         return []
     cost = view.costs
+    edges = metric.inst.edges
 
     counts = dict.fromkeys(critical, 0)
     lam = dict.fromkeys(critical, INF)
@@ -67,12 +68,12 @@ def score_edges(
     lam_min = min(lam.values())
     lam_max = max(lam.values())
 
-    var = {e: inst.edges[e].distribution.variance() for e in critical}
+    var = {e: edges[e].distribution.variance() for e in critical}
     var_max = max(var.values())
 
     dist, start = {}, {}
     for e in critical:
-        rec = inst.edges[e]
+        rec = edges[e]
         cu = metric.cost(uav_pos, rec.u)
         cv = metric.cost(uav_pos, rec.v)
         dist[e], start[e] = (cu, rec.u) if cu <= cv else (cv, rec.v)
@@ -91,12 +92,12 @@ def score_edges(
 
 
 def select_edge(
-    critical: dict[int, float], inst: ProblemInstance, view: PlanningCostView,
-    path_set: PathSet, uav_pos: int, k: int, metric: UavMetric,
+    critical: dict[int, float], view: PlanningCostView, path_set: PathSet,
+    uav_pos: int, k: int, metric: UavMetric,
 ) -> tuple[int, int] | None:
     """The highest-score critical edge and its start vertex, as (edge id,
     start); lowest edge id on ties; None when there is no critical edge."""
-    scored = score_edges(critical, inst, view, path_set, uav_pos, k, metric)
+    scored = score_edges(critical, view, path_set, uav_pos, k, metric)
     if not scored:
         return None
     best = max(scored, key=lambda ep: (ep.score, -ep.edge))

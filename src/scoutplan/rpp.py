@@ -88,13 +88,12 @@ class TransformedGraph:
 
 
 def build_transformed_graph(
-    inst: ProblemInstance,
     metric: UavMetric,
     critical: dict[int, float],
     uav_pos: int,
     uav_time_offset: float = 0.0,
 ) -> TransformedGraph:
-    """Direction-node graph for the tour search.
+    """Direction-node graph for the tour search over ``metric.inst``.
 
     Deadlines are shifted by the scout's current time and reduced by the
     edge's own traversal time, so a node is feasible exactly when the whole
@@ -102,7 +101,7 @@ def build_transformed_graph(
     """
     nodes: list[TourNode | None] = [None]
     for eid, t_max in critical.items():
-        rec = inst.edges[eid]
+        rec = metric.inst.edges[eid]
         deadline = t_max - rec.uav_cost - uav_time_offset
         nodes.append(TourNode(eid, rec.u, rec.v, rec.uav_cost, deadline))
         nodes.append(TourNode(eid, rec.v, rec.u, rec.uav_cost, deadline))

@@ -99,14 +99,14 @@ def lower_bound(inst: ProblemInstance, realization: Realization) -> float:
 
 
 def naive_step(
-    inst: ProblemInstance,
     metric: UavMetric,
     critical: dict[int, float],
     path_set: kspp.PathSet,
     uav_pos: int,
     uav_time: float,
 ) -> tuple[int, int] | None:
-    """Nearest on-path inspection the scout can finish inside its window.
+    """Nearest on-path inspection the scout can finish inside its window,
+    over the edges of ``metric.inst``.
 
     Returns (edge id, starting endpoint) or None when nothing is feasible.
     """
@@ -114,7 +114,7 @@ def naive_step(
         t_max = critical.get(eid)
         if t_max is None:
             continue
-        rec = inst.edges[eid]
+        rec = metric.inst.edges[eid]
         cu = uav_time + metric.cost(uav_pos, rec.u) + rec.uav_cost
         cv = uav_time + metric.cost(uav_pos, rec.v) + rec.uav_cost
         completion, start = (cu, rec.u) if cu <= cv else (cv, rec.v)
@@ -141,7 +141,7 @@ def _timed(rec: ReplanRecord, solver, *args):
 def _rpp_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[tuple[int, int]]:
-    graph = rpp.build_transformed_graph(eng.inst, eng.metric, critical, origin, origin_time)
+    graph = rpp.build_transformed_graph(eng.metric, critical, origin, origin_time)
     sol = _timed(rec, rpp.rpp_dfs, graph)
     rec.budget_hit, rec.dfs_nodes = sol.budget_exhausted, sol.nodes
     return graph.inspections(sol)
@@ -150,15 +150,14 @@ def _rpp_inspections(
 def _paa_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[tuple[int, int]]:
-    chosen = _timed(rec, paa.select_edge, critical, eng.inst, eng.view, eng.pset, origin,
-                    eng.cfg.k, eng.metric)
+    chosen = _timed(rec, paa.select_edge, critical, eng.view, eng.pset, origin, eng.cfg.k, eng.metric)
     return [] if chosen is None else [chosen]
 
 
 def _naive_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[tuple[int, int]]:
-    chosen = _timed(rec, naive_step, eng.inst, eng.metric, critical, eng.pset, origin, origin_time)
+    chosen = _timed(rec, naive_step, eng.metric, critical, eng.pset, origin, origin_time)
     return [] if chosen is None else [chosen]
 
 
@@ -216,10 +215,9 @@ class _Engine:
             self.route_edges = list(pset.paths[0].edges)
         origin_time = self.now if self.uav_leg is None else self.uav_arrival
         t0 = _time.perf_counter()
-        exclude = (self.ugv_edge,) if self.view.unrevealed(self.ugv_edge) else ()
         critical = rpp.extract_critical_edges(
             self.pset, self.view, self.inst,
-            start_time=self.plan_origin_time, exclude=exclude,
+            start_time=self.plan_origin_time, exclude=(self.ugv_edge,),
         )
         rec.critical_edges = len(critical)
         plan = PLANNERS[self.cfg.planner]

@@ -56,7 +56,7 @@ def with_aerial_only_edges(inst, rng):
     free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in joined]
     edges = list(inst.edges)
     for u, v in rng.sample(free, min(len(free), rng.randint(1, 4))):
-        edges.append(EdgeRecord(len(edges), u, v, None, inst.euclid(u, v) / inst.uav_speed + 0.1))
+        edges.append(EdgeRecord(len(edges), u, v, None, math.dist(inst.vertices[u], inst.vertices[v]) / inst.uav_speed + 0.1))
     return ProblemInstance(inst.vertices, edges, inst.p, inst.q, inst.d, inst.uav_speed, inst.uav_free_flight)
 
 

@@ -130,7 +130,7 @@ class TestCriterion3RppOptimality:
             }
             pos = rng.randrange(inst.n_vertices)
             offset = rng.uniform(0.0, 8.0)
-            graph = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset)
+            graph = rpp.build_transformed_graph(UavMetric(inst), crit, pos, offset)
             sol = rpp.rpp_dfs(graph)
             count, cost = oracles.rpp_brute_force(graph)
             assert sol.inspected == count
@@ -342,7 +342,7 @@ class TestCriterion8PropertySuite:
             crit = rpp.extract_critical_edges(pset, view, inst)
             if not crit:
                 continue
-            for ep in paa.score_edges(crit, inst, view, pset, inst.q, 3, UavMetric(inst)):
+            for ep in paa.score_edges(crit, view, pset, inst.q, 3, UavMetric(inst)):
                 for val in (ep.p1, ep.p2, ep.p3, ep.p4):
                     assert 0.0 <= val <= 1.0
             checked += 1
@@ -362,7 +362,7 @@ class TestCriterion8PropertySuite:
             }
             pos = rng.randrange(inst.n_vertices)
             offset = rng.uniform(0.0, 10.0)
-            graph = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset)
+            graph = rpp.build_transformed_graph(UavMetric(inst), crit, pos, offset)
             sol = rpp.rpp_dfs(graph)
             for eid, done in oracles.replay_tour_times(graph, sol.best_visited, offset):
                 assert done <= crit[eid] + 1e-9

@@ -23,9 +23,9 @@ class TestGridGenerator:
         assert inst.impeded_ids
         assert set(real.true_cost) == set(inst.impeded_ids)
         for eid in inst.impeded_ids:
-            lo, hi = inst.edges[eid].distribution.bounds()
-            assert lo == 10.0
-            assert 80.0 <= hi <= 100.0
+            dist = inst.edges[eid].distribution
+            assert dist.t_min == 10.0
+            assert 80.0 <= dist.t_max <= 100.0
 
     def test_two_by_two_no_cuts(self):
         inst, real = bench.generate_grid(
@@ -69,12 +69,12 @@ class TestBridgeGenerator:
                 on_path.add(parent[v])
                 v = inst.edges[parent[v]].other(v)
             for eid in inst.impeded_ids:
-                lo, hi = inst.edges[eid].distribution.bounds()
+                dist = inst.edges[eid].distribution
                 if eid in on_path:
-                    assert real.true_cost[eid] == hi
+                    assert real.true_cost[eid] == dist.t_max
                     hit += 1
                 else:
-                    assert real.true_cost[eid] == lo
+                    assert real.true_cost[eid] == dist.t_min
         # The expected-cost path can legitimately dodge every impeded edge on
         # some instances, but not across a batch of seeds.
         assert hit > 0
@@ -143,8 +143,8 @@ class TestRoadImport:
         out = bench.import_road_network(base, impeded_fraction=0.5, seed=2)
         assert len(out.impeded_ids) == len(oracles.ugv_edges(out)) // 2
         for eid in out.impeded_ids:
-            lo, hi = out.edges[eid].distribution.bounds()
-            assert hi == pytest.approx(10.0 * lo)
+            dist = out.edges[eid].distribution
+            assert dist.t_max == pytest.approx(10.0 * dist.t_min)
         assert out.uav_free_flight
 
     def test_endpoints_are_farthest_pair(self, tmp_path):

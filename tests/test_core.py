@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import scoutplan
 from conftest import build_instance, line_instance, random_connected_instance, with_aerial_only_edges
 from scoutplan import bench, sim
 from scoutplan.core import (
@@ -32,7 +31,6 @@ class TestUniformCost:
         u = UniformCost(4.0, 20.0)
         assert u.expected() == 12.0
         assert u.variance() == pytest.approx(256.0 / 12.0)
-        assert u.bounds() == (4.0, 20.0)
 
     def test_sampling_stays_in_bounds_and_matches_mean(self):
         u = UniformCost(3.0, 9.0)
@@ -219,12 +217,6 @@ class TestInstanceValidation:
         path.write_text("sapp 1\nv 0 0.0 0.0\nv 1 1.0 0.0\ne 0 0 1 inf 0.5 -\nmeta p=0 q=0 d=1\n")
         with pytest.raises(InstanceError, match="finite"):
             load_instance(str(path))
-
-
-class TestExports:
-    def test_every_exported_name_resolves(self):
-        for name in scoutplan.__all__:
-            assert hasattr(scoutplan, name), name
 
 
 # Tokens that instance files are made of, valid and not.

@@ -323,7 +323,8 @@ class TestSuppression:
             pset = kspp.update_k_paths(inst, view, state, v_curr, [], 7)
             check(inst, view, pset, 7)
             for eid in sorted(inst.impeded_ids)[:3]:
-                view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
+                window = inst.edges[eid].distribution
+                view.reveal(eid, float(rng.choice((window.t_min, window.t_max))))
                 if len(pset.paths[0].vertices) > 2:
                     v_curr = pset.paths[0].vertices[1]
                 k = rng.choice([4, 7])
@@ -431,7 +432,8 @@ class TestSpurSearch:
             inst = integer_grid(rng, rng.randint(3, 6), rng.randint(3, 7))
             view = PlanningCostView(inst)
             for eid in sorted(inst.impeded_ids)[::2]:
-                view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
+                window = inst.edges[eid].distribution
+                view.reveal(eid, float(rng.choice((window.t_min, window.t_max))))
             o, m = self.check_roots(inst, view, rng, 6)
             outside += o
             mixed += m
@@ -529,7 +531,7 @@ class TestSpurSearch:
         # at most the yellow vertices, whose tree paths cross the cut.
         inst, _ = bench.generate_scaling((40, 25), seed=0)
         view = PlanningCostView(inst)
-        centre = min(range(inst.n_vertices), key=lambda v: inst.euclid(v, inst.p))
+        centre = min(range(inst.n_vertices), key=lambda v: math.dist(inst.vertices[v], inst.vertices[inst.p]))
         block = {centre}
         for _ in range(1):
             block |= {w for v in block for w, _ in inst.adj[v]}
@@ -587,7 +589,8 @@ class TestOracleEquivalence:
                 for p in pset.paths:
                     assert p.edges == edge_walk(inst, p.vertices)
                     assert len(p.edges) == len(p.vertices) - 1
-                view.reveal(eid, float(rng.choice(inst.edges[eid].distribution.bounds())))
+                window = inst.edges[eid].distribution
+                view.reveal(eid, float(rng.choice((window.t_min, window.t_max))))
                 if len(pset.paths[0].vertices) > 2:
                     v_curr = pset.paths[0].vertices[1]
                 pset = kspp.update_k_paths(inst, view, state, v_curr, [eid], 7)
@@ -692,7 +695,8 @@ def _ranked_updates(inst, reveals, k):
             mock.patch.object(kspp, "dijkstra", checked_dijkstra):
         for eid, high in [(None, 0)] + reveals:
             if eid is not None:
-                view.reveal(eid, float(inst.edges[eid].distribution.bounds()[high]))
+                window = inst.edges[eid].distribution
+                view.reveal(eid, float((window.t_min, window.t_max)[high]))
                 changed = [eid]
             pset = kspp.update_k_paths(inst, view, state, v_curr, changed, k)
             out.append(([(p.vertices, p.edges, p.cost.hex()) for p in pset.paths], pset.spur))
@@ -744,7 +748,8 @@ def test_parents_the_tree_reads_match_the_eager_rule(mission, k):
     with mock.patch.object(kspp, "spur_search", recording_search):
         for eid, high in [(None, 0)] + reveals:
             if eid is not None:
-                view.reveal(eid, float(inst.edges[eid].distribution.bounds()[high]))
+                window = inst.edges[eid].distribution
+                view.reveal(eid, float((window.t_min, window.t_max)[high]))
                 changed = [eid]
             pset = kspp.update_k_paths(inst, view, state, v_curr, changed, k)
             parents = eager_parents(inst, view)

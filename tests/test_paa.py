@@ -6,13 +6,12 @@ import pytest
 import oracles
 from conftest import build_instance, edge_between, random_connected_instance
 from scoutplan import dstar, kspp, paa, rpp
-from scoutplan.core import PlanningCostView, ProblemInstance, UavMetric
+from scoutplan.core import PlanningCostView, UavMetric
 
 
 class Context(NamedTuple):
     """The scorer's arguments after the critical edges, in order."""
 
-    inst: ProblemInstance
     view: PlanningCostView
     path_set: kspp.PathSet
     uav_pos: int
@@ -24,7 +23,7 @@ def make_context(inst, view, k, uav_pos=None):
     state = dstar.initialize(inst)
     pset = kspp.update_k_paths(inst, view, state, inst.p, [], k)
     crit = rpp.extract_critical_edges(pset, view, inst)
-    ctx = Context(inst, view, pset, inst.q if uav_pos is None else uav_pos, k, UavMetric(inst))
+    ctx = Context(view, pset, inst.q if uav_pos is None else uav_pos, k, UavMetric(inst))
     return pset, crit, ctx
 
 

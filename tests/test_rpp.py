@@ -81,7 +81,7 @@ class TestTransformedGraph:
     def test_single_edge_arcs(self):
         inst = self.one_edge_instance()
         crit = {0: 30.0}
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=0)
+        g = rpp.build_transformed_graph(UavMetric(inst), crit, uav_pos=0)
         assert g.size == 3
         assert g.arc[0][1] == 0.0  # already at the forward start
         assert g.arc[1][0] == 5.0  # finishing the edge costs tau
@@ -97,7 +97,7 @@ class TestTransformedGraph:
         if len(impeded) < 2:
             return
         crit = dict.fromkeys(impeded, INF)
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=inst.q)
+        g = rpp.build_transformed_graph(UavMetric(inst), crit, uav_pos=inst.q)
         assert g.size == 5
         for i in (1, 2):
             for j in (1, 2):
@@ -116,7 +116,7 @@ class TestTransformedGraph:
             p=0, q=1, d=3,
         )
         crit = {0: 20.0, 2: 25.0}
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=1, uav_time_offset=2.0)
+        g = rpp.build_transformed_graph(UavMetric(inst), crit, uav_pos=1, uav_time_offset=2.0)
         # Nodes: 1 = 0->1, 2 = 1->0, 3 = 2->3, 4 = 3->2 (vertex ids via edges).
         assert g.arc[0][1] == 1.0  # fly 1 -> 0
         assert g.arc[0][2] == 0.0
@@ -137,7 +137,7 @@ class TestDfs:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 30.0}, uav_pos=0)
+        g = rpp.build_transformed_graph(UavMetric(inst), {0: 30.0}, uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert sol.best_visited == [0, 1]  # start at the near end
         assert sol.best_cost == 0.0
@@ -147,7 +147,7 @@ class TestDfs:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 4.0}, uav_pos=0)
+        g = rpp.build_transformed_graph(UavMetric(inst), {0: 4.0}, uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert sol.best_visited == [0]
         assert sol.best_cost == 0.0
@@ -165,7 +165,7 @@ class TestDfs:
             crit[e] = INF if rng.random() < 0.4 else rng.uniform(5.0, 120.0)
         pos = rng.randrange(inst.n_vertices)
         offset = rng.choice((0.0, rng.uniform(0.0, 10.0)))
-        return rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos, offset), crit, offset
+        return rpp.build_transformed_graph(UavMetric(inst), crit, pos, offset), crit, offset
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
@@ -232,9 +232,9 @@ class TestDfs:
                 for e in impeded[:-1]
             }
             pos = rng.randrange(inst.n_vertices)
-            base = rpp.rpp_dfs(rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos)).inspected
+            base = rpp.rpp_dfs(rpp.build_transformed_graph(UavMetric(inst), crit, pos)).inspected
             extended = {**crit, impeded[-1]: INF}
-            more = rpp.rpp_dfs(rpp.build_transformed_graph(inst, UavMetric(inst), extended, pos)).inspected
+            more = rpp.rpp_dfs(rpp.build_transformed_graph(UavMetric(inst), extended, pos)).inspected
             assert more >= base
 
     def test_node_budget_ends_search_deterministically(self, monkeypatch):
@@ -245,7 +245,7 @@ class TestDfs:
             for e in sorted(inst.impeded_ids)
         }
         assert len(crit) >= 10
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, uav_pos=3, uav_time_offset=2.0)
+        g = rpp.build_transformed_graph(UavMetric(inst), crit, uav_pos=3, uav_time_offset=2.0)
         monkeypatch.setattr(rpp, "DFS_NODE_BUDGET", 500)
         sol = rpp.rpp_dfs(g)
         assert sol.budget_exhausted
@@ -335,7 +335,7 @@ class TestPlanExpansion:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 4.0}, uav_pos=0)
+        g = rpp.build_transformed_graph(UavMetric(inst), {0: 4.0}, uav_pos=0)
         sol = rpp.rpp_dfs(g)
         assert rpp.solution_to_uav_plan(g.inspections(sol), UavMetric(inst), 0) == []
 
@@ -344,7 +344,7 @@ class TestPlanExpansion:
         inst = build_instance(
             coords, [(0, 1, (10.0, 14.0), 5.0), (0, 2, 5.0, 2.5), (1, 2, 5.0, 2.5)], p=0, q=2, d=1
         )
-        g = rpp.build_transformed_graph(inst, UavMetric(inst), {0: 30.0}, uav_pos=2)
+        g = rpp.build_transformed_graph(UavMetric(inst), {0: 30.0}, uav_pos=2)
         sol = rpp.rpp_dfs(g)
         legs = rpp.solution_to_uav_plan(g.inspections(sol), UavMetric(inst), 2)
         assert legs[-1].inspect
@@ -375,7 +375,7 @@ class TestPlanExpansion:
                 continue
             crit = {e: rng.uniform(20.0, 200.0) for e in impeded}
             pos = rng.randrange(inst.n_vertices)
-            g = rpp.build_transformed_graph(inst, UavMetric(inst), crit, pos)
+            g = rpp.build_transformed_graph(UavMetric(inst), crit, pos)
             sol = rpp.rpp_dfs(g)
             legs = rpp.solution_to_uav_plan(g.inspections(sol), UavMetric(inst), pos)
             if sol.inspected == 0:

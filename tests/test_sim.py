@@ -208,7 +208,8 @@ def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
     # lower bound and the k paths still match the oracles.
     for _ in range(20):
         base = random_connected_instance(rng, n_min=6, n_max=14)
-        longest = max(oracles.ugv_edges(base), key=lambda eid: base.euclid(base.edges[eid].u, base.edges[eid].v))
+        line = [math.dist(base.vertices[e.u], base.vertices[e.v]) for e in base.edges]
+        longest = max(oracles.ugv_edges(base), key=line.__getitem__)
         edges = list(base.edges)
         e = edges[longest]
         if e.impeded:
@@ -219,7 +220,7 @@ def test_edge_below_the_straight_line_builds_quietly_and_plans_exactly(rng):
             warnings.simplefilter("error")
             inst = ProblemInstance(base.vertices, edges, base.p, base.q, base.d, uav_free_flight=True)
         view = PlanningCostView(inst)
-        assert view.costs[longest] < inst.euclid(inst.edges[longest].u, inst.edges[longest].v)
+        assert view.costs[longest] < line[longest]
         real = sample_realization(inst, rng)
         costs = {eid: real.true_cost[eid] if inst.edges[eid].impeded else inst.edges[eid].ugv_cost
                  for eid in oracles.ugv_edges(inst)}
@@ -346,15 +347,18 @@ TRACER_COUNTS = {
 
 
 class TestCriticalEdges:
-    def test_equals_the_tracers_count(self, monkeypatch):
-        # perfbench's tracer counts the critical edges each extraction returns.
-        # The same run pins the calls it counts in the hot loops: a repair or
-        # tour build that went round a counted call would read lower.
+    @pytest.mark.parametrize("name", ["kpaths-adversarial", "kpaths-scaling"])
+    def test_equals_the_tracers_count(self, monkeypatch, name):
+        # perfbench's tracer counts the critical edges each extraction returns
+        # and, on the paa list, those handed to select_edge as its first
+        # argument.  The rpp run also pins the calls it counts in the hot
+        # loops: a repair or tour build that went round a counted call would
+        # read lower.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         from tracer import Tracer
         from workloads import WORKLOADS
 
-        workload = WORKLOADS["kpaths-adversarial"]
+        workload = WORKLOADS[name]
         tracer = Tracer()
         tracer.install()
         try:
@@ -362,8 +366,12 @@ class TestCriticalEdges:
         finally:
             tracer.uninstall()
         totals = tracer.totals()
-        assert sum(bench.run_totals(o)["critical_edges"] for o in outs) == totals["rpp.critical_edges"] > 0
-        assert {key: totals[key] for key in TRACER_COUNTS} == TRACER_COUNTS
+        critical = sum(bench.run_totals(o)["critical_edges"] for o in outs)
+        assert critical == totals["rpp.critical_edges"] > 0
+        if workload.config().planner == "paa":
+            assert totals["paa.scored_edges"] == critical
+        else:
+            assert {key: totals[key] for key in TRACER_COUNTS} == TRACER_COUNTS
 
 
 class TestWalkthroughScenario:
