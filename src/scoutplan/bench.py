@@ -133,7 +133,6 @@ class RoadSpec:
 
 #: The generate spec of each instance family.
 FAMILY_SPECS = {"grid": GridSpec, "bridge": BridgeSpec, "road": RoadSpec}
-FAMILIES = tuple(FAMILY_SPECS)
 FamilySpec = GridSpec | BridgeSpec | RoadSpec
 
 
@@ -150,7 +149,7 @@ def spec_label(spec: FamilySpec) -> str:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    family: str = "bridge"  # one of FAMILIES
+    family: str = "bridge"  # a FAMILY_SPECS key
     n_instances: int = 100
     k_values: tuple[int, ...] = (1, 2, 3, 4, 5)
     planners: tuple[str, ...] = ("rpp",)
@@ -161,8 +160,8 @@ class ExperimentSpec:
     specs: tuple[FamilySpec, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if self.family not in FAMILY_SPECS:
+            raise ValueError(f"unknown family {self.family!r}, expected one of {tuple(FAMILY_SPECS)}")
         for planner in self.planners:
             if planner == "naive":
                 raise ValueError("planners must not list naive: the naive baseline always runs")
@@ -503,56 +502,43 @@ def run_totals(outcome: sim.SimulationOutcome) -> dict:
 
 
 def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
-    """All planner runs for one instance, naive baseline included."""
+    """All planner runs for one instance: the naive baseline, then each k with each planner."""
     family_spec = spec.specs[index % len(spec.specs)]
     label = spec_label(family_spec)
     inst, real, _ = make_instance(family_spec, f"{spec.seed}:{index}")
-    rows: list[dict] = []
-
-    def record(planner: str, k: int, outcome: sim.SimulationOutcome) -> None:
-        rows.append(
-            {
-                "instance_id": index, "seed": spec.seed, "planner": planner, "k": k,
-                "label": label, "n_vertices": inst.n_vertices, "LB": outcome.lower_bound,
-                "cost": outcome.arrival_time, "arrival_time": outcome.arrival_time,
-                **run_totals(outcome),
-            }
-        )
-
-    record("naive", 1, sim.run(inst, real, sim.SimulationConfig(planner="naive", k=1)))
-    for k in spec.k_values:
-        for planner in spec.planners:
-            cfg = sim.SimulationConfig(planner=planner, k=k)
-            record(planner, k, sim.run(inst, real, cfg))
+    rows = []
+    for planner, k in [("naive", 1), *((planner, k) for k in spec.k_values for planner in spec.planners)]:
+        outcome = sim.run(inst, real, sim.SimulationConfig(planner=planner, k=k))
+        rows.append({
+            "instance_id": index, "seed": spec.seed, "planner": planner, "k": k,
+            "label": label, "n_vertices": inst.n_vertices, "LB": outcome.lower_bound,
+            "cost": outcome.arrival_time, "arrival_time": outcome.arrival_time,
+            **run_totals(outcome),
+        })
     return rows
 
 
 def summarize_rows(rows: list[dict]) -> list[dict]:
-    """One row per (planner, k, label), keyed by SUMMARY_COLUMNS and paired
-    with the naive runs of the same label, i.e. of the same spec."""
-    naive: dict[str, list[dict]] = {}
+    """One row per (planner, k, label), keyed by SUMMARY_COLUMNS; each run
+    is paired with the naive run of its own seed, label and instance."""
+    naive: dict[tuple, float] = {}
     algo: dict[tuple, list[dict]] = {}
     for r in rows:
-        lbl = r["label"]
+        run = (r["seed"], r["label"], r["instance_id"])
         if r["planner"] == "naive":
-            naive.setdefault(lbl, []).append(r)
+            naive[run] = r["cost"]
         else:
-            algo.setdefault((r["planner"], r["k"], lbl), []).append(r)
+            algo.setdefault((r["planner"], r["k"], r["label"]), []).append(r)
     out = []
     for (planner, k, lbl), rs in sorted(algo.items()):
-        naive_by_inst = {r["instance_id"]: r["cost"] for r in naive.get(lbl, [])}
-        ids = [r["instance_id"] for r in rs]
-        naive_cost = [naive_by_inst[i] for i in ids if i in naive_by_inst]
+        naive_cost = [naive[run] for r in rs if (run := (r["seed"], lbl, r["instance_id"])) in naive]
         cost = [r["cost"] for r in rs]
         lb_mean = fmean(r["LB"] for r in rs)
         cost_mean = fmean(cost)
         naive_mean = fmean(naive_cost) if naive_cost else math.nan
         out.append(
             {
-                "planner": planner,
-                "k": k,
-                "label": lbl,
-                "n": len(rs),
+                "planner": planner, "k": k, "label": lbl, "n": len(rs),
                 "LB": lb_mean,
                 "naive_cost": naive_mean,
                 "cost": cost_mean,

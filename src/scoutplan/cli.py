@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate instance files")
-    g.add_argument("--family", required=True, choices=bench.FAMILIES)
+    g.add_argument("--family", required=True, choices=bench.FAMILY_SPECS)
     g.add_argument("--spec", help="JSON file with generator parameters")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)

@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import random
+from statistics import fmean
 
 import pytest
 
@@ -217,7 +218,7 @@ class TestGoldenInstances:
 
 
 class TestSpecLabel:
-    @pytest.mark.parametrize("family", bench.FAMILIES)
+    @pytest.mark.parametrize("family", bench.FAMILY_SPECS)
     def test_default_spec_is_unlabelled(self, family):
         assert bench.spec_label(bench.FAMILY_SPECS[family]()) == ""
 
@@ -346,6 +347,9 @@ class TestExperimentHarness:
             "instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time", "label", "n_vertices"]
         assert totals == [c for c in bench.RUN_COLUMNS if c in totals]
         assert all(sorted(r) == sorted(bench.RUN_COLUMNS) for r in rows)
+        # The naive baseline first, then k-major, planner-minor: runs.csv's row order.
+        assert [(r["planner"], r["k"]) for r in rows] == [
+            ("naive", 1), ("rpp", 1), ("paa", 1), ("rpp", 2), ("paa", 2)]
 
     def test_report_round_trip(self, tmp_path):
         out = tmp_path / "run"
@@ -357,6 +361,24 @@ class TestExperimentHarness:
         assert ("rpp", 1) in by_key and ("paa", 2) in by_key
         for r in summary:
             assert r["LB"] <= r["cost"] + 1e-9
+
+    def test_report_pairs_each_run_with_its_own_seeds_naive_run(self, tmp_path):
+        # Seeds run separately and concatenated share labels and instance
+        # ids; each run's baseline is still the naive run of its own seed.
+        rows = []
+        for seed in (0, 1):
+            spec = bench.ExperimentSpec(n_instances=2, k_values=(2,), planners=("paa",), seed=seed)
+            bench.run_experiment(spec, str(tmp_path / str(seed)))
+            rows += bench.read_runs_csv(str(tmp_path / str(seed) / "runs.csv"))
+        naive = {(r["seed"], r["label"], r["instance_id"]): r["cost"] for r in rows if r["planner"] == "naive"}
+        assert len(naive) == 4
+        summary = bench.summarize_rows(rows)
+        assert [(r["planner"], r["k"], r["n"]) for r in summary] == [("paa", 2, 4)]
+        for s in summary:
+            runs = [r for r in rows if (r["planner"], r["k"], r["label"]) == (s["planner"], s["k"], s["label"])]
+            naive_cost = fmean(naive[r["seed"], r["label"], r["instance_id"]] for r in runs)
+            assert s["naive_cost"] == naive_cost
+            assert s["delta_pct"] == bench.delta_percent(s["LB"], naive_cost, s["cost"])
 
     def test_counter_columns_total_each_runs_replans(self, tmp_path):
         # Each counter column is the run's own total: the same mission run
