@@ -39,4 +39,5 @@ for ep in scored:
         f"(coverage {ep.p1:.2f}, urgency {ep.p2:.2f}, "
         f"uncertainty {ep.p3:.2f}, proximity {ep.p4:.2f})"
     )
-print(f"selected: edge {paa.select_edge(critical, *scorer_args)[0]}")
+((selected, _),) = paa.select_edge(critical, *scorer_args)
+print(f"selected: edge {selected}")

@@ -113,7 +113,7 @@ RoadLayout = tuple[tuple[float, ...], int, int]
 class RoadSpec:
     """Road networks re-dressed by `import_road_network`: the network in
     `base_file`, loaded here with its road layout, or else a synthetic one
-    of `n_vertices` per instance."""
+    of `n_vertices` per instance (so left at its default with a base file)."""
 
     n_vertices: int = 30
     impeded_fraction: float = 0.5
@@ -127,6 +127,8 @@ class RoadSpec:
         if self.base_file is not None:
             if type(self.base_file) is not str:
                 raise ValueError(f"base_file must be a path, got {self.base_file!r}")
+            if self.n_vertices != RoadSpec.n_vertices:
+                raise ValueError(f"n_vertices must stay at its default with base_file, got {self.n_vertices!r}")
             object.__setattr__(self, "base", load_instance(self.base_file))
             object.__setattr__(self, "layout", road_layout(self.base))
 
@@ -206,6 +208,13 @@ def _edge(eid: int, u: int, v: int, length: float, t_max: float | None = None) -
     return EdgeRecord(eid, u, v, None, length / UAV_SPEED, UniformCost(length, t_max))
 
 
+def _instance(
+    vertices: list[tuple[float, float]], edges: list[EdgeRecord], p: int, q: int, d: int
+) -> ProblemInstance:
+    """A generated network: the scout flies freely at UAV_SPEED."""
+    return ProblemInstance(vertices, edges, p=p, q=q, d=d, uav_speed=UAV_SPEED, uav_free_flight=True)
+
+
 def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realization]:
     """Uniform grid; impeded edges drawn as partial cuts across random columns."""
     rng = random.Random(f"grid:{seed}")
@@ -236,11 +245,7 @@ def generate_grid(spec: GridSpec, seed: int) -> tuple[ProblemInstance, Realizati
         _edge(eid, u, v, s, rng.uniform(*T_MAX_RANGE) if (u, v) in impeded_pairs else None)
         for eid, (u, v) in enumerate(pairs)
     ]
-    q = rng.randrange(rows * cols)
-    inst = ProblemInstance(
-        vertices, edges, p=0, q=q, d=rows * cols - 1,
-        uav_speed=UAV_SPEED, uav_free_flight=True,
-    )
+    inst = _instance(vertices, edges, 0, rng.randrange(rows * cols), rows * cols - 1)
     return inst, sample_realization(inst, rng)
 
 
@@ -310,11 +315,7 @@ def generate_bridge(spec: BridgeSpec, seed: int) -> tuple[ProblemInstance, Reali
         for eid, (u, v) in enumerate(pairs)
     ]
 
-    q = rng.randrange(len(vertices))
-    inst = ProblemInstance(
-        vertices, edges, p=p, q=q, d=d,
-        uav_speed=UAV_SPEED, uav_free_flight=True,
-    )
+    inst = _instance(vertices, edges, p, rng.randrange(len(vertices)), d)
 
     if spec.adversarial:
         _, parent, _ = dijkstra(inst.adj, p, inst.prior_costs)
@@ -360,10 +361,7 @@ def generate_road_like(n_vertices: int, seed: int) -> ProblemInstance:
         _edge(eid, u, v, math.dist(pts[u], pts[v]) * rng.uniform(1.0, 1.4))
         for eid, (u, v) in enumerate(sorted(pairs))
     ]
-    return ProblemInstance(
-        pts, edges, p=0, q=0, d=n_vertices - 1,
-        uav_speed=UAV_SPEED, uav_free_flight=True,
-    )
+    return _instance(pts, edges, 0, 0, n_vertices - 1)
 
 
 def import_road_network(
@@ -392,11 +390,7 @@ def import_road_network(
         else EdgeRecord(rec.id, rec.u, rec.v, None, rec.uav_cost)
         for rec in base.edges
     ]
-    q = rng.randrange(base.n_vertices)
-    return ProblemInstance(
-        base.vertices, edges, p=p, q=q, d=d,
-        uav_speed=UAV_SPEED, uav_free_flight=True,
-    )
+    return _instance(base.vertices, edges, p, rng.randrange(base.n_vertices), d)
 
 
 def road_layout(base: ProblemInstance) -> RoadLayout:
@@ -452,11 +446,11 @@ COUNTER_COLUMNS = (
 RUN_COLUMNS = {
     "instance_id": int, "seed": str, "planner": str, "k": int, "LB": float, "cost": float,
     "arrival_time": float, "n_replans": int, "max_ugv_replan_ms": float, "max_uav_replan_ms": float,
-    "label": str, "n_vertices": int, "max_uav_solver_ms": float, "budget_hits": int,
+    "family": str, "label": str, "n_vertices": int, "max_uav_solver_ms": float, "budget_hits": int,
     **dict.fromkeys(COUNTER_COLUMNS, int),
 }
 SUMMARY_COLUMNS = (
-    "planner", "k", "label", "n", "LB", "naive_cost", "cost", "delta_pct",
+    "planner", "k", "family", "label", "n", "LB", "naive_cost", "cost", "delta_pct",
     "naive_std", "cost_std", "max_ugv_replan_ms", "max_uav_replan_ms",
 )
 FAILURE_COLUMNS = ("instance_id", "seed", "error", "message")
@@ -511,7 +505,7 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
         outcome = sim.run(inst, real, sim.SimulationConfig(planner=planner, k=k))
         rows.append({
             "instance_id": index, "seed": spec.seed, "planner": planner, "k": k,
-            "label": label, "n_vertices": inst.n_vertices, "LB": outcome.lower_bound,
+            "family": spec.family, "label": label, "n_vertices": inst.n_vertices, "LB": outcome.lower_bound,
             "cost": outcome.arrival_time, "arrival_time": outcome.arrival_time,
             **run_totals(outcome),
         })
@@ -519,26 +513,27 @@ def run_instance_suite(spec: ExperimentSpec, index: int) -> list[dict]:
 
 
 def summarize_rows(rows: list[dict]) -> list[dict]:
-    """One row per (planner, k, label), keyed by SUMMARY_COLUMNS; each run
-    is paired with the naive run of its own seed, label and instance."""
+    """One row per (planner, k, family, label), keyed by SUMMARY_COLUMNS;
+    each run is paired with the naive run of its own seed, family, label and
+    instance."""
     naive: dict[tuple, float] = {}
     algo: dict[tuple, list[dict]] = {}
     for r in rows:
-        run = (r["seed"], r["label"], r["instance_id"])
+        run = (r["seed"], r["family"], r["label"], r["instance_id"])
         if r["planner"] == "naive":
             naive[run] = r["cost"]
         else:
-            algo.setdefault((r["planner"], r["k"], r["label"]), []).append(r)
+            algo.setdefault((r["planner"], r["k"], r["family"], r["label"]), []).append(r)
     out = []
-    for (planner, k, lbl), rs in sorted(algo.items()):
-        naive_cost = [naive[run] for r in rs if (run := (r["seed"], lbl, r["instance_id"])) in naive]
+    for (planner, k, family, lbl), rs in sorted(algo.items()):
+        naive_cost = [naive[run] for r in rs if (run := (r["seed"], family, lbl, r["instance_id"])) in naive]
         cost = [r["cost"] for r in rs]
         lb_mean = fmean(r["LB"] for r in rs)
         cost_mean = fmean(cost)
         naive_mean = fmean(naive_cost) if naive_cost else math.nan
         out.append(
             {
-                "planner": planner, "k": k, "label": lbl, "n": len(rs),
+                "planner": planner, "k": k, "family": family, "label": lbl, "n": len(rs),
                 "LB": lb_mean,
                 "naive_cost": naive_mean,
                 "cost": cost_mean,
@@ -562,15 +557,16 @@ def write_csv(rows: list[dict], columns: Iterable[str], path: str) -> None:
 def read_runs_csv(path: str) -> list[dict]:
     """The rows of a UTF-8 runs.csv, each RUN_COLUMNS cell read as its type;
     a number must be finite and at least 0 (``k`` and ``n_vertices`` at
-    least 1).  Any COUNTER_COLUMNS may be absent, as in files written before
-    they were; the rest must be there.  A malformed file is an InstanceError
-    naming the file and line."""
+    least 1).  Any COUNTER_COLUMNS may be absent, and ``family`` (read as
+    ""), as in files written before they were; the rest must be there.  A
+    malformed file is an InstanceError naming the file and line."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     out = []
 
     def record(r: dict) -> None:
         if None in r or None in r.values():
             raise ValueError(f"expected {len(reader.fieldnames)} cells")
+        r.setdefault("family", "")
         for key, kind in RUN_COLUMNS.items():
             if key not in r:  # an absent counter column
                 continue
@@ -582,7 +578,7 @@ def read_runs_csv(path: str) -> list[dict]:
 
     try:
         present = reader.fieldnames or ()
-        missing = [c for c in RUN_COLUMNS if c not in present and c not in COUNTER_COLUMNS]
+        missing = [c for c in RUN_COLUMNS if c not in present and c not in (*COUNTER_COLUMNS, "family")]
         if missing:
             raise InstanceError(f"{path}: missing run columns {missing}")
         read_records(path, record, ((reader.line_num, r) for r in reader))

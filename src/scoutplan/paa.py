@@ -94,11 +94,9 @@ def score_edges(
 def select_edge(
     critical: dict[int, float], view: PlanningCostView, path_set: PathSet,
     uav_pos: int, k: int, metric: UavMetric,
-) -> tuple[int, int] | None:
-    """The highest-score critical edge and its start vertex, as (edge id,
-    start); lowest edge id on ties; None when there is no critical edge."""
+) -> list[tuple[int, int]]:
+    """The inspection list of the highest-score critical edge: [(edge id,
+    start)], lowest edge id on ties; [] when there is no critical edge."""
     scored = score_edges(critical, view, path_set, uav_pos, k, metric)
-    if not scored:
-        return None
-    best = max(scored, key=lambda ep: (ep.score, -ep.edge))
-    return best.edge, best.start
+    best = max(scored, key=lambda ep: (ep.score, -ep.edge), default=None)
+    return [] if best is None else [(best.edge, best.start)]

@@ -28,7 +28,7 @@ def extract_critical_edges(
     view: PlanningCostView,
     inst: ProblemInstance,
     start_time: float = 0.0,
-    exclude: tuple[int, ...] = (),
+    exclude: int = -1,
 ) -> dict[int, float]:
     """Unrevealed impeded edges on any ranked path, mapped to the time by
     which the scout must have finished inspecting them, in ascending edge id.
@@ -37,21 +37,20 @@ def extract_critical_edges(
     vehicle could reach the edge's first endpoint, i.e. the prefix cost with
     every unrevealed impeded edge priced at its minimum.  Edges only on
     lower-ranked paths get an infinite deadline.  ``start_time`` shifts the
-    deadlines to absolute simulation time.
+    deadlines to absolute simulation time; edge ``exclude`` is never critical.
     """
-    excluded = set(exclude)
     found: dict[int, float] = {}
     paths = path_set.paths
     if paths:
         arrival = start_time
         for eid in paths[0].edges:
             unrevealed = view.unrevealed(eid)
-            if unrevealed and eid not in excluded:
+            if unrevealed and eid != exclude:
                 found.setdefault(eid, arrival)
             arrival += inst.edges[eid].distribution.t_min if unrevealed else view.costs[eid]
     for path in paths[1:]:
         for eid in path.edges:
-            if view.unrevealed(eid) and eid not in excluded:
+            if view.unrevealed(eid) and eid != exclude:
                 found.setdefault(eid, INF)
     return dict(sorted(found.items()))
 

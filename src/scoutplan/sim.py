@@ -104,11 +104,11 @@ def naive_step(
     path_set: kspp.PathSet,
     uav_pos: int,
     uav_time: float,
-) -> tuple[int, int] | None:
+) -> list[tuple[int, int]]:
     """Nearest on-path inspection the scout can finish inside its window,
     over the edges of ``metric.inst``.
 
-    Returns (edge id, starting endpoint) or None when nothing is feasible.
+    Returns [(edge id, starting endpoint)], or [] when nothing is feasible.
     """
     for eid in path_set.paths[0].edges:
         t_max = critical.get(eid)
@@ -119,8 +119,8 @@ def naive_step(
         cv = uav_time + metric.cost(uav_pos, rec.v) + rec.uav_cost
         completion, start = (cu, rec.u) if cu <= cv else (cv, rec.v)
         if completion <= t_max:
-            return (eid, start)
-    return None
+            return [(eid, start)]
+    return []
 
 
 def _timed(rec: ReplanRecord, solver, *args):
@@ -150,15 +150,13 @@ def _rpp_inspections(
 def _paa_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[tuple[int, int]]:
-    chosen = _timed(rec, paa.select_edge, critical, eng.view, eng.pset, origin, eng.cfg.k, eng.metric)
-    return [] if chosen is None else [chosen]
+    return _timed(rec, paa.select_edge, critical, eng.view, eng.pset, origin, eng.cfg.k, eng.metric)
 
 
 def _naive_inspections(
     eng: _Engine, critical: dict[int, float], origin: int, origin_time: float, rec: ReplanRecord
 ) -> list[tuple[int, int]]:
-    chosen = _timed(rec, naive_step, eng.metric, critical, eng.pset, origin, origin_time)
-    return [] if chosen is None else [chosen]
+    return _timed(rec, naive_step, eng.metric, critical, eng.pset, origin, origin_time)
 
 
 PLANNERS = {"rpp": _rpp_inspections, "paa": _paa_inspections, "naive": _naive_inspections,
@@ -217,7 +215,7 @@ class _Engine:
         t0 = _time.perf_counter()
         critical = rpp.extract_critical_edges(
             self.pset, self.view, self.inst,
-            start_time=self.plan_origin_time, exclude=(self.ugv_edge,),
+            start_time=self.plan_origin_time, exclude=self.ugv_edge,
         )
         rec.critical_edges = len(critical)
         plan = PLANNERS[self.cfg.planner]

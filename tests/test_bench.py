@@ -344,7 +344,8 @@ class TestExperimentHarness:
         rows = bench.run_instance_suite(self.spec(), 0)
         totals = list(bench.run_totals(sim.run(*bench.demo_instance(), SimulationConfig())))
         assert [c for c in bench.RUN_COLUMNS if c not in totals] == [
-            "instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time", "label", "n_vertices"]
+            "instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time", "family", "label",
+            "n_vertices"]
         assert totals == [c for c in bench.RUN_COLUMNS if c in totals]
         assert all(sorted(r) == sorted(bench.RUN_COLUMNS) for r in rows)
         # The naive baseline first, then k-major, planner-minor: runs.csv's row order.
@@ -379,6 +380,27 @@ class TestExperimentHarness:
             naive_cost = fmean(naive[r["seed"], r["label"], r["instance_id"]] for r in runs)
             assert s["naive_cost"] == naive_cost
             assert s["delta_pct"] == bench.delta_percent(s["LB"], naive_cost, s["cost"])
+
+    def test_report_keeps_families_apart(self, tmp_path):
+        # Two families' default specs share the label "", and at one seed
+        # their runs share instance ids; concatenated, each family still
+        # reads as it does alone.
+        rows, alone = [], []
+        for family in ("bridge", "grid"):
+            spec = bench.ExperimentSpec(family=family, n_instances=1, k_values=(2,), planners=("paa",))
+            summary, _ = bench.run_experiment(spec, str(tmp_path / family))
+            alone += summary
+            rows += bench.read_runs_csv(str(tmp_path / family / "runs.csv"))
+        assert [(r["family"], r["label"], r["n"]) for r in alone] == [("bridge", "", 1), ("grid", "", 1)]
+        assert bench.summarize_rows(rows) == alone
+        # A runs.csv from before the family column reads as family "".
+        with open(tmp_path / "grid" / "runs.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        col = table[0].index("family")
+        old = tmp_path / "old_runs.csv"
+        with open(old, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:col] + row[col + 1:] for row in table)
+        assert {r["family"] for r in bench.read_runs_csv(str(old))} == {""}
 
     def test_counter_columns_total_each_runs_replans(self, tmp_path):
         # Each counter column is the run's own total: the same mission run

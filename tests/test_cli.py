@@ -215,7 +215,7 @@ class TestSimulate:
 
         (row,) = (r for r in bench.read_runs_csv(str(out / "runs.csv")) if r["planner"] == planner)
         instance_keys = ("instance_id", "seed", "planner", "k", "LB", "cost", "arrival_time",
-                         "label", "n_vertices")
+                         "family", "label", "n_vertices")
         totals = [c for c in bench.RUN_COLUMNS if c not in instance_keys]
         assert lines[:2] == [["arrival_time", repr(row["arrival_time"])], ["lower_bound", repr(row["LB"])]]
         assert [name for name, _ in lines[2:]] == totals
@@ -566,6 +566,21 @@ class TestExperimentAndReport:
         assert loads == [str(road)]
         assert len(bench.read_runs_csv(str(tmp_path / "ok" / "runs.csv"))) == 3 * 2
 
+    def test_road_base_file_takes_no_n_vertices(self, tmp_path, capsys):
+        # A base file fixes the network, so a size beside it is a data error
+        # rather than a label for a size no instance has.
+        road = tmp_path / "road.txt"
+        save_instance(bench.generate_road_like(12, seed=1), str(road))
+        spec = tmp_path / "exp.json"
+        spec.write_text(json.dumps({
+            "family": "road", "n_instances": 1, "k_values": [1], "planners": ["paa"],
+            "specs": [{"base_file": str(road), "n_vertices": 12}],
+        }))
+        out = tmp_path / "results"
+        assert run_cli("experiment", "--spec", str(spec), "--out", str(out)) == DATA_ERROR
+        assert "n_vertices" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_road_file_fails_before_running(self, tmp_path):
         corrupt = tmp_path / "corrupt.txt"
         corrupt.write_text("sapp 1\nv 0 a b\n")
@@ -589,17 +604,17 @@ class TestExperimentAndReport:
     @pytest.mark.parametrize(
         "row,where",
         [
-            ("0,1,naive,x,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3:"),  # non-numeric k
-            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1", ":3:"),  # one cell short
-            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0,9", ":3:"),  # one cell long
-            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,\xff,5,0.1,0", "not UTF-8"),
-            ("0,1,naive,1,inf,3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3: LB inf"),
-            ("0,1,naive,1,2.0,-3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3: cost -3.0"),
-            ("0,1,naive,1,2.0,3.0,3.0,-1,0.1,0.1,,5,0.1,0", ":3: n_replans -1"),
-            ("0,1,naive,1,2.0,3.0,nan,1,0.1,0.1,,5,0.1,0", ":3: arrival_time nan"),
-            ("0,1,naive,0,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0", ":3: k 0"),
-            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,0,0.1,0", ":3: n_vertices 0"),
-            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1," + "x" * 200_000 + ",5,0.1,0", ":3: field larger"),
+            ("0,1,naive,x,2.0,3.0,3.0,1,0.1,0.1,bridge,,5,0.1,0", ":3:"),  # non-numeric k
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,bridge,,5,0.1", ":3:"),  # one cell short
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,bridge,,5,0.1,0,9", ":3:"),  # one cell long
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,bridge,\xff,5,0.1,0", "not UTF-8"),
+            ("0,1,naive,1,inf,3.0,3.0,1,0.1,0.1,bridge,,5,0.1,0", ":3: LB inf"),
+            ("0,1,naive,1,2.0,-3.0,3.0,1,0.1,0.1,bridge,,5,0.1,0", ":3: cost -3.0"),
+            ("0,1,naive,1,2.0,3.0,3.0,-1,0.1,0.1,bridge,,5,0.1,0", ":3: n_replans -1"),
+            ("0,1,naive,1,2.0,3.0,nan,1,0.1,0.1,bridge,,5,0.1,0", ":3: arrival_time nan"),
+            ("0,1,naive,0,2.0,3.0,3.0,1,0.1,0.1,bridge,,5,0.1,0", ":3: k 0"),
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,bridge,,0,0.1,0", ":3: n_vertices 0"),
+            ("0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,bridge," + "x" * 200_000 + ",5,0.1,0", ":3: field larger"),
         ],
         ids=["non-numeric", "short", "long", "not-utf8", "LB-inf", "negative-cost",
              "negative-replans", "nan-arrival", "k-zero", "no-vertices", "oversize-label"],
@@ -608,7 +623,7 @@ class TestExperimentAndReport:
         # A good row, then the bad one on line 3; without it report succeeds.
         # The header leaves out the counter columns, which may be absent.
         runs = tmp_path / "runs.csv"
-        good = "0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0"
+        good = "0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,bridge,,5,0.1,0"
         text = ",".join(c for c in bench.RUN_COLUMNS if c not in bench.COUNTER_COLUMNS) + "\n" + good + "\n"
         runs.write_bytes(text.encode() + row.encode("latin-1") + b"\n")
         assert run_cli("report", "--in", str(runs), "--out", str(tmp_path / "ok.csv")) == DATA_ERROR
@@ -630,7 +645,7 @@ class TestExperimentAndReport:
     def test_report_range_checks_counter_columns(self, tmp_path, capsys, counters, where):
         # The counter columns, when present, are read and checked like the rest.
         runs = tmp_path / "runs.csv"
-        good = "0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,,5,0.1,0,"
+        good = "0,1,naive,1,2.0,3.0,3.0,1,0.1,0.1,bridge,,5,0.1,0,"
         text = ",".join(bench.RUN_COLUMNS) + "\n" + good + "1,0,0,0,0,0,0,0,0\n"
         runs.write_text(text + good + counters + "\n")
         assert run_cli("report", "--in", str(runs), "--out", str(tmp_path / "ok.csv")) == DATA_ERROR

@@ -133,7 +133,7 @@ class TestSelection:
         inst, _ = bench.demo_instance()
         view = PlanningCostView(inst)
         pset, crit, ctx = make_context(inst, view, 1)
-        assert paa.select_edge({}, *ctx) is None
+        assert paa.select_edge({}, *ctx) == []
 
     def test_single_edge_selected_regardless_of_weights(self, monkeypatch):
         coords = [(0.0, 0.0), (4.0, 0.0), (6.0, 0.0)]
@@ -142,7 +142,7 @@ class TestSelection:
         for w in (paa.WEIGHTS, (1, 0, 0, 0), (0, 0, 0, 9)):
             monkeypatch.setattr(paa, "WEIGHTS", w)
             pset, crit, ctx = make_context(inst, view, 1)
-            assert paa.select_edge(crit, *ctx) == (min(crit), 1)
+            assert paa.select_edge(crit, *ctx) == [(min(crit), 1)]
 
     def test_matches_independent_recomputation(self, rng):
         checked = 0
@@ -166,7 +166,7 @@ class TestSelection:
             want = max(oracle.items(), key=lambda kv: (kv[1][0], -kv[0]))[0]
             rec = inst.edges[want]
             nearer_v = ctx.metric.cost(inst.q, rec.v) < ctx.metric.cost(inst.q, rec.u)
-            assert paa.select_edge(crit, *ctx) == (want, rec.v if nearer_v else rec.u)
+            assert paa.select_edge(crit, *ctx) == [(want, rec.v if nearer_v else rec.u)]
 
     def test_argmax_invariant_under_weight_scaling(self, rng, monkeypatch):
         weights = paa.WEIGHTS
@@ -197,7 +197,7 @@ class TestSelection:
         pset, crit, ctx = make_context(inst, view, 2)
         scored = paa.score_edges(crit, *ctx)
         assert scored[0].score == pytest.approx(scored[1].score)
-        assert paa.select_edge(crit, *ctx) == (min(crit), 0)
+        assert paa.select_edge(crit, *ctx) == [(min(crit), 0)]
 
     @pytest.mark.parametrize("q,start", [(2, 2), (3, 1)])
     def test_inspection_starts_at_nearer_endpoint_u_on_ties(self, q, start):
@@ -210,5 +210,5 @@ class TestSelection:
         )
         pset, crit, ctx = make_context(inst, PlanningCostView(inst), 1)
         assert crit.keys() == {1}
-        assert paa.select_edge(crit, *ctx) == (1, start)
+        assert paa.select_edge(crit, *ctx) == [(1, start)]
         assert paa.score_edges(crit, *ctx)[0].start == start

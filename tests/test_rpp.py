@@ -66,7 +66,7 @@ class TestExtractCriticalEdges:
         view.reveal(1, 18.0)
         crit = rpp.extract_critical_edges(pset, view, inst)
         assert list(crit) == [4]
-        crit = rpp.extract_critical_edges(pset, view, inst, exclude=(4,))
+        crit = rpp.extract_critical_edges(pset, view, inst, exclude=4)
         assert crit == {}
 
 

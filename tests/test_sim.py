@@ -4,6 +4,7 @@ import random
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -26,6 +27,7 @@ from scoutplan.core import (
     PlanningCostView,
     ProblemInstance,
     Realization,
+    UavMetric,
     UniformCost,
     descend,
     dijkstra,
@@ -412,6 +414,33 @@ class TestNaiveStep:
         reveals = [e for e in out.events if e.kind == "reveal" and e.data[2] == "uav"]
         assert reveals and reveals[0].data[0] == 1
         assert out.arrival_time == 18.0
+
+
+class TestPlannerContract:
+    def test_every_planner_returns_its_inspection_list(self):
+        # Each sim.PLANNERS entry hands the engine a list of (edge id, start
+        # vertex) pairs over the critical edges it was given: the tour's
+        # visits, paa's or naive's single pick, or none.  The engine fields
+        # below are all that the planners read.
+        picked = dict.fromkeys(sim.PLANNERS, 0)
+        for i in range(6):
+            inst, _, _ = bench.make_instance(bench.BridgeSpec(n_paths=4, chain_len=8), f"0:{i}")
+            view = PlanningCostView(inst)
+            pset = kspp.update_k_paths(inst, view, dstar.initialize(inst), inst.p, [], 3)
+            eng = SimpleNamespace(metric=UavMetric(inst), view=view, pset=pset, cfg=SimulationConfig(k=3))
+            critical = rpp.extract_critical_edges(pset, view, inst)
+            for name, plan in sim.PLANNERS.items():
+                got = plan(eng, critical, inst.q, 0.0, sim.ReplanRecord("init"))
+                assert type(got) is list
+                assert len({eid for eid, _ in got}) == len(got) <= (len(critical) if name == "rpp" else 1)
+                for eid, start in got:
+                    assert eid in critical and start in (inst.edges[eid].u, inst.edges[eid].v)
+                picked[name] += len(got)
+            naive = sim.naive_step(eng.metric, critical, pset, inst.q, 0.0)
+            assert naive == sim.PLANNERS["naive"](eng, critical, inst.q, 0.0, sim.ReplanRecord("init"))
+            assert sim.naive_step(eng.metric, {}, pset, inst.q, 0.0) == []
+        assert picked["none"] == 0
+        assert all(picked[name] for name in ("rpp", "paa", "naive")), picked
 
 
 class TestReplanSemantics:
