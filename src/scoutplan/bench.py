@@ -607,8 +607,11 @@ def run_experiment(
                  "error": type(exc).__name__, "message": str(exc)}
             )
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The executor forks all of its workers at the first submit, so it gets
+    # no more than there are instances; one instance runs in this process.
+    workers = min(jobs, n)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_instance_suite, spec, i) for i in range(n)]
             for i, fut in enumerate(futures):
                 collect(i, fut.result)

@@ -288,9 +288,9 @@ class UavMetric:
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
         self._free, self._coords, self._speed = inst.uav_free_flight, inst.vertices, inst.uav_speed
-        self._cache: dict[int, tuple[list[float], list[int], int]] = {}
+        self._cache: dict[int, tuple[list[float], dict[int, int], int]] = {}
 
-    def _sssp(self, src: int) -> tuple[list[float], list[int], int]:
+    def _sssp(self, src: int) -> tuple[list[float], dict[int, int], int]:
         hit = self._cache.get(src)
         if hit is None:
             hit = dijkstra(self.inst.adj, src, self.inst.uav_costs)
@@ -330,15 +330,17 @@ def dijkstra(
     cost: Sequence[float],
     target: int | None = None,
     dist: list[float] | None = None,
-) -> tuple[list[float], list[int], int]:
+) -> tuple[list[float], dict[int, int], int]:
     """Shortest paths from source over an adjacency list of
     (neighbor, edge id) pairs.
 
     cost is a sequence of edge costs indexed by edge id, such as
     ``PlanningCostView.costs``; infinite costs hide edges.  Returns
-    (distance, parent, settled): parent holds the id of the edge by which
-    each vertex was reached (-1 for the source and unreached vertices), and
-    settled counts the vertices expanded.
+    (distance, parent, settled): parent maps each vertex whose distance the
+    search lowered to the id of the edge by which it was last reached, and
+    settled counts the vertices expanded.  Its keys are the reached
+    vertices but the source; the source and unreached vertices are absent,
+    so a search allocates only for what it reaches.
 
     Without a target every reachable vertex is settled.  With one, the
     search stops at the first popped distance above the target's.  Pops
@@ -354,13 +356,14 @@ def dijkstra(
     frontier gives, so the search never improves it, or no less than the
     target's, so it is popped only once a path improves it; the paths from
     the frontier then play the part of the source's in everything above.
+    A frontier vertex is a key of parent only if the search lowers its
+    entry.
     """
-    n = len(adj)
     if dist is None:
-        dist = [INF] * n
+        dist = [INF] * len(adj)
         dist[source] = 0.0
         source = (source,)
-    parent = [-1] * n
+    parent: dict[int, int] = {}
     pq = [(dist[v], v) for v in source]
     heapq.heapify(pq)
     settled = 0

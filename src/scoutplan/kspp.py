@@ -60,11 +60,15 @@ class ReverseTree:
     none, -2: unread).  ``cost`` copies the view's costs with the hidden
     edges at INF.  ``mark`` flags the yellow vertices, the subtrees below
     the hidden tree edges, walking down from the (v, e) ``roots`` that
-    ``hide`` queues (v yellow if e is its parent edge).
+    ``hide`` queues (v yellow if e is its parent edge).  ``scratch`` is
+    the one copy of ``dist`` that the spur searches write into; each
+    search restores what it wrote, so between searches it equals ``dist``
+    entry for entry.
     """
 
     def __init__(self, view: PlanningCostView, state: DStarState):
         self.inst, self.dest, self.view_costs, self.dist = state.inst, state.inst.d, view.costs, state.g
+        self.scratch = state.g.copy()
         self.parent = [-2] * len(state.g)
         self.parent[self.dest] = -1
         self.reset()
@@ -143,11 +147,16 @@ def spur_search(
     and the descent walks a full search's path, lowest id on ties.  A
     yellow vertex past the limit keeps its tree distance, or gives sums
     from it, at or past the cap: never lowered, popped or descended to.
+
+    The search therefore writes only the marked vertices and the spur, and
+    it runs in ``tree.scratch``, which it hands back with those entries
+    set to the tree distances again: its cost is that of what it touches,
+    not of the graph.
     """
-    adj, cost, yellow = tree.inst.adj, tree.cost, tree.yellow
+    adj, cost, yellow, dist = tree.inst.adj, tree.cost, tree.yellow, tree.scratch
     cap = math.nextafter(limit, INF)
-    dist, frontier = tree.dist.copy(), []
-    for y in tree.mark(limit):
+    marked, frontier = tree.mark(limit), []
+    for y in marked:
         dist[y] = INF
         for w, eid in adj[y]:
             if not yellow[w] and (alt := dist[w] + cost[eid]) < dist[y]:
@@ -156,7 +165,12 @@ def spur_search(
             frontier.append(y)
     dist[spur] = min(dist[spur], cap)
     _, _, settled = dijkstra(adj, frontier, cost, spur, dist=dist)
-    return None if dist[spur] == cap else descend(adj, dist, cost, spur, tree.dest), settled
+    found = None if dist[spur] == cap else descend(adj, dist, cost, spur, tree.dest)
+    g = tree.dist
+    for y in marked:
+        dist[y] = g[y]
+    dist[spur] = g[spur]
+    return found, settled
 
 
 def rank_limit(pool: list[tuple[float, tuple[int, ...], Path]], need: int) -> float:
@@ -173,12 +187,19 @@ def update_k_paths(
 
     Only the rank-1 repair touches the shared search state; it stops at
     v_curr when k = 1 and drains for the spur searches of ranks 2..k, which
-    run against one ``ReverseTree`` read off it.  Each ranked
-    path is walked once, root by root: a step hides the edges of the vertex
-    just made interior and the next edge of each accepted path still sharing
-    the root, and adds one edge to the root's cost, left to right as
-    ``view.path_cost`` sums.  Lawler's rule spurs a path only from its
-    ``deviation`` index; a candidate is new when its vertices are not a key.
+    run against one ``ReverseTree`` read off it.  Lawler's rule spurs a
+    path only from its ``deviation`` index ``first``, kept with the root's
+    cost there; a candidate is new when its vertices are not a key.  The
+    walk starts at ``first``: one ``hide`` call prices every edge of
+    ``vs[:first]`` at INF, the union of what the steps before would hide,
+    as each sharing and chain edge hidden there touches one of those
+    vertices, and one prefix comparison finds the accepted paths sharing
+    the root ``vs[:first + 1]``.  Each later step hides the edges of the
+    vertex just made interior and the next edge of each accepted path still
+    sharing the root, and adds one edge to the root's cost, left to right
+    as ``view.path_cost`` sums.  The seeded searches pop by (distance,
+    vertex), so the order in which the edges are hidden changes no path and
+    no count.
 
     Chain vertices.  Edges are never parallel and paths are loopless, so a
     vertex with exactly two ``adj`` entries, reached at j >= 1, has
@@ -218,31 +239,30 @@ def update_k_paths(
     adj, costs = inst.adj, view.costs
     slack = 1.0 + 4 * len(adj) * 2.0**-53
     pool: list[tuple[float, tuple[int, ...], Path]] = []
-    deviation = {accepted[0].vertices: 0}
+    deviation = {accepted[0].vertices: (0, 0.0)}
     tree = ReverseTree(view, state)
     searches = isolated = nopath = settled = pruned = 0
 
     for _ in range(2, k + 1):
         prev = accepted[-1]
-        vs, first = prev.vertices, deviation[prev.vertices]
+        vs, (first, root_cost) = prev.vertices, deviation[prev.vertices]
         x = rank_limit(pool, k - len(accepted))
-        sharing, root_cost, chain = accepted, 0.0, False
-        for j, spur in enumerate(vs[:-1]):
-            if j:
+        tree.hide([eid for v in vs[:first] for _, eid in adj[v]])
+        root = vs[:first + 1]
+        sharing = [p for p in accepted if p.vertices[:first + 1] == root]
+        for j in range(first, len(vs) - 1):
+            spur = vs[j]
+            if j > first:
                 root_cost += costs[prev.edges[j - 1]]
-            if not chain:  # after a chain vertex both would change nothing
-                if j:
+                if not chain:  # after a chain vertex both would change nothing
                     tree.hide([eid for _, eid in adj[vs[j - 1]]])
-                sharing = [p for p in sharing if p.vertices[j] == spur]
+                    sharing = [p for p in sharing if p.vertices[j] == spur]
             chain = j > 0 and len(adj[spur]) == 2
             if chain:  # in by a hidden edge, on by prev's next edge: both INF
                 tree.hide((prev.edges[j],))
-                if j >= first:
-                    isolated += 1
+                isolated += 1
                 continue
             tree.hide([p.edges[j] for p in sharing])
-            if j < first:
-                continue
             bound, limit = tree.lower_bound(spur), x * slack - root_cost
             if bound == INF:  # every edge at the spur is hidden: tree distances are finite
                 isolated += 1
@@ -261,7 +281,7 @@ def update_k_paths(
                 edges = prev.edges[:j] + spur_path[1]
                 cost = view.path_cost(edges)
                 if cost <= x:
-                    deviation[vertices] = j
+                    deviation[vertices] = (j, root_cost)
                     bisect.insort(pool, (cost, vertices, Path(vertices, edges, cost)))
                     x = rank_limit(pool, k - len(accepted))
         if not pool:

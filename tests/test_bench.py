@@ -4,6 +4,8 @@ import json
 import os
 import pickle
 import random
+from concurrent.futures import Future
+from dataclasses import replace
 from statistics import fmean
 
 import pytest
@@ -309,6 +311,43 @@ class TestExperimentHarness:
         assert bench.ExperimentSpec(family="grid").specs == (bench.GridSpec(),)
         assert bench.ExperimentSpec(family="road").specs == (bench.RoadSpec(),)
         assert bench.ExperimentSpec().specs == (bench.BridgeSpec(),)
+
+    def test_jobs_start_no_more_workers_than_instances(self, monkeypatch, tmp_path):
+        # The process pool forks all of its workers at the first submit, so
+        # --jobs above the instance count gets one worker per instance, and
+        # one instance runs with no pool.  The pool here records its size
+        # and runs each task inline: no process is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        def run(spec, jobs):
+            summary, failures = bench.run_experiment(spec, str(tmp_path / f"jobs{jobs}"), jobs=jobs)
+            assert failures == []
+            return [{key: v for key, v in row.items() if not key.endswith("_ms")} for row in summary]
+
+        spec = replace(self.spec(), k_values=(1,), planners=("paa",))
+        want = run(spec, 1)
+        assert sizes == []
+        for jobs, size in ((64, 3), (2, 2)):
+            assert run(spec, jobs) == want
+            assert sizes.pop() == size
+        bench.run_experiment(replace(spec, n_instances=1), str(tmp_path / "one"), jobs=64)
+        assert sizes == []
 
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
         out1 = tmp_path / "run1"

@@ -18,6 +18,7 @@ from scoutplan.core import (
     Realization,
     UavMetric,
     UniformCost,
+    dijkstra,
     load_instance,
     load_realization,
     sample_realization,
@@ -127,6 +128,33 @@ class TestCostOwners:
         # Rooted at p, the oracle sums each path from p, as lower_bound does.
         dist = oracles.dijkstra_to_dest(inst, oracles.view_costs(inst, view), inst.p)
         assert sim.lower_bound(inst, real) == dist[inst.d]
+
+
+class TestDijkstra:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_parent_keys_are_the_reached_vertices_but_the_sources(self, seed, data):
+        # Aerial-only edges and hidden edges leave vertices unreached.  In a
+        # full search and in a seeded one from several vertices at 0, with or
+        # without a target, parent holds exactly the reached vertices but
+        # the sources, each by a tight edge.
+        rng = random.Random(seed)
+        inst = with_aerial_only_edges(random_connected_instance(rng, n_min=4), rng)
+        n, cost = inst.n_vertices, list(inst.prior_costs)
+        for eid in data.draw(st.lists(st.integers(0, len(cost) - 1), max_size=3), label="hidden"):
+            cost[eid] = INF
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True), label="sources")
+        target = data.draw(st.none() | st.integers(0, n - 1), label="target")
+        if len(sources) == 1 and data.draw(st.booleans(), label="full"):
+            dist, parent, _ = dijkstra(inst.adj, sources[0], cost, target)
+        else:
+            seeds = [INF] * n
+            for v in sources:
+                seeds[v] = 0.0
+            dist, parent, _ = dijkstra(inst.adj, sources, cost, target, dist=seeds)
+        assert set(parent) == {v for v in range(n) if dist[v] < INF} - set(sources)
+        for v, eid in parent.items():
+            assert dist[v] == dist[inst.edges[eid].other(v)] + cost[eid]
 
 
 class TestUavTransit:

@@ -367,13 +367,14 @@ class TestSpurSearch:
     def check_roots(inst, view, rng, trials):
         """Spur paths equal the oracle's shortest path with the same edges and
         root vertices blocked, from a tree shared by every trial and from a
-        fresh one, and the hidden edges never reach the view's shared cost
-        list.  Half the trials take successive roots of one of the first
-        Yen paths, hiding what a k-path update would, so the shared tree's
-        hidden set grows root by root; the rest hide a random edge set and
-        spur from a random vertex.  Returns how many spurs lay outside the
-        yellow set and how many hidden sets held both tree and non-tree
-        edges."""
+        fresh one; every search, capped ones included, hands back the tree's
+        scratch array equal to its distances; and the hidden edges never
+        reach the view's shared cost list.  Half the trials take successive
+        roots of one of the first Yen paths, hiding what a k-path update
+        would, so the shared tree's hidden set grows root by root; the rest
+        hide a random edge set and spur from a random vertex.  Returns how
+        many spurs lay outside the yellow set and how many hidden sets held
+        both tree and non-tree edges."""
         shared = view.costs.copy()
         costs = oracles.view_costs(inst, view)
         paths = oracles.yen_k_paths(inst, costs, inst.p, inst.d, 3)
@@ -406,16 +407,18 @@ class TestSpurSearch:
                     got, settled = kspp.spur_search(t, root[-1], INF)
                     assert got == (None if want is None else (want, edge_walk(inst, want)))
                     assert settled <= len(yellow)
+                    assert t.scratch == t.dist
                 if got is not None and got[1]:
                     # The limit admits a path of exactly its cost, and
-                    # nothing one float below it; the capped searches
-                    # settle no more than the uncapped one.  They run on
-                    # the fresh tree, as the shared one searches at INF
-                    # again at its next root.
+                    # nothing at one float below it or at half of it; the
+                    # capped searches settle no more than the uncapped one.
+                    # They run on the fresh tree, as the shared one searches
+                    # at INF again at its next root.
                     d = spur_distance(fresh.cost, got[1])
-                    for limit, found in ((d, got), (math.nextafter(d, 0.0), None)):
+                    for limit, found in ((d, got), (math.nextafter(d, 0.0), None), (d / 2, None)):
                         path, n = kspp.spur_search(fresh, root[-1], limit)
                         assert path == found and n <= settled
+                        assert fresh.scratch == fresh.dist
                 assert view.costs == shared
         return outside, mixed
 
@@ -756,6 +759,52 @@ def test_parents_the_tree_reads_match_the_eager_rule(mission, k):
             for tree in trees:
                 assert all(p in (-2, want) for p, want in zip(tree.parent, parents))
             trees.clear()
+            if len(pset.paths[0].vertices) > 2:
+                v_curr = pset.paths[0].vertices[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mission=_tie_heavy_missions(), k=st.integers(2, 6))
+def test_searches_see_yens_hidden_set_and_hand_back_the_tree_distances(mission, k):
+    # A walk starts at its deviation index, with the edges of the vertices
+    # before it hidden in one call and the paths sharing its root found by
+    # one prefix comparison.  At every search the tree hides exactly Yen's
+    # set for the root: every edge of its interior vertices and the next
+    # edge of every accepted path sharing it.  Every search hands back its
+    # scratch array equal to the tree distances, entry for entry.
+    inst, reveals = mission
+    search, reset = kspp.spur_search, kspp.ReverseTree.reset
+    walk, seen = 0, []
+
+    def counting_reset(tree):
+        nonlocal walk
+        walk += 1
+        reset(tree)
+
+    def checked_search(tree, spur, limit):
+        seen.append((walk, spur, hidden_edges(tree)))
+        found = search(tree, spur, limit)
+        assert tree.scratch == tree.dist
+        return found
+
+    view = PlanningCostView(inst)
+    state = dstar.initialize(inst)
+    v_curr, changed = inst.p, []
+    with mock.patch.object(kspp, "spur_search", checked_search), \
+            mock.patch.object(kspp.ReverseTree, "reset", counting_reset):
+        for eid, high in [(None, 0)] + reveals:
+            if eid is not None:
+                window = inst.edges[eid].distribution
+                view.reveal(eid, float((window.t_min, window.t_max)[high]))
+                changed = [eid]
+            walk = 0  # the tree's constructor resets it: the first walk is 1
+            pset = kspp.update_k_paths(inst, view, state, v_curr, changed, k)
+            paths = [p.vertices for p in pset.paths]
+            for m, spur, hidden in seen:
+                walked = paths[m - 1]
+                root = walked[: walked.index(spur) + 1]
+                assert hidden == oracles.yen_hidden_edges(inst, paths[:m], root)
+            seen.clear()
             if len(pset.paths[0].vertices) > 2:
                 v_curr = pset.paths[0].vertices[1]
 

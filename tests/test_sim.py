@@ -106,12 +106,14 @@ def _missions():
 
 def _recorded(module, call):
     """call()'s value and the results of the ``dijkstra`` runs it made
-    through ``module``."""
+    through ``module``, each with a copy of its distance list as the run
+    returned it: a caller may write the list back afterwards."""
     results = []
 
     def recording(*args, **kwargs):
-        results.append(dijkstra(*args, **kwargs))
-        return results[-1]
+        dist, parent, settled = dijkstra(*args, **kwargs)
+        results.append((dist.copy(), parent, settled))
+        return dist, parent, settled
 
     with mock.patch.object(module, "dijkstra", recording):
         return call(), results
