@@ -161,6 +161,7 @@ class ProblemInstance:
         if not _positive_finite(self.uav_speed):
             raise InstanceError(f"uav_speed {self.uav_speed} is not finite and positive")
         seen_pairs: set[tuple[int, int]] = set()
+        ground = aerial = 0.0  # every edge's largest ground cost and its aerial cost, summed
         for i, e in enumerate(self.edges):
             if e.id != i:
                 raise InstanceError(f"edge ids must be dense, got {e.id} at index {i}")
@@ -187,6 +188,12 @@ class ProblemInstance:
                 raise InstanceError(
                     f"edge {e.id}: unimpeded UGV edge needs a finite positive cost"
                 )
+            aerial += e.uav_cost
+            ground += e.distribution.t_max if e.impeded else e.ugv_cost or 0.0  # aerial-only: nothing
+        # Then no path's cost, nor the sum of two, overflows to INF.
+        if not 2 * max(ground, aerial) < INF:
+            kind = "ground" if ground >= aerial else "aerial"
+            raise InstanceError(f"{kind} edge costs sum past half the largest float")
 
     def _connected(self) -> bool:
         n = len(self.vertices)
@@ -381,6 +388,20 @@ def dijkstra(
                 parent[w] = eid
                 heapq.heappush(pq, (alt, w))
     return dist, parent, settled
+
+
+def lookahead(
+    adj: list[list[tuple[int, int]]], cost: Sequence[float], dist: Sequence[float], v: int
+) -> float:
+    """D* Lite's one-step lookahead (rhs) of v: the least edge cost plus
+    dist[w] over v's (neighbor w, edge id) pairs, INF if none is finite.
+    With dist exact towards a destination, no path from v costs less."""
+    best = INF
+    for w, eid in adj[v]:
+        cand = cost[eid] + dist[w]
+        if cand < best:
+            best = cand
+    return best
 
 
 def descend(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend
+from .core import INF, NoPathError, Path, PlanningCostView, ProblemInstance, descend, lookahead
 
 
 class AddressableHeap:
@@ -82,18 +82,6 @@ def update_vertex(state: DStarState, v: int) -> None:
         state.queue.remove(v)
 
 
-def lookahead(state: DStarState, cost: list[float], v: int) -> float:
-    """rhs by definition: the minimum over v's neighbors w of the edge cost
-    (``cost`` is indexed by edge id) plus g(w)."""
-    g = state.g
-    best = INF
-    for w, eid in state.inst.adj[v]:
-        cand = cost[eid] + g[w]
-        if cand < best:
-            best = cand
-    return best
-
-
 def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
     """Repair both endpoints of a changed edge (the view already holds its
     new cost) by recomputing their lookaheads.
@@ -105,7 +93,7 @@ def rhs_update(state: DStarState, view: PlanningCostView, eid: int) -> None:
     rec = state.inst.edges[eid]
     for v in (rec.u, rec.v):
         if v != state.inst.d:
-            state.rhs[v] = lookahead(state, view.costs, v)
+            state.rhs[v] = lookahead(state.inst.adj, view.costs, state.g, v)
     update_vertex(state, rec.u)
     update_vertex(state, rec.v)
 
@@ -117,8 +105,7 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
     these float sums: its distance bit for bit (INF when unreachable).  A
     key is never stale: ``update_vertex`` runs whenever a g or rhs changes,
     so the top entry's key is min(g, rhs) of its vertex.  The loop drops
-    the queue's dead heap entries itself and computes the underconsistent
-    branch's lookaheads inline, as ``lookahead`` does.
+    the queue's dead heap entries itself.
 
     A stopped repair leaves the rest queued for the next one.  Stop is then
     consistent (its key would be at least the top key), and a vertex with g
@@ -159,11 +146,7 @@ def compute_shortest_path(state: DStarState, view: PlanningCostView, stop: int |
             g[v] = INF
             for s, eid in adj[v]:
                 if rhs[s] == cost[eid] + g_old and s != dest:
-                    r = INF  # s's lookahead
-                    for w, e in adj[s]:
-                        cand = cost[e] + g[w]
-                        if cand < r:
-                            r = cand
+                    r = lookahead(adj, cost, g, s)
                     if r != rhs[s]:
                         rhs[s] = r
                         update_vertex(state, s)

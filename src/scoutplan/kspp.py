@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import dstar
-from .core import INF, Path, PlanningCostView, ProblemInstance, descend, dijkstra
+from .core import INF, Path, PlanningCostView, ProblemInstance, descend, dijkstra, lookahead
 from .dstar import DStarState
 
 
@@ -116,10 +116,6 @@ class ReverseTree:
                 if cost[eid] + dv == dist[x] < INF and not yellow[x]:
                     stack.append((x, eid))
         return marked
-
-    def lower_bound(self, v: int) -> float:
-        """min(cost + dist) over v's edges: no path from v costs less."""
-        return min(self.cost[eid] + self.dist[w] for w, eid in self.inst.adj[v])
 
     def reset(self) -> None:
         """Restore the view's costs and clear the hidden edges and marks."""
@@ -218,9 +214,10 @@ def update_k_paths(
     round pops the cheapest and ``need`` falls by one), so it is dropped; a
     vertex sequence has one cost (no parallel edges), so it is dropped again
     if found again.  Ties with X are kept, as the pool orders them by
-    vertices.  A spur is pruned when the tree's lower bound exceeds its
-    ``limit``, X less the root's cost, and otherwise searched within it;
-    along a walk X falls and the root's cost grows, so the limits never rise.
+    vertices.  A spur is pruned when its lower bound, its ``lookahead``
+    over the tree's costs and distances, exceeds its ``limit``, X less the
+    root's cost, and otherwise searched within it; along a walk X falls and
+    the root's cost grows, so the limits never rise.
 
     Rounding.  Costs are non-negative and a path has under n = len(adj)
     edges.  A candidate's cost, a spur distance (at most the float sum from
@@ -263,7 +260,7 @@ def update_k_paths(
                 isolated += 1
                 continue
             tree.hide([p.edges[j] for p in sharing])
-            bound, limit = tree.lower_bound(spur), x * slack - root_cost
+            bound, limit = lookahead(adj, tree.cost, tree.dist, spur), x * slack - root_cost
             if bound == INF:  # every edge at the spur is hidden: tree distances are finite
                 isolated += 1
                 continue

@@ -11,8 +11,6 @@ deadlines.
 
 from __future__ import annotations
 
-import math
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -136,50 +134,6 @@ class RppSolution:
         return len(self.best_visited) - 1
 
 
-def _largest_under(t: float, least: float) -> float:
-    """The largest float x >= 0 with fl(x + least) <= t, -INF if there is
-    none; ``least`` >= 0."""
-    if not least <= t:
-        return -INF
-    x = t - least  # the answer, or next to it unless the sum drops low bits of x
-    if x + least <= t:
-        if not math.nextafter(x, INF) + least <= t:
-            return x
-    elif (down := math.nextafter(x, -INF)) + least <= t:
-        return down
-    # Bisect the bit patterns of [0, t], which order the floats they encode.
-    lo, hi = 0, struct.unpack("<q", struct.pack("<d", t))[0]
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if struct.unpack("<d", struct.pack("<q", mid))[0] + least <= t:
-            lo = mid
-        else:
-            hi = mid - 1
-    return struct.unpack("<d", struct.pack("<q", lo))[0]
-
-
-def tie_thresholds(best_cost: float, least: float, ties: int) -> list[float]:
-    """T[m] for m < max(ties, 1): from c = fl(new_cost + min_out), adding
-    ``least`` m times, one float sum at a time, ends below ``best_cost``
-    iff c <= T[m], for any c >= 0 (INF included).
-
-    T[0] is the largest float below ``best_cost``; T[m] is the largest x >= 0
-    with fl(x + least) <= T[m - 1] (-INF if none).  For x, y >= 0 and
-    ``least`` >= 0, fl(x + least) >= x, and x <= y gives fl(x + least) <=
-    fl(y + least), as rounding is monotone.  So the x >= 0 with fl(x +
-    least) <= T[m - 1] are exactly those up to T[m], and by induction the
-    sum after m additions is at most T[0] iff c is at most T[m].  A sum
-    never falls as it grows, so stopping the additions once it reaches
-    ``best_cost`` decides the same.
-    """
-    t = math.nextafter(best_cost, -INF)
-    thresholds = [t]
-    for _ in range(1, ties):
-        t = _largest_under(t, least)
-        thresholds.append(t)
-    return thresholds
-
-
 def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     """Exact depth-first search over inspection orders.
 
@@ -193,9 +147,8 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     ``tie`` more arcs, the first out of v and each later one between
     direction nodes, so it costs at least c, plus ``min_out[v]``, plus the
     least arc between direction nodes ``tie - 1`` times, added one at a
-    time; ``tie_thresholds`` decides whether that sum is below the
-    incumbent's cost with one comparison, computed once per incumbent when
-    a tie first needs them.  Adding non-negative arcs is monotone in floats,
+    time and stopped once the sum reaches the incumbent's cost, which it
+    then never falls below.  Adding non-negative arcs is monotone in floats,
     so both bounds hold as summed, without slack or triangle inequality, and
     no direction due before c can be reached: the scan reads only those due
     at c or later, and is skipped when their edges left are too few to win
@@ -236,18 +189,17 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
     memo: list[dict[int, float]] = [{} for _ in range(n)]  # [node][mask], one per node entered
     visited = [0]  # the current tour, shared down the search
     best_cost, best_count, best_visited = 0.0, 1, [0]
-    below: list[float] | None = None  # tie_thresholds of the incumbent, once a tie needs them
     budget, nodes, exhausted = DFS_NODE_BUDGET, 0, False
 
     def dfs(v: int, cost: float, mask: int) -> None:
-        nonlocal best_cost, best_count, best_visited, below, nodes, exhausted
+        nonlocal best_cost, best_count, best_visited, nodes, exhausted
         if nodes == budget:
             exhausted = True
             return
         nodes += 1
         count = len(visited)
         if count > best_count or (count == best_count and cost < best_cost):
-            best_cost, best_count, best_visited, below = cost, count, visited[:], None
+            best_cost, best_count, best_visited = cost, count, visited[:]
         row = arc[v]
         for nxt in order[v]:
             b = bit[nxt]
@@ -260,15 +212,14 @@ def rpp_dfs(graph: TransformedGraph) -> RppSolution:
             if memo[nxt].get(new_mask, INF) <= new_cost:
                 continue
             # Edges the child must still reach to win; equal counts win on
-            # cost, within the threshold of the arcs a tie needs below it.
-            tie = best_count - count - 1
+            # cost, if the arcs a tie needs below it sum to less.
+            low, tie = new_cost, best_count - count - 1
             if tie > 0:
-                if below is None:
-                    below = tie_thresholds(best_cost, least, best_count - 2)
-                need = tie + 1 - (new_cost + min_out[nxt] <= below[tie - 1])
-            else:
-                need = tie + 1 - (new_cost < best_cost)
-            need -= (free & ~new_mask).bit_count()
+                low += min_out[nxt]
+                while tie > 1 and low < best_cost:
+                    low += least
+                    tie -= 1
+            need = best_count - count - (low < best_cost) - (free & ~new_mask).bit_count()
             if need > 0:
                 reach = new_mask | free
                 k = bisect_right(due, -new_cost)

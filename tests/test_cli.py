@@ -292,6 +292,25 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"data error: {rp}: edge 0: true cost 0.0 is not finite and positive\n")
 
+    @pytest.mark.parametrize("instance, realization", [
+        # Ground costs of 1e308: the destination was unreachable at run time.
+        ("sapp 1\nv 0 0 0\nv 1 1 0\nv 2 2 0\ne 0 0 1 1e308 1.0 -\ne 1 1 2 1e308 1.0 -\n"
+         "meta p=0 q=0 d=2 uav_speed=2.0 free_flight=1\n", ""),
+        # Aerial costs of 1e308: the scout found no flight from 0 to 2.
+        ("sapp 1\nv 0 0.0 0.0\nv 1 1.0 0.0\nv 2 2.0 0.0\nv 3 2.0 1.0\ne 0 0 1 1.0 1e308 -\n"
+         "e 1 1 2 1.0 1e308 -\ne 2 1 3 5.0 1e308 -\ne 3 2 3 - 1e308 U 1.0 3.0\n"
+         "meta p=0 q=0 d=3 uav_speed=2.0 free_flight=0\n", "r 3 2.0\n"),
+    ], ids=["ground", "aerial"])
+    def test_costs_that_overflow_when_summed_are_data_errors(self, tmp_path, capsys, instance, realization):
+        # Every cost is finite, but a path's cost could overflow: the loader
+        # rejects the file instead of the mission failing with exit 3.
+        ip, rp = tmp_path / "inst.txt", tmp_path / "real.txt"
+        ip.write_text(instance)
+        rp.write_text(realization)
+        rc = run_cli("simulate", "--instance", str(ip), "--realization", str(rp), "--planner", "paa")
+        assert rc == DATA_ERROR
+        assert capsys.readouterr().err.startswith(f"data error: {ip}: ")
+
     def test_missing_instance_is_runtime_error(self, tmp_path):
         _, rp = self.write_pair(tmp_path)
         rc = run_cli("simulate", "--instance", str(tmp_path / "nope.txt"), "--realization", rp)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,29 @@ class TestInstanceValidation:
         coords = [(0.0, 0.0), (1.0, 0.0)]
         with pytest.raises(InstanceError, match="uav_speed"):
             ProblemInstance(coords, [EdgeRecord(0, 0, 1, 1.0, 0.5)], 0, 0, 1, uav_speed=speed)
+
+    def test_costs_summing_past_half_the_largest_float_rejected(self):
+        # Each cost is finite, but the ground costs (t_max for an impeded
+        # edge) or the aerial costs add up past half the largest float, so a
+        # path's cost could overflow: the ground vehicle would find no route,
+        # or the scout no flight.  Half of it exactly is still an instance.
+        line = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        quarter = sys.float_info.max / 4
+        for first, second in (
+            (EdgeRecord(0, 0, 1, 1e308, 1.0), EdgeRecord(1, 1, 2, 1e308, 1.0)),
+            (EdgeRecord(0, 0, 1, None, 1.0, UniformCost(1.0, 1e308)), EdgeRecord(1, 1, 2, 1e308, 1.0)),
+        ):
+            with pytest.raises(InstanceError, match="ground edge costs sum past half the largest float"):
+                ProblemInstance(line, [first, second], 0, 0, 2, uav_free_flight=True)
+        square = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0)]
+        edges = [EdgeRecord(0, 0, 1, 1.0, 1e308), EdgeRecord(1, 1, 2, 1.0, 1e308),
+                 EdgeRecord(2, 1, 3, 5.0, 1e308), EdgeRecord(3, 2, 3, None, 1e308, UniformCost(1.0, 3.0))]
+        with pytest.raises(InstanceError, match="aerial edge costs sum past half the largest float"):
+            ProblemInstance(square, edges, 0, 0, 3)
+        halves = [EdgeRecord(0, 0, 1, quarter, quarter), EdgeRecord(1, 1, 2, quarter, quarter)]
+        ProblemInstance(line, halves, 0, 0, 2)
+        with pytest.raises(InstanceError, match="aerial"):
+            ProblemInstance(line, halves + [EdgeRecord(2, 0, 2, None, quarter)], 0, 0, 2)
 
     def test_loader_rejects_infinite_cost(self, tmp_path):
         path = tmp_path / "inf.txt"

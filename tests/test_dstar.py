@@ -12,7 +12,7 @@ from conftest import (
     line_instance,
     random_connected_instance,
 )
-from scoutplan import bench, dstar
+from scoutplan import bench, core, dstar
 from scoutplan.core import INF, NoPathError, PlanningCostView, descend, dijkstra
 from scoutplan.dstar import AddressableHeap
 
@@ -98,7 +98,7 @@ class TestInitialize:
         dist = dijkstra(inst.adj, inst.d, view.costs)[0]
         assert state.g == dist and state.rhs == dist
         assert not state.queue._live and oracles.queue_consistent(state)
-        assert all(state.rhs[v] == dstar.lookahead(state, view.costs, v)
+        assert all(state.rhs[v] == core.lookahead(inst.adj, view.costs, state.g, v)
                    for v in range(inst.n_vertices) if v != inst.d)
         if dist[inst.p] < INF:
             path = dstar.replan(state, view, inst.p, [])

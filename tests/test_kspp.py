@@ -250,25 +250,30 @@ class TestSuppression:
         # the last accepted one when the tree was last reset, and a search
         # follows the bound of its own spur.  The limits the searches mark
         # to never rise between resets.
-        seen, limits = [], []
+        seen, limits, trees = [], [], []
         search = kspp.spur_search
         reset = kspp.ReverseTree.reset
-        lower_bound = kspp.ReverseTree.lower_bound
+        lookahead = kspp.lookahead
         mark = kspp.ReverseTree.mark
 
         def counting_reset(tree):
             tree.resets = getattr(tree, "resets", 0) + 1
             tree.limits = []
             limits.append(tree.limits)
+            trees.append(tree)
             reset(tree)
 
         def recording_mark(tree, bound):
             tree.limits.append(bound)
             return mark(tree, bound)
 
-        def recording_bound(tree, spur):
+        def recording_bound(adj, cost, dist, spur):
+            # The bound reads the tree that was last reset: its costs with
+            # the hidden edges at INF, and its distances.
+            tree = trees[-1]
+            assert cost is tree.cost and dist is tree.dist
             seen.append([tree.resets, spur, hidden_edges(tree), False])
-            return lower_bound(tree, spur)
+            return lookahead(adj, cost, dist, spur)
 
         def recording_search(tree, spur, limit):
             assert seen[-1][:2] == [tree.resets, spur]
@@ -278,7 +283,7 @@ class TestSuppression:
             return found
 
         monkeypatch.setattr(kspp.ReverseTree, "reset", counting_reset)
-        monkeypatch.setattr(kspp.ReverseTree, "lower_bound", recording_bound)
+        monkeypatch.setattr(kspp, "lookahead", recording_bound)
         monkeypatch.setattr(kspp.ReverseTree, "mark", recording_mark)
         monkeypatch.setattr(kspp, "spur_search", recording_search)
         checked = searched = deep = shared = chains = after_chain = 0

@@ -349,6 +349,22 @@ TRACER_COUNTS = {
     "core.UavMetric.path.calls": 407,
 }
 
+# The bench.run_totals work counters of each seed-0 list, summed over its
+# runs.  An event log can hold while a counter moves: a tie bound one
+# least arc short keeps every tour but enters more DFS nodes.
+RUN_TOTALS = {
+    "kpaths-adversarial": {
+        "n_replans": 198, "budget_hits": 0, "critical_edges": 415, "dfs_nodes": 3_567,
+        "dstar_expansions": 3_577, "late_inspections": 0, "spur_searches": 2_409,
+        "spur_isolated": 10_369, "spur_nopath": 503, "spur_settled": 10_811, "spur_pruned": 1_024,
+    },
+    "kpaths-scaling": {
+        "n_replans": 99, "budget_hits": 0, "critical_edges": 126, "dfs_nodes": 0,
+        "dstar_expansions": 20_411, "late_inspections": 0, "spur_searches": 1_865,
+        "spur_isolated": 3_040, "spur_nopath": 780, "spur_settled": 4_964, "spur_pruned": 3_161,
+    },
+}
+
 
 class TestCriticalEdges:
     @pytest.mark.parametrize("name", ["kpaths-adversarial", "kpaths-scaling"])
@@ -357,7 +373,7 @@ class TestCriticalEdges:
         # and, on the paa list, those handed to select_edge as its first
         # argument.  The rpp run also pins the calls it counts in the hot
         # loops: a repair or tour build that went round a counted call would
-        # read lower.
+        # read lower.  Both runs pin their summed work counters.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         from tracer import Tracer
         from workloads import WORKLOADS
@@ -370,7 +386,9 @@ class TestCriticalEdges:
         finally:
             tracer.uninstall()
         totals = tracer.totals()
-        critical = sum(bench.run_totals(o)["critical_edges"] for o in outs)
+        summed = {key: sum(bench.run_totals(o)[key] for o in outs) for key in RUN_TOTALS[name]}
+        assert summed == RUN_TOTALS[name]
+        critical = summed["critical_edges"]
         assert critical == totals["rpp.critical_edges"] > 0
         if workload.config().planner == "paa":
             assert totals["paa.scored_edges"] == critical
